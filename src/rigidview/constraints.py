@@ -16,12 +16,15 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .cameras import CameraRig, ProjectivePoint, multiview_membership
-from .linalg import EXACT, FLOAT, Mat, Scalar, ShapeError, det, encode_scalar
-from .triangulation import assemble_b, triangulate, wedge5, _find_witness
+from .linalg import EXACT, FLOAT, BackendError, Mat, Scalar, ShapeError, det, encode_scalar
+from .triangulation import (assemble_b, camera_minor_table, cofactor_vectors, triangulate,
+                            wedge5, _find_witness)
 
 
 class Family(str, Enum):
@@ -175,12 +178,149 @@ def polarize(q: BihomForm) -> QuadTensor:
 
 
 def wedge_table(rig: CameraRig, points, pairs):
-    """Cofactor 4-vectors for every requested camera pair and row index."""
+    """Cofactor 4-vectors for every requested camera pair and row index, read
+    from the pair's camera minor table."""
     table = {}
     for (j, k) in pairs:
-        b = assemble_b(rig, j, k, points[j], points[k])
-        table[(j, k)] = [wedge5(b, i)[:4] for i in range(6)]
+        w = cofactor_vectors(camera_minor_table(rig, j, k), points[j].coords, points[k].coords)
+        table[(j, k)] = [tuple(row) for row in w.tolist()]
     return table
+
+
+# The ten coordinates (p, q), p <= q, of the symmetric square of R^4.
+_SYM2 = [(p, q) for p in range(4) for q in range(p, 4)]
+_SYM2_P = [p for p, _ in _SYM2]
+_SYM2_Q = [q for _, q in _SYM2]
+_SYM2_OFF = [s for s, (p, q) in enumerate(_SYM2) if p != q]
+
+
+def _gram(tensor: QuadTensor, exact: bool):
+    """The tensor as a 10x10 matrix on the symmetric square, and on the exact
+    backend the least positive integer that clears its denominators (the
+    matrix is returned multiplied by it)."""
+    slot = {pq: s for s, pq in enumerate(_SYM2)}
+    coefs = {}
+    for ((p, q), (r, t)), coef in tensor.entries.items():
+        key = (slot[min(p, q), max(p, q)], slot[min(r, t), max(r, t)])
+        coefs[key] = coefs.get(key, 0) + coef
+    if not exact:
+        gram = np.zeros((10, 10))
+        for key, coef in coefs.items():
+            gram[key] = float(coef)
+        return gram, None
+    den = lcm(*(Fraction(c).denominator for c in coefs.values()))
+    gram = np.zeros((10, 10), dtype=object)
+    for key, coef in coefs.items():
+        gram[key] = int(coef * den)
+    return gram, den
+
+
+def _cleared(coords):
+    """Integer coordinates proportional to exact ones, and the factor used."""
+    den = lcm(*(x.denominator for x in coords))
+    if den == 1:
+        return coords, 1
+    return [int(x * den) for x in coords], den
+
+
+def _s_rows(keys, sels):
+    """The rows of S holding the selections ``(j, k, i1, i2)``; ``keys`` maps
+    (camera pair, sorted row pair) to the row and gains the new ones."""
+    rows = {}
+    for sel in dict.fromkeys(sels):
+        j, k, i1, i2 = sel
+        rows[sel] = keys.setdefault(((j, k), (min(i1, i2), max(i1, i2))), len(keys))
+    return np.array([rows[sel] for sel in sels], dtype=np.intp)
+
+
+class OcticEngine:
+    """Degree-8 constraint values by contraction with the tensor's Gram matrix.
+
+    A value T(w_i1, w_i2, w'_i3, w'_i4) pairs two cofactor vectors of one
+    camera pair in one image tuple with two of a pair in another tuple.  For
+    each tuple, every (camera pair, row pair) in use gives one row of a
+    matrix S: the symmetric products w_i1[p] w_i2[q] + w_i1[q] w_i2[p] over the
+    ten coordinates p <= q of the symmetric square (one product when p = q),
+    formed as :meth:`QuadTensor.value` forms them.  A block of values is then
+    S_a G S_b^T, with G the tensor's 10x10 Gram matrix.
+
+    The exact backend computes on integers: G, the camera minor tables and
+    the image points are cleared of denominators, and each value comes with
+    the positive integer it was multiplied by, divided out only when values
+    are returned.  Floats go through float64.
+    """
+
+    __slots__ = ("exact", "tables", "rows", "blocks")
+
+    def __init__(self, rig: CameraRig, blocks):
+        """``blocks`` lists ``(a, b, tensor, selections)``: each selection
+        ``((j1, k1, i1, i2), (j2, k2, i3, i4))`` is one value, the tensor at
+        cofactor vectors i1, i2 of camera pair (j1, k1) in image tuple a and
+        i3, i4 of pair (j2, k2) in tuple b.  The camera minor tables of the
+        pairs in use are computed here, once."""
+        self.exact = rig.backend == EXACT
+        rows = {}
+        self.blocks = []
+        for a, b, tensor, selections in blocks:
+            left = _s_rows(rows.setdefault(a, {}), [sel for sel, _ in selections])
+            right = _s_rows(rows.setdefault(b, {}), [sel for _, sel in selections])
+            gram, den = _gram(tensor, self.exact)
+            self.blocks.append((a, b, gram, den, left, right))
+        self.rows = {t: list(keys) for t, keys in rows.items()}
+        self.tables = {}
+        for pair in {pair for keys in rows.values() for pair, _ in keys}:
+            table = camera_minor_table(rig, *pair)
+            den = 1
+            if self.exact:
+                table, den = _cleared(table.ravel())
+                table = np.array(table, dtype=object).reshape(6, 4, 9)
+            self.tables[pair] = (table, den)
+
+    def _products(self, points, keys):
+        """S for one image tuple, and on the exact backend the factor of each
+        of its rows (None on floats)."""
+        vectors, factors = {}, {}
+        for pair in dict.fromkeys(pair for pair, _ in keys):
+            j, k = pair
+            table, den = self.tables[pair]
+            u_j, u_k = points[j].coords, points[k].coords
+            if self.exact:
+                u_j, den_j = _cleared(u_j)
+                u_k, den_k = _cleared(u_k)
+                factors[pair] = (den * den_j * den_k) ** 2
+            vectors[pair] = cofactor_vectors(table, u_j, u_k)
+        first = np.array([vectors[pair][i1] for pair, (i1, _) in keys])
+        second = np.array([vectors[pair][i2] for pair, (_, i2) in keys])
+        s = first[:, _SYM2_P] * second[:, _SYM2_Q]
+        s[:, _SYM2_OFF] += (first[:, _SYM2_Q] * second[:, _SYM2_P])[:, _SYM2_OFF]
+        if not self.exact:
+            return s, None
+        return s, np.array([factors[pair] for pair, _ in keys], dtype=object)
+
+    def cleared(self, tuples) -> list:
+        """Per block, ``(values, factors)``: the values in selection order,
+        each multiplied on the exact backend by the positive integer at the
+        same place in ``factors`` (None on the float backend)."""
+        if any((p.backend == EXACT) != self.exact for points in tuples for p in points):
+            raise BackendError("image points and rig must share one scalar backend")
+        products = {t: self._products(tuples[t], keys) for t, keys in self.rows.items()}
+        out = []
+        for a, b, gram, den, left, right in self.blocks:
+            (s_a, f_a), (s_b, f_b) = products[a], products[b]
+            values = (s_a @ gram @ s_b.T)[left, right]
+            out.append((values, None if f_a is None else den * f_a[left] * f_b[right]))
+        return out
+
+    def evaluate(self, tuples) -> list:
+        """Every value, blocks in order, each block in selection order."""
+        out = []
+        for values, factors in self.cleared(tuples):
+            if factors is None:
+                out.extend(values.tolist())
+            else:
+                out.extend(Fraction(x, f) if x and f != 1 else x
+                           for x, f in zip(values.tolist(), factors.tolist()))
+        return out
 
 
 def octic_value(rig: CameraRig, tensor: QuadTensor,
@@ -192,12 +332,7 @@ def octic_value(rig: CameraRig, tensor: QuadTensor,
     applied to the four cofactor vectors.  As a function of the image points
     it is homogeneous of degree 2 in each of the four involved points.
     """
-    j1, k1, i1, i2 = u_sel
-    j2, k2, i3, i4 = v_sel
-    bu = assemble_b(rig, j1, k1, u[j1], u[k1])
-    bv = assemble_b(rig, j2, k2, v[j2], v[k2])
-    return tensor.value(wedge5(bu, i1)[:4], wedge5(bu, i2)[:4],
-                        wedge5(bv, i3)[:4], wedge5(bv, i4)[:4])
+    return OcticEngine(rig, [(0, 1, tensor, [(u_sel, v_sel)])]).evaluate((u, v))[0]
 
 
 def trilinear_residuals(rig: CameraRig, j: int, k: int, l: int,
@@ -227,13 +362,18 @@ def _camera_pairs(n):
     return list(itertools.combinations(range(n), 2))
 
 
+_OCTIC_FAMILIES = (Family.OCTIC_FULL, Family.OCTIC_NINE, Family.OCTIC_SIXTEEN)
+_TRILINEAR_POSITION = {rowset: pos for pos, rowset
+                       in enumerate(itertools.combinations(range(9), 7))}
+
+
 def _octic_indices(rig: CameraRig, family: Family):
     pairs = _camera_pairs(rig.n)
     if family == Family.OCTIC_FULL:
-        row_pairs = [(i1, i2) for i1 in range(6) for i2 in range(i1, 6)]
-        return [((j1, k1, i1, i2), (j2, k2, i3, i4))
-                for (j1, k1) in pairs for (j2, k2) in pairs
-                for (i1, i2) in row_pairs for (i3, i4) in row_pairs]
+        sels = {(j, k): [(j, k, i1, i2) for i1 in range(6) for i2 in range(i1, 6)]
+                for (j, k) in pairs}
+        return [(u_sel, v_sel) for pu in pairs for pv in pairs
+                for u_sel in sels[pu] for v_sel in sels[pv]]
     if family == Family.OCTIC_NINE:
         return [((j1, k1, i, i), (j2, k2, kk, kk))
                 for (j1, k1) in pairs for (j2, k2) in pairs
@@ -270,18 +410,8 @@ class ConstraintSystem:
     def evaluate(self, *tuples) -> list:
         fam = self.family
         rig = self.rig
-        if fam in (Family.OCTIC_FULL, Family.OCTIC_NINE, Family.OCTIC_SIXTEEN):
-            u, v = tuples
-            tensor = self.params["tensor"]
-            pairs_u = {sel[0][:2] for sel in self.indices}
-            pairs_v = {sel[1][:2] for sel in self.indices}
-            tu = wedge_table(rig, u, pairs_u)
-            tv = wedge_table(rig, v, pairs_v)
-            out = []
-            for (j1, k1, i1, i2), (j2, k2, i3, i4) in self.indices:
-                out.append(tensor.value(tu[(j1, k1)][i1], tu[(j1, k1)][i2],
-                                        tv[(j2, k2)][i3], tv[(j2, k2)][i4]))
-            return out
+        if fam in _OCTIC_FAMILIES or fam == Family.PAIRWISE_DISTANCE:
+            return self.params["engine"].evaluate(tuples)
         if fam == Family.MULTIVIEW_BILINEAR:
             u, v = tuples
             out = []
@@ -298,23 +428,10 @@ class ConstraintSystem:
                 key = (side, j, k, l)
                 if key not in cache:
                     cache[key] = trilinear_residuals(rig, j, k, l, pts[j], pts[k], pts[l])
-                rowsets = list(itertools.combinations(range(9), 7))
-                out.append(cache[key][rowsets.index(minor)])
+                out.append(cache[key][_TRILINEAR_POSITION[minor]])
             return out
         if fam == Family.COPLANAR:
-            cam_pairs = self.params["pairs"]
-            tables = [wedge_table(rig, t, [p])[p] for t, p in zip(tuples, cam_pairs)]
-            out = []
-            for (i, j, k, l) in self.indices:
-                cols = [tables[0][i], tables[1][j], tables[2][k], tables[3][l]]
-                out.append(det(Mat.from_cols(cols)))
-            return out
-        if fam == Family.PAIRWISE_DISTANCE:
-            out = []
-            for (a, bpt), u_sel, v_sel in self.indices:
-                tensor = self.params["tensors"][(a, bpt)]
-                out.append(octic_value(rig, tensor, u_sel, v_sel, tuples[a], tuples[bpt]))
-            return out
+            return coplanar_residuals(rig, tuples, self.params["pairs"], self.params["rows"])
         if fam == Family.GENERAL_DE:
             u, v = tuples
             form = self.params["form"]
@@ -351,10 +468,13 @@ def constraint_system(rig: CameraRig, family: Family | str, **params) -> Constra
     bihomogeneous ``form``.
     """
     family = Family(family)
-    if family in (Family.OCTIC_FULL, Family.OCTIC_NINE, Family.OCTIC_SIXTEEN):
+    if family in _OCTIC_FAMILIES:
         form = params.get("form") or unit_distance_form()
-        return ConstraintSystem(rig, family, _octic_indices(rig, family),
-                                {"form": form, "tensor": polarize(form)})
+        tensor = polarize(form)
+        idx = _octic_indices(rig, family)
+        return ConstraintSystem(rig, family, idx,
+                                {"form": form, "tensor": tensor,
+                                 "engine": OcticEngine(rig, [(0, 1, tensor, idx)])})
     if family == Family.MULTIVIEW_BILINEAR:
         idx = [("u", j, k) for j, k in _camera_pairs(rig.n)]
         idx += [("v", j, k) for j, k in _camera_pairs(rig.n)]
@@ -391,7 +511,11 @@ def constraint_system(rig: CameraRig, family: Family | str, **params) -> Constra
                         for kk in range(3):
                             idx.append((pts, (j1, k1, i, i), (j2, k2, kk, kk)))
         tensors = {key: polarize(f) for key, f in forms.items()}
-        return ConstraintSystem(rig, family, idx, {"forms": forms, "tensors": tensors})
+        engine = OcticEngine(rig, [(a, b, tensors[(a, b)],
+                                    [(u_sel, v_sel) for pts, u_sel, v_sel in idx if pts == (a, b)])
+                                   for (a, b) in tensors])
+        return ConstraintSystem(rig, family, idx,
+                                {"forms": forms, "tensors": tensors, "engine": engine})
     if family == Family.GENERAL_DE:
         form = params["form"]
         if form.bidegree == (0, 0):
@@ -484,14 +608,14 @@ def rigid_pair_by_equations(rig: CameraRig, u, v,
     """Equation-side membership: both tuples consistent and every octic of
     the family vanishing (exactly, or below the normalized float threshold)."""
     family = Family(family)
-    if family not in (Family.OCTIC_FULL, Family.OCTIC_NINE, Family.OCTIC_SIXTEEN):
+    if family not in _OCTIC_FAMILIES:
         raise ValueError("membership by equations uses an octic family")
     if not (multiview_membership(rig, u, tol).ok and multiview_membership(rig, v, tol).ok):
         return False
     system = constraint_system(rig, family, form=form)
-    values = system.evaluate(u, v)
     if rig.backend == EXACT:
-        return all(val == 0 for val in values)
+        return not any(values.any() for values, _ in system.params["engine"].cleared((u, v)))
+    values = system.evaluate(u, v)
     t = tol if tol is not None else DEFAULT_VANISH_TOL
     for idx, val in zip(system.indices, values):
         if abs(val) > t * max(_octic_normalizer(idx, u, v), 1e-300):

@@ -686,7 +686,7 @@ def _exp_counts(config, seed):
 def _exp_epipole(config, seed):
     rigs = config.get("rigs", config.get("samples", 5))
     probes = config.get("probes", 10)
-    failures = []
+    failures, checked, skipped = [], 0, 0
     for idx in range(rigs):
         rng = random.Random(_sub_seed(seed, idx))
         rig = random_rig(rng, 2, config.get("height", 20))
@@ -703,9 +703,12 @@ def _exp_epipole(config, seed):
             try:
                 u = _canonical_tuple(forward_map(rig, x))
             except ValueError:
+                skipped += 1
                 continue
             if u[0] == ep[0] and u[1] == ep[1]:
+                skipped += 1
                 continue
+            checked += 1
             bb = assemble_b(rig, 0, 1, u[0], u[1])
             if rank(bb.mat).rank != 5:
                 failures.append({"rig": idx, "probe": p_idx, "reason": "variety point not rank 5"})
@@ -713,7 +716,7 @@ def _exp_epipole(config, seed):
             if any(val != 0 for val in octics.evaluate(u, ep)):
                 failures.append({"rig": idx, "probe": p_idx,
                                  "reason": "octic nonzero on epipole component"})
-    return rigs, failures, {}
+    return rigs, failures, {"probes_checked": checked, "probes_skipped": skipped}
 
 
 def _exp_group_action(config, seed):
@@ -768,30 +771,28 @@ def _sample_coplanar_points(rng):
 
 def _exp_coplanar(config, seed):
     samples = config.get("samples", 5)
-    failures = []
+    failures, skipped = [], 0
     for idx in range(samples):
         rng = random.Random(_sub_seed(seed, idx))
         rig = random_rig(rng, 2, config.get("height", 20))
         pts = _sample_coplanar_points(rng)
+        generic = [random_affine_point(rng, 20) for _ in range(4)]
         try:
             tuples4 = [_canonical_tuple(forward_map(rig, p)) for p in pts]
+            tuples_g = [_canonical_tuple(forward_map(rig, p)) for p in generic]
         except ValueError:
+            skipped += 1
             continue
         if any(val != 0 for val in coplanar_residuals(rig, tuples4)):
             failures.append({"sample": idx, "reason": "coplanar residual nonzero"})
-        generic = [random_affine_point(rng, 20) for _ in range(4)]
-        try:
-            tuples_g = [_canonical_tuple(forward_map(rig, p)) for p in generic]
-        except ValueError:
-            continue
         if all(val == 0 for val in coplanar_residuals(rig, tuples_g)):
             failures.append({"sample": idx, "reason": "generic quadruple all zero"})
-    return samples, failures, {}
+    return samples - skipped, failures, {"skipped": skipped}
 
 
 def _exp_pairwise_triangle(config, seed):
     samples = config.get("samples", 5)
-    failures = []
+    failures, skipped = [], 0
     for idx in range(samples):
         rng = random.Random(_sub_seed(seed, idx))
         rig = random_rig(rng, 2, config.get("height", 20))
@@ -801,6 +802,7 @@ def _exp_pairwise_triangle(config, seed):
             diff = [pa - pb for pa, pb in zip(pts[a].coords[:3], pts[b].coords[:3])]
             sq[(a, b)] = sum(d * d for d in diff)
         if any(s == 0 for s in sq.values()):
+            skipped += 1
             continue
         system = constraint_system(rig, Family.PAIRWISE_DISTANCE,
                                    s12=sq[(0, 1)], s13=sq[(0, 2)], s23=sq[(1, 2)])
@@ -823,7 +825,7 @@ def _exp_pairwise_triangle(config, seed):
             sq_col[(a, b)] = sum(d * d for d in diff)
         if squared_distance_discriminant(sq_col[(0, 1)], sq_col[(0, 2)], sq_col[(1, 2)]) != 0:
             failures.append({"sample": idx, "reason": "collinear discriminant nonzero"})
-    return samples, failures, {}
+    return samples - skipped, failures, {"skipped": skipped}
 
 
 EXPERIMENTS: dict = {

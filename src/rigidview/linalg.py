@@ -358,7 +358,7 @@ def nullspace(m: Mat, tol: float | None = None) -> list[tuple]:
             v[f] = Fraction(1)
             for r in range(len(pivot_cols) - 1, -1, -1):
                 pc = pivot_cols[r]
-                s = sum(Fraction(ech[r][j]) * v[j] for j in range(pc + 1, m.cols))
+                s = sum((ech[r][j] * v[j] for j in range(pc + 1, m.cols)), Fraction(0))
                 v[pc] = -s / ech[r][pc]
             basis.append(integer_cleared(v))
         return basis

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .cameras import CameraRig, ImageTuple, ProjectivePoint, multiview_membership
 from .linalg import EXACT, FLOAT, Mat, rank, signed_maximal_minors
 
@@ -101,6 +103,55 @@ def wedge5(b: BMatrix, i: int) -> tuple:
     convention follows :func:`rigidview.linalg.signed_maximal_minors`.
     """
     return signed_maximal_minors(b.mat.delete_row(i))
+
+
+def _det3(r0, r1, r2):
+    return (r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
+            - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
+            + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0]))
+
+
+def camera_minor_table(rig: CameraRig, j: int, k: int) -> np.ndarray:
+    """Signed 3x3 minors of the stacked pair [A_j; A_k], arranged so that the
+    cofactor vectors of the pair are bilinear in its two image points:
+
+        wedge5(B, i)[c] = sum over a, b of table[i, c, 3a + b] * u_j[a] * u_k[b]
+
+    where table[i, c, 3a + b] is, up to sign, the 3x3 minor of the 6x4 stack
+    without rows i, a and 3 + b and without column c (zero when row i is row
+    a or row 3 + b).  The sign is (-1)^c from :func:`wedge5` times the
+    Laplace sign of expanding B along its two image columns.  Entries are
+    ints or Fractions on the exact backend, float64 on the float backend.
+    """
+    if j == k:
+        raise ValueError("camera indices must differ")
+    stack = rig.camera(j).matrix.data + rig.camera(k).matrix.data
+    exact = rig.backend == EXACT
+    table = np.zeros((6, 4, 9), dtype=object if exact else np.float64)
+    minors = {}
+    for i in range(6):
+        for a in range(3):
+            for b in range(3):
+                if i in (a, 3 + b):
+                    continue
+                rows = tuple(r for r in range(6) if r not in (i, a, 3 + b))
+                if rows not in minors:
+                    sub = [stack[r] for r in rows]
+                    minors[rows] = [(-1) ** c * _det3(*(row[:c] + row[c + 1:] for row in sub))
+                                    for c in range(4)]
+                # Laplace sign of rows a, 3 + b (shifted up past the deleted
+                # row i) against the image columns, at positions 3, 4
+                sign = (-1) ** (a - (a > i) + 3 + b - (3 + b > i) + 3 + 4)
+                for c in range(4):
+                    table[i, c, 3 * a + b] = sign * minors[rows][c]
+    return table
+
+
+def cofactor_vectors(table: np.ndarray, u_j: Sequence, u_k: Sequence) -> np.ndarray:
+    """The six cofactor 4-vectors of a camera pair, as a 6x4 array, read from
+    its :func:`camera_minor_table` and the two image points' coordinates."""
+    outer = np.array([x * y for x in u_j for y in u_k], dtype=table.dtype)
+    return table @ outer
 
 
 def wedge5_point(b: BMatrix, i: int, tol: float | None = None) -> Optional[ProjectivePoint]:

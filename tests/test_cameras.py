@@ -97,6 +97,12 @@ class TestRigConstruction:
         assert rig.epipole(1, 0) == ProjectivePoint((1, 0, 0))
         assert rig.general_position.ok
 
+    def test_focal_point_at_infinity_stays_exact(self):
+        cam = Camera(Mat([[3, 1, 2, 5], [0, 0, 2, 1], [0, 0, 0, 3]]))
+        assert cam.focal_point.coords == (-1, 3, 0, 0)
+        rig = CameraRig([cam.matrix, Mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])])
+        assert rig.epipole(1, 0).coords == (-1, 3, 0)
+
     def test_collinear_focal_points_flagged(self):
         # focal points (0,0,0,1), (1,0,0,1), (2,0,0,1) sit on one line
         mats = []

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import naive_det, random_rig, random_world_point, standard_rig
 from rigidview.cameras import (
@@ -25,6 +27,7 @@ from rigidview.constraints import (
     coplanar_residuals,
     distance_form,
     general_constraint_value,
+    QuadTensor,
     octic_value,
     pairwise_distance_form,
     polarize,
@@ -35,7 +38,8 @@ from rigidview.constraints import (
     trilinear_residuals,
     unit_distance_form,
 )
-from rigidview.linalg import Mat, det
+from rigidview.linalg import BackendError, Mat, det
+from rigidview.triangulation import assemble_b, camera_minor_table, cofactor_vectors, wedge5
 
 
 def unit_pair(rng):
@@ -190,6 +194,121 @@ class TestOcticValue:
         base = octic_value(rig, t, (0, 1, 0, 1), (0, 1, 2, 2), u, v)
         scaled_u = (u[0].scaled(7), u[1])
         assert octic_value(rig, t, (0, 1, 0, 1), (0, 1, 2, 2), scaled_u, v) == 49 * base
+
+
+def _camera_mats(n):
+    entry = st.integers(-20, 20)
+    row = st.lists(entry, min_size=4, max_size=4)
+    return st.lists(st.lists(row, min_size=3, max_size=3).map(Mat), min_size=n, max_size=n)
+
+
+def _image_point(coord):
+    return (st.lists(coord, min_size=3, max_size=3)
+            .filter(lambda c: any(x != 0 for x in c)).map(ProjectivePoint))
+
+
+# integer-cleared coordinates, and Fraction coordinates
+EXACT_COORDS = (st.integers(-10**6, 10**6),
+                st.fractions(min_value=-50, max_value=50, max_denominator=12))
+# six-digit floats in [-1, 1]: no subnormal products
+FLOAT_COORD = st.integers(-10**6, 10**6).map(lambda k: k / 10**6)
+
+
+def _image_tuples(coord, n, count):
+    return st.lists(st.lists(_image_point(coord), min_size=n, max_size=n).map(tuple),
+                    min_size=count, max_size=count)
+
+
+def reference_values(system, tuples):
+    """Per-index reference: QuadTensor.value over wedge5 cofactor vectors."""
+    rig, vectors = system.rig, {}
+
+    def w(t, j, k, i):
+        if (t, j, k) not in vectors:
+            pts = tuples[t]
+            b = assemble_b(rig, j, k, pts[j], pts[k])
+            vectors[(t, j, k)] = [wedge5(b, row)[:4] for row in range(6)]
+        return vectors[(t, j, k)][i]
+
+    out = []
+    for idx in system.indices:
+        if system.family == Family.PAIRWISE_DISTANCE:
+            (a, b), u_sel, v_sel = idx
+            tensor = system.params["tensors"][(a, b)]
+        else:
+            (a, b), (u_sel, v_sel) = (0, 1), idx
+            tensor = system.params["tensor"]
+        (j1, k1, i1, i2), (j2, k2, i3, i4) = u_sel, v_sel
+        out.append(tensor.value(w(a, j1, k1, i1), w(a, j1, k1, i2),
+                                w(b, j2, k2, i3), w(b, j2, k2, i4)))
+    return out, vectors
+
+
+def _families(n):
+    fams = [Family.OCTIC_FULL, Family.OCTIC_NINE]
+    return fams + [Family.OCTIC_SIXTEEN] if n >= 3 else fams
+
+
+class TestContractionEngine:
+    """The contraction engine against the per-index reference."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("coord", EXACT_COORDS, ids=["int", "fraction"])
+    @settings(max_examples=2, deadline=None)
+    @given(data=st.data())
+    def test_octic_families_equal_reference_exactly(self, n, coord, data):
+        rig = CameraRig(data.draw(_camera_mats(n)))
+        u, v = data.draw(_image_tuples(coord, n, 2))
+        for family in _families(n):
+            system = constraint_system(rig, family)
+            assert system.evaluate(u, v) == reference_values(system, (u, v))[0]
+
+    @pytest.mark.parametrize("coord", EXACT_COORDS, ids=["int", "fraction"])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data(), squared=st.lists(
+        st.fractions(min_value=Fraction(1, 30), max_value=50, max_denominator=30),
+        min_size=3, max_size=3))
+    def test_pairwise_distance_equals_reference_exactly(self, coord, data, squared):
+        rig = CameraRig(data.draw(_camera_mats(3)))
+        tuples3 = data.draw(_image_tuples(coord, 3, 3))
+        system = constraint_system(rig, Family.PAIRWISE_DISTANCE,
+                                   s12=squared[0], s13=squared[1], s23=squared[2])
+        assert system.evaluate(*tuples3) == reference_values(system, tuples3)[0]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data(), scale=st.floats(min_value=1e-2, max_value=1e2))
+    def test_float_rig_agrees_with_reference(self, n, data, scale):
+        rig = CameraRig([m.scaled(scale).to_float() for m in data.draw(_camera_mats(n))])
+        u, v = data.draw(_image_tuples(FLOAT_COORD, n, 2))
+        for family in _families(n):
+            system = constraint_system(rig, family)
+            want, vectors = reference_values(system, (u, v))
+            tensor = system.params["tensor"]
+            bound = QuadTensor({key: abs(c) for key, c in tensor.entries.items()})
+            for idx, got, ref in zip(system.indices, system.evaluate(u, v), want):
+                (j1, k1, i1, i2), (j2, k2, i3, i4) = idx
+                size = bound.value(*([abs(x) for x in vectors[key][i]] for key, i in (
+                    ((0, j1, k1), i1), ((0, j1, k1), i2), ((1, j2, k2), i3), ((1, j2, k2), i4))))
+                assert abs(got - ref) <= 1e-12 * size
+
+    def test_backends_do_not_mix(self):
+        rig = standard_rig()
+        u = (ProjectivePoint((0.0, 0.0, 1.0)), ProjectivePoint((1.0, 0.0, 1.0)))
+        with pytest.raises(BackendError):
+            constraint_system(rig, Family.OCTIC_NINE).evaluate(u, u)
+
+    @pytest.mark.parametrize("coord", EXACT_COORDS, ids=["int", "fraction"])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), pair=st.sampled_from([(0, 1), (1, 0), (0, 2), (2, 1)]))
+    def test_minor_table_equals_wedge5(self, coord, data, pair):
+        rig = CameraRig(data.draw(_camera_mats(3)))
+        (points,) = data.draw(_image_tuples(coord, 3, 1))
+        j, k = pair
+        w = cofactor_vectors(camera_minor_table(rig, j, k), points[j], points[k])
+        b = assemble_b(rig, j, k, points[j], points[k])
+        for i in range(6):
+            assert tuple(w[i]) == wedge5(b, i)[:4]
 
 
 class TestConstraintSystems:

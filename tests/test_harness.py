@@ -1,9 +1,11 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from rigidview import harness
 from rigidview.cameras import CameraRig, ProjectivePoint, forward_map
 from rigidview.constraints import unit_distance_form
 from rigidview.harness import (
@@ -232,3 +234,41 @@ class TestExperiments:
         assert doc["passed"] is True
         assert "wall_clock_s" in doc
         assert "wall_clock_s" not in report.canonical_json()
+
+
+def _replace_first_calls(monkeypatch, name, replacement, count):
+    """Route the first ``count`` calls of ``harness.<name>`` to ``replacement``."""
+    real = getattr(harness, name)
+    calls = itertools.count()
+
+    def patched(*args, **kwargs):
+        return (replacement if next(calls) < count else real)(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, patched)
+
+
+def _unprojectable(*args, **kwargs):
+    raise ValueError("world point is a focal point")
+
+
+class TestExperimentCounts:
+    @pytest.mark.parametrize("tag,name,replacement,count", [
+        # the first sample's quadruple cannot be projected
+        ("COPLANAR", "forward_map", _unprojectable, 1),
+        # the first sample's three points coincide
+        ("PAIRWISE_TRIANGLE", "random_affine_point",
+         lambda *args: ProjectivePoint((0, 0, 0, 1)), 3),
+    ])
+    def test_skipped_samples_are_not_reported_as_checked(self, monkeypatch, tag, name,
+                                                         replacement, count):
+        _replace_first_calls(monkeypatch, name, replacement, count)
+        report = run_experiment(tag, {"samples": 3, "seed": 2})
+        assert report.passed, report.failures
+        assert report.details["skipped"] == 1
+        assert report.samples + report.details["skipped"] == 3
+
+    def test_epipole_probes_checked_and_skipped(self, monkeypatch):
+        _replace_first_calls(monkeypatch, "forward_map", _unprojectable, 1)
+        report = run_experiment("EPIPOLE_COMPONENT", {"rigs": 2, "probes": 3, "seed": 2})
+        assert report.passed, report.failures
+        assert report.details == {"probes_checked": 5, "probes_skipped": 1}

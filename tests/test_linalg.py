@@ -145,6 +145,16 @@ class TestKernel:
         for v in nullspace(m):
             assert m.apply(v) == (0,) * m.rows
 
+    @pytest.mark.parametrize("rows,expected", [
+        ([[3, 1, 2, 5], [0, 0, 2, 1], [0, 0, 0, 3]], [(-1, 3, 0, 0)]),
+        ([[7, 2, 0, 1], [0, 0, 0, 5]], [(-2, 7, 0, 0), (0, 0, 1, 0)]),
+    ])
+    def test_exact_nullspace_with_last_pivot_in_last_column(self, rows, expected):
+        # the back-substitution sum of that pivot is empty; it must stay exact
+        basis = nullspace(Mat(rows))
+        assert basis == expected
+        assert all(type(x) is int for v in basis for x in v)
+
     def test_float_nullspace(self):
         m = Mat([[1.0, 0.0, 2.0], [0.0, 1.0, 3.0]])
         (v,) = nullspace(m, tol=1e-9)
