@@ -87,9 +87,6 @@ class ProjectivePoint:
     def to_float(self) -> "ProjectivePoint":
         return ProjectivePoint(tuple(float(x) for x in self.coords))
 
-    def same_as(self, other: "ProjectivePoint", tol: float | None = None) -> bool:
-        return projectively_equal(self, other, tol)
-
     def __repr__(self):
         return f"ProjectivePoint({list(self.coords)})"
 
@@ -427,22 +424,7 @@ def cayley_rotation(a: Scalar, b: Scalar, c: Scalar) -> Mat:
     i3 = Mat.identity(3)
     i_minus = Mat([[i3[r, q] - s[r, q] for q in range(3)] for r in range(3)])
     i_plus = Mat([[i3[r, q] + s[r, q] for q in range(3)] for r in range(3)])
-    return i_minus @ _inverse3(i_plus)
-
-
-def _inverse3(m: Mat) -> Mat:
-    d = det(m)
-    if d == 0:
-        raise ValueError("matrix is singular")
-    cof = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            sub = m.delete_row(i).delete_col(j)
-            sign = 1 if (i + j) % 2 == 0 else -1
-            row.append(Fraction(sign * det(sub), 1) / d)
-        cof.append(row)
-    return Mat(cof).transpose()
+    return i_minus @ invert(i_plus)
 
 
 def invert(m: Mat, tol: float | None = None) -> Mat:

@@ -12,7 +12,7 @@ import json
 import random
 import sys
 
-from .cameras import CameraRig, ProjectivePoint, forward_map, multiview_membership, rig_from_json, rig_to_json
+from .cameras import CameraRig, ProjectivePoint, forward_map, rig_from_json, rig_to_json
 from .constraints import Family, rigid_pair_by_equations, rigid_pair_oracle, polarize, unit_distance_form
 from .harness import (
     numeric_dimension,

@@ -23,8 +23,9 @@ import numpy as np
 
 from .cameras import CameraRig, ProjectivePoint, multiview_membership
 from .linalg import EXACT, FLOAT, BackendError, Mat, Scalar, ShapeError, det, encode_scalar
-from .triangulation import (assemble_b, camera_minor_table, cofactor_vectors, triangulate,
-                            wedge5, _find_witness)
+from .triangulation import (AmbiguousTriangulationError, NotInVarietyError,
+                            NotTriangulableError, assemble_b, camera_minor_table,
+                            cofactor_vectors, triangulate)
 
 
 class Family(str, Enum):
@@ -120,14 +121,6 @@ def distance_form_squared(s: Scalar) -> BihomForm:
         coeffs[(mixed, mixed)] = coeffs.get((mixed, mixed), 0) - 2
     coeffs[((0, 0, 0, 2), (0, 0, 0, 2))] = -s
     return BihomForm((2, 2), coeffs)
-
-
-def pairwise_distance_form(i: int, j: int, d: Scalar) -> BihomForm:
-    """Distance form linking points i and j of a multi-point configuration.
-    The form itself is index-free; the labels matter only to the caller."""
-    if i == j:
-        raise ValueError("point indices must differ")
-    return distance_form(d)
 
 
 def _exp_to_pair(alpha):
@@ -434,11 +427,11 @@ class ConstraintSystem:
             return coplanar_residuals(rig, tuples, self.params["pairs"], self.params["rows"])
         if fam == Family.GENERAL_DE:
             u, v = tuples
+            pairs = _camera_pairs(rig.n)
+            wu, wv = wedge_table(rig, u, pairs), wedge_table(rig, v, pairs)
             form = self.params["form"]
-            out = []
-            for (j1, k1, i), (j2, k2, kk) in self.indices:
-                out.append(general_constraint_value(rig, form, (j1, k1, i), (j2, k2, kk), u, v))
-            return out
+            return [form.evaluate(wu[(j1, k1)][i], wv[(j2, k2)][kk])
+                    for (j1, k1, i), (j2, k2, kk) in self.indices]
         raise ValueError(f"unknown family {fam}")
 
     def evaluate_report(self, *tuples) -> list:
@@ -531,11 +524,9 @@ def constraint_system(rig: CameraRig, family: Family | str, **params) -> Constra
 def general_constraint_value(rig: CameraRig, form: BihomForm, u_sel, v_sel, u, v) -> Scalar:
     """Evaluate a (d, e) form at two cofactor vectors (the diagonal
     specialization: all d left slots take the same u-side vector)."""
-    j1, k1, i = u_sel
-    j2, k2, kk = v_sel
-    bu = assemble_b(rig, j1, k1, u[j1], u[k1])
-    bv = assemble_b(rig, j2, k2, v[j2], v[k2])
-    return form.evaluate(wedge5(bu, i)[:4], wedge5(bv, kk)[:4])
+    (j1, k1, i), (j2, k2, kk) = u_sel, v_sel
+    return form.evaluate(wedge_table(rig, u, [(j1, k1)])[(j1, k1)][i],
+                         wedge_table(rig, v, [(j2, k2)])[(j2, k2)][kk])
 
 
 def coplanar_residuals(rig: CameraRig, tuples4, pairs=None, rows=None) -> list:
@@ -580,19 +571,25 @@ def rigid_pair_oracle(rig: CameraRig, u, v, form: Optional[BihomForm] = None,
     """
     if form is None:
         form = unit_distance_form()
-    mu = multiview_membership(rig, u, tol)
-    mv = multiview_membership(rig, v, tol)
-    if not (mu.ok and mv.ok):
-        return False
-    wu = _find_witness(rig, u, tol)
-    wv = _find_witness(rig, v, tol)
-    if wu is None or wv is None:
+    # One triangulation per side.  An inconsistent side decides first; then
+    # a non-triangulable side; only then a side whose candidates disagree.
+    sides = []
+    for points in (u, v):
+        try:
+            sides.append(triangulate(rig, points, tol).point)
+        except NotInVarietyError:
+            return False
+        except (NotTriangulableError, AmbiguousTriangulationError) as exc:
+            sides.append(exc)
+    if any(isinstance(side, NotTriangulableError) for side in sides):
         if rig.n == 2:
             return True
         raise RuntimeError("non-triangulable tuple with three or more cameras; "
                            "the oracle needs a general-position rig")
-    x = triangulate(rig, u, tol).point
-    y = triangulate(rig, v, tol).point
+    for side in sides:
+        if isinstance(side, Exception):
+            raise side
+    x, y = sides
     value = form.evaluate(x.coords, y.coords)
     if rig.backend == EXACT:
         return value == 0

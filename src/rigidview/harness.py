@@ -48,7 +48,7 @@ from .polyspace import (
     random_rank_prime,
     span_dimension,
 )
-from .triangulation import assemble_b, is_triangulable, wedge5
+from .triangulation import assemble_b, is_triangulable
 
 
 class SamplingError(RuntimeError):
@@ -698,6 +698,7 @@ def _exp_epipole(config, seed):
         if is_triangulable(rig, ep) is not None:
             failures.append({"rig": idx, "reason": "epipole pair triangulable"})
             continue
+        octics = constraint_system(rig, Family.OCTIC_FULL)
         for p_idx in range(probes):
             x = random_affine_point(random.Random(_sub_seed(seed, (idx, p_idx))), 50)
             try:
@@ -712,7 +713,6 @@ def _exp_epipole(config, seed):
             bb = assemble_b(rig, 0, 1, u[0], u[1])
             if rank(bb.mat).rank != 5:
                 failures.append({"rig": idx, "probe": p_idx, "reason": "variety point not rank 5"})
-            octics = constraint_system(rig, Family.OCTIC_FULL)
             if any(val != 0 for val in octics.evaluate(u, ep)):
                 failures.append({"rig": idx, "probe": p_idx,
                                  "reason": "octic nonzero on epipole component"})

@@ -167,23 +167,6 @@ class Mat:
         return f"Mat({self.rows}x{self.cols}, {self.backend})"
 
 
-def vstack(mats: Sequence[Mat]) -> Mat:
-    return Mat([r for m in mats for r in m.data])
-
-
-def hstack(mats: Sequence[Mat]) -> Mat:
-    if any(m.rows != mats[0].rows for m in mats):
-        raise ShapeError("row counts differ")
-    return Mat([sum((m.data[i] for m in mats), ()) for i in range(mats[0].rows)])
-
-
-def _exact_div(a, b):
-    # Bareiss steps divide exactly; keep ints integer to avoid Fraction churn.
-    if isinstance(a, int) and isinstance(b, int):
-        return a // b
-    return Fraction(a) / Fraction(b)
-
-
 def _clear_row_denominators(row):
     denoms = [x.denominator for x in row if isinstance(x, Fraction)]
     if not denoms:
@@ -195,33 +178,37 @@ def _clear_row_denominators(row):
 def _bareiss_echelon(data):
     """Fraction-free row echelon of integer rows.
 
-    Returns (echelon rows, pivot column list).  Entries stay bounded by the
-    matrix's minors; each elimination step divides exactly by the previous
-    pivot.
+    Returns (echelon rows, pivot column list, sign of the row permutation).
+    Entries stay bounded by the matrix's minors; each elimination step
+    divides exactly by the previous pivot, so for a nonsingular square
+    matrix the last pivot is its determinant times that sign.
     """
     a = [list(r) for r in data]
     nrows, ncols = len(a), len(a[0])
     pivot_cols = []
+    sign = 1
     prev = 1
     r = 0
     for c in range(ncols):
-        piv_row = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if piv_row is None:
-            continue
-        if piv_row != r:
+        if a[r][c] == 0:
+            piv_row = next((i for i in range(r + 1, nrows) if a[i][c] != 0), None)
+            if piv_row is None:
+                continue
             a[r], a[piv_row] = a[piv_row], a[r]
-        piv = a[r][c]
-        for i in range(r + 1, nrows):
-            factor = a[i][c]
+            sign = -sign
+        top = a[r]
+        piv = top[c]
+        for row in a[r + 1:]:
+            factor = row[c]
+            row[c] = 0
             for j in range(c + 1, ncols):
-                a[i][j] = _exact_div(a[i][j] * piv - factor * a[r][j], prev)
-            a[i][c] = 0
+                row[j] = (row[j] * piv - factor * top[j]) // prev
         prev = piv
         pivot_cols.append(c)
         r += 1
         if r == nrows:
             break
-    return a, pivot_cols
+    return a, pivot_cols, sign
 
 
 def _float_echelon(data, tol):
@@ -278,8 +265,9 @@ class RankReport:
 def det(m: Mat) -> Scalar:
     """Determinant of a square matrix of size at most 8.
 
-    Exact backend uses fraction-free elimination; float backend uses
-    partial-pivoted Gaussian elimination.
+    Exact backend clears one common denominator and runs the fraction-free
+    elimination of :func:`rank`; float backend uses partial-pivoted
+    Gaussian elimination.
     """
     if not m.is_square():
         raise ShapeError("determinant needs a square matrix")
@@ -287,28 +275,16 @@ def det(m: Mat) -> Scalar:
         raise ShapeError("det supports matrices up to size 8")
     if m.backend == FLOAT:
         return _float_det(m.data)
-    a = [list(r) for r in m.data]
-    if any(isinstance(x, Fraction) for r in a for x in r):
-        a = [[Fraction(x) for x in r] for r in a]
     n = m.rows
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv_row = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if piv_row is None:
-                return a[0][0] * 0
-            a[k], a[piv_row] = a[piv_row], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = _exact_div(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
-            a[i][k] = 0
-        prev = a[k][k]
-    result = sign * a[n - 1][n - 1]
-    if isinstance(result, Fraction) and result.denominator == 1:
-        return result.numerator
-    return result
+    den = lcm(*(x.denominator for r in m.data for x in r if isinstance(x, Fraction)))
+    rows = m.data if den == 1 else [[int(x * den) for x in r] for r in m.data]
+    ech, pivot_cols, sign = _bareiss_echelon(rows)
+    if len(pivot_cols) < n:
+        return 0
+    if den == 1:
+        return sign * ech[n - 1][n - 1]
+    result = Fraction(sign * ech[n - 1][n - 1], den ** n)
+    return result.numerator if result.denominator == 1 else result
 
 
 def _float_det(data) -> float:
@@ -335,7 +311,7 @@ def rank(m: Mat, tol: float | None = None) -> RankReport:
     largest pivot are treated as zero (default 1e-9)."""
     if m.backend == EXACT:
         rows = [_clear_row_denominators(r) for r in m.data]
-        _, pivot_cols = _bareiss_echelon(rows)
+        _, pivot_cols, _ = _bareiss_echelon(rows)
         return RankReport(len(pivot_cols))
     if tol is None:
         tol = DEFAULT_RANK_TOL
@@ -350,7 +326,7 @@ def nullspace(m: Mat, tol: float | None = None) -> list[tuple]:
     """Basis of the kernel.  Exact vectors are integer-cleared."""
     if m.backend == EXACT:
         rows = [_clear_row_denominators(r) for r in m.data]
-        ech, pivot_cols = _bareiss_echelon(rows)
+        ech, pivot_cols, _ = _bareiss_echelon(rows)
         free_cols = [c for c in range(m.cols) if c not in pivot_cols]
         basis = []
         for f in free_cols:

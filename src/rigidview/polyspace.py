@@ -21,7 +21,7 @@ import numpy as np
 
 from .cameras import CameraRig
 from .constraints import QuadTensor
-from .linalg import EXACT, Mat, Scalar, _bareiss_echelon, decode_scalar, encode_scalar
+from .linalg import EXACT, Scalar, _bareiss_echelon, decode_scalar, encode_scalar
 
 
 def variable_index(n: int, side: str, cam: int, coord: int) -> int:
@@ -455,7 +455,7 @@ def span_dimension(polys: Sequence[MultiHomogPoly], modulus: Optional[int] = Non
             fr[index[exps]] = Fraction(coef)
         denom = lcm(*[x.denominator for x in fr]) if len(fr) > 1 else fr[0].denominator
         rows.append([int(x * denom) for x in fr])
-    _, pivots = _bareiss_echelon(rows)
+    _, pivots, _ = _bareiss_echelon(rows)
     return len(pivots)
 
 

@@ -14,11 +14,12 @@ exactly over rationals and with tolerances over floats.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .cameras import CameraRig, ImageTuple, ProjectivePoint, multiview_membership
+from .cameras import CameraRig, ProjectivePoint, multiview_membership
 from .linalg import EXACT, FLOAT, Mat, rank, signed_maximal_minors
 
 
@@ -51,12 +52,20 @@ class BMatrix:
 
 
 class TriangulationWitness:
-    __slots__ = ("j", "k", "row")
+    """The first camera pair, in lexicographic order, whose B has rank 5, and
+    the first row of that B whose cofactor vector gives a world point; with
+    B, the row's cofactor vector and the point."""
 
-    def __init__(self, j: int, k: int, row: int):
+    __slots__ = ("j", "k", "row", "b", "vector", "point")
+
+    def __init__(self, j: int, k: int, row: int, b: BMatrix, vector: tuple,
+                 point: ProjectivePoint):
         self.j = j
         self.k = k
         self.row = row
+        self.b = b
+        self.vector = vector
+        self.point = point
 
     def __repr__(self):
         return f"TriangulationWitness(pair=({self.j}, {self.k}), row={self.row})"
@@ -154,21 +163,24 @@ def cofactor_vectors(table: np.ndarray, u_j: Sequence, u_k: Sequence) -> np.ndar
     return table @ outer
 
 
+def _cofactor_point(b: BMatrix, w: tuple, tol: float | None) -> Optional[ProjectivePoint]:
+    """The zero test shared by :func:`wedge5_point` and the witness scan: the
+    first four coordinates of cofactor vector ``w`` as a world point, or None
+    when they vanish (exactly, or on floats within ``tol`` times the largest
+    entry of B's first row)."""
+    w = w[:4]
+    cut = 0.0
+    if b.mat.backend == FLOAT and tol is not None:
+        cut = tol * (max(abs(x) for x in b.mat.data[0]) or 1.0)
+    if max(abs(x) for x in w) <= cut:
+        return None
+    return ProjectivePoint(w)
+
+
 def wedge5_point(b: BMatrix, i: int, tol: float | None = None) -> Optional[ProjectivePoint]:
     """First four coordinates of the row-i cofactor vector as a world point,
     or None when they all vanish (the flagged zero case, not an error)."""
-    w = wedge5(b, i)[:4]
-    if b.mat.backend == EXACT:
-        if all(x == 0 for x in w):
-            return None
-    else:
-        scale = max(abs(x) for x in b.mat.data[0]) or 1.0
-        cut = (tol if tol is not None else 0.0)
-        if max(abs(x) for x in w) <= cut * scale:
-            return None
-        if all(x == 0.0 for x in w):
-            return None
-    return ProjectivePoint(w)
+    return _cofactor_point(b, wedge5(b, i), tol)
 
 
 def is_triangulable(rig: CameraRig, points: Sequence[ProjectivePoint],
@@ -176,25 +188,24 @@ def is_triangulable(rig: CameraRig, points: Sequence[ProjectivePoint],
     """Find a camera pair whose triangulation matrix has rank 5, together
     with a row index giving a nonzero recovered point.
 
-    Returns the witness, or None when every pair degenerates (for two
-    cameras this happens exactly at the epipole pair).  Raises
-    :class:`NotInVarietyError` when the tuple is not consistent.
+    Scans camera pairs lexicographically, building each pair's B and taking
+    its rank once, and rows first-to-last, computing cofactor vectors only
+    until the first nonzero point.  Returns the witness, or None when every
+    pair degenerates (for two cameras this happens exactly at the epipole
+    pair).  Raises :class:`NotInVarietyError` when the tuple is not
+    consistent.
     """
-    membership = multiview_membership(rig, points, tol)
-    if not membership.ok:
+    if not multiview_membership(rig, points, tol).ok:
         raise NotInVarietyError("tuple fails the consistency rank test")
-    return _find_witness(rig, points, tol)
-
-
-def _find_witness(rig, points, tol):
-    for j in range(rig.n):
-        for k in range(j + 1, rig.n):
-            b = assemble_b(rig, j, k, points[j], points[k])
-            if rank(b.mat, tol).rank != 5:
-                continue
-            for i in range(6):
-                if wedge5_point(b, i, tol) is not None:
-                    return TriangulationWitness(j, k, i)
+    for j, k in combinations(range(rig.n), 2):
+        b = assemble_b(rig, j, k, points[j], points[k])
+        if rank(b.mat, tol).rank != 5:
+            continue
+        for i in range(6):
+            w = wedge5(b, i)
+            point = _cofactor_point(b, w, tol)
+            if point is not None:
+                return TriangulationWitness(j, k, i, b, w, point)
     return None
 
 
@@ -203,41 +214,29 @@ def triangulate(rig: CameraRig, points: Sequence[ProjectivePoint],
                 consistency_tol: float = 1e-6) -> TriangulationSolution:
     """Recover the world point behind a consistent image tuple.
 
-    Scans camera pairs lexicographically and rows first-to-last, takes the
-    first valid witness, and cross-checks every other nonzero row candidate
-    of that pair: on the exact backend they must agree up to scale
-    identically, on the float backend within ``consistency_tol`` of angular
-    distance.
+    Takes the point and the scales from the :func:`is_triangulable` witness,
+    and cross-checks every later nonzero row candidate of that pair: on the
+    exact backend they must agree up to scale identically, on the float
+    backend within ``consistency_tol`` of angular distance.
     """
-    membership = multiview_membership(rig, points, tol)
-    if not membership.ok:
-        raise NotInVarietyError("tuple fails the consistency rank test")
-    witness = _find_witness(rig, points, tol)
+    witness = is_triangulable(rig, points, tol)
     if witness is None:
         raise NotTriangulableError("no camera pair has a rank-5 triangulation matrix")
-    b = assemble_b(rig, witness.j, witness.k, points[witness.j], points[witness.k])
-    chosen = None
-    for i in range(6):
-        w = wedge5(b, i)
-        candidate = wedge5_point(b, i, tol)
+    point = witness.point
+    for i in range(witness.row + 1, 6):
+        candidate = wedge5_point(witness.b, i, tol)
         if candidate is None:
             continue
-        if chosen is None:
-            chosen = (w, candidate)
-            if b.mat.backend == FLOAT:
-                continue
-        else:
-            if b.mat.backend == EXACT:
-                if not _proportional_exact(chosen[1].coords, candidate.coords):
-                    raise AmbiguousTriangulationError(
-                        f"rows {witness.row} and {i} give different points")
-            elif _angular_distance(chosen[1].coords, candidate.coords) > consistency_tol:
+        if witness.b.mat.backend == EXACT:
+            if not _proportional_exact(point.coords, candidate.coords):
                 raise AmbiguousTriangulationError(
-                    f"rows {witness.row} and {i} disagree beyond tolerance")
-    w, point = chosen
-    lambdas = (-w[4], -w[5])
-    rank_of_b = rank(b.mat, tol).rank
-    return TriangulationSolution(point, lambdas, witness, rank_of_b)
+                    f"rows {witness.row} and {i} give different points")
+        elif _angular_distance(point.coords, candidate.coords) > consistency_tol:
+            raise AmbiguousTriangulationError(
+                f"rows {witness.row} and {i} disagree beyond tolerance")
+    w = witness.vector
+    # the witness scan has already found rank(B) = 5
+    return TriangulationSolution(point, (-w[4], -w[5]), witness, 5)
 
 
 def _proportional_exact(a, b) -> bool:

@@ -49,3 +49,17 @@ def naive_det(m):
             term = term * m[i, perm[i]]
         total += term
     return total
+
+
+def count_calls(monkeypatch, module, name, calls=None):
+    """Replace ``module.name`` by a wrapper that appends each call's
+    positional arguments to ``calls`` (a new list unless one is given)."""
+    calls = [] if calls is None else calls
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_det, random_rig, random_world_point, standard_rig
+from helpers import count_calls, naive_det, random_rig, random_world_point, standard_rig
 from rigidview.cameras import (
     CameraRig,
     ProjectivePoint,
@@ -15,6 +15,7 @@ from rigidview.cameras import (
     cayley_rotation,
     forward_map,
     invert,
+    multiview_membership,
 )
 from rigidview.constraints import (
     BihomForm,
@@ -29,7 +30,6 @@ from rigidview.constraints import (
     general_constraint_value,
     QuadTensor,
     octic_value,
-    pairwise_distance_form,
     polarize,
     rigid_pair_by_equations,
     rigid_pair_oracle,
@@ -38,6 +38,7 @@ from rigidview.constraints import (
     trilinear_residuals,
     unit_distance_form,
 )
+from rigidview import constraints, triangulation
 from rigidview.linalg import BackendError, Mat, det
 from rigidview.triangulation import assemble_b, camera_minor_table, cofactor_vectors, wedge5
 
@@ -85,11 +86,6 @@ class TestDistanceForms:
     def test_zero_distance_rejected(self):
         with pytest.raises(ValueError):
             distance_form(0)
-
-    def test_pairwise_labels(self):
-        assert pairwise_distance_form(0, 2, 3) == distance_form(3)
-        with pytest.raises(ValueError):
-            pairwise_distance_form(1, 1, 2)
 
     def test_bidegree_validation(self):
         with pytest.raises(ValueError):
@@ -453,6 +449,44 @@ class TestMembership:
         assert rigid_pair_by_equations(rig, u, ep, Family.OCTIC_NINE)
 
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_oracle_rejects_inconsistent_side(self, n):
+        rng = random.Random(227 + n)
+        rig = random_rig(rng, n)
+        x, y = unit_pair(rng)
+        u, v = forward_map(rig, x), forward_map(rig, y)
+        bad = ProjectivePoint((u[1][0] + 1, u[1][1], u[1][2]))
+        bad_u = (u[0], bad) + u[2:]
+        bad_v = (v[0], bad) + v[2:]
+        assert not multiview_membership(rig, bad_u).ok
+        assert not multiview_membership(rig, bad_v).ok
+        assert rigid_pair_oracle(rig, u, v)
+        assert not rigid_pair_oracle(rig, bad_u, v)
+        assert not rigid_pair_oracle(rig, u, bad_v)
+
+    def test_oracle_inconsistent_side_decides_before_epipole_side(self):
+        rng = random.Random(233)
+        rig = random_rig(rng, 2)
+        ep = (rig.epipole(0, 1), rig.epipole(1, 0))
+        bad = (ProjectivePoint((1, 2, 3)), ProjectivePoint((4, 5, 6)))
+        assert det(assemble_b(rig, 0, 1, *bad).mat) != 0
+        assert not rigid_pair_oracle(rig, ep, bad)
+        assert not rigid_pair_oracle(rig, bad, ep)
+
+    def test_oracle_tests_membership_once_per_side(self, monkeypatch):
+        rng = random.Random(239)
+        for n in (2, 3, 4):
+            rig = random_rig(rng, n)
+            x, y = unit_pair(rng)
+            u, v = forward_map(rig, x), forward_map(rig, y)
+            calls = []
+            for module in (triangulation, constraints):
+                count_calls(monkeypatch, module, "multiview_membership", calls)
+            assert rigid_pair_oracle(rig, u, v)
+            assert len(calls) <= 2
+            monkeypatch.undo()
+
+
 class TestGroupActions:
     def test_right_action_preserves_verdicts(self):
         rng = random.Random(227)
@@ -567,6 +601,29 @@ class TestGeneralForms:
         u, v = forward_map(rig, x), forward_map(rig, y)
         for i in range(2):
             assert general_constraint_value(rig, q, (0, 1, i), (0, 1, i), u, v) == 0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("form", [
+        BihomForm((1, 1), {((1, 0, 0, 0), (0, 0, 0, 1)): 3, ((0, 1, 0, 0), (0, 0, 1, 0)): -2,
+                           ((0, 0, 0, 1), (0, 0, 0, 1)): Fraction(1, 2)}),
+        unit_distance_form(),
+    ], ids=["form11", "form22"])
+    def test_general_values_match_wedge5(self, n, form):
+        rng = random.Random(277 + n)
+        rig = random_rig(rng, n)
+        u = forward_map(rig, ProjectivePoint(random_world_point(rng)))
+        v = forward_map(rig, ProjectivePoint(random_world_point(rng)))
+        system = constraint_system(rig, Family.GENERAL_DE, form=form)
+        expected = []
+        for u_sel, v_sel in system.indices:
+            (j1, k1, i), (j2, k2, kk) = u_sel, v_sel
+            bu = assemble_b(rig, j1, k1, u[j1], u[k1])
+            bv = assemble_b(rig, j2, k2, v[j2], v[k2])
+            expected.append(form.evaluate(wedge5(bu, i)[:4], wedge5(bv, kk)[:4]))
+        assert system.evaluate(u, v) == expected
+        assert any(value != 0 for value in expected)
+        for (u_sel, v_sel), value in zip(system.indices, expected):
+            assert general_constraint_value(rig, form, u_sel, v_sel, u, v) == value
 
     def test_general_system_count(self):
         rng = random.Random(271)

@@ -83,6 +83,32 @@ class TestDet:
         assert det(m) == pytest.approx(6.0)
 
 
+    @given(st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.lists(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=7),
+                                    min_size=n, max_size=n), min_size=n, max_size=n)))
+    @settings(max_examples=40, deadline=None)
+    def test_fraction_entries_match_permutation_expansion(self, rows):
+        m = Mat(rows)
+        assert det(m) == naive_det(m)
+
+    def test_zero_leading_block_forces_row_swaps(self):
+        # three zero rows over the first three columns: an odd number of swaps
+        rng = random.Random(7)
+        top = [[0] * 3 + [rng.randint(-9, 9) for _ in range(5)] for _ in range(3)]
+        bottom = [[rng.randint(-9, 9) for _ in range(8)] for _ in range(5)]
+        m = Mat(top + bottom)
+        assert det(m) == naive_det(m) != 0
+
+    def test_rejects_size_nine(self):
+        with pytest.raises(ShapeError):
+            det(Mat.identity(9))
+
+    def test_singular_fraction_matrix_is_zero(self):
+        row = [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7)]
+        m = Mat([row, [Fraction(3, 4), 1, Fraction(2, 9)], [3 * x for x in row]])
+        assert det(m) == 0
+
+
 class TestRank:
     def test_identity(self):
         assert rank(Mat.identity(4)).rank == 4

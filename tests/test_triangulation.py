@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from helpers import naive_det, random_rig, random_world_point, standard_rig
+from helpers import count_calls, naive_det, random_rig, random_world_point, standard_rig
+from rigidview import triangulation
 from rigidview.cameras import CameraRig, ProjectivePoint, forward_map, projectively_equal
 from rigidview.linalg import Mat, det, rank
 from rigidview.triangulation import (
@@ -188,3 +189,49 @@ class TestRankDichotomy:
                     continue
                 b = assemble_b(rig, 0, 1, u[0], u[1])
                 assert rank(b.mat).rank == 5
+
+
+class TestSinglePass:
+    def test_triangulate_tests_membership_once(self, monkeypatch):
+        rng = random.Random(113)
+        for n in (2, 3, 4):
+            rig = random_rig(rng, n)
+            u = forward_map(rig, ProjectivePoint(random_world_point(rng)))
+            membership = count_calls(monkeypatch, triangulation, "multiview_membership")
+            wedges = count_calls(monkeypatch, triangulation, "wedge5")
+            triangulate(rig, u)
+            assert len(membership) == 1
+            assert len(wedges) <= 6
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("rig, x, row", [
+        (random_rig(random.Random(131), 2), (3, -1, 2, 1), 0),
+        (standard_rig(), (1, 1, 1, 1), 1),
+        (standard_rig(), (1, 1, 0, 1), 2),
+    ])
+    def test_scan_stops_at_witness_row(self, monkeypatch, rig, x, row):
+        u = forward_map(rig, ProjectivePoint(x))
+        wedges = count_calls(monkeypatch, triangulation, "wedge5")
+        witness = is_triangulable(rig, u)
+        assert (witness.j, witness.k, witness.row) == (0, 1, row)
+        assert len(wedges) == witness.row + 1
+        assert witness.vector == wedge5(assemble_b(rig, 0, 1, u[0], u[1]), row)
+        assert witness.point == ProjectivePoint(x)
+
+    def test_triangulate_cross_checks_later_rows_only(self, monkeypatch):
+        rig = standard_rig()
+        u = forward_map(rig, ProjectivePoint((1, 1, 0, 1)))
+        wedges = count_calls(monkeypatch, triangulation, "wedge5")
+        sol = triangulate(rig, u)
+        assert sol.witness.row == 2
+        assert [args[1] for args in wedges] == [0, 1, 2, 3, 4, 5]
+
+    def test_rank_of_b_is_rank_of_witness_pair(self):
+        rng = random.Random(127)
+        for n in (2, 3, 4):
+            rig = random_rig(rng, n)
+            for _ in range(3):
+                u = forward_map(rig, ProjectivePoint(random_world_point(rng)))
+                sol = triangulate(rig, u)
+                j, k = sol.witness.j, sol.witness.k
+                assert sol.rank_of_b == rank(assemble_b(rig, j, k, u[j], u[k]).mat).rank
