@@ -25,6 +25,7 @@ from .polyspace import (
     all_octics_symbolic,
     generator_count,
     ideal_component_basis,
+    modp_failure_bound,
     random_rank_prime,
     span_dimension,
 )
@@ -121,12 +122,13 @@ def _cmd_span_dim(args) -> int:
     tensor = polarize(unit_distance_form())
     octics = all_octics_symbolic(rig, tensor)
     component = ideal_component_basis(rig)
-    p = args.modulus or random_rank_prime(random.Random(args.seed))
+    p = args.modulus if args.modulus is not None else random_rank_prime(random.Random(args.seed))
     span = span_dimension(octics, p)
     base = span_dimension(component, p)
     union = span_dimension(component + octics, p)
+    bound = sum(modp_failure_bound(f) for f in (octics, component, component + octics))
     doc = {"octics": len(octics), "span": span, "component_span": base,
-           "quotient": union - base, "modulus": p}
+           "quotient": union - base, "modulus": p, "failure_bound": bound}
     _emit(doc, args)
     return 0 if (span, union - base) == (126, 9) else 1
 

@@ -271,13 +271,19 @@ def det(m: Mat) -> Scalar:
     """
     if not m.is_square():
         raise ShapeError("determinant needs a square matrix")
-    if m.rows > 8:
+    return _det_rows(m.data, m.backend)
+
+
+def _det_rows(rows, backend: str) -> Scalar:
+    """:func:`det` of square rows of one backend, with no :class:`Mat` built."""
+    n = len(rows)
+    if n > 8:
         raise ShapeError("det supports matrices up to size 8")
-    if m.backend == FLOAT:
-        return _float_det(m.data)
-    n = m.rows
-    den = lcm(*(x.denominator for r in m.data for x in r if isinstance(x, Fraction)))
-    rows = m.data if den == 1 else [[int(x * den) for x in r] for r in m.data]
+    if backend == FLOAT:
+        return _float_det(rows)
+    den = lcm(*(x.denominator for r in rows for x in r if isinstance(x, Fraction)))
+    if den != 1:
+        rows = [[int(x * den) for x in r] for r in rows]
     ech, pivot_cols, sign = _bareiss_echelon(rows)
     if len(pivot_cols) < n:
         return 0
@@ -391,6 +397,6 @@ def signed_maximal_minors(m: Mat) -> tuple:
         raise ShapeError(f"need k x (k+1), got {m.rows}x{m.cols}")
     out = []
     for i in range(m.cols):
-        d = det(m.delete_col(i))
+        d = _det_rows([r[:i] + r[i + 1:] for r in m.data], m.backend)
         out.append(d if i % 2 == 0 else -d)
     return tuple(out)

@@ -6,22 +6,30 @@ ordered u_(1,0), u_(1,1), u_(1,2), ..., u_(n,2), v_(1,0), ..., v_(n,2); an
 exponent vector is a tuple of 6n nonnegative integers.  The module expands
 triangulation cofactor vectors and the degree-8 distance constraints
 symbolically for a fixed numeric rig, computes span dimensions of
-polynomial families (exactly or modulo a random >=30-bit prime), and counts
+polynomial families (exactly or modulo a random 31-bit prime), and counts
 the conjectured minimal generators per degree class.
+
+The cofactor vectors come from the signed 3x3 camera minors of
+:func:`rigidview.triangulation.camera_minor_table`, and the octics from the
+contraction that :class:`rigidview.constraints.OcticEngine` evaluates
+numerically: ``S_u G S_v^T``, with S holding the symmetric products of a
+camera pair's cofactor vectors as coefficients over the 36 monomials of
+bidegree (2, 2) in its two image points.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, lcm, log2
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .cameras import CameraRig
-from .constraints import QuadTensor
+from .constraints import _SYM2_OFF, _SYM2_P, _SYM2_Q, QuadTensor, _gram
 from .linalg import EXACT, Scalar, _bareiss_echelon, decode_scalar, encode_scalar
+from .triangulation import camera_minor_table
 
 
 def variable_index(n: int, side: str, cam: int, coord: int) -> int:
@@ -84,6 +92,18 @@ class MultiHomogPoly:
             clean[exps] = c
         self.terms = clean
         self.multidegree = degree
+
+    @classmethod
+    def _trusted(cls, n: int, multidegree: tuple, terms: dict) -> "MultiHomogPoly":
+        """A polynomial over a known monomial basis: ``terms`` maps exponent
+        tuples of that basis, all of ``multidegree``, to nonzero
+        coefficients.  Nothing is checked or copied, so the exponent tuples
+        stay shared with every other polynomial built over the same basis."""
+        poly = cls.__new__(cls)
+        poly.n = n
+        poly.terms = terms
+        poly.multidegree = multidegree if terms else None
+        return poly
 
     @classmethod
     def zero(cls, n: int) -> "MultiHomogPoly":
@@ -185,21 +205,110 @@ class MultiHomogPoly:
         return cls(n, {tuple(t["exps"]): decode_scalar(t["coef"]) for t in doc["terms"]})
 
 
-def _poly_det(entries) -> MultiHomogPoly:
-    """Determinant of a square grid of polynomials by cofactor expansion."""
-    size = len(entries)
-    n = entries[0][0].n
-    if size == 1:
-        return entries[0][0]
-    acc = MultiHomogPoly.zero(n)
-    for r in range(size):
-        e = entries[r][0]
-        if e.is_zero():
-            continue
-        minor = [row[1:] for i, row in enumerate(entries) if i != r]
-        term = e * _poly_det(minor)
-        acc = acc + (term if r % 2 == 0 else -term)
-    return acc
+# Row pairs i1 <= i2 of a camera pair's six cofactor vectors, in the order
+# in which all_octics_symbolic lists them.
+_ROW_PAIRS = [(i1, i2) for i1 in range(6) for i2 in range(i1, 6)]
+_ROW_PAIR_INDEX = {pair: r for r, pair in enumerate(_ROW_PAIRS)}
+# Degree-2 monomials of one image point as index pairs a <= a', in the order
+# of _block_monomials(2).
+_DEG2 = [(a, b) for a in range(3) for b in range(a, 3)]
+
+
+def _fold_map():
+    """How the 81 products u_j[a] u_k[b] u_j[a'] u_k[b'], indexed
+    27a + 9b + 3a' + b', collect onto the 36 monomials of bidegree (2, 2),
+    indexed 6 m_j + m_k: a permutation that groups each monomial's products
+    together, and where each group starts."""
+    slot = {pair: m for m, pair in enumerate(_DEG2)}
+    target = [6 * slot[min(a, a2), max(a, a2)] + slot[min(b, b2), max(b, b2)]
+              for a in range(3) for b in range(3) for a2 in range(3) for b2 in range(3)]
+    order = np.argsort(target, kind="stable")
+    starts = np.searchsorted(np.array(target)[order], np.arange(36))
+    return order, starts
+
+
+_FOLD_ORDER, _FOLD_STARTS = _fold_map()
+
+
+def _sym_products(rig: CameraRig, j: int, k: int):
+    """S for camera pair (j, k): a 21 x 10 x 36 array of ints whose entry
+    [r, s, m] is the coefficient of bidegree-(2, 2) monomial m in the
+    symmetric product of cofactor vectors i1, i2 (row pair r) at Sym^2 slot
+    s = (p, q), that is w_i1[p] w_i2[q] + w_i1[q] w_i2[p] (one product when
+    p = q), and the positive integer it is multiplied by.
+
+    The cofactor vectors are bilinear in (u_j, u_k) with the coefficients of
+    :func:`camera_minor_table`, cleared here of their denominators."""
+    flat = camera_minor_table(rig, j, k).ravel()
+    den = lcm(*(x.denominator for x in flat))
+    table = np.array([int(x * den) for x in flat], dtype=object).reshape(24, 9)
+    x = (table[:, None, :, None] * table[None, :, None, :]).reshape(6, 4, 6, 4, 81)
+    y = np.add.reduceat(x[..., _FOLD_ORDER], _FOLD_STARTS, axis=-1)
+    i1, i2 = np.array(_ROW_PAIRS).T[:, :, None]
+    s = y[i1, _SYM2_P, i2, _SYM2_Q]
+    s[:, _SYM2_OFF] += y[i1, [_SYM2_Q[t] for t in _SYM2_OFF], i2, [_SYM2_P[t] for t in _SYM2_OFF]]
+    return s, den * den
+
+
+def _side_exponents(n: int, j: int, k: int) -> list:
+    """The 36 bidegree-(2, 2) monomials in the points of cameras j and k as
+    exponent vectors over one side's 3n variables, in the column order of S."""
+    out = []
+    for mj, mk in itertools.product(_DEG2, repeat=2):
+        exps = [0] * (3 * n)
+        for cam, pair in ((j, mj), (k, mk)):
+            for coord in pair:
+                exps[3 * cam + coord] += 1
+        out.append(tuple(exps))
+    return out
+
+
+def _cached_products(rig: CameraRig, pair, cache: dict):
+    key = ("S",) + tuple(pair)
+    if key not in cache:
+        cache[key] = _sym_products(rig, *pair)
+    return cache[key]
+
+
+def _contract_octics(rig: CameraRig, tensor: QuadTensor, pair_u, pair_v,
+                     rows_u, rows_v, cache: dict) -> list:
+    """The octics of every row pair in ``rows_u`` (positions in _ROW_PAIRS)
+    against every one in ``rows_v``, as S_u G S_v^T: the coefficient of
+    monomial (m_u, m_v) in the octic of row pairs (r_u, r_v) is the sum over
+    s, t of S_u[r_u, s, m_u] G[s, t] S_v[r_v, t, m_v], computed on cleared
+    integers and divided once by the product of the three clearing factors,
+    leaving an int where the result is integral."""
+    if rig.backend != EXACT:
+        raise ValueError("symbolic expansion needs an exact rig")
+    n = rig.n
+    gram, den = _gram(tensor, True)
+    s_u, den_u = _cached_products(rig, pair_u, cache)
+    s_v, den_v = _cached_products(rig, pair_v, cache)
+    den *= den_u * den_v
+    key = ("exps", n, tuple(pair_u), tuple(pair_v))
+    if key not in cache:
+        exps = [h + t for h in _side_exponents(n, *pair_u) for t in _side_exponents(n, *pair_v)]
+        cache[key] = (exps, multidegree_of(exps[0]))
+    exps, degree = cache[key]
+
+    a = s_u[rows_u].transpose(0, 2, 1).reshape(-1, 10) @ gram
+    b = s_v[rows_v].transpose(0, 2, 1).reshape(-1, 10)
+    # No partial sum of a row of a times a row of b exceeds this bound;
+    # below 2^63 the product is exact in int64, else it stays in Python ints.
+    if int(np.abs(a).sum(axis=1).max()) * int(np.abs(b).max()) < 2 ** 63:
+        a, b = a.astype(np.int64), b.astype(np.int64)
+    coefs = (a @ b.T).reshape(len(rows_u), 36, len(rows_v), 36).transpose(0, 2, 1, 3)
+    out = []
+    for row in coefs.reshape(-1, 36 * 36):
+        idx = np.flatnonzero(row != 0)
+        vals = row[idx]
+        terms = dict(zip([exps[i] for i in idx.tolist()], (vals // den).tolist()))
+        if den != 1:
+            odd = vals % den != 0
+            for i, x in zip(idx[odd].tolist(), vals[odd].tolist()):
+                terms[exps[i]] = Fraction(x, den)
+        out.append(MultiHomogPoly._trusted(n, degree, terms))
+    return out
 
 
 def expand_wedge_symbolic(rig: CameraRig, j: int, k: int, row: int,
@@ -208,30 +317,22 @@ def expand_wedge_symbolic(rig: CameraRig, j: int, k: int, row: int,
     polynomials, bilinear in the image variables of cameras j and k.
 
     Every coefficient is, up to sign, a 3x3 minor of the stacked 6x4 camera
-    matrix.  ``row`` is 0-based.
+    matrix, read from :func:`camera_minor_table`.  ``row`` is 0-based.
     """
     if rig.backend != EXACT:
         raise ValueError("symbolic expansion needs an exact rig")
     n = rig.n
-    zero = MultiHomogPoly.zero(n)
-    grid = []
-    for r in range(3):
-        if r == row:
-            continue
-        cam_row = rig.camera(j).matrix.data[r]
-        grid.append([MultiHomogPoly.constant(n, c) if c != 0 else zero for c in cam_row]
-                    + [MultiHomogPoly.variable(n, side, j, r), zero])
-    for r in range(3):
-        if r + 3 == row:
-            continue
-        cam_row = rig.camera(k).matrix.data[r]
-        grid.append([MultiHomogPoly.constant(n, c) if c != 0 else zero for c in cam_row]
-                    + [zero, MultiHomogPoly.variable(n, side, k, r)])
+    table = camera_minor_table(rig, j, k)
     out = []
     for c in range(4):
-        sub = [r[:c] + r[c + 1:] for r in grid]
-        d = _poly_det(sub)
-        out.append(d if c % 2 == 0 else -d)
+        terms = {}
+        for a in range(3):
+            for b in range(3):
+                exps = [0] * (6 * n)
+                exps[variable_index(n, side, j, a)] = 1
+                exps[variable_index(n, side, k, b)] = 1
+                terms[tuple(exps)] = table[row, c, 3 * a + b]
+        out.append(MultiHomogPoly(n, terms))
     return out
 
 
@@ -242,71 +343,25 @@ def expand_octic_symbolic(rig: CameraRig, tensor: QuadTensor, u_sel, v_sel,
     ``u_sel = (j1, k1, i1, i2)`` and ``v_sel = (j2, k2, i3, i4)`` as in the
     numeric evaluator; the result is multihomogeneous of degree 2 in each of
     the four involved image points and vanishes on image pairs of
-    constraint-satisfying world points.  ``_cache`` lets batch callers share
-    wedge expansions and symmetric products across many index choices.
+    constraint-satisfying world points.  It is one row of the contraction
+    that :func:`all_octics_symbolic` computes; ``_cache`` lets batch callers
+    share each camera pair's symmetric products across index choices.
     """
     j1, k1, i1, i2 = u_sel
     j2, k2, i3, i4 = v_sel
-    cache = _cache if _cache is not None else {}
-    n = rig.n
-    split = 3 * n
-
-    def wedges(side, j, k, i):
-        key = ("wedge", side, j, k, i)
-        if key not in cache:
-            cache[key] = expand_wedge_symbolic(rig, j, k, i, side)
-        return cache[key]
-
-    def sym_product(side, j, k, ia, ib, p, q):
-        # symmetric in the two row slots, so normalize the key
-        if ia > ib:
-            ia, ib = ib, ia
-        key = ("prod", side, j, k, ia, ib, p, q)
-        if key not in cache:
-            wa = wedges(side, j, k, ia)
-            wb = wedges(side, j, k, ib)
-            left = wa[p] * wb[q]
-            if p != q:
-                left = left + wa[q] * wb[p]
-            cache[key] = left
-        return cache[key]
-
-    # tensor coefficients are cleared to integers; the u-side and v-side
-    # factors live in disjoint variable blocks, so products splice exponents
-    denom = lcm(*[Fraction(c).denominator for c in tensor.entries.values()])
-    acc: dict = {}
-    for ((p, q), (r, s)), coef in tensor.entries.items():
-        c_int = int(Fraction(coef) * denom)
-        left = sym_product("u", j1, k1, i1, i2, p, q)
-        right = sym_product("v", j2, k2, i3, i4, r, s)
-        for e1, c1 in left.terms.items():
-            head = e1[:split]
-            cc = c_int * c1
-            for e2, c2 in right.terms.items():
-                e = head + e2[split:]
-                acc[e] = acc.get(e, 0) + cc * c2
-    terms = {}
-    for e, c in acc.items():
-        if c == 0:
-            continue
-        f = Fraction(c, denom)
-        terms[e] = f.numerator if f.denominator == 1 else f
-    return MultiHomogPoly(n, terms)
+    rows_u = [_ROW_PAIR_INDEX[min(i1, i2), max(i1, i2)]]
+    rows_v = [_ROW_PAIR_INDEX[min(i3, i4), max(i3, i4)]]
+    return _contract_octics(rig, tensor, (j1, k1), (j2, k2), rows_u, rows_v,
+                            _cache if _cache is not None else {})[0]
 
 
 def all_octics_symbolic(rig: CameraRig, tensor: QuadTensor,
                         pair_u=(0, 1), pair_v=(0, 1)) -> list:
     """All 441 symbolic octics of one camera-pair-of-pairs (row index pairs
-    i1 <= i2 and i3 <= i4 over the six rows of each side)."""
-    cache: dict = {}
-    out = []
-    for i1 in range(6):
-        for i2 in range(i1, 6):
-            for i3 in range(6):
-                for i4 in range(i3, 6):
-                    out.append(expand_octic_symbolic(
-                        rig, tensor, pair_u + (i1, i2), pair_v + (i3, i4), cache))
-    return out
+    i1 <= i2 and i3 <= i4 over the six rows of each side, i3, i4 varying
+    fastest), assembled as one integer contraction ``S_u G S_v^T``."""
+    rows = np.arange(len(_ROW_PAIRS))
+    return _contract_octics(rig, tensor, pair_u, pair_v, rows, rows, {})
 
 
 def ideal_component_basis(rig: CameraRig, target=(2, 2, 2, 2)) -> list:
@@ -368,12 +423,24 @@ def _is_probable_prime(m: int) -> bool:
     return True
 
 
+# The number of primes in [2^30, 2^31), pi(2^31) - pi(2^30).
+RANK_PRIME_COUNT = 105_097_565 - 54_400_028
+
+
 def random_rank_prime(rng) -> int:
-    """A random prime in [2^30, 2^31), suitable for int64 elimination."""
+    """A prime drawn uniformly from the RANK_PRIME_COUNT primes in
+    [2^30, 2^31) (odd prime p is hit by the candidates p - 1 and p), suitable
+    for int64 elimination."""
     while True:
         cand = rng.randrange(2 ** 30, 2 ** 31) | 1
         if _is_probable_prime(cand):
             return cand
+
+
+def _check_rank_modulus(p) -> None:
+    if not (isinstance(p, int) and p < 2 ** 31 and _is_probable_prime(p)):
+        raise ValueError(f"modulus {p} is not a prime below 2^31; the mod-p rank needs one "
+                         "(products of two residues must fit in int64)")
 
 
 def _modp_rank(a: np.ndarray, p: int) -> int:
@@ -409,13 +476,16 @@ def coefficient_matrix_modp(polys: Sequence[MultiHomogPoly], p: int) -> np.ndarr
     index = {m: i for i, m in enumerate(basis)}
     out = np.zeros((len(polys), len(basis)), dtype=np.int64)
     for r, poly in enumerate(polys):
-        for exps, coef in poly.terms.items():
-            f = Fraction(coef)
-            den = f.denominator % p
-            if den == 0:
-                raise ValueError("prime divides a coefficient denominator; pick another prime")
-            out[r, index[exps]] = f.numerator % p * pow(den, -1, p) % p
+        out[r, [index[exps] for exps in poly.terms]] = [
+            c % p if isinstance(c, int) else _fraction_modp(c, p) for c in poly.terms.values()]
     return out
+
+
+def _fraction_modp(c: Fraction, p: int) -> int:
+    den = c.denominator % p
+    if den == 0:
+        raise ValueError("prime divides a coefficient denominator; pick another prime")
+    return c.numerator % p * pow(den, -1, p) % p
 
 
 def _shared_degree(polys):
@@ -435,11 +505,22 @@ def _shared_degree(polys):
 def span_dimension(polys: Sequence[MultiHomogPoly], modulus: Optional[int] = None) -> int:
     """Dimension of the linear span inside the fixed multidegree component.
 
-    With ``modulus`` (a >= 30-bit prime) the rank is computed by int64
-    elimination mod p: a lower bound that equals the rational rank with
-    overwhelming probability.  Without it the rank is exact (fraction-free
-    elimination; impractical beyond small inputs).
+    With ``modulus`` the rank is computed by int64 elimination mod p, and p
+    must be a prime below 2^31 (else ValueError), so that no product of two
+    residues overflows.  The result never exceeds the rational rank r.  It is
+    smaller only if p divides one fixed nonzero r x r minor M of the
+    row-cleared integer coefficient matrix; |M| is at most the Hadamard
+    bound H, so at most log2(H)/30 primes of 30 bits or more divide it.  A
+    prime from :func:`random_rank_prime`, uniform over the RANK_PRIME_COUNT
+    (about 5.07e7) primes in [2^30, 2^31), therefore gives a smaller rank
+    with probability at most (log2(H)/30) / RANK_PRIME_COUNT, the figure
+    :func:`modp_failure_bound` computes (about 1.5e-5 for the 441 octics of
+    a random two-camera rig with camera entries below 20).  Without
+    ``modulus`` the rank is exact (fraction-free elimination; impractical
+    beyond small inputs).
     """
+    if modulus is not None:
+        _check_rank_modulus(modulus)
     polys = [q for q in polys if not q.is_zero()]
     if not polys:
         return 0
@@ -457,6 +538,23 @@ def span_dimension(polys: Sequence[MultiHomogPoly], modulus: Optional[int] = Non
         rows.append([int(x * denom) for x in fr])
     _, pivots, _ = _bareiss_echelon(rows)
     return len(pivots)
+
+
+def modp_failure_bound(polys: Sequence[MultiHomogPoly]) -> float:
+    """Upper bound on the probability that ``span_dimension(polys, p)``, with
+    p from :func:`random_rank_prime`, is below the rational rank: the count
+    floor(log2(H)/30) of bad primes over RANK_PRIME_COUNT (see
+    :func:`span_dimension`), with log2(H) bounded row by row by the bit
+    length of the largest row-cleared coefficient plus log2(sqrt(terms))."""
+    bits = 0.0
+    for poly in polys:
+        if poly.is_zero():
+            continue
+        coefs = poly.terms.values()
+        den = lcm(*(c.denominator for c in coefs))
+        top = max(abs(c.numerator) * (den // c.denominator) for c in coefs)
+        bits += top.bit_length() + 0.5 * log2(len(coefs))
+    return (bits // 30) / RANK_PRIME_COUNT
 
 
 class ClassCount:

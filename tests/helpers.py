@@ -1,10 +1,13 @@
-"""Shared test fixtures: deterministic rigs, naive determinant oracle."""
+"""Shared test fixtures: deterministic rigs, naive determinant oracle, and
+the cofactor-expansion reference for the symbolic octics."""
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from rigidview.cameras import CameraRig
 from rigidview.linalg import Mat, rank
+from rigidview.polyspace import MultiHomogPoly
 
 
 def standard_rig():
@@ -63,3 +66,84 @@ def count_calls(monkeypatch, module, name, calls=None):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def _poly_det(entries):
+    """Determinant of a square grid of polynomials by cofactor expansion."""
+    size = len(entries)
+    n = entries[0][0].n
+    if size == 1:
+        return entries[0][0]
+    acc = MultiHomogPoly.zero(n)
+    for r in range(size):
+        e = entries[r][0]
+        if e.is_zero():
+            continue
+        minor = [row[1:] for i, row in enumerate(entries) if i != r]
+        term = e * _poly_det(minor)
+        acc = acc + (term if r % 2 == 0 else -term)
+    return acc
+
+
+def reference_wedge(rig, j, k, row, side="u"):
+    """The row-deleted cofactor vector of the symbolic pair matrix B, its
+    four world coordinates expanded as 5x5 polynomial determinants."""
+    n = rig.n
+    zero = MultiHomogPoly.zero(n)
+    grid = []
+    for cam, offset in ((j, 0), (k, 3)):
+        for r in range(3):
+            if r + offset == row:
+                continue
+            image = [MultiHomogPoly.variable(n, side, cam, r), zero]
+            grid.append([MultiHomogPoly.constant(n, c) if c != 0 else zero
+                         for c in rig.camera(cam).matrix.data[r]]
+                        + (image if offset == 0 else image[::-1]))
+    out = []
+    for c in range(4):
+        d = _poly_det([r[:c] + r[c + 1:] for r in grid])
+        out.append(d if c % 2 == 0 else -d)
+    return out
+
+
+def reference_octics(rig, tensor, selections):
+    """Symbolic octics by cofactor expansion, one per ``(u_sel, v_sel)`` as
+    in :func:`rigidview.polyspace.expand_octic_symbolic`: the tensor's
+    cleared coefficients times products of the wedge polynomials, with the
+    clearing factor divided out of each coefficient at the end."""
+    n = rig.n
+    split = 3 * n
+    wedges, products = {}, {}
+
+    def sym_product(side, j, k, ia, ib, p, q):
+        key = (side, j, k, min(ia, ib), max(ia, ib), p, q)
+        if key not in products:
+            for i in (ia, ib):
+                if (side, j, k, i) not in wedges:
+                    wedges[side, j, k, i] = reference_wedge(rig, j, k, i, side)
+            wa, wb = wedges[side, j, k, ia], wedges[side, j, k, ib]
+            left = wa[p] * wb[q]
+            if p != q:
+                left = left + wa[q] * wb[p]
+            products[key] = left
+        return products[key]
+
+    denom = lcm(*[Fraction(c).denominator for c in tensor.entries.values()])
+    out = []
+    for (j1, k1, i1, i2), (j2, k2, i3, i4) in selections:
+        acc = {}
+        for ((p, q), (r, s)), coef in tensor.entries.items():
+            c_int = int(Fraction(coef) * denom)
+            left = sym_product("u", j1, k1, i1, i2, p, q)
+            right = sym_product("v", j2, k2, i3, i4, r, s)
+            for e1, c1 in left.terms.items():
+                for e2, c2 in right.terms.items():
+                    e = e1[:split] + e2[split:]
+                    acc[e] = acc.get(e, 0) + c_int * c1 * c2
+        terms = {}
+        for e, c in acc.items():
+            if c != 0:
+                f = Fraction(c, denom)
+                terms[e] = f.numerator if f.denominator == 1 else f
+        out.append(MultiHomogPoly(n, terms))
+    return out

@@ -147,3 +147,11 @@ class TestSpanDim:
         assert doc["span"] == 126
         assert doc["quotient"] == 9
         assert doc["octics"] == 441
+        assert 2 ** 30 <= doc["modulus"] < 2 ** 31
+        assert 0 < doc["failure_bound"] < 1e-3
+
+    @pytest.mark.parametrize("modulus", ["15", str(2 ** 33 - 9)])
+    def test_bad_modulus_reported(self, capsys, modulus):
+        code = main(["--seed", "3", "span-dim", "--modulus", modulus])
+        assert code == 2
+        assert "not a prime below 2^31" in capsys.readouterr().err

@@ -221,6 +221,8 @@ class TestExperiments:
         assert report.passed, report.failures
         assert report.details["dims"][0]["span"] == 126
         assert report.details["dims"][0]["quotient"] == 9
+        assert 2 ** 30 <= report.details["dims"][0]["modulus"] < 2 ** 31
+        assert 0 < report.details["dims"][0]["failure_bound"] < 1e-3
 
     def test_report_reproducible(self):
         a = run_experiment("SEPARATE", {"samples": 3, "seed": 11})

@@ -211,6 +211,17 @@ class TestSignedMaximalMinors:
         w = signed_maximal_minors(m)
         assert m.apply(w) == (0, 0, 0)
 
+    @given(st.one_of(int_matrix(5, 6),
+                     st.lists(st.lists(st.fractions(max_denominator=7, min_value=-9, max_value=9),
+                                       min_size=6, max_size=6), min_size=5, max_size=5)))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_signed_column_deleted_dets(self, rows):
+        m = Mat(rows)
+        got = signed_maximal_minors(m)
+        want = [det(m.delete_col(i)) * (-1) ** i for i in range(6)]
+        assert list(got) == want
+        assert [type(x) for x in got] == [type(x) for x in want]
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             signed_maximal_minors(Mat.identity(3))

@@ -1,18 +1,24 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import random_rig, random_world_point
-from rigidview.cameras import ProjectivePoint, forward_map
-from rigidview.constraints import octic_value, polarize, unit_distance_form
+from helpers import random_rig, random_world_point, reference_octics
+from rigidview.cameras import CameraRig, ProjectivePoint, forward_map
+from rigidview.constraints import distance_form_squared, octic_value, polarize, unit_distance_form
+from rigidview.linalg import Mat, rank
 from rigidview.polyspace import (
+    RANK_PRIME_COUNT,
     MultiHomogPoly,
+    _is_probable_prime,
     all_octics_symbolic,
+    coefficient_matrix_modp,
     expand_octic_symbolic,
     expand_wedge_symbolic,
     generator_count,
     ideal_component_basis,
+    modp_failure_bound,
     monomial_basis,
     multidegree_of,
     random_rank_prime,
@@ -156,6 +162,101 @@ class TestOcticExpansion:
         assert poly.evaluate([p.coords for p in u], [p.coords for p in v]) == 0
 
 
+ROW_PAIRS = [(i1, i2) for i1 in range(6) for i2 in range(i1, 6)]
+
+
+def selections(pair_u, pair_v):
+    """The 441 index choices in the order all_octics_symbolic lists them."""
+    return [(pair_u + ru, pair_v + rv) for ru in ROW_PAIRS for rv in ROW_PAIRS]
+
+
+def fraction_rig(rng, n=2):
+    while True:
+        mats = [Mat([[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(4)]
+                     for _ in range(3)]) for _ in range(n)]
+        if all(rank(m).rank == 3 for m in mats):
+            rig = CameraRig(mats)
+            if rig.general_position.ok:
+                return rig
+
+
+def assert_same_polys(got, want):
+    """Equal term for term, with the same value type (int or Fraction)."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.multidegree == w.multidegree
+        assert g.terms == w.terms
+        assert {e: type(c) for e, c in g.terms.items()} == {e: type(c) for e, c in w.terms.items()}
+
+
+class TestContractionMatchesReference:
+    """The contraction against the cofactor-expansion reference."""
+
+    def test_all_441_two_cameras(self):
+        rig = random_rig(random.Random(389), 2)
+        t = polarize(unit_distance_form())
+        got = all_octics_symbolic(rig, t)
+        want = reference_octics(rig, t, selections((0, 1), (0, 1)))
+        assert_same_polys(got, want)
+        assert any(isinstance(c, Fraction) for q in got for c in q.terms.values())
+
+    @pytest.mark.parametrize("pair_u, pair_v", [((0, 1), (1, 2)), ((2, 0), (0, 1))])
+    def test_three_cameras_distinct_pairs(self, pair_u, pair_v):
+        rig = random_rig(random.Random(397), 3)
+        t = polarize(unit_distance_form())
+        picks = list(range(0, 441, 37))
+        got = all_octics_symbolic(rig, t, pair_u, pair_v)
+        sels = selections(pair_u, pair_v)
+        assert_same_polys([got[i] for i in picks], reference_octics(rig, t, [sels[i] for i in picks]))
+
+    def test_fraction_rig_and_rational_distance(self):
+        rig = fraction_rig(random.Random(401))
+        t = polarize(distance_form_squared(Fraction(3, 7)))
+        picks = list(range(0, 441, 29))
+        got = all_octics_symbolic(rig, t)
+        sels = selections((0, 1), (0, 1))
+        assert_same_polys([got[i] for i in picks], reference_octics(rig, t, [sels[i] for i in picks]))
+
+    def test_coefficients_beyond_int64(self):
+        rig = random_rig(random.Random(409), 2, height=10 ** 6)
+        t = polarize(unit_distance_form())
+        picks = [0, 100, 440]
+        got = all_octics_symbolic(rig, t)
+        sels = selections((0, 1), (0, 1))
+        assert_same_polys([got[i] for i in picks], reference_octics(rig, t, [sels[i] for i in picks]))
+        assert max(abs(c) for q in got for c in q.terms.values()) >= 2 ** 63
+
+    def test_single_octic_with_and_without_cache(self):
+        rig = random_rig(random.Random(419), 3)
+        t = polarize(unit_distance_form())
+        sels = [((0, 1, 0, 0), (0, 1, 0, 0)), ((0, 1, 3, 1), (1, 2, 5, 2)), ((2, 1, 4, 4), (0, 2, 0, 5))]
+        want = reference_octics(rig, t, sels)
+        cache = {}
+        assert_same_polys([expand_octic_symbolic(rig, t, *sel) for sel in sels], want)
+        assert_same_polys([expand_octic_symbolic(rig, t, *sel, cache) for sel in sels], want)
+        assert_same_polys([expand_octic_symbolic(rig, t, *sel, cache) for sel in sels], want)
+
+
+class TestCoefficientMatrix:
+    def test_residues_of_large_negative_and_fraction_coefficients(self):
+        p = 2 ** 31 - 1
+        basis = monomial_basis(2, (1, 0, 0, 0))
+        polys = [MultiHomogPoly(2, {basis[0]: -5, basis[1]: 2 ** 70 + 3}),
+                 MultiHomogPoly(2, {basis[0]: 2 ** 63, basis[2]: Fraction(-7, 3)}),
+                 MultiHomogPoly(2, {basis[1]: -(2 ** 64) - 1})]
+        m = coefficient_matrix_modp(polys, p)
+        want = [[-5 % p, (2 ** 70 + 3) % p, 0],
+                [2 ** 63 % p, 0, -7 * pow(3, -1, p) % p],
+                [0, (-(2 ** 64) - 1) % p, 0]]
+        assert m.tolist() == want
+
+    def test_prime_dividing_a_denominator_rejected(self):
+        p = 2 ** 31 - 1
+        poly = MultiHomogPoly(2, {monomial_basis(2, (1, 0, 0, 0))[0]: Fraction(1, 2 * p)})
+        with pytest.raises(ValueError, match="denominator"):
+            coefficient_matrix_modp([poly], p)
+
+
 class TestSpanDimension:
     def test_single_polynomial(self):
         p = MultiHomogPoly.variable(2, "u", 0, 0)
@@ -187,6 +288,34 @@ class TestSpanDimension:
         exact = span_dimension(polys)
         p = random_rank_prime(rng)
         assert span_dimension(polys, p) == exact
+
+    @pytest.mark.parametrize("modulus", [15, 2 ** 33 - 9, 2 ** 61 - 1, 2 ** 31 + 11])
+    def test_modulus_must_be_a_prime_below_2_31(self, modulus):
+        # 2^33 - 9 and 2^61 - 1 are primes whose int64 elimination overflowed;
+        # 2^31 + 11 is the least prime above the limit
+        p = MultiHomogPoly.variable(2, "u", 0, 0)
+        with pytest.raises(ValueError, match="not a prime below 2"):
+            span_dimension([p], modulus)
+
+    def test_largest_allowed_prime_gives_exact_ranks(self):
+        assert _is_probable_prime(2 ** 31 - 1)
+        rng = random.Random(421)
+        basis = monomial_basis(2, (1, 0, 0, 0))
+        for _ in range(20):
+            a, b = ([rng.randint(-2 ** 40, 2 ** 40) for _ in range(3)] for _ in range(2))
+            rows = [[x * rng.randint(-9, 9) + y * rng.randint(-9, 9) for x, y in zip(a, b)]
+                    for _ in range(4)]
+            polys = [MultiHomogPoly(2, dict(zip(basis, row))) for row in rows]
+            assert span_dimension(polys, 2 ** 31 - 1) == span_dimension(polys)
+
+    def test_failure_bound(self):
+        basis = monomial_basis(2, (1, 0, 0, 0))
+        # the row clears to (2^40, 3, -1): a 41-bit largest entry and 3 terms
+        poly = MultiHomogPoly(2, {basis[0]: Fraction(2 ** 40, 3), basis[1]: 1,
+                                  basis[2]: Fraction(-1, 3)})
+        bits = (2 ** 40).bit_length() + 0.5 * math.log2(3)
+        assert modp_failure_bound([poly]) == (bits // 30) / RANK_PRIME_COUNT
+        assert modp_failure_bound([poly, poly]) == (2 * bits // 30) / RANK_PRIME_COUNT
 
     def test_permutation_and_scaling_invariance(self):
         rng = random.Random(359)
