@@ -25,7 +25,7 @@ from .polyspace import (
     all_octics_symbolic,
     generator_count,
     ideal_component_basis,
-    modp_failure_bound,
+    quotient_failure_bound,
     random_rank_prime,
     span_dimension,
 )
@@ -126,7 +126,7 @@ def _cmd_span_dim(args) -> int:
     span = span_dimension(octics, p)
     base = span_dimension(component, p)
     union = span_dimension(component + octics, p)
-    bound = sum(modp_failure_bound(f) for f in (octics, component, component + octics))
+    bound = quotient_failure_bound(octics, component)
     doc = {"octics": len(octics), "span": span, "component_span": base,
            "quotient": union - base, "modulus": p, "failure_bound": bound}
     _emit(doc, args)

@@ -208,6 +208,19 @@ def _gram(tensor: QuadTensor, exact: bool):
     return gram, den
 
 
+def _sym2_products(first, second):
+    """The symmetric products w[p] w'[q] + w[q] w'[p] (one product when
+    p = q) at the ten Sym^2 slots, of the vectors w, w' along axis 1 of
+    ``first`` and ``second``.  Axis 0 pairs the vectors up; further axes of
+    the two, if any, form an outer product after the slot axis."""
+    extra_first, extra_second = first.ndim - 2, second.ndim - 2
+    first = first.reshape(first.shape + (1,) * extra_second)
+    second = second.reshape(second.shape[:2] + (1,) * extra_first + second.shape[2:])
+    s = first[:, _SYM2_P] * second[:, _SYM2_Q]
+    s[:, _SYM2_OFF] += (first[:, _SYM2_Q] * second[:, _SYM2_P])[:, _SYM2_OFF]
+    return s
+
+
 def _cleared(coords):
     """Integer coordinates proportional to exact ones, and the factor used."""
     den = lcm(*(x.denominator for x in coords))
@@ -284,8 +297,7 @@ class OcticEngine:
             vectors[pair] = cofactor_vectors(table, u_j, u_k)
         first = np.array([vectors[pair][i1] for pair, (i1, _) in keys])
         second = np.array([vectors[pair][i2] for pair, (_, i2) in keys])
-        s = first[:, _SYM2_P] * second[:, _SYM2_Q]
-        s[:, _SYM2_OFF] += (first[:, _SYM2_Q] * second[:, _SYM2_P])[:, _SYM2_OFF]
+        s = _sym2_products(first, second)
         if not self.exact:
             return s, None
         return s, np.array([factors[pair] for pair, _ in keys], dtype=object)

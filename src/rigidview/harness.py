@@ -45,7 +45,7 @@ from .polyspace import (
     all_octics_symbolic,
     generator_count,
     ideal_component_basis,
-    modp_failure_bound,
+    quotient_failure_bound,
     random_rank_prime,
     span_dimension,
 )
@@ -663,8 +663,7 @@ def _exp_span(config, seed):
             dims = (d_octics, d_union - d_comp)
             if dims == (126, 9):
                 break
-        # a union bound over the three ranks that p decides
-        bound = sum(modp_failure_bound(f) for f in (octics, component, component + octics))
+        bound = quotient_failure_bound(octics, component)
         details["dims"].append({"rig": idx, "span": dims[0], "quotient": dims[1],
                                 "modulus": p, "failure_bound": bound})
         if dims != (126, 9):

@@ -22,12 +22,13 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb, lcm, log2
+from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .cameras import CameraRig
-from .constraints import _SYM2_OFF, _SYM2_P, _SYM2_Q, QuadTensor, _gram
+from .constraints import QuadTensor, _cleared, _gram, _sym2_products
 from .linalg import EXACT, Scalar, _bareiss_echelon, decode_scalar, encode_scalar
 from .triangulation import camera_minor_table
 
@@ -239,15 +240,13 @@ def _sym_products(rig: CameraRig, j: int, k: int):
 
     The cofactor vectors are bilinear in (u_j, u_k) with the coefficients of
     :func:`camera_minor_table`, cleared here of their denominators."""
-    flat = camera_minor_table(rig, j, k).ravel()
-    den = lcm(*(x.denominator for x in flat))
-    table = np.array([int(x * den) for x in flat], dtype=object).reshape(24, 9)
-    x = (table[:, None, :, None] * table[None, :, None, :]).reshape(6, 4, 6, 4, 81)
-    y = np.add.reduceat(x[..., _FOLD_ORDER], _FOLD_STARTS, axis=-1)
-    i1, i2 = np.array(_ROW_PAIRS).T[:, :, None]
-    s = y[i1, _SYM2_P, i2, _SYM2_Q]
-    s[:, _SYM2_OFF] += y[i1, [_SYM2_Q[t] for t in _SYM2_OFF], i2, [_SYM2_P[t] for t in _SYM2_OFF]]
-    return s, den * den
+    table, den = _cleared(camera_minor_table(rig, j, k).ravel())
+    table = np.array([int(x) for x in table], dtype=object).reshape(6, 4, 9)
+    i1, i2 = np.array(_ROW_PAIRS).T
+    # axes: row pair, slot, then the 9 x 9 products of the two vectors'
+    # coefficients, folded onto the 36 monomials
+    s = _sym2_products(table[i1], table[i2]).reshape(len(_ROW_PAIRS), 10, 81)
+    return np.add.reduceat(s[..., _FOLD_ORDER], _FOLD_STARTS, axis=-1), den * den
 
 
 def _side_exponents(n: int, j: int, k: int) -> list:
@@ -294,8 +293,9 @@ def _contract_octics(rig: CameraRig, tensor: QuadTensor, pair_u, pair_v,
     a = s_u[rows_u].transpose(0, 2, 1).reshape(-1, 10) @ gram
     b = s_v[rows_v].transpose(0, 2, 1).reshape(-1, 10)
     # No partial sum of a row of a times a row of b exceeds this bound;
-    # below 2^63 the product is exact in int64, else it stays in Python ints.
-    if int(np.abs(a).sum(axis=1).max()) * int(np.abs(b).max()) < 2 ** 63:
+    # when it and the clearing factor are below 2^63, the product and the
+    # division are exact in int64, else they stay in Python ints.
+    if den < 2 ** 63 and int(np.abs(a).sum(axis=1).max()) * int(np.abs(b).max()) < 2 ** 63:
         a, b = a.astype(np.int64), b.astype(np.int64)
     coefs = (a @ b.T).reshape(len(rows_u), 36, len(rows_v), 36).transpose(0, 2, 1, 3)
     out = []
@@ -540,21 +540,37 @@ def span_dimension(polys: Sequence[MultiHomogPoly], modulus: Optional[int] = Non
     return len(pivots)
 
 
-def modp_failure_bound(polys: Sequence[MultiHomogPoly]) -> float:
-    """Upper bound on the probability that ``span_dimension(polys, p)``, with
-    p from :func:`random_rank_prime`, is below the rational rank: the count
-    floor(log2(H)/30) of bad primes over RANK_PRIME_COUNT (see
-    :func:`span_dimension`), with log2(H) bounded row by row by the bit
-    length of the largest row-cleared coefficient plus log2(sqrt(terms))."""
+def _height_bits(polys: Sequence[MultiHomogPoly]) -> float:
+    """log2 of the Hadamard bound of the row-cleared coefficient matrix,
+    bounded row by row by the bit length of the largest row-cleared
+    coefficient plus log2(sqrt(terms))."""
     bits = 0.0
     for poly in polys:
         if poly.is_zero():
             continue
         coefs = poly.terms.values()
-        den = lcm(*(c.denominator for c in coefs))
-        top = max(abs(c.numerator) * (den // c.denominator) for c in coefs)
-        bits += top.bit_length() + 0.5 * log2(len(coefs))
-    return (bits // 30) / RANK_PRIME_COUNT
+        top = max(map(abs, coefs)) * lcm(*map(attrgetter("denominator"), coefs))
+        bits += int(top).bit_length() + 0.5 * log2(len(coefs))
+    return bits
+
+
+def modp_failure_bound(polys: Sequence[MultiHomogPoly]) -> float:
+    """Upper bound on the probability that ``span_dimension(polys, p)``, with
+    p from :func:`random_rank_prime`, is below the rational rank: the count
+    floor(log2(H)/30) of bad primes over RANK_PRIME_COUNT (see
+    :func:`span_dimension`)."""
+    return (_height_bits(polys) // 30) / RANK_PRIME_COUNT
+
+
+def quotient_failure_bound(octics: Sequence[MultiHomogPoly],
+                           component: Sequence[MultiHomogPoly]) -> float:
+    """Union bound on the probability that one prime from
+    :func:`random_rank_prime` gives a wrong span dimension of ``octics``, of
+    ``component`` or of ``component + octics``, the three ranks from which
+    the octics' dimension modulo the component is read.  The union's rows
+    are the two families' rows, so its log2(H) is the sum of theirs."""
+    a, b = _height_bits(octics), _height_bits(component)
+    return (a // 30 + b // 30 + (a + b) // 30) / RANK_PRIME_COUNT
 
 
 class ClassCount:

@@ -21,6 +21,7 @@ from rigidview.polyspace import (
     modp_failure_bound,
     monomial_basis,
     multidegree_of,
+    quotient_failure_bound,
     random_rank_prime,
     span_dimension,
     variable_index,
@@ -226,6 +227,21 @@ class TestContractionMatchesReference:
         assert_same_polys([got[i] for i in picks], reference_octics(rig, t, [sels[i] for i in picks]))
         assert max(abs(c) for q in got for c in q.terms.values()) >= 2 ** 63
 
+    def test_scaled_cameras_with_large_clearing_factor(self):
+        # the same cameras divided by 1000: small cleared minors, but a
+        # clearing factor far beyond 2^63
+        base = random_rig(random.Random(389), 2)
+        rig = CameraRig([Mat([[c * Fraction(1, 1000) for c in row]
+                              for row in base.camera(i).matrix.data]) for i in range(2)])
+        t = polarize(unit_distance_form())
+        picks = list(range(0, 441, 31))
+        got = all_octics_symbolic(rig, t)
+        sels = selections((0, 1), (0, 1))
+        assert_same_polys([got[i] for i in picks], reference_octics(rig, t, [sels[i] for i in picks]))
+        # each cofactor coefficient is a 3x3 minor, and an octic has four
+        scale = Fraction(1, 1000) ** 12
+        assert [q * scale for q in all_octics_symbolic(base, t)] == got
+
     def test_single_octic_with_and_without_cache(self):
         rig = random_rig(random.Random(419), 3)
         t = polarize(unit_distance_form())
@@ -316,6 +332,16 @@ class TestSpanDimension:
         bits = (2 ** 40).bit_length() + 0.5 * math.log2(3)
         assert modp_failure_bound([poly]) == (bits // 30) / RANK_PRIME_COUNT
         assert modp_failure_bound([poly, poly]) == (2 * bits // 30) / RANK_PRIME_COUNT
+
+    def test_quotient_failure_bound_is_the_union_of_three(self):
+        rig = random_rig(random.Random(431), 2)
+        t = polarize(unit_distance_form())
+        cache = {}
+        octics = [expand_octic_symbolic(rig, t, (0, 1, i, 0), (0, 1, i, 5), cache) for i in range(6)]
+        component = ideal_component_basis(rig)
+        want = sum(modp_failure_bound(f) for f in (octics, component, component + octics))
+        assert quotient_failure_bound(octics, component) == pytest.approx(want, rel=1e-12)
+        assert want > 0
 
     def test_permutation_and_scaling_invariance(self):
         rng = random.Random(359)
