@@ -13,7 +13,7 @@ import random
 import sys
 
 from .cameras import CameraRig, ProjectivePoint, forward_map, rig_from_json, rig_to_json
-from .constraints import Family, rigid_pair_by_equations, rigid_pair_oracle, polarize, unit_distance_form
+from .constraints import Family, rigid_pair_by_equations, rigid_pair_oracle
 from .harness import (
     numeric_dimension,
     random_rig,
@@ -21,14 +21,7 @@ from .harness import (
     run_experiment,
 )
 from .linalg import EXACT, FLOAT, decode_scalar, encode_scalar
-from .polyspace import (
-    all_octics_symbolic,
-    generator_count,
-    ideal_component_basis,
-    quotient_failure_bound,
-    random_rank_prime,
-    span_dimension,
-)
+from .polyspace import generator_count, octic_span, random_rank_prime
 from .triangulation import NotInVarietyError, NotTriangulableError, triangulate
 
 
@@ -119,18 +112,10 @@ def _cmd_span_dim(args) -> int:
         rig = _load_rig(args.rig, EXACT)
     else:
         rig = random_rig(args.seed, 2, args.height)
-    tensor = polarize(unit_distance_form())
-    octics = all_octics_symbolic(rig, tensor)
-    component = ideal_component_basis(rig)
     p = args.modulus if args.modulus is not None else random_rank_prime(random.Random(args.seed))
-    span = span_dimension(octics, p)
-    base = span_dimension(component, p)
-    union = span_dimension(component + octics, p)
-    bound = quotient_failure_bound(octics, component)
-    doc = {"octics": len(octics), "span": span, "component_span": base,
-           "quotient": union - base, "modulus": p, "failure_bound": bound}
+    doc = octic_span(rig, p)
     _emit(doc, args)
-    return 0 if (span, union - base) == (126, 9) else 1
+    return 0 if (doc["span"], doc["quotient"]) == (126, 9) else 1
 
 
 def _cmd_counts(args) -> int:

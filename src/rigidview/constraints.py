@@ -24,8 +24,8 @@ import numpy as np
 from .cameras import CameraRig, ProjectivePoint, multiview_membership
 from .linalg import EXACT, FLOAT, BackendError, Mat, Scalar, ShapeError, det, encode_scalar
 from .triangulation import (AmbiguousTriangulationError, NotInVarietyError,
-                            NotTriangulableError, assemble_b, camera_minor_table,
-                            cofactor_vectors, triangulate)
+                            NotTriangulableError, camera_minor_table, cofactor_vectors,
+                            triangulate)
 
 
 class Family(str, Enum):
@@ -229,52 +229,52 @@ def _cleared(coords):
     return [int(x * den) for x in coords], den
 
 
-def _s_rows(keys, sels):
-    """The rows of S holding the selections ``(j, k, i1, i2)``; ``keys`` maps
-    (camera pair, sorted row pair) to the row and gains the new ones."""
-    rows = {}
-    for sel in dict.fromkeys(sels):
-        j, k, i1, i2 = sel
-        rows[sel] = keys.setdefault(((j, k), (min(i1, i2), max(i1, i2))), len(keys))
-    return np.array([rows[sel] for sel in sels], dtype=np.intp)
+# Row pairs i1 <= i2 of a camera pair's six cofactor vectors: the rows of
+# OCTIC_FULL and of polyspace.all_octics_symbolic, in their order.
+_ROW_PAIRS = [(i1, i2) for i1 in range(6) for i2 in range(i1, 6)]
+
+
+def _row_set_indices(set_a, set_b) -> list:
+    """The selections ``((j1, k1, i1, i2), (j2, k2, i3, i4))`` of two row
+    sets in the order of :class:`OcticEngine`'s values: camera pair of a,
+    camera pair of b, row pair of a, row pair of b, the last fastest."""
+    (pairs_a, rows_a), (pairs_b, rows_b) = set_a, set_b
+    return [(pa + ra, pb + rb) for pa in pairs_a for pb in pairs_b
+            for ra in rows_a for rb in rows_b]
 
 
 class OcticEngine:
     """Degree-8 constraint values by contraction with the tensor's Gram matrix.
 
     A value T(w_i1, w_i2, w'_i3, w'_i4) pairs two cofactor vectors of one
-    camera pair in one image tuple with two of a pair in another tuple.  For
-    each tuple, every (camera pair, row pair) in use gives one row of a
-    matrix S: the symmetric products w_i1[p] w_i2[q] + w_i1[q] w_i2[p] over the
-    ten coordinates p <= q of the symmetric square (one product when p = q),
-    formed as :meth:`QuadTensor.value` forms them.  A block of values is then
-    S_a G S_b^T, with G the tensor's 10x10 Gram matrix.
+    camera pair in one image tuple with two of a pair in another tuple.  Each
+    image tuple has a row set ``(pairs, rows)``: camera pairs (j, k) and row
+    pairs (i1, i2), and its matrix S has one row per camera pair and row
+    pair, camera pairs outermost.  The row holds the symmetric products
+    w_i1[p] w_i2[q] + w_i1[q] w_i2[p] over the ten coordinates p <= q of the
+    symmetric square (one product when p = q), formed as
+    :meth:`QuadTensor.value` forms them.  A block of values is then
+    S_a G S_b^T, with G the tensor's 10x10 Gram matrix, regrouped so that
+    each camera pair of a and each of b gives one row of values.
 
     The exact backend computes on integers: G, the camera minor tables and
-    the image points are cleared of denominators, and each value comes with
-    the positive integer it was multiplied by, divided out only when values
-    are returned.  Floats go through float64.
+    the image points are cleared of denominators, and each camera-pair row
+    of values comes with the positive integer it was multiplied by, divided
+    out only when values are returned.  Floats go through float64.
     """
 
-    __slots__ = ("exact", "tables", "rows", "blocks")
+    __slots__ = ("exact", "tables", "row_sets", "blocks")
 
-    def __init__(self, rig: CameraRig, blocks):
-        """``blocks`` lists ``(a, b, tensor, selections)``: each selection
-        ``((j1, k1, i1, i2), (j2, k2, i3, i4))`` is one value, the tensor at
-        cofactor vectors i1, i2 of camera pair (j1, k1) in image tuple a and
-        i3, i4 of pair (j2, k2) in tuple b.  The camera minor tables of the
-        pairs in use are computed here, once."""
+    def __init__(self, rig: CameraRig, row_sets, blocks):
+        """``row_sets`` holds one row set per image tuple; ``blocks`` lists
+        ``(a, b, tensor)``, the tensor at every camera pair and row pair of
+        tuple a's row set against every one of tuple b's.  The camera minor
+        tables of the pairs in use are computed here, once."""
         self.exact = rig.backend == EXACT
-        rows = {}
-        self.blocks = []
-        for a, b, tensor, selections in blocks:
-            left = _s_rows(rows.setdefault(a, {}), [sel for sel, _ in selections])
-            right = _s_rows(rows.setdefault(b, {}), [sel for _, sel in selections])
-            gram, den = _gram(tensor, self.exact)
-            self.blocks.append((a, b, gram, den, left, right))
-        self.rows = {t: list(keys) for t, keys in rows.items()}
+        self.row_sets = list(row_sets)
+        self.blocks = [(a, b) + _gram(tensor, self.exact) for a, b, tensor in blocks]
         self.tables = {}
-        for pair in {pair for keys in rows.values() for pair, _ in keys}:
+        for pair in {pair for pairs, _ in self.row_sets for pair in pairs}:
             table = camera_minor_table(rig, *pair)
             den = 1
             if self.exact:
@@ -282,49 +282,52 @@ class OcticEngine:
                 table = np.array(table, dtype=object).reshape(6, 4, 9)
             self.tables[pair] = (table, den)
 
-    def _products(self, points, keys):
+    def _products(self, points, row_set):
         """S for one image tuple, and on the exact backend the factor of each
-        of its rows (None on floats)."""
-        vectors, factors = {}, {}
-        for pair in dict.fromkeys(pair for pair, _ in keys):
-            j, k = pair
-            table, den = self.tables[pair]
+        of its camera pairs (None on floats)."""
+        pairs, rows = row_set
+        vectors, factors = [], []
+        for j, k in pairs:
+            table, den = self.tables[j, k]
             u_j, u_k = points[j].coords, points[k].coords
             if self.exact:
                 u_j, den_j = _cleared(u_j)
                 u_k, den_k = _cleared(u_k)
-                factors[pair] = (den * den_j * den_k) ** 2
-            vectors[pair] = cofactor_vectors(table, u_j, u_k)
-        first = np.array([vectors[pair][i1] for pair, (i1, _) in keys])
-        second = np.array([vectors[pair][i2] for pair, (_, i2) in keys])
-        s = _sym2_products(first, second)
-        if not self.exact:
-            return s, None
-        return s, np.array([factors[pair] for pair, _ in keys], dtype=object)
+                factors.append((den * den_j * den_k) ** 2)
+            vectors.append(cofactor_vectors(table, u_j, u_k))
+        w = np.stack(vectors)
+        i1, i2 = np.array(rows).T
+        s = _sym2_products(w[:, i1].reshape(-1, 4), w[:, i2].reshape(-1, 4))
+        return s, (np.array(factors, dtype=object) if self.exact else None)
 
     def cleared(self, tuples) -> list:
-        """Per block, ``(values, factors)``: the values in selection order,
-        each multiplied on the exact backend by the positive integer at the
-        same place in ``factors`` (None on the float backend)."""
+        """Per block, ``(values, factors)``: values as an array with one row
+        per camera pair of a and of b (b fastest) and one column per row pair
+        of a and of b (b fastest), each row multiplied on the exact backend
+        by the positive integer at the same place in ``factors`` (None on
+        the float backend)."""
         if any((p.backend == EXACT) != self.exact for points in tuples for p in points):
             raise BackendError("image points and rig must share one scalar backend")
-        products = {t: self._products(tuples[t], keys) for t, keys in self.rows.items()}
+        products = [self._products(points, rs) for points, rs in zip(tuples, self.row_sets)]
         out = []
-        for a, b, gram, den, left, right in self.blocks:
+        for a, b, gram, den in self.blocks:
             (s_a, f_a), (s_b, f_b) = products[a], products[b]
-            values = (s_a @ gram @ s_b.T)[left, right]
-            out.append((values, None if f_a is None else den * f_a[left] * f_b[right]))
+            (pairs_a, rows_a), (pairs_b, rows_b) = self.row_sets[a], self.row_sets[b]
+            values = (s_a @ gram @ s_b.T).reshape(len(pairs_a), len(rows_a), len(pairs_b), -1)
+            values = values.transpose(0, 2, 1, 3).reshape(len(pairs_a) * len(pairs_b), -1)
+            out.append((values, None if f_a is None else den * np.outer(f_a, f_b).ravel()))
         return out
 
     def evaluate(self, tuples) -> list:
-        """Every value, blocks in order, each block in selection order."""
+        """Every value, blocks in order, each block in the order of
+        :func:`_row_set_indices`."""
         out = []
         for values, factors in self.cleared(tuples):
             if factors is None:
-                out.extend(values.tolist())
-            else:
-                out.extend(Fraction(x, f) if x and f != 1 else x
-                           for x, f in zip(values.tolist(), factors.tolist()))
+                out.extend(values.ravel().tolist())
+                continue
+            for row, f in zip(values.tolist(), factors.tolist()):
+                out.extend(Fraction(x, f) if x and f != 1 else x for x in row)
         return out
 
 
@@ -337,7 +340,9 @@ def octic_value(rig: CameraRig, tensor: QuadTensor,
     applied to the four cofactor vectors.  As a function of the image points
     it is homogeneous of degree 2 in each of the four involved points.
     """
-    return OcticEngine(rig, [(0, 1, tensor, [(u_sel, v_sel)])]).evaluate((u, v))[0]
+    (j1, k1, i1, i2), (j2, k2, i3, i4) = u_sel, v_sel
+    row_sets = [([(j1, k1)], [(i1, i2)]), ([(j2, k2)], [(i3, i4)])]
+    return OcticEngine(rig, row_sets, [(0, 1, tensor)]).evaluate((u, v))[0]
 
 
 def trilinear_residuals(rig: CameraRig, j: int, k: int, l: int,
@@ -372,25 +377,16 @@ _TRILINEAR_POSITION = {rowset: pos for pos, rowset
                        in enumerate(itertools.combinations(range(9), 7))}
 
 
-def _octic_indices(rig: CameraRig, family: Family):
-    pairs = _camera_pairs(rig.n)
+def _octic_row_set(n: int, family: Family):
+    """The row set ``(camera pairs, row pairs)`` of an octic family, the
+    same on both sides."""
     if family == Family.OCTIC_FULL:
-        sels = {(j, k): [(j, k, i1, i2) for i1 in range(6) for i2 in range(i1, 6)]
-                for (j, k) in pairs}
-        return [(u_sel, v_sel) for pu in pairs for pv in pairs
-                for u_sel in sels[pu] for v_sel in sels[pv]]
+        return _camera_pairs(n), _ROW_PAIRS
     if family == Family.OCTIC_NINE:
-        return [((j1, k1, i, i), (j2, k2, kk, kk))
-                for (j1, k1) in pairs for (j2, k2) in pairs
-                for i in range(3) for kk in range(3)]
-    if family == Family.OCTIC_SIXTEEN:
-        if rig.n < 3:
-            raise ValueError("the sixteen-polynomial family needs at least three cameras")
-        chosen = [(0, 1), (0, 2)]
-        return [((j1, k1, i, i), (j2, k2, kk, kk))
-                for (j1, k1) in chosen for (j2, k2) in chosen
-                for i in range(2) for kk in range(2)]
-    raise ValueError(f"not an octic family: {family}")
+        return _camera_pairs(n), [(i, i) for i in range(3)]
+    if n < 3:
+        raise ValueError("the sixteen-polynomial family needs at least three cameras")
+    return [(0, 1), (0, 2)], [(i, i) for i in range(2)]
 
 
 class ConstraintSystem:
@@ -422,7 +418,8 @@ class ConstraintSystem:
             out = []
             for side, j, k in self.indices:
                 pts = u if side == "u" else v
-                out.append(det(assemble_b(rig, j, k, pts[j], pts[k]).mat))
+                f_u = rig.fundamental(j, k).apply(pts[k].coords)
+                out.append(sum(a * b for a, b in zip(pts[j].coords, f_u)))
             return out
         if fam == Family.MULTIVIEW_TRILINEAR:
             u, v = tuples
@@ -476,10 +473,10 @@ def constraint_system(rig: CameraRig, family: Family | str, **params) -> Constra
     if family in _OCTIC_FAMILIES:
         form = params.get("form") or unit_distance_form()
         tensor = polarize(form)
-        idx = _octic_indices(rig, family)
-        return ConstraintSystem(rig, family, idx,
+        row_set = _octic_row_set(rig.n, family)
+        return ConstraintSystem(rig, family, _row_set_indices(row_set, row_set),
                                 {"form": form, "tensor": tensor,
-                                 "engine": OcticEngine(rig, [(0, 1, tensor, idx)])})
+                                 "engine": OcticEngine(rig, (row_set, row_set), [(0, 1, tensor)])})
     if family == Family.MULTIVIEW_BILINEAR:
         idx = [("u", j, k) for j, k in _camera_pairs(rig.n)]
         idx += [("v", j, k) for j, k in _camera_pairs(rig.n)]
@@ -507,18 +504,11 @@ def constraint_system(rig: CameraRig, family: Family | str, **params) -> Constra
             forms = {(0, 1): distance_form(params["d12"]),
                      (0, 2): distance_form(params["d13"]),
                      (1, 2): distance_form(params["d23"])}
-        cam_pairs = _camera_pairs(rig.n)
-        idx = []
-        for pts in ((0, 1), (0, 2), (1, 2)):
-            for (j1, k1) in cam_pairs:
-                for (j2, k2) in cam_pairs:
-                    for i in range(3):
-                        for kk in range(3):
-                            idx.append((pts, (j1, k1, i, i), (j2, k2, kk, kk)))
+        row_set = _octic_row_set(rig.n, Family.OCTIC_NINE)
         tensors = {key: polarize(f) for key, f in forms.items()}
-        engine = OcticEngine(rig, [(a, b, tensors[(a, b)],
-                                    [(u_sel, v_sel) for pts, u_sel, v_sel in idx if pts == (a, b)])
-                                   for (a, b) in tensors])
+        idx = [(pts,) + sel for pts in tensors for sel in _row_set_indices(row_set, row_set)]
+        engine = OcticEngine(rig, (row_set,) * 3,
+                             [(a, b, tensor) for (a, b), tensor in tensors.items()])
         return ConstraintSystem(rig, family, idx,
                                 {"forms": forms, "tensors": tensors, "engine": engine})
     if family == Family.GENERAL_DE:
@@ -566,8 +556,8 @@ def _norm(coords):
     return sum(float(x) * float(x) for x in coords) ** 0.5
 
 
-def _octic_normalizer(index, u, v):
-    (j1, k1, _, _), (j2, k2, _, _) = index
+def _octic_normalizer(pair_u, pair_v, u, v):
+    (j1, k1), (j2, k2) = pair_u, pair_v
     return (_norm(u[j1].coords) * _norm(u[k1].coords)
             * _norm(v[j2].coords) * _norm(v[k2].coords)) ** 2
 
@@ -621,15 +611,16 @@ def rigid_pair_by_equations(rig: CameraRig, u, v,
         raise ValueError("membership by equations uses an octic family")
     if not (multiview_membership(rig, u, tol).ok and multiview_membership(rig, v, tol).ok):
         return False
-    system = constraint_system(rig, family, form=form)
+    row_set = _octic_row_set(rig.n, family)
+    tensor = polarize(form or unit_distance_form())
+    ((values, _),) = OcticEngine(rig, (row_set, row_set), [(0, 1, tensor)]).cleared((u, v))
     if rig.backend == EXACT:
-        return not any(values.any() for values, _ in system.params["engine"].cleared((u, v)))
-    values = system.evaluate(u, v)
+        return not values.any()
+    # the normalizer depends on the camera pairs only: one per row of values
     t = tol if tol is not None else DEFAULT_VANISH_TOL
-    for idx, val in zip(system.indices, values):
-        if abs(val) > t * max(_octic_normalizer(idx, u, v), 1e-300):
-            return False
-    return True
+    pairs = row_set[0]
+    limits = [t * max(_octic_normalizer(pu, pv, u, v), 1e-300) for pu in pairs for pv in pairs]
+    return not (np.abs(values) > np.array(limits)[:, None]).any()
 
 
 def collinearity_discriminant(d12: Scalar, d13: Scalar, d23: Scalar) -> Scalar:

@@ -33,22 +33,13 @@ from .constraints import (
     Family,
     constraint_system,
     coplanar_residuals,
-    polarize,
     rigid_pair_by_equations,
     rigid_pair_oracle,
     squared_distance_discriminant,
     triangle_inequality_ok,
-    unit_distance_form,
 )
 from .linalg import FLOAT, Mat, det, rank
-from .polyspace import (
-    all_octics_symbolic,
-    generator_count,
-    ideal_component_basis,
-    quotient_failure_bound,
-    random_rank_prime,
-    span_dimension,
-)
+from .polyspace import generator_count, octic_span, random_rank_prime
 from .triangulation import assemble_b, is_triangulable
 
 
@@ -648,26 +639,14 @@ def _exp_cor34(config, seed):
 def _exp_span(config, seed):
     rigs = config.get("rigs", config.get("samples", 1))
     failures, details = [], {"dims": []}
-    tensor = polarize(unit_distance_form())
     for idx in range(rigs):
         rng = random.Random(_sub_seed(seed, idx))
         rig = random_rig(rng, 2, config.get("height", 20))
-        octics = all_octics_symbolic(rig, tensor)
-        component = ideal_component_basis(rig)
-        dims = None
-        for _attempt in range(3):
-            p = random_rank_prime(rng)
-            d_octics = span_dimension(octics, p)
-            d_comp = span_dimension(component, p)
-            d_union = span_dimension(component + octics, p)
-            dims = (d_octics, d_union - d_comp)
-            if dims == (126, 9):
-                break
-        bound = quotient_failure_bound(octics, component)
-        details["dims"].append({"rig": idx, "span": dims[0], "quotient": dims[1],
-                                "modulus": p, "failure_bound": bound})
-        if dims != (126, 9):
-            failures.append({"rig": idx, "span": dims[0], "quotient": dims[1]})
+        dims = octic_span(rig, random_rank_prime(rng))
+        details["dims"].append({"rig": idx, "span": dims["span"], "quotient": dims["quotient"],
+                                "modulus": dims["modulus"], "failure_bound": dims["failure_bound"]})
+        if (dims["span"], dims["quotient"]) != (126, 9):
+            failures.append({"rig": idx, "span": dims["span"], "quotient": dims["quotient"]})
     return rigs, failures, details
 
 

@@ -28,7 +28,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cameras import CameraRig
-from .constraints import QuadTensor, _cleared, _gram, _sym2_products
+from .constraints import (QuadTensor, _ROW_PAIRS, _cleared, _gram, _sym2_products, polarize,
+                          unit_distance_form)
 from .linalg import EXACT, Scalar, _bareiss_echelon, decode_scalar, encode_scalar
 from .triangulation import camera_minor_table
 
@@ -206,10 +207,6 @@ class MultiHomogPoly:
         return cls(n, {tuple(t["exps"]): decode_scalar(t["coef"]) for t in doc["terms"]})
 
 
-# Row pairs i1 <= i2 of a camera pair's six cofactor vectors, in the order
-# in which all_octics_symbolic lists them.
-_ROW_PAIRS = [(i1, i2) for i1 in range(6) for i2 in range(i1, 6)]
-_ROW_PAIR_INDEX = {pair: r for r, pair in enumerate(_ROW_PAIRS)}
 # Degree-2 monomials of one image point as index pairs a <= a', in the order
 # of _block_monomials(2).
 _DEG2 = [(a, b) for a in range(3) for b in range(a, 3)]
@@ -262,15 +259,8 @@ def _side_exponents(n: int, j: int, k: int) -> list:
     return out
 
 
-def _cached_products(rig: CameraRig, pair, cache: dict):
-    key = ("S",) + tuple(pair)
-    if key not in cache:
-        cache[key] = _sym_products(rig, *pair)
-    return cache[key]
-
-
 def _contract_octics(rig: CameraRig, tensor: QuadTensor, pair_u, pair_v,
-                     rows_u, rows_v, cache: dict) -> list:
+                     rows_u, rows_v) -> list:
     """The octics of every row pair in ``rows_u`` (positions in _ROW_PAIRS)
     against every one in ``rows_v``, as S_u G S_v^T: the coefficient of
     monomial (m_u, m_v) in the octic of row pairs (r_u, r_v) is the sum over
@@ -281,14 +271,11 @@ def _contract_octics(rig: CameraRig, tensor: QuadTensor, pair_u, pair_v,
         raise ValueError("symbolic expansion needs an exact rig")
     n = rig.n
     gram, den = _gram(tensor, True)
-    s_u, den_u = _cached_products(rig, pair_u, cache)
-    s_v, den_v = _cached_products(rig, pair_v, cache)
+    s_u, den_u = _sym_products(rig, *pair_u)
+    s_v, den_v = (s_u, den_u) if tuple(pair_v) == tuple(pair_u) else _sym_products(rig, *pair_v)
     den *= den_u * den_v
-    key = ("exps", n, tuple(pair_u), tuple(pair_v))
-    if key not in cache:
-        exps = [h + t for h in _side_exponents(n, *pair_u) for t in _side_exponents(n, *pair_v)]
-        cache[key] = (exps, multidegree_of(exps[0]))
-    exps, degree = cache[key]
+    exps = [h + t for h in _side_exponents(n, *pair_u) for t in _side_exponents(n, *pair_v)]
+    degree = multidegree_of(exps[0])
 
     a = s_u[rows_u].transpose(0, 2, 1).reshape(-1, 10) @ gram
     b = s_v[rows_v].transpose(0, 2, 1).reshape(-1, 10)
@@ -336,23 +323,20 @@ def expand_wedge_symbolic(rig: CameraRig, j: int, k: int, row: int,
     return out
 
 
-def expand_octic_symbolic(rig: CameraRig, tensor: QuadTensor, u_sel, v_sel,
-                          _cache: Optional[dict] = None) -> MultiHomogPoly:
+def expand_octic_symbolic(rig: CameraRig, tensor: QuadTensor, u_sel, v_sel) -> MultiHomogPoly:
     """Symbolic degree-8 constraint for one index choice.
 
     ``u_sel = (j1, k1, i1, i2)`` and ``v_sel = (j2, k2, i3, i4)`` as in the
     numeric evaluator; the result is multihomogeneous of degree 2 in each of
     the four involved image points and vanishes on image pairs of
     constraint-satisfying world points.  It is one row of the contraction
-    that :func:`all_octics_symbolic` computes; ``_cache`` lets batch callers
-    share each camera pair's symmetric products across index choices.
+    that :func:`all_octics_symbolic` computes.
     """
     j1, k1, i1, i2 = u_sel
     j2, k2, i3, i4 = v_sel
-    rows_u = [_ROW_PAIR_INDEX[min(i1, i2), max(i1, i2)]]
-    rows_v = [_ROW_PAIR_INDEX[min(i3, i4), max(i3, i4)]]
-    return _contract_octics(rig, tensor, (j1, k1), (j2, k2), rows_u, rows_v,
-                            _cache if _cache is not None else {})[0]
+    rows_u = [_ROW_PAIRS.index((min(i1, i2), max(i1, i2)))]
+    rows_v = [_ROW_PAIRS.index((min(i3, i4), max(i3, i4)))]
+    return _contract_octics(rig, tensor, (j1, k1), (j2, k2), rows_u, rows_v)[0]
 
 
 def all_octics_symbolic(rig: CameraRig, tensor: QuadTensor,
@@ -361,7 +345,7 @@ def all_octics_symbolic(rig: CameraRig, tensor: QuadTensor,
     i1 <= i2 and i3 <= i4 over the six rows of each side, i3, i4 varying
     fastest), assembled as one integer contraction ``S_u G S_v^T``."""
     rows = np.arange(len(_ROW_PAIRS))
-    return _contract_octics(rig, tensor, pair_u, pair_v, rows, rows, {})
+    return _contract_octics(rig, tensor, pair_u, pair_v, rows, rows)
 
 
 def ideal_component_basis(rig: CameraRig, target=(2, 2, 2, 2)) -> list:
@@ -571,6 +555,22 @@ def quotient_failure_bound(octics: Sequence[MultiHomogPoly],
     are the two families' rows, so its log2(H) is the sum of theirs."""
     a, b = _height_bits(octics), _height_bits(component)
     return (a // 30 + b // 30 + (a + b) // 30) / RANK_PRIME_COUNT
+
+
+def octic_span(rig: CameraRig, modulus: int) -> dict:
+    """The 126/9 check on a two-camera rig, with every rank taken modulo the
+    prime ``modulus``: the span dimension of the 441 unit-distance octics,
+    that of the (2,2,2,2) slice of the consistency ideal, the octics'
+    dimension modulo that slice (the union's span minus the slice's), and the
+    :func:`quotient_failure_bound` of a random prime."""
+    octics = all_octics_symbolic(rig, polarize(unit_distance_form()))
+    component = ideal_component_basis(rig)
+    span = span_dimension(octics, modulus)
+    base = span_dimension(component, modulus)
+    union = span_dimension(component + octics, modulus)
+    return {"octics": len(octics), "span": span, "component_span": base,
+            "quotient": union - base, "modulus": modulus,
+            "failure_bound": quotient_failure_bound(octics, component)}
 
 
 class ClassCount:

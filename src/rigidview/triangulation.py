@@ -14,6 +14,7 @@ exactly over rationals and with tolerances over floats.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -54,18 +55,21 @@ class BMatrix:
 class TriangulationWitness:
     """The first camera pair, in lexicographic order, whose B has rank 5, and
     the first row of that B whose cofactor vector gives a world point; with
-    B, the row's cofactor vector and the point."""
+    B, the row's cofactor vector (equal to ``wedge5(b, row)``), the point,
+    and the first four coordinates of all six of the pair's cofactor
+    vectors."""
 
-    __slots__ = ("j", "k", "row", "b", "vector", "point")
+    __slots__ = ("j", "k", "row", "b", "vector", "point", "vectors")
 
     def __init__(self, j: int, k: int, row: int, b: BMatrix, vector: tuple,
-                 point: ProjectivePoint):
+                 point: ProjectivePoint, vectors: list):
         self.j = j
         self.k = k
         self.row = row
         self.b = b
         self.vector = vector
         self.point = point
+        self.vectors = vectors
 
     def __repr__(self):
         return f"TriangulationWitness(pair=({self.j}, {self.k}), row={self.row})"
@@ -183,16 +187,31 @@ def wedge5_point(b: BMatrix, i: int, tol: float | None = None) -> Optional[Proje
     return _cofactor_point(b, wedge5(b, i), tol)
 
 
+def _reduced(x):
+    """An integral Fraction as an int; any other scalar as it is."""
+    return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
+
+
+def _scale(camera, x, u, exact: bool):
+    """lambda with A x = lambda u, read at the largest coordinate of u: an
+    exact ratio, or a float."""
+    c = max(range(3), key=lambda i: abs(u[i]))
+    num = sum(a * xi for a, xi in zip(camera.matrix.data[c], x))
+    return _reduced(Fraction(num, u[c])) if exact else num / u[c]
+
+
 def is_triangulable(rig: CameraRig, points: Sequence[ProjectivePoint],
                     tol: float | None = None) -> Optional[TriangulationWitness]:
     """Find a camera pair whose triangulation matrix has rank 5, together
     with a row index giving a nonzero recovered point.
 
     Scans camera pairs lexicographically, building each pair's B and taking
-    its rank once, and rows first-to-last, computing cofactor vectors only
-    until the first nonzero point.  Returns the witness, or None when every
-    pair degenerates (for two cameras this happens exactly at the epipole
-    pair).  Raises :class:`NotInVarietyError` when the tuple is not
+    its rank once.  For a rank-5 pair it reads all six cofactor vectors from
+    the pair's :func:`camera_minor_table` and takes the first row, in order,
+    whose vector gives a nonzero point; the scales come from A_j X =
+    lambda_j u_j and A_k X = lambda_k u_k.  Returns the witness, or None when
+    every pair degenerates (for two cameras this happens exactly at the
+    epipole pair).  Raises :class:`NotInVarietyError` when the tuple is not
     consistent.
     """
     if not multiview_membership(rig, points, tol).ok:
@@ -201,11 +220,16 @@ def is_triangulable(rig: CameraRig, points: Sequence[ProjectivePoint],
         b = assemble_b(rig, j, k, points[j], points[k])
         if rank(b.mat, tol).rank != 5:
             continue
-        for i in range(6):
-            w = wedge5(b, i)
+        vectors = cofactor_vectors(camera_minor_table(rig, j, k),
+                                   points[j].coords, points[k].coords).tolist()
+        for i, w in enumerate(vectors):
             point = _cofactor_point(b, w, tol)
             if point is not None:
-                return TriangulationWitness(j, k, i, b, w, point)
+                exact = b.mat.backend == EXACT
+                x = tuple(map(_reduced, w))
+                lambdas = tuple(_scale(rig.camera(cam), x, points[cam], exact) for cam in (j, k))
+                return TriangulationWitness(j, k, i, b, x + tuple(-s for s in lambdas),
+                                            ProjectivePoint(x), vectors)
     return None
 
 
@@ -215,16 +239,17 @@ def triangulate(rig: CameraRig, points: Sequence[ProjectivePoint],
     """Recover the world point behind a consistent image tuple.
 
     Takes the point and the scales from the :func:`is_triangulable` witness,
-    and cross-checks every later nonzero row candidate of that pair: on the
-    exact backend they must agree up to scale identically, on the float
-    backend within ``consistency_tol`` of angular distance.
+    and cross-checks every later nonzero row candidate of that pair, read
+    from the witness's cofactor vectors: on the exact backend they must
+    agree up to scale identically, on the float backend within
+    ``consistency_tol`` of angular distance.
     """
     witness = is_triangulable(rig, points, tol)
     if witness is None:
         raise NotTriangulableError("no camera pair has a rank-5 triangulation matrix")
     point = witness.point
     for i in range(witness.row + 1, 6):
-        candidate = wedge5_point(witness.b, i, tol)
+        candidate = _cofactor_point(witness.b, witness.vectors[i], tol)
         if candidate is None:
             continue
         if witness.b.mat.backend == EXACT:

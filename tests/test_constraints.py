@@ -240,6 +240,26 @@ def reference_values(system, tuples):
     return out, vectors
 
 
+def _per_index_float_rule(rig, u, v, family, tol):
+    """Float membership by equations, one value at a time: both tuples
+    consistent, and every value of the family's constraint system at most
+    the tolerance times the squared product of the norms of its four image
+    points (or 1e-300, if larger)."""
+    if not (multiview_membership(rig, u, tol).ok and multiview_membership(rig, v, tol).ok):
+        return False
+    t = tol if tol is not None else constraints.DEFAULT_VANISH_TOL
+    system = constraint_system(rig, family)
+
+    def norm(p):
+        return sum(float(x) * float(x) for x in p.coords) ** 0.5
+
+    for ((j1, k1, _, _), (j2, k2, _, _)), val in zip(system.indices, system.evaluate(u, v)):
+        scale = (norm(u[j1]) * norm(u[k1]) * norm(v[j2]) * norm(v[k2])) ** 2
+        if abs(val) > t * max(scale, 1e-300):
+            return False
+    return True
+
+
 def _families(n):
     fams = [Family.OCTIC_FULL, Family.OCTIC_NINE]
     return fams + [Family.OCTIC_SIXTEEN] if n >= 3 else fams
@@ -333,6 +353,22 @@ class TestConstraintSystems:
         u, v = forward_map(rig, x), forward_map(rig, y)
         system = constraint_system(rig, Family.MULTIVIEW_BILINEAR)
         assert all(val == 0 for val in system.evaluate(u, v))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_bilinear_equals_two_camera_determinant(self, n):
+        rng = random.Random(149 + n)
+        rig = random_rig(rng, n)
+        x, y = unit_pair(rng)
+        member = forward_map(rig, x)
+        other = tuple(ProjectivePoint((Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                                       rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(n))
+        system = constraint_system(rig, Family.MULTIVIEW_BILINEAR)
+        for u, v in ((member, other), (other, forward_map(rig, y))):
+            sides = {"u": u, "v": v}
+            want = [det(assemble_b(rig, j, k, sides[s][j], sides[s][k]).mat)
+                    for s, j, k in system.indices]
+            assert system.evaluate(u, v) == want
+            assert any(want)
 
     def test_json_description(self):
         rng = random.Random(157)
@@ -448,6 +484,39 @@ class TestMembership:
         ep = (rig.epipole(0, 1), rig.epipole(1, 0))
         assert rigid_pair_by_equations(rig, u, ep, Family.OCTIC_NINE)
 
+
+    def test_equations_build_no_constraint_system(self, monkeypatch):
+        rng = random.Random(233)
+        rig = random_rig(rng, 3)
+        x, y = unit_pair(rng)
+        u, v = forward_map(rig, x), forward_map(rig, y)
+        systems = count_calls(monkeypatch, constraints, "constraint_system")
+        indices = count_calls(monkeypatch, constraints, "_row_set_indices")
+        for family in (Family.OCTIC_FULL, Family.OCTIC_NINE, Family.OCTIC_SIXTEEN):
+            assert rigid_pair_by_equations(rig, u, v, family)
+        assert systems == [] and indices == []
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data(), member=st.booleans(),
+           scale=st.floats(min_value=1e-2, max_value=1e2),
+           tol=st.sampled_from([None, 1e-4, 1e-1]))
+    def test_float_verdict_is_the_per_index_rule(self, n, data, member, scale, tol):
+        rig = CameraRig([m.scaled(scale).to_float() for m in data.draw(_camera_mats(n))])
+        x, y = unit_pair(random.Random(data.draw(st.integers(0, 2 ** 20))))
+        if not member:
+            y = ProjectivePoint((y[0] + 1, y[1], y[2], y[3]))
+        # each image point rescaled on its own, so that a normalizer taken
+        # from the wrong points moves the threshold by powers of ten
+        powers = data.draw(st.lists(st.integers(-6, 6), min_size=2 * n, max_size=2 * n))
+        try:
+            u, v = (tuple(p.to_float().scaled(10.0 ** k) for p, k in zip(forward_map(rig, w), ks))
+                    for w, ks in ((x, powers[:n]), (y, powers[n:])))
+        except ValueError:
+            return  # a world point at a focal point has no image
+        for family in _families(n):
+            assert (rigid_pair_by_equations(rig, u, v, family, tol=tol)
+                    == _per_index_float_rule(rig, u, v, family, tol))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_oracle_rejects_inconsistent_side(self, n):

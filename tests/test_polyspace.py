@@ -242,15 +242,12 @@ class TestContractionMatchesReference:
         scale = Fraction(1, 1000) ** 12
         assert [q * scale for q in all_octics_symbolic(base, t)] == got
 
-    def test_single_octic_with_and_without_cache(self):
+    def test_single_octic_matches_reference(self):
         rig = random_rig(random.Random(419), 3)
         t = polarize(unit_distance_form())
         sels = [((0, 1, 0, 0), (0, 1, 0, 0)), ((0, 1, 3, 1), (1, 2, 5, 2)), ((2, 1, 4, 4), (0, 2, 0, 5))]
         want = reference_octics(rig, t, sels)
-        cache = {}
         assert_same_polys([expand_octic_symbolic(rig, t, *sel) for sel in sels], want)
-        assert_same_polys([expand_octic_symbolic(rig, t, *sel, cache) for sel in sels], want)
-        assert_same_polys([expand_octic_symbolic(rig, t, *sel, cache) for sel in sels], want)
 
 
 class TestCoefficientMatrix:
@@ -298,8 +295,7 @@ class TestSpanDimension:
         rng = random.Random(353)
         rig = random_rig(rng, 2)
         t = polarize(unit_distance_form())
-        cache = {}
-        polys = [expand_octic_symbolic(rig, t, (0, 1, i, i), (0, 1, k, k), cache)
+        polys = [expand_octic_symbolic(rig, t, (0, 1, i, i), (0, 1, k, k))
                  for i in range(3) for k in range(3)]
         exact = span_dimension(polys)
         p = random_rank_prime(rng)
@@ -336,8 +332,7 @@ class TestSpanDimension:
     def test_quotient_failure_bound_is_the_union_of_three(self):
         rig = random_rig(random.Random(431), 2)
         t = polarize(unit_distance_form())
-        cache = {}
-        octics = [expand_octic_symbolic(rig, t, (0, 1, i, 0), (0, 1, i, 5), cache) for i in range(6)]
+        octics = [expand_octic_symbolic(rig, t, (0, 1, i, 0), (0, 1, i, 5)) for i in range(6)]
         component = ideal_component_basis(rig)
         want = sum(modp_failure_bound(f) for f in (octics, component, component + octics))
         assert quotient_failure_bound(octics, component) == pytest.approx(want, rel=1e-12)
@@ -347,8 +342,7 @@ class TestSpanDimension:
         rng = random.Random(359)
         rig = random_rig(rng, 2)
         t = polarize(unit_distance_form())
-        cache = {}
-        polys = [expand_octic_symbolic(rig, t, (0, 1, i, i), (0, 1, 0, 0), cache)
+        polys = [expand_octic_symbolic(rig, t, (0, 1, i, i), (0, 1, 0, 0))
                  for i in range(4)]
         base = span_dimension(polys)
         shuffled = list(polys)

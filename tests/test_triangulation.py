@@ -7,6 +7,7 @@ from rigidview import triangulation
 from rigidview.cameras import CameraRig, ProjectivePoint, forward_map, projectively_equal
 from rigidview.linalg import Mat, det, rank
 from rigidview.triangulation import (
+    AmbiguousTriangulationError,
     NotInVarietyError,
     NotTriangulableError,
     assemble_b,
@@ -211,20 +212,51 @@ class TestSinglePass:
     ])
     def test_scan_stops_at_witness_row(self, monkeypatch, rig, x, row):
         u = forward_map(rig, ProjectivePoint(x))
+        want = wedge5(assemble_b(rig, 0, 1, u[0], u[1]), row)
+        tables = count_calls(monkeypatch, triangulation, "camera_minor_table")
         wedges = count_calls(monkeypatch, triangulation, "wedge5")
         witness = is_triangulable(rig, u)
         assert (witness.j, witness.k, witness.row) == (0, 1, row)
-        assert len(wedges) == witness.row + 1
-        assert witness.vector == wedge5(assemble_b(rig, 0, 1, u[0], u[1]), row)
+        assert [args[1:] for args in tables] == [(0, 1)]
+        assert wedges == []
+        assert witness.vector == want
+        assert [type(c) for c in witness.vector] == [type(c) for c in want]
         assert witness.point == ProjectivePoint(x)
+
+    def test_rank4_pair_reads_no_minor_table(self, monkeypatch):
+        # a world point on the baseline of cameras 0 and 1 makes their B
+        # rank 4, so the scan moves on to pair (0, 2)
+        rig = random_rig(random.Random(137), 3)
+        c0, c1 = (rig.camera(i).focal_point.coords for i in (0, 1))
+        x = ProjectivePoint([2 * a * c0[3] - b * c1[3] for a, b in zip(c1, c0)])
+        u = forward_map(rig, x)
+        assert rank(assemble_b(rig, 0, 1, u[0], u[1]).mat).rank == 4
+        tables = count_calls(monkeypatch, triangulation, "camera_minor_table")
+        wedges = count_calls(monkeypatch, triangulation, "wedge5")
+        sol = triangulate(rig, u)
+        assert (sol.witness.j, sol.witness.k) == (0, 2)
+        assert [args[1:] for args in tables] == [(0, 2)]
+        assert wedges == []
+        assert sol.point == x
 
     def test_triangulate_cross_checks_later_rows_only(self, monkeypatch):
         rig = standard_rig()
         u = forward_map(rig, ProjectivePoint((1, 1, 0, 1)))
+        tables = count_calls(monkeypatch, triangulation, "camera_minor_table")
         wedges = count_calls(monkeypatch, triangulation, "wedge5")
         sol = triangulate(rig, u)
         assert sol.witness.row == 2
-        assert [args[1] for args in wedges] == [0, 1, 2, 3, 4, 5]
+        assert len(tables) == 1 and wedges == []
+        assert sol.witness.vectors[0] == sol.witness.vectors[1] == [0, 0, 0, 0]
+        original = triangulation.cofactor_vectors
+        for later in (3, 4, 5):
+            def skewed(table, u_j, u_k, later=later):
+                vectors = original(table, u_j, u_k)
+                vectors[later] = vectors[2] + [1, 0, 0, 0]
+                return vectors
+            monkeypatch.setattr(triangulation, "cofactor_vectors", skewed)
+            with pytest.raises(AmbiguousTriangulationError, match=f"rows 2 and {later}"):
+                triangulate(rig, u)
 
     def test_rank_of_b_is_rank_of_witness_pair(self):
         rng = random.Random(127)
