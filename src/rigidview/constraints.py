@@ -24,8 +24,8 @@ import numpy as np
 from .cameras import CameraRig, ProjectivePoint, multiview_membership
 from .linalg import EXACT, FLOAT, BackendError, Mat, Scalar, ShapeError, det, encode_scalar
 from .triangulation import (AmbiguousTriangulationError, NotInVarietyError,
-                            NotTriangulableError, camera_minor_table, cofactor_vectors,
-                            triangulate)
+                            NotTriangulableError, _reduced, camera_minor_table,
+                            cofactor_vectors, triangulate)
 
 
 class Family(str, Enum):
@@ -419,7 +419,7 @@ class ConstraintSystem:
             for side, j, k in self.indices:
                 pts = u if side == "u" else v
                 f_u = rig.fundamental(j, k).apply(pts[k].coords)
-                out.append(sum(a * b for a, b in zip(pts[j].coords, f_u)))
+                out.append(_reduced(sum(a * b for a, b in zip(pts[j].coords, f_u))))
             return out
         if fam == Family.MULTIVIEW_TRILINEAR:
             u, v = tuples

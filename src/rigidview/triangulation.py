@@ -124,6 +124,29 @@ def _det3(r0, r1, r2):
             + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0]))
 
 
+def _minor_layout():
+    """Where :func:`camera_minor_table` reads each entry [i, c, 3a + b]: the
+    row triple left after deleting rows i, a and 3 + b of the 6x4 stack (an
+    index into _MINOR_ROWS, or len(_MINOR_ROWS) for the zero entries where
+    row i is row a or row 3 + b), and the Laplace sign of rows a, 3 + b
+    (shifted up past the deleted row i) against the image columns of B, at
+    positions 3 and 4."""
+    triples = list(combinations(range(6), 3))
+    index = np.full((6, 9), len(triples))
+    sign = np.zeros((6, 9), dtype=int)
+    for i in range(6):
+        for a in range(3):
+            for b in range(3):
+                if i not in (a, 3 + b):
+                    index[i, 3 * a + b] = triples.index(
+                        tuple(r for r in range(6) if r not in (i, a, 3 + b)))
+                    sign[i, 3 * a + b] = (-1) ** (a - (a > i) + 3 + b - (3 + b > i) + 3 + 4)
+    return triples, index, sign
+
+
+_MINOR_ROWS, _MINOR_INDEX, _MINOR_SIGN = _minor_layout()
+
+
 def camera_minor_table(rig: CameraRig, j: int, k: int) -> np.ndarray:
     """Signed 3x3 minors of the stacked pair [A_j; A_k], arranged so that the
     cofactor vectors of the pair are bilinear in its two image points:
@@ -139,25 +162,12 @@ def camera_minor_table(rig: CameraRig, j: int, k: int) -> np.ndarray:
     if j == k:
         raise ValueError("camera indices must differ")
     stack = rig.camera(j).matrix.data + rig.camera(k).matrix.data
-    exact = rig.backend == EXACT
-    table = np.zeros((6, 4, 9), dtype=object if exact else np.float64)
-    minors = {}
-    for i in range(6):
-        for a in range(3):
-            for b in range(3):
-                if i in (a, 3 + b):
-                    continue
-                rows = tuple(r for r in range(6) if r not in (i, a, 3 + b))
-                if rows not in minors:
-                    sub = [stack[r] for r in rows]
-                    minors[rows] = [(-1) ** c * _det3(*(row[:c] + row[c + 1:] for row in sub))
-                                    for c in range(4)]
-                # Laplace sign of rows a, 3 + b (shifted up past the deleted
-                # row i) against the image columns, at positions 3, 4
-                sign = (-1) ** (a - (a > i) + 3 + b - (3 + b > i) + 3 + 4)
-                for c in range(4):
-                    table[i, c, 3 * a + b] = sign * minors[rows][c]
-    return table
+    dropped = [[row[:c] + row[c + 1:] for row in stack] for c in range(4)]
+    minors = [[(-1) ** c * _det3(rows[p], rows[q], rows[r]) for c, rows in enumerate(dropped)]
+              for p, q, r in _MINOR_ROWS]
+    minors = np.array(minors + [[0] * 4], dtype=object)
+    table = (minors[_MINOR_INDEX] * _MINOR_SIGN[..., None]).transpose(0, 2, 1)
+    return np.ascontiguousarray(table, dtype=object if rig.backend == EXACT else np.float64)
 
 
 def cofactor_vectors(table: np.ndarray, u_j: Sequence, u_k: Sequence) -> np.ndarray:

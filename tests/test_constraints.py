@@ -359,7 +359,7 @@ class TestConstraintSystems:
         rng = random.Random(149 + n)
         rig = random_rig(rng, n)
         x, y = unit_pair(rng)
-        member = forward_map(rig, x)
+        member = tuple(p.scaled(Fraction(1, 3)) for p in forward_map(rig, x))
         other = tuple(ProjectivePoint((Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
                                        rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(n))
         system = constraint_system(rig, Family.MULTIVIEW_BILINEAR)
@@ -367,7 +367,9 @@ class TestConstraintSystems:
             sides = {"u": u, "v": v}
             want = [det(assemble_b(rig, j, k, sides[s][j], sides[s][k]).mat)
                     for s, j, k in system.indices]
-            assert system.evaluate(u, v) == want
+            got = system.evaluate(u, v)
+            assert got == want
+            assert [type(x) for x in got] == [type(x) for x in want]
             assert any(want)
 
     def test_json_description(self):
