@@ -15,7 +15,7 @@ exactly over rationals and with tolerances over floats.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -134,13 +134,11 @@ def _minor_layout():
     triples = list(combinations(range(6), 3))
     index = np.full((6, 9), len(triples))
     sign = np.zeros((6, 9), dtype=int)
-    for i in range(6):
-        for a in range(3):
-            for b in range(3):
-                if i not in (a, 3 + b):
-                    index[i, 3 * a + b] = triples.index(
-                        tuple(r for r in range(6) if r not in (i, a, 3 + b)))
-                    sign[i, 3 * a + b] = (-1) ** (a - (a > i) + 3 + b - (3 + b > i) + 3 + 4)
+    for i, a, b in product(range(6), range(3), range(3)):
+        if i not in (a, 3 + b):
+            rest = tuple(r for r in range(6) if r not in (i, a, 3 + b))
+            index[i, 3 * a + b] = triples.index(rest)
+            sign[i, 3 * a + b] = (-1) ** (a - (a > i) + 3 + b - (3 + b > i) + 3 + 4)
     return triples, index, sign
 
 
