@@ -4,10 +4,10 @@ A camera is a rank-3 3x4 matrix mapping world points in P^3 to image points
 in P^2.  A rig is an ordered list of at least two cameras over one scalar
 backend, with eagerly computed caches: focal points (camera kernels),
 epipoles (images of the other cameras' focal points), fundamental matrices
-(extracted from the 6x6 two-camera determinant), and a general-position
-validation record.  Degenerate rigs are constructible on purpose; the
-violations are recorded rather than rejected, because negative tests and
-special-position scenarios need them.
+(read from each pair's table of signed 3x3 camera minors), and a
+general-position validation record.  Degenerate rigs are constructible on
+purpose; the violations are recorded rather than rejected, because negative
+tests and special-position scenarios need them.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .linalg import (
     DEFAULT_RANK_TOL,
@@ -244,7 +246,7 @@ class CameraRig:
         object.__setattr__(self, "_epipoles", epipoles)
         fundamentals = {}
         for j, k in itertools.combinations(range(len(cams)), 2):
-            fundamentals[(j, k)] = _extract_fundamental(cams[j].matrix, cams[k].matrix)
+            fundamentals[(j, k)] = _fundamental(cams[j].matrix, camera_minor_table(self, j, k))
         object.__setattr__(self, "_fundamentals", fundamentals)
         object.__setattr__(self, "general_position", _validate_focal_points(cams, tol))
 
@@ -283,23 +285,73 @@ class CameraRig:
         return f"CameraRig(n={self.n}, backend={self.backend}, general_position={self.general_position.ok})"
 
 
-def _extract_fundamental(aj: Mat, ak: Mat) -> Mat:
-    """Coefficient extraction: F[a][b] is the two-camera determinant evaluated
-    at unit image vectors e_a, e_b."""
-    backend = aj.backend
-    zero, one = (0.0, 1.0) if backend == FLOAT else (0, 1)
-    rows = []
-    for a in range(3):
-        row = []
-        for b in range(3):
-            m = []
-            for r in range(3):
-                m.append(list(aj.data[r]) + [one if r == a else zero, zero])
-            for r in range(3):
-                m.append(list(ak.data[r]) + [zero, one if r == b else zero])
-            row.append(det(Mat(m)))
-        rows.append(row)
-    return Mat(rows)
+def _det3(r0, r1, r2):
+    return (r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
+            - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
+            + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0]))
+
+
+def _minor_layout():
+    """Where :func:`camera_minor_table` reads each entry [i, c, 3a + b]: the
+    row triple left after deleting rows i, a and 3 + b of the 6x4 stack (an
+    index into _MINOR_ROWS, or len(_MINOR_ROWS) for the zero entries where
+    row i is row a or row 3 + b), and the Laplace sign of rows a, 3 + b
+    (shifted up past the deleted row i) against the image columns of B, at
+    positions 3 and 4."""
+    triples = list(itertools.combinations(range(6), 3))
+    index = np.full((6, 9), len(triples))
+    sign = np.zeros((6, 9), dtype=int)
+    for i, a, b in itertools.product(range(6), range(3), range(3)):
+        if i not in (a, 3 + b):
+            rest = tuple(r for r in range(6) if r not in (i, a, 3 + b))
+            index[i, 3 * a + b] = triples.index(rest)
+            sign[i, 3 * a + b] = (-1) ** (a - (a > i) + 3 + b - (3 + b > i) + 3 + 4)
+    return triples, index, sign
+
+
+_MINOR_ROWS, _MINOR_INDEX, _MINOR_SIGN = _minor_layout()
+
+
+def camera_minor_table(rig: CameraRig, j: int, k: int) -> np.ndarray:
+    """Signed 3x3 minors of the stacked pair [A_j; A_k], arranged so that the
+    cofactor vectors of the pair's 6x6 matrix B = [A_j u_j 0; A_k 0 u_k]
+    are bilinear in its two image points: the signed maximal minors of B
+    without row i are, in their first four coordinates,
+
+        w_i[c] = sum over a, b of table[i, c, 3a + b] * u_j[a] * u_k[b]
+
+    where table[i, c, 3a + b] is, up to sign, the 3x3 minor of the 6x4 stack
+    without rows i, a and 3 + b and without column c (zero when row i is row
+    a or row 3 + b).  The sign is (-1)^c from
+    :func:`rigidview.linalg.signed_maximal_minors` times the Laplace sign of
+    expanding B along its two image columns.  Entries are ints or Fractions
+    on the exact backend, float64 on the float backend.
+    """
+    if j == k:
+        raise ValueError("camera indices must differ")
+    stack = rig.camera(j).matrix.data + rig.camera(k).matrix.data
+    dropped = [[row[:c] + row[c + 1:] for row in stack] for c in range(4)]
+    minors = [[(-1) ** c * _det3(rows[p], rows[q], rows[r]) for c, rows in enumerate(dropped)]
+              for p, q, r in _MINOR_ROWS]
+    minors = np.array(minors + [[0] * 4], dtype=object)
+    table = (minors[_MINOR_INDEX] * _MINOR_SIGN[..., None]).transpose(0, 2, 1)
+    return np.ascontiguousarray(table, dtype=object if rig.backend == EXACT else np.float64)
+
+
+def _reduced(x):
+    """An integral Fraction as an int; any other scalar as it is."""
+    return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
+
+
+def _fundamental(aj: Mat, table: np.ndarray) -> Mat:
+    """F of a camera pair from its :func:`camera_minor_table`.  F[a][b] is
+    det B at u_j = e_a, u_k = e_b; expanding along row i = (a + 1) mod 3 of
+    B, whose image entry is zero there, gives (-1)^i times the sum over c of
+    A_j[i][c] table[i, c, 3a + b]."""
+    table = table.tolist()
+    return Mat([[_reduced((-1) ** i * sum(x * t[3 * a + b] for x, t in zip(aj.data[i], table[i])))
+                 for b in range(3)]
+                for a, i in ((0, 1), (1, 2), (2, 0))])
 
 
 def _validate_focal_points(cams, tol) -> GeneralPositionReport:

@@ -21,11 +21,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cameras import CameraRig, ProjectivePoint, multiview_membership
+from .cameras import (CameraRig, ProjectivePoint, _reduced, camera_minor_table,
+                      multiview_membership)
 from .linalg import EXACT, FLOAT, BackendError, Mat, Scalar, ShapeError, det, encode_scalar
 from .triangulation import (AmbiguousTriangulationError, NotInVarietyError,
-                            NotTriangulableError, _reduced, camera_minor_table,
-                            cofactor_vectors, triangulate)
+                            NotTriangulableError, cofactor_vectors, triangulate)
 
 
 class Family(str, Enum):
@@ -139,18 +139,6 @@ class QuadTensor:
     def __init__(self, entries):
         self.entries = dict(entries)
 
-    def value(self, a, b, c, d) -> Scalar:
-        total = 0
-        for ((p, q), (r, s)), coef in self.entries.items():
-            left = a[p] * b[q]
-            if p != q:
-                left = left + a[q] * b[p]
-            right = c[r] * d[s]
-            if r != s:
-                right = right + c[s] * d[r]
-            total = total + coef * left * right
-        return total
-
     def __repr__(self):
         return f"QuadTensor(entries={len(self.entries)})"
 
@@ -229,6 +217,14 @@ def _cleared(coords):
     return [int(x * den) for x in coords], den
 
 
+def _cleared_table(table: np.ndarray):
+    """An exact camera minor table times the least positive integer that
+    clears its denominators, as Python ints in an object array of the same
+    shape, and that integer."""
+    flat, den = _cleared(table.ravel())
+    return np.array([int(x) for x in flat], dtype=object).reshape(table.shape), den
+
+
 # Row pairs i1 <= i2 of a camera pair's six cofactor vectors: the rows of
 # OCTIC_FULL and of polyspace.all_octics_symbolic, in their order.
 _ROW_PAIRS = [(i1, i2) for i1 in range(6) for i2 in range(i1, 6)]
@@ -252,8 +248,7 @@ class OcticEngine:
     pairs (i1, i2), and its matrix S has one row per camera pair and row
     pair, camera pairs outermost.  The row holds the symmetric products
     w_i1[p] w_i2[q] + w_i1[q] w_i2[p] over the ten coordinates p <= q of the
-    symmetric square (one product when p = q), formed as
-    :meth:`QuadTensor.value` forms them.  A block of values is then
+    symmetric square (one product when p = q).  A block of values is then
     S_a G S_b^T, with G the tensor's 10x10 Gram matrix, regrouped so that
     each camera pair of a and each of b gives one row of values.
 
@@ -276,11 +271,7 @@ class OcticEngine:
         self.tables = {}
         for pair in {pair for pairs, _ in self.row_sets for pair in pairs}:
             table = camera_minor_table(rig, *pair)
-            den = 1
-            if self.exact:
-                table, den = _cleared(table.ravel())
-                table = np.array(table, dtype=object).reshape(6, 4, 9)
-            self.tables[pair] = (table, den)
+            self.tables[pair] = _cleared_table(table) if self.exact else (table, 1)
 
     def _products(self, points, row_set):
         """S for one image tuple, and on the exact backend the factor of each

@@ -41,14 +41,6 @@ class NullityError(ValueError):
         self.nullity = nullity
 
 
-def scalar_backend(x: Scalar) -> str:
-    if isinstance(x, float):
-        return FLOAT
-    if isinstance(x, (int, Fraction)):
-        return EXACT
-    raise BackendError(f"unsupported scalar type {type(x).__name__}")
-
-
 def encode_scalar(x: Scalar):
     """JSON form of a scalar: rationals become 'p/q' strings, floats stay numbers."""
     if isinstance(x, float):

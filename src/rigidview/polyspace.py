@@ -10,7 +10,7 @@ polynomial families (exactly or modulo a random 31-bit prime), and counts
 the conjectured minimal generators per degree class.
 
 The cofactor vectors come from the signed 3x3 camera minors of
-:func:`rigidview.triangulation.camera_minor_table`, and the octics from the
+:func:`rigidview.cameras.camera_minor_table`, and the octics from the
 contraction that :class:`rigidview.constraints.OcticEngine` evaluates
 numerically: ``S_u G S_v^T``, with S holding the symmetric products of a
 camera pair's cofactor vectors as coefficients over the 36 monomials of
@@ -27,11 +27,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cameras import CameraRig
-from .constraints import (QuadTensor, _ROW_PAIRS, _cleared, _gram, _sym2_products, polarize,
-                          unit_distance_form)
+from .cameras import CameraRig, camera_minor_table
+from .constraints import (QuadTensor, _ROW_PAIRS, _cleared_table, _gram, _sym2_products,
+                          polarize, unit_distance_form)
 from .linalg import EXACT, Scalar, _bareiss_echelon, decode_scalar, encode_scalar
-from .triangulation import camera_minor_table
 
 
 def variable_index(n: int, side: str, cam: int, coord: int) -> int:
@@ -237,8 +236,7 @@ def _sym_products(rig: CameraRig, j: int, k: int):
 
     The cofactor vectors are bilinear in (u_j, u_k) with the coefficients of
     :func:`camera_minor_table`, cleared here of their denominators."""
-    table, den = _cleared(camera_minor_table(rig, j, k).ravel())
-    table = np.array([int(x) for x in table], dtype=object).reshape(6, 4, 9)
+    table, den = _cleared_table(camera_minor_table(rig, j, k))
     i1, i2 = np.array(_ROW_PAIRS).T
     # axes: row pair, slot, then the 9 x 9 products of the two vectors'
     # coefficients, folded onto the 36 monomials
@@ -279,10 +277,13 @@ def _contract_octics(rig: CameraRig, tensor: QuadTensor, pair_u, pair_v,
 
     a = s_u[rows_u].transpose(0, 2, 1).reshape(-1, 10) @ gram
     b = s_v[rows_v].transpose(0, 2, 1).reshape(-1, 10)
-    # No partial sum of a row of a times a row of b exceeds this bound;
-    # when it and the clearing factor are below 2^63, the product and the
-    # division are exact in int64, else they stay in Python ints.
-    if den < 2 ** 63 and int(np.abs(a).sum(axis=1).max()) * int(np.abs(b).max()) < 2 ** 63:
+    # No partial sum of a row of a times a row of b, and no entry of either,
+    # exceeds this bound: each factor counts as at least 1, so an all-zero
+    # operand (a pair whose 6x4 stack has rank below 3) cannot let the other
+    # through.  When it and the clearing factor are below 2^63, the product
+    # and the division are exact in int64, else they stay in Python ints.
+    bound = max(int(np.abs(a).sum(axis=1).max()), 1) * max(int(np.abs(b).max()), 1)
+    if den < 2 ** 63 and bound < 2 ** 63:
         a, b = a.astype(np.int64), b.astype(np.int64)
     coefs = (a @ b.T).reshape(len(rows_u), 36, len(rows_v), 36).transpose(0, 2, 1, 3)
     out = []

@@ -15,13 +15,14 @@ exactly over rationals and with tolerances over floats.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .cameras import CameraRig, ProjectivePoint, multiview_membership
-from .linalg import EXACT, FLOAT, Mat, rank, signed_maximal_minors
+from .cameras import (CameraRig, ProjectivePoint, _reduced, camera_minor_table,
+                      multiview_membership)
+from .linalg import EXACT, FLOAT, Mat, rank
 
 
 class NotInVarietyError(ValueError):
@@ -55,9 +56,9 @@ class BMatrix:
 class TriangulationWitness:
     """The first camera pair, in lexicographic order, whose B has rank 5, and
     the first row of that B whose cofactor vector gives a world point; with
-    B, the row's cofactor vector (equal to ``wedge5(b, row)``), the point,
-    and the first four coordinates of all six of the pair's cofactor
-    vectors."""
+    B, the row's cofactor vector (the signed maximal minors of B without
+    that row), the point, and the first four coordinates of all six of the
+    pair's cofactor vectors."""
 
     __slots__ = ("j", "k", "row", "b", "vector", "point", "vectors")
 
@@ -109,65 +110,6 @@ def assemble_b(rig: CameraRig, j: int, k: int,
     return BMatrix(Mat(rows), j, k, u_j, u_k)
 
 
-def wedge5(b: BMatrix, i: int) -> tuple:
-    """Signed maximal minors of B with row i (0-based) deleted.
-
-    The result spans the kernel of the remaining 5x6 matrix; component sign
-    convention follows :func:`rigidview.linalg.signed_maximal_minors`.
-    """
-    return signed_maximal_minors(b.mat.delete_row(i))
-
-
-def _det3(r0, r1, r2):
-    return (r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
-            - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
-            + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0]))
-
-
-def _minor_layout():
-    """Where :func:`camera_minor_table` reads each entry [i, c, 3a + b]: the
-    row triple left after deleting rows i, a and 3 + b of the 6x4 stack (an
-    index into _MINOR_ROWS, or len(_MINOR_ROWS) for the zero entries where
-    row i is row a or row 3 + b), and the Laplace sign of rows a, 3 + b
-    (shifted up past the deleted row i) against the image columns of B, at
-    positions 3 and 4."""
-    triples = list(combinations(range(6), 3))
-    index = np.full((6, 9), len(triples))
-    sign = np.zeros((6, 9), dtype=int)
-    for i, a, b in product(range(6), range(3), range(3)):
-        if i not in (a, 3 + b):
-            rest = tuple(r for r in range(6) if r not in (i, a, 3 + b))
-            index[i, 3 * a + b] = triples.index(rest)
-            sign[i, 3 * a + b] = (-1) ** (a - (a > i) + 3 + b - (3 + b > i) + 3 + 4)
-    return triples, index, sign
-
-
-_MINOR_ROWS, _MINOR_INDEX, _MINOR_SIGN = _minor_layout()
-
-
-def camera_minor_table(rig: CameraRig, j: int, k: int) -> np.ndarray:
-    """Signed 3x3 minors of the stacked pair [A_j; A_k], arranged so that the
-    cofactor vectors of the pair are bilinear in its two image points:
-
-        wedge5(B, i)[c] = sum over a, b of table[i, c, 3a + b] * u_j[a] * u_k[b]
-
-    where table[i, c, 3a + b] is, up to sign, the 3x3 minor of the 6x4 stack
-    without rows i, a and 3 + b and without column c (zero when row i is row
-    a or row 3 + b).  The sign is (-1)^c from :func:`wedge5` times the
-    Laplace sign of expanding B along its two image columns.  Entries are
-    ints or Fractions on the exact backend, float64 on the float backend.
-    """
-    if j == k:
-        raise ValueError("camera indices must differ")
-    stack = rig.camera(j).matrix.data + rig.camera(k).matrix.data
-    dropped = [[row[:c] + row[c + 1:] for row in stack] for c in range(4)]
-    minors = [[(-1) ** c * _det3(rows[p], rows[q], rows[r]) for c, rows in enumerate(dropped)]
-              for p, q, r in _MINOR_ROWS]
-    minors = np.array(minors + [[0] * 4], dtype=object)
-    table = (minors[_MINOR_INDEX] * _MINOR_SIGN[..., None]).transpose(0, 2, 1)
-    return np.ascontiguousarray(table, dtype=object if rig.backend == EXACT else np.float64)
-
-
 def cofactor_vectors(table: np.ndarray, u_j: Sequence, u_k: Sequence) -> np.ndarray:
     """The six cofactor 4-vectors of a camera pair, as a 6x4 array, read from
     its :func:`camera_minor_table` and the two image points' coordinates."""
@@ -176,10 +118,10 @@ def cofactor_vectors(table: np.ndarray, u_j: Sequence, u_k: Sequence) -> np.ndar
 
 
 def _cofactor_point(b: BMatrix, w: tuple, tol: float | None) -> Optional[ProjectivePoint]:
-    """The zero test shared by :func:`wedge5_point` and the witness scan: the
-    first four coordinates of cofactor vector ``w`` as a world point, or None
-    when they vanish (exactly, or on floats within ``tol`` times the largest
-    entry of B's first row)."""
+    """The zero test of the witness scan and of the cross-check in
+    :func:`triangulate`: the first four coordinates of cofactor vector ``w``
+    as a world point, or None when they vanish (exactly, or on floats within
+    ``tol`` times the largest entry of B's first row)."""
     w = w[:4]
     cut = 0.0
     if b.mat.backend == FLOAT and tol is not None:
@@ -187,17 +129,6 @@ def _cofactor_point(b: BMatrix, w: tuple, tol: float | None) -> Optional[Project
     if max(abs(x) for x in w) <= cut:
         return None
     return ProjectivePoint(w)
-
-
-def wedge5_point(b: BMatrix, i: int, tol: float | None = None) -> Optional[ProjectivePoint]:
-    """First four coordinates of the row-i cofactor vector as a world point,
-    or None when they all vanish (the flagged zero case, not an error)."""
-    return _cofactor_point(b, wedge5(b, i), tol)
-
-
-def _reduced(x):
-    """An integral Fraction as an int; any other scalar as it is."""
-    return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
 
 
 def _scale(camera, x, u, exact: bool):

@@ -1,13 +1,15 @@
-"""Shared test fixtures: deterministic rigs, naive determinant oracle, and
-the cofactor-expansion reference for the symbolic octics."""
+"""Shared test fixtures: deterministic rigs, naive determinant oracle, the
+per-index references for cofactor vectors and tensor values, and the
+cofactor-expansion reference for the symbolic octics."""
 
 import itertools
 from fractions import Fraction
 from math import lcm
 
 from rigidview.cameras import CameraRig
-from rigidview.linalg import Mat, rank
+from rigidview.linalg import Mat, rank, signed_maximal_minors
 from rigidview.polyspace import MultiHomogPoly
+from rigidview.triangulation import _cofactor_point
 
 
 def standard_rig():
@@ -51,6 +53,34 @@ def naive_det(m):
         for i in range(n):
             term = term * m[i, perm[i]]
         total += term
+    return total
+
+
+def wedge5(b, i):
+    """Signed maximal minors of B with row i (0-based) deleted: the cofactor
+    vector that :func:`rigidview.cameras.camera_minor_table` gives as a
+    bilinear form, here by six determinants."""
+    return signed_maximal_minors(b.mat.delete_row(i))
+
+
+def wedge5_point(b, i, tol=None):
+    """First four coordinates of the row-i cofactor vector as a world point,
+    or None when they all vanish."""
+    return _cofactor_point(b, wedge5(b, i), tol)
+
+
+def tensor_value(tensor, a, b, c, d):
+    """T(a, b, c, d) of a :class:`rigidview.constraints.QuadTensor`, one
+    entry at a time: the reference for the contraction of OcticEngine."""
+    total = 0
+    for ((p, q), (r, s)), coef in tensor.entries.items():
+        left = a[p] * b[q]
+        if p != q:
+            left = left + a[q] * b[p]
+        right = c[r] * d[s]
+        if r != s:
+            right = right + c[s] * d[r]
+        total = total + coef * left * right
     return total
 
 

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import count_calls
+from rigidview import cameras
 from rigidview.cameras import (
     Camera,
     CameraRig,
@@ -203,6 +205,62 @@ class TestFundamental:
                 for r in range(3):
                     rows.append(list(a2.data[r]) + [0, 1 if r == b else 0])
                 assert f[a, b] == naive_det(Mat(rows))
+
+    @staticmethod
+    def _unit_pair_matrix(rig, j, k, a, b):
+        """B of cameras j and k at the unit image points u_j = e_a, u_k = e_b."""
+        rows = [list(rig.camera(j).matrix.data[r]) + [int(r == a), 0] for r in range(3)]
+        rows += [list(rig.camera(k).matrix.data[r]) + [0, int(r == b)] for r in range(3)]
+        return Mat(rows)
+
+    @staticmethod
+    def _cameras(rng, kind):
+        def entry():
+            if kind == "fraction":
+                return Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+            return rng.randint(-20, 20)
+        mats = [Mat([[entry() for _ in range(4)] for _ in range(3)]) for _ in range(3)]
+        if kind == "rank_deficient":
+            # camera 1 of rank 2 with rational entries, camera 2 of rank 1
+            r0, r1 = mats[1].data[0], mats[1].data[1]
+            mats[1] = Mat([r0, r1, [x + Fraction(1, 3) * y for x, y in zip(r0, r1)]])
+            r0 = mats[2].data[0]
+            mats[2] = Mat([r0, [2 * x for x in r0], [-x for x in r0]])
+        return mats
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "rank_deficient"])
+    def test_every_ordered_pair_matches_naive_determinant(self, kind):
+        rng = random.Random(f"fundamental:{kind}")
+        for _ in range(2):
+            rig = CameraRig(self._cameras(rng, kind))
+            for j, k in itertools.permutations(range(3), 2):
+                f = rig.fundamental(j, k)
+                for a, b in itertools.product(range(3), repeat=2):
+                    want = naive_det(self._unit_pair_matrix(rig, j, k, a, b))
+                    if isinstance(want, Fraction) and want.denominator == 1:
+                        want = want.numerator
+                    assert f[a, b] == want
+                    assert type(f[a, b]) is type(want)
+
+    def test_float_rig_matches_float_determinant(self):
+        rng = random.Random(29)
+        rig = CameraRig([Mat([[rng.uniform(-20, 20) for _ in range(4)] for _ in range(3)])
+                         for _ in range(3)])
+        for j, k in itertools.permutations(range(3), 2):
+            f = rig.fundamental(j, k)
+            want = [[det(self._unit_pair_matrix(rig, j, k, a, b)) for b in range(3)]
+                    for a in range(3)]
+            scale = max(abs(x) for row in want for x in row)
+            for a, b in itertools.product(range(3), repeat=2):
+                assert type(f[a, b]) is float
+                assert abs(f[a, b] - want[a][b]) <= 1e-10 * scale
+
+    def test_construction_takes_no_determinant(self, monkeypatch):
+        rng = random.Random(31)
+        mats = [random_camera_mat(rng) for _ in range(4)]
+        calls = count_calls(monkeypatch, cameras, "det")
+        CameraRig(mats)
+        assert calls == []
 
     def test_bilinear_identity_on_random_inputs(self):
         rng = random.Random(11)

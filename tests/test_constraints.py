@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import count_calls, naive_det, random_rig, random_world_point, standard_rig
+from helpers import (count_calls, naive_det, random_rig, random_world_point, standard_rig,
+                     tensor_value, wedge5)
 from rigidview.cameras import (
     CameraRig,
     ProjectivePoint,
@@ -40,7 +41,7 @@ from rigidview.constraints import (
 )
 from rigidview import constraints, triangulation
 from rigidview.linalg import BackendError, Mat, det
-from rigidview.triangulation import assemble_b, camera_minor_table, cofactor_vectors, wedge5
+from rigidview.triangulation import assemble_b, camera_minor_table, cofactor_vectors
 
 
 def unit_pair(rng):
@@ -100,7 +101,7 @@ class TestPolarization:
         for _ in range(50):
             x = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)]
             y = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)]
-            assert t.value(x, x, y, y) == q.evaluate(x, y)
+            assert tensor_value(t, x, x, y, y) == q.evaluate(x, y)
 
     def test_multilinearity(self):
         t = polarize(unit_distance_form())
@@ -108,22 +109,22 @@ class TestPolarization:
         x2 = (5, -1, 0, 2)
         y = (0, 1, 1, 3)
         y2 = (2, 2, -5, 1)
-        doubled = t.value(tuple(2 * c for c in x), x2, y, y2)
-        assert doubled == 2 * t.value(x, x2, y, y2)
-        summed = t.value(tuple(a + b for a, b in zip(x, x2)), x2, y, y2)
-        assert summed == t.value(x, x2, y, y2) + t.value(x2, x2, y, y2)
+        doubled = tensor_value(t, tuple(2 * c for c in x), x2, y, y2)
+        assert doubled == 2 * tensor_value(t, x, x2, y, y2)
+        summed = tensor_value(t, tuple(a + b for a, b in zip(x, x2)), x2, y, y2)
+        assert summed == tensor_value(t, x, x2, y, y2) + tensor_value(t, x2, x2, y, y2)
 
     def test_slot_symmetry(self):
         t = polarize(unit_distance_form())
         x, x2 = (1, 2, 3, 4), (5, -1, 0, 2)
         y, y2 = (0, 1, 1, 3), (2, 2, -5, 1)
-        assert t.value(x, x2, y, y2) == t.value(x2, x, y, y2)
-        assert t.value(x, x2, y, y2) == t.value(x, x2, y2, y)
+        assert tensor_value(t, x, x2, y, y2) == tensor_value(t, x2, x, y, y2)
+        assert tensor_value(t, x, x2, y, y2) == tensor_value(t, x, x2, y2, y)
 
     def test_last_coefficient(self):
         t = polarize(unit_distance_form())
         e4 = (0, 0, 0, 1)
-        assert t.value(e4, e4, e4, e4) == -1
+        assert tensor_value(t, e4, e4, e4, e4) == -1
 
     def test_wrong_bidegree_rejected(self):
         with pytest.raises(ValueError):
@@ -235,7 +236,7 @@ def reference_values(system, tuples):
             (a, b), (u_sel, v_sel) = (0, 1), idx
             tensor = system.params["tensor"]
         (j1, k1, i1, i2), (j2, k2, i3, i4) = u_sel, v_sel
-        out.append(tensor.value(w(a, j1, k1, i1), w(a, j1, k1, i2),
+        out.append(tensor_value(tensor, w(a, j1, k1, i1), w(a, j1, k1, i2),
                                 w(b, j2, k2, i3), w(b, j2, k2, i4)))
     return out, vectors
 
@@ -304,7 +305,7 @@ class TestContractionEngine:
             bound = QuadTensor({key: abs(c) for key, c in tensor.entries.items()})
             for idx, got, ref in zip(system.indices, system.evaluate(u, v), want):
                 (j1, k1, i1, i2), (j2, k2, i3, i4) = idx
-                size = bound.value(*([abs(x) for x in vectors[key][i]] for key, i in (
+                size = tensor_value(bound, *([abs(x) for x in vectors[key][i]] for key, i in (
                     ((0, j1, k1), i1), ((0, j1, k1), i2), ((1, j2, k2), i3), ((1, j2, k2), i4))))
                 assert abs(got - ref) <= 1e-12 * size
 

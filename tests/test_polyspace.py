@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_rig, random_world_point, reference_octics
+from helpers import random_rig, random_world_point, reference_octics, wedge5
 from rigidview.cameras import CameraRig, ProjectivePoint, forward_map
 from rigidview.constraints import distance_form_squared, octic_value, polarize, unit_distance_form
 from rigidview.linalg import Mat, rank
@@ -26,7 +26,7 @@ from rigidview.polyspace import (
     span_dimension,
     variable_index,
 )
-from rigidview.triangulation import assemble_b, wedge5
+from rigidview.triangulation import assemble_b
 
 
 def random_image_point(rng):
@@ -241,6 +241,19 @@ class TestContractionMatchesReference:
         # each cofactor coefficient is a 3x3 minor, and an octic has four
         scale = Fraction(1, 1000) ** 12
         assert [q * scale for q in all_octics_symbolic(base, t)] == got
+
+    def test_zero_pair_against_large_pair(self):
+        # cameras 0 and 1 share one row space, so all 3x3 minors of their
+        # stack vanish; the octics against pair (2, 3), whose cleared
+        # products exceed 2^63, are all zero
+        row = [1, 2, 3, 4]
+        degenerate = [Mat([[m * x for x in row] for m in mults]) for mults in ((1, 2, 3), (1, 5, 7))]
+        rng = random.Random(433)
+        large = [Mat([[rng.randrange(10 ** 6) for _ in range(4)] for _ in range(3)])
+                 for _ in range(2)]
+        rig = CameraRig(degenerate + large)
+        got = all_octics_symbolic(rig, polarize(unit_distance_form()), (0, 1), (2, 3))
+        assert len(got) == 441 and all(q.is_zero() for q in got)
 
     def test_single_octic_matches_reference(self):
         rig = random_rig(random.Random(419), 3)
