@@ -415,7 +415,7 @@ RANK_PRIME_COUNT = 105_097_565 - 54_400_028
 def random_rank_prime(rng) -> int:
     """A prime drawn uniformly from the RANK_PRIME_COUNT primes in
     [2^30, 2^31) (odd prime p is hit by the candidates p - 1 and p), suitable
-    for int64 elimination."""
+    for :func:`span_dimension`."""
     while True:
         cand = rng.randrange(2 ** 30, 2 ** 31) | 1
         if _is_probable_prime(cand):
@@ -425,32 +425,125 @@ def random_rank_prime(rng) -> int:
 def _check_rank_modulus(p) -> None:
     if not (isinstance(p, int) and p < 2 ** 31 and _is_probable_prime(p)):
         raise ValueError(f"modulus {p} is not a prime below 2^31; the mod-p rank needs one "
-                         "(products of two residues must fit in int64)")
+                         "(its float64 products are exact only while centered residues "
+                         "stay below 2^30)")
+
+
+# Exactness of the float64 products: a centered residue has |x| < 2^30 and a
+# limb |l| <= 2^15, so each term is below 2^45, and every product below sums
+# at most 2 * PANEL_WIDTH = 2^8 terms: its partial sums stay below 2^53 and
+# are exact in any summation order.  A wider panel breaks this bound.
+PANEL_WIDTH = 128
+# Panels at most this wide are eliminated column by column.
+_LEAF_WIDTH = 32
+# Rows per trailing-update product, which bounds its float64 temporaries.
+_UPDATE_ROWS = 128
+
+
+def _limb_operands(a: np.ndarray, b: np.ndarray, p: int):
+    """Float64 matrices whose product is congruent to a @ b mod p: a and
+    a * 2^15 mod p side by side, against the low and high 15-bit limbs of
+    b, all centered.  a has at most PANEL_WIDTH columns; b is overwritten."""
+    q = a.shape[1]
+    left = np.empty((a.shape[0], 2 * q))
+    left[:, :q] = a
+    left[:, q:] = a * (1 << 15) % p
+    np.subtract(left, p, out=left, where=left > p // 2)
+    np.subtract(b, p, out=b, where=b > p // 2)
+    right = np.empty((2 * q, b.shape[1]))
+    right[:q] = low = b & 0x7FFF
+    b -= low
+    right[q:] = b >> 15
+    return left, right
+
+
+def _add_product(c: np.ndarray, left: np.ndarray, right: np.ndarray, p: int) -> None:
+    """c = (c + left @ right) mod p in place, for operands from
+    :func:`_limb_operands`."""
+    c += (left @ right).astype(np.int64)
+    np.remainder(c, p, out=c)
+
+
+def _eliminate_columns(x: np.ndarray, p: int):
+    """Eliminate the narrow panel x column by column.  Returns the row order
+    (pivot rows first), the rank q and the multipliers e, one row per
+    non-pivot row: x[order[q:]] + e @ x[order[:q]] = 0 mod p.
+
+    Next to the panel, y tracks every row as itself plus a combination of
+    the original pivot rows; pivot j enters it as a unit in column j."""
+    m, w = x.shape
+    y = np.zeros((m, 2 * w), dtype=np.int64)
+    y[:, :w] = x
+    free = np.ones(m, dtype=bool)
+    pivots = []
+    for c in range(w):
+        rows = np.flatnonzero(free & (y[:, c] != 0))
+        if rows.size == 0:
+            continue
+        r, j = int(rows[0]), len(pivots)
+        pivots.append(r)
+        free[r] = False
+        y[r, w + j] = 1
+        rows, span = rows[1:], slice(c, w + j + 1)
+        if rows.size:
+            factors = y[rows, c] * pow(int(y[r, c]), -1, p) % p
+            y[rows, span] = (y[rows, span] - np.outer(factors, y[r, span])) % p
+    q, rest = len(pivots), np.flatnonzero(free)
+    return np.concatenate([np.array(pivots, dtype=np.intp), rest]), q, y[rest, w:w + q]
+
+
+def _eliminate_panel(x: np.ndarray, p: int):
+    """:func:`_eliminate_columns` for a panel of any width up to
+    PANEL_WIDTH: eliminate the left half, update the right half's non-pivot
+    rows by one product, eliminate those, and compose the two multiplier
+    matrices by one more product."""
+    w = x.shape[1]
+    if w <= _LEAF_WIDTH:
+        return _eliminate_columns(x, p)
+    h = w // 2
+    order1, q1, e1 = _eliminate_panel(x[:, :h], p)
+    pivots1, rest1 = order1[:q1], order1[q1:]
+    right = x[rest1, h:]
+    _add_product(right, *_limb_operands(e1, x[pivots1, h:], p), p)
+    order2, q2, e2 = _eliminate_panel(right, p)
+    e = np.empty((len(order2) - q2, q1 + q2), dtype=np.int64)
+    e[:, :q1] = e1[order2[q2:]]
+    _add_product(e[:, :q1], *_limb_operands(e2, e1[order2[:q2]], p), p)
+    e[:, q1:] = e2
+    return np.concatenate([pivots1, rest1[order2]]), q1 + q2, e
 
 
 def _modp_rank(a: np.ndarray, p: int) -> int:
-    a = np.mod(a, p)
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
+    """Rank of the int64 matrix a over GF(p), p a prime below 2^31, by
+    blocked elimination (Dumas, Giorgi and Pernet, FFLAS-FFPACK, 2008): per
+    panel of PANEL_WIDTH columns, the rows with an entry there are
+    eliminated on the panel, and the other non-pivot rows' trailing columns
+    are replaced by their Schur complement, one float64 BLAS product per
+    _UPDATE_ROWS rows.  Rows that become zero are dropped.  The work is done
+    in a itself, which is overwritten: a second copy of the union's
+    coefficient matrix would be most of a span request's peak memory."""
+    np.mod(a, p, out=a)
+    rows = np.flatnonzero(a.any(axis=1))
+    rank = 0
+    for c in range(0, a.shape[1], PANEL_WIDTH):
+        if rows.size == 0:
             break
-        col = a[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv], c:] = a[[piv, r], c:]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r, c:] = a[r, c:] * inv % p
-        factors = a[r + 1:, c]
-        nzr = np.nonzero(factors)[0]
-        if nzr.size:
-            block = a[r + 1 + nzr, c:]
-            a[r + 1 + nzr, c:] = (block - np.outer(factors[nzr], a[r, c:])) % p
-        r += 1
-    return r
+        hit = a[rows, c:c + PANEL_WIDTH].any(axis=1)
+        touched = rows[hit]
+        order, q, e = _eliminate_panel(a[touched, c:c + PANEL_WIDTH], p)
+        rank += q
+        touched = touched[order]
+        trailing = slice(c + PANEL_WIDTH, None)
+        left, right = _limb_operands(e, a[touched[:q], trailing], p)
+        keep = [rows[~hit]]
+        for s in range(q, touched.size, _UPDATE_ROWS):
+            block_rows = touched[s:s + _UPDATE_ROWS]
+            block = a[block_rows, trailing]
+            _add_product(block, left[s - q:s - q + _UPDATE_ROWS], right, p)
+            a[block_rows, trailing] = block
+            keep.append(block_rows[block.any(axis=1)])
+        rows = np.sort(np.concatenate(keep))
+    return rank
 
 
 def coefficient_matrix_modp(polys: Sequence[MultiHomogPoly], p: int) -> np.ndarray:
@@ -490,12 +583,15 @@ def _shared_degree(polys):
 def span_dimension(polys: Sequence[MultiHomogPoly], modulus: Optional[int] = None) -> int:
     """Dimension of the linear span inside the fixed multidegree component.
 
-    With ``modulus`` the rank is computed by int64 elimination mod p, and p
-    must be a prime below 2^31 (else ValueError), so that no product of two
-    residues overflows.  The result never exceeds the rational rank r.  It is
-    smaller only if p divides one fixed nonzero r x r minor M of the
-    row-cleared integer coefficient matrix; |M| is at most the Hadamard
-    bound H, so at most log2(H)/30 primes of 30 bits or more divide it.  A
+    With ``modulus`` the rank is computed by blocked elimination mod p
+    (:func:`_modp_rank`), and p must be a prime below 2^31 (else
+    ValueError): its products run in float64 on residues centered below
+    2^30 times 15-bit limbs, and stay exact only while every sum of
+    2 * PANEL_WIDTH such terms is below 2^53.  The result never exceeds the
+    rational rank r.  It is smaller only if p divides one fixed nonzero
+    r x r minor M of the row-cleared integer coefficient matrix; |M| is at
+    most the Hadamard bound H, so at most log2(H)/30 primes of 30 bits or
+    more divide it.  A
     prime from :func:`random_rank_prime`, uniform over the RANK_PRIME_COUNT
     (about 5.07e7) primes in [2^30, 2^31), therefore gives a smaller rank
     with probability at most (log2(H)/30) / RANK_PRIME_COUNT, the figure

@@ -1,10 +1,13 @@
 """Shared test fixtures: deterministic rigs, naive determinant oracle, the
-per-index references for cofactor vectors and tensor values, and the
-cofactor-expansion reference for the symbolic octics."""
+per-index references for cofactor vectors and tensor values, the
+cofactor-expansion reference for the symbolic octics and the per-column
+mod-p rank."""
 
 import itertools
 from fractions import Fraction
 from math import lcm
+
+import numpy as np
 
 from rigidview.cameras import CameraRig
 from rigidview.linalg import Mat, rank, signed_maximal_minors
@@ -177,3 +180,30 @@ def reference_octics(rig, tensor, selections):
                 terms[e] = f.numerator if f.denominator == 1 else f
         out.append(MultiHomogPoly(n, terms))
     return out
+
+
+def reference_modp_rank(a, p):
+    """Rank of the integer matrix a over GF(p), p a prime below 2^31, by
+    int64 elimination one pivot column at a time."""
+    a = np.mod(a, p)
+    rows, cols = a.shape
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        col = a[r:, c]
+        nz = np.nonzero(col)[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            a[[r, piv], c:] = a[[piv, r], c:]
+        inv = pow(int(a[r, c]), -1, p)
+        a[r, c:] = a[r, c:] * inv % p
+        factors = a[r + 1:, c]
+        nzr = np.nonzero(factors)[0]
+        if nzr.size:
+            block = a[r + 1 + nzr, c:]
+            a[r + 1 + nzr, c:] = (block - np.outer(factors[nzr], a[r, c:])) % p
+        r += 1
+    return r

@@ -2,16 +2,21 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from helpers import random_rig, random_world_point, reference_octics, wedge5
+from helpers import random_rig, random_world_point, reference_modp_rank, reference_octics, wedge5
 from rigidview.cameras import CameraRig, ProjectivePoint, forward_map
 from rigidview.constraints import distance_form_squared, octic_value, polarize, unit_distance_form
 from rigidview.linalg import Mat, rank
 from rigidview.polyspace import (
+    PANEL_WIDTH,
     RANK_PRIME_COUNT,
     MultiHomogPoly,
+    _add_product,
     _is_probable_prime,
+    _limb_operands,
+    _modp_rank,
     all_octics_symbolic,
     coefficient_matrix_modp,
     expand_octic_symbolic,
@@ -316,8 +321,9 @@ class TestSpanDimension:
 
     @pytest.mark.parametrize("modulus", [15, 2 ** 33 - 9, 2 ** 61 - 1, 2 ** 31 + 11])
     def test_modulus_must_be_a_prime_below_2_31(self, modulus):
-        # 2^33 - 9 and 2^61 - 1 are primes whose int64 elimination overflowed;
-        # 2^31 + 11 is the least prime above the limit
+        # 2^33 - 9 and 2^61 - 1 are primes whose centered residues exceed the
+        # 2^30 that keeps the float64 limb products exact; 2^31 + 11 is the
+        # least prime above the limit
         p = MultiHomogPoly.variable(2, "u", 0, 0)
         with pytest.raises(ValueError, match="not a prime below 2"):
             span_dimension([p], modulus)
@@ -363,6 +369,64 @@ class TestSpanDimension:
         scaled = [q * Fraction(rng.randint(1, 9), rng.randint(1, 9)) for q in shuffled]
         assert span_dimension(scaled) == base
 
+
+RANK_PRIMES = [2, 3, 65521, 2 ** 31 - 1]
+
+
+def planted_matrix(seed, m, n, r, p):
+    """An m x n integer matrix of rank at most r mod p: residues times small
+    integers, with zero rows, zero columns, one all-zero panel of columns
+    and entries shifted by -p at random so that some are negative."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, p, size=(m, r)) @ rng.integers(-9, 10, size=(r, n)) % p
+    a -= p * rng.integers(0, 2, size=a.shape)
+    a[::7] = 0
+    a[:, ::11] = 0
+    a[:, PANEL_WIDTH:2 * PANEL_WIDTH] = 0
+    return a
+
+
+class TestModpRank:
+    @pytest.mark.parametrize("p", RANK_PRIMES)
+    @pytest.mark.parametrize("r", [17, 150, 300])
+    def test_planted_rank_deficiency_matches_reference(self, p, r):
+        a = planted_matrix(p + r, 300, 700, r, p)
+        assert _modp_rank(a.copy(), p) == reference_modp_rank(a, p)
+
+    @pytest.mark.parametrize("p", RANK_PRIMES)
+    def test_random_tall_matrix_matches_reference(self, p):
+        a = np.random.default_rng(p).integers(-2 ** 40, 2 ** 40, size=(400, 2 * PANEL_WIDTH + 5))
+        a[50] = a[3] - 5 * a[17]
+        assert _modp_rank(a.copy(), p) == reference_modp_rank(a, p)
+
+    def test_entries_p_minus_1(self):
+        p = 2 ** 31 - 1
+        a = np.full((260, 300), p - 1)
+        a[::3, 2::5] = 1
+        assert _modp_rank(a.copy(), p) == reference_modp_rank(a, p)
+
+    def test_empty_and_zero_matrices(self):
+        assert _modp_rank(np.zeros((0, 5), dtype=np.int64), 3) == 0
+        assert _modp_rank(np.zeros((4, 0), dtype=np.int64), 3) == 0
+        assert _modp_rank(np.zeros((4, 300), dtype=np.int64), 3) == 0
+        assert _modp_rank(np.full((4, 300), 6), 3) == 0
+
+    def test_product_exact_near_the_float64_bound(self):
+        # Entries p - 1 centre to -1, far from the bound.  Mod 2^31 - 1,
+        # multiplying by 2^15 rotates the 31 bits, so each x below has x and
+        # 2^15 * x mod p odd and in (2^29, 2^30): against odd limbs near
+        # 2^15 every term is odd and the sums pass 2^52.5.
+        p = 2 ** 31 - 1
+        rng = np.random.default_rng(5)
+        left = 2 ** 30 - 1 - 2 ** 15 - 2 * rng.integers(0, 2 ** 13, size=(4, PANEL_WIDTH))
+        low, high = 2 ** 15 - 1 - 2 * rng.integers(0, 2 ** 10, size=(2, PANEL_WIDTH, 6))
+        right = high * 2 ** 15 + low
+        got = rng.integers(0, p, size=(4, 6))
+        want = (got.astype(object) + left.astype(object) @ right.astype(object)) % p
+        lf, rf = _limb_operands(left, right, p)
+        assert np.abs(lf @ rf).max() > 2 ** 52.5
+        _add_product(got, lf, rf, p)
+        assert got.tolist() == want.tolist()
 
 class TestSpanFacts:
     def test_441_octics_span_126_and_quotient_9(self):
