@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, lcm, log2
 from operator import attrgetter
 from typing import Optional, Sequence
@@ -66,14 +67,32 @@ def monomial_basis(n: int, multidegree: Sequence[int]) -> list:
     return [tuple(itertools.chain.from_iterable(combo)) for combo in itertools.product(*blocks)]
 
 
+@lru_cache(maxsize=8)
+def _basis_index(n: int, multidegree: tuple):
+    """:func:`monomial_basis` as a tuple, and the position of each of its
+    exponent tuples."""
+    basis = tuple(monomial_basis(n, multidegree))
+    return basis, {m: i for i, m in enumerate(basis)}
+
+
+def _int_array(values) -> np.ndarray:
+    """Python ints as an int64 array when all fit, else as an object array."""
+    values = np.asarray(values, dtype=object)
+    if values.size == 0 or int(np.abs(values).max()) < 2 ** 63:
+        return values.astype(np.int64)
+    return values
+
+
 class MultiHomogPoly:
     """Sparse polynomial whose terms all share one multidegree.
 
     The zero polynomial has no terms and multidegree None.  Coefficients are
-    exact rationals (ints or Fractions).
+    exact rationals (ints or Fractions).  A polynomial is immutable once
+    built: it caches its cleared row (see :meth:`_cleared`), which every
+    rank and failure bound reads instead of ``terms``.
     """
 
-    __slots__ = ("n", "terms", "multidegree")
+    __slots__ = ("n", "terms", "multidegree", "_row")
 
     def __init__(self, n: int, terms=None):
         self.n = n
@@ -93,18 +112,41 @@ class MultiHomogPoly:
             clean[exps] = c
         self.terms = clean
         self.multidegree = degree
+        self._row = None
 
     @classmethod
-    def _trusted(cls, n: int, multidegree: tuple, terms: dict) -> "MultiHomogPoly":
+    def _trusted(cls, n: int, multidegree: tuple, terms: dict, row=None) -> "MultiHomogPoly":
         """A polynomial over a known monomial basis: ``terms`` maps exponent
         tuples of that basis, all of ``multidegree``, to nonzero
-        coefficients.  Nothing is checked or copied, so the exponent tuples
-        stay shared with every other polynomial built over the same basis."""
+        coefficients, and ``row``, if given, is its cleared row.  Nothing is
+        checked or copied, so the exponent tuples stay shared with every
+        other polynomial built over the same basis."""
         poly = cls.__new__(cls)
         poly.n = n
         poly.terms = terms
         poly.multidegree = multidegree if terms else None
+        poly._row = row
         return poly
+
+    def _cleared(self):
+        """The cleared row ``(cols, nums, den)``: the terms' positions in
+        ``monomial_basis(n, multidegree)`` (the smallest unsigned dtype that
+        holds the basis size), their coefficients times den (int64 where all
+        fit, else Python ints) and den, the lcm of the coefficients' reduced
+        denominators.  Derived from ``terms`` on first use unless the
+        producer supplied it, and kept."""
+        if self._row is None:
+            if not self.terms:
+                self._row = (np.zeros(0, np.uint8), np.zeros(0, np.int64), 1)
+            else:
+                basis, index = _basis_index(self.n, self.multidegree)
+                coefs = self.terms.values()
+                den = lcm(*map(attrgetter("denominator"), coefs))
+                self._row = (np.array([index[e] for e in self.terms],
+                                      dtype=np.min_scalar_type(len(basis))),
+                             _int_array([c.numerator * (den // c.denominator) for c in coefs]),
+                             den)
+        return self._row
 
     @classmethod
     def zero(cls, n: int) -> "MultiHomogPoly":
@@ -264,7 +306,9 @@ def _contract_octics(rig: CameraRig, tensor: QuadTensor, pair_u, pair_v,
     monomial (m_u, m_v) in the octic of row pairs (r_u, r_v) is the sum over
     s, t of S_u[r_u, s, m_u] G[s, t] S_v[r_v, t, m_v], computed on cleared
     integers and divided once by the product of the three clearing factors,
-    leaving an int where the result is integral."""
+    leaving an int where the result is integral.  Each octic also gets its
+    cleared row from the same integers: with g the gcd of the clearing
+    factor and the row's entries, the entries over g and the factor over g."""
     if rig.backend != EXACT:
         raise ValueError("symbolic expansion needs an exact rig")
     n = rig.n
@@ -274,6 +318,9 @@ def _contract_octics(rig: CameraRig, tensor: QuadTensor, pair_u, pair_v,
     den *= den_u * den_v
     exps = [h + t for h in _side_exponents(n, *pair_u) for t in _side_exponents(n, *pair_v)]
     degree = multidegree_of(exps[0])
+    # the basis position of each contraction column
+    basis, index = _basis_index(n, degree)
+    perm = np.array([index[e] for e in exps], dtype=np.min_scalar_type(len(basis)))
 
     a = s_u[rows_u].transpose(0, 2, 1).reshape(-1, 10) @ gram
     b = s_v[rows_v].transpose(0, 2, 1).reshape(-1, 10)
@@ -286,16 +333,23 @@ def _contract_octics(rig: CameraRig, tensor: QuadTensor, pair_u, pair_v,
     if den < 2 ** 63 and bound < 2 ** 63:
         a, b = a.astype(np.int64), b.astype(np.int64)
     coefs = (a @ b.T).reshape(len(rows_u), 36, len(rows_v), 36).transpose(0, 2, 1, 3)
+    coefs = coefs.reshape(-1, 36 * 36)
+    # g divides den and every entry of its row: the row clears to coefs / g
+    g = np.gcd(np.gcd.reduce(coefs, axis=1), den)
+    coefs //= g[:, None]
     out = []
-    for row in coefs.reshape(-1, 36 * 36):
-        idx = np.flatnonzero(row != 0)
-        vals = row[idx]
-        terms = dict(zip([exps[i] for i in idx.tolist()], (vals // den).tolist()))
-        if den != 1:
-            odd = vals % den != 0
-            for i, x in zip(idx[odd].tolist(), vals[odd].tolist()):
-                terms[exps[i]] = Fraction(x, den)
-        out.append(MultiHomogPoly._trusted(n, degree, terms))
+    for row, row_den in zip(coefs, (den // g).tolist()):
+        idx = np.flatnonzero(row)
+        cols, nums = perm[idx], row[idx]
+        keys = list(map(basis.__getitem__, cols.tolist()))
+        terms = dict(zip(keys, (nums // row_den).tolist()))
+        if row_den != 1:
+            odd = np.flatnonzero(nums % row_den)
+            for i, x in zip(odd.tolist(), nums[odd].tolist()):
+                terms[keys[i]] = Fraction(x, row_den)
+        if nums.dtype == object:
+            nums = _int_array(nums)
+        out.append(MultiHomogPoly._trusted(n, degree, terms, (cols, nums, row_den)))
     return out
 
 
@@ -362,6 +416,8 @@ def ideal_component_basis(rig: CameraRig, target=(2, 2, 2, 2)) -> list:
     if rig.backend != EXACT:
         raise ValueError("symbolic expansion needs an exact rig")
     n = rig.n
+    target = tuple(target)
+    basis, index = _basis_index(n, target)
     f = rig.fundamental(0, 1)
     gens = []
     for side, degree in (("u", (1, 1, 0, 0)), ("v", (0, 0, 1, 1))):
@@ -380,8 +436,12 @@ def ideal_component_basis(rig: CameraRig, target=(2, 2, 2, 2)) -> list:
         complement = tuple(t - g for t, g in zip(target, gdeg))
         if any(c < 0 for c in complement):
             raise ValueError("target multidegree is below the generator degree")
+        _, nums, den = gen._cleared()
         for monomial in monomial_basis(n, complement):
-            out.append(gen.shifted(monomial))
+            cols = [index[tuple(a + b for a, b in zip(e, monomial))] for e in gen.terms]
+            terms = dict(zip([basis[c] for c in cols], gen.terms.values()))
+            row = (np.array(cols, dtype=np.min_scalar_type(len(basis))), nums, den)
+            out.append(MultiHomogPoly._trusted(n, target, terms, row))
     return out
 
 
@@ -547,23 +607,21 @@ def _modp_rank(a: np.ndarray, p: int) -> int:
 
 
 def coefficient_matrix_modp(polys: Sequence[MultiHomogPoly], p: int) -> np.ndarray:
-    """Rows of coefficients over the shared monomial basis, reduced mod p."""
+    """Rows of coefficients over the shared monomial basis, reduced mod p.
+
+    Each row is read from the polynomial's cleared row ``(cols, nums,
+    den)``: nums mod p times the inverse of den mod p.  Raises ValueError
+    when p divides den, the lcm of the reduced coefficient denominators,
+    that is when p divides some coefficient's denominator."""
     degree = _shared_degree(polys)
-    n = polys[0].n
-    basis = monomial_basis(n, degree)
-    index = {m: i for i, m in enumerate(basis)}
+    basis, _ = _basis_index(polys[0].n, degree)
     out = np.zeros((len(polys), len(basis)), dtype=np.int64)
     for r, poly in enumerate(polys):
-        out[r, [index[exps] for exps in poly.terms]] = [
-            c % p if isinstance(c, int) else _fraction_modp(c, p) for c in poly.terms.values()]
+        cols, nums, den = poly._cleared()
+        if den % p == 0:
+            raise ValueError("prime divides a coefficient denominator; pick another prime")
+        out[r, cols] = nums % p * pow(den, -1, p) % p
     return out
-
-
-def _fraction_modp(c: Fraction, p: int) -> int:
-    den = c.denominator % p
-    if den == 0:
-        raise ValueError("prime divides a coefficient denominator; pick another prime")
-    return c.numerator % p * pow(den, -1, p) % p
 
 
 def _shared_degree(polys):
@@ -599,6 +657,11 @@ def span_dimension(polys: Sequence[MultiHomogPoly], modulus: Optional[int] = Non
     a random two-camera rig with camera entries below 20).  Without
     ``modulus`` the rank is exact (fraction-free elimination; impractical
     beyond small inputs).
+
+    Both routes read each polynomial's cleared row (see
+    :meth:`MultiHomogPoly._cleared`): the exact one its integers, the mod-p
+    one :func:`coefficient_matrix_modp`, which raises ValueError when p
+    divides a row's denominator, that is some coefficient's denominator.
     """
     if modulus is not None:
         _check_rank_modulus(modulus)
@@ -607,31 +670,28 @@ def span_dimension(polys: Sequence[MultiHomogPoly], modulus: Optional[int] = Non
         return 0
     if modulus is not None:
         return _modp_rank(coefficient_matrix_modp(polys, modulus), modulus)
-    degree = _shared_degree(polys)
-    basis = monomial_basis(polys[0].n, degree)
-    index = {m: i for i, m in enumerate(basis)}
+    basis, _ = _basis_index(polys[0].n, _shared_degree(polys))
     rows = []
     for poly in polys:
-        fr = [Fraction(0)] * len(basis)
-        for exps, coef in poly.terms.items():
-            fr[index[exps]] = Fraction(coef)
-        denom = lcm(*[x.denominator for x in fr]) if len(fr) > 1 else fr[0].denominator
-        rows.append([int(x * denom) for x in fr])
+        cols, nums, _ = poly._cleared()
+        row = [0] * len(basis)
+        for c, x in zip(cols.tolist(), nums.tolist()):
+            row[c] = x
+        rows.append(row)
     _, pivots, _ = _bareiss_echelon(rows)
     return len(pivots)
 
 
 def _height_bits(polys: Sequence[MultiHomogPoly]) -> float:
     """log2 of the Hadamard bound of the row-cleared coefficient matrix,
-    bounded row by row by the bit length of the largest row-cleared
-    coefficient plus log2(sqrt(terms))."""
+    bounded row by row by the bit length of the largest entry of the cleared
+    row plus log2(sqrt(terms))."""
     bits = 0.0
     for poly in polys:
         if poly.is_zero():
             continue
-        coefs = poly.terms.values()
-        top = max(map(abs, coefs)) * lcm(*map(attrgetter("denominator"), coefs))
-        bits += int(top).bit_length() + 0.5 * log2(len(coefs))
+        _, nums, _ = poly._cleared()
+        bits += int(np.abs(nums).max()).bit_length() + 0.5 * log2(len(nums))
     return bits
 
 

@@ -1,17 +1,19 @@
 """Shared test fixtures: deterministic rigs, naive determinant oracle, the
 per-index references for cofactor vectors and tensor values, the
-cofactor-expansion reference for the symbolic octics and the per-column
-mod-p rank."""
+cofactor-expansion reference for the symbolic octics, the per-column
+mod-p rank, and the per-term coefficient matrix and failure bounds."""
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from math import lcm, log2
+from operator import attrgetter
 
 import numpy as np
 
 from rigidview.cameras import CameraRig
 from rigidview.linalg import Mat, rank, signed_maximal_minors
-from rigidview.polyspace import MultiHomogPoly
+from rigidview.polyspace import RANK_PRIME_COUNT, MultiHomogPoly, _shared_degree, monomial_basis
 from rigidview.triangulation import _cofactor_point
 
 
@@ -207,3 +209,52 @@ def reference_modp_rank(a, p):
             a[r + 1 + nzr, c:] = (block - np.outer(factors[nzr], a[r, c:])) % p
         r += 1
     return r
+
+
+def reference_coefficient_matrix_modp(polys, p):
+    """Rows of coefficients over the shared monomial basis, reduced mod p
+    term by term: one dict lookup of each exponent tuple, a Python residue
+    of each int, and of each Fraction its numerator times the inverse of its
+    denominator, raising when p divides that denominator."""
+    basis, index = _reference_basis(polys[0].n, _shared_degree(polys))
+    out = np.zeros((len(polys), len(basis)), dtype=np.int64)
+    for r, poly in enumerate(polys):
+        out[r, [index[exps] for exps in poly.terms]] = [
+            c % p if isinstance(c, int) else _fraction_modp(c, p) for c in poly.terms.values()]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _reference_basis(n, degree):
+    basis = monomial_basis(n, degree)
+    return basis, {m: i for i, m in enumerate(basis)}
+
+
+def _fraction_modp(c, p):
+    den = c.denominator % p
+    if den == 0:
+        raise ValueError("prime divides a coefficient denominator; pick another prime")
+    return c.numerator % p * pow(den, -1, p) % p
+
+
+def reference_height_bits(polys):
+    """log2 of the Hadamard bound of the row-cleared coefficient matrix from
+    the terms: per row, the bit length of the largest coefficient times the
+    lcm of the denominators, plus log2(sqrt(terms))."""
+    bits = 0.0
+    for poly in polys:
+        if poly.is_zero():
+            continue
+        coefs = poly.terms.values()
+        top = max(map(abs, coefs)) * lcm(*map(attrgetter("denominator"), coefs))
+        bits += int(top).bit_length() + 0.5 * log2(len(coefs))
+    return bits
+
+
+def reference_modp_failure_bound(polys):
+    return (reference_height_bits(polys) // 30) / RANK_PRIME_COUNT
+
+
+def reference_quotient_failure_bound(octics, component):
+    a, b = reference_height_bits(octics), reference_height_bits(component)
+    return (a // 30 + b // 30 + (a + b) // 30) / RANK_PRIME_COUNT

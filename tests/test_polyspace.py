@@ -5,9 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import random_rig, random_world_point, reference_modp_rank, reference_octics, wedge5
+from helpers import (random_rig, random_world_point, reference_coefficient_matrix_modp,
+                     reference_modp_failure_bound, reference_modp_rank, reference_octics,
+                     reference_quotient_failure_bound, standard_rig, wedge5)
 from rigidview.cameras import CameraRig, ProjectivePoint, forward_map
 from rigidview.constraints import distance_form_squared, octic_value, polarize, unit_distance_form
+from rigidview.harness import _sub_seed
+from rigidview.harness import random_rig as harness_random_rig
 from rigidview.linalg import Mat, rank
 from rigidview.polyspace import (
     PANEL_WIDTH,
@@ -26,6 +30,7 @@ from rigidview.polyspace import (
     modp_failure_bound,
     monomial_basis,
     multidegree_of,
+    octic_span,
     quotient_failure_bound,
     random_rank_prime,
     span_dimension,
@@ -288,6 +293,137 @@ class TestCoefficientMatrix:
             coefficient_matrix_modp([poly], p)
 
 
+RANK_PRIMES = [2, 3, 65521, 2 ** 31 - 1]
+
+
+def scaled_rig(rig, factor):
+    return CameraRig([Mat([[c * factor for c in row] for row in rig.camera(i).matrix.data])
+                      for i in range(rig.n)])
+
+
+@pytest.fixture(scope="module")
+def families():
+    """The 441 octics and the (2,2,2,2) component of rigs that take every
+    contraction path: integer cameras (int64), Fraction cameras, the same
+    integer cameras over 1000 (clearing factor beyond 2^63) and cameras of
+    height 10^6 (entries beyond 2^63); the last three go through Python
+    ints."""
+    t = polarize(unit_distance_form())
+    base = random_rig(random.Random(389), 2)
+    rigs = {"int": base, "fraction": fraction_rig(random.Random(401)),
+            "over-1000": scaled_rig(base, Fraction(1, 1000)),
+            "height-1e6": random_rig(random.Random(409), 2, height=10 ** 6)}
+    return {name: (all_octics_symbolic(rig, t), ideal_component_basis(rig))
+            for name, rig in rigs.items()}
+
+
+def matrix_or_none(fn, polys, p):
+    """The coefficient matrix, or None when p divides a denominator."""
+    try:
+        return fn(polys, p)
+    except ValueError as exc:
+        assert "denominator" in str(exc)
+        return None
+
+
+def assert_rows_match_reference(polys, p):
+    """coefficient_matrix_modp equals the per-term reference row for row;
+    where one route raises for a family, each row must raise on both routes
+    or on neither."""
+    got = matrix_or_none(coefficient_matrix_modp, polys, p)
+    want = matrix_or_none(reference_coefficient_matrix_modp, polys, p)
+    if got is not None and want is not None:
+        assert np.array_equal(got, want)
+        return
+    for q in polys:
+        if q.is_zero():
+            continue
+        got = matrix_or_none(coefficient_matrix_modp, [q], p)
+        want = matrix_or_none(reference_coefficient_matrix_modp, [q], p)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got, want)
+
+
+def hand_built_polys():
+    basis = monomial_basis(2, (1, 1, 0, 0))
+    return [MultiHomogPoly(2, {basis[0]: 2 ** 70 + 3, basis[4]: -(2 ** 63), basis[8]: 2 ** 63 - 1}),
+            MultiHomogPoly(2, {basis[1]: Fraction(-7, 6), basis[2]: 5, basis[3]: Fraction(1, 10)}),
+            MultiHomogPoly(2, {basis[5]: Fraction(2 ** 80 + 1, 3 ** 40)}),
+            MultiHomogPoly(2, {basis[6]: -1}),
+            MultiHomogPoly(2, {b: Fraction(i - 4, 2 ** 62 + 2 * i + 1) for i, b in enumerate(basis)}),
+            MultiHomogPoly.zero(2)]
+
+
+class TestClearedRows:
+    """Every coefficient row comes from the polynomial's cleared row: the one
+    the contraction and the component build, or the one derived from the
+    terms; the per-term reference is the independent route."""
+
+    @pytest.mark.parametrize("p", RANK_PRIMES)
+    def test_families_match_reference(self, families, p):
+        for octics, component in families.values():
+            assert_rows_match_reference(octics, p)
+            assert_rows_match_reference(component, p)
+        octics, component = families["int"]
+        assert_rows_match_reference(component + octics, p)
+
+    @pytest.mark.parametrize("pair_u, pair_v", [((2, 0), (0, 1)), ((1, 0), (2, 1))])
+    def test_reversed_camera_pairs_match_reference(self, pair_u, pair_v):
+        # for pairs (0, 1) the contraction's columns are already in basis
+        # order; a reversed pair permutes them
+        rig = random_rig(random.Random(397), 3)
+        octics = all_octics_symbolic(rig, polarize(unit_distance_form()), pair_u, pair_v)
+        for p in RANK_PRIMES:
+            assert_rows_match_reference(octics, p)
+
+    @pytest.mark.parametrize("p", RANK_PRIMES)
+    def test_hand_built_match_reference(self, p):
+        assert_rows_match_reference(hand_built_polys(), p)
+
+    @pytest.mark.parametrize("name", ["int", "fraction"])
+    def test_json_round_trip_derives_the_same_rows(self, families, name):
+        octics = families[name][0][::4]
+        copies = [MultiHomogPoly.from_json(q.to_json()) for q in octics]
+        assert copies == octics
+        assert all(q._row is None for q in copies)
+        for p in RANK_PRIMES:
+            got = matrix_or_none(coefficient_matrix_modp, copies, p)
+            want = matrix_or_none(coefficient_matrix_modp, octics, p)
+            assert (got is None) == (want is None)
+            assert got is None or np.array_equal(got, want)
+        assert_rows_match_reference(copies, 3)
+        assert modp_failure_bound(copies) == modp_failure_bound(octics)
+
+    def test_prime_dividing_a_reduced_denominator_raises_on_both_routes(self):
+        basis = monomial_basis(2, (1, 0, 0, 0))
+        poly = MultiHomogPoly(2, {basis[0]: Fraction(1, 6), basis[1]: 5})
+        for p in (2, 3):
+            for route in (coefficient_matrix_modp, reference_coefficient_matrix_modp):
+                with pytest.raises(ValueError, match="denominator"):
+                    route([poly], p)
+        assert coefficient_matrix_modp([poly], 5).tolist() == [[pow(6, -1, 5), 0, 0]]
+
+    def test_clearing_factor_alone_does_not_raise(self, families):
+        # the int rig's contraction is cleared by 2 (the polarized distance
+        # form has halves), yet some octics have integer coefficients only;
+        # their rows are reduced by the gcd, so p = 2 does not divide them
+        octics = [q for q in families["int"][0]
+                  if q.terms and all(isinstance(c, int) for c in q.terms.values())]
+        assert octics
+        assert np.array_equal(coefficient_matrix_modp(octics, 2),
+                              reference_coefficient_matrix_modp(octics, 2))
+
+    def test_failure_bounds_equal_the_terms_reference(self, families):
+        for octics, component in families.values():
+            assert modp_failure_bound(octics) == reference_modp_failure_bound(octics)
+            assert modp_failure_bound(component) == reference_modp_failure_bound(component)
+            assert (quotient_failure_bound(octics, component)
+                    == reference_quotient_failure_bound(octics, component))
+        polys = hand_built_polys()
+        assert modp_failure_bound(polys) == reference_modp_failure_bound(polys)
+
+
 class TestSpanDimension:
     def test_single_polynomial(self):
         p = MultiHomogPoly.variable(2, "u", 0, 0)
@@ -370,9 +506,6 @@ class TestSpanDimension:
         assert span_dimension(scaled) == base
 
 
-RANK_PRIMES = [2, 3, 65521, 2 ** 31 - 1]
-
-
 def planted_matrix(seed, m, n, r, p):
     """An m x n integer matrix of rank at most r mod p: residues times small
     integers, with zero rows, zero columns, one all-zero panel of columns
@@ -442,6 +575,36 @@ class TestSpanFacts:
         base = span_dimension(component, p)
         union = span_dimension(component + octics, p)
         assert union - base == 9
+
+
+# octic_span on the five rigs of acceptance criterion 05 (SPAN_126_9, seed
+# 105): the prime drawn and the failure bound, pinned to the values of the
+# per-term coefficient route, which the cleared rows must reproduce exactly.
+CRITERION_05_SPANS = [
+    (1854510803, 4.7319853033491546e-05),
+    (2093685317, 3.866065525037242e-05),
+    (1993003333, 4.660975936562756e-05),
+    (1386295607, 4.376938469417163e-05),
+    (1180656853, 4.2901492433448986e-05),
+]
+
+
+class TestOcticSpan:
+    @pytest.mark.parametrize("idx", range(5))
+    def test_criterion_05_rigs_unchanged(self, idx):
+        rng = random.Random(_sub_seed(105, idx))
+        rig = harness_random_rig(rng, 2, 20)
+        modulus, bound = CRITERION_05_SPANS[idx]
+        assert octic_span(rig, random_rank_prime(rng)) == {
+            "octics": 441, "span": 126, "component_span": 567, "quotient": 9,
+            "modulus": modulus, "failure_bound": bound}
+
+    def test_exact_span_is_126(self):
+        # the standard rig's octics are sparse with coefficients of at most
+        # 6, so fraction-free elimination of all 441 takes seconds; on a
+        # random rig it takes minutes
+        octics = all_octics_symbolic(standard_rig(), polarize(unit_distance_form()))
+        assert span_dimension(octics) == 126
 
 
 class TestIdealComponent:
