@@ -30,6 +30,7 @@ from .linalg import (
     det,
     encode_scalar,
     integer_cleared,
+    invert,
     nullspace,
     rank,
 )
@@ -141,14 +142,10 @@ class Camera:
     def __init__(self, matrix: Mat, tol: float | None = None):
         if (matrix.rows, matrix.cols) != (3, 4):
             raise ShapeError("camera matrices are 3x4")
+        kern = nullspace(matrix, tol)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "rank", rank(matrix, tol).rank)
-        focal = None
-        if self.rank == 3:
-            kern = nullspace(matrix, tol)
-            if len(kern) == 1:
-                focal = ProjectivePoint(kern[0])
-        object.__setattr__(self, "focal_point", focal)
+        object.__setattr__(self, "rank", 4 - len(kern))
+        object.__setattr__(self, "focal_point", ProjectivePoint(kern[0]) if len(kern) == 1 else None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Camera is immutable")
@@ -405,10 +402,10 @@ def multiview_membership(rig: CameraRig, points: Sequence[ProjectivePoint],
     stacked = Mat(rows)
     if tol is None:
         tol = rig.tol
-    r = rank(stacked, tol).rank
+    kern = nullspace(stacked, tol)
+    r = stacked.cols - len(kern)
     if r > n + 3:
         return MembershipResult(False, r)
-    kern = nullspace(stacked, tol)
     if len(kern) != 1:
         return MembershipResult(True, r)
     v = kern[0]
@@ -477,36 +474,6 @@ def cayley_rotation(a: Scalar, b: Scalar, c: Scalar) -> Mat:
     i_minus = Mat([[i3[r, q] - s[r, q] for q in range(3)] for r in range(3)])
     i_plus = Mat([[i3[r, q] + s[r, q] for q in range(3)] for r in range(3)])
     return i_minus @ invert(i_plus)
-
-
-def invert(m: Mat, tol: float | None = None) -> Mat:
-    """Inverse of a small square matrix via Gauss-Jordan."""
-    if not m.is_square():
-        raise ShapeError("inverse needs a square matrix")
-    n = m.rows
-    if m.backend == EXACT:
-        a = [[Fraction(x) for x in r] + [Fraction(1 if i == j else 0) for j in range(n)]
-             for i, r in enumerate(m.data)]
-    else:
-        a = [[float(x) for x in r] + [1.0 if i == j else 0.0 for j in range(n)]
-             for i, r in enumerate(m.data)]
-    for k in range(n):
-        piv_row = max(range(k, n), key=lambda i: abs(a[i][k]))
-        if a[piv_row][k] == 0:
-            raise ValueError("matrix is singular")
-        if m.backend == FLOAT and abs(a[piv_row][k]) <= (tol if tol is not None else 0.0):
-            raise ValueError("matrix is singular within tolerance")
-        a[k], a[piv_row] = a[piv_row], a[k]
-        piv = a[k][k]
-        a[k] = [x / piv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    inv = [r[n:] for r in a]
-    if m.backend == EXACT:
-        inv = [[x.numerator if x.denominator == 1 else x for x in r] for r in inv]
-    return Mat(inv)
 
 
 def apply_right_action(rig: CameraRig, motion: RigidMotion | Mat) -> CameraRig:

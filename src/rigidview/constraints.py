@@ -16,14 +16,15 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .cameras import (CameraRig, ProjectivePoint, _reduced, camera_minor_table,
                       multiview_membership)
-from .linalg import EXACT, FLOAT, BackendError, Mat, Scalar, ShapeError, det, encode_scalar
+from .linalg import (EXACT, FLOAT, BackendError, Mat, Scalar, ShapeError, _cleared, adjugate, det,
+                     encode_scalar)
 from .triangulation import (AmbiguousTriangulationError, NotInVarietyError,
                             NotTriangulableError, cofactor_vectors, triangulate)
 
@@ -189,10 +190,10 @@ def _gram(tensor: QuadTensor, exact: bool):
         for key, coef in coefs.items():
             gram[key] = float(coef)
         return gram, None
-    den = lcm(*(Fraction(c).denominator for c in coefs.values()))
+    cleared, den = _cleared([Fraction(c) for c in coefs.values()])
     gram = np.zeros((10, 10), dtype=object)
-    for key, coef in coefs.items():
-        gram[key] = int(coef * den)
+    for key, coef in zip(coefs, cleared):
+        gram[key] = int(coef)
     return gram, den
 
 
@@ -207,14 +208,6 @@ def _sym2_products(first, second):
     s = first[:, _SYM2_P] * second[:, _SYM2_Q]
     s[:, _SYM2_OFF] += (first[:, _SYM2_Q] * second[:, _SYM2_P])[:, _SYM2_OFF]
     return s
-
-
-def _cleared(coords):
-    """Integer coordinates proportional to exact ones, and the factor used."""
-    den = lcm(*(x.denominator for x in coords))
-    if den == 1:
-        return coords, 1
-    return [int(x * den) for x in coords], den
 
 
 def _cleared_table(table: np.ndarray):
@@ -645,18 +638,6 @@ def chow_map(u: ProjectivePoint, v: ProjectivePoint) -> Mat:
     return Mat([[u[i] * v[j] + u[j] * v[i] for j in range(3)] for i in range(3)])
 
 
-def _adjugate3(m: Mat) -> Mat:
-    rows = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            sub = m.delete_row(j).delete_col(i)
-            sign = 1 if (i + j) % 2 == 0 else -1
-            row.append(sign * det(sub))
-        rows.append(row)
-    return Mat(rows)
-
-
 def _sqrt_exact(x):
     f = Fraction(x)
     if f < 0:
@@ -687,8 +668,7 @@ def chow_factor(a: Mat, tol: float | None = None) -> tuple:
     d = det(a)
     if (exact and d != 0) or (not exact and abs(d) > t * scale ** 3):
         raise ChowFactorError("matrix has rank 3", "rank3")
-    adj = _adjugate3(a)
-    n = adj.scaled(-1)
+    n = adjugate(a).scaled(-1)
     n_is_zero = (all(x == 0 for r in n.data for x in r) if exact
                  else all(abs(x) <= t * scale ** 2 for r in n.data for x in r))
     if n_is_zero:

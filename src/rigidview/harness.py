@@ -27,7 +27,6 @@ from .cameras import (
     apply_right_action,
     cayley_rotation,
     forward_map,
-    invert,
 )
 from .constraints import (
     Family,
@@ -38,7 +37,7 @@ from .constraints import (
     squared_distance_discriminant,
     triangle_inequality_ok,
 )
-from .linalg import FLOAT, Mat, det, rank
+from .linalg import FLOAT, Mat, det, invert, rank
 from .polyspace import generator_count, octic_span, random_rank_prime
 from .triangulation import assemble_b, is_triangulable
 

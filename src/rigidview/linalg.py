@@ -14,7 +14,7 @@ Two scalar backends are supported and never mixed inside one computation:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isfinite, lcm, prod
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction, float]
@@ -51,6 +51,9 @@ def encode_scalar(x: Scalar):
 
 
 def decode_scalar(v, backend: str = EXACT) -> Scalar:
+    """Scalar from its JSON form; NaN and infinities raise ValueError."""
+    if isinstance(v, float) and not isfinite(v):
+        raise ValueError(f"scalar {v} is not finite")
     if backend == FLOAT:
         return float(Fraction(v)) if isinstance(v, str) else float(v)
     if isinstance(v, str):
@@ -159,12 +162,13 @@ class Mat:
         return f"Mat({self.rows}x{self.cols}, {self.backend})"
 
 
-def _clear_row_denominators(row):
-    denoms = [x.denominator for x in row if isinstance(x, Fraction)]
-    if not denoms:
-        return list(row)
-    m = lcm(*denoms) if len(denoms) > 1 else denoms[0]
-    return [int(x * m) if isinstance(x, Fraction) else x * m for x in row]
+def _cleared(values):
+    """Integers proportional to exact values, and the least positive integer
+    that clears them; values with no denominator come back unchanged."""
+    den = lcm(*(x.denominator for x in values))
+    if den == 1:
+        return values, 1
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def _bareiss_echelon(data):
@@ -203,12 +207,23 @@ def _bareiss_echelon(data):
     return a, pivot_cols, sign
 
 
-def _float_echelon(data, tol):
-    """Complete-pivoting elimination; returns echelon, pivot magnitudes, column permutation."""
+def _float_echelon(data):
+    """Complete-pivoting elimination.
+
+    Returns (echelon rows, pivot magnitudes, column permutation, sign of
+    the row and column permutations).  Elimination stops at the first
+    all-zero trailing block, so a square matrix is singular exactly when
+    fewer pivots than rows come back, and otherwise its determinant is the
+    sign times the product of the echelon diagonal.  NaN never wins a pivot
+    search, so non-finite entries are rejected rather than read as zeros.
+    """
     a = [list(map(float, r)) for r in data]
+    if not all(isfinite(x) for r in a for x in r):
+        raise ValueError("float elimination needs finite entries")
     nrows, ncols = len(a), len(a[0])
     col_perm = list(range(ncols))
     pivots = []
+    sign = 1
     k = 0
     while k < min(nrows, ncols):
         best, bi, bj = 0.0, k, k
@@ -220,10 +235,12 @@ def _float_echelon(data, tol):
             break
         if bi != k:
             a[k], a[bi] = a[bi], a[k]
+            sign = -sign
         if bj != k:
             for row in a:
                 row[k], row[bj] = row[bj], row[k]
             col_perm[k], col_perm[bj] = col_perm[bj], col_perm[k]
+            sign = -sign
         pivots.append(best)
         piv = a[k][k]
         for i in range(k + 1, nrows):
@@ -233,7 +250,7 @@ def _float_echelon(data, tol):
                     a[i][j] -= f * a[k][j]
                 a[i][k] = 0.0
         k += 1
-    return a, pivots, col_perm
+    return a, pivots, col_perm, sign
 
 
 class RankReport:
@@ -257,9 +274,10 @@ class RankReport:
 def det(m: Mat) -> Scalar:
     """Determinant of a square matrix of size at most 8.
 
-    Exact backend clears one common denominator and runs the fraction-free
-    elimination of :func:`rank`; float backend uses partial-pivoted
-    Gaussian elimination.
+    Exact backend: each row is cleared of denominators and the matrix goes
+    through the fraction-free elimination of :func:`rank`.  Float backend:
+    the signed product of the diagonal of :func:`rank`'s complete-pivoting
+    elimination.
     """
     if not m.is_square():
         raise ShapeError("determinant needs a square matrix")
@@ -272,48 +290,30 @@ def _det_rows(rows, backend: str) -> Scalar:
     if n > 8:
         raise ShapeError("det supports matrices up to size 8")
     if backend == FLOAT:
-        return _float_det(rows)
-    den = lcm(*(x.denominator for r in rows for x in r if isinstance(x, Fraction)))
-    if den != 1:
-        rows = [[int(x * den) for x in r] for r in rows]
-    ech, pivot_cols, sign = _bareiss_echelon(rows)
+        ech, pivots, _, sign = _float_echelon(rows)
+        if len(pivots) < n:
+            return 0.0
+        return sign * prod(ech[k][k] for k in range(n))
+    cleared = [_cleared(r) for r in rows]
+    ech, pivot_cols, sign = _bareiss_echelon([r for r, _ in cleared])
     if len(pivot_cols) < n:
         return 0
+    den = prod(d for _, d in cleared)
     if den == 1:
         return sign * ech[n - 1][n - 1]
-    result = Fraction(sign * ech[n - 1][n - 1], den ** n)
+    result = Fraction(sign * ech[n - 1][n - 1], den)
     return result.numerator if result.denominator == 1 else result
-
-
-def _float_det(data) -> float:
-    a = [list(map(float, r)) for r in data]
-    n = len(a)
-    detval = 1.0
-    for k in range(n):
-        piv_row = max(range(k, n), key=lambda i: abs(a[i][k]))
-        if a[piv_row][k] == 0.0:
-            return 0.0
-        if piv_row != k:
-            a[k], a[piv_row] = a[piv_row], a[k]
-            detval = -detval
-        detval *= a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            for j in range(k, n):
-                a[i][j] -= f * a[k][j]
-    return detval
 
 
 def rank(m: Mat, tol: float | None = None) -> RankReport:
     """Rank of a matrix; on the float backend pivots below ``tol`` times the
     largest pivot are treated as zero (default 1e-9)."""
     if m.backend == EXACT:
-        rows = [_clear_row_denominators(r) for r in m.data]
-        _, pivot_cols, _ = _bareiss_echelon(rows)
+        _, pivot_cols, _ = _bareiss_echelon([_cleared(r)[0] for r in m.data])
         return RankReport(len(pivot_cols))
     if tol is None:
         tol = DEFAULT_RANK_TOL
-    _, pivots, _ = _float_echelon(m.data, tol)
+    _, pivots, _, _ = _float_echelon(m.data)
     if not pivots:
         return RankReport(0, pivots, tol)
     cutoff = tol * max(pivots)
@@ -321,10 +321,11 @@ def rank(m: Mat, tol: float | None = None) -> RankReport:
 
 
 def nullspace(m: Mat, tol: float | None = None) -> list[tuple]:
-    """Basis of the kernel.  Exact vectors are integer-cleared."""
+    """Basis of the kernel, from the elimination of :func:`rank`, so its
+    length is the column count minus the rank.  Exact vectors are
+    integer-cleared."""
     if m.backend == EXACT:
-        rows = [_clear_row_denominators(r) for r in m.data]
-        ech, pivot_cols, _ = _bareiss_echelon(rows)
+        ech, pivot_cols, _ = _bareiss_echelon([_cleared(r)[0] for r in m.data])
         free_cols = [c for c in range(m.cols) if c not in pivot_cols]
         basis = []
         for f in free_cols:
@@ -338,7 +339,7 @@ def nullspace(m: Mat, tol: float | None = None) -> list[tuple]:
         return basis
     if tol is None:
         tol = DEFAULT_RANK_TOL
-    ech, pivots, col_perm = _float_echelon(m.data, tol)
+    ech, pivots, col_perm, _ = _float_echelon(m.data)
     cutoff = tol * max(pivots) if pivots else 0.0
     rk = sum(1 for p in pivots if p > cutoff)
     basis = []
@@ -366,16 +367,9 @@ def kernel_vector(m: Mat, tol: float | None = None) -> tuple:
 
 def integer_cleared(vec: Sequence[Scalar]) -> tuple:
     """Scale an exact vector to coprime integers (direction preserved)."""
-    fracs = [Fraction(x) for x in vec]
-    denoms = [f.denominator for f in fracs]
-    m = lcm(*denoms) if len(denoms) > 1 else denoms[0]
-    ints = [int(f * m) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+    ints = [x.numerator for x in _cleared(vec)[0]]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
 
 
 def signed_maximal_minors(m: Mat) -> tuple:
@@ -392,3 +386,32 @@ def signed_maximal_minors(m: Mat) -> tuple:
         d = _det_rows([r[:i] + r[i + 1:] for r in m.data], m.backend)
         out.append(d if i % 2 == 0 else -d)
     return tuple(out)
+
+
+def adjugate(m: Mat) -> Mat:
+    """Adjugate of a square matrix: column i is (-1)^i times the signed
+    maximal minors of the matrix with row i deleted, so that
+    ``m @ adjugate(m)`` is det(m) times the identity."""
+    if not m.is_square():
+        raise ShapeError("adjugate needs a square matrix")
+    if m.rows == 1:
+        return Mat.identity(1, m.backend)
+    cols = []
+    for i in range(m.rows):
+        minors = signed_maximal_minors(m.delete_row(i))
+        cols.append(minors if i % 2 == 0 else tuple(-x for x in minors))
+    return Mat.from_cols(cols)
+
+
+def invert(m: Mat) -> Mat:
+    """Inverse of a square matrix of size at most 8: its adjugate over its
+    determinant.  Exact entries that are integers come back as ints; a
+    singular matrix (determinant exactly zero) raises ValueError."""
+    d = det(m)
+    if d == 0:
+        raise ValueError("matrix is singular")
+    adj = adjugate(m).data
+    if m.backend == FLOAT:
+        return Mat([[x / d for x in r] for r in adj])
+    inv = [[Fraction(x, d) for x in r] for r in adj]
+    return Mat([[x.numerator if x.denominator == 1 else x for x in r] for r in inv])

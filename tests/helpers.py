@@ -1,5 +1,6 @@
 """Shared test fixtures: deterministic rigs, naive determinant oracle, the
-per-index references for cofactor vectors and tensor values, the
+partial-pivoting determinant, Gauss-Jordan inverse and cofactor adjugate
+references, the per-index references for cofactor vectors and tensor values, the
 cofactor-expansion reference for the symbolic octics, the per-column
 mod-p rank, and the per-term coefficient matrix and failure bounds."""
 
@@ -12,7 +13,7 @@ from operator import attrgetter
 import numpy as np
 
 from rigidview.cameras import CameraRig
-from rigidview.linalg import Mat, rank, signed_maximal_minors
+from rigidview.linalg import FLOAT, Mat, det, rank, signed_maximal_minors
 from rigidview.polyspace import RANK_PRIME_COUNT, MultiHomogPoly, _shared_degree, monomial_basis
 from rigidview.triangulation import _cofactor_point
 
@@ -59,6 +60,69 @@ def naive_det(m):
             term = term * m[i, perm[i]]
         total += term
     return total
+
+
+def reference_det(m):
+    """Determinant by Gaussian elimination with partial pivoting, in floats
+    on the float backend and in Fractions on the exact one; on floats this
+    is the library's former float determinant."""
+    conv = float if m.backend == FLOAT else Fraction
+    a = [list(map(conv, r)) for r in m.data]
+    n = len(a)
+    detval = conv(1)
+    for k in range(n):
+        piv_row = max(range(k, n), key=lambda i: abs(a[i][k]))
+        if a[piv_row][k] == 0:
+            return conv(0)
+        if piv_row != k:
+            a[k], a[piv_row] = a[piv_row], a[k]
+            detval = -detval
+        detval *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k, n):
+                a[i][j] -= f * a[k][j]
+    return detval
+
+
+def reference_invert(m, tol=None):
+    """Inverse by Gauss-Jordan elimination with partial pivoting, the
+    library's former ``invert``: exact entries that are integers come back
+    as ints, and a zero pivot (or on floats one at most ``tol``) raises."""
+    n = m.rows
+    if m.backend != FLOAT:
+        a = [[Fraction(x) for x in r] + [Fraction(1 if i == j else 0) for j in range(n)]
+             for i, r in enumerate(m.data)]
+    else:
+        a = [[float(x) for x in r] + [1.0 if i == j else 0.0 for j in range(n)]
+             for i, r in enumerate(m.data)]
+    for k in range(n):
+        piv_row = max(range(k, n), key=lambda i: abs(a[i][k]))
+        if a[piv_row][k] == 0:
+            raise ValueError("matrix is singular")
+        if m.backend == FLOAT and abs(a[piv_row][k]) <= (tol if tol is not None else 0.0):
+            raise ValueError("matrix is singular within tolerance")
+        a[k], a[piv_row] = a[piv_row], a[k]
+        piv = a[k][k]
+        a[k] = [x / piv for x in a[k]]
+        for i in range(n):
+            if i != k and a[i][k] != 0:
+                f = a[i][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    inv = [r[n:] for r in a]
+    if m.backend != FLOAT:
+        inv = [[x.numerator if x.denominator == 1 else x for x in r] for r in inv]
+    return Mat(inv)
+
+
+def reference_adjugate(m):
+    """Adjugate by cofactors, entry by entry: entry (i, j) is (-1)^(i+j)
+    times the determinant of m without row j and column i."""
+    n = m.rows
+    if n == 1:
+        return Mat.identity(1, m.backend)
+    return Mat([[(1 if (i + j) % 2 == 0 else -1) * det(m.delete_row(j).delete_col(i))
+                 for j in range(n)] for i in range(n)])
 
 
 def wedge5(b, i):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import count_calls
-from rigidview import cameras
+from rigidview import cameras, linalg
 from rigidview.cameras import (
     Camera,
     CameraRig,
@@ -360,6 +360,39 @@ class TestMembership:
         if res.point is not None:
             assert res.point == f2
             assert 2 in res.zero_lambdas
+
+
+class TestOneElimination:
+    """Camera construction and the membership test read their rank off the
+    one kernel computation: exactly one fraction-free elimination each."""
+
+    def test_membership_eliminates_once(self, monkeypatch):
+        rng = random.Random(53)
+        for n in (2, 3, 4):
+            rig = random_rig(rng, n)
+            member = forward_map(rig, ProjectivePoint((3, -2, 5, 7)))
+            nonmember = (ProjectivePoint((1, 2, 3)),) + member[1:]
+            cases = [(member, True), (nonmember, False)]
+            if n == 2:
+                cases.append(((rig.epipole(0, 1), rig.epipole(1, 0)), True))
+            for points, ok in cases:
+                calls = count_calls(monkeypatch, linalg, "_bareiss_echelon")
+                res = multiview_membership(rig, points)
+                assert len(calls) == 1
+                assert res.ok == ok
+                assert res.rank == rank(Mat(calls[0][0])).rank
+                monkeypatch.undo()
+
+    def test_camera_eliminates_once(self, monkeypatch):
+        rng = random.Random(59)
+        deficient = Mat([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, Fraction(1, 2)]])
+        for m, want in [(random_camera_mat(rng), 3), (deficient, 2)]:
+            calls = count_calls(monkeypatch, linalg, "_bareiss_echelon")
+            cam = Camera(m)
+            assert len(calls) == 1
+            assert cam.rank == want
+            assert (cam.focal_point is None) == (want < 3)
+            monkeypatch.undo()
 
 
 class TestActions:

@@ -57,6 +57,39 @@ class TestProjectTriangulate:
         assert "error" in doc
 
 
+class TestNonFiniteInput:
+    @pytest.fixture
+    def rig_file(self, tmp_path, capsys):
+        path = tmp_path / "rig.json"
+        main(["--seed", "3", "--json-out", str(path), "gen-rig", "--n", "2"])
+        capsys.readouterr()
+        return str(path)
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    @pytest.mark.parametrize("point", ["[Infinity, 0, 0, 1]", "[1, -Infinity, 0, 1]",
+                                       "[NaN, 0, 0, 1]", "[1e400, 0, 0, 1]"])
+    def test_project_rejects_non_finite_point(self, rig_file, capsys, backend, point):
+        code = main(["--backend", backend, "project", "--rig", rig_file, "--point", point])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "not finite" in captured.err
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    @pytest.mark.parametrize("points", ["[[1e400, 0, 1], [0, 1, 1]]", "[[1, 0, 1], [0, NaN, 1]]"])
+    def test_triangulate_rejects_non_finite_tuple(self, rig_file, capsys, backend, points):
+        code = main(["--backend", backend, "triangulate", "--rig", rig_file, "--tuple", points])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:") and "not finite" in captured.err
+
+    def test_float_backend_rejects_integer_too_large_for_a_float(self, rig_file, capsys):
+        code = main(["--backend", "float", "project", "--rig", rig_file,
+                     "--point", f"[{10 ** 400}, 0, 0, 1]"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
 class TestCheck:
     @pytest.fixture
     def setup(self, tmp_path, capsys):

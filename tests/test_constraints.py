@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -791,3 +792,29 @@ class TestChow:
         a = chow_map(u, v).scaled(6)
         got = chow_factor(a)
         assert {p.canonical() for p in got} == {u.canonical(), v.canonical()}
+
+    @pytest.mark.parametrize("u, v, scale, want", [
+        ((1, 0, 0), (0, 1, 0), 1, [(0, Fraction(2), Fraction(0)), (Fraction(2), 0, Fraction(0))]),
+        ((2, -1, 3), (2, -1, 3), 1, [(12, -6, 18), (12, -6, 18)]),
+        ((1, 2, -1), (3, 0, 1), 6,
+         [(36, Fraction(72), Fraction(-36)), (Fraction(72), 0, Fraction(24))]),
+    ])
+    def test_factors_are_pinned(self, u, v, scale, want):
+        # the representatives themselves, with their types, not only their
+        # projective classes, on the inputs of the tests above
+        got = chow_factor(chow_map(ProjectivePoint(u), ProjectivePoint(v)).scaled(scale))
+        assert [p.coords for p in got] == want
+        assert [[type(c) for c in p.coords] for p in got] == [[type(c) for c in w] for w in want]
+
+    def test_random_round_trip_factors_are_pinned(self):
+        # the inputs of test_factor_random_round_trips; digest of every
+        # returned coordinate's type and value
+        rng = random.Random(281)
+        out = []
+        for _ in range(25):
+            u = ProjectivePoint((rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 9)))
+            v = ProjectivePoint((rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 9)))
+            out.append([tuple((type(c).__name__, str(c)) for c in p.coords)
+                        for p in chow_factor(chow_map(u, v))])
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+            "9a5db63dec78b06489421a443a9fbe3cc91e719674f8c309f503747e4693876d")

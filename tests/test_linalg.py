@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_adjugate, reference_det, reference_invert
 from rigidview.linalg import (
     EXACT,
     FLOAT,
@@ -13,8 +14,10 @@ from rigidview.linalg import (
     Mat,
     NullityError,
     ShapeError,
+    adjugate,
     det,
     integer_cleared,
+    invert,
     kernel_vector,
     nullspace,
     rank,
@@ -254,3 +257,114 @@ class TestMatBasics:
     def test_integer_cleared(self):
         assert integer_cleared([Fraction(1, 2), Fraction(3, 4), 0]) == (2, 3, 0)
         assert integer_cleared([4, 6, 8]) == (2, 3, 4)
+
+
+def _normalized(x):
+    return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
+
+
+@st.composite
+def square_matrices(draw, entries):
+    """Square matrices of size 1 to 8 whose integral entries are ints, as
+    decoded input gives them; about half are made singular by a zero row or
+    a row that is a multiple of another."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        c = draw(entries)
+        rows[i] = [_normalized(c * x) if i != j else 0 for x in rows[j]]
+    return Mat(rows)
+
+
+small_fraction = st.fractions(min_value=-5, max_value=5, max_denominator=7).map(_normalized)
+exact_square = st.one_of(square_matrices(small_int), square_matrices(small_fraction))
+
+
+def _same(got, want):
+    """Equal in value and in type, entry by entry for matrices."""
+    if isinstance(want, Mat):
+        return got.data == want.data and all(
+            type(g) is type(w) for gr, wr in zip(got.data, want.data) for g, w in zip(gr, wr))
+    return got == want and type(got) is type(want)
+
+
+class TestEliminationReferences:
+    """det, adjugate and invert read the elimination of rank and nullspace;
+    these compare them with independent references."""
+
+    @given(exact_square)
+    @settings(max_examples=60, deadline=None)
+    def test_exact_det_matches_partial_pivoting(self, m):
+        assert _same(det(m), _normalized(reference_det(m)))
+
+    @given(exact_square)
+    @settings(max_examples=40, deadline=None)
+    def test_exact_adjugate_matches_cofactors(self, m):
+        adj = adjugate(m)
+        assert _same(adj, reference_adjugate(m))
+        d = det(m)
+        assert (m @ adj).data == tuple(tuple(d if i == j else 0 for j in range(m.rows))
+                                       for i in range(m.rows))
+
+    @given(exact_square)
+    @settings(max_examples=40, deadline=None)
+    def test_exact_invert_matches_gauss_jordan(self, m):
+        try:
+            want = reference_invert(m)
+        except ValueError:
+            with pytest.raises(ValueError):
+                invert(m)
+            return
+        assert _same(invert(m), want)
+
+    @given(st.integers(min_value=1, max_value=8).flatmap(
+        lambda n: st.lists(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=n,
+                                    max_size=n), min_size=n, max_size=n)))
+    @settings(max_examples=60, deadline=None)
+    def test_float_det_within_hadamard_bound(self, rows):
+        m = Mat([[float(x) for x in r] for r in rows])
+        hadamard = 1.0
+        for r in m.data:
+            hadamard *= sum(x * x for x in r) ** 0.5
+        got = det(m)
+        assert type(got) is float
+        assert abs(got - reference_det(m)) <= 1e-12 * hadamard
+
+    def test_float_det_singular_is_zero(self):
+        assert det(Mat([[1.0, 2.0], [2.0, 4.0]])) == 0.0
+        assert det(Mat([[0.0, 0.0], [1.0, 1.0]])) == 0.0
+
+    def test_float_det_sign_follows_row_and_column_swaps(self):
+        # complete pivoting swaps both rows and columns here
+        m = Mat([[0.0, 1.0, 0.0], [0.0, 0.0, 5.0], [2.0, 0.0, 0.0]])
+        assert det(m) == pytest.approx(reference_det(m)) == pytest.approx(10.0)
+        assert det(Mat([[0.0, 1.0], [1.0, 0.0]])) == -1.0
+
+    def test_float_invert_of_rotation_is_transpose(self):
+        c, s = 0.6, 0.8
+        r = Mat([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        inv = invert(r)
+        assert max(abs(a - b) for ra, rb in zip(inv.data, r.transpose().data)
+                   for a, b in zip(ra, rb)) <= 1e-15
+
+    def test_singular_inputs_raise(self):
+        with pytest.raises(ValueError, match="singular"):
+            invert(Mat([[1, 2], [2, 4]]))
+        with pytest.raises(ValueError, match="singular"):
+            invert(Mat([[1.0, 2.0], [2.0, 4.0]]))
+        with pytest.raises(ShapeError):
+            adjugate(Mat([[1, 2, 3]]))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_entries_rejected(self, bad):
+        m = Mat([[bad, 1.0], [2.0, 3.0]])
+        for kernel in (det, rank, nullspace, invert):
+            with pytest.raises(ValueError, match="finite"):
+                kernel(m)
+
+    def test_one_by_one(self):
+        assert _same(invert(Mat([[4]])), Mat([[Fraction(1, 4)]]))
+        assert _same(invert(Mat([[Fraction(1, 3)]])), Mat([[3]]))
+        assert _same(adjugate(Mat([[7]])), Mat([[1]]))
+        assert invert(Mat([[4.0]])).data == ((0.25,),)
