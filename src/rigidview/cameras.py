@@ -378,6 +378,21 @@ def forward_map(rig: CameraRig, x: ProjectivePoint, tol: float | None = None) ->
     return tuple(cam.project(x, tol) for cam in rig.cameras)
 
 
+def _multiview_matrix(rig: CameraRig, cams: Sequence[int],
+                      points: Sequence[ProjectivePoint]) -> Mat:
+    """The stacked multiview matrix [A_j | u_j e_j] of the cameras ``cams``
+    and their image points: block row i holds the rows of camera cams[i],
+    then points[i] in column 4 + i and zeros in the other image columns."""
+    zero = 0.0 if rig.backend == FLOAT else 0
+    rows = []
+    for i, (j, pt) in enumerate(zip(cams, points)):
+        for r in range(3):
+            extra = [zero] * len(cams)
+            extra[i] = pt[r]
+            rows.append(list(rig.camera(j).matrix.data[r]) + extra)
+    return Mat(rows)
+
+
 def multiview_membership(rig: CameraRig, points: Sequence[ProjectivePoint],
                          tol: float | None = None) -> MembershipResult:
     """Test whether an image tuple is a consistent set of n views.
@@ -391,15 +406,7 @@ def multiview_membership(rig: CameraRig, points: Sequence[ProjectivePoint],
         raise ShapeError(f"expected {n} image points, got {len(points)}")
     if any(len(p) != 3 for p in points):
         raise ShapeError("image points have 3 coordinates")
-    backend = rig.backend
-    zero = 0.0 if backend == FLOAT else 0
-    rows = []
-    for j, cam in enumerate(rig.cameras):
-        for r in range(3):
-            extra = [zero] * n
-            extra[j] = points[j][r]
-            rows.append(list(cam.matrix.data[r]) + extra)
-    stacked = Mat(rows)
+    stacked = _multiview_matrix(rig, range(n), points)
     if tol is None:
         tol = rig.tol
     kern = nullspace(stacked, tol)
@@ -413,7 +420,7 @@ def multiview_membership(rig: CameraRig, points: Sequence[ProjectivePoint],
     if all(c == 0 for c in world):
         return MembershipResult(True, r)
     lambdas = tuple(-c for c in v[4:])
-    if backend == EXACT:
+    if rig.backend == EXACT:
         zeros = tuple(j for j, lam in enumerate(lambdas) if lam == 0)
     else:
         scale = max(abs(c) for c in lambdas) or 1.0

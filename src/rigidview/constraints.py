@@ -21,12 +21,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cameras import (CameraRig, ProjectivePoint, _reduced, camera_minor_table,
-                      multiview_membership)
-from .linalg import (EXACT, FLOAT, BackendError, Mat, Scalar, ShapeError, _cleared, adjugate, det,
+from .cameras import (CameraRig, ProjectivePoint, _multiview_matrix, _reduced,
+                      camera_minor_table, multiview_membership)
+from .linalg import (EXACT, BackendError, Mat, Scalar, ShapeError, _cleared, adjugate, det,
                      encode_scalar)
 from .triangulation import (AmbiguousTriangulationError, NotInVarietyError,
-                            NotTriangulableError, cofactor_vectors, triangulate)
+                            NotTriangulableError, _proportional_exact, cofactor_vectors,
+                            triangulate)
 
 
 class Family(str, Enum):
@@ -336,16 +337,7 @@ def trilinear_residuals(rig: CameraRig, j: int, k: int, l: int,
     simultaneously exactly when the triple is consistent with one world point."""
     if len({j, k, l}) != 3:
         raise ValueError("camera indices must be distinct")
-    backend = rig.backend
-    zero = 0.0 if backend == FLOAT else 0
-    rows = []
-    for idx, (cam, pt) in enumerate(((j, u_j), (k, u_k), (l, u_l))):
-        m = rig.camera(cam).matrix
-        for r in range(3):
-            extra = [zero, zero, zero]
-            extra[idx] = pt[r]
-            rows.append(list(m.data[r]) + extra)
-    stacked = Mat(rows)
+    stacked = _multiview_matrix(rig, (j, k, l), (u_j, u_k, u_l))
     out = []
     for rowset in itertools.combinations(range(9), 7):
         out.append(det(stacked.submatrix(rowset, range(7))))
@@ -607,12 +599,15 @@ def rigid_pair_by_equations(rig: CameraRig, u, v,
     return not (np.abs(values) > np.array(limits)[:, None]).any()
 
 
+def _check_positive(*distances) -> None:
+    if any(d <= 0 for d in distances):
+        raise ValueError("distances must be positive")
+
+
 def collinearity_discriminant(d12: Scalar, d13: Scalar, d23: Scalar) -> Scalar:
     """Product of the four triangle-degeneracy factors; zero exactly when
     the three pairwise distances force collinear points."""
-    for d in (d12, d13, d23):
-        if d <= 0:
-            raise ValueError("distances must be positive")
+    _check_positive(d12, d13, d23)
     return ((d12 + d13 + d23) * (d12 + d13 - d23)
             * (d12 - d13 + d23) * (-d12 + d13 + d23))
 
@@ -624,9 +619,7 @@ def squared_distance_discriminant(s12: Scalar, s13: Scalar, s23: Scalar) -> Scal
 
 
 def triangle_inequality_ok(d12: Scalar, d13: Scalar, d23: Scalar) -> bool:
-    for d in (d12, d13, d23):
-        if d <= 0:
-            raise ValueError("distances must be positive")
+    _check_positive(d12, d13, d23)
     return d12 < d13 + d23 and d13 < d12 + d23 and d23 < d12 + d13
 
 
@@ -700,17 +693,8 @@ def chow_factor(a: Mat, tol: float | None = None) -> tuple:
     v = ProjectivePoint(r.col(col))
     if exact:
         check = chow_map(u, v)
-        if not _proportional_mats(check, a):
+        if not _proportional_exact([e for row in check.data for e in row],
+                                   [e for row in a.data for e in row]):
             raise ChowFactorError("factorization check failed", "complex")
         return tuple(sorted((u, v), key=lambda pt: pt.canonical()))
     return (u, v)
-
-
-def _proportional_mats(x: Mat, y: Mat) -> bool:
-    flat_x = [e for r in x.data for e in r]
-    flat_y = [e for r in y.data for e in r]
-    for i in range(9):
-        for j in range(i + 1, 9):
-            if flat_x[i] * flat_y[j] != flat_x[j] * flat_y[i]:
-                return False
-    return True

@@ -30,6 +30,7 @@ from .cameras import (
 )
 from .constraints import (
     Family,
+    _check_positive,
     constraint_system,
     coplanar_residuals,
     rigid_pair_by_equations,
@@ -114,13 +115,7 @@ def stereo_direction(p, q) -> tuple:
 
 def sample_unit_pair(seed, bound: int = 100):
     """Pair of affine rational world points at exact unit distance."""
-    rng = _as_rng(seed)
-    x = random_affine_point(rng, bound)
-    p = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-    q = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-    direction = stereo_direction(p, q)
-    y = tuple(a + b for a, b in zip(x.coords[:3], direction)) + (Fraction(1),)
-    return x, ProjectivePoint(y)
+    return sample_scaled_pair(seed, 1, bound)
 
 
 def sample_scaled_pair(seed, t, bound: int = 100):
@@ -138,12 +133,16 @@ def _canonical_tuple(points) -> tuple:
     return tuple(ProjectivePoint(pt.canonical()) for pt in points)
 
 
-def sample_member_pair(rig: CameraRig, seed, bound: int = 100):
-    """Unit-distance world pair whose images are both triangulable; returns
-    (u, v, x, y) with integer-cleared image tuples."""
-    rng = _as_rng(seed)
+def _sample_images(rig: CameraRig, rng, draw, what: str):
+    """The redraw loop of the pair samplers: calls ``draw(rng)`` for a world
+    pair (x, y), or None to redraw, until both points project and both image
+    tuples are triangulable; returns (u, v, x, y) with integer-cleared image
+    tuples.  Every call of ``draw`` uses up one of ``MAX_REDRAWS``."""
     for _ in range(MAX_REDRAWS):
-        x, y = sample_unit_pair(rng, bound)
+        pair = draw(rng)
+        if pair is None:
+            continue
+        x, y = pair
         try:
             u = _canonical_tuple(forward_map(rig, x))
             v = _canonical_tuple(forward_map(rig, y))
@@ -151,26 +150,23 @@ def sample_member_pair(rig: CameraRig, seed, bound: int = 100):
             continue
         if is_triangulable(rig, u) and is_triangulable(rig, v):
             return u, v, x, y
-    raise SamplingError("could not sample a triangulable member pair")
+    raise SamplingError(f"could not sample a {what}")
+
+
+def sample_member_pair(rig: CameraRig, seed, bound: int = 100):
+    """Unit-distance world pair whose images are both triangulable; returns
+    (u, v, x, y) with integer-cleared image tuples."""
+    return _sample_images(rig, _as_rng(seed), lambda rng: sample_unit_pair(rng, bound),
+                          "triangulable member pair")
 
 
 def sample_nonmember_pair(rig: CameraRig, seed, bound: int = 100):
     """World pair at distance != 1 (images lie in the consistency variety
     but violate the unit-distance constraint)."""
-    rng = _as_rng(seed)
-    for _ in range(MAX_REDRAWS):
+    def draw(rng):
         t = Fraction(rng.randint(2, 10), rng.randint(1, 3))
-        if t == 1:
-            continue
-        x, y = sample_scaled_pair(rng, t, bound)
-        try:
-            u = _canonical_tuple(forward_map(rig, x))
-            v = _canonical_tuple(forward_map(rig, y))
-        except ValueError:
-            continue
-        if is_triangulable(rig, u) and is_triangulable(rig, v):
-            return u, v, x, y
-    raise SamplingError("could not sample a nonmember pair")
+        return None if t == 1 else sample_scaled_pair(rng, t, bound)
+    return _sample_images(rig, _as_rng(seed), draw, "nonmember pair")
 
 
 class Scene:
@@ -181,14 +177,12 @@ class Scene:
     normalized affine image coordinates.
     """
 
-    __slots__ = ("rig", "world_points", "constraint", "image_tuples", "sigma", "seed")
+    __slots__ = ("rig", "world_points", "image_tuples", "sigma", "seed")
 
-    def __init__(self, rig, world_points, image_tuples, constraint=None,
-                 sigma=0.0, seed=0):
+    def __init__(self, rig, world_points, image_tuples, sigma=0.0, seed=0):
         self.rig = rig
         self.world_points = tuple(world_points)
         self.image_tuples = tuple(image_tuples)
-        self.constraint = constraint
         self.sigma = sigma
         self.seed = seed
 
@@ -197,8 +191,7 @@ class Scene:
                 f"seed={self.seed})")
 
 
-def make_scene(rig: CameraRig, world_points, sigma: float = 0.0, seed=0,
-               constraint=None) -> Scene:
+def make_scene(rig: CameraRig, world_points, sigma: float = 0.0, seed=0) -> Scene:
     rng = _as_rng(seed)
     tuples = []
     for x in world_points:
@@ -215,8 +208,7 @@ def make_scene(rig: CameraRig, world_points, sigma: float = 0.0, seed=0,
             noisy.append(ProjectivePoint((ax + rng.gauss(0.0, sigma),
                                           ay + rng.gauss(0.0, sigma), 1.0)))
         tuples.append(tuple(noisy))
-    return Scene(rig, world_points, tuples, constraint, sigma,
-                 seed if isinstance(seed, int) else 0)
+    return Scene(rig, world_points, tuples, sigma, seed if isinstance(seed, int) else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -243,23 +235,23 @@ def _orthonormal_complement(w):
     return m1, m2
 
 
-def _project_affine_all(rig, points):
-    """Float image vectors of several world points under every camera."""
-    out = []
-    for x in points:
-        hom = np.append(x, 1.0)
-        for cam in rig.cameras:
-            a = np.array([[float(e) for e in row] for row in cam.matrix.data])
-            out.append(a @ hom)
-    return out
+def _camera_arrays(rig):
+    return [np.array([[float(e) for e in row] for row in cam.matrix.data])
+            for cam in rig.cameras]
+
+
+def _project_affine_all(cams, points):
+    """Float image vectors of several world points under every camera array."""
+    return [a @ np.append(x, 1.0) for x in points for a in cams]
 
 
 def _scenario_map(rig, scenario, params):
+    cams = _camera_arrays(rig)
     if scenario == SCENARIO_RIGID_PAIR:
         def f(theta):
             x = theta[:3]
             y = x + _unit_direction_float(theta[3], theta[4])
-            return _project_affine_all(rig, [x, y])
+            return _project_affine_all(cams, [x, y])
         def base(rng):
             return np.array([rng.uniform(-1, 1) for _ in range(3)]
                             + [rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8)])
@@ -273,7 +265,7 @@ def _scenario_map(rig, scenario, params):
             e1, e2 = _orthonormal_complement(n_vec)
             p0 = c * n_vec
             pts = [p0 + theta[3 + 2 * i] * e1 + theta[4 + 2 * i] * e2 for i in range(4)]
-            return _project_affine_all(rig, pts)
+            return _project_affine_all(cams, pts)
         def base(rng):
             return np.array([rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6),
                              rng.uniform(0.8, 1.6)]
@@ -282,9 +274,7 @@ def _scenario_map(rig, scenario, params):
     if scenario == SCENARIO_PAIRWISE_3:
         d12, d13, d23 = (float(params["d12"]), float(params["d13"]),
                          float(params["d23"]))
-        for d in (d12, d13, d23):
-            if d <= 0:
-                raise ValueError("distances must be positive")
+        _check_positive(d12, d13, d23)
         xloc = (d12 * d12 + d13 * d13 - d23 * d23) / (2 * d12)
         ysq = d13 * d13 - xloc * xloc
         if ysq < -1e-12:
@@ -298,7 +288,7 @@ def _scenario_map(rig, scenario, params):
             x2 = x1 + d12 * w
             phi = theta[5]
             x3 = x1 + xloc * w + yloc * (math.cos(phi) * m1 + math.sin(phi) * m2)
-            return _project_affine_all(rig, [x1, x2, x3])
+            return _project_affine_all(cams, [x1, x2, x3])
         def base(rng):
             return np.array([rng.uniform(-1, 1) for _ in range(3)]
                             + [rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7),
@@ -384,11 +374,6 @@ class RefineResult:
     def __repr__(self):
         return (f"RefineResult(residual={self.residual:.3e}, "
                 f"initial={self.initial_residual:.3e}, iters={self.iterations})")
-
-
-def _camera_arrays(rig):
-    return [np.array([[float(e) for e in row] for row in cam.matrix.data])
-            for cam in rig.cameras]
 
 
 def _reprojection_residuals(cams, obs_u, obs_v, x, y):
@@ -553,17 +538,23 @@ def _ns_list(config, default):
     return [n] if isinstance(n, int) else list(n)
 
 
+def _sample_rigs(config, seed, count, ns=(2,)):
+    """The per-sample loop of the rig-drawing experiments: yields
+    (idx, n, rng, rig) for idx < count, where n cycles through ``ns``, rng
+    is seeded from (seed, idx), and rig is the first thing drawn from it."""
+    for idx in range(count):
+        n = ns[idx % len(ns)]
+        rng = random.Random(_sub_seed(seed, idx))
+        yield idx, n, rng, random_rig(rng, n, config.get("height", 20))
+
+
 def _exp_vanish(config, seed):
     ns = _ns_list(config, [2, 3, 4])
     samples = config.get("samples", 12)
-    failures, done = [], 0
+    failures = []
     per_n = {str(n): 0 for n in ns}
-    for idx in range(samples):
-        n = ns[idx % len(ns)]
-        rng = random.Random(_sub_seed(seed, idx))
-        rig = random_rig(rng, n, config.get("height", 20))
+    for idx, n, rng, rig in _sample_rigs(config, seed, samples, ns):
         u, v, _, _ = sample_member_pair(rig, rng)
-        done += 1
         per_n[str(n)] += 1
         octics = constraint_system(rig, Family.OCTIC_FULL)
         bad = sum(1 for val in octics.evaluate(u, v) if val != 0)
@@ -574,26 +565,21 @@ def _exp_vanish(config, seed):
             bad += sum(1 for val in tril.evaluate(u, v) if val != 0)
         if bad:
             failures.append({"sample": idx, "n": n, "nonzero": bad})
-    return done, failures, {"per_n": per_n}
+    return samples, failures, {"per_n": per_n}
 
 
 def _exp_separate(config, seed):
-    ns = _ns_list(config, [2])
     samples = config.get("samples", 20)
-    failures, done = [], 0
-    for idx in range(samples):
-        n = ns[idx % len(ns)]
-        rng = random.Random(_sub_seed(seed, idx))
-        rig = random_rig(rng, n, config.get("height", 20))
+    failures = []
+    for idx, n, rng, rig in _sample_rigs(config, seed, samples, _ns_list(config, [2])):
         u, v, _, _ = sample_nonmember_pair(rig, rng)
-        done += 1
         nine = constraint_system(rig, Family.OCTIC_NINE)
         some_nonzero = any(val != 0 for val in nine.evaluate(u, v))
         oracle = rigid_pair_oracle(rig, u, v)
         if not some_nonzero or oracle:
             failures.append({"sample": idx, "n": n,
                              "nonzero_found": some_nonzero, "oracle": oracle})
-    return done, failures, {}
+    return samples, failures, {}
 
 
 def _mixed_corpus_case(rig, rng, kind):
@@ -610,22 +596,18 @@ def _mixed_corpus_case(rig, rng, kind):
 def _exp_thm_equiv(config, seed, family=Family.OCTIC_FULL, default_ns=(2, 3)):
     ns = _ns_list(config, list(default_ns))
     samples = config.get("samples", 30)
-    failures, done = [], 0
+    failures = []
     kinds_per_n = {2: (0, 1, 2), 3: (0, 1), 4: (0, 1)}
-    for idx in range(samples):
-        n = ns[idx % len(ns)]
-        rng = random.Random(_sub_seed(seed, idx))
-        rig = random_rig(rng, n, config.get("height", 20))
+    for idx, n, rng, rig in _sample_rigs(config, seed, samples, ns):
         kinds = kinds_per_n.get(n, (0, 1))
         kind = kinds[(idx // len(ns)) % len(kinds)]
         u, v = _mixed_corpus_case(rig, rng, kind)
-        done += 1
         eq = rigid_pair_by_equations(rig, u, v, family)
         oracle = rigid_pair_oracle(rig, u, v)
         if eq != oracle:
             failures.append({"sample": idx, "n": n, "kind": kind,
                              "equations": eq, "oracle": oracle})
-    return done, failures, {"family": family.value}
+    return samples, failures, {"family": family.value}
 
 
 def _exp_cor34(config, seed):
@@ -638,9 +620,7 @@ def _exp_cor34(config, seed):
 def _exp_span(config, seed):
     rigs = config.get("rigs", config.get("samples", 1))
     failures, details = [], {"dims": []}
-    for idx in range(rigs):
-        rng = random.Random(_sub_seed(seed, idx))
-        rig = random_rig(rng, 2, config.get("height", 20))
+    for idx, _, rng, rig in _sample_rigs(config, seed, rigs):
         dims = octic_span(rig, random_rank_prime(rng))
         details["dims"].append({"rig": idx, "span": dims["span"], "quotient": dims["quotient"],
                                 "modulus": dims["modulus"], "failure_bound": dims["failure_bound"]})
@@ -668,9 +648,7 @@ def _exp_epipole(config, seed):
     rigs = config.get("rigs", config.get("samples", 5))
     probes = config.get("probes", 10)
     failures, checked, skipped = [], 0, 0
-    for idx in range(rigs):
-        rng = random.Random(_sub_seed(seed, idx))
-        rig = random_rig(rng, 2, config.get("height", 20))
+    for idx, _, _, rig in _sample_rigs(config, seed, rigs):
         ep = _canonical_tuple((rig.epipole(0, 1), rig.epipole(1, 0)))
         b = assemble_b(rig, 0, 1, ep[0], ep[1])
         if rank(b.mat).rank != 4:
@@ -703,9 +681,7 @@ def _exp_epipole(config, seed):
 def _exp_group_action(config, seed):
     samples = config.get("samples", 5)
     failures = []
-    for idx in range(samples):
-        rng = random.Random(_sub_seed(seed, idx))
-        rig = random_rig(rng, 2, config.get("height", 20))
+    for idx, _, rng, rig in _sample_rigs(config, seed, samples):
         rot = cayley_rotation(Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
                               Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
                               Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
@@ -753,9 +729,7 @@ def _sample_coplanar_points(rng):
 def _exp_coplanar(config, seed):
     samples = config.get("samples", 5)
     failures, skipped = [], 0
-    for idx in range(samples):
-        rng = random.Random(_sub_seed(seed, idx))
-        rig = random_rig(rng, 2, config.get("height", 20))
+    for idx, _, rng, rig in _sample_rigs(config, seed, samples):
         pts = _sample_coplanar_points(rng)
         generic = [random_affine_point(rng, 20) for _ in range(4)]
         try:
@@ -771,40 +745,35 @@ def _exp_coplanar(config, seed):
     return samples - skipped, failures, {"skipped": skipped}
 
 
+def _squared_distances(points) -> tuple:
+    """Squared distances (s12, s13, s23) of three affine world points."""
+    return tuple(sum((pa - pb) * (pa - pb) for pa, pb in zip(a.coords[:3], b.coords[:3]))
+                 for a, b in itertools.combinations(points, 2))
+
+
 def _exp_pairwise_triangle(config, seed):
     samples = config.get("samples", 5)
     failures, skipped = [], 0
-    for idx in range(samples):
-        rng = random.Random(_sub_seed(seed, idx))
-        rig = random_rig(rng, 2, config.get("height", 20))
+    for idx, _, rng, rig in _sample_rigs(config, seed, samples):
         pts = [random_affine_point(rng, 10) for _ in range(3)]
-        sq = {}
-        for a, b in itertools.combinations(range(3), 2):
-            diff = [pa - pb for pa, pb in zip(pts[a].coords[:3], pts[b].coords[:3])]
-            sq[(a, b)] = sum(d * d for d in diff)
-        if any(s == 0 for s in sq.values()):
+        sq = _squared_distances(pts)
+        if any(s == 0 for s in sq):
             skipped += 1
             continue
         system = constraint_system(rig, Family.PAIRWISE_DISTANCE,
-                                   s12=sq[(0, 1)], s13=sq[(0, 2)], s23=sq[(1, 2)])
+                                   s12=sq[0], s13=sq[1], s23=sq[2])
         tuples3 = [_canonical_tuple(forward_map(rig, p)) for p in pts]
         if any(val != 0 for val in system.evaluate(*tuples3)):
             failures.append({"sample": idx, "reason": "pairwise system nonzero on configuration"})
-        disc = squared_distance_discriminant(sq[(0, 1)], sq[(0, 2)], sq[(1, 2)])
-        d12, d13, d23 = (math.sqrt(float(sq[(0, 1)])), math.sqrt(float(sq[(0, 2)])),
-                         math.sqrt(float(sq[(1, 2)])))
-        strict = triangle_inequality_ok(d12, d13, d23)
+        disc = squared_distance_discriminant(*sq)
+        strict = triangle_inequality_ok(*(math.sqrt(float(s)) for s in sq))
         if (disc == 0) == strict:
             failures.append({"sample": idx, "reason": "discriminant/triangle disagreement"})
         # collinear sample: the discriminant must vanish identically
         col = [pts[0],
                ProjectivePoint(tuple(a + (b - a) / 2 for a, b in zip(pts[0].coords, pts[1].coords))),
                pts[1]]
-        sq_col = {}
-        for a, b in itertools.combinations(range(3), 2):
-            diff = [pa - pb for pa, pb in zip(col[a].coords[:3], col[b].coords[:3])]
-            sq_col[(a, b)] = sum(d * d for d in diff)
-        if squared_distance_discriminant(sq_col[(0, 1)], sq_col[(0, 2)], sq_col[(1, 2)]) != 0:
+        if squared_distance_discriminant(*_squared_distances(col)) != 0:
             failures.append({"sample": idx, "reason": "collinear discriminant nonzero"})
     return samples - skipped, failures, {"skipped": skipped}
 

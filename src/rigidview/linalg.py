@@ -51,17 +51,15 @@ def encode_scalar(x: Scalar):
 
 
 def decode_scalar(v, backend: str = EXACT) -> Scalar:
-    """Scalar from its JSON form; NaN and infinities raise ValueError."""
+    """Scalar from its JSON form; NaN and infinities raise ValueError.
+
+    On the exact backend a float is read as the shortest decimal that
+    round-trips to it (``repr``), so 0.1 is 1/10 and 1e-13 is 1/10^13."""
     if isinstance(v, float) and not isfinite(v):
         raise ValueError(f"scalar {v} is not finite")
     if backend == FLOAT:
         return float(Fraction(v)) if isinstance(v, str) else float(v)
-    if isinstance(v, str):
-        f = Fraction(v)
-    elif isinstance(v, float):
-        f = Fraction(v).limit_denominator(10**12) if v != int(v) else Fraction(int(v))
-    else:
-        f = Fraction(v)
+    f = Fraction(repr(v) if isinstance(v, float) else v)
     return f.numerator if f.denominator == 1 else f
 
 

@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cameras import (CameraRig, ProjectivePoint, _reduced, camera_minor_table,
-                      multiview_membership)
+from .cameras import (CameraRig, ProjectivePoint, _multiview_matrix, _reduced,
+                      camera_minor_table, multiview_membership)
 from .linalg import EXACT, FLOAT, Mat, rank
 
 
@@ -101,13 +101,7 @@ def assemble_b(rig: CameraRig, j: int, k: int,
     """Build the 6x6 block matrix [A_j u_j 0; A_k 0 u_k]."""
     if j == k:
         raise ValueError("camera indices must differ")
-    backend = rig.backend
-    zero = 0.0 if backend == FLOAT else 0
-    aj = rig.camera(j).matrix
-    ak = rig.camera(k).matrix
-    rows = [list(aj.data[r]) + [u_j[r], zero] for r in range(3)]
-    rows += [list(ak.data[r]) + [zero, u_k[r]] for r in range(3)]
-    return BMatrix(Mat(rows), j, k, u_j, u_k)
+    return BMatrix(_multiview_matrix(rig, (j, k), (u_j, u_k)), j, k, u_j, u_k)
 
 
 def cofactor_vectors(table: np.ndarray, u_j: Sequence, u_k: Sequence) -> np.ndarray:
@@ -204,6 +198,7 @@ def triangulate(rig: CameraRig, points: Sequence[ProjectivePoint],
 
 
 def _proportional_exact(a, b) -> bool:
+    """Whether every 2x2 minor of the exact vectors a and b vanishes."""
     for i in range(len(a)):
         for j in range(i + 1, len(a)):
             if a[i] * b[j] != a[j] * b[i]:

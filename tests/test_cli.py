@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -55,6 +56,15 @@ class TestProjectTriangulate:
                             "--tuple", "[[1,2,3],[9,1,4]]")
         assert code == 1
         assert "error" in doc
+
+    def test_project_keeps_tiny_coordinates(self, rig_file, capsys):
+        # 1e-13 is read as 1/10^13, not rounded to 0
+        code, tiny = run_cli(capsys, "project", "--rig", rig_file,
+                             "--point", "[1e-13, 0, 0, 1e-13]")
+        assert code == 0
+        _, unit = run_cli(capsys, "project", "--rig", rig_file, "--point", "[1, 0, 0, 1]")
+        assert [[Fraction(c) * 10 ** 13 for c in p] for p in tiny["images"]] == \
+            [[Fraction(c) for c in p] for p in unit["images"]]
 
 
 class TestNonFiniteInput:

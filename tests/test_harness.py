@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -18,6 +19,8 @@ from rigidview.harness import (
     random_rig,
     refine_rigid_pair,
     run_experiment,
+    sample_member_pair,
+    sample_nonmember_pair,
     sample_scaled_pair,
     sample_unit_pair,
     stereo_direction,
@@ -274,3 +277,101 @@ class TestExperimentCounts:
         report = run_experiment("EPIPOLE_COMPONENT", {"rigs": 2, "probes": 3, "seed": 2})
         assert report.passed, report.failures
         assert report.details == {"probes_checked": 5, "probes_skipped": 1}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPinnedDraws:
+    """sha256 digests of seeded reports and sampler outputs.  They change
+    when any draw, its order, or the value or type of a result changes."""
+
+    @pytest.mark.parametrize("tag,config,digest", [
+        ("VANISH", {"samples": 3, "seed": 2},
+         "4c3f9413e2b54d9a202261d0cbcc723a4d4fd1c6ca8c9c5f8d3c2fad27a80992"),
+        ("SEPARATE", {"samples": 3, "seed": 2},
+         "652dc8f41dc6768b49f672961dbabe7ebce0e76275bed6c77c2ca39965ed9de1"),
+        ("THM32_EQUIV", {"samples": 6, "seed": 2},
+         "42cd5e4408ace0eb84bdec887e3a3cfe60ef99f78b8f9e1bda267a9ebd32e1f9"),
+        ("COR34_SIXTEEN", {"samples": 4, "seed": 2},
+         "c5a1bd9b0f494c89eb3157d7dbc97774e1ab3fcf657a69b850e699c4a0874f8b"),
+        ("SPAN_126_9", {"rigs": 1, "seed": 4},
+         "cdf035ffe686bcc5b7fdd8508685637794f13b955ce0b8574a1c048900b9f367"),
+        ("COUNTS", {},
+         "6052a0ef43994d10b2ce74a3ff359d3d09293029f148ae4dd1b3221b38ade1b8"),
+        ("EPIPOLE_COMPONENT", {"rigs": 2, "probes": 3, "seed": 2},
+         "87a9884a7a0cd67baab18abe1d1f9ad63c4bee3ddd51215d79425b708b059360"),
+        ("GROUP_ACTION", {"samples": 2, "seed": 2},
+         "3e87583973781dacc463db1e2d2f805716815250ce32551f77721c060d56d507"),
+        ("COPLANAR", {"samples": 2, "seed": 2},
+         "b90aece331a04d7e61793f144961d16c01261cdf894ec28bf8ce7ab1bffaa85a"),
+        ("PAIRWISE_TRIANGLE", {"samples": 3, "seed": 2},
+         "5ba7189b5d2deb6e2dfb98226be94f4d153c61b90f055ca88c15a1abffad082a"),
+    ])
+    def test_canonical_report(self, tag, config, digest):
+        assert _sha256(run_experiment(tag, config).canonical_json()) == digest
+
+    # every rig drawn and every world point projected, with its images, in
+    # order; the reports above record little more than pass or fail
+    @pytest.mark.parametrize("tag,config,digest", [
+        ("VANISH", {"samples": 3, "seed": 2},
+         "dbd4dcffe85e2ab1a5b3b06afc585f05f57937791a13f6cdb2afb7a6269709e9"),
+        ("SEPARATE", {"samples": 3, "seed": 2},
+         "6f29398598b711f548ec77ce8d8116010d5ff79b1242387d88e5beda77bafc8a"),
+        ("THM32_EQUIV", {"samples": 6, "seed": 2},
+         "111c88b7db2724b029d1b620bc4999233f9f9431489e300ebfae0f06f0b9aa6d"),
+        ("COR34_SIXTEEN", {"samples": 4, "seed": 2},
+         "7198fe88a43f2feb61f12ad33c60facbb9daf1baa5eb0a610c9887d122131cdf"),
+        ("SPAN_126_9", {"rigs": 1, "seed": 4},
+         "0a5bfe65f1913ec446f63f04f0f72aade71ca970eb878b26ca3c3256615691d7"),
+        ("EPIPOLE_COMPONENT", {"rigs": 2, "probes": 3, "seed": 2},
+         "9dc2acee8410ef330cb9f9244d4bbdef71b0889c343a4f77f1337577f8c2d9a3"),
+        ("GROUP_ACTION", {"samples": 2, "seed": 2},
+         "e581e329ba052c1c298e64edf83db3c20149902134117a0edf28ef216adef2fb"),
+        ("COPLANAR", {"samples": 2, "seed": 2},
+         "b9e4d888fade49e2569cd557322ff11fa8ea0d0adb2789890d81a6b0cae857e6"),
+        ("PAIRWISE_TRIANGLE", {"samples": 3, "seed": 2},
+         "ba36ff25636e5680be216b4a884fe188781e507f77231937e97f0f7e1b15f4b3"),
+    ])
+    def test_draws(self, monkeypatch, tag, config, digest):
+        def data(obj):
+            if isinstance(obj, CameraRig):
+                return tuple(c.matrix.data for c in obj.cameras)
+            if isinstance(obj, tuple):
+                return tuple(data(p) for p in obj)
+            return getattr(obj, "coords", obj)
+
+        trace = []
+        for name in ("random_rig", "forward_map"):
+            def traced(*args, real=getattr(harness, name), **kwargs):
+                out = real(*args, **kwargs)
+                rig = data(args[0]) if isinstance(args[0], CameraRig) else None
+                trace.append(repr((rig, data(args[1]) if len(args) > 1 else None, data(out))))
+                return out
+            monkeypatch.setattr(harness, name, traced)
+        run_experiment(tag, config)
+        assert _sha256("\n".join(trace)) == digest
+
+    # seeds 10 and 174 draw t = 1 in sample_nonmember_pair once and twice
+    @pytest.mark.parametrize("n,digest", [
+        (2, "55f93d75992c95e20a5e616999e0e9bd5100bfd103b8fcfa24e5cb919a47162c"),
+        (3, "bab51f50b89e6713c07ba187295477f8f63863d48a59fa8ecc90ea91989d7e1b"),
+        (4, "bb40da174407dc438dc781cc67e94b401ecc63d3ef6a5559b7571096b0528c24"),
+    ])
+    def test_sampler_outputs(self, n, digest):
+        out = []
+        for seed in (0, 1, 2, 10, 174):
+            rig = random_rig(seed, n)
+            out += [repr(sample_member_pair(rig, seed)), repr(sample_nonmember_pair(rig, seed)),
+                    repr(sample_unit_pair(seed))]
+        assert _sha256("\n".join(out)) == digest
+
+    def test_unit_t_uses_up_a_redraw(self, monkeypatch):
+        rig = random_rig(10, 2)
+        monkeypatch.setattr(harness, "MAX_REDRAWS", 1)
+        with pytest.raises(harness.SamplingError):
+            sample_nonmember_pair(rig, 10)
+        monkeypatch.setattr(harness, "MAX_REDRAWS", 2)
+        _, _, x, y = sample_nonmember_pair(rig, 10)
+        assert x.coords[:3] == (Fraction(-97, 27), Fraction(2, 7), Fraction(-29, 84))

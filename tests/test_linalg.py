@@ -15,6 +15,7 @@ from rigidview.linalg import (
     NullityError,
     ShapeError,
     adjugate,
+    decode_scalar,
     det,
     integer_cleared,
     invert,
@@ -368,3 +369,18 @@ class TestEliminationReferences:
         assert _same(invert(Mat([[Fraction(1, 3)]])), Mat([[3]]))
         assert _same(adjugate(Mat([[7]])), Mat([[1]]))
         assert invert(Mat([[4.0]])).data == ((0.25,),)
+
+
+class TestDecodeScalar:
+    @pytest.mark.parametrize("v,want", [
+        (1e-13, Fraction(1, 10 ** 13)),
+        (2.5e-13, Fraction(1, 4 * 10 ** 12)),
+        (0.1, Fraction(1, 10)),
+        (123456.789, Fraction(123456789, 1000)),
+        (-0.5, Fraction(-1, 2)),
+        (3.0, 3),
+    ])
+    def test_exact_float_is_its_shortest_decimal(self, v, want):
+        got = decode_scalar(v)
+        assert got == want and type(got) is type(want)
+        assert float(got) == v
