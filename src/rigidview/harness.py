@@ -40,7 +40,7 @@ from .constraints import (
 )
 from .linalg import FLOAT, Mat, det, invert, rank
 from .polyspace import generator_count, octic_span, random_rank_prime
-from .triangulation import assemble_b, is_triangulable
+from .triangulation import _pair_scan, assemble_b, is_triangulable
 
 
 class SamplingError(RuntimeError):
@@ -148,7 +148,8 @@ def _sample_images(rig: CameraRig, rng, draw, what: str):
             v = _canonical_tuple(forward_map(rig, y))
         except ValueError:
             continue
-        if is_triangulable(rig, u) and is_triangulable(rig, v):
+        # forward images are consistent: only the pair scan can fail
+        if _pair_scan(rig, u) and _pair_scan(rig, v):
             return u, v, x, y
     raise SamplingError(f"could not sample a {what}")
 

@@ -23,7 +23,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm, log2
-from operator import attrgetter
+from numbers import Rational
 from typing import Optional, Sequence
 
 import numpy as np
@@ -87,66 +87,76 @@ class MultiHomogPoly:
     """Sparse polynomial whose terms all share one multidegree.
 
     The zero polynomial has no terms and multidegree None.  Coefficients are
-    exact rationals (ints or Fractions).  A polynomial is immutable once
-    built: it caches its cleared row (see :meth:`_cleared`), which every
-    rank and failure bound reads instead of ``terms``.
+    exact rationals (ints or Fractions; a coefficient that is not a
+    ``numbers.Rational`` raises TypeError).  A polynomial is immutable, and
+    its one stored form is its cleared row ``(cols, nums, den)``: the terms'
+    positions in ``monomial_basis(n, multidegree)`` (the smallest unsigned
+    dtype that holds the basis size), their coefficients times den (int64
+    where all fit, else Python ints) and den, the lcm of the coefficients'
+    reduced denominators.  Every rank and failure bound reads it;
+    :attr:`terms` is derived from it on each access.
     """
 
-    __slots__ = ("n", "terms", "multidegree", "_row")
+    __slots__ = ("n", "multidegree", "_row")
 
     def __init__(self, n: int, terms=None):
         self.n = n
-        clean = {}
-        degree = None
+        self.multidegree = None
+        cols, coefs, index = [], [], None
         for exps, c in (terms or {}).items():
+            if not isinstance(c, Rational):
+                raise TypeError(f"coefficient {c!r} of {exps} is not an int or a Fraction")
             if c == 0:
                 continue
             exps = tuple(exps)
             if len(exps) != 6 * n:
                 raise ValueError(f"exponent vectors need length {6 * n}")
-            d = multidegree_of(exps)
-            if degree is None:
-                degree = d
-            elif d != degree:
-                raise ValueError(f"mixed multidegrees {degree} and {d}")
-            clean[exps] = c
-        self.terms = clean
-        self.multidegree = degree
-        self._row = None
+            if index is None:
+                self.multidegree = multidegree_of(exps)
+                basis, index = _basis_index(n, self.multidegree)
+            col = index.get(exps)
+            if col is None:
+                raise ValueError(f"exponents {exps} are not a monomial of the first "
+                                 f"term's multidegree {self.multidegree}")
+            cols.append(col)
+            coefs.append(c)
+        if not cols:
+            self._row = (np.zeros(0, np.uint8), np.zeros(0, np.int64), 1)
+            return
+        den = lcm(*(int(c.denominator) for c in coefs))
+        self._row = (np.array(cols, dtype=np.min_scalar_type(len(basis))),
+                     _int_array([int(c.numerator) * (den // int(c.denominator)) for c in coefs]),
+                     den)
 
     @classmethod
-    def _trusted(cls, n: int, multidegree: tuple, terms: dict, row=None) -> "MultiHomogPoly":
-        """A polynomial over a known monomial basis: ``terms`` maps exponent
-        tuples of that basis, all of ``multidegree``, to nonzero
-        coefficients, and ``row``, if given, is its cleared row.  Nothing is
-        checked or copied, so the exponent tuples stay shared with every
-        other polynomial built over the same basis."""
+    def _trusted(cls, n: int, multidegree: tuple, row) -> "MultiHomogPoly":
+        """A polynomial from its cleared row over the basis of
+        ``multidegree``, nothing checked or copied: ``row`` lists distinct
+        columns with nonzero numerators, reduced against den."""
         poly = cls.__new__(cls)
         poly.n = n
-        poly.terms = terms
-        poly.multidegree = multidegree if terms else None
+        poly.multidegree = multidegree if len(row[0]) else None
         poly._row = row
         return poly
 
-    def _cleared(self):
-        """The cleared row ``(cols, nums, den)``: the terms' positions in
-        ``monomial_basis(n, multidegree)`` (the smallest unsigned dtype that
-        holds the basis size), their coefficients times den (int64 where all
-        fit, else Python ints) and den, the lcm of the coefficients' reduced
-        denominators.  Derived from ``terms`` on first use unless the
-        producer supplied it, and kept."""
-        if self._row is None:
-            if not self.terms:
-                self._row = (np.zeros(0, np.uint8), np.zeros(0, np.int64), 1)
-            else:
-                basis, index = _basis_index(self.n, self.multidegree)
-                coefs = self.terms.values()
-                den = lcm(*map(attrgetter("denominator"), coefs))
-                self._row = (np.array([index[e] for e in self.terms],
-                                      dtype=np.min_scalar_type(len(basis))),
-                             _int_array([c.numerator * (den // c.denominator) for c in coefs]),
-                             den)
-        return self._row
+    @property
+    def terms(self) -> dict:
+        """Exponent tuple -> coefficient, in row order: an int where the
+        coefficient is integral, else a Fraction.  Derived from the cleared
+        row on each access."""
+        cols, nums, den = self._row
+        if not len(cols):
+            return {}
+        if den >= 2 ** 63:
+            # int64 cannot hold den: divide as Python ints
+            nums = nums.astype(object)
+        values = (nums // den).tolist()
+        if den != 1:
+            odd = np.flatnonzero(nums % den)
+            for i, x in zip(odd.tolist(), nums[odd].tolist()):
+                values[i] = Fraction(x, den)
+        basis, _ = _basis_index(self.n, self.multidegree)
+        return dict(zip(map(basis.__getitem__, cols.tolist()), values))
 
     @classmethod
     def zero(cls, n: int) -> "MultiHomogPoly":
@@ -163,7 +173,7 @@ class MultiHomogPoly:
         return cls(n, {tuple(exps): 1})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not len(self._row[0])
 
     def __add__(self, other: "MultiHomogPoly") -> "MultiHomogPoly":
         if self.is_zero():
@@ -172,13 +182,9 @@ class MultiHomogPoly:
             return self
         if self.multidegree != other.multidegree:
             raise ValueError("cannot add polynomials of different multidegrees")
-        terms = dict(self.terms)
+        terms = self.terms
         for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
-            if s == 0:
-                terms.pop(e, None)
-            else:
-                terms[e] = s
+            terms[e] = terms.get(e, 0) + c
         return MultiHomogPoly(self.n, terms)
 
     def __neg__(self) -> "MultiHomogPoly":
@@ -194,23 +200,14 @@ class MultiHomogPoly:
             return MultiHomogPoly(self.n, {e: c * other for e, c in self.terms.items()})
         if self.is_zero() or other.is_zero():
             return MultiHomogPoly.zero(self.n)
-        terms = {}
+        terms, right = {}, other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+            for e2, c2 in right:
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, 0) + c1 * c2
-                if s == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
+                terms[e] = terms.get(e, 0) + c1 * c2
         return MultiHomogPoly(self.n, terms)
 
     __rmul__ = __mul__
-
-    def shifted(self, monomial: Sequence[int]) -> "MultiHomogPoly":
-        """Multiply by one monomial (exponent shift)."""
-        return MultiHomogPoly(
-            self.n, {tuple(a + b for a, b in zip(e, monomial)): c for e, c in self.terms.items()})
 
     def evaluate(self, us: Sequence[Sequence[Scalar]], vs: Sequence[Sequence[Scalar]]) -> Scalar:
         flat = [c for pt in us for c in pt[:3]] + [c for pt in vs for c in pt[:3]]
@@ -233,7 +230,7 @@ class MultiHomogPoly:
                 and self.terms == other.terms)
 
     def __repr__(self):
-        return f"MultiHomogPoly(n={self.n}, degree={self.multidegree}, terms={len(self.terms)})"
+        return f"MultiHomogPoly(n={self.n}, degree={self.multidegree}, terms={len(self._row[0])})"
 
     def to_json(self) -> dict:
         return {
@@ -305,10 +302,9 @@ def _contract_octics(rig: CameraRig, tensor: QuadTensor, pair_u, pair_v,
     against every one in ``rows_v``, as S_u G S_v^T: the coefficient of
     monomial (m_u, m_v) in the octic of row pairs (r_u, r_v) is the sum over
     s, t of S_u[r_u, s, m_u] G[s, t] S_v[r_v, t, m_v], computed on cleared
-    integers and divided once by the product of the three clearing factors,
-    leaving an int where the result is integral.  Each octic also gets its
-    cleared row from the same integers: with g the gcd of the clearing
-    factor and the row's entries, the entries over g and the factor over g."""
+    integers over the product of the three clearing factors.  Each octic is
+    its cleared row of these integers: with g the gcd of the clearing factor
+    and the row's entries, the entries over g and the factor over g."""
     if rig.backend != EXACT:
         raise ValueError("symbolic expansion needs an exact rig")
     n = rig.n
@@ -340,16 +336,10 @@ def _contract_octics(rig: CameraRig, tensor: QuadTensor, pair_u, pair_v,
     out = []
     for row, row_den in zip(coefs, (den // g).tolist()):
         idx = np.flatnonzero(row)
-        cols, nums = perm[idx], row[idx]
-        keys = list(map(basis.__getitem__, cols.tolist()))
-        terms = dict(zip(keys, (nums // row_den).tolist()))
-        if row_den != 1:
-            odd = np.flatnonzero(nums % row_den)
-            for i, x in zip(odd.tolist(), nums[odd].tolist()):
-                terms[keys[i]] = Fraction(x, row_den)
+        nums = row[idx]
         if nums.dtype == object:
             nums = _int_array(nums)
-        out.append(MultiHomogPoly._trusted(n, degree, terms, (cols, nums, row_den)))
+        out.append(MultiHomogPoly._trusted(n, degree, (perm[idx], nums, row_den)))
     return out
 
 
@@ -436,12 +426,12 @@ def ideal_component_basis(rig: CameraRig, target=(2, 2, 2, 2)) -> list:
         complement = tuple(t - g for t, g in zip(target, gdeg))
         if any(c < 0 for c in complement):
             raise ValueError("target multidegree is below the generator degree")
-        _, nums, den = gen._cleared()
+        _, nums, den = gen._row
+        exps = list(gen.terms)
         for monomial in monomial_basis(n, complement):
-            cols = [index[tuple(a + b for a, b in zip(e, monomial))] for e in gen.terms]
-            terms = dict(zip([basis[c] for c in cols], gen.terms.values()))
+            cols = [index[tuple(a + b for a, b in zip(e, monomial))] for e in exps]
             row = (np.array(cols, dtype=np.min_scalar_type(len(basis))), nums, den)
-            out.append(MultiHomogPoly._trusted(n, target, terms, row))
+            out.append(MultiHomogPoly._trusted(n, target, row))
     return out
 
 
@@ -617,7 +607,7 @@ def coefficient_matrix_modp(polys: Sequence[MultiHomogPoly], p: int) -> np.ndarr
     basis, _ = _basis_index(polys[0].n, degree)
     out = np.zeros((len(polys), len(basis)), dtype=np.int64)
     for r, poly in enumerate(polys):
-        cols, nums, den = poly._cleared()
+        cols, nums, den = poly._row
         if den % p == 0:
             raise ValueError("prime divides a coefficient denominator; pick another prime")
         out[r, cols] = nums % p * pow(den, -1, p) % p
@@ -659,7 +649,7 @@ def span_dimension(polys: Sequence[MultiHomogPoly], modulus: Optional[int] = Non
     beyond small inputs).
 
     Both routes read each polynomial's cleared row (see
-    :meth:`MultiHomogPoly._cleared`): the exact one its integers, the mod-p
+    :class:`MultiHomogPoly`): the exact one its integers, the mod-p
     one :func:`coefficient_matrix_modp`, which raises ValueError when p
     divides a row's denominator, that is some coefficient's denominator.
     """
@@ -673,7 +663,7 @@ def span_dimension(polys: Sequence[MultiHomogPoly], modulus: Optional[int] = Non
     basis, _ = _basis_index(polys[0].n, _shared_degree(polys))
     rows = []
     for poly in polys:
-        cols, nums, _ = poly._cleared()
+        cols, nums, _ = poly._row
         row = [0] * len(basis)
         for c, x in zip(cols.tolist(), nums.tolist()):
             row[c] = x
@@ -690,7 +680,7 @@ def _height_bits(polys: Sequence[MultiHomogPoly]) -> float:
     for poly in polys:
         if poly.is_zero():
             continue
-        _, nums, _ = poly._cleared()
+        _, nums, _ = poly._row
         bits += int(np.abs(nums).max()).bit_length() + 0.5 * log2(len(nums))
     return bits
 

@@ -136,19 +136,27 @@ def _scale(camera, x, u, exact: bool):
 def is_triangulable(rig: CameraRig, points: Sequence[ProjectivePoint],
                     tol: float | None = None) -> Optional[TriangulationWitness]:
     """Find a camera pair whose triangulation matrix has rank 5, together
-    with a row index giving a nonzero recovered point.
+    with a row index giving a nonzero recovered point (see
+    :func:`_pair_scan`).  Returns the witness, or None when every pair
+    degenerates (for two cameras this happens exactly at the epipole pair).
+    Raises :class:`NotInVarietyError` when the tuple is not consistent.
+    """
+    if not multiview_membership(rig, points, tol).ok:
+        raise NotInVarietyError("tuple fails the consistency rank test")
+    return _pair_scan(rig, points, tol)
+
+
+def _pair_scan(rig: CameraRig, points: Sequence[ProjectivePoint],
+               tol: float | None = None) -> Optional[TriangulationWitness]:
+    """The witness scan of :func:`is_triangulable` on a tuple known to be
+    consistent.
 
     Scans camera pairs lexicographically, building each pair's B and taking
     its rank once.  For a rank-5 pair it reads all six cofactor vectors from
     the pair's :func:`camera_minor_table` and takes the first row, in order,
     whose vector gives a nonzero point; the scales come from A_j X =
-    lambda_j u_j and A_k X = lambda_k u_k.  Returns the witness, or None when
-    every pair degenerates (for two cameras this happens exactly at the
-    epipole pair).  Raises :class:`NotInVarietyError` when the tuple is not
-    consistent.
+    lambda_j u_j and A_k X = lambda_k u_k.  None when no pair has one.
     """
-    if not multiview_membership(rig, points, tol).ok:
-        raise NotInVarietyError("tuple fails the consistency rank test")
     for j, k in combinations(range(rig.n), 2):
         b = assemble_b(rig, j, k, points[j], points[k])
         if rank(b.mat, tol).rank != 5:

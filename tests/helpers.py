@@ -235,8 +235,9 @@ def reference_octics(rig, tensor, selections):
             c_int = int(Fraction(coef) * denom)
             left = sym_product("u", j1, k1, i1, i2, p, q)
             right = sym_product("v", j2, k2, i3, i4, r, s)
+            right = right.terms.items()
             for e1, c1 in left.terms.items():
-                for e2, c2 in right.terms.items():
+                for e2, c2 in right:
                     e = e1[:split] + e2[split:]
                     acc[e] = acc.get(e, 0) + c_int * c1 * c2
         terms = {}
@@ -283,8 +284,9 @@ def reference_coefficient_matrix_modp(polys, p):
     basis, index = _reference_basis(polys[0].n, _shared_degree(polys))
     out = np.zeros((len(polys), len(basis)), dtype=np.int64)
     for r, poly in enumerate(polys):
-        out[r, [index[exps] for exps in poly.terms]] = [
-            c % p if isinstance(c, int) else _fraction_modp(c, p) for c in poly.terms.values()]
+        terms = poly.terms
+        out[r, [index[exps] for exps in terms]] = [
+            c % p if isinstance(c, int) else _fraction_modp(c, p) for c in terms.values()]
     return out
 
 

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from rigidview import harness
+from helpers import count_calls
+from rigidview import harness, triangulation
 from rigidview.cameras import CameraRig, ProjectivePoint, forward_map
 from rigidview.constraints import unit_distance_form
 from rigidview.harness import (
@@ -98,6 +99,17 @@ class TestUnitPairSampling:
     def test_affine_chart(self):
         x = random_affine_point(29)
         assert x.coords[3] == 1
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_samplers_skip_the_membership_test(self, monkeypatch, n):
+        # forward images are consistent by construction; only the pair scan
+        # of is_triangulable can reject them
+        membership = count_calls(monkeypatch, triangulation, "multiview_membership")
+        scans = count_calls(monkeypatch, harness, "_pair_scan")
+        rig = random_rig(5, n)
+        sample_member_pair(rig, 5)
+        sample_nonmember_pair(rig, 5)
+        assert membership == [] and len(scans) >= 4
 
 
 class TestScene:

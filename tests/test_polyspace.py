@@ -1,5 +1,7 @@
 import math
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -196,8 +198,9 @@ def assert_same_polys(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.multidegree == w.multidegree
-        assert g.terms == w.terms
-        assert {e: type(c) for e, c in g.terms.items()} == {e: type(c) for e, c in w.terms.items()}
+        g, w = g.terms, w.terms
+        assert g == w
+        assert {e: type(c) for e, c in g.items()} == {e: type(c) for e, c in w.items()}
 
 
 class TestContractionMatchesReference:
@@ -386,7 +389,8 @@ class TestClearedRows:
         octics = families[name][0][::4]
         copies = [MultiHomogPoly.from_json(q.to_json()) for q in octics]
         assert copies == octics
-        assert all(q._row is None for q in copies)
+        # each copy's row was built from its decoded terms, not shared
+        assert all(c._row[1] is not q._row[1] for c, q in zip(copies, octics))
         for p in RANK_PRIMES:
             got = matrix_or_none(coefficient_matrix_modp, copies, p)
             want = matrix_or_none(coefficient_matrix_modp, octics, p)
@@ -422,6 +426,70 @@ class TestClearedRows:
                     == reference_quotient_failure_bound(octics, component))
         polys = hand_built_polys()
         assert modp_failure_bound(polys) == reference_modp_failure_bound(polys)
+
+
+def assert_derived_terms(q):
+    """q.terms holds each row entry nums / den exactly, as an int exactly
+    where it is integral, and rebuilds the same row."""
+    cols, nums, den = q._row
+    terms = q.terms
+    assert len(terms) == len(cols)
+    for c, x in zip(terms.values(), nums.tolist()):
+        assert c == Fraction(x, den)
+        assert type(c) is (int if x % den == 0 else Fraction)
+    copy = MultiHomogPoly(q.n, terms)
+    assert copy == q and copy.multidegree == q.multidegree
+    assert np.array_equal(copy._row[0], cols) and np.array_equal(copy._row[1], nums)
+    assert copy._row[2] == den
+
+
+class TestDerivedTerms:
+    """``terms`` is read from the cleared row, the one stored form."""
+
+    def test_hand_built(self):
+        basis = monomial_basis(2, (1, 1, 0, 0))
+        # int64 numerators over a denominator beyond int64
+        small_over_large = MultiHomogPoly(2, {basis[0]: Fraction(1, 3 ** 40),
+                                              basis[7]: Fraction(-2, 3 ** 40)})
+        assert small_over_large._row[1].dtype == np.int64 and small_over_large._row[2] >= 2 ** 63
+        polys = hand_built_polys() + [small_over_large]
+        assert polys[2]._row[2] == 3 ** 40
+        for q in polys:
+            assert_derived_terms(q)
+        assert polys[2].terms == {basis[5]: Fraction(2 ** 80 + 1, 3 ** 40)}
+        assert small_over_large.terms == {basis[0]: Fraction(1, 3 ** 40),
+                                          basis[7]: Fraction(-2, 3 ** 40)}
+
+    def test_given_coefficients_come_back_exact(self):
+        basis = monomial_basis(2, (1, 1, 0, 0))
+        given = {basis[0]: Fraction(6, 3), basis[1]: Fraction(-7, 6), basis[2]: np.int64(5),
+                 basis[3]: True, basis[4]: 2 ** 70 + 3, basis[5]: 0}
+        terms = MultiHomogPoly(2, given).terms
+        assert terms == {basis[0]: 2, basis[1]: Fraction(-7, 6), basis[2]: 5, basis[3]: 1,
+                         basis[4]: 2 ** 70 + 3}
+        assert [type(c) for c in terms.values()] == [int, Fraction, int, int, int]
+
+    def test_contraction_octics(self, families):
+        for octics, component in families.values():
+            for q in octics[::23] + component[::13]:
+                assert_derived_terms(q)
+
+    def test_zero_polynomial(self):
+        x = MultiHomogPoly.variable(2, "u", 0, 0)
+        basis = monomial_basis(2, (1, 0, 0, 0))
+        for q in (MultiHomogPoly.zero(2), x - x, MultiHomogPoly(2, {basis[1]: 0}), x * 0):
+            assert q.terms == {} and q.multidegree is None and q.is_zero()
+            assert q == MultiHomogPoly.zero(2)
+
+    @pytest.mark.parametrize("coef", [0.5, 2.0, 0.0, 1j, Decimal("0.5"), "1"])
+    def test_non_rational_coefficient_rejected(self, coef):
+        basis = monomial_basis(2, (1, 0, 0, 0))
+        with pytest.raises(TypeError, match=re.escape(repr(coef))):
+            MultiHomogPoly(2, {basis[0]: 1, basis[1]: coef})
+
+    def test_float_scalar_rejected(self):
+        with pytest.raises(TypeError, match="0.5"):
+            MultiHomogPoly.variable(2, "u", 0, 0) * 0.5
 
 
 class TestSpanDimension:
