@@ -234,8 +234,7 @@ def reference_octics(rig, tensor, selections):
         for ((p, q), (r, s)), coef in tensor.entries.items():
             c_int = int(Fraction(coef) * denom)
             left = sym_product("u", j1, k1, i1, i2, p, q)
-            right = sym_product("v", j2, k2, i3, i4, r, s)
-            right = right.terms.items()
+            right = sym_product("v", j2, k2, i3, i4, r, s).terms.items()
             for e1, c1 in left.terms.items():
                 for e2, c2 in right:
                     e = e1[:split] + e2[split:]
