@@ -16,15 +16,15 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .cameras import (CameraRig, ProjectivePoint, _multiview_matrix, _reduced,
                       camera_minor_table, multiview_membership)
-from .linalg import (EXACT, BackendError, Mat, Scalar, ShapeError, _cleared, adjugate, det,
-                     encode_scalar)
+from .linalg import (EXACT, BackendError, Mat, Scalar, ShapeError, _cleared, _is_probable_prime,
+                     adjugate, det, encode_scalar)
 from .triangulation import (AmbiguousTriangulationError, NotInVarietyError,
                             NotTriangulableError, _proportional_exact, cofactor_vectors,
                             triangulate)
@@ -219,6 +219,92 @@ def _cleared_table(table: np.ndarray):
     return np.array([int(x) for x in flat], dtype=object).reshape(table.shape), den
 
 
+def _sym2_rows(w: np.ndarray, rows) -> np.ndarray:
+    """S of cofactor vectors w of shape (..., camera pairs, 6, 4): after w's
+    leading axes, one row of :func:`_sym2_products` of w_i1 and w_i2 per
+    camera pair and row pair (i1, i2) in ``rows``, camera pairs outermost."""
+    i1, i2 = np.array(rows).T
+    s = _sym2_products(w[..., i1, :].reshape(-1, 4), w[..., i2, :].reshape(-1, 4))
+    return s.reshape(w.shape[:-3] + (-1, 10))
+
+
+def _max_abs(values: np.ndarray) -> int:
+    return int(max(map(abs, values.ravel().tolist())))
+
+
+def _value_bound(w_a: np.ndarray, gram: np.ndarray, w_b: np.ndarray) -> int:
+    """B = 100 max|S_a| max|G| max|S_b| >= every |value| of S_a G S_b^T, a
+    sum of 100 products, with max|S| <= 2 max|w|^2 for integer cofactor
+    vectors w."""
+    return 400 * _max_abs(w_a) ** 2 * _max_abs(gram) * _max_abs(w_b) ** 2
+
+
+# The verdict primes: the primes below 2^29 in descending order, found on
+# demand and kept (one fixed sequence, so every caller may share it).
+# Residues are below 2^29, so a product of two is below 2^58 and a sum of
+# ten such products below 2^62: every step of the residue contraction is
+# exact in int64.
+_VERDICT_PRIME_LIMIT = 2 ** 29
+_VERDICT_PRIMES = []
+# Integers of smaller magnitude are reduced as one int64 array; larger ones
+# by one Python % per prime.
+_INT64_SAFE = 2 ** 62
+
+
+def _verdict_primes(bound: int) -> list:
+    """The shortest prefix of the verdict primes whose product exceeds bound."""
+    out, product = [], 1
+    while product <= bound:
+        if len(out) == len(_VERDICT_PRIMES):
+            p = (_VERDICT_PRIMES[-1] if _VERDICT_PRIMES else _VERDICT_PRIME_LIMIT + 1) - 2
+            while not _is_probable_prime(p):
+                p -= 2
+            _VERDICT_PRIMES.append(p)
+        out.append(_VERDICT_PRIMES[len(out)])
+        product *= out[-1]
+    return out
+
+
+def _residues(values: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """Exact integers modulo each prime, as int64 with the prime axis first
+    and then the shape of ``values``."""
+    flat = values.ravel().tolist()
+    small = [x if -_INT64_SAFE < x < _INT64_SAFE else 0 for x in flat]
+    out = np.array(small, dtype=np.int64) % primes[:, None]
+    for i, x in enumerate(flat):
+        if not -_INT64_SAFE < x < _INT64_SAFE:
+            out[:, i] = [x % p for p in primes.tolist()]
+    return out.reshape(primes.shape + values.shape)
+
+
+def _residue_nonzero(side_a, gram: np.ndarray, side_b, primes) -> bool:
+    """Whether some value of S_a G S_b^T is nonzero modulo one of the
+    primes; each side is ``(w, rows)``, integer cofactor vectors and row
+    pairs.  w, G, S and S_a G are reduced for all primes along one int64
+    axis; the last product is taken one prime at a time, so that its
+    largest temporary is one prime's block of values."""
+    primes = np.array(primes, dtype=np.int64)
+    mod = primes[:, None, None]
+    (w_a, rows_a), (w_b, rows_b) = side_a, side_b
+    s_b = _sym2_rows(_residues(w_b, primes), rows_b) % mod
+    t_a = _sym2_rows(_residues(w_a, primes), rows_a) % mod @ _residues(gram, primes) % mod
+    return any((t @ s.T % p).any() for t, s, p in zip(t_a, s_b, primes.tolist()))
+
+
+def _residues_vanish(side_a, gram: np.ndarray, side_b, primes: list, bound: int) -> bool:
+    """Whether every value of S_a G S_b^T is zero, given a bound on every
+    |value|: the residues modulo the first prime alone, then, only if they
+    all vanish, modulo the other primes at once.  A nonzero residue proves
+    a nonzero value; all residues zero prove the values zero only because
+    the primes' product exceeds the bound, so a smaller prime set raises."""
+    if prod(primes) <= bound:
+        raise ValueError(f"the product of {len(primes)} primes does not exceed the "
+                         f"{bound.bit_length()}-bit bound: zero residues would not prove "
+                         "zero values")
+    return not (_residue_nonzero(side_a, gram, side_b, primes[:1])
+                or (len(primes) > 1 and _residue_nonzero(side_a, gram, side_b, primes[1:])))
+
+
 # Row pairs i1 <= i2 of a camera pair's six cofactor vectors: the rows of
 # OCTIC_FULL and of polyspace.all_octics_symbolic, in their order.
 _ROW_PAIRS = [(i1, i2) for i1 in range(6) for i2 in range(i1, 6)]
@@ -250,6 +336,15 @@ class OcticEngine:
     the image points are cleared of denominators, and each camera-pair row
     of values comes with the positive integer it was multiplied by, divided
     out only when values are returned.  Floats go through float64.
+
+    The exact zero test, :meth:`vanishes`, forms no value.  Every cleared
+    |value| is at most B = 100 max|S_a| max|G| max|S_b|, and max|S| is at
+    most 2 max|w|^2 over the cofactor vectors w.  The test reduces w and G
+    modulo fixed primes below 2^29, descending from 2^29, and contracts in
+    int64: residues below 2^29 keep every product below 2^58 and every
+    ten-term sum below 2^62.  The first prime alone settles almost every
+    nonzero block; a zero block needs all residues zero modulo primes whose
+    product exceeds B, and is then zero by the Chinese remainder theorem.
     """
 
     __slots__ = ("exact", "tables", "row_sets", "blocks")
@@ -267,23 +362,25 @@ class OcticEngine:
             table = camera_minor_table(rig, *pair)
             self.tables[pair] = _cleared_table(table) if self.exact else (table, 1)
 
-    def _products(self, points, row_set):
-        """S for one image tuple, and on the exact backend the factor of each
-        of its camera pairs (None on floats)."""
-        pairs, rows = row_set
-        vectors, factors = [], []
-        for j, k in pairs:
-            table, den = self.tables[j, k]
-            u_j, u_k = points[j].coords, points[k].coords
-            if self.exact:
-                u_j, den_j = _cleared(u_j)
-                u_k, den_k = _cleared(u_k)
-                factors.append((den * den_j * den_k) ** 2)
-            vectors.append(cofactor_vectors(table, u_j, u_k))
-        w = np.stack(vectors)
-        i1, i2 = np.array(rows).T
-        s = _sym2_products(w[:, i1].reshape(-1, 4), w[:, i2].reshape(-1, 4))
-        return s, (np.array(factors, dtype=object) if self.exact else None)
+    def _cofactors(self, tuples) -> list:
+        """Per image tuple, its cofactor vectors as an array of shape
+        (camera pairs, 6, 4), and on the exact backend the factor each camera
+        pair's vectors were multiplied by (None on floats)."""
+        if any((p.backend == EXACT) != self.exact for points in tuples for p in points):
+            raise BackendError("image points and rig must share one scalar backend")
+        out = []
+        for points, (pairs, _) in zip(tuples, self.row_sets):
+            vectors, factors = [], []
+            for j, k in pairs:
+                table, den = self.tables[j, k]
+                u_j, u_k = points[j].coords, points[k].coords
+                if self.exact:
+                    u_j, den_j = _cleared(u_j)
+                    u_k, den_k = _cleared(u_k)
+                    factors.append((den * den_j * den_k) ** 2)
+                vectors.append(cofactor_vectors(table, u_j, u_k))
+            out.append((np.stack(vectors), np.array(factors, dtype=object) if self.exact else None))
+        return out
 
     def cleared(self, tuples) -> list:
         """Per block, ``(values, factors)``: values as an array with one row
@@ -291,9 +388,8 @@ class OcticEngine:
         of a and of b (b fastest), each row multiplied on the exact backend
         by the positive integer at the same place in ``factors`` (None on
         the float backend)."""
-        if any((p.backend == EXACT) != self.exact for points in tuples for p in points):
-            raise BackendError("image points and rig must share one scalar backend")
-        products = [self._products(points, rs) for points, rs in zip(tuples, self.row_sets)]
+        products = [(_sym2_rows(w, rows), f)
+                    for (w, f), (_, rows) in zip(self._cofactors(tuples), self.row_sets)]
         out = []
         for a, b, gram, den in self.blocks:
             (s_a, f_a), (s_b, f_b) = products[a], products[b]
@@ -302,6 +398,22 @@ class OcticEngine:
             values = values.transpose(0, 2, 1, 3).reshape(len(pairs_a) * len(pairs_b), -1)
             out.append((values, None if f_a is None else den * np.outer(f_a, f_b).ravel()))
         return out
+
+    def vanishes(self, tuples) -> bool:
+        """Whether every value is zero, on the exact backend, from residues
+        modulo the verdict primes as the class describes.  A block whose
+        bound B is 0 (w_a, G or w_b all zero) vanishes with no prime."""
+        if not self.exact:
+            raise BackendError("the residue zero test needs the exact backend")
+        cofactors = self._cofactors(tuples)
+        for a, b, gram, _ in self.blocks:
+            (w_a, _), (w_b, _) = cofactors[a], cofactors[b]
+            bound = _value_bound(w_a, gram, w_b)
+            if bound and not _residues_vanish((w_a, self.row_sets[a][1]), gram,
+                                              (w_b, self.row_sets[b][1]),
+                                              _verdict_primes(bound), bound):
+                return False
+        return True
 
     def evaluate(self, tuples) -> list:
         """Every value, blocks in order, each block in the order of
@@ -581,7 +693,14 @@ def rigid_pair_by_equations(rig: CameraRig, u, v,
                             form: Optional[BihomForm] = None,
                             tol: float | None = None) -> bool:
     """Equation-side membership: both tuples consistent and every octic of
-    the family vanishing (exactly, or below the normalized float threshold)."""
+    the family vanishing (exactly, or below the normalized float threshold).
+
+    The exact verdict is :meth:`OcticEngine.vanishes`, which decides from
+    residues modulo fixed primes below 2^29 (so that the int64 contraction
+    cannot overflow) and forms no value: a nonzero residue proves a nonzero
+    octic, and all residues zero modulo primes whose product exceeds
+    B = 100 max|S_u| max|G| max|S_v|, a bound on every cleared value,
+    prove every octic zero."""
     family = Family(family)
     if family not in _OCTIC_FAMILIES:
         raise ValueError("membership by equations uses an octic family")
@@ -589,9 +708,10 @@ def rigid_pair_by_equations(rig: CameraRig, u, v,
         return False
     row_set = _octic_row_set(rig.n, family)
     tensor = polarize(form or unit_distance_form())
-    ((values, _),) = OcticEngine(rig, (row_set, row_set), [(0, 1, tensor)]).cleared((u, v))
+    engine = OcticEngine(rig, (row_set, row_set), [(0, 1, tensor)])
     if rig.backend == EXACT:
-        return not values.any()
+        return engine.vanishes((u, v))
+    ((values, _),) = engine.cleared((u, v))
     # the normalizer depends on the camera pairs only: one per row of values
     t = tol if tol is not None else DEFAULT_VANISH_TOL
     pairs = row_set[0]

@@ -169,6 +169,32 @@ def _cleared(values):
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
+def _is_probable_prime(m: int) -> bool:
+    """Miller-Rabin with the twelve prime bases up to 37, which is
+    deterministic for every m below 3.3 * 10^24, so exact for the word-size
+    moduli of the mod-p ranks and of the octic verdicts."""
+    if m < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if m % p == 0:
+            return m == p
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _bareiss_echelon(data):
     """Fraction-free row echelon of integer rows.
 

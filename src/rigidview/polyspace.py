@@ -31,7 +31,8 @@ import numpy as np
 from .cameras import CameraRig, camera_minor_table
 from .constraints import (QuadTensor, _ROW_PAIRS, _cleared_table, _gram, _sym2_products,
                           polarize, unit_distance_form)
-from .linalg import EXACT, Scalar, _bareiss_echelon, decode_scalar, encode_scalar
+from .linalg import (EXACT, Scalar, _bareiss_echelon, _is_probable_prime, decode_scalar,
+                     encode_scalar)
 
 
 def variable_index(n: int, side: str, cam: int, coord: int) -> int:
@@ -433,29 +434,6 @@ def ideal_component_basis(rig: CameraRig, target=(2, 2, 2, 2)) -> list:
             row = (np.array(cols, dtype=np.min_scalar_type(len(basis))), nums, den)
             out.append(MultiHomogPoly._trusted(n, target, row))
     return out
-
-
-def _is_probable_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if m % p == 0:
-            return m == p
-    d, s = m - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, m)
-        if x in (1, m - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
 
 
 # The number of primes in [2^30, 2^31), pi(2^31) - pi(2^30).

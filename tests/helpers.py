@@ -39,6 +39,21 @@ def random_rig(rng, n=3, height=20):
             return rig
 
 
+def fraction_rig(rng, n=2):
+    while True:
+        mats = [Mat([[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(4)]
+                     for _ in range(3)]) for _ in range(n)]
+        if all(rank(m).rank == 3 for m in mats):
+            rig = CameraRig(mats)
+            if rig.general_position.ok:
+                return rig
+
+
+def scaled_rig(rig, factor):
+    return CameraRig([Mat([[c * factor for c in row] for row in rig.camera(i).matrix.data])
+                      for i in range(rig.n)])
+
+
 def random_world_point(rng, bound=50):
     while True:
         coords = tuple(Fraction(rng.randint(-bound, bound), rng.randint(1, 10)) for _ in range(3))
@@ -275,15 +290,21 @@ def reference_modp_rank(a, p):
     return r
 
 
-def reference_coefficient_matrix_modp(polys, p):
+def _terms(polys, terms):
+    """The polynomials' term dicts: ``terms`` when the caller derived them
+    already, else derived here."""
+    return [q.terms for q in polys] if terms is None else terms
+
+
+def reference_coefficient_matrix_modp(polys, p, terms=None):
     """Rows of coefficients over the shared monomial basis, reduced mod p
     term by term: one dict lookup of each exponent tuple, a Python residue
     of each int, and of each Fraction its numerator times the inverse of its
-    denominator, raising when p divides that denominator."""
+    denominator, raising when p divides that denominator.  ``terms`` may
+    hold the polynomials' term dicts, derived once by the caller."""
     basis, index = _reference_basis(polys[0].n, _shared_degree(polys))
     out = np.zeros((len(polys), len(basis)), dtype=np.int64)
-    for r, poly in enumerate(polys):
-        terms = poly.terms
+    for r, terms in enumerate(_terms(polys, terms)):
         out[r, [index[exps] for exps in terms]] = [
             c % p if isinstance(c, int) else _fraction_modp(c, p) for c in terms.values()]
     return out
@@ -302,24 +323,25 @@ def _fraction_modp(c, p):
     return c.numerator % p * pow(den, -1, p) % p
 
 
-def reference_height_bits(polys):
+def reference_height_bits(polys, terms=None):
     """log2 of the Hadamard bound of the row-cleared coefficient matrix from
     the terms: per row, the bit length of the largest coefficient times the
     lcm of the denominators, plus log2(sqrt(terms))."""
     bits = 0.0
-    for poly in polys:
+    for poly, terms in zip(polys, _terms(polys, terms)):
         if poly.is_zero():
             continue
-        coefs = poly.terms.values()
+        coefs = terms.values()
         top = max(map(abs, coefs)) * lcm(*map(attrgetter("denominator"), coefs))
         bits += int(top).bit_length() + 0.5 * log2(len(coefs))
     return bits
 
 
-def reference_modp_failure_bound(polys):
-    return (reference_height_bits(polys) // 30) / RANK_PRIME_COUNT
+def reference_modp_failure_bound(polys, terms=None):
+    return (reference_height_bits(polys, terms) // 30) / RANK_PRIME_COUNT
 
 
-def reference_quotient_failure_bound(octics, component):
-    a, b = reference_height_bits(octics), reference_height_bits(component)
+def reference_quotient_failure_bound(octics, component, octic_terms=None, component_terms=None):
+    a = reference_height_bits(octics, octic_terms)
+    b = reference_height_bits(component, component_terms)
     return (a // 30 + b // 30 + (a + b) // 30) / RANK_PRIME_COUNT

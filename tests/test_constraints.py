@@ -1,13 +1,14 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (count_calls, naive_det, random_rig, random_world_point, standard_rig,
-                     tensor_value, wedge5)
+from helpers import (count_calls, fraction_rig, naive_det, random_rig, random_world_point,
+                     scaled_rig, standard_rig, tensor_value, wedge5)
 from rigidview.cameras import (
     CameraRig,
     ProjectivePoint,
@@ -41,7 +42,7 @@ from rigidview.constraints import (
     unit_distance_form,
 )
 from rigidview import constraints, triangulation
-from rigidview.linalg import BackendError, Mat, det
+from rigidview.linalg import BackendError, Mat, _is_probable_prime, det
 from rigidview.triangulation import assemble_b, camera_minor_table, cofactor_vectors
 
 
@@ -558,6 +559,129 @@ class TestMembership:
             assert rigid_pair_oracle(rig, u, v)
             assert len(calls) <= 2
             monkeypatch.undo()
+
+
+def _residue_rigs(n):
+    """Rigs whose cleared cofactor vectors take each reduction path: integer
+    cameras (int64), Fraction cameras, the integer cameras over 1000 and
+    cameras of height 10^6 (entries beyond 2^62, reduced by Python %)."""
+    base = random_rig(random.Random(521 + n), n)
+    return {"int": base, "fraction": fraction_rig(random.Random(523 + n), n),
+            "over-1000": scaled_rig(base, Fraction(1, 1000)),
+            "height-1e6": random_rig(random.Random(541 + n), n, height=10 ** 6)}
+
+
+def _moved(points, j, c):
+    """The tuple with coordinate c of image point j increased by 1."""
+    coords = list(points[j].coords)
+    coords[c] += 1
+    return points[:j] + (ProjectivePoint(coords),) + points[j + 1:]
+
+
+def _residue_inputs(rig, rng):
+    """Member pairs, non-member pairs, member pairs with one image coordinate
+    moved by 1 and, with two cameras, the epipole pair on either side."""
+    cases = []
+    for _ in range(2):
+        x, y = unit_pair(rng)
+        u, v = forward_map(rig, x), forward_map(rig, y)
+        far = ProjectivePoint((y[0] + rng.randint(1, 5), y[1], y[2], y[3]))
+        cases += [(u, v), (u, forward_map(rig, far)),
+                  (u, _moved(v, rng.randrange(rig.n), rng.randrange(3)))]
+    if rig.n == 2:
+        ep = (rig.epipole(0, 1), rig.epipole(1, 0))
+        cases += [(u, ep), (ep, u)]
+    return cases
+
+
+def _engine(rig, family):
+    row_set = constraints._octic_row_set(rig.n, family)
+    return constraints.OcticEngine(rig, (row_set, row_set),
+                                   [(0, 1, polarize(unit_distance_form()))])
+
+
+class TestResidueVerdict:
+    """The exact zero test from residues against the cleared values."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_verdict_equals_the_cleared_values(self, n):
+        verdicts = set()
+        for name, rig in _residue_rigs(n).items():
+            cases = _residue_inputs(rig, random.Random(f"{name}:{n}"))
+            for family in _families(n):
+                engine = _engine(rig, family)
+                for u, v in cases:
+                    ((values, _),) = engine.cleared((u, v))
+                    verdict = engine.vanishes((u, v))
+                    assert verdict == (not values.any())
+                    verdicts.add(verdict)
+                    (w_u, _), (w_v, _) = engine._cofactors((u, v))
+                    bound = constraints._value_bound(w_u, engine.blocks[0][2], w_v)
+                    assert max(map(abs, values.ravel().tolist())) <= bound
+        assert verdicts == {True, False}
+
+    def test_reduction_paths_are_taken(self):
+        rigs = _residue_rigs(2)
+        sizes = {}
+        for name in ("int", "height-1e6"):
+            rig = rigs[name]
+            u, v = _residue_inputs(rig, random.Random(f"{name}:2"))[0]
+            (w_u, _), _ = _engine(rig, Family.OCTIC_FULL)._cofactors((u, v))
+            sizes[name] = constraints._max_abs(w_u)
+        assert sizes["int"] < constraints._INT64_SAFE <= sizes["height-1e6"]
+
+    def test_too_few_primes_are_refused(self):
+        rig = random_rig(random.Random(547), 2)
+        x, y = unit_pair(random.Random(557))
+        u, v = forward_map(rig, x), forward_map(rig, y)
+        engine = _engine(rig, Family.OCTIC_FULL)
+        (w_u, _), (w_v, _) = engine._cofactors((u, v))
+        gram = engine.blocks[0][2]
+        bound = constraints._value_bound(w_u, gram, w_v)
+        primes = constraints._verdict_primes(bound)
+        sides = ((w_u, constraints._ROW_PAIRS), gram, (w_v, constraints._ROW_PAIRS))
+        assert constraints._residues_vanish(*sides, primes, bound)
+        # one prime decides alone when the bound is below it
+        assert constraints._residues_vanish(*sides, primes[:1], primes[0] - 1)
+        for fewer, limit in ((primes[:-1], bound), (primes[:1], bound), (primes, prod(primes))):
+            with pytest.raises(ValueError, match="does not exceed the"):
+                constraints._residues_vanish(*sides, fewer, limit)
+
+    def test_verdict_primes(self):
+        bound = 2 ** 1000
+        primes = constraints._verdict_primes(bound)
+        assert primes == sorted(set(primes), reverse=True)
+        assert primes[0] == 2 ** 29 - 3  # the largest prime below 2^29
+        assert all(p < 2 ** 29 and _is_probable_prime(p) for p in primes)
+        assert prod(primes[:-1]) <= bound < prod(primes)
+        assert constraints._verdict_primes(0) == []
+
+    def test_first_prime_settles_a_nonmember(self, monkeypatch):
+        rig = random_rig(random.Random(563), 3)
+        x, y = unit_pair(random.Random(569))
+        far = ProjectivePoint((y[0] + 1, y[1], y[2], y[3]))
+        calls = count_calls(monkeypatch, constraints, "_residue_nonzero")
+        assert not rigid_pair_by_equations(rig, forward_map(rig, x), forward_map(rig, far))
+        assert [len(c[3]) for c in calls] == [1]
+        # a member takes the first prime, then the rest at once
+        calls.clear()
+        assert rigid_pair_by_equations(rig, forward_map(rig, x), forward_map(rig, y))
+        assert len(calls) == 2 and len(calls[0][3]) == 1 and len(calls[1][3]) > 1
+
+    def test_epipole_pair_takes_no_prime(self, monkeypatch):
+        rig = random_rig(random.Random(571), 2)
+        u = forward_map(rig, ProjectivePoint(random_world_point(random.Random(577))))
+        ep = (rig.epipole(0, 1), rig.epipole(1, 0))
+        calls = count_calls(monkeypatch, constraints, "_residue_nonzero")
+        for family in (Family.OCTIC_FULL, Family.OCTIC_NINE):
+            assert rigid_pair_by_equations(rig, u, ep, family)
+        assert calls == []
+
+    def test_float_engine_refuses_the_residue_test(self):
+        rig = CameraRig([cam.matrix.to_float() for cam in random_rig(random.Random(587), 2).cameras])
+        u = (ProjectivePoint((1.0, 2.0, 3.0)), ProjectivePoint((4.0, 5.0, 7.0)))
+        with pytest.raises(BackendError):
+            _engine(rig, Family.OCTIC_NINE).vanishes((u, u))
 
 
 class TestGroupActions:

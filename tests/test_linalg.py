@@ -1,9 +1,10 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_adjugate, reference_det, reference_invert
@@ -323,11 +324,13 @@ class TestEliminationReferences:
         lambda n: st.lists(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=n,
                                     max_size=n), min_size=n, max_size=n)))
     @settings(max_examples=60, deadline=None)
+    # a row norm whose squares underflow: the first row's sum of squares is 0
+    @example(rows=[[0.0, 6.830866295121082e-250], [4.391465628484104e-42, 27.0]])
     def test_float_det_within_hadamard_bound(self, rows):
         m = Mat([[float(x) for x in r] for r in rows])
         hadamard = 1.0
         for r in m.data:
-            hadamard *= sum(x * x for x in r) ** 0.5
+            hadamard *= math.hypot(*r)
         got = det(m)
         assert type(got) is float
         assert abs(got - reference_det(m)) <= 1e-12 * hadamard

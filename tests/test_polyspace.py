@@ -7,14 +7,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import (random_rig, random_world_point, reference_coefficient_matrix_modp,
-                     reference_modp_failure_bound, reference_modp_rank, reference_octics,
-                     reference_quotient_failure_bound, standard_rig, wedge5)
+from helpers import (fraction_rig, random_rig, random_world_point,
+                     reference_coefficient_matrix_modp, reference_modp_failure_bound,
+                     reference_modp_rank, reference_octics, reference_quotient_failure_bound,
+                     scaled_rig, standard_rig, wedge5)
 from rigidview.cameras import CameraRig, ProjectivePoint, forward_map
 from rigidview.constraints import distance_form_squared, octic_value, polarize, unit_distance_form
 from rigidview.harness import _sub_seed
 from rigidview.harness import random_rig as harness_random_rig
-from rigidview.linalg import Mat, rank
+from rigidview.linalg import Mat
 from rigidview.polyspace import (
     PANEL_WIDTH,
     RANK_PRIME_COUNT,
@@ -183,16 +184,6 @@ def selections(pair_u, pair_v):
     return [(pair_u + ru, pair_v + rv) for ru in ROW_PAIRS for rv in ROW_PAIRS]
 
 
-def fraction_rig(rng, n=2):
-    while True:
-        mats = [Mat([[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(4)]
-                     for _ in range(3)]) for _ in range(n)]
-        if all(rank(m).rank == 3 for m in mats):
-            rig = CameraRig(mats)
-            if rig.general_position.ok:
-                return rig
-
-
 def assert_same_polys(got, want):
     """Equal term for term, with the same value type (int or Fraction)."""
     assert len(got) == len(want)
@@ -299,11 +290,6 @@ class TestCoefficientMatrix:
 RANK_PRIMES = [2, 3, 65521, 2 ** 31 - 1]
 
 
-def scaled_rig(rig, factor):
-    return CameraRig([Mat([[c * factor for c in row] for row in rig.camera(i).matrix.data])
-                      for i in range(rig.n)])
-
-
 @pytest.fixture(scope="module")
 def families():
     """The 441 octics and the (2,2,2,2) component of rigs that take every
@@ -320,29 +306,38 @@ def families():
             for name, rig in rigs.items()}
 
 
-def matrix_or_none(fn, polys, p):
+@pytest.fixture(scope="module")
+def family_terms(families):
+    """The term dicts of ``families``, derived once for the reference
+    helpers: ``terms`` is derived from the cleared row on every read."""
+    return {name: tuple([q.terms for q in polys] for polys in pair)
+            for name, pair in families.items()}
+
+
+def matrix_or_none(fn, polys, p, *terms):
     """The coefficient matrix, or None when p divides a denominator."""
     try:
-        return fn(polys, p)
+        return fn(polys, p, *terms)
     except ValueError as exc:
         assert "denominator" in str(exc)
         return None
 
 
-def assert_rows_match_reference(polys, p):
+def assert_rows_match_reference(polys, p, terms=None):
     """coefficient_matrix_modp equals the per-term reference row for row;
     where one route raises for a family, each row must raise on both routes
-    or on neither."""
+    or on neither.  ``terms`` may hold the polynomials' term dicts."""
+    terms = [q.terms for q in polys] if terms is None else terms
     got = matrix_or_none(coefficient_matrix_modp, polys, p)
-    want = matrix_or_none(reference_coefficient_matrix_modp, polys, p)
+    want = matrix_or_none(reference_coefficient_matrix_modp, polys, p, terms)
     if got is not None and want is not None:
         assert np.array_equal(got, want)
         return
-    for q in polys:
+    for q, t in zip(polys, terms):
         if q.is_zero():
             continue
         got = matrix_or_none(coefficient_matrix_modp, [q], p)
-        want = matrix_or_none(reference_coefficient_matrix_modp, [q], p)
+        want = matrix_or_none(reference_coefficient_matrix_modp, [q], p, [t])
         assert (got is None) == (want is None)
         if want is not None:
             assert np.array_equal(got, want)
@@ -364,12 +359,14 @@ class TestClearedRows:
     terms; the per-term reference is the independent route."""
 
     @pytest.mark.parametrize("p", RANK_PRIMES)
-    def test_families_match_reference(self, families, p):
-        for octics, component in families.values():
-            assert_rows_match_reference(octics, p)
-            assert_rows_match_reference(component, p)
+    def test_families_match_reference(self, families, family_terms, p):
+        for name, (octics, component) in families.items():
+            octic_terms, component_terms = family_terms[name]
+            assert_rows_match_reference(octics, p, octic_terms)
+            assert_rows_match_reference(component, p, component_terms)
         octics, component = families["int"]
-        assert_rows_match_reference(component + octics, p)
+        octic_terms, component_terms = family_terms["int"]
+        assert_rows_match_reference(component + octics, p, component_terms + octic_terms)
 
     @pytest.mark.parametrize("pair_u, pair_v", [((2, 0), (0, 1)), ((1, 0), (2, 1))])
     def test_reversed_camera_pairs_match_reference(self, pair_u, pair_v):
@@ -418,12 +415,15 @@ class TestClearedRows:
         assert np.array_equal(coefficient_matrix_modp(octics, 2),
                               reference_coefficient_matrix_modp(octics, 2))
 
-    def test_failure_bounds_equal_the_terms_reference(self, families):
-        for octics, component in families.values():
-            assert modp_failure_bound(octics) == reference_modp_failure_bound(octics)
-            assert modp_failure_bound(component) == reference_modp_failure_bound(component)
+    def test_failure_bounds_equal_the_terms_reference(self, families, family_terms):
+        for name, (octics, component) in families.items():
+            octic_terms, component_terms = family_terms[name]
+            assert modp_failure_bound(octics) == reference_modp_failure_bound(octics, octic_terms)
+            assert (modp_failure_bound(component)
+                    == reference_modp_failure_bound(component, component_terms))
             assert (quotient_failure_bound(octics, component)
-                    == reference_quotient_failure_bound(octics, component))
+                    == reference_quotient_failure_bound(octics, component,
+                                                        octic_terms, component_terms))
         polys = hand_built_polys()
         assert modp_failure_bound(polys) == reference_modp_failure_bound(polys)
 
