@@ -188,22 +188,16 @@ class GeneralPositionReport:
 
 
 class MembershipResult:
-    """Outcome of the consistency test for an image tuple.
+    """Outcome of the consistency test for an image tuple: ``ok`` is True
+    when the stacked multiview matrix has rank at most n + 3, and ``rank``
+    is that rank.  The world point and the scales come from
+    :func:`rigidview.triangulation.triangulate`."""
 
-    ``ok`` is True when the stacked system admits a world point; ``point`` is
-    the recovered world point when the kernel is one-dimensional, ``lambdas``
-    the per-camera scales, and ``zero_lambdas`` the cameras whose scale
-    vanished (the world point sits on that camera's focal plane limit).
-    """
+    __slots__ = ("ok", "rank")
 
-    __slots__ = ("ok", "rank", "point", "lambdas", "zero_lambdas")
-
-    def __init__(self, ok, rank, point=None, lambdas=None, zero_lambdas=()):
+    def __init__(self, ok, rank):
         self.ok = ok
         self.rank = rank
-        self.point = point
-        self.lambdas = lambdas
-        self.zero_lambdas = tuple(zero_lambdas)
 
     def __bool__(self):
         return self.ok
@@ -398,35 +392,17 @@ def multiview_membership(rig: CameraRig, points: Sequence[ProjectivePoint],
     """Test whether an image tuple is a consistent set of n views.
 
     Stacks the block rows [A_j | 0 .. u_j .. 0] into a 3n x (4+n) matrix;
-    the tuple is consistent exactly when the rank stays at most n+3, in
-    which case a kernel vector carries the world point and the scales.
+    the tuple is consistent exactly when its rank is at most n+3.  One
+    :func:`rigidview.linalg.rank` decides, with ``rig.tol`` when ``tol`` is
+    None; the world point and the scales come from triangulation.
     """
     n = rig.n
     if len(points) != n:
         raise ShapeError(f"expected {n} image points, got {len(points)}")
     if any(len(p) != 3 for p in points):
         raise ShapeError("image points have 3 coordinates")
-    stacked = _multiview_matrix(rig, range(n), points)
-    if tol is None:
-        tol = rig.tol
-    kern = nullspace(stacked, tol)
-    r = stacked.cols - len(kern)
-    if r > n + 3:
-        return MembershipResult(False, r)
-    if len(kern) != 1:
-        return MembershipResult(True, r)
-    v = kern[0]
-    world = v[:4]
-    if all(c == 0 for c in world):
-        return MembershipResult(True, r)
-    lambdas = tuple(-c for c in v[4:])
-    if rig.backend == EXACT:
-        zeros = tuple(j for j, lam in enumerate(lambdas) if lam == 0)
-    else:
-        scale = max(abs(c) for c in lambdas) or 1.0
-        cut = (tol if tol is not None else DEFAULT_RANK_TOL) * scale
-        zeros = tuple(j for j, lam in enumerate(lambdas) if abs(lam) <= cut)
-    return MembershipResult(True, r, ProjectivePoint(world), lambdas, zeros)
+    r = rank(_multiview_matrix(rig, range(n), points), rig.tol if tol is None else tol).rank
+    return MembershipResult(r <= n + 3, r)
 
 
 class RigidMotion:

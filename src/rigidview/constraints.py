@@ -611,14 +611,6 @@ def constraint_system(rig: CameraRig, family: Family | str, **params) -> Constra
     raise ValueError(f"unknown family {family}")
 
 
-def general_constraint_value(rig: CameraRig, form: BihomForm, u_sel, v_sel, u, v) -> Scalar:
-    """Evaluate a (d, e) form at two cofactor vectors (the diagonal
-    specialization: all d left slots take the same u-side vector)."""
-    (j1, k1, i), (j2, k2, kk) = u_sel, v_sel
-    return form.evaluate(wedge_table(rig, u, [(j1, k1)])[(j1, k1)][i],
-                         wedge_table(rig, v, [(j2, k2)])[(j2, k2)][kk])
-
-
 def coplanar_residuals(rig: CameraRig, tuples4, pairs=None, rows=None) -> list:
     """4x4 determinants of stacked cofactor vectors of four image tuples;
     all vanish when the four world points are coplanar."""

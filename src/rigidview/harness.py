@@ -298,7 +298,14 @@ def _scenario_map(rig, scenario, params):
     raise ValueError(f"unknown scenario {scenario}")
 
 
-def _chart_jacobian_rank(f, theta, step, tol):
+# numeric_dimension: feasible base points whose Jacobian ranks must agree,
+# the central-difference step, and the relative rank tolerance.
+DIMENSION_BASE_POINTS = 5
+DIMENSION_STEP = 1e-6
+DIMENSION_RANK_TOL = 1e-6
+
+
+def _chart_jacobian_rank(f, theta):
     base_imgs = f(theta)
     charts = []
     for w in base_imgs:
@@ -319,25 +326,24 @@ def _chart_jacobian_rank(f, theta, step, tol):
     cols = []
     for j in range(k):
         e = np.zeros(k)
-        e[j] = step
+        e[j] = DIMENSION_STEP
         plus = g(theta + e)
         minus = g(theta - e)
         if plus is None or minus is None:
             return None
-        cols.append((plus - minus) / (2 * step))
+        cols.append((plus - minus) / (2 * DIMENSION_STEP))
     jac = Mat(np.column_stack(cols).tolist())
-    return rank(jac, tol).rank
+    return rank(jac, DIMENSION_RANK_TOL).rank
 
 
 def numeric_dimension(rig: CameraRig, scenario: str, params: Optional[dict] = None,
-                      seed=0, base_points: int = 5, step: float = 1e-6,
-                      tol: float = 1e-6) -> int:
+                      seed=0) -> int:
     """Dimension of the image of a constrained configuration space.
 
     Parametrizes the scenario, pushes it through every camera into affine
     image charts, and returns the Jacobian rank (central differences) at
-    ``base_points`` random feasible base points.  All ranks must agree,
-    otherwise :class:`UnstableDimensionError` is raised.
+    :data:`DIMENSION_BASE_POINTS` random feasible base points.  All ranks
+    must agree, otherwise :class:`UnstableDimensionError` is raised.
     """
     if rig.backend != FLOAT:
         raise ValueError("numeric dimension estimates need a float rig")
@@ -345,12 +351,12 @@ def numeric_dimension(rig: CameraRig, scenario: str, params: Optional[dict] = No
     _, f, base = _scenario_map(rig, scenario, params or {})
     ranks = []
     attempts = 0
-    while len(ranks) < base_points and attempts < 20 * base_points:
+    while len(ranks) < DIMENSION_BASE_POINTS and attempts < 20 * DIMENSION_BASE_POINTS:
         attempts += 1
-        r = _chart_jacobian_rank(f, base(rng), step, tol)
+        r = _chart_jacobian_rank(f, base(rng))
         if r is not None:
             ranks.append(r)
-    if len(ranks) < base_points:
+    if len(ranks) < DIMENSION_BASE_POINTS:
         raise SamplingError("could not find enough feasible base points")
     if len(set(ranks)) != 1:
         raise UnstableDimensionError(ranks)
@@ -407,9 +413,14 @@ def _rotation_to(direction):
     return np.column_stack([m1, m2, -d])
 
 
-def refine_rigid_pair(rig: CameraRig, obs_u, obs_v, max_iter: int = 100,
-                      step_tol: float = 1e-10, damping: float = 1e-3,
-                      fd_step: float = 1e-7) -> RefineResult:
+# refine_rigid_pair: the step length below which it has converged, the
+# initial damping, and the central-difference step of the Jacobian.
+REFINE_STEP_TOL = 1e-10
+REFINE_DAMPING = 1e-3
+REFINE_FD_STEP = 1e-7
+
+
+def refine_rigid_pair(rig: CameraRig, obs_u, obs_v, max_iter: int = 100) -> RefineResult:
     """Local minimization of the summed squared reprojection error of a
     point pair subject to unit distance.
 
@@ -447,15 +458,15 @@ def refine_rigid_pair(rig: CameraRig, obs_u, obs_v, max_iter: int = 100,
     r = cost_vec(theta)
     initial_cost = float(r @ r)
     cost = initial_cost
-    lam = damping
+    lam = REFINE_DAMPING
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
         jac = np.empty((len(r), 5))
         for j in range(5):
             e = np.zeros(5)
-            e[j] = fd_step
-            jac[:, j] = (cost_vec(theta + e) - cost_vec(theta - e)) / (2 * fd_step)
+            e[j] = REFINE_FD_STEP
+            jac[:, j] = (cost_vec(theta + e) - cost_vec(theta - e)) / (2 * REFINE_FD_STEP)
         grad = jac.T @ r
         hess = jac.T @ jac
         stepped = False
@@ -476,7 +487,7 @@ def refine_rigid_pair(rig: CameraRig, obs_u, obs_v, max_iter: int = 100,
             lam *= 10
         if not stepped:
             break
-        if np.linalg.norm(delta) < step_tol:
+        if np.linalg.norm(delta) < REFINE_STEP_TOL:
             converged = True
             break
     x, y = unpack(theta)

@@ -25,6 +25,11 @@ from .cameras import (CameraRig, ProjectivePoint, _multiview_matrix, _reduced,
 from .linalg import EXACT, FLOAT, Mat, rank
 
 
+# Largest angular distance between two unit-scaled float candidates of the
+# witness pair that :func:`triangulate` accepts as one world point.
+CONSISTENCY_TOL = 1e-6
+
+
 class NotInVarietyError(ValueError):
     """The image tuple is not a consistent set of views."""
 
@@ -175,15 +180,14 @@ def _pair_scan(rig: CameraRig, points: Sequence[ProjectivePoint],
 
 
 def triangulate(rig: CameraRig, points: Sequence[ProjectivePoint],
-                tol: float | None = None,
-                consistency_tol: float = 1e-6) -> TriangulationSolution:
+                tol: float | None = None) -> TriangulationSolution:
     """Recover the world point behind a consistent image tuple.
 
     Takes the point and the scales from the :func:`is_triangulable` witness,
     and cross-checks every later nonzero row candidate of that pair, read
     from the witness's cofactor vectors: on the exact backend they must
     agree up to scale identically, on the float backend within
-    ``consistency_tol`` of angular distance.
+    :data:`CONSISTENCY_TOL` of angular distance.
     """
     witness = is_triangulable(rig, points, tol)
     if witness is None:
@@ -197,7 +201,7 @@ def triangulate(rig: CameraRig, points: Sequence[ProjectivePoint],
             if not _proportional_exact(point.coords, candidate.coords):
                 raise AmbiguousTriangulationError(
                     f"rows {witness.row} and {i} give different points")
-        elif _angular_distance(point.coords, candidate.coords) > consistency_tol:
+        elif _angular_distance(point.coords, candidate.coords) > CONSISTENCY_TOL:
             raise AmbiguousTriangulationError(
                 f"rows {witness.row} and {i} disagree beyond tolerance")
     w = witness.vector

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import count_calls
+from helpers import count_calls, fraction_rig
 from rigidview import cameras, linalg
 from rigidview.cameras import (
     Camera,
@@ -25,6 +25,7 @@ from rigidview.cameras import (
     rig_to_json,
 )
 from rigidview.linalg import Mat, det, rank
+from rigidview.triangulation import triangulate
 
 
 def standard_rig():
@@ -301,10 +302,9 @@ class TestMembership:
         for n in (2, 3, 4):
             rig = random_rig(rng, n)
             x = ProjectivePoint((3, -2, 5, 7))
-            res = multiview_membership(rig, forward_map(rig, x))
-            assert res.ok
-            assert res.point == x
-            assert res.zero_lambdas == ()
+            u = forward_map(rig, x)
+            assert multiview_membership(rig, u).ok
+            assert triangulate(rig, u).point == x
 
     def test_perturbed_float_tuple_rejected(self):
         a1 = Mat([[1.0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
@@ -325,9 +325,9 @@ class TestMembership:
         a2 = Mat([[1.0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]])
         rig = CameraRig([a1, a2])
         slid = (ProjectivePoint((0.0, 0.0, 1.0)), ProjectivePoint((1.0, 0.0, 1.01)))
-        res = multiview_membership(rig, slid, tol=1e-9)
-        assert res.ok
-        assert projectively_equal(res.point, ProjectivePoint((0.0, 0.0, 1.01, 1.0)), tol=1e-9)
+        assert multiview_membership(rig, slid, tol=1e-9).ok
+        point = triangulate(rig, slid, tol=1e-9).point
+        assert projectively_equal(point, ProjectivePoint((0.0, 0.0, 1.01, 1.0)), tol=1e-9)
 
     def test_epipole_pair_is_member_without_unique_point(self):
         rig = standard_rig()
@@ -335,7 +335,6 @@ class TestMembership:
         res = multiview_membership(rig, pair)
         assert res.ok
         assert res.rank == 4
-        assert res.point is None
 
     def test_random_nonmember_rejected(self):
         rng = random.Random(37)
@@ -349,17 +348,45 @@ class TestMembership:
 
     def test_zero_scale_flagged_at_focal_point_tuple(self):
         # views of the third camera's focal point: any third image point is
-        # consistent, with that camera's scale flagged as zero
+        # consistent, the third camera's scale being zero
         rng = random.Random(39)
         rig = random_rig(rng, 3)
         f2 = rig.focal_point(2)
         u = (rig.camera(0).project(f2), rig.camera(1).project(f2),
              ProjectivePoint((3, 1, 4)))
-        res = multiview_membership(rig, u)
-        assert res.ok
-        if res.point is not None:
-            assert res.point == f2
-            assert 2 in res.zero_lambdas
+        assert multiview_membership(rig, u).ok
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["int", "fraction", "float", "float_tol"])
+    def test_rank_decides_membership(self, monkeypatch, n, kind):
+        # .rank is the rank of the stacked multiview matrix, read by one rank
+        # call and no kernel, and .ok is rank <= n + 3
+        rng = random.Random(41 + n)
+        rig = fraction_rig(rng, n) if kind == "fraction" else random_rig(rng, n)
+        if kind.startswith("float"):
+            rig = CameraRig([Mat([[float(c) for c in row] for row in cam.matrix.data])
+                             for cam in rig.cameras], 1e-6 if kind == "float_tol" else None)
+        member = forward_map(rig, ProjectivePoint((3, -2, 5, 7)))
+        nonmember = member[:1] + (ProjectivePoint((1, 2, 3)),) + member[2:]
+        f = rig.focal_point(n - 1)
+        focal = (tuple(rig.camera(j).project(f) for j in range(n - 1))
+                 + (ProjectivePoint((3, 1, 4)),))
+        cases = [member, nonmember, focal]
+        if n == 2:
+            cases.append((rig.epipole(0, 1), rig.epipole(1, 0)))
+        if kind.startswith("float"):
+            cases = [tuple(p.to_float() for p in points) for points in cases]
+        for points in cases:
+            want = rank(cameras._multiview_matrix(rig, range(n), points), rig.tol).rank
+            ranks = count_calls(monkeypatch, cameras, "rank")
+            kernels = count_calls(monkeypatch, cameras, "nullspace")
+            res = multiview_membership(rig, points)
+            monkeypatch.undo()
+            assert len(ranks) == 1 and kernels == []
+            assert res.rank == want
+            assert res.ok == (want <= n + 3)
+        assert multiview_membership(rig, cases[0]).ok
+        assert not multiview_membership(rig, cases[1]).ok
 
 
 class TestOneElimination:

@@ -30,7 +30,6 @@ from rigidview.constraints import (
     constraint_system,
     coplanar_residuals,
     distance_form,
-    general_constraint_value,
     QuadTensor,
     octic_value,
     polarize,
@@ -761,31 +760,36 @@ class TestCoplanar:
 
 class TestGeneralForms:
     def test_unit_form_reproduces_octic_diagonal(self):
+        # GENERAL_DE lists ((j1, k1, i), (j2, k2, kk)) in the order OCTIC_NINE
+        # lists ((j1, k1, i, i), (j2, k2, kk, kk)), and with the unit-distance
+        # form every value is the same octic
         rng = random.Random(257)
-        rig = random_rig(rng, 2)
-        q = unit_distance_form()
-        t = polarize(q)
-        x, y = unit_pair(rng)
-        u, v = forward_map(rig, x), forward_map(rig, y)
-        for i in range(3):
-            direct = general_constraint_value(rig, q, (0, 1, i), (0, 1, i), u, v)
-            tensor = octic_value(rig, t, (0, 1, i, i), (0, 1, i, i), u, v)
-            assert direct == tensor
+        for n in (2, 3):
+            rig = random_rig(rng, n)
+            x, y = unit_pair(rng)
+            u, v = forward_map(rig, x), forward_map(rig, y)
+            far = forward_map(rig, ProjectivePoint(random_world_point(rng)))
+            general = constraint_system(rig, Family.GENERAL_DE, form=unit_distance_form())
+            nine = constraint_system(rig, Family.OCTIC_NINE)
+            assert [(a[:2] + a[2:] * 2, b[:2] + b[2:] * 2) for a, b in general.indices] \
+                == list(nine.indices)
+            assert general.evaluate(u, v) == nine.evaluate(u, v)
+            assert general.evaluate(u, far) == nine.evaluate(u, far)
+            assert any(value != 0 for value in general.evaluate(u, far))
 
     def test_degree_one_one_form(self):
         rng = random.Random(263)
         rig = random_rig(rng, 2)
         q = BihomForm((1, 1), {((0, 0, 0, 1), (0, 0, 0, 1)): 1})
+        system = constraint_system(rig, Family.GENERAL_DE, form=q)
         # images of ideal points make the fourth wedge coordinate vanish
         x = ProjectivePoint((1, 2, 3, 0))
         y = ProjectivePoint((2, -1, 1, 1))
         u, v = forward_map(rig, x), forward_map(rig, y)
-        assert general_constraint_value(rig, q, (0, 1, 0), (0, 1, 0), u, v) == 0
+        assert system.evaluate(u, v)[0] == 0
         y2 = ProjectivePoint(random_world_point(rng))
         v2 = forward_map(rig, y2)
-        vals = [general_constraint_value(rig, q, (0, 1, i), (0, 1, i),
-                                         forward_map(rig, ProjectivePoint((1, 2, 3, 1))), v2)
-                for i in range(6)]
+        vals = system.evaluate(forward_map(rig, ProjectivePoint((1, 2, 3, 1))), v2)
         assert any(val != 0 for val in vals)
 
     def test_coordinate_difference_form(self):
@@ -793,11 +797,13 @@ class TestGeneralForms:
         rig = random_rig(rng, 2)
         q = BihomForm((1, 1), {((1, 0, 0, 0), (0, 0, 0, 1)): 1,
                                ((0, 0, 0, 1), (1, 0, 0, 0)): -1})
+        system = constraint_system(rig, Family.GENERAL_DE, form=q)
         x = ProjectivePoint((5, 1, 2, 1))
         y = ProjectivePoint((5, -3, 7, 1))
         u, v = forward_map(rig, x), forward_map(rig, y)
+        values = dict(zip(system.indices, system.evaluate(u, v)))
         for i in range(2):
-            assert general_constraint_value(rig, q, (0, 1, i), (0, 1, i), u, v) == 0
+            assert values[((0, 1, i), (0, 1, i))] == 0
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("form", [
@@ -819,8 +825,6 @@ class TestGeneralForms:
             expected.append(form.evaluate(wedge5(bu, i)[:4], wedge5(bv, kk)[:4]))
         assert system.evaluate(u, v) == expected
         assert any(value != 0 for value in expected)
-        for (u_sel, v_sel), value in zip(system.indices, expected):
-            assert general_constraint_value(rig, form, u_sel, v_sel, u, v) == value
 
     def test_general_system_count(self):
         rng = random.Random(271)
