@@ -85,8 +85,7 @@ def _cmd_triangulate(args) -> int:
     _emit({
         "point": _point_json(sol.point),
         "lambdas": [encode_scalar(l) if not isinstance(l, float) else l for l in sol.lambdas],
-        "witness": {"pair": [sol.witness.j, sol.witness.k], "row": sol.witness.row},
-        "rank_of_b": sol.rank_of_b,
+        "witness": {"pair": list(sol.pair), "row": sol.row},
     }, args)
     return 0
 

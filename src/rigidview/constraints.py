@@ -24,7 +24,7 @@ import numpy as np
 from .cameras import (CameraRig, ProjectivePoint, _multiview_matrix, _reduced,
                       camera_minor_table, multiview_membership)
 from .linalg import (EXACT, BackendError, Mat, Scalar, ShapeError, _cleared, _is_probable_prime,
-                     adjugate, det, encode_scalar)
+                     adjugate, det)
 from .triangulation import (AmbiguousTriangulationError, NotInVarietyError,
                             NotTriangulableError, _proportional_exact, cofactor_vectors,
                             triangulate)
@@ -365,7 +365,10 @@ class OcticEngine:
     def _cofactors(self, tuples) -> list:
         """Per image tuple, its cofactor vectors as an array of shape
         (camera pairs, 6, 4), and on the exact backend the factor each camera
-        pair's vectors were multiplied by (None on floats)."""
+        pair's vectors were multiplied by (None on floats).  Raises
+        :class:`ShapeError` unless there is one tuple per row set."""
+        if len(tuples) != len(self.row_sets):
+            raise ShapeError(f"expected {len(self.row_sets)} image tuples, got {len(tuples)}")
         if any((p.backend == EXACT) != self.exact for points in tuples for p in points):
             raise BackendError("image points and rig must share one scalar backend")
         out = []
@@ -461,8 +464,6 @@ def _camera_pairs(n):
 
 
 _OCTIC_FAMILIES = (Family.OCTIC_FULL, Family.OCTIC_NINE, Family.OCTIC_SIXTEEN)
-_TRILINEAR_POSITION = {rowset: pos for pos, rowset
-                       in enumerate(itertools.combinations(range(9), 7))}
 
 
 def _octic_row_set(n: int, family: Family):
@@ -480,153 +481,109 @@ def _octic_row_set(n: int, family: Family):
 class ConstraintSystem:
     """An enumerable, evaluable family of constraint polynomials for a rig.
 
-    ``indices`` lists one entry per evaluator; ``evaluate`` returns the
-    values in the same order.  Pair families evaluate on (u, v); the
+    ``indices`` lists one entry per polynomial; ``evaluate`` calls the
+    ``evaluator`` that :func:`constraint_system` built with them, which
+    returns the values in the same order.  Pair families evaluate on (u, v); the
     coplanar family on four tuples; the pairwise-distance family on three.
     """
 
-    __slots__ = ("rig", "family", "indices", "params")
+    __slots__ = ("rig", "family", "indices", "evaluator")
 
-    def __init__(self, rig, family, indices, params):
+    def __init__(self, rig, family, indices, evaluator):
         self.rig = rig
         self.family = family
         self.indices = tuple(indices)
-        self.params = params
+        self.evaluator = evaluator
 
     def __len__(self):
         return len(self.indices)
 
     def evaluate(self, *tuples) -> list:
-        fam = self.family
-        rig = self.rig
-        if fam in _OCTIC_FAMILIES or fam == Family.PAIRWISE_DISTANCE:
-            return self.params["engine"].evaluate(tuples)
-        if fam == Family.MULTIVIEW_BILINEAR:
-            u, v = tuples
-            out = []
-            for side, j, k in self.indices:
-                pts = u if side == "u" else v
-                f_u = rig.fundamental(j, k).apply(pts[k].coords)
-                out.append(_reduced(sum(a * b for a, b in zip(pts[j].coords, f_u))))
-            return out
-        if fam == Family.MULTIVIEW_TRILINEAR:
-            u, v = tuples
-            cache = {}
-            out = []
-            for side, (j, k, l), minor in self.indices:
-                pts = u if side == "u" else v
-                key = (side, j, k, l)
-                if key not in cache:
-                    cache[key] = trilinear_residuals(rig, j, k, l, pts[j], pts[k], pts[l])
-                out.append(cache[key][_TRILINEAR_POSITION[minor]])
-            return out
-        if fam == Family.COPLANAR:
-            return coplanar_residuals(rig, tuples, self.params["pairs"], self.params["rows"])
-        if fam == Family.GENERAL_DE:
-            u, v = tuples
-            pairs = _camera_pairs(rig.n)
-            wu, wv = wedge_table(rig, u, pairs), wedge_table(rig, v, pairs)
-            form = self.params["form"]
-            return [form.evaluate(wu[(j1, k1)][i], wv[(j2, k2)][kk])
-                    for (j1, k1, i), (j2, k2, kk) in self.indices]
-        raise ValueError(f"unknown family {fam}")
-
-    def evaluate_report(self, *tuples) -> list:
-        vals = self.evaluate(*tuples)
-        return [{"indices": _index_json(idx), "value": encode_scalar(v) if not isinstance(v, float) else v}
-                for idx, v in zip(self.indices, vals)]
-
-    def to_json(self) -> dict:
-        return {"family": self.family.value, "indices": [_index_json(i) for i in self.indices]}
+        return self.evaluator(*tuples)
 
     def __repr__(self):
         return f"ConstraintSystem(family={self.family.value}, size={len(self)})"
 
 
-def _index_json(idx):
-    if isinstance(idx, tuple):
-        return [_index_json(x) for x in idx]
-    return idx
-
-
 def constraint_system(rig: CameraRig, family: Family | str, **params) -> ConstraintSystem:
-    """Build the evaluator family of the given tag.
+    """Build the constraint family of the given tag: its indices and its
+    evaluator.
 
     Octic families take an optional ``form`` (default: unit distance); the
-    pairwise family needs ``d12, d13, d23``; the coplanar family accepts
-    per-tuple camera ``pairs`` and ``rows``; the general family needs a
-    bihomogeneous ``form``.
+    pairwise family needs ``d12, d13, d23`` or their squares ``s12, s13,
+    s23``; the general family needs a bihomogeneous ``form``.
     """
     family = Family(family)
     if family in _OCTIC_FAMILIES:
-        form = params.get("form") or unit_distance_form()
-        tensor = polarize(form)
         row_set = _octic_row_set(rig.n, family)
+        tensor = polarize(params.get("form") or unit_distance_form())
+        engine = OcticEngine(rig, (row_set, row_set), [(0, 1, tensor)])
         return ConstraintSystem(rig, family, _row_set_indices(row_set, row_set),
-                                {"form": form, "tensor": tensor,
-                                 "engine": OcticEngine(rig, (row_set, row_set), [(0, 1, tensor)])})
+                                lambda *tuples: engine.evaluate(tuples))
     if family == Family.MULTIVIEW_BILINEAR:
-        idx = [("u", j, k) for j, k in _camera_pairs(rig.n)]
-        idx += [("v", j, k) for j, k in _camera_pairs(rig.n)]
-        return ConstraintSystem(rig, family, idx, {})
+        pairs = _camera_pairs(rig.n)
+
+        def bilinear(u, v):
+            out = []
+            for pts in (u, v):
+                for j, k in pairs:
+                    f_u = rig.fundamental(j, k).apply(pts[k].coords)
+                    out.append(_reduced(sum(a * b for a, b in zip(pts[j].coords, f_u))))
+            return out
+        return ConstraintSystem(rig, family, [(side, j, k) for side in "uv" for j, k in pairs],
+                                bilinear)
     if family == Family.MULTIVIEW_TRILINEAR:
         if rig.n < 3:
             raise ValueError("trilinear constraints need at least three cameras")
-        idx = []
-        for side in ("u", "v"):
-            for trip in itertools.combinations(range(rig.n), 3):
-                for rowset in itertools.combinations(range(9), 7):
-                    idx.append((side, trip, rowset))
-        return ConstraintSystem(rig, family, idx, {})
+        triples = list(itertools.combinations(range(rig.n), 3))
+
+        def trilinear(u, v):
+            return [r for pts in (u, v) for j, k, l in triples
+                    for r in trilinear_residuals(rig, j, k, l, pts[j], pts[k], pts[l])]
+        return ConstraintSystem(rig, family,
+                                [(side, trip, rowset) for side in "uv" for trip in triples
+                                 for rowset in itertools.combinations(range(9), 7)],
+                                trilinear)
     if family == Family.COPLANAR:
-        pairs = params.get("pairs") or (((0, 1),) * 4)
-        rows = params.get("rows") or (tuple(range(6)),) * 4
-        idx = [(i, j, k, l) for i in rows[0] for j in rows[1] for k in rows[2] for l in rows[3]]
-        return ConstraintSystem(rig, family, idx, {"pairs": tuple(pairs), "rows": tuple(rows)})
+        return ConstraintSystem(rig, family, itertools.product(range(6), repeat=4),
+                                lambda *tuples: coplanar_residuals(rig, tuples))
     if family == Family.PAIRWISE_DISTANCE:
         if "s12" in params:
-            forms = {(0, 1): distance_form_squared(params["s12"]),
-                     (0, 2): distance_form_squared(params["s13"]),
-                     (1, 2): distance_form_squared(params["s23"])}
+            forms = [distance_form_squared(params[s]) for s in ("s12", "s13", "s23")]
         else:
-            forms = {(0, 1): distance_form(params["d12"]),
-                     (0, 2): distance_form(params["d13"]),
-                     (1, 2): distance_form(params["d23"])}
+            forms = [distance_form(params[d]) for d in ("d12", "d13", "d23")]
         row_set = _octic_row_set(rig.n, Family.OCTIC_NINE)
-        tensors = {key: polarize(f) for key, f in forms.items()}
-        idx = [(pts,) + sel for pts in tensors for sel in _row_set_indices(row_set, row_set)]
-        engine = OcticEngine(rig, (row_set,) * 3,
-                             [(a, b, tensor) for (a, b), tensor in tensors.items()])
-        return ConstraintSystem(rig, family, idx,
-                                {"forms": forms, "tensors": tensors, "engine": engine})
+        blocks = [(a, b, polarize(f)) for (a, b), f in zip(_camera_pairs(3), forms)]
+        engine = OcticEngine(rig, (row_set,) * 3, blocks)
+        return ConstraintSystem(rig, family,
+                                [((a, b),) + sel for a, b, _ in blocks
+                                 for sel in _row_set_indices(row_set, row_set)],
+                                lambda *tuples: engine.evaluate(tuples))
     if family == Family.GENERAL_DE:
         form = params["form"]
         if form.bidegree == (0, 0):
             raise ValueError("bidegree must be positive")
-        cam_pairs = _camera_pairs(rig.n)
+        pairs = _camera_pairs(rig.n)
         idx = [((j1, k1, i), (j2, k2, kk))
-               for (j1, k1) in cam_pairs for (j2, k2) in cam_pairs
+               for (j1, k1) in pairs for (j2, k2) in pairs
                for i in range(3) for kk in range(3)]
-        return ConstraintSystem(rig, family, idx, {"form": form})
+
+        def general(u, v):
+            wu, wv = wedge_table(rig, u, pairs), wedge_table(rig, v, pairs)
+            return [form.evaluate(wu[(j1, k1)][i], wv[(j2, k2)][kk])
+                    for (j1, k1, i), (j2, k2, kk) in idx]
+        return ConstraintSystem(rig, family, idx, general)
     raise ValueError(f"unknown family {family}")
 
 
-def coplanar_residuals(rig: CameraRig, tuples4, pairs=None, rows=None) -> list:
-    """4x4 determinants of stacked cofactor vectors of four image tuples;
-    all vanish when the four world points are coplanar."""
+def coplanar_residuals(rig: CameraRig, tuples4) -> list:
+    """4x4 determinants of stacked cofactor vectors of camera pair (0, 1),
+    one for every choice of row in each of four image tuples; all vanish
+    when the four world points are coplanar."""
     if len(tuples4) != 4:
         raise ShapeError("need exactly four image tuples")
-    pairs = pairs or ((0, 1),) * 4
-    rows = rows or (tuple(range(6)),) * 4
-    tables = [wedge_table(rig, t, [p])[p] for t, p in zip(tuples4, pairs)]
-    out = []
-    for i in rows[0]:
-        for j in rows[1]:
-            for k in rows[2]:
-                for l in rows[3]:
-                    cols = [tables[0][i], tables[1][j], tables[2][k], tables[3][l]]
-                    out.append(det(Mat.from_cols(cols)))
-    return out
+    tables = [wedge_table(rig, t, [(0, 1)])[(0, 1)] for t in tuples4]
+    return [det(Mat.from_cols(cols)) for cols in itertools.product(*tables)]
 
 
 DEFAULT_VANISH_TOL = 1e-7

@@ -113,17 +113,23 @@ def stereo_direction(p, q) -> tuple:
     return (2 * p / s, 2 * q / s, (p * p + q * q - 1) / s)
 
 
-def sample_unit_pair(seed, bound: int = 100):
+# Height of the rationals the pair samplers draw: the first point's
+# coordinates and the sphere parameters have numerators in
+# [-SAMPLE_BOUND, SAMPLE_BOUND] and denominators in [1, SAMPLE_BOUND].
+SAMPLE_BOUND = 100
+
+
+def sample_unit_pair(seed):
     """Pair of affine rational world points at exact unit distance."""
-    return sample_scaled_pair(seed, 1, bound)
+    return sample_scaled_pair(seed, 1)
 
 
-def sample_scaled_pair(seed, t, bound: int = 100):
+def sample_scaled_pair(seed, t):
     """Pair at exact distance |t| (squared distance t^2)."""
     rng = _as_rng(seed)
-    x = random_affine_point(rng, bound)
-    p = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-    q = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+    x = random_affine_point(rng, SAMPLE_BOUND)
+    p = Fraction(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND), rng.randint(1, SAMPLE_BOUND))
+    q = Fraction(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND), rng.randint(1, SAMPLE_BOUND))
     direction = stereo_direction(p, q)
     y = tuple(a + Fraction(t) * b for a, b in zip(x.coords[:3], direction)) + (Fraction(1),)
     return x, ProjectivePoint(y)
@@ -154,19 +160,18 @@ def _sample_images(rig: CameraRig, rng, draw, what: str):
     raise SamplingError(f"could not sample a {what}")
 
 
-def sample_member_pair(rig: CameraRig, seed, bound: int = 100):
+def sample_member_pair(rig: CameraRig, seed):
     """Unit-distance world pair whose images are both triangulable; returns
     (u, v, x, y) with integer-cleared image tuples."""
-    return _sample_images(rig, _as_rng(seed), lambda rng: sample_unit_pair(rng, bound),
-                          "triangulable member pair")
+    return _sample_images(rig, _as_rng(seed), sample_unit_pair, "triangulable member pair")
 
 
-def sample_nonmember_pair(rig: CameraRig, seed, bound: int = 100):
+def sample_nonmember_pair(rig: CameraRig, seed):
     """World pair at distance != 1 (images lie in the consistency variety
     but violate the unit-distance constraint)."""
     def draw(rng):
         t = Fraction(rng.randint(2, 10), rng.randint(1, 3))
-        return None if t == 1 else sample_scaled_pair(rng, t, bound)
+        return None if t == 1 else sample_scaled_pair(rng, t)
     return _sample_images(rig, _as_rng(seed), draw, "nonmember pair")
 
 
@@ -256,7 +261,7 @@ def _scenario_map(rig, scenario, params):
         def base(rng):
             return np.array([rng.uniform(-1, 1) for _ in range(3)]
                             + [rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8)])
-        return 5, f, base
+        return f, base
     if scenario == SCENARIO_COPLANAR_4:
         def f(theta):
             alpha, beta, c = theta[0], theta[1], theta[2]
@@ -271,7 +276,7 @@ def _scenario_map(rig, scenario, params):
             return np.array([rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6),
                              rng.uniform(0.8, 1.6)]
                             + [rng.uniform(-1, 1) for _ in range(8)])
-        return 11, f, base
+        return f, base
     if scenario == SCENARIO_PAIRWISE_3:
         d12, d13, d23 = (float(params["d12"]), float(params["d13"]),
                          float(params["d23"]))
@@ -294,7 +299,7 @@ def _scenario_map(rig, scenario, params):
             return np.array([rng.uniform(-1, 1) for _ in range(3)]
                             + [rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7),
                                rng.uniform(0, 2 * math.pi)])
-        return 6, f, base
+        return f, base
     raise ValueError(f"unknown scenario {scenario}")
 
 
@@ -348,7 +353,7 @@ def numeric_dimension(rig: CameraRig, scenario: str, params: Optional[dict] = No
     if rig.backend != FLOAT:
         raise ValueError("numeric dimension estimates need a float rig")
     rng = _as_rng(seed)
-    _, f, base = _scenario_map(rig, scenario, params or {})
+    f, base = _scenario_map(rig, scenario, params or {})
     ranks = []
     attempts = 0
     while len(ranks) < DIMENSION_BASE_POINTS and attempts < 20 * DIMENSION_BASE_POINTS:
@@ -666,7 +671,7 @@ def _exp_epipole(config, seed):
         if rank(b.mat).rank != 4:
             failures.append({"rig": idx, "reason": "epipole pair rank != 4"})
             continue
-        if is_triangulable(rig, ep) is not None:
+        if is_triangulable(rig, ep):
             failures.append({"rig": idx, "reason": "epipole pair triangulable"})
             continue
         octics = constraint_system(rig, Family.OCTIC_FULL)

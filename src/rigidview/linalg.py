@@ -33,14 +33,6 @@ class ShapeError(ValueError):
     """Matrix dimensions do not fit the requested operation."""
 
 
-class NullityError(ValueError):
-    """The kernel does not have the dimension the caller required."""
-
-    def __init__(self, message: str, nullity: int):
-        super().__init__(message)
-        self.nullity = nullity
-
-
 def encode_scalar(x: Scalar):
     """JSON form of a scalar: rationals become 'p/q' strings, floats stay numbers."""
     if isinstance(x, float):
@@ -379,14 +371,6 @@ def nullspace(m: Mat, tol: float | None = None) -> list[tuple]:
         norm = max(abs(x) for x in w)
         basis.append(tuple(x / norm for x in w))
     return basis
-
-
-def kernel_vector(m: Mat, tol: float | None = None) -> tuple:
-    """The kernel representative of a matrix whose nullity is exactly 1."""
-    basis = nullspace(m, tol)
-    if len(basis) != 1:
-        raise NullityError(f"nullity is {len(basis)}, expected exactly 1", len(basis))
-    return basis[0]
 
 
 def integer_cleared(vec: Sequence[Scalar]) -> tuple:

@@ -43,62 +43,33 @@ class AmbiguousTriangulationError(ValueError):
 
 
 class BMatrix:
-    """The 6x6 triangulation matrix of a camera pair with its source data."""
+    """The 6x6 triangulation matrix of a camera pair."""
 
-    __slots__ = ("mat", "j", "k", "u_j", "u_k")
+    __slots__ = ("mat",)
 
-    def __init__(self, mat: Mat, j: int, k: int, u_j: ProjectivePoint, u_k: ProjectivePoint):
+    def __init__(self, mat: Mat):
         self.mat = mat
-        self.j = j
-        self.k = k
-        self.u_j = u_j
-        self.u_k = u_k
-
-    def __repr__(self):
-        return f"BMatrix(pair=({self.j}, {self.k}))"
-
-
-class TriangulationWitness:
-    """The first camera pair, in lexicographic order, whose B has rank 5, and
-    the first row of that B whose cofactor vector gives a world point; with
-    B, the row's cofactor vector (the signed maximal minors of B without
-    that row), the point, and the first four coordinates of all six of the
-    pair's cofactor vectors."""
-
-    __slots__ = ("j", "k", "row", "b", "vector", "point", "vectors")
-
-    def __init__(self, j: int, k: int, row: int, b: BMatrix, vector: tuple,
-                 point: ProjectivePoint, vectors: list):
-        self.j = j
-        self.k = k
-        self.row = row
-        self.b = b
-        self.vector = vector
-        self.point = point
-        self.vectors = vectors
-
-    def __repr__(self):
-        return f"TriangulationWitness(pair=({self.j}, {self.k}), row={self.row})"
 
 
 class TriangulationSolution:
-    """Recovered world point with the scales of the witness pair.
+    """Recovered world point with the scales of the witness pair: the first
+    camera pair, in lexicographic order, whose B has rank 5, and the first
+    row of that B whose cofactor vector gives a world point.
 
     The stored representatives satisfy A_j X = lambda_j u_j and
     A_k X = lambda_k u_k exactly on the exact backend.
     """
 
-    __slots__ = ("point", "lambdas", "witness", "rank_of_b")
+    __slots__ = ("point", "lambdas", "pair", "row")
 
-    def __init__(self, point: ProjectivePoint, lambdas: tuple,
-                 witness: TriangulationWitness, rank_of_b: int):
+    def __init__(self, point: ProjectivePoint, lambdas: tuple, pair: tuple, row: int):
         self.point = point
         self.lambdas = lambdas
-        self.witness = witness
-        self.rank_of_b = rank_of_b
+        self.pair = pair
+        self.row = row
 
     def __repr__(self):
-        return f"TriangulationSolution(point={self.point!r}, witness={self.witness!r})"
+        return f"TriangulationSolution(point={self.point!r}, pair={self.pair}, row={self.row})"
 
 
 def assemble_b(rig: CameraRig, j: int, k: int,
@@ -106,7 +77,7 @@ def assemble_b(rig: CameraRig, j: int, k: int,
     """Build the 6x6 block matrix [A_j u_j 0; A_k 0 u_k]."""
     if j == k:
         raise ValueError("camera indices must differ")
-    return BMatrix(_multiview_matrix(rig, (j, k), (u_j, u_k)), j, k, u_j, u_k)
+    return BMatrix(_multiview_matrix(rig, (j, k), (u_j, u_k)))
 
 
 def cofactor_vectors(table: np.ndarray, u_j: Sequence, u_k: Sequence) -> np.ndarray:
@@ -139,28 +110,26 @@ def _scale(camera, x, u, exact: bool):
 
 
 def is_triangulable(rig: CameraRig, points: Sequence[ProjectivePoint],
-                    tol: float | None = None) -> Optional[TriangulationWitness]:
-    """Find a camera pair whose triangulation matrix has rank 5, together
-    with a row index giving a nonzero recovered point (see
-    :func:`_pair_scan`).  Returns the witness, or None when every pair
-    degenerates (for two cameras this happens exactly at the epipole pair).
-    Raises :class:`NotInVarietyError` when the tuple is not consistent.
+                    tol: float | None = None) -> bool:
+    """Whether some camera pair's triangulation matrix has rank 5 with a row
+    giving a nonzero recovered point (see :func:`_pair_scan`).  False when
+    every pair degenerates (for two cameras this happens exactly at the
+    epipole pair).  Raises :class:`NotInVarietyError` when the tuple is not
+    consistent.
     """
     if not multiview_membership(rig, points, tol).ok:
         raise NotInVarietyError("tuple fails the consistency rank test")
-    return _pair_scan(rig, points, tol)
+    return _pair_scan(rig, points, tol) is not None
 
 
-def _pair_scan(rig: CameraRig, points: Sequence[ProjectivePoint],
-               tol: float | None = None) -> Optional[TriangulationWitness]:
+def _pair_scan(rig: CameraRig, points: Sequence[ProjectivePoint], tol: float | None = None):
     """The witness scan of :func:`is_triangulable` on a tuple known to be
-    consistent.
+    consistent: ``(pair, row, B, vectors)``, or None when no pair has one.
 
     Scans camera pairs lexicographically, building each pair's B and taking
-    its rank once.  For a rank-5 pair it reads all six cofactor vectors from
-    the pair's :func:`camera_minor_table` and takes the first row, in order,
-    whose vector gives a nonzero point; the scales come from A_j X =
-    lambda_j u_j and A_k X = lambda_k u_k.  None when no pair has one.
+    its rank once.  For a rank-5 pair it reads the first four coordinates of
+    all six cofactor vectors from the pair's :func:`camera_minor_table` and
+    takes the first row, in order, whose vector gives a nonzero point.
     """
     for j, k in combinations(range(rig.n), 2):
         b = assemble_b(rig, j, k, points[j], points[k])
@@ -169,13 +138,8 @@ def _pair_scan(rig: CameraRig, points: Sequence[ProjectivePoint],
         vectors = cofactor_vectors(camera_minor_table(rig, j, k),
                                    points[j].coords, points[k].coords).tolist()
         for i, w in enumerate(vectors):
-            point = _cofactor_point(b, w, tol)
-            if point is not None:
-                exact = b.mat.backend == EXACT
-                x = tuple(map(_reduced, w))
-                lambdas = tuple(_scale(rig.camera(cam), x, points[cam], exact) for cam in (j, k))
-                return TriangulationWitness(j, k, i, b, x + tuple(-s for s in lambdas),
-                                            ProjectivePoint(x), vectors)
+            if _cofactor_point(b, w, tol) is not None:
+                return (j, k), i, b, vectors
     return None
 
 
@@ -183,30 +147,32 @@ def triangulate(rig: CameraRig, points: Sequence[ProjectivePoint],
                 tol: float | None = None) -> TriangulationSolution:
     """Recover the world point behind a consistent image tuple.
 
-    Takes the point and the scales from the :func:`is_triangulable` witness,
-    and cross-checks every later nonzero row candidate of that pair, read
-    from the witness's cofactor vectors: on the exact backend they must
-    agree up to scale identically, on the float backend within
-    :data:`CONSISTENCY_TOL` of angular distance.
+    Takes the point from the witness row of :func:`_pair_scan` and the
+    scales from A_j X = lambda_j u_j and A_k X = lambda_k u_k, and
+    cross-checks every later nonzero row candidate of that pair: on the
+    exact backend they must agree up to scale identically, on the float
+    backend within :data:`CONSISTENCY_TOL` of angular distance.
     """
-    witness = is_triangulable(rig, points, tol)
-    if witness is None:
+    if not multiview_membership(rig, points, tol).ok:
+        raise NotInVarietyError("tuple fails the consistency rank test")
+    scan = _pair_scan(rig, points, tol)
+    if scan is None:
         raise NotTriangulableError("no camera pair has a rank-5 triangulation matrix")
-    point = witness.point
-    for i in range(witness.row + 1, 6):
-        candidate = _cofactor_point(witness.b, witness.vectors[i], tol)
+    pair, row, b, vectors = scan
+    exact = b.mat.backend == EXACT
+    x = tuple(map(_reduced, vectors[row]))
+    point = ProjectivePoint(x)
+    for i in range(row + 1, 6):
+        candidate = _cofactor_point(b, vectors[i], tol)
         if candidate is None:
             continue
-        if witness.b.mat.backend == EXACT:
-            if not _proportional_exact(point.coords, candidate.coords):
-                raise AmbiguousTriangulationError(
-                    f"rows {witness.row} and {i} give different points")
-        elif _angular_distance(point.coords, candidate.coords) > CONSISTENCY_TOL:
-            raise AmbiguousTriangulationError(
-                f"rows {witness.row} and {i} disagree beyond tolerance")
-    w = witness.vector
-    # the witness scan has already found rank(B) = 5
-    return TriangulationSolution(point, (-w[4], -w[5]), witness, 5)
+        if exact:
+            if not _proportional_exact(x, candidate.coords):
+                raise AmbiguousTriangulationError(f"rows {row} and {i} give different points")
+        elif _angular_distance(x, candidate.coords) > CONSISTENCY_TOL:
+            raise AmbiguousTriangulationError(f"rows {row} and {i} disagree beyond tolerance")
+    lambdas = tuple(_scale(rig.camera(cam), x, points[cam], exact) for cam in pair)
+    return TriangulationSolution(point, lambdas, pair, row)
 
 
 def _proportional_exact(a, b) -> bool:

@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from rigidview.cameras import ProjectivePoint, rig_from_json
 from rigidview.cli import main
+from rigidview.linalg import decode_scalar, encode_scalar
+from rigidview.triangulation import triangulate
 
 
 def run_cli(capsys, *argv):
@@ -50,6 +53,19 @@ class TestProjectTriangulate:
         from fractions import Fraction
         vals = [Fraction(c) for c in got]
         assert vals[0] * 1 == vals[3] * 2 and vals[1] == -vals[3]
+
+    def test_triangulate_record(self, rig_file, capsys):
+        code, doc = run_cli(capsys, "project", "--rig", rig_file, "--point", "[2, -1, 3, 1]")
+        images = doc["images"]
+        code, record = run_cli(capsys, "triangulate", "--rig", rig_file,
+                               "--tuple", json.dumps(images))
+        assert code == 0
+        assert set(record) == {"point", "lambdas", "witness"}
+        assert set(record["witness"]) == {"pair", "row"}
+        rig = rig_from_json(json.loads(open(rig_file).read()))
+        sol = triangulate(rig, tuple(ProjectivePoint(decode_scalar(c) for c in p) for p in images))
+        assert record["witness"] == {"pair": list(sol.pair), "row": sol.row}
+        assert record["lambdas"] == [encode_scalar(s) for s in sol.lambdas]
 
     def test_triangulate_nonmember_exits_nonzero(self, rig_file, capsys):
         code, doc = run_cli(capsys, "triangulate", "--rig", rig_file,

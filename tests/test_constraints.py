@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 from math import prod
@@ -30,6 +31,7 @@ from rigidview.constraints import (
     constraint_system,
     coplanar_residuals,
     distance_form,
+    distance_form_squared,
     QuadTensor,
     octic_value,
     polarize,
@@ -41,7 +43,7 @@ from rigidview.constraints import (
     unit_distance_form,
 )
 from rigidview import constraints, triangulation
-from rigidview.linalg import BackendError, Mat, _is_probable_prime, det
+from rigidview.linalg import BackendError, Mat, ShapeError, _is_probable_prime, det
 from rigidview.triangulation import assemble_b, camera_minor_table, cofactor_vectors
 
 
@@ -217,9 +219,12 @@ def _image_tuples(coord, n, count):
                     min_size=count, max_size=count)
 
 
-def reference_values(system, tuples):
-    """Per-index reference: QuadTensor.value over wedge5 cofactor vectors."""
+def reference_values(system, tuples, tensors=None):
+    """Per-index reference: QuadTensor.value over wedge5 cofactor vectors.
+    ``tensors`` maps each block (a, b) of tuples to its tensor; by default
+    the unit-distance tensor on block (0, 1)."""
     rig, vectors = system.rig, {}
+    tensors = tensors or {(0, 1): polarize(unit_distance_form())}
 
     def w(t, j, k, i):
         if (t, j, k) not in vectors:
@@ -232,10 +237,9 @@ def reference_values(system, tuples):
     for idx in system.indices:
         if system.family == Family.PAIRWISE_DISTANCE:
             (a, b), u_sel, v_sel = idx
-            tensor = system.params["tensors"][(a, b)]
         else:
             (a, b), (u_sel, v_sel) = (0, 1), idx
-            tensor = system.params["tensor"]
+        tensor = tensors[(a, b)]
         (j1, k1, i1, i2), (j2, k2, i3, i4) = u_sel, v_sel
         out.append(tensor_value(tensor, w(a, j1, k1, i1), w(a, j1, k1, i2),
                                 w(b, j2, k2, i3), w(b, j2, k2, i4)))
@@ -291,7 +295,9 @@ class TestContractionEngine:
         tuples3 = data.draw(_image_tuples(coord, 3, 3))
         system = constraint_system(rig, Family.PAIRWISE_DISTANCE,
                                    s12=squared[0], s13=squared[1], s23=squared[2])
-        assert system.evaluate(*tuples3) == reference_values(system, tuples3)[0]
+        tensors = {pair: polarize(distance_form_squared(s))
+                   for pair, s in zip([(0, 1), (0, 2), (1, 2)], squared)}
+        assert system.evaluate(*tuples3) == reference_values(system, tuples3, tensors)[0]
 
     @pytest.mark.parametrize("n", [2, 3])
     @settings(max_examples=10, deadline=None)
@@ -302,7 +308,7 @@ class TestContractionEngine:
         for family in _families(n):
             system = constraint_system(rig, family)
             want, vectors = reference_values(system, (u, v))
-            tensor = system.params["tensor"]
+            tensor = polarize(unit_distance_form())
             bound = QuadTensor({key: abs(c) for key, c in tensor.entries.items()})
             for idx, got, ref in zip(system.indices, system.evaluate(u, v), want):
                 (j1, k1, i1, i2), (j2, k2, i3, i4) = idx
@@ -374,20 +380,28 @@ class TestConstraintSystems:
             assert [type(x) for x in got] == [type(x) for x in want]
             assert any(want)
 
-    def test_json_description(self):
-        rng = random.Random(157)
-        rig = random_rig(rng, 2)
-        doc = constraint_system(rig, Family.OCTIC_NINE).to_json()
-        assert doc["family"] == "octic_nine"
-        assert len(doc["indices"]) == 9
-
-    def test_evaluation_report_serializes_exact_values(self):
+    # the engine-backed families and COPLANAR check the count; the others
+    # take their tuples as named parameters
+    @pytest.mark.parametrize("family, count, params, error", [
+        (Family.OCTIC_FULL, 2, {}, ShapeError),
+        (Family.OCTIC_NINE, 2, {}, ShapeError),
+        (Family.OCTIC_SIXTEEN, 2, {}, ShapeError),
+        (Family.MULTIVIEW_BILINEAR, 2, {}, TypeError),
+        (Family.MULTIVIEW_TRILINEAR, 2, {}, TypeError),
+        (Family.COPLANAR, 4, {}, ShapeError),
+        (Family.PAIRWISE_DISTANCE, 3, {"d12": 1, "d13": 1, "d23": 1}, ShapeError),
+        (Family.GENERAL_DE, 2, {"form": unit_distance_form()}, TypeError),
+    ])
+    def test_wrong_tuple_count_raises(self, family, count, params, error):
         rng = random.Random(163)
-        rig = random_rig(rng, 2)
-        x, y = unit_pair(rng)
-        u, v = forward_map(rig, x), forward_map(rig, y)
-        report = constraint_system(rig, Family.OCTIC_NINE).evaluate_report(u, v)
-        assert all(entry["value"] == "0" for entry in report)
+        rig = random_rig(rng, 3)
+        tuples = [forward_map(rig, ProjectivePoint(random_world_point(rng)))
+                  for _ in range(count + 1)]
+        system = constraint_system(rig, family, **params)
+        assert len(system.evaluate(*tuples[:count])) == len(system)
+        for wrong in (tuples[:count - 1], tuples):
+            with pytest.raises(error):
+                system.evaluate(*wrong)
 
 
 class TestTrilinear:
@@ -417,6 +431,26 @@ class TestTrilinear:
         bad = ProjectivePoint((u[2][0] + 1, u[2][1], u[2][2]))
         res = trilinear_residuals(rig, 0, 1, 2, u[0], u[1], bad)
         assert any(r != 0 for r in res)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_system_concatenates_residuals_in_index_order(self, n):
+        rng = random.Random(181 + n)
+        rig = random_rig(rng, n)
+        # random image points: neither tuple is consistent, so the residuals
+        # are nonzero and differ from one minor to the next
+        u, v = (tuple(ProjectivePoint((rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 9)))
+                      for _ in range(n)) for _ in range(2))
+        system = constraint_system(rig, Family.MULTIVIEW_TRILINEAR)
+        want, idx = [], []
+        for side, pts in (("u", u), ("v", v)):
+            for j, k, l in itertools.combinations(range(n), 3):
+                want += trilinear_residuals(rig, j, k, l, pts[j], pts[k], pts[l])
+                idx += [(side, (j, k, l), rows) for rows in itertools.combinations(range(9), 7)]
+        got = system.evaluate(u, v)
+        assert list(system.indices) == idx
+        assert got == want
+        assert [type(x) for x in got] == [type(x) for x in want]
+        assert len(set(want)) > len(want) // 2
 
 
 class TestMembership:

@@ -13,14 +13,12 @@ from rigidview.linalg import (
     FLOAT,
     BackendError,
     Mat,
-    NullityError,
     ShapeError,
     adjugate,
     decode_scalar,
     det,
     integer_cleared,
     invert,
-    kernel_vector,
     nullspace,
     rank,
     signed_maximal_minors,
@@ -152,25 +150,6 @@ class TestRank:
 
 
 class TestKernel:
-    def test_identity_with_extra_column(self):
-        m = Mat([[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]])
-        assert kernel_vector(m) == (-1, 0, 0, 1)
-
-    def test_identity_with_zero_column(self):
-        m = Mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
-        assert kernel_vector(m) == (0, 0, 0, 1)
-
-    def test_full_rank_square_reports_nullity_zero(self):
-        with pytest.raises(NullityError) as exc:
-            kernel_vector(Mat.identity(3))
-        assert exc.value.nullity == 0
-
-    def test_nullity_two_reported(self):
-        m = Mat([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
-        with pytest.raises(NullityError) as exc:
-            kernel_vector(m)
-        assert exc.value.nullity == 2
-
     def test_nullspace_annihilated(self):
         m = Mat([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 0]])
         for v in nullspace(m):

@@ -99,22 +99,21 @@ class TestIsTriangulable:
     def test_epipole_pair_not_triangulable(self):
         rng = random.Random(79)
         rig = random_rig(rng, 2)
-        assert is_triangulable(rig, epipole_pair(rig)) is None
+        assert is_triangulable(rig, epipole_pair(rig)) is False
 
     def test_other_variety_points_triangulable(self):
         rng = random.Random(83)
         rig = random_rig(rng, 2)
         for _ in range(10):
             x = ProjectivePoint(random_world_point(rng))
-            w = is_triangulable(rig, forward_map(rig, x))
-            assert w is not None
+            assert is_triangulable(rig, forward_map(rig, x)) is True
 
     def test_three_cameras_always_triangulable(self):
         rng = random.Random(89)
         rig = random_rig(rng, 3)
         for _ in range(10):
             x = ProjectivePoint(random_world_point(rng))
-            assert is_triangulable(rig, forward_map(rig, x)) is not None
+            assert is_triangulable(rig, forward_map(rig, x)) is True
 
     def test_nonmember_raises(self):
         rng = random.Random(97)
@@ -132,7 +131,6 @@ class TestTriangulate:
         rig = standard_rig()
         sol = triangulate(rig, (ProjectivePoint((0, 0, 1)), ProjectivePoint((1, 0, 1))))
         assert sol.point == ProjectivePoint((0, 0, 1, 1))
-        assert sol.rank_of_b == 5
 
     def test_round_trip(self):
         rng = random.Random(101)
@@ -149,7 +147,7 @@ class TestTriangulate:
         x = ProjectivePoint(random_world_point(rng))
         u = forward_map(rig, x)
         sol = triangulate(rig, u)
-        j, k = sol.witness.j, sol.witness.k
+        j, k = sol.pair
         lam_j, lam_k = sol.lambdas
         assert rig.camera(j).matrix.apply(sol.point.coords) == tuple(lam_j * c for c in u[j].coords)
         assert rig.camera(k).matrix.apply(sol.point.coords) == tuple(lam_k * c for c in u[k].coords)
@@ -214,13 +212,14 @@ class TestSinglePass:
         want = wedge5(assemble_b(rig, 0, 1, u[0], u[1]), row)
         tables = count_calls(monkeypatch, triangulation, "camera_minor_table")
         dets = count_calls(monkeypatch, linalg, "_det_rows")
-        witness = is_triangulable(rig, u)
-        assert (witness.j, witness.k, witness.row) == (0, 1, row)
+        sol = triangulate(rig, u)
+        assert (sol.pair, sol.row) == ((0, 1), row)
         assert [args[1:] for args in tables] == [(0, 1)]
         assert dets == []
-        assert witness.vector == want
-        assert [type(c) for c in witness.vector] == [type(c) for c in want]
-        assert witness.point == ProjectivePoint(x)
+        vector = sol.point.coords + tuple(-s for s in sol.lambdas)
+        assert vector == want
+        assert [type(c) for c in vector] == [type(c) for c in want]
+        assert sol.point == ProjectivePoint(x)
 
     def test_rank4_pair_reads_no_minor_table(self, monkeypatch):
         # a world point on the baseline of cameras 0 and 1 makes their B
@@ -233,7 +232,7 @@ class TestSinglePass:
         tables = count_calls(monkeypatch, triangulation, "camera_minor_table")
         dets = count_calls(monkeypatch, linalg, "_det_rows")
         sol = triangulate(rig, u)
-        assert (sol.witness.j, sol.witness.k) == (0, 2)
+        assert sol.pair == (0, 2)
         assert [args[1:] for args in tables] == [(0, 2)]
         assert dets == []
         assert sol.point == x
@@ -244,9 +243,10 @@ class TestSinglePass:
         tables = count_calls(monkeypatch, triangulation, "camera_minor_table")
         dets = count_calls(monkeypatch, linalg, "_det_rows")
         sol = triangulate(rig, u)
-        assert sol.witness.row == 2
+        assert sol.row == 2
         assert len(tables) == 1 and dets == []
-        assert sol.witness.vectors[0] == sol.witness.vectors[1] == [0, 0, 0, 0]
+        _, _, _, vectors = triangulation._pair_scan(rig, u)
+        assert vectors[0] == vectors[1] == [0, 0, 0, 0]
         original = triangulation.cofactor_vectors
         for later in (3, 4, 5):
             def skewed(table, u_j, u_k, later=later):
@@ -264,5 +264,5 @@ class TestSinglePass:
             for _ in range(3):
                 u = forward_map(rig, ProjectivePoint(random_world_point(rng)))
                 sol = triangulate(rig, u)
-                j, k = sol.witness.j, sol.witness.k
-                assert sol.rank_of_b == rank(assemble_b(rig, j, k, u[j], u[k]).mat).rank
+                j, k = sol.pair
+                assert rank(assemble_b(rig, j, k, u[j], u[k]).mat).rank == 5
