@@ -154,14 +154,13 @@ class Camera:
     def backend(self) -> str:
         return self.matrix.backend
 
-    def project(self, x: ProjectivePoint, tol: float | None = None) -> ProjectivePoint:
+    def project(self, x: ProjectivePoint) -> ProjectivePoint:
         if len(x) != 4:
             raise ShapeError("projection expects a world point")
         image = self.matrix.apply(x.coords)
         if self.backend == FLOAT:
             scale = max(abs(e) for r in self.matrix.data for e in r) * max(abs(c) for c in x.coords)
-            cutoff = (tol if tol is not None else DEFAULT_RANK_TOL) * max(scale, 1.0)
-            if max(abs(c) for c in image) <= cutoff:
+            if max(abs(c) for c in image) <= DEFAULT_RANK_TOL * max(scale, 1.0):
                 raise ProjectionError("point coincides with the focal point")
         elif all(c == 0 for c in image):
             raise ProjectionError("point coincides with the focal point")
@@ -367,9 +366,9 @@ def _validate_focal_points(cams, tol) -> GeneralPositionReport:
     return GeneralPositionReport(violations)
 
 
-def forward_map(rig: CameraRig, x: ProjectivePoint, tol: float | None = None) -> ImageTuple:
+def forward_map(rig: CameraRig, x: ProjectivePoint) -> ImageTuple:
     """Project a world point through every camera of the rig."""
-    return tuple(cam.project(x, tol) for cam in rig.cameras)
+    return tuple(cam.project(x) for cam in rig.cameras)
 
 
 def _multiview_matrix(rig: CameraRig, cams: Sequence[int],
@@ -387,21 +386,20 @@ def _multiview_matrix(rig: CameraRig, cams: Sequence[int],
     return Mat(rows)
 
 
-def multiview_membership(rig: CameraRig, points: Sequence[ProjectivePoint],
-                         tol: float | None = None) -> MembershipResult:
+def multiview_membership(rig: CameraRig, points: Sequence[ProjectivePoint]) -> MembershipResult:
     """Test whether an image tuple is a consistent set of n views.
 
     Stacks the block rows [A_j | 0 .. u_j .. 0] into a 3n x (4+n) matrix;
     the tuple is consistent exactly when its rank is at most n+3.  One
-    :func:`rigidview.linalg.rank` decides, with ``rig.tol`` when ``tol`` is
-    None; the world point and the scales come from triangulation.
+    :func:`rigidview.linalg.rank` at ``rig.tol`` decides; the world point
+    and the scales come from triangulation.
     """
     n = rig.n
     if len(points) != n:
         raise ShapeError(f"expected {n} image points, got {len(points)}")
     if any(len(p) != 3 for p in points):
         raise ShapeError("image points have 3 coordinates")
-    r = rank(_multiview_matrix(rig, range(n), points), rig.tol if tol is None else tol).rank
+    r = rank(_multiview_matrix(rig, range(n), points), rig.tol).rank
     return MembershipResult(r <= n + 3, r)
 
 
@@ -413,7 +411,7 @@ class RigidMotion:
 
     __slots__ = ("matrix",)
 
-    def __init__(self, matrix: Mat, tol: float | None = None):
+    def __init__(self, matrix: Mat):
         if (matrix.rows, matrix.cols) != (4, 4):
             raise ShapeError("rigid motions are 4x4")
         r = matrix.submatrix(range(3), range(3))
@@ -425,7 +423,7 @@ class RigidMotion:
             if rtr != Mat.identity(3) or det(r) != 1:
                 raise ValueError("rotation block must be orthogonal with determinant 1")
         else:
-            t = tol if tol is not None else 1e-9
+            t = 1e-9
             if max(abs(b - e) for b, e in zip(bottom, (0.0, 0.0, 0.0, 1.0))) > t:
                 raise ValueError("bottom row must be (0, 0, 0, 1)")
             err = max(abs(rtr[i, j] - (1.0 if i == j else 0.0)) for i in range(3) for j in range(3))
@@ -444,8 +442,8 @@ class RigidMotion:
         return cls(Mat(rows))
 
     @classmethod
-    def identity(cls, backend: str = EXACT) -> "RigidMotion":
-        return cls(Mat.identity(4, backend))
+    def identity(cls) -> "RigidMotion":
+        return cls(Mat.identity(4))
 
 
 def cayley_rotation(a: Scalar, b: Scalar, c: Scalar) -> Mat:

@@ -32,9 +32,9 @@ def _load_json_arg(value: str):
     return json.loads(value)
 
 
-def _load_rig(path: str, backend: str | None) -> CameraRig:
+def _load_rig(path: str, backend: str | None, tol: float | None = None) -> CameraRig:
     with open(path, "r", encoding="utf-8") as fh:
-        return rig_from_json(json.load(fh), backend)
+        return rig_from_json(json.load(fh), backend, tol)
 
 
 def _point(values, backend) -> ProjectivePoint:
@@ -95,7 +95,7 @@ _FAMILY_ALIASES = {"full": Family.OCTIC_FULL, "nine": Family.OCTIC_NINE,
 
 
 def _cmd_check(args) -> int:
-    rig = _load_rig(args.rig, args.backend)
+    rig = _load_rig(args.rig, args.backend, args.tol)
     u = _tuple(_load_json_arg(args.u), rig.backend)
     v = _tuple(_load_json_arg(args.v), rig.backend)
     if args.family == "oracle":
@@ -132,10 +132,8 @@ def _cmd_dimension(args) -> int:
     else:
         rig = random_rig(args.seed, args.n, args.height)
         rig = CameraRig([c.matrix.to_float() for c in rig.cameras])
-    params = {}
-    if args.scenario == "pairwise3":
-        params = {"d12": args.d12, "d13": args.d13, "d23": args.d23}
-    dim = numeric_dimension(rig, _SCENARIO_ALIASES[args.scenario], params, seed=args.seed)
+    distances = (args.d12, args.d13, args.d23) if args.scenario == "pairwise3" else None
+    dim = numeric_dimension(rig, _SCENARIO_ALIASES[args.scenario], distances, seed=args.seed)
     _emit({"scenario": args.scenario, "dimension": dim}, args)
     return 0
 
@@ -208,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", required=True)
     p.add_argument("--v", required=True)
     p.add_argument("--family", choices=["full", "nine", "sixteen", "oracle"], default="full")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=None, help="float rank and vanish tolerance")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("span-dim", help="span dimension of the 441 octics and the quotient")

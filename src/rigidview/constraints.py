@@ -160,6 +160,11 @@ def polarize(q: BihomForm) -> QuadTensor:
     return QuadTensor(entries)
 
 
+# The unit-distance form and its tensor, built once for every caller.
+_UNIT_FORM = unit_distance_form()
+_UNIT_TENSOR = polarize(_UNIT_FORM)
+
+
 def wedge_table(rig: CameraRig, points, pairs):
     """Cofactor 4-vectors for every requested camera pair and row index, read
     from the pair's camera minor table."""
@@ -505,18 +510,23 @@ class ConstraintSystem:
         return f"ConstraintSystem(family={self.family.value}, size={len(self)})"
 
 
-def constraint_system(rig: CameraRig, family: Family | str, **params) -> ConstraintSystem:
+def constraint_system(rig: CameraRig, family: Family | str, form: Optional[BihomForm] = None,
+                      squared_distances: Optional[Sequence[Scalar]] = None) -> ConstraintSystem:
     """Build the constraint family of the given tag: its indices and its
     evaluator.
 
-    Octic families take an optional ``form`` (default: unit distance); the
-    pairwise family needs ``d12, d13, d23`` or their squares ``s12, s13,
-    s23``; the general family needs a bihomogeneous ``form``.
+    Octic families take an optional ``form`` (default: unit distance), the
+    general family needs one, and the pairwise family needs its three
+    ``squared_distances``; a parameter the family does not read raises.
     """
     family = Family(family)
+    if form is not None and family not in _OCTIC_FAMILIES + (Family.GENERAL_DE,):
+        raise ValueError(f"the {family.value} family takes no form")
+    if (squared_distances is None) == (family == Family.PAIRWISE_DISTANCE):
+        raise ValueError("the pairwise_distance family, and only it, takes squared distances")
     if family in _OCTIC_FAMILIES:
         row_set = _octic_row_set(rig.n, family)
-        tensor = polarize(params.get("form") or unit_distance_form())
+        tensor = _UNIT_TENSOR if form is None else polarize(form)
         engine = OcticEngine(rig, (row_set, row_set), [(0, 1, tensor)])
         return ConstraintSystem(rig, family, _row_set_indices(row_set, row_set),
                                 lambda *tuples: engine.evaluate(tuples))
@@ -548,21 +558,17 @@ def constraint_system(rig: CameraRig, family: Family | str, **params) -> Constra
         return ConstraintSystem(rig, family, itertools.product(range(6), repeat=4),
                                 lambda *tuples: coplanar_residuals(rig, tuples))
     if family == Family.PAIRWISE_DISTANCE:
-        if "s12" in params:
-            forms = [distance_form_squared(params[s]) for s in ("s12", "s13", "s23")]
-        else:
-            forms = [distance_form(params[d]) for d in ("d12", "d13", "d23")]
+        forms = [distance_form_squared(s) for s in squared_distances]
         row_set = _octic_row_set(rig.n, Family.OCTIC_NINE)
-        blocks = [(a, b, polarize(f)) for (a, b), f in zip(_camera_pairs(3), forms)]
+        blocks = [(a, b, polarize(f)) for (a, b), f in zip(_camera_pairs(3), forms, strict=True)]
         engine = OcticEngine(rig, (row_set,) * 3, blocks)
         return ConstraintSystem(rig, family,
                                 [((a, b),) + sel for a, b, _ in blocks
                                  for sel in _row_set_indices(row_set, row_set)],
                                 lambda *tuples: engine.evaluate(tuples))
     if family == Family.GENERAL_DE:
-        form = params["form"]
-        if form.bidegree == (0, 0):
-            raise ValueError("bidegree must be positive")
+        if form is None or form.bidegree == (0, 0):
+            raise ValueError("the general_de family needs a form of positive bidegree")
         pairs = _camera_pairs(rig.n)
         idx = [((j1, k1, i), (j2, k2, kk))
                for (j1, k1) in pairs for (j2, k2) in pairs
@@ -599,23 +605,21 @@ def _octic_normalizer(pair_u, pair_v, u, v):
             * _norm(v[j2].coords) * _norm(v[k2].coords)) ** 2
 
 
-def rigid_pair_oracle(rig: CameraRig, u, v, form: Optional[BihomForm] = None,
-                      tol: float | None = None) -> bool:
-    """Direct membership test for an image pair of distance-linked points.
+def rigid_pair_oracle(rig: CameraRig, u, v, tol: float | None = None) -> bool:
+    """Direct membership test for an image pair of points at distance 1.
 
     Both tuples must be consistent; when both triangulate, the recovered
-    world points must satisfy the constraint form; a non-triangulable side
+    world points must satisfy the unit-distance form; a non-triangulable side
     (two cameras, the epipole pair) is accepted whenever the other side is
-    consistent, matching the closure components of the image.
+    consistent, matching the closure components of the image.  Ranks read
+    ``rig.tol``; on floats ``tol`` is the vanish tolerance of the form.
     """
-    if form is None:
-        form = unit_distance_form()
     # One triangulation per side.  An inconsistent side decides first; then
     # a non-triangulable side; only then a side whose candidates disagree.
     sides = []
     for points in (u, v):
         try:
-            sides.append(triangulate(rig, points, tol).point)
+            sides.append(triangulate(rig, points).point)
         except NotInVarietyError:
             return False
         except (NotTriangulableError, AmbiguousTriangulationError) as exc:
@@ -629,20 +633,19 @@ def rigid_pair_oracle(rig: CameraRig, u, v, form: Optional[BihomForm] = None,
         if isinstance(side, Exception):
             raise side
     x, y = sides
-    value = form.evaluate(x.coords, y.coords)
+    value = _UNIT_FORM.evaluate(x.coords, y.coords)
     if rig.backend == EXACT:
         return value == 0
     t = tol if tol is not None else DEFAULT_VANISH_TOL
-    d, e = form.bidegree
-    return abs(value) <= t * (_norm(x.coords) ** d) * (_norm(y.coords) ** e)
+    return abs(value) <= t * (_norm(x.coords) ** 2) * (_norm(y.coords) ** 2)
 
 
 def rigid_pair_by_equations(rig: CameraRig, u, v,
                             family: Family | str = Family.OCTIC_FULL,
-                            form: Optional[BihomForm] = None,
                             tol: float | None = None) -> bool:
-    """Equation-side membership: both tuples consistent and every octic of
-    the family vanishing (exactly, or below the normalized float threshold).
+    """Equation-side membership: both tuples consistent (ranks at
+    ``rig.tol``) and every unit-distance octic of the family vanishing
+    (exactly, or on floats below ``tol`` times the normalizer).
 
     The exact verdict is :meth:`OcticEngine.vanishes`, which decides from
     residues modulo fixed primes below 2^29 (so that the int64 contraction
@@ -653,11 +656,10 @@ def rigid_pair_by_equations(rig: CameraRig, u, v,
     family = Family(family)
     if family not in _OCTIC_FAMILIES:
         raise ValueError("membership by equations uses an octic family")
-    if not (multiview_membership(rig, u, tol).ok and multiview_membership(rig, v, tol).ok):
+    if not (multiview_membership(rig, u).ok and multiview_membership(rig, v).ok):
         return False
     row_set = _octic_row_set(rig.n, family)
-    tensor = polarize(form or unit_distance_form())
-    engine = OcticEngine(rig, (row_set, row_set), [(0, 1, tensor)])
+    engine = OcticEngine(rig, (row_set, row_set), [(0, 1, _UNIT_TENSOR)])
     if rig.backend == EXACT:
         return engine.vanishes((u, v))
     ((values, _),) = engine.cleared((u, v))
@@ -712,7 +714,7 @@ def _sqrt_exact(x):
     return r.numerator if r.denominator == 1 else r
 
 
-def chow_factor(a: Mat, tol: float | None = None) -> tuple:
+def chow_factor(a: Mat) -> tuple:
     """Recover the unordered point pair behind a split symmetric matrix.
 
     Locates the singular point of the degenerate conic through the adjugate,
@@ -725,7 +727,7 @@ def chow_factor(a: Mat, tol: float | None = None) -> tuple:
     if a.transpose() != a:
         raise ValueError("matrix must be symmetric")
     exact = a.backend == EXACT
-    t = tol if tol is not None else 1e-9
+    t = 1e-9
     scale = max(abs(float(x)) for r in a.data for x in r) or 1.0
     d = det(a)
     if (exact and d != 0) or (not exact and abs(d) > t * scale ** 3):

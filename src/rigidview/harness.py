@@ -15,7 +15,7 @@ import math
 import random
 import time
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -251,7 +251,7 @@ def _project_affine_all(cams, points):
     return [a @ np.append(x, 1.0) for x in points for a in cams]
 
 
-def _scenario_map(rig, scenario, params):
+def _scenario_map(rig, scenario, distances):
     cams = _camera_arrays(rig)
     if scenario == SCENARIO_RIGID_PAIR:
         def f(theta):
@@ -278,8 +278,7 @@ def _scenario_map(rig, scenario, params):
                             + [rng.uniform(-1, 1) for _ in range(8)])
         return f, base
     if scenario == SCENARIO_PAIRWISE_3:
-        d12, d13, d23 = (float(params["d12"]), float(params["d13"]),
-                         float(params["d23"]))
+        d12, d13, d23 = map(float, distances)
         _check_positive(d12, d13, d23)
         xloc = (d12 * d12 + d13 * d13 - d23 * d23) / (2 * d12)
         ysq = d13 * d13 - xloc * xloc
@@ -341,19 +340,22 @@ def _chart_jacobian_rank(f, theta):
     return rank(jac, DIMENSION_RANK_TOL).rank
 
 
-def numeric_dimension(rig: CameraRig, scenario: str, params: Optional[dict] = None,
+def numeric_dimension(rig: CameraRig, scenario: str, distances: Optional[Sequence] = None,
                       seed=0) -> int:
     """Dimension of the image of a constrained configuration space.
 
     Parametrizes the scenario, pushes it through every camera into affine
     image charts, and returns the Jacobian rank (central differences) at
     :data:`DIMENSION_BASE_POINTS` random feasible base points.  All ranks
-    must agree, otherwise :class:`UnstableDimensionError` is raised.
+    must agree, otherwise :class:`UnstableDimensionError` is raised.  Only
+    the pairwise scenario takes, and needs, ``distances`` (d12, d13, d23).
     """
     if rig.backend != FLOAT:
         raise ValueError("numeric dimension estimates need a float rig")
+    if (distances is None) == (scenario == SCENARIO_PAIRWISE_3):
+        raise ValueError(f"the {SCENARIO_PAIRWISE_3} scenario, and only it, takes distances")
     rng = _as_rng(seed)
-    f, base = _scenario_map(rig, scenario, params or {})
+    f, base = _scenario_map(rig, scenario, distances)
     ranks = []
     attempts = 0
     while len(ranks) < DIMENSION_BASE_POINTS and attempts < 20 * DIMENSION_BASE_POINTS:
@@ -777,8 +779,7 @@ def _exp_pairwise_triangle(config, seed):
         if any(s == 0 for s in sq):
             skipped += 1
             continue
-        system = constraint_system(rig, Family.PAIRWISE_DISTANCE,
-                                   s12=sq[0], s13=sq[1], s23=sq[2])
+        system = constraint_system(rig, Family.PAIRWISE_DISTANCE, squared_distances=sq)
         tuples3 = [_canonical_tuple(forward_map(rig, p)) for p in pts]
         if any(val != 0 for val in system.evaluate(*tuples3)):
             failures.append({"sample": idx, "reason": "pairwise system nonzero on configuration"})

@@ -92,9 +92,8 @@ class Mat:
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, r: int, c: int, backend: str = EXACT) -> "Mat":
-        zero = 0.0 if backend == FLOAT else 0
-        return cls([[zero] * c for _ in range(r)])
+    def zeros(cls, r: int, c: int) -> "Mat":
+        return cls([[0] * c for _ in range(r)])
 
     @classmethod
     def from_cols(cls, cols: Sequence[Sequence[Scalar]]) -> "Mat":

@@ -394,8 +394,8 @@ def all_octics_symbolic(rig: CameraRig, tensor: QuadTensor,
     return _contract_octics(rig, tensor, pair_u, pair_v, rows, rows)
 
 
-def ideal_component_basis(rig: CameraRig, target=(2, 2, 2, 2)) -> list:
-    """Degree-``target`` slice of the two-camera consistency ideal.
+def ideal_component_basis(rig: CameraRig) -> list:
+    """Degree-(2,2,2,2) slice of the two-camera consistency ideal.
 
     Supported for two cameras only, where the ideal of consistent pairs is
     generated by the two bilinear determinant forms; the slice consists of
@@ -406,12 +406,11 @@ def ideal_component_basis(rig: CameraRig, target=(2, 2, 2, 2)) -> list:
                          "three or more cameras would need the trilinear generators")
     if rig.backend != EXACT:
         raise ValueError("symbolic expansion needs an exact rig")
-    n = rig.n
-    target = tuple(target)
+    n, target = rig.n, (2, 2, 2, 2)
     basis, index = _basis_index(n, target)
     f = rig.fundamental(0, 1)
     gens = []
-    for side, degree in (("u", (1, 1, 0, 0)), ("v", (0, 0, 1, 1))):
+    for side, complement in (("u", (1, 1, 2, 2)), ("v", (2, 2, 1, 1))):
         terms = {}
         for a in range(3):
             for b in range(3):
@@ -421,12 +420,9 @@ def ideal_component_basis(rig: CameraRig, target=(2, 2, 2, 2)) -> list:
                 exps[variable_index(n, side, 0, a)] = 1
                 exps[variable_index(n, side, 1, b)] = 1
                 terms[tuple(exps)] = f[a, b]
-        gens.append((MultiHomogPoly(n, terms), degree))
+        gens.append((MultiHomogPoly(n, terms), complement))
     out = []
-    for gen, gdeg in gens:
-        complement = tuple(t - g for t, g in zip(target, gdeg))
-        if any(c < 0 for c in complement):
-            raise ValueError("target multidegree is below the generator degree")
+    for gen, complement in gens:
         _, nums, den = gen._row
         exps = list(gen.terms)
         for monomial in monomial_basis(n, complement):

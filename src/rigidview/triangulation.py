@@ -91,7 +91,7 @@ def _cofactor_point(b: BMatrix, w: tuple, tol: float | None) -> Optional[Project
     """The zero test of the witness scan and of the cross-check in
     :func:`triangulate`: the first four coordinates of cofactor vector ``w``
     as a world point, or None when they vanish (exactly, or on floats within
-    ``tol`` times the largest entry of B's first row)."""
+    ``tol``, the rig's tolerance, times the largest entry of B's first row)."""
     w = w[:4]
     cut = 0.0
     if b.mat.backend == FLOAT and tol is not None:
@@ -109,20 +109,19 @@ def _scale(camera, x, u, exact: bool):
     return _reduced(Fraction(num, u[c])) if exact else num / u[c]
 
 
-def is_triangulable(rig: CameraRig, points: Sequence[ProjectivePoint],
-                    tol: float | None = None) -> bool:
+def is_triangulable(rig: CameraRig, points: Sequence[ProjectivePoint]) -> bool:
     """Whether some camera pair's triangulation matrix has rank 5 with a row
     giving a nonzero recovered point (see :func:`_pair_scan`).  False when
     every pair degenerates (for two cameras this happens exactly at the
     epipole pair).  Raises :class:`NotInVarietyError` when the tuple is not
     consistent.
     """
-    if not multiview_membership(rig, points, tol).ok:
+    if not multiview_membership(rig, points).ok:
         raise NotInVarietyError("tuple fails the consistency rank test")
-    return _pair_scan(rig, points, tol) is not None
+    return _pair_scan(rig, points) is not None
 
 
-def _pair_scan(rig: CameraRig, points: Sequence[ProjectivePoint], tol: float | None = None):
+def _pair_scan(rig: CameraRig, points: Sequence[ProjectivePoint]):
     """The witness scan of :func:`is_triangulable` on a tuple known to be
     consistent: ``(pair, row, B, vectors)``, or None when no pair has one.
 
@@ -133,18 +132,17 @@ def _pair_scan(rig: CameraRig, points: Sequence[ProjectivePoint], tol: float | N
     """
     for j, k in combinations(range(rig.n), 2):
         b = assemble_b(rig, j, k, points[j], points[k])
-        if rank(b.mat, tol).rank != 5:
+        if rank(b.mat, rig.tol).rank != 5:
             continue
         vectors = cofactor_vectors(camera_minor_table(rig, j, k),
                                    points[j].coords, points[k].coords).tolist()
         for i, w in enumerate(vectors):
-            if _cofactor_point(b, w, tol) is not None:
+            if _cofactor_point(b, w, rig.tol) is not None:
                 return (j, k), i, b, vectors
     return None
 
 
-def triangulate(rig: CameraRig, points: Sequence[ProjectivePoint],
-                tol: float | None = None) -> TriangulationSolution:
+def triangulate(rig: CameraRig, points: Sequence[ProjectivePoint]) -> TriangulationSolution:
     """Recover the world point behind a consistent image tuple.
 
     Takes the point from the witness row of :func:`_pair_scan` and the
@@ -153,9 +151,9 @@ def triangulate(rig: CameraRig, points: Sequence[ProjectivePoint],
     exact backend they must agree up to scale identically, on the float
     backend within :data:`CONSISTENCY_TOL` of angular distance.
     """
-    if not multiview_membership(rig, points, tol).ok:
+    if not multiview_membership(rig, points).ok:
         raise NotInVarietyError("tuple fails the consistency rank test")
-    scan = _pair_scan(rig, points, tol)
+    scan = _pair_scan(rig, points)
     if scan is None:
         raise NotTriangulableError("no camera pair has a rank-5 triangulation matrix")
     pair, row, b, vectors = scan
@@ -163,7 +161,7 @@ def triangulate(rig: CameraRig, points: Sequence[ProjectivePoint],
     x = tuple(map(_reduced, vectors[row]))
     point = ProjectivePoint(x)
     for i in range(row + 1, 6):
-        candidate = _cofactor_point(b, vectors[i], tol)
+        candidate = _cofactor_point(b, vectors[i], rig.tol)
         if candidate is None:
             continue
         if exact:

@@ -91,10 +91,8 @@ def test_criterion_07_numeric_dimensions():
     rig = to_float_rig(random_rig(107, 2))
     ok = numeric_dimension(rig, "rigid_pair", seed=107) == 5
     ok = ok and numeric_dimension(rig, "coplanar_4", seed=107) == 11
-    ok = ok and numeric_dimension(rig, "pairwise_3", {"d12": 1, "d13": 1, "d23": 1},
-                                  seed=107) == 6
-    ok = ok and numeric_dimension(rig, "pairwise_3", {"d12": 1, "d13": 1, "d23": 2},
-                                  seed=107) == 5
+    ok = ok and numeric_dimension(rig, "pairwise_3", (1, 1, 1), seed=107) == 6
+    ok = ok and numeric_dimension(rig, "pairwise_3", (1, 1, 2), seed=107) == 5
     _announce(7, "numeric dimensions", ok)
 
 

@@ -309,12 +309,12 @@ class TestMembership:
     def test_perturbed_float_tuple_rejected(self):
         a1 = Mat([[1.0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
         a2 = Mat([[1.0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]])
-        rig = CameraRig([a1, a2])
+        rig = CameraRig([a1, a2], 1e-9)
         good = (ProjectivePoint((0.0, 0.0, 1.0)), ProjectivePoint((1.0, 0.0, 1.0)))
-        assert multiview_membership(rig, good, tol=1e-9).ok
+        assert multiview_membership(rig, good).ok
         # breaking the epipolar form pushes the rank to n+4
         bad = (ProjectivePoint((0.0, 0.0, 1.0)), ProjectivePoint((1.0, 0.01, 1.0)))
-        res = multiview_membership(rig, bad, tol=1e-9)
+        res = multiview_membership(rig, bad)
         assert not res.ok
         assert res.rank == 6
 
@@ -323,10 +323,10 @@ class TestMembership:
         # of the world point (0,0,1.01,1); only the epipolar form decides.
         a1 = Mat([[1.0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
         a2 = Mat([[1.0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]])
-        rig = CameraRig([a1, a2])
+        rig = CameraRig([a1, a2], 1e-9)
         slid = (ProjectivePoint((0.0, 0.0, 1.0)), ProjectivePoint((1.0, 0.0, 1.01)))
-        assert multiview_membership(rig, slid, tol=1e-9).ok
-        point = triangulate(rig, slid, tol=1e-9).point
+        assert multiview_membership(rig, slid).ok
+        point = triangulate(rig, slid).point
         assert projectively_equal(point, ProjectivePoint((0.0, 0.0, 1.01, 1.0)), tol=1e-9)
 
     def test_epipole_pair_is_member_without_unique_point(self):

@@ -5,6 +5,7 @@ import pytest
 
 from rigidview.cameras import ProjectivePoint, rig_from_json
 from rigidview.cli import main
+from rigidview.constraints import rigid_pair_oracle
 from rigidview.linalg import decode_scalar, encode_scalar
 from rigidview.triangulation import triangulate
 
@@ -142,6 +143,26 @@ class TestCheck:
                                 "--v", json.dumps(v2), "--family", family)
             assert code == 1
             assert doc["member"] is False
+
+    def test_float_oracle_at_a_rig_tolerance(self, tmp_path, capsys):
+        rig_path = tmp_path / "rig3.json"
+        main(["--seed", "1", "--json-out", str(rig_path), "gen-rig", "--n", "3"])
+        capsys.readouterr()
+        rig = rig_from_json(json.loads(rig_path.read_text()), "float", 1e-6)
+        images = {}
+        for x in (0, 1, 2):
+            _, doc = run_cli(capsys, "project", "--rig", str(rig_path), "--point", f"[{x}, 0, 0, 1]")
+            images[x] = doc["images"]
+
+        def as_tuple(points):
+            return tuple(ProjectivePoint(decode_scalar(c, "float") for c in p) for p in points)
+        for x, want in ((1, 0), (2, 1)):
+            code, doc = run_cli(capsys, "--backend", "float", "check", "--rig", str(rig_path),
+                                "--u", json.dumps(images[0]), "--v", json.dumps(images[x]),
+                                "--family", "oracle", "--tol", "1e-6")
+            assert code == want
+            assert doc["member"] is rigid_pair_oracle(rig, as_tuple(images[0]),
+                                                      as_tuple(images[x]), tol=1e-6)
 
 
 class TestCounts:

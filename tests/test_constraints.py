@@ -248,10 +248,10 @@ def reference_values(system, tuples, tensors=None):
 
 def _per_index_float_rule(rig, u, v, family, tol):
     """Float membership by equations, one value at a time: both tuples
-    consistent, and every value of the family's constraint system at most
-    the tolerance times the squared product of the norms of its four image
-    points (or 1e-300, if larger)."""
-    if not (multiview_membership(rig, u, tol).ok and multiview_membership(rig, v, tol).ok):
+    consistent at the rig's tolerance, and every value of the family's
+    constraint system at most the vanish tolerance times the squared product
+    of the norms of its four image points (or 1e-300, if larger)."""
+    if not (multiview_membership(rig, u).ok and multiview_membership(rig, v).ok):
         return False
     t = tol if tol is not None else constraints.DEFAULT_VANISH_TOL
     system = constraint_system(rig, family)
@@ -293,8 +293,7 @@ class TestContractionEngine:
     def test_pairwise_distance_equals_reference_exactly(self, coord, data, squared):
         rig = CameraRig(data.draw(_camera_mats(3)))
         tuples3 = data.draw(_image_tuples(coord, 3, 3))
-        system = constraint_system(rig, Family.PAIRWISE_DISTANCE,
-                                   s12=squared[0], s13=squared[1], s23=squared[2])
+        system = constraint_system(rig, Family.PAIRWISE_DISTANCE, squared_distances=squared)
         tensors = {pair: polarize(distance_form_squared(s))
                    for pair, s in zip([(0, 1), (0, 2), (1, 2)], squared)}
         assert system.evaluate(*tuples3) == reference_values(system, tuples3, tensors)[0]
@@ -389,7 +388,7 @@ class TestConstraintSystems:
         (Family.MULTIVIEW_BILINEAR, 2, {}, TypeError),
         (Family.MULTIVIEW_TRILINEAR, 2, {}, TypeError),
         (Family.COPLANAR, 4, {}, ShapeError),
-        (Family.PAIRWISE_DISTANCE, 3, {"d12": 1, "d13": 1, "d23": 1}, ShapeError),
+        (Family.PAIRWISE_DISTANCE, 3, {"squared_distances": (1, 1, 1)}, ShapeError),
         (Family.GENERAL_DE, 2, {"form": unit_distance_form()}, TypeError),
     ])
     def test_wrong_tuple_count_raises(self, family, count, params, error):
@@ -402,6 +401,33 @@ class TestConstraintSystems:
         for wrong in (tuples[:count - 1], tuples):
             with pytest.raises(error):
                 system.evaluate(*wrong)
+
+    def test_parameter_the_family_does_not_read_raises(self):
+        rig = random_rig(random.Random(167), 3)
+        # removed or misspelt keywords
+        with pytest.raises(TypeError):
+            constraint_system(rig, "coplanar", pairs=((0, 1),) * 4, rows=((0,),) * 4)
+        with pytest.raises(TypeError):
+            constraint_system(rig, "octic_nine", fomr=distance_form(3))
+        # a known keyword on a family that does not read it
+        for family in (Family.MULTIVIEW_BILINEAR, Family.MULTIVIEW_TRILINEAR, Family.COPLANAR):
+            with pytest.raises(ValueError):
+                constraint_system(rig, family, form=unit_distance_form())
+            with pytest.raises(ValueError):
+                constraint_system(rig, family, squared_distances=(1, 1, 2))
+        with pytest.raises(ValueError):
+            constraint_system(rig, Family.PAIRWISE_DISTANCE, form=unit_distance_form(),
+                              squared_distances=(1, 1, 2))
+        for family in (Family.OCTIC_FULL, Family.OCTIC_NINE, Family.OCTIC_SIXTEEN,
+                       Family.GENERAL_DE):
+            with pytest.raises(ValueError):
+                constraint_system(rig, family, form=unit_distance_form(),
+                                  squared_distances=(1, 1, 2))
+        for wrong in (None, (1, 1), (1, 1, 2, 3)):
+            with pytest.raises(ValueError):
+                constraint_system(rig, Family.PAIRWISE_DISTANCE, squared_distances=wrong)
+        with pytest.raises(ValueError):
+            constraint_system(rig, Family.GENERAL_DE)
 
 
 class TestTrilinear:
@@ -891,7 +917,7 @@ class TestDistanceTriples:
         pts = (ProjectivePoint((0, 0, 0, 1)), ProjectivePoint((1, 0, 0, 1)),
                ProjectivePoint((0, 1, 0, 1)))
         tuples3 = [forward_map(rig, p) for p in pts]
-        system = constraint_system(rig, Family.PAIRWISE_DISTANCE, s12=1, s13=1, s23=2)
+        system = constraint_system(rig, Family.PAIRWISE_DISTANCE, squared_distances=(1, 1, 2))
         assert len(system) == 27
         assert all(val == 0 for val in system.evaluate(*tuples3))
 
@@ -901,7 +927,7 @@ class TestDistanceTriples:
         pts = (ProjectivePoint((0, 0, 0, 1)), ProjectivePoint((1, 0, 0, 1)),
                ProjectivePoint((0, 5, 0, 1)))
         tuples3 = [forward_map(rig, p) for p in pts]
-        system = constraint_system(rig, Family.PAIRWISE_DISTANCE, s12=1, s13=1, s23=2)
+        system = constraint_system(rig, Family.PAIRWISE_DISTANCE, squared_distances=(1, 1, 2))
         assert any(val != 0 for val in system.evaluate(*tuples3))
 
 

@@ -156,21 +156,28 @@ class TestNumericDimension:
 
     def test_pairwise_generic_is_six(self):
         rig = to_float_rig(random_rig(59, 2))
-        assert numeric_dimension(rig, "pairwise_3", {"d12": 1, "d13": 1, "d23": 1}, seed=1) == 6
+        assert numeric_dimension(rig, "pairwise_3", (1, 1, 1), seed=1) == 6
 
     def test_pairwise_degenerate_is_five(self):
         rig = to_float_rig(random_rig(61, 2))
-        assert numeric_dimension(rig, "pairwise_3", {"d12": 1, "d13": 1, "d23": 2}, seed=1) == 5
+        assert numeric_dimension(rig, "pairwise_3", (1, 1, 2), seed=1) == 5
 
     def test_triangle_violation_is_infeasible(self):
         rig = to_float_rig(random_rig(67, 2))
         with pytest.raises(InfeasibleScenarioError):
-            numeric_dimension(rig, "pairwise_3", {"d12": 1, "d13": 2, "d23": 5}, seed=1)
+            numeric_dimension(rig, "pairwise_3", (1, 2, 5), seed=1)
 
     def test_exact_rig_rejected(self):
         rig = random_rig(71, 2)
         with pytest.raises(ValueError):
             numeric_dimension(rig, "rigid_pair", seed=1)
+
+    def test_distances_only_for_the_pairwise_scenario(self):
+        rig = to_float_rig(random_rig(71, 2))
+        with pytest.raises(ValueError):
+            numeric_dimension(rig, "rigid_pair", (1, 1, 1), seed=1)
+        with pytest.raises(ValueError):
+            numeric_dimension(rig, "pairwise_3", seed=1)
 
 
 class TestRefinement:

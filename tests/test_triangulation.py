@@ -4,8 +4,9 @@ import pytest
 
 from helpers import (count_calls, naive_det, random_rig, random_world_point, standard_rig,
                      wedge5, wedge5_point)
-from rigidview import linalg, triangulation
-from rigidview.cameras import CameraRig, ProjectivePoint, forward_map, projectively_equal
+from rigidview import harness, linalg, triangulation
+from rigidview.cameras import (CameraRig, ProjectivePoint, forward_map, multiview_membership,
+                               projectively_equal)
 from rigidview.linalg import Mat, det, rank
 from rigidview.triangulation import (
     AmbiguousTriangulationError,
@@ -165,9 +166,9 @@ class TestTriangulate:
 
     def test_float_backend(self):
         rig = standard_rig()
-        float_rig = CameraRig([c.matrix.to_float() for c in rig.cameras])
+        float_rig = CameraRig([c.matrix.to_float() for c in rig.cameras], 1e-9)
         u = (ProjectivePoint((0.0, 0.0, 1.0)), ProjectivePoint((1.0, 0.0, 1.0)))
-        sol = triangulate(float_rig, u, tol=1e-9)
+        sol = triangulate(float_rig, u)
         assert projectively_equal(sol.point, ProjectivePoint((0.0, 0.0, 1.0, 1.0)), tol=1e-9)
 
 
@@ -187,6 +188,23 @@ class TestRankDichotomy:
                     continue
                 b = assemble_b(rig, 0, 1, u[0], u[1])
                 assert rank(b.mat).rank == 5
+
+
+class TestRigTolerance:
+    def test_pair_rank_reads_the_rig_tolerance(self):
+        # a member tuple at max-norm 1 with one coordinate moved by 1e-7 is
+        # consistent at the rig's 1e-6; for two cameras B is the multiview
+        # matrix, so it has rank 5 at the same tolerance
+        rng = random.Random(5)
+        rig = harness.random_rig(rng, 2)
+        float_rig = CameraRig([c.matrix.to_float() for c in rig.cameras], 1e-6)
+        u = harness.sample_member_pair(rig, rng)[0]
+        coords = [[float(c) / max(abs(float(x)) for x in p) for c in p] for p in u]
+        coords[0][0] += 1e-7
+        moved = tuple(ProjectivePoint(c) for c in coords)
+        assert multiview_membership(float_rig, moved).rank == 5
+        assert triangulate(float_rig, moved).pair == (0, 1)
+        assert is_triangulable(float_rig, moved) is True
 
 
 class TestSinglePass:
