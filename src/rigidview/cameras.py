@@ -3,17 +3,19 @@
 A camera is a rank-3 3x4 matrix mapping world points in P^3 to image points
 in P^2.  A rig is an ordered list of at least two cameras over one scalar
 backend, with eagerly computed caches: focal points (camera kernels),
-epipoles (images of the other cameras' focal points), fundamental matrices
-(read from each pair's table of signed 3x3 camera minors), and a
-general-position validation record.  Degenerate rigs are constructible on
-purpose; the violations are recorded rather than rejected, because negative
-tests and special-position scenarios need them.
+epipoles (images of the other cameras' focal points), each camera pair's
+table of signed 3x3 camera minors (the coefficients of its cofactor
+vectors, stored cleared of denominators), fundamental matrices (read from
+those tables), and a general-position validation record.  Degenerate rigs
+are constructible on purpose; the violations are recorded rather than
+rejected, because negative tests and special-position scenarios need them.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -26,6 +28,7 @@ from .linalg import (
     Mat,
     Scalar,
     ShapeError,
+    _exact_rank,
     decode_scalar,
     det,
     encode_scalar,
@@ -209,11 +212,13 @@ class CameraRig:
     """An ordered configuration of n >= 2 cameras with eager caches.
 
     Caches: focal points, all ordered epipoles e[(k, j)] = A_k applied to the
-    focal point of camera j, fundamental matrices for unordered pairs, and
-    the general-position record.  Immutable after construction, safe to share.
+    focal point of camera j, the camera minor table of every pair j < k (see
+    :meth:`minor_table`), fundamental matrices for unordered pairs, and the
+    general-position record.  Immutable after construction, safe to share.
     """
 
-    __slots__ = ("cameras", "tol", "general_position", "_epipoles", "_fundamentals")
+    __slots__ = ("cameras", "tol", "general_position", "_epipoles", "_fundamentals",
+                 "_minor_tables")
 
     def __init__(self, matrices: Sequence[Mat | Camera], tol: float | None = None):
         cams = tuple(m if isinstance(m, Camera) else Camera(m, tol) for m in matrices)
@@ -234,9 +239,11 @@ class CameraRig:
                     e = ProjectivePoint(coords)
             epipoles[(k, j)] = e
         object.__setattr__(self, "_epipoles", epipoles)
-        fundamentals = {}
+        tables, fundamentals = {}, {}
         for j, k in itertools.combinations(range(len(cams)), 2):
-            fundamentals[(j, k)] = _fundamental(cams[j].matrix, camera_minor_table(self, j, k))
+            tables[(j, k)] = camera_minor_table(self, j, k)
+            fundamentals[(j, k)] = _fundamental(cams[j].matrix, *tables[(j, k)])
+        object.__setattr__(self, "_minor_tables", tables)
         object.__setattr__(self, "_fundamentals", fundamentals)
         object.__setattr__(self, "general_position", _validate_focal_points(cams, tol))
 
@@ -271,6 +278,20 @@ class CameraRig:
             return self._fundamentals[(j, k)]
         return self._fundamentals[(k, j)].transpose()
 
+    def minor_table(self, j: int, k: int) -> tuple:
+        """``(table, den)``: the :func:`camera_minor_table` of cameras j and
+        k, built once with the rig.  For j > k it is read from the stored
+        table of (k, j): swapping the two cameras swaps B's row blocks (an
+        even permutation of the five rows left after any deletion) and its
+        two image columns, so the row-i vector of (j, k) is minus the row
+        (i + 3) mod 6 vector of (k, j), with the image points' roles swapped."""
+        if j == k:
+            raise ValueError("camera indices must differ")
+        if j < k:
+            return self._minor_tables[(j, k)]
+        table, den = self._minor_tables[(k, j)]
+        return -table[_SWAP_ROWS][:, :, _SWAP_BILINEAR], den
+
     def __repr__(self):
         return f"CameraRig(n={self.n}, backend={self.backend}, general_position={self.general_position.ok})"
 
@@ -300,32 +321,56 @@ def _minor_layout():
 
 
 _MINOR_ROWS, _MINOR_INDEX, _MINOR_SIGN = _minor_layout()
+# The minor table of (k, j) from that of (j, k): rows i -> (i + 3) mod 6,
+# and the bilinear index 3a + b -> 3b + a (see CameraRig.minor_table).
+_SWAP_ROWS = [3, 4, 5, 0, 1, 2]
+_SWAP_BILINEAR = [3 * b + a for a in range(3) for b in range(3)]
+# Stored exact tables are int64 when every |entry| is below this.
+_INT64_LIMIT = 2 ** 63
 
 
-def camera_minor_table(rig: CameraRig, j: int, k: int) -> np.ndarray:
+def camera_minor_table(rig: CameraRig, j: int, k: int) -> tuple:
     """Signed 3x3 minors of the stacked pair [A_j; A_k], arranged so that the
     cofactor vectors of the pair's 6x6 matrix B = [A_j u_j 0; A_k 0 u_k]
     are bilinear in its two image points: the signed maximal minors of B
     without row i are, in their first four coordinates,
 
-        w_i[c] = sum over a, b of table[i, c, 3a + b] * u_j[a] * u_k[b]
+        w_i[c] = sum over a, b of table[i, c, 3a + b] * u_j[a] * u_k[b] / den
 
-    where table[i, c, 3a + b] is, up to sign, the 3x3 minor of the 6x4 stack
-    without rows i, a and 3 + b and without column c (zero when row i is row
-    a or row 3 + b).  The sign is (-1)^c from
+    where den * table[i, c, 3a + b] is, up to sign, the 3x3 minor of the 6x4
+    stack without rows i, a and 3 + b and without column c (zero when row i
+    is row a or row 3 + b).  The sign is (-1)^c from
     :func:`rigidview.linalg.signed_maximal_minors` times the Laplace sign of
-    expanding B along its two image columns.  Entries are ints or Fractions
-    on the exact backend, float64 on the float backend.
+    expanding B along its two image columns.
+
+    Returns ``(table, den)``.  On the exact backend the minors are taken of
+    the stack times the lcm L of its denominators, so they are integers
+    times L^3; den is the least positive integer that clears the true
+    minors, and the table holds them times den, as int64 when every entry
+    fits and as Python ints in an object array otherwise.  On the float
+    backend the table is float64 and den is 1.  The rig keeps every pair's
+    table (:meth:`CameraRig.minor_table`); nothing else builds one.
     """
     if j == k:
         raise ValueError("camera indices must differ")
     stack = rig.camera(j).matrix.data + rig.camera(k).matrix.data
+    exact = rig.backend == EXACT
+    scale = lcm(*(x.denominator for row in stack for x in row)) if exact else 1
+    if scale != 1:
+        stack = tuple(tuple(int(x * scale) for x in row) for row in stack)
     dropped = [[row[:c] + row[c + 1:] for row in stack] for c in range(4)]
     minors = [[(-1) ** c * _det3(rows[p], rows[q], rows[r]) for c, rows in enumerate(dropped)]
               for p, q, r in _MINOR_ROWS]
     minors = np.array(minors + [[0] * 4], dtype=object)
     table = (minors[_MINOR_INDEX] * _MINOR_SIGN[..., None]).transpose(0, 2, 1)
-    return np.ascontiguousarray(table, dtype=object if rig.backend == EXACT else np.float64)
+    if not exact:
+        return np.ascontiguousarray(table, dtype=np.float64), 1
+    den = scale ** 3
+    g = gcd(den, *table.ravel().tolist())
+    if g > 1:
+        table, den = table // g, den // g
+    fits = max(map(abs, table.ravel().tolist())) < _INT64_LIMIT
+    return np.ascontiguousarray(table, dtype=np.int64 if fits else object), den
 
 
 def _reduced(x):
@@ -333,15 +378,17 @@ def _reduced(x):
     return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
 
 
-def _fundamental(aj: Mat, table: np.ndarray) -> Mat:
+def _fundamental(aj: Mat, table: np.ndarray, den: int) -> Mat:
     """F of a camera pair from its :func:`camera_minor_table`.  F[a][b] is
     det B at u_j = e_a, u_k = e_b; expanding along row i = (a + 1) mod 3 of
     B, whose image entry is zero there, gives (-1)^i times the sum over c of
-    A_j[i][c] table[i, c, 3a + b]."""
+    A_j[i][c] table[i, c, 3a + b] / den."""
     table = table.tolist()
-    return Mat([[_reduced((-1) ** i * sum(x * t[3 * a + b] for x, t in zip(aj.data[i], table[i])))
-                 for b in range(3)]
-                for a, i in ((0, 1), (1, 2), (2, 0))])
+
+    def entry(a, b, i):
+        total = (-1) ** i * sum(x * t[3 * a + b] for x, t in zip(aj.data[i], table[i]))
+        return _reduced(total if den == 1 else Fraction(total, den))
+    return Mat([[entry(a, b, i) for b in range(3)] for a, i in ((0, 1), (1, 2), (2, 0))])
 
 
 def _validate_focal_points(cams, tol) -> GeneralPositionReport:
@@ -371,11 +418,12 @@ def forward_map(rig: CameraRig, x: ProjectivePoint) -> ImageTuple:
     return tuple(cam.project(x) for cam in rig.cameras)
 
 
-def _multiview_matrix(rig: CameraRig, cams: Sequence[int],
-                      points: Sequence[ProjectivePoint]) -> Mat:
-    """The stacked multiview matrix [A_j | u_j e_j] of the cameras ``cams``
-    and their image points: block row i holds the rows of camera cams[i],
-    then points[i] in column 4 + i and zeros in the other image columns."""
+def _multiview_rows(rig: CameraRig, cams: Sequence[int],
+                    points: Sequence[ProjectivePoint]) -> list:
+    """The rows of the stacked multiview matrix [A_j | u_j e_j] of the
+    cameras ``cams`` and their image points: block row i holds the rows of
+    camera cams[i], then points[i] in column 4 + i and zeros in the other
+    image columns."""
     zero = 0.0 if rig.backend == FLOAT else 0
     rows = []
     for i, (j, pt) in enumerate(zip(cams, points)):
@@ -383,23 +431,40 @@ def _multiview_matrix(rig: CameraRig, cams: Sequence[int],
             extra = [zero] * len(cams)
             extra[i] = pt[r]
             rows.append(list(rig.camera(j).matrix.data[r]) + extra)
-    return Mat(rows)
+    return rows
+
+
+def _multiview_matrix(rig: CameraRig, cams: Sequence[int],
+                      points: Sequence[ProjectivePoint]) -> Mat:
+    """:func:`_multiview_rows` as a :class:`Mat`."""
+    return Mat(_multiview_rows(rig, cams, points))
+
+
+def _all_exact(rig: CameraRig, points: Sequence[ProjectivePoint]) -> bool:
+    """Whether the rig and every point are on the exact backend."""
+    return rig.backend == EXACT and all(p.backend == EXACT for p in points)
 
 
 def multiview_membership(rig: CameraRig, points: Sequence[ProjectivePoint]) -> MembershipResult:
     """Test whether an image tuple is a consistent set of n views.
 
     Stacks the block rows [A_j | 0 .. u_j .. 0] into a 3n x (4+n) matrix;
-    the tuple is consistent exactly when its rank is at most n+3.  One
-    :func:`rigidview.linalg.rank` at ``rig.tol`` decides; the world point
-    and the scales come from triangulation.
+    the tuple is consistent exactly when its rank is at most n+3.  When the
+    rig and every point are exact, one fraction-free elimination of the
+    matrix's cleared integer rows decides, with no :class:`Mat` built;
+    otherwise the matrix goes to :func:`rigidview.linalg.rank` at
+    ``rig.tol`` under its usual backend rules.  The world point and the
+    scales come from triangulation.
     """
     n = rig.n
     if len(points) != n:
         raise ShapeError(f"expected {n} image points, got {len(points)}")
     if any(len(p) != 3 for p in points):
         raise ShapeError("image points have 3 coordinates")
-    r = rank(_multiview_matrix(rig, range(n), points), rig.tol).rank
+    if _all_exact(rig, points):
+        r = _exact_rank(_multiview_rows(rig, range(n), points))
+    else:
+        r = rank(_multiview_matrix(rig, range(n), points), rig.tol).rank
     return MembershipResult(r <= n + 3, r)
 
 

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cameras import (CameraRig, ProjectivePoint, _multiview_matrix, _reduced,
-                      camera_minor_table, multiview_membership)
+                      multiview_membership)
 from .linalg import (EXACT, BackendError, Mat, Scalar, ShapeError, _cleared, _is_probable_prime,
                      adjugate, det)
 from .triangulation import (AmbiguousTriangulationError, NotInVarietyError,
@@ -167,10 +167,13 @@ _UNIT_TENSOR = polarize(_UNIT_FORM)
 
 def wedge_table(rig: CameraRig, points, pairs):
     """Cofactor 4-vectors for every requested camera pair and row index, read
-    from the pair's camera minor table."""
+    from the pair's stored camera minor table, its denominator divided out."""
     table = {}
     for (j, k) in pairs:
-        w = cofactor_vectors(camera_minor_table(rig, j, k), points[j].coords, points[k].coords)
+        minors, den = rig.minor_table(j, k)
+        if den != 1:
+            minors = minors.astype(object) * Fraction(1, den)
+        w = cofactor_vectors(minors, points[j].coords, points[k].coords)
         table[(j, k)] = [tuple(row) for row in w.tolist()]
     return table
 
@@ -214,14 +217,6 @@ def _sym2_products(first, second):
     s = first[:, _SYM2_P] * second[:, _SYM2_Q]
     s[:, _SYM2_OFF] += (first[:, _SYM2_Q] * second[:, _SYM2_P])[:, _SYM2_OFF]
     return s
-
-
-def _cleared_table(table: np.ndarray):
-    """An exact camera minor table times the least positive integer that
-    clears its denominators, as Python ints in an object array of the same
-    shape, and that integer."""
-    flat, den = _cleared(table.ravel())
-    return np.array([int(x) for x in flat], dtype=object).reshape(table.shape), den
 
 
 def _sym2_rows(w: np.ndarray, rows) -> np.ndarray:
@@ -337,10 +332,11 @@ class OcticEngine:
     S_a G S_b^T, with G the tensor's 10x10 Gram matrix, regrouped so that
     each camera pair of a and each of b gives one row of values.
 
-    The exact backend computes on integers: G, the camera minor tables and
-    the image points are cleared of denominators, and each camera-pair row
-    of values comes with the positive integer it was multiplied by, divided
-    out only when values are returned.  Floats go through float64.
+    The exact backend computes on integers: G, the camera minor tables (as
+    the rig stores them) and the image points are cleared of denominators,
+    and each camera-pair row of values comes with the positive integer it
+    was multiplied by, divided out only when values are returned.  Floats
+    go through float64.
 
     The exact zero test, :meth:`vanishes`, forms no value.  Every cleared
     |value| is at most B = 100 max|S_a| max|G| max|S_b|, and max|S| is at
@@ -358,14 +354,12 @@ class OcticEngine:
         """``row_sets`` holds one row set per image tuple; ``blocks`` lists
         ``(a, b, tensor)``, the tensor at every camera pair and row pair of
         tuple a's row set against every one of tuple b's.  The camera minor
-        tables of the pairs in use are computed here, once."""
+        tables of the pairs in use are read from the rig."""
         self.exact = rig.backend == EXACT
         self.row_sets = list(row_sets)
         self.blocks = [(a, b) + _gram(tensor, self.exact) for a, b, tensor in blocks]
-        self.tables = {}
-        for pair in {pair for pairs, _ in self.row_sets for pair in pairs}:
-            table = camera_minor_table(rig, *pair)
-            self.tables[pair] = _cleared_table(table) if self.exact else (table, 1)
+        self.tables = {pair: rig.minor_table(*pair)
+                       for pair in {pair for pairs, _ in self.row_sets for pair in pairs}}
 
     def _cofactors(self, tuples) -> list:
         """Per image tuple, its cofactor vectors as an array of shape

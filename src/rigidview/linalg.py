@@ -320,12 +320,18 @@ def _det_rows(rows, backend: str) -> Scalar:
     return result.numerator if result.denominator == 1 else result
 
 
+def _exact_rank(rows) -> int:
+    """Exact rank of rows of ints and Fractions, with no :class:`Mat` built:
+    each row is cleared of denominators and the rows go through one
+    fraction-free elimination."""
+    return len(_bareiss_echelon([_cleared(r)[0] for r in rows])[1])
+
+
 def rank(m: Mat, tol: float | None = None) -> RankReport:
     """Rank of a matrix; on the float backend pivots below ``tol`` times the
     largest pivot are treated as zero (default 1e-9)."""
     if m.backend == EXACT:
-        _, pivot_cols, _ = _bareiss_echelon([_cleared(r)[0] for r in m.data])
-        return RankReport(len(pivot_cols))
+        return RankReport(_exact_rank(m.data))
     if tol is None:
         tol = DEFAULT_RANK_TOL
     _, pivots, _, _ = _float_echelon(m.data)

@@ -9,9 +9,9 @@ symbolically for a fixed numeric rig, computes span dimensions of
 polynomial families (exactly or modulo a random 31-bit prime), and counts
 the conjectured minimal generators per degree class.
 
-The cofactor vectors come from the signed 3x3 camera minors of
-:func:`rigidview.cameras.camera_minor_table`, and the octics from the
-contraction that :class:`rigidview.constraints.OcticEngine` evaluates
+The cofactor vectors come from the signed 3x3 camera minors that the rig
+stores (:meth:`rigidview.cameras.CameraRig.minor_table`), and the octics
+from the contraction that :class:`rigidview.constraints.OcticEngine` evaluates
 numerically: ``S_u G S_v^T``, with S holding the symmetric products of a
 camera pair's cofactor vectors as coefficients over the 36 monomials of
 bidegree (2, 2) in its two image points.
@@ -28,9 +28,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cameras import CameraRig, camera_minor_table
-from .constraints import (QuadTensor, _ROW_PAIRS, _cleared_table, _gram, _sym2_products,
-                          polarize, unit_distance_form)
+from .cameras import CameraRig
+from .constraints import (QuadTensor, _ROW_PAIRS, _gram, _sym2_products, polarize,
+                          unit_distance_form)
 from .linalg import (EXACT, Scalar, _bareiss_echelon, _is_probable_prime, decode_scalar,
                      encode_scalar)
 
@@ -275,8 +275,10 @@ def _sym_products(rig: CameraRig, j: int, k: int):
     p = q), and the positive integer it is multiplied by.
 
     The cofactor vectors are bilinear in (u_j, u_k) with the coefficients of
-    :func:`camera_minor_table`, cleared here of their denominators."""
-    table, den = _cleared_table(camera_minor_table(rig, j, k))
+    the rig's cleared minor table, taken as Python ints so that no product
+    can overflow."""
+    table, den = rig.minor_table(j, k)
+    table = table.astype(object)
     i1, i2 = np.array(_ROW_PAIRS).T
     # axes: row pair, slot, then the 9 x 9 products of the two vectors'
     # coefficients, folded onto the 36 monomials
@@ -350,12 +352,13 @@ def expand_wedge_symbolic(rig: CameraRig, j: int, k: int, row: int,
     polynomials, bilinear in the image variables of cameras j and k.
 
     Every coefficient is, up to sign, a 3x3 minor of the stacked 6x4 camera
-    matrix, read from :func:`camera_minor_table`.  ``row`` is 0-based.
+    matrix, read from the rig's minor table.  ``row`` is 0-based.
     """
     if rig.backend != EXACT:
         raise ValueError("symbolic expansion needs an exact rig")
     n = rig.n
-    table = camera_minor_table(rig, j, k)
+    table, den = rig.minor_table(j, k)
+    table = table.tolist()
     out = []
     for c in range(4):
         terms = {}
@@ -364,7 +367,8 @@ def expand_wedge_symbolic(rig: CameraRig, j: int, k: int, row: int,
                 exps = [0] * (6 * n)
                 exps[variable_index(n, side, j, a)] = 1
                 exps[variable_index(n, side, k, b)] = 1
-                terms[tuple(exps)] = table[row, c, 3 * a + b]
+                coef = table[row][c][3 * a + b]
+                terms[tuple(exps)] = coef if den == 1 else Fraction(coef, den)
         out.append(MultiHomogPoly(n, terms))
     return out
 

@@ -9,7 +9,8 @@ has the kernel vector (X, -lambda_j, -lambda_k) when the two back-projected
 lines meet in the world point X.  For rank-5 B the kernel is recovered by
 Cramer's rule: deleting any row i and taking signed maximal minors yields a
 vector whose first four coordinates represent X.  The recovery is available
-exactly over rationals and with tolerances over floats.
+exactly over rationals and with tolerances over floats.  The cofactor
+vectors are read from the camera minor tables the rig keeps.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cameras import (CameraRig, ProjectivePoint, _multiview_matrix, _reduced,
-                      camera_minor_table, multiview_membership)
-from .linalg import EXACT, FLOAT, Mat, rank
+from .cameras import (CameraRig, ProjectivePoint, _all_exact, _multiview_matrix, _reduced,
+                      multiview_membership)
+from .linalg import FLOAT, Mat, rank
 
 
 # Largest angular distance between two unit-scaled float candidates of the
@@ -82,20 +83,30 @@ def assemble_b(rig: CameraRig, j: int, k: int,
 
 def cofactor_vectors(table: np.ndarray, u_j: Sequence, u_k: Sequence) -> np.ndarray:
     """The six cofactor 4-vectors of a camera pair, as a 6x4 array, read from
-    its :func:`camera_minor_table` and the two image points' coordinates."""
-    outer = np.array([x * y for x in u_j for y in u_k], dtype=table.dtype)
+    its camera minor table (see :meth:`CameraRig.minor_table`, whose
+    denominator they are multiplied by) and the two image points'
+    coordinates.  Exact coordinates stay Python ints or Fractions in an
+    object array, so an int64 table cannot overflow."""
+    dtype = np.float64 if table.dtype == np.float64 else object
+    outer = np.array([x * y for x in u_j for y in u_k], dtype=dtype)
     return table @ outer
 
 
-def _cofactor_point(b: BMatrix, w: tuple, tol: float | None) -> Optional[ProjectivePoint]:
+def _nonzero_cut(b: Mat, tol: float | None) -> float:
+    """The cut of :func:`_cofactor_point` for the pair matrix B: on floats
+    with a rig tolerance, ``tol`` times the largest entry of B's first row;
+    0.0 on the exact backend and when ``tol`` is None."""
+    if b.backend == FLOAT and tol is not None:
+        return tol * (max(abs(x) for x in b.data[0]) or 1.0)
+    return 0.0
+
+
+def _cofactor_point(w, cut: float) -> Optional[ProjectivePoint]:
     """The zero test of the witness scan and of the cross-check in
     :func:`triangulate`: the first four coordinates of cofactor vector ``w``
-    as a world point, or None when they vanish (exactly, or on floats within
-    ``tol``, the rig's tolerance, times the largest entry of B's first row)."""
+    as a world point, or None when none exceeds ``cut`` in magnitude (see
+    :func:`_nonzero_cut`)."""
     w = w[:4]
-    cut = 0.0
-    if b.mat.backend == FLOAT and tol is not None:
-        cut = tol * (max(abs(x) for x in b.mat.data[0]) or 1.0)
     if max(abs(x) for x in w) <= cut:
         return None
     return ProjectivePoint(w)
@@ -123,22 +134,35 @@ def is_triangulable(rig: CameraRig, points: Sequence[ProjectivePoint]) -> bool:
 
 def _pair_scan(rig: CameraRig, points: Sequence[ProjectivePoint]):
     """The witness scan of :func:`is_triangulable` on a tuple known to be
-    consistent: ``(pair, row, B, vectors)``, or None when no pair has one.
+    consistent: ``(pair, row, vectors, cut)``, or None when no pair has one.
 
-    Scans camera pairs lexicographically, building each pair's B and taking
-    its rank once.  For a rank-5 pair it reads the first four coordinates of
-    all six cofactor vectors from the pair's :func:`camera_minor_table` and
-    takes the first row, in order, whose vector gives a nonzero point.
+    Scans camera pairs lexicographically and reads the first four
+    coordinates of each pair's six cofactor vectors from the rig's stored
+    minor table; the witness is the first row, in order, whose vector gives
+    a nonzero point (see :func:`_cofactor_point`).  A pair qualifies only
+    when its B has rank 5.  On floats that is one :func:`rank` of B at
+    ``rig.tol``.  On the exact backend no rank is taken: the tuple is
+    consistent, so det B = 0, and B has rank 5 exactly when some cofactor
+    vector has a nonzero first four coordinates.  (At rank 5 a nonzero
+    cofactor vector spans the kernel, and a kernel vector (0, -l_j, -l_k)
+    forces l_j u_j = l_k u_k = 0; below rank 5 every cofactor vector is
+    zero.)  The exact vectors come back divided by the table's denominator.
     """
     for j, k in combinations(range(rig.n), 2):
-        b = assemble_b(rig, j, k, points[j], points[k])
-        if rank(b.mat, rig.tol).rank != 5:
-            continue
-        vectors = cofactor_vectors(camera_minor_table(rig, j, k),
-                                   points[j].coords, points[k].coords).tolist()
+        u_j, u_k = points[j], points[k]
+        cut = 0.0
+        if not _all_exact(rig, (u_j, u_k)):
+            b = assemble_b(rig, j, k, u_j, u_k).mat
+            if rank(b, rig.tol).rank != 5:
+                continue
+            cut = _nonzero_cut(b, rig.tol)
+        table, den = rig.minor_table(j, k)
+        vectors = cofactor_vectors(table, u_j.coords, u_k.coords).tolist()
         for i, w in enumerate(vectors):
-            if _cofactor_point(b, w, rig.tol) is not None:
-                return (j, k), i, b, vectors
+            if _cofactor_point(w, cut) is not None:
+                if den != 1:
+                    vectors = [[Fraction(x, den) for x in v] for v in vectors]
+                return (j, k), i, vectors, cut
     return None
 
 
@@ -156,12 +180,12 @@ def triangulate(rig: CameraRig, points: Sequence[ProjectivePoint]) -> Triangulat
     scan = _pair_scan(rig, points)
     if scan is None:
         raise NotTriangulableError("no camera pair has a rank-5 triangulation matrix")
-    pair, row, b, vectors = scan
-    exact = b.mat.backend == EXACT
+    pair, row, vectors, cut = scan
+    exact = _all_exact(rig, [points[cam] for cam in pair])
     x = tuple(map(_reduced, vectors[row]))
     point = ProjectivePoint(x)
     for i in range(row + 1, 6):
-        candidate = _cofactor_point(b, vectors[i], rig.tol)
+        candidate = _cofactor_point(vectors[i], cut)
         if candidate is None:
             continue
         if exact:

@@ -1,6 +1,7 @@
 """Shared test fixtures: deterministic rigs, naive determinant oracle, the
 partial-pivoting determinant, Gauss-Jordan inverse and cofactor adjugate
-references, the per-index references for cofactor vectors and tensor values, the
+references, the from-scratch camera minor table, the per-index references
+for cofactor vectors and tensor values, the
 cofactor-expansion reference for the symbolic octics, the per-column
 mod-p rank, and the per-term coefficient matrix and failure bounds."""
 
@@ -12,10 +13,10 @@ from operator import attrgetter
 
 import numpy as np
 
-from rigidview.cameras import CameraRig
-from rigidview.linalg import FLOAT, Mat, det, rank, signed_maximal_minors
+from rigidview.cameras import _MINOR_INDEX, _MINOR_ROWS, _MINOR_SIGN, CameraRig, _det3
+from rigidview.linalg import EXACT, FLOAT, Mat, det, rank, signed_maximal_minors
 from rigidview.polyspace import RANK_PRIME_COUNT, MultiHomogPoly, _shared_degree, monomial_basis
-from rigidview.triangulation import _cofactor_point
+from rigidview.triangulation import _cofactor_point, _nonzero_cut
 
 
 def standard_rig():
@@ -140,6 +141,21 @@ def reference_adjugate(m):
                  for j in range(n)] for i in range(n)])
 
 
+def reference_minor_table(rig, j, k):
+    """The camera minor table of cameras j and k built from scratch: the
+    true signed 3x3 minors (ints or Fractions in an object array on the
+    exact backend, float64 on floats), with no denominator cleared, in the
+    layout of :func:`rigidview.cameras.camera_minor_table`.  The reference
+    for the tables a rig stores."""
+    stack = rig.camera(j).matrix.data + rig.camera(k).matrix.data
+    dropped = [[row[:c] + row[c + 1:] for row in stack] for c in range(4)]
+    minors = [[(-1) ** c * _det3(rows[p], rows[q], rows[r]) for c, rows in enumerate(dropped)]
+              for p, q, r in _MINOR_ROWS]
+    minors = np.array(minors + [[0] * 4], dtype=object)
+    table = (minors[_MINOR_INDEX] * _MINOR_SIGN[..., None]).transpose(0, 2, 1)
+    return np.ascontiguousarray(table, dtype=object if rig.backend == EXACT else np.float64)
+
+
 def wedge5(b, i):
     """Signed maximal minors of B with row i (0-based) deleted: the cofactor
     vector that :func:`rigidview.cameras.camera_minor_table` gives as a
@@ -150,7 +166,7 @@ def wedge5(b, i):
 def wedge5_point(b, i, tol=None):
     """First four coordinates of the row-i cofactor vector as a world point,
     or None when they all vanish."""
-    return _cofactor_point(b, wedge5(b, i), tol)
+    return _cofactor_point(wedge5(b, i), _nonzero_cut(b.mat, tol))
 
 
 def tensor_value(tensor, a, b, c, d):

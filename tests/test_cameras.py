@@ -1,12 +1,14 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import count_calls, fraction_rig
+from helpers import count_calls, fraction_rig, reference_minor_table
 from rigidview import cameras, linalg
 from rigidview.cameras import (
     Camera,
@@ -296,6 +298,59 @@ class TestFundamental:
             assert rank(rig.fundamental(j, k)).rank == 2
 
 
+class TestStoredMinorTables:
+    """The rig builds each camera pair's minor table once, cleared of
+    denominators, and keeps it: int64 where every entry fits, Python ints
+    otherwise, float64 on floats."""
+
+    @staticmethod
+    def _rig(kind):
+        rng = random.Random(f"tables:{kind}")
+        if kind == "fraction":
+            return fraction_rig(rng, 3)
+        height = {"height-1e6": 10 ** 6, "height-1e7": 10 ** 7}.get(kind, 20)
+        rig = CameraRig([random_camera_mat(rng, height) for _ in range(3)])
+        if kind == "float":
+            rig = CameraRig([cam.matrix.to_float() for cam in rig.cameras])
+        return rig
+
+    @pytest.mark.parametrize("kind, dtype", [
+        ("int", np.int64), ("fraction", np.int64), ("height-1e6", np.int64),
+        ("height-1e7", object), ("float", np.float64)])
+    def test_stored_table_equals_reference(self, kind, dtype):
+        rig = self._rig(kind)
+        for j, k in itertools.permutations(range(3), 2):
+            table, den = rig.minor_table(j, k)
+            want = reference_minor_table(rig, j, k)
+            assert table.shape == (6, 4, 9) and table.dtype == dtype
+            if kind == "float":
+                # pairs j < k are built by the reference's arithmetic; j > k
+                # are read from the (k, j) table, whose minors round apart
+                assert den == 1
+                scale = 1e-13 * np.abs(want).max() if j > k else 0.0
+                assert np.abs(table - want).max() <= scale
+                continue
+            # den is the least positive integer that clears the true minors
+            assert den == lcm(*(Fraction(x).denominator for x in want.ravel().tolist()))
+            assert [Fraction(x, den) for x in table.ravel().tolist()] == want.ravel().tolist()
+        if kind == "fraction":
+            assert rig.minor_table(0, 1)[1] > 1
+        if kind.startswith("height"):
+            assert np.abs(rig.minor_table(0, 1)[0]).max() > 2 ** 50
+
+    def test_tables_are_built_once_with_the_rig(self, monkeypatch):
+        rng = random.Random(67)
+        mats = [random_camera_mat(rng) for _ in range(4)]
+        calls = count_calls(monkeypatch, cameras, "camera_minor_table")
+        rig = CameraRig(mats)
+        assert [args[1:] for args in calls] == list(itertools.combinations(range(4), 2))
+        for j, k in itertools.permutations(range(4), 2):
+            rig.minor_table(j, k)
+        assert len(calls) == 6
+        with pytest.raises(ValueError):
+            rig.minor_table(1, 1)
+
+
 class TestMembership:
     def test_forward_image_is_member(self):
         rng = random.Random(31)
@@ -359,8 +414,9 @@ class TestMembership:
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("kind", ["int", "fraction", "float", "float_tol"])
     def test_rank_decides_membership(self, monkeypatch, n, kind):
-        # .rank is the rank of the stacked multiview matrix, read by one rank
-        # call and no kernel, and .ok is rank <= n + 3
+        # .rank is the rank of the stacked multiview matrix, read off one
+        # elimination and no kernel, and .ok is rank <= n + 3; an exact rig
+        # and tuple build no Mat and take no rank, floats take one rank
         rng = random.Random(41 + n)
         rig = fraction_rig(rng, n) if kind == "fraction" else random_rig(rng, n)
         if kind.startswith("float"):
@@ -378,15 +434,40 @@ class TestMembership:
             cases = [tuple(p.to_float() for p in points) for points in cases]
         for points in cases:
             want = rank(cameras._multiview_matrix(rig, range(n), points), rig.tol).rank
-            ranks = count_calls(monkeypatch, cameras, "rank")
+            eliminations = count_calls(monkeypatch, linalg, "_bareiss_echelon")
+            count_calls(monkeypatch, linalg, "_float_echelon", eliminations)
             kernels = count_calls(monkeypatch, cameras, "nullspace")
+            ranks = count_calls(monkeypatch, cameras, "rank")
+            mats = count_calls(monkeypatch, cameras, "Mat")
             res = multiview_membership(rig, points)
             monkeypatch.undo()
-            assert len(ranks) == 1 and kernels == []
+            assert len(eliminations) == 1 and kernels == []
+            if kind in ("int", "fraction"):
+                assert ranks == [] and mats == []
+            else:
+                assert len(ranks) == 1 and len(mats) == 1
             assert res.rank == want
             assert res.ok == (want <= n + 3)
         assert multiview_membership(rig, cases[0]).ok
         assert not multiview_membership(rig, cases[1]).ok
+
+    def test_mixed_backends_keep_their_rules(self):
+        # a float point on an exact integer rig makes the stacked matrix a
+        # float one, ranked at the rig's tolerance: a float member moved by
+        # 1e-13 stays consistent, though the same point read exactly is not;
+        # a float point on a rig with Fraction entries cannot be stacked
+        rng = random.Random(47)
+        rig = random_rig(rng, 3)
+        member = forward_map(rig, ProjectivePoint((3, -2, 5, 7)))
+        last = [float(c) / float(max(member[2].coords, key=abs)) for c in member[2].coords]
+        last[0] += 1e-13
+        moved = member[:2] + (ProjectivePoint(last),)
+        res = multiview_membership(rig, moved)
+        assert res.ok and res.rank == 6
+        exact = member[:2] + (ProjectivePoint([Fraction(x) for x in last]),)
+        assert multiview_membership(rig, exact).rank == 7
+        with pytest.raises(linalg.BackendError):
+            multiview_membership(fraction_rig(rng, 3), moved)
 
 
 class TestOneElimination:
@@ -394,21 +475,26 @@ class TestOneElimination:
     one kernel computation: exactly one fraction-free elimination each."""
 
     def test_membership_eliminates_once(self, monkeypatch):
+        # the one elimination runs on the cleared integer rows of the
+        # stacked multiview matrix, and its rank is that matrix's rank
         rng = random.Random(53)
         for n in (2, 3, 4):
-            rig = random_rig(rng, n)
-            member = forward_map(rig, ProjectivePoint((3, -2, 5, 7)))
-            nonmember = (ProjectivePoint((1, 2, 3)),) + member[1:]
-            cases = [(member, True), (nonmember, False)]
-            if n == 2:
-                cases.append(((rig.epipole(0, 1), rig.epipole(1, 0)), True))
-            for points, ok in cases:
-                calls = count_calls(monkeypatch, linalg, "_bareiss_echelon")
-                res = multiview_membership(rig, points)
-                assert len(calls) == 1
-                assert res.ok == ok
-                assert res.rank == rank(Mat(calls[0][0])).rank
-                monkeypatch.undo()
+            for rig in (random_rig(rng, n), fraction_rig(rng, n)):
+                member = forward_map(rig, ProjectivePoint((3, -2, 5, 7)))
+                nonmember = (ProjectivePoint((1, 2, 3)),) + member[1:]
+                cases = [(member, True), (nonmember, False)]
+                if n == 2:
+                    cases.append(((rig.epipole(0, 1), rig.epipole(1, 0)), True))
+                for points, ok in cases:
+                    stacked = cameras._multiview_matrix(rig, range(n), points)
+                    calls = count_calls(monkeypatch, linalg, "_bareiss_echelon")
+                    res = multiview_membership(rig, points)
+                    monkeypatch.undo()
+                    assert len(calls) == 1
+                    assert res.ok == ok
+                    assert res.rank == rank(stacked).rank
+                    assert [list(r) for r in calls[0][0]] == [
+                        list(linalg._cleared(r)[0]) for r in stacked.data]
 
     def test_camera_eliminates_once(self, monkeypatch):
         rng = random.Random(59)

@@ -42,9 +42,10 @@ from rigidview.constraints import (
     trilinear_residuals,
     unit_distance_form,
 )
-from rigidview import constraints, triangulation
+from rigidview import cameras, constraints, harness, triangulation
 from rigidview.linalg import BackendError, Mat, ShapeError, _is_probable_prime, det
-from rigidview.triangulation import assemble_b, camera_minor_table, cofactor_vectors
+from rigidview.polyspace import all_octics_symbolic, expand_wedge_symbolic
+from rigidview.triangulation import assemble_b, cofactor_vectors
 
 
 def unit_pair(rng):
@@ -328,10 +329,37 @@ class TestContractionEngine:
         rig = CameraRig(data.draw(_camera_mats(3)))
         (points,) = data.draw(_image_tuples(coord, 3, 1))
         j, k = pair
-        w = cofactor_vectors(camera_minor_table(rig, j, k), points[j], points[k])
+        table, den = rig.minor_table(j, k)
+        w = cofactor_vectors(table, points[j], points[k])
         b = assemble_b(rig, j, k, points[j], points[k])
         for i in range(6):
-            assert tuple(w[i]) == wedge5(b, i)[:4]
+            assert tuple(Fraction(x, den) for x in w[i]) == wedge5(b, i)[:4]
+
+
+class TestStoredTablesOnly:
+    def test_requests_build_no_minor_table(self, monkeypatch):
+        # the exact-pairs requests (both verdicts on member, non-member and
+        # epipole pairs), the octic and general-form values and the symbolic
+        # expansions read the tables the rig built, and build none
+        rng = random.Random(151)
+        tensor = polarize(unit_distance_form())
+        for n in (2, 3, 4):
+            rig = harness.random_rig(rng, n)
+            u, v, _, _ = harness.sample_member_pair(rig, rng)
+            w, z, _, _ = harness.sample_nonmember_pair(rig, rng)
+            pairs = [(u, v), (w, z)]
+            if n == 2:
+                pairs.append((u, (rig.epipole(0, 1), rig.epipole(1, 0))))
+            tables = count_calls(monkeypatch, cameras, "camera_minor_table")
+            for a, b in pairs:
+                rigid_pair_by_equations(rig, a, b, Family.OCTIC_FULL)
+                rigid_pair_oracle(rig, a, b)
+            constraint_system(rig, Family.OCTIC_FULL).evaluate(u, v)
+            constraint_system(rig, Family.GENERAL_DE, form=distance_form(2)).evaluate(u, v)
+            all_octics_symbolic(rig, tensor, (0, 1), (1, 0))
+            expand_wedge_symbolic(rig, 1, 0, 2)
+            assert tables == []
+            monkeypatch.undo()
 
 
 class TestConstraintSystems:

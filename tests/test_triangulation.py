@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from helpers import (count_calls, naive_det, random_rig, random_world_point, standard_rig,
-                     wedge5, wedge5_point)
-from rigidview import harness, linalg, triangulation
+from helpers import (count_calls, fraction_rig, naive_det, random_rig, random_world_point,
+                     standard_rig, wedge5, wedge5_point)
+from rigidview import cameras, harness, linalg, triangulation
 from rigidview.cameras import (CameraRig, ProjectivePoint, forward_map, multiview_membership,
                                projectively_equal)
 from rigidview.linalg import Mat, det, rank
@@ -190,6 +190,50 @@ class TestRankDichotomy:
                 assert rank(b.mat).rank == 5
 
 
+class TestExactPairShortcut:
+    @staticmethod
+    def _consistent_tuples(rig, rng):
+        """Member tuples of two random world points, and the tuples with a
+        rank-4 or degenerate pair: the n = 2 epipole pair, views of the
+        last camera's focal point, and a world point on the baseline of
+        cameras 0 and 1."""
+        n = rig.n
+        out = [forward_map(rig, ProjectivePoint(random_world_point(rng))) for _ in range(2)]
+        if n == 2:
+            out.append((rig.epipole(0, 1), rig.epipole(1, 0)))
+        else:
+            f = rig.focal_point(n - 1)
+            out.append(tuple(rig.camera(j).project(f) for j in range(n - 1))
+                       + (ProjectivePoint((3, 1, 4)),))
+            c0, c1 = (rig.camera(i).focal_point.coords for i in (0, 1))
+            out.append(forward_map(rig, ProjectivePoint([a + 2 * b for a, b in zip(c0, c1)])))
+        return out
+
+    def test_nonzero_cofactor_point_iff_rank_five(self):
+        # on an exact consistent tuple, some cofactor vector of a pair has a
+        # nonzero first four coordinates exactly when that pair's B has rank
+        # 5: the test the exact pair scan reads instead of a rank
+        rng = random.Random(149)
+        seen = {4: 0, 5: 0}
+        for n in (2, 3, 4):
+            for kind in ("int", "fraction", "height-1e6"):
+                for _ in range(6):
+                    rig = {"int": lambda: random_rig(rng, n),
+                           "fraction": lambda: fraction_rig(rng, n),
+                           "height-1e6": lambda: random_rig(rng, n, height=10 ** 6)}[kind]()
+                    for u in self._consistent_tuples(rig, rng):
+                        assert multiview_membership(rig, u).ok
+                        for j in range(n):
+                            for k in range(j + 1, n):
+                                table, _ = rig.minor_table(j, k)
+                                w = triangulation.cofactor_vectors(table, u[j].coords,
+                                                                   u[k].coords)
+                                r = rank(assemble_b(rig, j, k, u[j], u[k]).mat).rank
+                                assert (r == 5) == bool(w[:, :4].any()), (kind, n, j, k)
+                                seen[r] += 1
+        assert sum(seen.values()) >= 600 and seen[4] >= 50, seen
+
+
 class TestRigTolerance:
     def test_pair_rank_reads_the_rig_tolerance(self):
         # a member tuple at max-norm 1 with one coordinate moved by 1e-7 is
@@ -220,6 +264,15 @@ class TestSinglePass:
             assert dets == []
             monkeypatch.undo()
 
+    @staticmethod
+    def _count_pair_work(monkeypatch):
+        """Counters of the work an exact scan must not do: minor tables
+        built, determinants, ranks and B matrices assembled."""
+        return (count_calls(monkeypatch, cameras, "camera_minor_table"),
+                count_calls(monkeypatch, linalg, "_det_rows"),
+                count_calls(monkeypatch, triangulation, "rank"),
+                count_calls(monkeypatch, triangulation, "assemble_b"))
+
     @pytest.mark.parametrize("rig, x, row", [
         (random_rig(random.Random(131), 2), (3, -1, 2, 1), 0),
         (standard_rig(), (1, 1, 1, 1), 1),
@@ -228,12 +281,10 @@ class TestSinglePass:
     def test_scan_stops_at_witness_row(self, monkeypatch, rig, x, row):
         u = forward_map(rig, ProjectivePoint(x))
         want = wedge5(assemble_b(rig, 0, 1, u[0], u[1]), row)
-        tables = count_calls(monkeypatch, triangulation, "camera_minor_table")
-        dets = count_calls(monkeypatch, linalg, "_det_rows")
+        work = self._count_pair_work(monkeypatch)
         sol = triangulate(rig, u)
         assert (sol.pair, sol.row) == ((0, 1), row)
-        assert [args[1:] for args in tables] == [(0, 1)]
-        assert dets == []
+        assert work == ([], [], [], [])
         vector = sol.point.coords + tuple(-s for s in sol.lambdas)
         assert vector == want
         assert [type(c) for c in vector] == [type(c) for c in want]
@@ -241,29 +292,27 @@ class TestSinglePass:
 
     def test_rank4_pair_reads_no_minor_table(self, monkeypatch):
         # a world point on the baseline of cameras 0 and 1 makes their B
-        # rank 4, so the scan moves on to pair (0, 2)
+        # rank 4, so every cofactor vector of that pair vanishes and the scan
+        # moves on to pair (0, 2), with no table built and no rank taken
         rig = random_rig(random.Random(137), 3)
         c0, c1 = (rig.camera(i).focal_point.coords for i in (0, 1))
         x = ProjectivePoint([2 * a * c0[3] - b * c1[3] for a, b in zip(c1, c0)])
         u = forward_map(rig, x)
         assert rank(assemble_b(rig, 0, 1, u[0], u[1]).mat).rank == 4
-        tables = count_calls(monkeypatch, triangulation, "camera_minor_table")
-        dets = count_calls(monkeypatch, linalg, "_det_rows")
+        work = self._count_pair_work(monkeypatch)
         sol = triangulate(rig, u)
         assert sol.pair == (0, 2)
-        assert [args[1:] for args in tables] == [(0, 2)]
-        assert dets == []
+        assert work == ([], [], [], [])
         assert sol.point == x
 
     def test_triangulate_cross_checks_later_rows_only(self, monkeypatch):
         rig = standard_rig()
         u = forward_map(rig, ProjectivePoint((1, 1, 0, 1)))
-        tables = count_calls(monkeypatch, triangulation, "camera_minor_table")
-        dets = count_calls(monkeypatch, linalg, "_det_rows")
+        work = self._count_pair_work(monkeypatch)
         sol = triangulate(rig, u)
         assert sol.row == 2
-        assert len(tables) == 1 and dets == []
-        _, _, _, vectors = triangulation._pair_scan(rig, u)
+        assert work == ([], [], [], [])
+        _, _, vectors, _ = triangulation._pair_scan(rig, u)
         assert vectors[0] == vectors[1] == [0, 0, 0, 0]
         original = triangulation.cofactor_vectors
         for later in (3, 4, 5):
@@ -274,6 +323,29 @@ class TestSinglePass:
             monkeypatch.setattr(triangulation, "cofactor_vectors", skewed)
             with pytest.raises(AmbiguousTriangulationError, match=f"rows 2 and {later}"):
                 triangulate(rig, u)
+
+    def test_fraction_rig_divides_the_denominator_out(self):
+        # a rig whose minor table is stored times den > 1 gives the witness
+        # pair, row, point and scales of the determinant reference, in value
+        # and type: the first pair of rank 5, the first row of it whose
+        # cofactor vector has a nonzero point, and that vector itself
+        rng = random.Random(139)
+        for n in (2, 3):
+            rig = fraction_rig(rng, n)
+            assert all(rig.minor_table(j, k)[1] > 1 for j in range(n) for k in range(j + 1, n))
+            for _ in range(4):
+                u = forward_map(rig, ProjectivePoint(random_world_point(rng)))
+                sol = triangulate(rig, u)
+                pairs = [(j, k) for j in range(n) for k in range(j + 1, n)
+                         if rank(assemble_b(rig, j, k, u[j], u[k]).mat).rank == 5]
+                assert sol.pair == pairs[0]
+                b = assemble_b(rig, *sol.pair, u[sol.pair[0]], u[sol.pair[1]])
+                rows = [i for i in range(6) if any(wedge5(b, i)[:4])]
+                assert sol.row == rows[0]
+                want = wedge5(b, sol.row)
+                vector = sol.point.coords + tuple(-s for s in sol.lambdas)
+                assert vector == want
+                assert [type(c) for c in vector] == [type(c) for c in want]
 
     def test_rank_of_b_is_rank_of_witness_pair(self):
         rng = random.Random(127)
