@@ -2,9 +2,10 @@
 out their images.
 
 The central object is the biquadric Q vanishing on pairs of world points at
-a fixed Euclidean distance, together with its order-4 polarization tensor T.
-Substituting triangulation cofactor vectors for the two world points turns
-T into degree-8 image-space constraints ("octics"); families of those, plus
+a fixed Euclidean distance, together with its polarization tensor T; other
+bihomogeneous forms polarize the same way.  Substituting triangulation
+cofactor vectors for the two world points turns T into degree-8
+image-space constraints ("octics"); families of those, plus
 bilinear and trilinear consistency residuals, give set-level membership
 tests for image pairs of distance-linked points.  Everything evaluates over
 both scalar backends; vanishing tests are exact on rationals and
@@ -16,7 +17,8 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 from fractions import Fraction
-from math import isqrt, prod
+from functools import lru_cache
+from math import comb, factorial, isqrt, prod
 from typing import Optional, Sequence
 
 import numpy as np
@@ -125,16 +127,12 @@ def distance_form_squared(s: Scalar) -> BihomForm:
     return BihomForm((2, 2), coeffs)
 
 
-def _exp_to_pair(alpha):
-    idx = []
-    for t, a in enumerate(alpha):
-        idx.extend([t] * a)
-    return tuple(idx)
-
-
 class QuadTensor:
-    """Order-4 tensor, symmetric within slot pairs (1,2) and (3,4), whose
-    diagonal restriction T(X, X, Y, Y) reproduces a (2,2) form."""
+    """The polarization of a (d, e) form: a tensor with d slots for X and e
+    for Y, symmetric within each group, whose diagonal restriction
+    T(X, ..., X, Y, ..., Y) reproduces the form.  ``entries`` maps (sorted
+    d-tuple, sorted e-tuple) of coordinate indices to the coefficient that
+    every ordering of the two tuples carries."""
 
     __slots__ = ("entries",)
 
@@ -146,17 +144,16 @@ class QuadTensor:
 
 
 def polarize(q: BihomForm) -> QuadTensor:
-    """Unique slot-symmetric multilinear tensor with T(X,X,Y,Y) = Q(X,Y),
-    obtained by polarizing the X-block and then the Y-block: each monomial
-    coefficient is split evenly over the symmetric index placements."""
-    if q.bidegree != (2, 2):
-        raise ValueError(f"polarization needs bidegree (2, 2), got {q.bidegree}")
+    """Unique slot-symmetric multilinear tensor with T(X, ..., Y, ...) =
+    Q(X, Y), for a form of any bidegree: each monomial coefficient is split
+    evenly over the distinct orderings of its two index tuples, that is
+    divided by the two multinomial counts."""
     entries = {}
     for (alpha, beta), c in q.coeffs.items():
-        p, qq = _exp_to_pair(alpha)
-        r, s = _exp_to_pair(beta)
-        mult = (1 if p == qq else 2) * (1 if r == s else 2)
-        entries[((p, qq), (r, s))] = Fraction(c) / mult if mult > 1 else c
+        mult = prod(factorial(sum(x)) // prod(map(factorial, x)) for x in (alpha, beta))
+        # each exponent vector x as its sorted indices: t repeated x[t] times
+        key = tuple(tuple(t for t, a in enumerate(x) for _ in range(a)) for x in (alpha, beta))
+        entries[key] = Fraction(c) / mult if mult > 1 else c
     return QuadTensor(entries)
 
 
@@ -165,85 +162,85 @@ _UNIT_FORM = unit_distance_form()
 _UNIT_TENSOR = polarize(_UNIT_FORM)
 
 
-def wedge_table(rig: CameraRig, points, pairs):
-    """Cofactor 4-vectors for every requested camera pair and row index, read
-    from the pair's stored camera minor table, its denominator divided out."""
-    table = {}
-    for (j, k) in pairs:
-        minors, den = rig.minor_table(j, k)
-        if den != 1:
-            minors = minors.astype(object) * Fraction(1, den)
-        w = cofactor_vectors(minors, points[j].coords, points[k].coords)
-        table[(j, k)] = [tuple(row) for row in w.tolist()]
-    return table
+@lru_cache(maxsize=None)
+def _sym_slots(d: int):
+    """The C(d + 3, 3) slots of the symmetric power Sym^d of R^4, the sorted
+    index d-tuples, as a map to their positions in lexicographic order; and
+    the 4^d ordered index tuples in layers ``(slots, coords)``: the first
+    ordering of every slot, then the second of every slot that has one,
+    and so on, each as its slots and a d x len(slots) array."""
+    index = {s: i for i, s in enumerate(itertools.combinations_with_replacement(range(4), d))}
+    groups = [sorted(set(itertools.permutations(s))) for s in index]
+    layers = [[(s, g[k]) for s, g in enumerate(groups) if len(g) > k]
+              for k in range(max(map(len, groups)))]
+    return index, [([s for s, _ in layer], np.array([p for _, p in layer], dtype=np.intp)
+                     .reshape(len(layer), d).T) for layer in layers]
 
 
-# The ten coordinates (p, q), p <= q, of the symmetric square of R^4.
-_SYM2 = [(p, q) for p in range(4) for q in range(p, 4)]
-_SYM2_P = [p for p, _ in _SYM2]
-_SYM2_Q = [q for _, q in _SYM2]
-_SYM2_OFF = [s for s, (p, q) in enumerate(_SYM2) if p != q]
+def _symmetric_products(w: np.ndarray, rows, mod=None) -> np.ndarray:
+    """The symmetric products of vectors w of shape (..., V, 4) at the slots
+    of Sym^d R^4: after w's leading axes, one row per d-tuple
+    (i_1, ..., i_d) in ``rows`` of positions along V, holding at slot s the
+    sum over the distinct orderings (p_1, ..., p_d) of s of
+    w[i_1, p_1] ... w[i_d, p_d].  The products are taken one layer of
+    :func:`_sym_slots` and one factor at a time.  With ``mod`` (broadcast
+    against them) every product that another factor multiplies is reduced
+    first, so that on residues below 2^29 and d <= 3 each product is below
+    2^58 and each sum of d! <= 6 below 2^63."""
+    rows = np.array(rows, dtype=np.intp).reshape(len(rows), -1)
+    out = None
+    for slots, coords in _sym_slots(rows.shape[1])[1]:
+        factors = [w[..., i[:, None], p] for i, p in zip(rows.T, coords)]
+        acc = factors[0] if factors else np.ones(w.shape[:-2] + (len(rows), 1), dtype=w.dtype)
+        for m, factor in enumerate(factors[1:], 2):
+            acc = acc * factor
+            if mod is not None and m < len(factors):
+                acc %= mod
+        if out is None:
+            out = acc
+        else:
+            out[..., slots] += acc
+    return out
 
 
-def _gram(tensor: QuadTensor, exact: bool):
-    """The tensor as a 10x10 matrix on the symmetric square, and on the exact
-    backend the least positive integer that clears its denominators (the
-    matrix is returned multiplied by it)."""
-    slot = {pq: s for s, pq in enumerate(_SYM2)}
+def _gram(tensor: QuadTensor, exact: bool, d: int, e: int):
+    """The (d, e) tensor as a matrix on the slots of Sym^d and Sym^e, and on
+    the exact backend the least positive integer that clears its
+    denominators (the matrix is returned multiplied by it).  Raises
+    ValueError on an entry of another bidegree."""
+    slots_a, slots_b = _sym_slots(d)[0], _sym_slots(e)[0]
     coefs = {}
-    for ((p, q), (r, t)), coef in tensor.entries.items():
-        key = (slot[min(p, q), max(p, q)], slot[min(r, t), max(r, t)])
+    for (p, r), coef in tensor.entries.items():
+        if (len(p), len(r)) != (d, e):
+            raise ValueError(f"a tensor of bidegree {(len(p), len(r))} where {(d, e)} is needed")
+        key = (slots_a[tuple(sorted(p))], slots_b[tuple(sorted(r))])
         coefs[key] = coefs.get(key, 0) + coef
-    if not exact:
-        gram = np.zeros((10, 10))
-        for key, coef in coefs.items():
-            gram[key] = float(coef)
-        return gram, None
     cleared, den = _cleared([Fraction(c) for c in coefs.values()])
-    gram = np.zeros((10, 10), dtype=object)
-    for key, coef in zip(coefs, cleared):
-        gram[key] = int(coef)
-    return gram, den
-
-
-def _sym2_products(first, second):
-    """The symmetric products w[p] w'[q] + w[q] w'[p] (one product when
-    p = q) at the ten Sym^2 slots, of the vectors w, w' along axis 1 of
-    ``first`` and ``second``.  Axis 0 pairs the vectors up; further axes of
-    the two, if any, form an outer product after the slot axis."""
-    extra_first, extra_second = first.ndim - 2, second.ndim - 2
-    first = first.reshape(first.shape + (1,) * extra_second)
-    second = second.reshape(second.shape[:2] + (1,) * extra_first + second.shape[2:])
-    s = first[:, _SYM2_P] * second[:, _SYM2_Q]
-    s[:, _SYM2_OFF] += (first[:, _SYM2_Q] * second[:, _SYM2_P])[:, _SYM2_OFF]
-    return s
-
-
-def _sym2_rows(w: np.ndarray, rows) -> np.ndarray:
-    """S of cofactor vectors w of shape (..., camera pairs, 6, 4): after w's
-    leading axes, one row of :func:`_sym2_products` of w_i1 and w_i2 per
-    camera pair and row pair (i1, i2) in ``rows``, camera pairs outermost."""
-    i1, i2 = np.array(rows).T
-    s = _sym2_products(w[..., i1, :].reshape(-1, 4), w[..., i2, :].reshape(-1, 4))
-    return s.reshape(w.shape[:-3] + (-1, 10))
+    gram = np.zeros((len(slots_a), len(slots_b)), dtype=object if exact else np.float64)
+    for key, coef, c in zip(coefs, coefs.values(), cleared):
+        gram[key] = int(c) if exact else float(coef)
+    return gram, den if exact else None
 
 
 def _max_abs(values: np.ndarray) -> int:
     return int(max(map(abs, values.ravel().tolist())))
 
 
-def _value_bound(w_a: np.ndarray, gram: np.ndarray, w_b: np.ndarray) -> int:
-    """B = 100 max|S_a| max|G| max|S_b| >= every |value| of S_a G S_b^T, a
-    sum of 100 products, with max|S| <= 2 max|w|^2 for integer cofactor
-    vectors w."""
-    return 400 * _max_abs(w_a) ** 2 * _max_abs(gram) * _max_abs(w_b) ** 2
+def _value_bound(side_a, gram: np.ndarray, side_b) -> int:
+    """B = C(d+3, 3) C(e+3, 3) max|S_a| max|G| max|S_b| >= every |value| of
+    S_a G S_b^T, with max|S| <= d! max|w|^d for integer cofactor vectors w;
+    each side is ``(w, rows)``, rows of degree d (e on side b)."""
+    (w_a, rows_a), (w_b, rows_b) = side_a, side_b
+    d, e = len(rows_a[0]), len(rows_b[0])
+    return (comb(d + 3, 3) * comb(e + 3, 3) * factorial(d) * factorial(e)
+            * _max_abs(w_a) ** d * _max_abs(gram) * _max_abs(w_b) ** e)
 
 
 # The verdict primes: the primes below 2^29 in descending order, found on
 # demand and kept (one fixed sequence, so every caller may share it).
-# Residues are below 2^29, so a product of two is below 2^58 and a sum of
-# ten such products below 2^62: every step of the residue contraction is
-# exact in int64.
+# Residues are below 2^29, so a product of two is below 2^58, and a sum of
+# fewer than 32 such products is below 2^63: the residue contraction is
+# exact in int64 while each of its sums has fewer than 32 terms.
 _VERDICT_PRIME_LIMIT = 2 ** 29
 _VERDICT_PRIMES = []
 # Integers of smaller magnitude are reduced as one int64 array; larger ones
@@ -279,16 +276,17 @@ def _residues(values: np.ndarray, primes: np.ndarray) -> np.ndarray:
 
 def _residue_nonzero(side_a, gram: np.ndarray, side_b, primes) -> bool:
     """Whether some value of S_a G S_b^T is nonzero modulo one of the
-    primes; each side is ``(w, rows)``, integer cofactor vectors and row
-    pairs.  w, G, S and S_a G are reduced for all primes along one int64
-    axis; the last product is taken one prime at a time, so that its
-    largest temporary is one prime's block of values."""
+    primes; each side is ``(w, rows)``, integer cofactor vectors and rows.
+    w, G, S and S_a G are reduced for all primes along one int64 axis; the
+    last product is taken one prime at a time, so that its largest
+    temporary is one prime's block of values."""
     primes = np.array(primes, dtype=np.int64)
-    mod = primes[:, None, None]
-    (w_a, rows_a), (w_b, rows_b) = side_a, side_b
-    s_b = _sym2_rows(_residues(w_b, primes), rows_b) % mod
-    t_a = _sym2_rows(_residues(w_a, primes), rows_a) % mod @ _residues(gram, primes) % mod
-    return any((t @ s.T % p).any() for t, s, p in zip(t_a, s_b, primes.tolist()))
+    mod = primes.reshape(-1, 1, 1, 1)
+    s_a, s_b = (_symmetric_products(_residues(w, primes), rows, mod) % mod
+                for w, rows in (side_a, side_b))
+    t_a = s_a.reshape(len(primes), -1, s_a.shape[-1]) @ _residues(gram, primes) % mod[..., 0]
+    return any((t @ s.reshape(-1, s.shape[-1]).T % p).any()
+               for t, s, p in zip(t_a, s_b, primes.tolist()))
 
 
 def _residues_vanish(side_a, gram: np.ndarray, side_b, primes: list, bound: int) -> bool:
@@ -296,7 +294,12 @@ def _residues_vanish(side_a, gram: np.ndarray, side_b, primes: list, bound: int)
     |value|: the residues modulo the first prime alone, then, only if they
     all vanish, modulo the other primes at once.  A nonzero residue proves
     a nonzero value; all residues zero prove the values zero only because
-    the primes' product exceeds the bound, so a smaller prime set raises."""
+    the primes' product exceeds the bound, so a smaller prime set raises.
+    So does a side of degree d > 3: S_a G sums over C(d+3, 3) >= 35 slots.
+    (Up to degree 3 the sums have at most 20 terms.)"""
+    if max(len(rows[0]) for _, rows in (side_a, side_b)) > 3:
+        raise ValueError("sums of 35 residue products can overflow int64: the residue test "
+                         "takes degrees up to 3 on each side")
     if prod(primes) <= bound:
         raise ValueError(f"the product of {len(primes)} primes does not exceed the "
                          f"{bound.bit_length()}-bit bound: zero residues would not prove "
@@ -311,53 +314,61 @@ _ROW_PAIRS = [(i1, i2) for i1 in range(6) for i2 in range(i1, 6)]
 
 
 def _row_set_indices(set_a, set_b) -> list:
-    """The selections ``((j1, k1, i1, i2), (j2, k2, i3, i4))`` of two row
+    """The selections ``((j1, k1) + row_a, (j2, k2) + row_b)`` of two row
     sets in the order of :class:`OcticEngine`'s values: camera pair of a,
-    camera pair of b, row pair of a, row pair of b, the last fastest."""
+    camera pair of b, row of a, row of b, the last fastest."""
     (pairs_a, rows_a), (pairs_b, rows_b) = set_a, set_b
     return [(pa + ra, pb + rb) for pa in pairs_a for pb in pairs_b
             for ra in rows_a for rb in rows_b]
 
 
 class OcticEngine:
-    """Degree-8 constraint values by contraction with the tensor's Gram matrix.
+    """Values of bihomogeneous forms at cofactor vectors, by contraction
+    with the Gram matrix of the form's polarization.
 
-    A value T(w_i1, w_i2, w'_i3, w'_i4) pairs two cofactor vectors of one
-    camera pair in one image tuple with two of a pair in another tuple.  Each
-    image tuple has a row set ``(pairs, rows)``: camera pairs (j, k) and row
-    pairs (i1, i2), and its matrix S has one row per camera pair and row
-    pair, camera pairs outermost.  The row holds the symmetric products
-    w_i1[p] w_i2[q] + w_i1[q] w_i2[p] over the ten coordinates p <= q of the
-    symmetric square (one product when p = q).  A block of values is then
-    S_a G S_b^T, with G the tensor's 10x10 Gram matrix, regrouped so that
-    each camera pair of a and each of b gives one row of values.
+    A block ``(a, b, tensor)`` pairs image tuples a and b with the tensor T
+    of a (d, e) form; a value T(w_i1, ..., w_id, w'_k1, ..., w'_ke) takes d
+    cofactor vectors of one camera pair in tuple a and e of a pair in tuple
+    b.  Each image tuple has a row set ``(pairs, rows)``: camera pairs
+    (j, k) and rows, d-tuples of cofactor-row indices.  Its matrix S has
+    one row per camera pair and row, camera pairs outermost, holding the
+    symmetric products of the row's vectors at the C(d+3, 3) slots of
+    Sym^d R^4 (:func:`_symmetric_products`).  A block of values is
+    S_a G S_b^T, G the tensor on the slots, regrouped so that each camera
+    pair of a and each of b gives one row of values.  The octic families
+    take d = e = 2 and row pairs (i1, i2); GENERAL_DE takes rows (i,) * d,
+    whose value is the form itself at w_i and w'_k.
 
     The exact backend computes on integers: G, the camera minor tables (as
     the rig stores them) and the image points are cleared of denominators,
     and each camera-pair row of values comes with the positive integer it
-    was multiplied by, divided out only when values are returned.  Floats
-    go through float64.
+    was multiplied by, divided out only when values are returned (see
+    :meth:`evaluate`).  Floats go through float64.
 
     The exact zero test, :meth:`vanishes`, forms no value.  Every cleared
-    |value| is at most B = 100 max|S_a| max|G| max|S_b|, and max|S| is at
-    most 2 max|w|^2 over the cofactor vectors w.  The test reduces w and G
-    modulo fixed primes below 2^29, descending from 2^29, and contracts in
-    int64: residues below 2^29 keep every product below 2^58 and every
-    ten-term sum below 2^62.  The first prime alone settles almost every
-    nonzero block; a zero block needs all residues zero modulo primes whose
-    product exceeds B, and is then zero by the Chinese remainder theorem.
+    |value| is at most B = C(d+3, 3) C(e+3, 3) d! e! max|w_a|^d max|G|
+    max|w_b|^e (400 max|w_a|^2 max|G| max|w_b|^2 for the octics).  The
+    test reduces w and G modulo fixed primes below 2^29, descending from
+    2^29, and contracts in int64: residue products are below 2^58 and sums
+    over at most C(3+3, 3) = 20 slots below 2^63; a degree above 3 raises.
+    The first prime alone settles almost every nonzero block; a zero block
+    needs all residues zero modulo primes whose product exceeds B, and is
+    then zero by the Chinese remainder theorem.
     """
 
     __slots__ = ("exact", "tables", "row_sets", "blocks")
 
     def __init__(self, rig: CameraRig, row_sets, blocks):
         """``row_sets`` holds one row set per image tuple; ``blocks`` lists
-        ``(a, b, tensor)``, the tensor at every camera pair and row pair of
-        tuple a's row set against every one of tuple b's.  The camera minor
-        tables of the pairs in use are read from the rig."""
+        ``(a, b, tensor)``, the tensor at every camera pair and row of tuple
+        a's row set against every one of tuple b's; its bidegree is the
+        degrees of the two row sets' rows.  The camera minor tables of the
+        pairs in use are read from the rig."""
         self.exact = rig.backend == EXACT
         self.row_sets = list(row_sets)
-        self.blocks = [(a, b) + _gram(tensor, self.exact) for a, b, tensor in blocks]
+        self.blocks = [(a, b) + _gram(tensor, self.exact, len(self.row_sets[a][1][0]),
+                                      len(self.row_sets[b][1][0]))
+                       for a, b, tensor in blocks]
         self.tables = {pair: rig.minor_table(*pair)
                        for pair in {pair for pairs, _ in self.row_sets for pair in pairs}}
 
@@ -379,19 +390,21 @@ class OcticEngine:
                 if self.exact:
                     u_j, den_j = _cleared(u_j)
                     u_k, den_k = _cleared(u_k)
-                    factors.append((den * den_j * den_k) ** 2)
+                    factors.append(den * den_j * den_k)
                 vectors.append(cofactor_vectors(table, u_j, u_k))
             out.append((np.stack(vectors), np.array(factors, dtype=object) if self.exact else None))
         return out
 
     def cleared(self, tuples) -> list:
         """Per block, ``(values, factors)``: values as an array with one row
-        per camera pair of a and of b (b fastest) and one column per row pair
-        of a and of b (b fastest), each row multiplied on the exact backend
-        by the positive integer at the same place in ``factors`` (None on
-        the float backend)."""
-        products = [(_sym2_rows(w, rows), f)
-                    for (w, f), (_, rows) in zip(self._cofactors(tuples), self.row_sets)]
+        per camera pair of a and of b (b fastest) and one column per row of
+        a and of b (b fastest), each row multiplied on the exact backend by
+        the positive integer at the same place in ``factors`` (None on the
+        float backend)."""
+        products = []
+        for (w, f), (_, rows) in zip(self._cofactors(tuples), self.row_sets):
+            s = _symmetric_products(w, rows)
+            products.append((s.reshape(-1, s.shape[-1]), None if f is None else f ** len(rows[0])))
         out = []
         for a, b, gram, den in self.blocks:
             (s_a, f_a), (s_b, f_b) = products[a], products[b]
@@ -409,39 +422,25 @@ class OcticEngine:
             raise BackendError("the residue zero test needs the exact backend")
         cofactors = self._cofactors(tuples)
         for a, b, gram, _ in self.blocks:
-            (w_a, _), (w_b, _) = cofactors[a], cofactors[b]
-            bound = _value_bound(w_a, gram, w_b)
-            if bound and not _residues_vanish((w_a, self.row_sets[a][1]), gram,
-                                              (w_b, self.row_sets[b][1]),
-                                              _verdict_primes(bound), bound):
+            side_a = (cofactors[a][0], self.row_sets[a][1])
+            side_b = (cofactors[b][0], self.row_sets[b][1])
+            bound = _value_bound(side_a, gram, side_b)
+            if bound and not _residues_vanish(side_a, gram, side_b, _verdict_primes(bound), bound):
                 return False
         return True
 
     def evaluate(self, tuples) -> list:
         """Every value, blocks in order, each block in the order of
-        :func:`_row_set_indices`."""
+        :func:`_row_set_indices`; an exact value is an int where it is
+        integral, else a Fraction (:func:`rigidview.cameras._reduced`)."""
         out = []
         for values, factors in self.cleared(tuples):
             if factors is None:
                 out.extend(values.ravel().tolist())
                 continue
             for row, f in zip(values.tolist(), factors.tolist()):
-                out.extend(Fraction(x, f) if x and f != 1 else x for x in row)
+                out.extend(row if f == 1 else (_reduced(Fraction(x, f)) for x in row))
         return out
-
-
-def octic_value(rig: CameraRig, tensor: QuadTensor,
-                u_sel, v_sel, u, v) -> Scalar:
-    """One degree-8 constraint value.
-
-    ``u_sel = (j1, k1, i1, i2)`` picks the camera pair and two row indices on
-    the u side, ``v_sel`` likewise on the v side; the value is the tensor
-    applied to the four cofactor vectors.  As a function of the image points
-    it is homogeneous of degree 2 in each of the four involved points.
-    """
-    (j1, k1, i1, i2), (j2, k2, i3, i4) = u_sel, v_sel
-    row_sets = [([(j1, k1)], [(i1, i2)]), ([(j2, k2)], [(i3, i4)])]
-    return OcticEngine(rig, row_sets, [(0, 1, tensor)]).evaluate((u, v))[0]
 
 
 def trilinear_residuals(rig: CameraRig, j: int, k: int, l: int,
@@ -563,16 +562,13 @@ def constraint_system(rig: CameraRig, family: Family | str, form: Optional[Bihom
     if family == Family.GENERAL_DE:
         if form is None or form.bidegree == (0, 0):
             raise ValueError("the general_de family needs a form of positive bidegree")
+        # rows (i,) * d and (k,) * e: the form itself at cofactor vectors i and k
         pairs = _camera_pairs(rig.n)
-        idx = [((j1, k1, i), (j2, k2, kk))
-               for (j1, k1) in pairs for (j2, k2) in pairs
-               for i in range(3) for kk in range(3)]
-
-        def general(u, v):
-            wu, wv = wedge_table(rig, u, pairs), wedge_table(rig, v, pairs)
-            return [form.evaluate(wu[(j1, k1)][i], wv[(j2, k2)][kk])
-                    for (j1, k1, i), (j2, k2, kk) in idx]
-        return ConstraintSystem(rig, family, idx, general)
+        engine = OcticEngine(rig, [(pairs, [(i,) * d for i in range(3)]) for d in form.bidegree],
+                             [(0, 1, polarize(form))])
+        singles = (pairs, [(i,) for i in range(3)])
+        return ConstraintSystem(rig, family, _row_set_indices(singles, singles),
+                                lambda u, v: engine.evaluate((u, v)))
     raise ValueError(f"unknown family {family}")
 
 
@@ -582,7 +578,9 @@ def coplanar_residuals(rig: CameraRig, tuples4) -> list:
     when the four world points are coplanar."""
     if len(tuples4) != 4:
         raise ShapeError("need exactly four image tuples")
-    tables = [wedge_table(rig, t, [(0, 1)])[(0, 1)] for t in tuples4]
+    minors, den = rig.minor_table(0, 1)
+    scale = 1 if den == 1 else Fraction(1, den)
+    tables = [(cofactor_vectors(minors, t[0].coords, t[1].coords) * scale).tolist() for t in tuples4]
     return [det(Mat.from_cols(cols)) for cols in itertools.product(*tables)]
 
 
@@ -645,7 +643,7 @@ def rigid_pair_by_equations(rig: CameraRig, u, v,
     residues modulo fixed primes below 2^29 (so that the int64 contraction
     cannot overflow) and forms no value: a nonzero residue proves a nonzero
     octic, and all residues zero modulo primes whose product exceeds
-    B = 100 max|S_u| max|G| max|S_v|, a bound on every cleared value,
+    B = 400 max|w_u|^2 max|G| max|w_v|^2, a bound on every cleared value,
     prove every octic zero."""
     family = Family(family)
     if family not in _OCTIC_FAMILIES:

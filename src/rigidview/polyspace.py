@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cameras import CameraRig
-from .constraints import (QuadTensor, _ROW_PAIRS, _gram, _sym2_products, polarize,
+from .constraints import (QuadTensor, _ROW_PAIRS, _gram, _symmetric_products, polarize,
                           unit_distance_form)
 from .linalg import (EXACT, Scalar, _bareiss_echelon, _is_probable_prime, decode_scalar,
                      encode_scalar)
@@ -270,19 +270,20 @@ _FOLD_ORDER, _FOLD_STARTS = _fold_map()
 def _sym_products(rig: CameraRig, j: int, k: int):
     """S for camera pair (j, k): a 21 x 10 x 36 array of ints whose entry
     [r, s, m] is the coefficient of bidegree-(2, 2) monomial m in the
-    symmetric product of cofactor vectors i1, i2 (row pair r) at Sym^2 slot
-    s = (p, q), that is w_i1[p] w_i2[q] + w_i1[q] w_i2[p] (one product when
-    p = q), and the positive integer it is multiplied by.
+    symmetric product of cofactor vectors i1, i2 (row pair r) at slot
+    s = (p, q) of the symmetric square, w_i1[p] w_i2[q] + w_i1[q] w_i2[p]
+    (one product when p = q), and the positive integer it is multiplied by.
 
     The cofactor vectors are bilinear in (u_j, u_k) with the coefficients of
     the rig's cleared minor table, taken as Python ints so that no product
     can overflow."""
     table, den = rig.minor_table(j, k)
-    table = table.astype(object)
-    i1, i2 = np.array(_ROW_PAIRS).T
-    # axes: row pair, slot, then the 9 x 9 products of the two vectors'
-    # coefficients, folded onto the 36 monomials
-    s = _sym2_products(table[i1], table[i2]).reshape(len(_ROW_PAIRS), 10, 81)
+    # vectors 0-5 at coefficient e1 and 6-11 at e2, so that the products run
+    # over all 9 x 9 pairs (e1, e2), then folded onto the 36 monomials
+    coefs = table.astype(object).transpose(2, 0, 1)
+    w = np.concatenate(np.broadcast_arrays(coefs[:, None], coefs[None, :]), axis=2)
+    s = _symmetric_products(w, [(i1, 6 + i2) for i1, i2 in _ROW_PAIRS])
+    s = s.reshape(81, len(_ROW_PAIRS), 10).transpose(1, 2, 0)
     return np.add.reduceat(s[..., _FOLD_ORDER], _FOLD_STARTS, axis=-1), den * den
 
 
@@ -307,11 +308,12 @@ def _contract_octics(rig: CameraRig, tensor: QuadTensor, pair_u, pair_v,
     s, t of S_u[r_u, s, m_u] G[s, t] S_v[r_v, t, m_v], computed on cleared
     integers over the product of the three clearing factors.  Each octic is
     its cleared row of these integers: with g the gcd of the clearing factor
-    and the row's entries, the entries over g and the factor over g."""
+    and the row's entries, the entries over g and the factor over g.  Raises
+    ValueError unless the tensor is of bidegree (2, 2)."""
     if rig.backend != EXACT:
         raise ValueError("symbolic expansion needs an exact rig")
     n = rig.n
-    gram, den = _gram(tensor, True)
+    gram, den = _gram(tensor, True, 2, 2)
     s_u, den_u = _sym_products(rig, *pair_u)
     s_v, den_v = (s_u, den_u) if tuple(pair_v) == tuple(pair_u) else _sym_products(rig, *pair_v)
     den *= den_u * den_v

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -93,7 +93,7 @@ def cofactor_vectors(table: np.ndarray, u_j: Sequence, u_k: Sequence) -> np.ndar
 
 
 def _nonzero_cut(b: Mat, tol: float | None) -> float:
-    """The cut of :func:`_cofactor_point` for the pair matrix B: on floats
+    """The cut of :func:`_cofactor_nonzero` for the pair matrix B: on floats
     with a rig tolerance, ``tol`` times the largest entry of B's first row;
     0.0 on the exact backend and when ``tol`` is None."""
     if b.backend == FLOAT and tol is not None:
@@ -101,15 +101,12 @@ def _nonzero_cut(b: Mat, tol: float | None) -> float:
     return 0.0
 
 
-def _cofactor_point(w, cut: float) -> Optional[ProjectivePoint]:
+def _cofactor_nonzero(w, cut: float) -> bool:
     """The zero test of the witness scan and of the cross-check in
-    :func:`triangulate`: the first four coordinates of cofactor vector ``w``
-    as a world point, or None when none exceeds ``cut`` in magnitude (see
+    :func:`triangulate`: whether one of the first four coordinates of
+    cofactor vector ``w`` exceeds ``cut`` in magnitude (see
     :func:`_nonzero_cut`)."""
-    w = w[:4]
-    if max(abs(x) for x in w) <= cut:
-        return None
-    return ProjectivePoint(w)
+    return max(abs(x) for x in w[:4]) > cut
 
 
 def _scale(camera, x, u, exact: bool):
@@ -139,7 +136,7 @@ def _pair_scan(rig: CameraRig, points: Sequence[ProjectivePoint]):
     Scans camera pairs lexicographically and reads the first four
     coordinates of each pair's six cofactor vectors from the rig's stored
     minor table; the witness is the first row, in order, whose vector gives
-    a nonzero point (see :func:`_cofactor_point`).  A pair qualifies only
+    a nonzero point (see :func:`_cofactor_nonzero`).  A pair qualifies only
     when its B has rank 5.  On floats that is one :func:`rank` of B at
     ``rig.tol``.  On the exact backend no rank is taken: the tuple is
     consistent, so det B = 0, and B has rank 5 exactly when some cofactor
@@ -159,7 +156,7 @@ def _pair_scan(rig: CameraRig, points: Sequence[ProjectivePoint]):
         table, den = rig.minor_table(j, k)
         vectors = cofactor_vectors(table, u_j.coords, u_k.coords).tolist()
         for i, w in enumerate(vectors):
-            if _cofactor_point(w, cut) is not None:
+            if _cofactor_nonzero(w, cut):
                 if den != 1:
                     vectors = [[Fraction(x, den) for x in v] for v in vectors]
                 return (j, k), i, vectors, cut
@@ -185,13 +182,13 @@ def triangulate(rig: CameraRig, points: Sequence[ProjectivePoint]) -> Triangulat
     x = tuple(map(_reduced, vectors[row]))
     point = ProjectivePoint(x)
     for i in range(row + 1, 6):
-        candidate = _cofactor_point(vectors[i], cut)
-        if candidate is None:
+        candidate = vectors[i]
+        if not _cofactor_nonzero(candidate, cut):
             continue
         if exact:
-            if not _proportional_exact(x, candidate.coords):
+            if not _proportional_exact(x, candidate):
                 raise AmbiguousTriangulationError(f"rows {row} and {i} give different points")
-        elif _angular_distance(x, candidate.coords) > CONSISTENCY_TOL:
+        elif _angular_distance(x, candidate) > CONSISTENCY_TOL:
             raise AmbiguousTriangulationError(f"rows {row} and {i} disagree beyond tolerance")
     lambdas = tuple(_scale(rig.camera(cam), x, points[cam], exact) for cam in pair)
     return TriangulationSolution(point, lambdas, pair, row)

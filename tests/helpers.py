@@ -1,7 +1,7 @@
 """Shared test fixtures: deterministic rigs, naive determinant oracle, the
 partial-pivoting determinant, Gauss-Jordan inverse and cofactor adjugate
 references, the from-scratch camera minor table, the per-index references
-for cofactor vectors and tensor values, the
+for cofactor vectors and tensor values, one engine value, the
 cofactor-expansion reference for the symbolic octics, the per-column
 mod-p rank, and the per-term coefficient matrix and failure bounds."""
 
@@ -13,10 +13,12 @@ from operator import attrgetter
 
 import numpy as np
 
-from rigidview.cameras import _MINOR_INDEX, _MINOR_ROWS, _MINOR_SIGN, CameraRig, _det3
+from rigidview.cameras import (_MINOR_INDEX, _MINOR_ROWS, _MINOR_SIGN, CameraRig,
+                               ProjectivePoint, _det3)
+from rigidview.constraints import OcticEngine
 from rigidview.linalg import EXACT, FLOAT, Mat, det, rank, signed_maximal_minors
 from rigidview.polyspace import RANK_PRIME_COUNT, MultiHomogPoly, _shared_degree, monomial_basis
-from rigidview.triangulation import _cofactor_point, _nonzero_cut
+from rigidview.triangulation import _cofactor_nonzero, _nonzero_cut
 
 
 def standard_rig():
@@ -166,7 +168,17 @@ def wedge5(b, i):
 def wedge5_point(b, i, tol=None):
     """First four coordinates of the row-i cofactor vector as a world point,
     or None when they all vanish."""
-    return _cofactor_point(wedge5(b, i), _nonzero_cut(b.mat, tol))
+    w = wedge5(b, i)[:4]
+    return ProjectivePoint(w) if _cofactor_nonzero(w, _nonzero_cut(b.mat, tol)) else None
+
+
+def engine_value(rig, tensor, u_sel, v_sel, u, v):
+    """One value of :class:`rigidview.constraints.OcticEngine`: the tensor
+    at cofactor rows ``u_sel = (j1, k1, i1, i2)`` of tuple u and ``v_sel``
+    of tuple v."""
+    (j1, k1, *rows_u), (j2, k2, *rows_v) = u_sel, v_sel
+    row_sets = [([(j1, k1)], [tuple(rows_u)]), ([(j2, k2)], [tuple(rows_v)])]
+    return OcticEngine(rig, row_sets, [(0, 1, tensor)]).evaluate((u, v))[0]
 
 
 def tensor_value(tensor, a, b, c, d):

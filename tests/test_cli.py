@@ -144,15 +144,30 @@ class TestCheck:
             assert code == 1
             assert doc["member"] is False
 
-    def test_float_oracle_at_a_rig_tolerance(self, tmp_path, capsys):
+    @pytest.fixture
+    def rig3(self, tmp_path, capsys):
+        """A three-camera rig and the images of [x, 0, 0, 1] for x < 3: x = 0
+        and x = 1 are at distance 1, x = 0 and x = 2 are not."""
         rig_path = tmp_path / "rig3.json"
         main(["--seed", "1", "--json-out", str(rig_path), "gen-rig", "--n", "3"])
         capsys.readouterr()
-        rig = rig_from_json(json.loads(rig_path.read_text()), "float", 1e-6)
         images = {}
         for x in (0, 1, 2):
             _, doc = run_cli(capsys, "project", "--rig", str(rig_path), "--point", f"[{x}, 0, 0, 1]")
             images[x] = doc["images"]
+        return rig_path, images
+
+    def test_sixteen_family_on_three_cameras(self, rig3, capsys):
+        rig_path, images = rig3
+        for x, want in ((1, 0), (2, 1)):
+            code, doc = run_cli(capsys, "check", "--rig", str(rig_path), "--u", json.dumps(images[0]),
+                                "--v", json.dumps(images[x]), "--family", "sixteen")
+            assert code == want
+            assert doc == {"member": want == 0, "family": "sixteen"}
+
+    def test_float_oracle_at_a_rig_tolerance(self, rig3, capsys):
+        rig_path, images = rig3
+        rig = rig_from_json(json.loads(rig_path.read_text()), "float", 1e-6)
 
         def as_tuple(points):
             return tuple(ProjectivePoint(decode_scalar(c, "float") for c in p) for p in points)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (count_calls, fraction_rig, naive_det, random_rig, random_world_point,
-                     scaled_rig, standard_rig, tensor_value, wedge5)
+from helpers import (count_calls, engine_value, fraction_rig, naive_det, random_rig,
+                     random_world_point, scaled_rig, standard_rig, tensor_value, wedge5)
 from rigidview.cameras import (
     CameraRig,
     ProjectivePoint,
@@ -33,7 +33,6 @@ from rigidview.constraints import (
     distance_form,
     distance_form_squared,
     QuadTensor,
-    octic_value,
     polarize,
     rigid_pair_by_equations,
     rigid_pair_oracle,
@@ -71,6 +70,17 @@ def brute_wedge(rig, j, k, uj, uk, row):
         d = naive_det(m.delete_col(i))
         out.append(d if i % 2 == 0 else -d)
     return tuple(out[:4])
+
+
+# forms of bidegree (1, 1), (1, 2) and (3, 1), with Fraction coefficients
+FORM11 = BihomForm((1, 1), {((1, 0, 0, 0), (0, 0, 0, 1)): 3, ((0, 1, 0, 0), (0, 0, 1, 0)): -2,
+                            ((0, 0, 0, 1), (0, 0, 0, 1)): Fraction(1, 2)})
+FORM12 = BihomForm((1, 2), {((1, 0, 0, 0), (0, 1, 1, 0)): 3, ((0, 0, 0, 1), (0, 0, 0, 2)): -1,
+                            ((0, 0, 1, 0), (2, 0, 0, 0)): Fraction(2, 5),
+                            ((0, 1, 0, 0), (1, 0, 0, 1)): 1})
+FORM31 = BihomForm((3, 1), {((2, 0, 0, 1), (0, 0, 1, 0)): 2, ((0, 1, 1, 1), (1, 0, 0, 0)): -1,
+                            ((3, 0, 0, 0), (0, 0, 0, 1)): Fraction(1, 3),
+                            ((0, 0, 0, 3), (0, 0, 0, 1)): 5})
 
 
 class TestDistanceForms:
@@ -130,9 +140,21 @@ class TestPolarization:
         e4 = (0, 0, 0, 1)
         assert tensor_value(t, e4, e4, e4, e4) == -1
 
-    def test_wrong_bidegree_rejected(self):
-        with pytest.raises(ValueError):
-            polarize(BihomForm((1, 1), {((1, 0, 0, 0), (1, 0, 0, 0)): 1}))
+    @pytest.mark.parametrize("form", [FORM12, FORM31], ids=["form12", "form31"])
+    def test_diagonal_restriction_other_bidegrees(self, form):
+        # the tensor as a full multilinear array, every ordered index tuple
+        # reading the entry of its sorted one, on repeated arguments
+        rng = random.Random(117)
+        t = polarize(form)
+        d, e = form.bidegree
+        for _ in range(20):
+            x = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)]
+            y = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)]
+            value = sum(t.entries.get((tuple(sorted(p)), tuple(sorted(r))), 0)
+                        * prod(x[i] for i in p) * prod(y[i] for i in r)
+                        for p in itertools.product(range(4), repeat=d)
+                        for r in itertools.product(range(4), repeat=e))
+            assert value == form.evaluate(x, y)
 
 
 class TestOcticValue:
@@ -145,7 +167,7 @@ class TestOcticValue:
         v = forward_map(rig, y)
         for i1 in range(3):
             for i3 in range(3):
-                assert octic_value(rig, t, (0, 1, i1, i1), (0, 1, i3, i3), u, v) == 0
+                assert engine_value(rig, t, (0, 1, i1, i1), (0, 1, i3, i3), u, v) == 0
 
     def test_known_nonzero_value_via_brute_force_minors(self):
         # world points (0,0,1,1) and (0,2,1,1) sit at squared distance 4, so
@@ -170,7 +192,7 @@ class TestOcticValue:
                 if all(cc == 0 for cc in wv):
                     continue
                 d = next(wv[t_] // y.coords[t_] for t_ in range(4) if y.coords[t_] != 0)
-                assert octic_value(rig, t, (0, 1, i, i), (0, 1, k, k), u, v) == 3 * c * c * d * d
+                assert engine_value(rig, t, (0, 1, i, i), (0, 1, k, k), u, v) == 3 * c * c * d * d
                 checked += 1
         assert checked > 0
 
@@ -183,7 +205,7 @@ class TestOcticValue:
         v = (rig.epipole(0, 1), rig.epipole(1, 0))
         for i1, i2 in ((0, 0), (1, 3), (2, 5)):
             for i3, i4 in ((0, 0), (2, 4)):
-                assert octic_value(rig, t, (0, 1, i1, i2), (0, 1, i3, i4), u, v) == 0
+                assert engine_value(rig, t, (0, 1, i1, i2), (0, 1, i3, i4), u, v) == 0
 
     def test_scale_covariance(self):
         rng = random.Random(137)
@@ -192,9 +214,9 @@ class TestOcticValue:
         x, y = unit_pair(rng)
         u = forward_map(rig, ProjectivePoint((1, 2, 3, 1)))
         v = forward_map(rig, ProjectivePoint((5, -2, 1, 1)))
-        base = octic_value(rig, t, (0, 1, 0, 1), (0, 1, 2, 2), u, v)
+        base = engine_value(rig, t, (0, 1, 0, 1), (0, 1, 2, 2), u, v)
         scaled_u = (u[0].scaled(7), u[1])
-        assert octic_value(rig, t, (0, 1, 0, 1), (0, 1, 2, 2), scaled_u, v) == 49 * base
+        assert engine_value(rig, t, (0, 1, 0, 1), (0, 1, 2, 2), scaled_u, v) == 49 * base
 
 
 def _camera_mats(n):
@@ -315,6 +337,32 @@ class TestContractionEngine:
                 size = tensor_value(bound, *([abs(x) for x in vectors[key][i]] for key, i in (
                     ((0, j1, k1), i1), ((0, j1, k1), i2), ((1, j2, k2), i3), ((1, j2, k2), i4))))
                 assert abs(got - ref) <= 1e-12 * size
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("make_rig", [random_rig, fraction_rig], ids=["int", "fraction"])
+    def test_exact_values_are_int_when_integral(self, n, make_rig):
+        # every engine family, on a member pair and on Fraction image points
+        rng = random.Random(f"types:{make_rig.__name__}:{n}")
+        rig = make_rig(rng, n)
+        x, y = unit_pair(rng)
+        member = (forward_map(rig, x), forward_map(rig, y))
+        other = tuple(tuple(ProjectivePoint((Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                                             rng.randint(-9, 9), rng.randint(1, 9)))
+                            for _ in range(n)) for _ in range(3))
+        systems = [constraint_system(rig, family) for family in _families(n)]
+        systems += [constraint_system(rig, Family.GENERAL_DE, form=form)
+                    for form in (FORM11, distance_form(2), FORM31)]
+        systems.append(constraint_system(rig, Family.PAIRWISE_DISTANCE,
+                                         squared_distances=(1, Fraction(9, 4), 2)))
+        seen = set()
+        for system in systems:
+            count = 3 if system.family == Family.PAIRWISE_DISTANCE else 2
+            for tuples in (member + other[:1], other):
+                for value in system.evaluate(*tuples[:count]):
+                    want = int if Fraction(value).denominator == 1 else Fraction
+                    assert type(value) is want
+                    seen.add(want)
+        assert seen == {int, Fraction}
 
     def test_backends_do_not_mix(self):
         rig = standard_rig()
@@ -703,7 +751,8 @@ class TestResidueVerdict:
                     assert verdict == (not values.any())
                     verdicts.add(verdict)
                     (w_u, _), (w_v, _) = engine._cofactors((u, v))
-                    bound = constraints._value_bound(w_u, engine.blocks[0][2], w_v)
+                    rows = engine.row_sets[0][1]
+                    bound = constraints._value_bound((w_u, rows), engine.blocks[0][2], (w_v, rows))
                     assert max(map(abs, values.ravel().tolist())) <= bound
         assert verdicts == {True, False}
 
@@ -724,9 +773,9 @@ class TestResidueVerdict:
         engine = _engine(rig, Family.OCTIC_FULL)
         (w_u, _), (w_v, _) = engine._cofactors((u, v))
         gram = engine.blocks[0][2]
-        bound = constraints._value_bound(w_u, gram, w_v)
-        primes = constraints._verdict_primes(bound)
         sides = ((w_u, constraints._ROW_PAIRS), gram, (w_v, constraints._ROW_PAIRS))
+        bound = constraints._value_bound(*sides)
+        primes = constraints._verdict_primes(bound)
         assert constraints._residues_vanish(*sides, primes, bound)
         # one prime decides alone when the bound is below it
         assert constraints._residues_vanish(*sides, primes[:1], primes[0] - 1)
@@ -763,6 +812,43 @@ class TestResidueVerdict:
         for family in (Family.OCTIC_FULL, Family.OCTIC_NINE):
             assert rigid_pair_by_equations(rig, u, ep, family)
         assert calls == []
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_degree_three_verdict_equals_the_cleared_values(self, n):
+        # the unit-distance form times X_3 and times Y_0: bidegrees (3, 2)
+        # and (2, 3), on rows of three cofactor rows against row pairs
+        unit = unit_distance_form()
+        forms = [BihomForm((3, 2), {(a[:3] + (a[3] + 1,), b): c for (a, b), c in unit.coeffs.items()}),
+                 BihomForm((2, 3), {(a, (b[0] + 1,) + b[1:]): c for (a, b), c in unit.coeffs.items()})]
+        triples, pairs = [(0, 1, 2), (0, 0, 5), (3, 4, 4), (1, 1, 1), (2, 3, 5)], constraints._ROW_PAIRS[:8]
+        verdicts = set()
+        for name, rig in _residue_rigs(n).items():
+            cameras = constraints._camera_pairs(n)
+            cases = _residue_inputs(rig, random.Random(f"{name}:{n}"))
+            for form, rows in zip(forms, ((triples, pairs), (pairs, triples))):
+                row_sets = [(cameras, rows[0]), (cameras, rows[1])]
+                engine = constraints.OcticEngine(rig, row_sets, [(0, 1, polarize(form))])
+                for u, v in cases:
+                    ((values, _),) = engine.cleared((u, v))
+                    verdict = engine.vanishes((u, v))
+                    assert verdict == (not values.any())
+                    verdicts.add(verdict)
+                    (w_u, _), (w_v, _) = engine._cofactors((u, v))
+                    bound = constraints._value_bound((w_u, rows[0]), engine.blocks[0][2],
+                                                     (w_v, rows[1]))
+                    assert max(map(abs, values.ravel().tolist())) <= bound
+        assert verdicts == {True, False}
+
+    def test_degree_four_side_is_refused(self):
+        # 35 slots of Sym^4: a sum of 35 residue products can reach 2^63
+        rig = random_rig(random.Random(593), 2)
+        u = forward_map(rig, ProjectivePoint(random_world_point(random.Random(599))))
+        form = BihomForm((4, 1), {((4, 0, 0, 0), (1, 0, 0, 0)): 1, ((0, 0, 0, 4), (0, 0, 0, 1)): 1})
+        row_sets = [([(0, 1)], [(0,) * 4]), ([(0, 1)], [(1,)])]
+        engine = constraints.OcticEngine(rig, row_sets, [(0, 1, polarize(form))])
+        assert engine.evaluate((u, u)) != [0]
+        with pytest.raises(ValueError, match="overflow int64"):
+            engine.vanishes((u, u))
 
     def test_float_engine_refuses_the_residue_test(self):
         rig = CameraRig([cam.matrix.to_float() for cam in random_rig(random.Random(587), 2).cameras])
@@ -894,11 +980,8 @@ class TestGeneralForms:
             assert values[((0, 1, i), (0, 1, i))] == 0
 
     @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("form", [
-        BihomForm((1, 1), {((1, 0, 0, 0), (0, 0, 0, 1)): 3, ((0, 1, 0, 0), (0, 0, 1, 0)): -2,
-                           ((0, 0, 0, 1), (0, 0, 0, 1)): Fraction(1, 2)}),
-        unit_distance_form(),
-    ], ids=["form11", "form22"])
+    @pytest.mark.parametrize("form", [FORM11, unit_distance_form(), FORM31, FORM12],
+                             ids=["form11", "form22", "form31", "form12"])
     def test_general_values_match_wedge5(self, n, form):
         rng = random.Random(277 + n)
         rig = random_rig(rng, n)
@@ -913,6 +996,25 @@ class TestGeneralForms:
             expected.append(form.evaluate(wedge5(bu, i)[:4], wedge5(bv, kk)[:4]))
         assert system.evaluate(u, v) == expected
         assert any(value != 0 for value in expected)
+
+    @pytest.mark.parametrize("form", [FORM11, unit_distance_form(), FORM31, FORM12],
+                             ids=["form11", "form22", "form31", "form12"])
+    def test_general_values_on_a_float_rig(self, form):
+        # within the tolerance of test_float_rig_agrees_with_reference: 1e-12
+        # times the form with absolute coefficients at the absolute vectors
+        rng = random.Random(283)
+        exact = random_rig(rng, 3)
+        rig = CameraRig([cam.matrix.scaled(Fraction(37, 100)).to_float() for cam in exact.cameras])
+        u, v = (forward_map(exact, ProjectivePoint(random_world_point(rng))) for _ in range(2))
+        u, v = tuple(p.to_float() for p in u), tuple(p.to_float() for p in v)
+        size_form = BihomForm(form.bidegree, {key: abs(c) for key, c in form.coeffs.items()})
+        system = constraint_system(rig, Family.GENERAL_DE, form=form)
+        for ((j1, k1, i), (j2, k2, kk)), got in zip(system.indices, system.evaluate(u, v)):
+            wu = wedge5(assemble_b(rig, j1, k1, u[j1], u[k1]), i)[:4]
+            wv = wedge5(assemble_b(rig, j2, k2, v[j2], v[k2]), kk)[:4]
+            size = size_form.evaluate([abs(x) for x in wu], [abs(x) for x in wv])
+            assert isinstance(got, float)
+            assert abs(got - form.evaluate(wu, wv)) <= 1e-12 * size
 
     def test_general_system_count(self):
         rng = random.Random(271)

@@ -7,12 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import (fraction_rig, random_rig, random_world_point,
+from helpers import (engine_value, fraction_rig, random_rig, random_world_point,
                      reference_coefficient_matrix_modp, reference_modp_failure_bound,
                      reference_modp_rank, reference_octics, reference_quotient_failure_bound,
                      scaled_rig, standard_rig, wedge5)
 from rigidview.cameras import CameraRig, ProjectivePoint, forward_map
-from rigidview.constraints import distance_form_squared, octic_value, polarize, unit_distance_form
+from rigidview.constraints import BihomForm, distance_form_squared, polarize, unit_distance_form
 from rigidview.harness import _sub_seed
 from rigidview.harness import random_rig as harness_random_rig
 from rigidview.linalg import Mat
@@ -161,9 +161,19 @@ class TestOcticExpansion:
             for _ in range(20):
                 u = (ProjectivePoint(random_image_point(rng)), ProjectivePoint(random_image_point(rng)))
                 v = (ProjectivePoint(random_image_point(rng)), ProjectivePoint(random_image_point(rng)))
-                numeric = octic_value(rig, t, sel[0], sel[1], u, v)
+                numeric = engine_value(rig, t, sel[0], sel[1], u, v)
                 symbolic = poly.evaluate([u[0].coords, u[1].coords], [v[0].coords, v[1].coords])
                 assert symbolic == numeric
+
+    def test_other_bidegrees_are_refused(self):
+        rig = random_rig(random.Random(349), 2)
+        for bidegree, key in (((1, 2), ((1, 0, 0, 0), (0, 1, 1, 0))),
+                              ((3, 1), ((2, 0, 0, 1), (0, 0, 1, 0)))):
+            t = polarize(BihomForm(bidegree, {key: 1}))
+            with pytest.raises(ValueError, match="bidegree"):
+                all_octics_symbolic(rig, t)
+            with pytest.raises(ValueError, match="bidegree"):
+                expand_octic_symbolic(rig, t, (0, 1, 0, 0), (0, 1, 0, 0))
 
     def test_vanishes_at_member_images(self):
         rng = random.Random(347)
