@@ -28,6 +28,7 @@ from .linalg import (
     Mat,
     Scalar,
     ShapeError,
+    _cleared,
     _exact_rank,
     decode_scalar,
     det,
@@ -218,7 +219,7 @@ class CameraRig:
     """
 
     __slots__ = ("cameras", "tol", "general_position", "_epipoles", "_fundamentals",
-                 "_minor_tables")
+                 "_minor_tables", "_table_max")
 
     def __init__(self, matrices: Sequence[Mat | Camera], tol: float | None = None):
         cams = tuple(m if isinstance(m, Camera) else Camera(m, tol) for m in matrices)
@@ -244,6 +245,8 @@ class CameraRig:
             tables[(j, k)] = camera_minor_table(self, j, k)
             fundamentals[(j, k)] = _fundamental(cams[j].matrix, *tables[(j, k)])
         object.__setattr__(self, "_minor_tables", tables)
+        object.__setattr__(self, "_table_max", {pair: max(int(np.abs(t).max()), 1) for pair, (t, _)
+                                                in tables.items() if t.dtype == np.int64})
         object.__setattr__(self, "_fundamentals", fundamentals)
         object.__setattr__(self, "general_position", _validate_focal_points(cams, tol))
 
@@ -292,8 +295,32 @@ class CameraRig:
         table, den = self._minor_tables[(k, j)]
         return -table[_SWAP_ROWS][:, :, _SWAP_BILINEAR], den
 
+    def cofactor_vectors(self, j: int, k: int, u_j: ProjectivePoint, u_k: ProjectivePoint):
+        """``(w, factor)``: the six cofactor 4-vectors of cameras j and k at
+        u_j and u_k as a 6x4 array, times the positive integer ``factor``.
+        Exact: w is the :meth:`minor_table` at the points cleared to
+        integers, factor is den den_j den_k, and w is int64 when
+        9 max(|table|, 1) max|den_j u_j| max|den_k u_k| < 2^63 (so no sum
+        overflows), else Python ints.  Floats: float64 and factor 1.  Raises
+        :class:`BackendError` unless both points are on the rig's backend."""
+        _check_backend(self, (u_j, u_k))
+        table, den = self.minor_table(j, k)
+        if self.backend == FLOAT:
+            return table @ np.array([x * y for x in u_j for y in u_k]), 1
+        (u_j, den_j), (u_k, den_k) = _cleared(u_j.coords), _cleared(u_k.coords)
+        outer = [x * y for x in u_j for y in u_k]
+        small = (table.dtype == np.int64 and 9 * self._table_max[min(j, k), max(j, k)]
+                 * max(map(abs, u_j)) * max(map(abs, u_k)) < _INT64_LIMIT)
+        return table @ np.array(outer, dtype=np.int64 if small else object), den * den_j * den_k
+
     def __repr__(self):
         return f"CameraRig(n={self.n}, backend={self.backend}, general_position={self.general_position.ok})"
+
+
+def _check_backend(rig: CameraRig, points: Sequence[ProjectivePoint]) -> None:
+    """The one scalar-backend rule: image points share the rig's backend."""
+    if any(p.backend != rig.backend for p in points):
+        raise BackendError("image points and rig must share one scalar backend")
 
 
 def _det3(r0, r1, r2):
@@ -373,8 +400,9 @@ def camera_minor_table(rig: CameraRig, j: int, k: int) -> tuple:
     return np.ascontiguousarray(table, dtype=np.int64 if fits else object), den
 
 
-def _reduced(x):
-    """An integral Fraction as an int; any other scalar as it is."""
+def _reduced(x, den=1):
+    """Exact x / den as an int where integral, else a Fraction; float x (den 1) as it is."""
+    x = x if den == 1 else Fraction(x, den)
     return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
 
 
@@ -387,7 +415,7 @@ def _fundamental(aj: Mat, table: np.ndarray, den: int) -> Mat:
 
     def entry(a, b, i):
         total = (-1) ** i * sum(x * t[3 * a + b] for x, t in zip(aj.data[i], table[i]))
-        return _reduced(total if den == 1 else Fraction(total, den))
+        return _reduced(total, den)
     return Mat([[entry(a, b, i) for b in range(3)] for a, i in ((0, 1), (1, 2), (2, 0))])
 
 
@@ -423,7 +451,8 @@ def _multiview_rows(rig: CameraRig, cams: Sequence[int],
     """The rows of the stacked multiview matrix [A_j | u_j e_j] of the
     cameras ``cams`` and their image points: block row i holds the rows of
     camera cams[i], then points[i] in column 4 + i and zeros in the other
-    image columns."""
+    image columns.  Points off the rig's backend raise :class:`BackendError`."""
+    _check_backend(rig, points)
     zero = 0.0 if rig.backend == FLOAT else 0
     rows = []
     for i, (j, pt) in enumerate(zip(cams, points)):
@@ -440,28 +469,21 @@ def _multiview_matrix(rig: CameraRig, cams: Sequence[int],
     return Mat(_multiview_rows(rig, cams, points))
 
 
-def _all_exact(rig: CameraRig, points: Sequence[ProjectivePoint]) -> bool:
-    """Whether the rig and every point are on the exact backend."""
-    return rig.backend == EXACT and all(p.backend == EXACT for p in points)
-
-
 def multiview_membership(rig: CameraRig, points: Sequence[ProjectivePoint]) -> MembershipResult:
     """Test whether an image tuple is a consistent set of n views.
 
     Stacks the block rows [A_j | 0 .. u_j .. 0] into a 3n x (4+n) matrix;
-    the tuple is consistent exactly when its rank is at most n+3.  When the
-    rig and every point are exact, one fraction-free elimination of the
-    matrix's cleared integer rows decides, with no :class:`Mat` built;
-    otherwise the matrix goes to :func:`rigidview.linalg.rank` at
-    ``rig.tol`` under its usual backend rules.  The world point and the
-    scales come from triangulation.
+    the tuple is consistent exactly when its rank is at most n+3.  Exact:
+    one fraction-free elimination of the cleared integer rows, no
+    :class:`Mat`; floats: :func:`rigidview.linalg.rank` at ``rig.tol``.
+    Points off the rig's backend raise :class:`BackendError`.
     """
     n = rig.n
     if len(points) != n:
         raise ShapeError(f"expected {n} image points, got {len(points)}")
     if any(len(p) != 3 for p in points):
         raise ShapeError("image points have 3 coordinates")
-    if _all_exact(rig, points):
+    if rig.backend == EXACT:
         r = _exact_rank(_multiview_rows(rig, range(n), points))
     else:
         r = rank(_multiview_matrix(rig, range(n), points), rig.tol).rank

@@ -23,13 +23,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cameras import (CameraRig, ProjectivePoint, _multiview_matrix, _reduced,
+from .cameras import (CameraRig, ProjectivePoint, _check_backend, _multiview_matrix, _reduced,
                       multiview_membership)
 from .linalg import (EXACT, BackendError, Mat, Scalar, ShapeError, _cleared, _is_probable_prime,
                      adjugate, det)
 from .triangulation import (AmbiguousTriangulationError, NotInVarietyError,
-                            NotTriangulableError, _proportional_exact, cofactor_vectors,
-                            triangulate)
+                            NotTriangulableError, _proportional_exact, triangulate)
 
 
 class Family(str, Enum):
@@ -132,12 +131,15 @@ class QuadTensor:
     for Y, symmetric within each group, whose diagonal restriction
     T(X, ..., X, Y, ..., Y) reproduces the form.  ``entries`` maps (sorted
     d-tuple, sorted e-tuple) of coordinate indices to the coefficient that
-    every ordering of the two tuples carries."""
+    every ordering of the two tuples carries; ``bidegree`` is (d, e)."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "bidegree")
 
-    def __init__(self, entries):
+    def __init__(self, entries, bidegree):
         self.entries = dict(entries)
+        self.bidegree = tuple(bidegree)
+        if any((len(p), len(r)) != self.bidegree for p, r in self.entries):
+            raise ValueError(f"an entry of another bidegree than {self.bidegree}")
 
     def __repr__(self):
         return f"QuadTensor(entries={len(self.entries)})"
@@ -154,7 +156,7 @@ def polarize(q: BihomForm) -> QuadTensor:
         # each exponent vector x as its sorted indices: t repeated x[t] times
         key = tuple(tuple(t for t, a in enumerate(x) for _ in range(a)) for x in (alpha, beta))
         entries[key] = Fraction(c) / mult if mult > 1 else c
-    return QuadTensor(entries)
+    return QuadTensor(entries, q.bidegree)
 
 
 # The unit-distance form and its tensor, built once for every caller.
@@ -207,12 +209,12 @@ def _gram(tensor: QuadTensor, exact: bool, d: int, e: int):
     """The (d, e) tensor as a matrix on the slots of Sym^d and Sym^e, and on
     the exact backend the least positive integer that clears its
     denominators (the matrix is returned multiplied by it).  Raises
-    ValueError on an entry of another bidegree."""
+    ValueError unless the tensor is of bidegree (d, e)."""
+    if tensor.bidegree != (d, e):
+        raise ValueError(f"a tensor of bidegree {tensor.bidegree} where {(d, e)} is needed")
     slots_a, slots_b = _sym_slots(d)[0], _sym_slots(e)[0]
     coefs = {}
     for (p, r), coef in tensor.entries.items():
-        if (len(p), len(r)) != (d, e):
-            raise ValueError(f"a tensor of bidegree {(len(p), len(r))} where {(d, e)} is needed")
         key = (slots_a[tuple(sorted(p))], slots_b[tuple(sorted(r))])
         coefs[key] = coefs.get(key, 0) + coef
     cleared, den = _cleared([Fraction(c) for c in coefs.values()])
@@ -339,11 +341,11 @@ class OcticEngine:
     take d = e = 2 and row pairs (i1, i2); GENERAL_DE takes rows (i,) * d,
     whose value is the form itself at w_i and w'_k.
 
-    The exact backend computes on integers: G, the camera minor tables (as
-    the rig stores them) and the image points are cleared of denominators,
-    and each camera-pair row of values comes with the positive integer it
-    was multiplied by, divided out only when values are returned (see
-    :meth:`evaluate`).  Floats go through float64.
+    Cofactor vectors come from :meth:`CameraRig.cofactor_vectors`.  The
+    exact backend computes on integers: G is cleared too, and each
+    camera-pair row of values comes with the positive integer it was
+    multiplied by, divided out only in :meth:`evaluate`.  Floats go
+    through float64.
 
     The exact zero test, :meth:`vanishes`, forms no value.  Every cleared
     |value| is at most B = C(d+3, 3) C(e+3, 3) d! e! max|w_a|^d max|G|
@@ -356,21 +358,19 @@ class OcticEngine:
     then zero by the Chinese remainder theorem.
     """
 
-    __slots__ = ("exact", "tables", "row_sets", "blocks")
+    __slots__ = ("exact", "rig", "row_sets", "blocks")
 
     def __init__(self, rig: CameraRig, row_sets, blocks):
         """``row_sets`` holds one row set per image tuple; ``blocks`` lists
         ``(a, b, tensor)``, the tensor at every camera pair and row of tuple
         a's row set against every one of tuple b's; its bidegree is the
-        degrees of the two row sets' rows.  The camera minor tables of the
-        pairs in use are read from the rig."""
+        degrees of the two row sets' rows."""
         self.exact = rig.backend == EXACT
+        self.rig = rig
         self.row_sets = list(row_sets)
         self.blocks = [(a, b) + _gram(tensor, self.exact, len(self.row_sets[a][1][0]),
                                       len(self.row_sets[b][1][0]))
                        for a, b, tensor in blocks]
-        self.tables = {pair: rig.minor_table(*pair)
-                       for pair in {pair for pairs, _ in self.row_sets for pair in pairs}}
 
     def _cofactors(self, tuples) -> list:
         """Per image tuple, its cofactor vectors as an array of shape
@@ -379,19 +379,10 @@ class OcticEngine:
         :class:`ShapeError` unless there is one tuple per row set."""
         if len(tuples) != len(self.row_sets):
             raise ShapeError(f"expected {len(self.row_sets)} image tuples, got {len(tuples)}")
-        if any((p.backend == EXACT) != self.exact for points in tuples for p in points):
-            raise BackendError("image points and rig must share one scalar backend")
         out = []
         for points, (pairs, _) in zip(tuples, self.row_sets):
-            vectors, factors = [], []
-            for j, k in pairs:
-                table, den = self.tables[j, k]
-                u_j, u_k = points[j].coords, points[k].coords
-                if self.exact:
-                    u_j, den_j = _cleared(u_j)
-                    u_k, den_k = _cleared(u_k)
-                    factors.append(den * den_j * den_k)
-                vectors.append(cofactor_vectors(table, u_j, u_k))
+            vectors, factors = zip(*(self.rig.cofactor_vectors(j, k, points[j], points[k])
+                                     for j, k in pairs))
             out.append((np.stack(vectors), np.array(factors, dtype=object) if self.exact else None))
         return out
 
@@ -403,7 +394,8 @@ class OcticEngine:
         float backend)."""
         products = []
         for (w, f), (_, rows) in zip(self._cofactors(tuples), self.row_sets):
-            s = _symmetric_products(w, rows)
+            # as Python ints: products of int64 entries can overflow
+            s = _symmetric_products(w if f is None else w.astype(object), rows)
             products.append((s.reshape(-1, s.shape[-1]), None if f is None else f ** len(rows[0])))
         out = []
         for a, b, gram, den in self.blocks:
@@ -439,7 +431,7 @@ class OcticEngine:
                 out.extend(values.ravel().tolist())
                 continue
             for row, f in zip(values.tolist(), factors.tolist()):
-                out.extend(row if f == 1 else (_reduced(Fraction(x, f)) for x in row))
+                out.extend(row if f == 1 else (_reduced(x, f) for x in row))
         return out
 
 
@@ -529,6 +521,7 @@ def constraint_system(rig: CameraRig, family: Family | str, form: Optional[Bihom
         def bilinear(u, v):
             out = []
             for pts in (u, v):
+                _check_backend(rig, pts)
                 for j, k in pairs:
                     f_u = rig.fundamental(j, k).apply(pts[k].coords)
                     out.append(_reduced(sum(a * b for a, b in zip(pts[j].coords, f_u))))
@@ -575,13 +568,14 @@ def constraint_system(rig: CameraRig, family: Family | str, form: Optional[Bihom
 def coplanar_residuals(rig: CameraRig, tuples4) -> list:
     """4x4 determinants of stacked cofactor vectors of camera pair (0, 1),
     one for every choice of row in each of four image tuples; all vanish
-    when the four world points are coplanar."""
+    when the four world points are coplanar; each is taken on the cleared
+    vectors and divided by the product of their four factors."""
     if len(tuples4) != 4:
         raise ShapeError("need exactly four image tuples")
-    minors, den = rig.minor_table(0, 1)
-    scale = 1 if den == 1 else Fraction(1, den)
-    tables = [(cofactor_vectors(minors, t[0].coords, t[1].coords) * scale).tolist() for t in tuples4]
-    return [det(Mat.from_cols(cols)) for cols in itertools.product(*tables)]
+    cofactors = [rig.cofactor_vectors(0, 1, t[0], t[1]) for t in tuples4]
+    scale = prod(f for _, f in cofactors)
+    return [_reduced(det(Mat.from_cols(cols)), scale)
+            for cols in itertools.product(*(w.tolist() for w, _ in cofactors))]
 
 
 DEFAULT_VANISH_TOL = 1e-7

@@ -10,20 +10,16 @@ lines meet in the world point X.  For rank-5 B the kernel is recovered by
 Cramer's rule: deleting any row i and taking signed maximal minors yields a
 vector whose first four coordinates represent X.  The recovery is available
 exactly over rationals and with tolerances over floats.  The cofactor
-vectors are read from the camera minor tables the rig keeps.
+vectors come from :meth:`rigidview.cameras.CameraRig.cofactor_vectors`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-import numpy as np
-
-from .cameras import (CameraRig, ProjectivePoint, _all_exact, _multiview_matrix, _reduced,
-                      multiview_membership)
-from .linalg import FLOAT, Mat, rank
+from .cameras import CameraRig, ProjectivePoint, _multiview_matrix, _reduced, multiview_membership
+from .linalg import EXACT, FLOAT, Mat, rank
 
 
 # Largest angular distance between two unit-scaled float candidates of the
@@ -81,17 +77,6 @@ def assemble_b(rig: CameraRig, j: int, k: int,
     return BMatrix(_multiview_matrix(rig, (j, k), (u_j, u_k)))
 
 
-def cofactor_vectors(table: np.ndarray, u_j: Sequence, u_k: Sequence) -> np.ndarray:
-    """The six cofactor 4-vectors of a camera pair, as a 6x4 array, read from
-    its camera minor table (see :meth:`CameraRig.minor_table`, whose
-    denominator they are multiplied by) and the two image points'
-    coordinates.  Exact coordinates stay Python ints or Fractions in an
-    object array, so an int64 table cannot overflow."""
-    dtype = np.float64 if table.dtype == np.float64 else object
-    outer = np.array([x * y for x in u_j for y in u_k], dtype=dtype)
-    return table @ outer
-
-
 def _nonzero_cut(b: Mat, tol: float | None) -> float:
     """The cut of :func:`_cofactor_nonzero` for the pair matrix B: on floats
     with a rig tolerance, ``tol`` times the largest entry of B's first row;
@@ -114,7 +99,7 @@ def _scale(camera, x, u, exact: bool):
     exact ratio, or a float."""
     c = max(range(3), key=lambda i: abs(u[i]))
     num = sum(a * xi for a, xi in zip(camera.matrix.data[c], x))
-    return _reduced(Fraction(num, u[c])) if exact else num / u[c]
+    return _reduced(num, u[c]) if exact else num / u[c]
 
 
 def is_triangulable(rig: CameraRig, points: Sequence[ProjectivePoint]) -> bool:
@@ -130,63 +115,61 @@ def is_triangulable(rig: CameraRig, points: Sequence[ProjectivePoint]) -> bool:
 
 
 def _pair_scan(rig: CameraRig, points: Sequence[ProjectivePoint]):
-    """The witness scan of :func:`is_triangulable` on a tuple known to be
-    consistent: ``(pair, row, vectors, cut)``, or None when no pair has one.
+    """The witness scan of :func:`is_triangulable` on a consistent tuple:
+    ``(pair, row, vectors, factor, cut)``, or None when no pair has one.
 
-    Scans camera pairs lexicographically and reads the first four
-    coordinates of each pair's six cofactor vectors from the rig's stored
-    minor table; the witness is the first row, in order, whose vector gives
-    a nonzero point (see :func:`_cofactor_nonzero`).  A pair qualifies only
+    Scans camera pairs lexicographically; the witness is the first row
+    whose cofactor vector (from :meth:`CameraRig.cofactor_vectors`, times
+    ``factor``, so integers on the exact backend) gives a nonzero point
+    (:func:`_cofactor_nonzero`).  A pair qualifies only
     when its B has rank 5.  On floats that is one :func:`rank` of B at
     ``rig.tol``.  On the exact backend no rank is taken: the tuple is
     consistent, so det B = 0, and B has rank 5 exactly when some cofactor
     vector has a nonzero first four coordinates.  (At rank 5 a nonzero
     cofactor vector spans the kernel, and a kernel vector (0, -l_j, -l_k)
     forces l_j u_j = l_k u_k = 0; below rank 5 every cofactor vector is
-    zero.)  The exact vectors come back divided by the table's denominator.
+    zero.)
     """
     for j, k in combinations(range(rig.n), 2):
         u_j, u_k = points[j], points[k]
         cut = 0.0
-        if not _all_exact(rig, (u_j, u_k)):
+        if rig.backend == FLOAT:
             b = assemble_b(rig, j, k, u_j, u_k).mat
             if rank(b, rig.tol).rank != 5:
                 continue
             cut = _nonzero_cut(b, rig.tol)
-        table, den = rig.minor_table(j, k)
-        vectors = cofactor_vectors(table, u_j.coords, u_k.coords).tolist()
-        for i, w in enumerate(vectors):
-            if _cofactor_nonzero(w, cut):
-                if den != 1:
-                    vectors = [[Fraction(x, den) for x in v] for v in vectors]
-                return (j, k), i, vectors, cut
+        w, factor = rig.cofactor_vectors(j, k, u_j, u_k)
+        vectors = w.tolist()
+        for i, v in enumerate(vectors):
+            if _cofactor_nonzero(v, cut):
+                return (j, k), i, vectors, factor, cut
     return None
 
 
 def triangulate(rig: CameraRig, points: Sequence[ProjectivePoint]) -> TriangulationSolution:
     """Recover the world point behind a consistent image tuple.
 
-    Takes the point from the witness row of :func:`_pair_scan` and the
-    scales from A_j X = lambda_j u_j and A_k X = lambda_k u_k, and
-    cross-checks every later nonzero row candidate of that pair: on the
-    exact backend they must agree up to scale identically, on the float
-    backend within :data:`CONSISTENCY_TOL` of angular distance.
+    Takes the point from the witness row of :func:`_pair_scan` over its
+    factor (the one division) and the scales from A_j X = lambda_j u_j and
+    A_k X = lambda_k u_k, and cross-checks every later nonzero row of that
+    pair: exactly up to scale, or on floats within :data:`CONSISTENCY_TOL`
+    of angular distance.  Points off the rig's backend raise BackendError.
     """
     if not multiview_membership(rig, points).ok:
         raise NotInVarietyError("tuple fails the consistency rank test")
     scan = _pair_scan(rig, points)
     if scan is None:
         raise NotTriangulableError("no camera pair has a rank-5 triangulation matrix")
-    pair, row, vectors, cut = scan
-    exact = _all_exact(rig, [points[cam] for cam in pair])
-    x = tuple(map(_reduced, vectors[row]))
+    pair, row, vectors, factor, cut = scan
+    exact = rig.backend == EXACT
+    x = tuple(_reduced(c, factor) for c in vectors[row])
     point = ProjectivePoint(x)
     for i in range(row + 1, 6):
         candidate = vectors[i]
         if not _cofactor_nonzero(candidate, cut):
             continue
         if exact:
-            if not _proportional_exact(x, candidate):
+            if not _proportional_exact(vectors[row], candidate):
                 raise AmbiguousTriangulationError(f"rows {row} and {i} give different points")
         elif _angular_distance(x, candidate) > CONSISTENCY_TOL:
             raise AmbiguousTriangulationError(f"rows {row} and {i} disagree beyond tolerance")

@@ -26,6 +26,7 @@ from rigidview.cameras import (
     rig_from_json,
     rig_to_json,
 )
+from rigidview.constraints import Family, constraint_system
 from rigidview.linalg import Mat, det, rank
 from rigidview.triangulation import triangulate
 
@@ -351,6 +352,67 @@ class TestStoredMinorTables:
             rig.minor_table(1, 1)
 
 
+class TestCofactorVectors:
+    """CameraRig.cofactor_vectors: the six cofactor vectors of a camera pair
+    at two image points, times a positive integer factor."""
+
+    def test_vectors_equal_reference(self):
+        # on int, Fraction-entry and large-height rigs, at int and Fraction
+        # image points: w / factor are the reference table's vectors at the
+        # points themselves, and w is int64 exactly when the bound fits
+        dtypes = []
+        for kind in ("int", "fraction", "height-1e6", "height-1e7"):
+            rig = TestStoredMinorTables._rig(kind)
+            rng = random.Random(f"cofactors:{kind}")
+            for coord in (lambda: rng.randint(-10 ** 6, 10 ** 6),
+                          lambda: Fraction(rng.randint(-50, 50), rng.randint(1, 12))):
+                for _ in range(3):
+                    points = [ProjectivePoint([coord() for _ in range(3)]) for _ in range(3)]
+                    for j, k in itertools.permutations(range(3), 2):
+                        w, factor = rig.cofactor_vectors(j, k, points[j], points[k])
+                        outer = [x * y for x in points[j] for y in points[k]]
+                        want = reference_minor_table(rig, j, k) @ np.array(outer, dtype=object)
+                        assert w.shape == (6, 4)
+                        assert [Fraction(x, factor) for x in w.ravel().tolist()] == (
+                            want.ravel().tolist())
+                        table, den = rig.minor_table(j, k)
+                        dens = [lcm(*(Fraction(x).denominator for x in p)) for p in points]
+                        assert factor == den * dens[j] * dens[k]
+                        sizes = [max(abs(x) * d for x in p) for p, d in zip(points, dens)]
+                        fits = (table.dtype == np.int64 and 9 * max(int(np.abs(table).max()), 1)
+                                * sizes[j] * sizes[k] < 2 ** 63)
+                        assert (w.dtype == np.int64) == fits
+                        dtypes.append(w.dtype)
+        assert dtypes.count(np.int64) >= 50 and dtypes.count(object) >= 50
+
+    def test_float_rig_gives_float_vectors(self):
+        rig = TestStoredMinorTables._rig("float")
+        points = [ProjectivePoint((0.5, -1.25, 2.0)), ProjectivePoint((3.0, 0.75, -1.0))]
+        w, factor = rig.cofactor_vectors(0, 1, *points)
+        want = reference_minor_table(rig, 0, 1) @ np.array([x * y for x in points[0]
+                                                            for y in points[1]])
+        assert factor == 1 and w.dtype == np.float64
+        assert np.abs(w - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_large_coordinates_take_python_ints(self):
+        # image points with coordinates near 2^40 overflow the int64 bound;
+        # scaling every point of u by c scales each octic value by c^4, so
+        # both routes must give the same values up to that factor
+        rng = random.Random(613)
+        rig = random_rig(rng, 2)
+        u = forward_map(rig, ProjectivePoint((3, -2, 5, 7)))
+        v = forward_map(rig, ProjectivePoint((1, 4, -3, 2)))
+        c = 2 ** 40 // max(abs(x) for p in u for x in p)
+        big = tuple(p.scaled(c) for p in u)
+        assert max(abs(x) for p in big for x in p) > 2 ** 39
+        assert rig.cofactor_vectors(0, 1, *u)[0].dtype == np.int64
+        assert rig.cofactor_vectors(0, 1, *big)[0].dtype == object
+        system = constraint_system(rig, Family.OCTIC_FULL)
+        values = system.evaluate(u, v)
+        assert any(values)
+        assert system.evaluate(big, v) == [c ** 4 * x for x in values]
+
+
 class TestMembership:
     def test_forward_image_is_member(self):
         rng = random.Random(31)
@@ -452,18 +514,18 @@ class TestMembership:
         assert not multiview_membership(rig, cases[1]).ok
 
     def test_mixed_backends_keep_their_rules(self):
-        # a float point on an exact integer rig makes the stacked matrix a
-        # float one, ranked at the rig's tolerance: a float member moved by
-        # 1e-13 stays consistent, though the same point read exactly is not;
-        # a float point on a rig with Fraction entries cannot be stacked
+        # one scalar-backend rule: a float point on an exact integer rig, or
+        # on a rig with Fraction entries, raises; the same point read
+        # exactly is ranked exactly, and a member moved by 1e-13 is not
+        # consistent
         rng = random.Random(47)
         rig = random_rig(rng, 3)
         member = forward_map(rig, ProjectivePoint((3, -2, 5, 7)))
         last = [float(c) / float(max(member[2].coords, key=abs)) for c in member[2].coords]
         last[0] += 1e-13
         moved = member[:2] + (ProjectivePoint(last),)
-        res = multiview_membership(rig, moved)
-        assert res.ok and res.rank == 6
+        with pytest.raises(linalg.BackendError):
+            multiview_membership(rig, moved)
         exact = member[:2] + (ProjectivePoint([Fraction(x) for x in last]),)
         assert multiview_membership(rig, exact).rank == 7
         with pytest.raises(linalg.BackendError):

@@ -44,7 +44,7 @@ from rigidview.constraints import (
 from rigidview import cameras, constraints, harness, triangulation
 from rigidview.linalg import BackendError, Mat, ShapeError, _is_probable_prime, det
 from rigidview.polyspace import all_octics_symbolic, expand_wedge_symbolic
-from rigidview.triangulation import assemble_b, cofactor_vectors
+from rigidview.triangulation import assemble_b
 
 
 def unit_pair(rng):
@@ -331,7 +331,7 @@ class TestContractionEngine:
             system = constraint_system(rig, family)
             want, vectors = reference_values(system, (u, v))
             tensor = polarize(unit_distance_form())
-            bound = QuadTensor({key: abs(c) for key, c in tensor.entries.items()})
+            bound = QuadTensor({key: abs(c) for key, c in tensor.entries.items()}, (2, 2))
             for idx, got, ref in zip(system.indices, system.evaluate(u, v), want):
                 (j1, k1, i1, i2), (j2, k2, i3, i4) = idx
                 size = tensor_value(bound, *([abs(x) for x in vectors[key][i]] for key, i in (
@@ -377,11 +377,10 @@ class TestContractionEngine:
         rig = CameraRig(data.draw(_camera_mats(3)))
         (points,) = data.draw(_image_tuples(coord, 3, 1))
         j, k = pair
-        table, den = rig.minor_table(j, k)
-        w = cofactor_vectors(table, points[j], points[k])
+        w, factor = rig.cofactor_vectors(j, k, points[j], points[k])
         b = assemble_b(rig, j, k, points[j], points[k])
-        for i in range(6):
-            assert tuple(Fraction(x, den) for x in w[i]) == wedge5(b, i)[:4]
+        for i, row in enumerate(w.tolist()):
+            assert tuple(Fraction(x, factor) for x in row) == wedge5(b, i)[:4]
 
 
 class TestStoredTablesOnly:
@@ -932,7 +931,59 @@ class TestCoplanar:
         assert all(val == 0 for val in system.evaluate(*tuples4))
 
 
+class TestOneBackendRule:
+    """A tuple's image points share the rig's scalar backend: every entry
+    point raises BackendError otherwise, whichever way the backends differ."""
+
+    @staticmethod
+    def _inputs(kind, n):
+        rng = random.Random(f"backend:{kind}:{n}")
+        rig = fraction_rig(rng, n) if kind == "fraction" else random_rig(rng, n)
+        member = forward_map(rig, ProjectivePoint(random_world_point(rng)))
+        if kind == "float":
+            # int points (the exact member, integer-cleared) on a float rig
+            rig = CameraRig([cam.matrix.to_float() for cam in rig.cameras])
+            return rig, tuple(ProjectivePoint(p.canonical()) for p in member)
+        return rig, tuple(p.to_float() for p in member)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("kind", ["int", "fraction", "float"])
+    def test_points_off_the_rig_backend_raise(self, kind, n):
+        rig, u = self._inputs(kind, n)
+        calls = [lambda: rig.cofactor_vectors(0, 1, u[0], u[1]),
+                 lambda: multiview_membership(rig, u),
+                 lambda: triangulation.triangulate(rig, u),
+                 lambda: triangulation.is_triangulable(rig, u),
+                 lambda: rigid_pair_oracle(rig, u, u),
+                 lambda: constraint_system(rig, Family.COPLANAR).evaluate(u, u, u, u),
+                 lambda: constraint_system(rig, Family.GENERAL_DE, form=FORM12).evaluate(u, u)]
+        calls += [lambda fam=fam: rigid_pair_by_equations(rig, u, u, fam) for fam in _families(n)]
+        calls += [lambda fam=fam: constraint_system(rig, fam).evaluate(u, u)
+                  for fam in _families(n) + [Family.MULTIVIEW_BILINEAR]
+                  + ([Family.MULTIVIEW_TRILINEAR] if n == 3 else [])]
+        if n == 3:
+            calls.append(lambda: constraint_system(rig, Family.PAIRWISE_DISTANCE,
+                                                   squared_distances=(1, 2, 2)).evaluate(u, u, u))
+        for call in calls:
+            with pytest.raises(BackendError):
+                call()
+
+
 class TestGeneralForms:
+    def test_zero_form_keeps_its_bidegree(self):
+        # a form with no terms still has a bidegree, and the engine and the
+        # symbolic expansion refuse it where (2, 2) is needed
+        rig = random_rig(random.Random(617), 2)
+        tensor = polarize(BihomForm((3, 1), {}))
+        with pytest.raises(ValueError, match="bidegree"):
+            all_octics_symbolic(rig, tensor)
+        row_set = constraints._octic_row_set(2, Family.OCTIC_NINE)
+        with pytest.raises(ValueError, match="bidegree"):
+            constraints.OcticEngine(rig, (row_set, row_set), [(0, 1, tensor)])
+        with pytest.raises(ValueError, match="bidegree"):
+            constraint_system(rig, Family.OCTIC_NINE, form=BihomForm((3, 1), {}))
+        assert tensor.bidegree == (3, 1)
+
     def test_unit_form_reproduces_octic_diagonal(self):
         # GENERAL_DE lists ((j1, k1, i), (j2, k2, kk)) in the order OCTIC_NINE
         # lists ((j1, k1, i, i), (j2, k2, kk, kk)), and with the unit-distance

@@ -225,9 +225,7 @@ class TestExactPairShortcut:
                         assert multiview_membership(rig, u).ok
                         for j in range(n):
                             for k in range(j + 1, n):
-                                table, _ = rig.minor_table(j, k)
-                                w = triangulation.cofactor_vectors(table, u[j].coords,
-                                                                   u[k].coords)
+                                w, _ = rig.cofactor_vectors(j, k, u[j], u[k])
                                 r = rank(assemble_b(rig, j, k, u[j], u[k]).mat).rank
                                 assert (r == 5) == bool(w[:, :4].any()), (kind, n, j, k)
                                 seen[r] += 1
@@ -312,15 +310,15 @@ class TestSinglePass:
         sol = triangulate(rig, u)
         assert sol.row == 2
         assert work == ([], [], [], [])
-        _, _, vectors, _ = triangulation._pair_scan(rig, u)
+        _, _, vectors, _, _ = triangulation._pair_scan(rig, u)
         assert vectors[0] == vectors[1] == [0, 0, 0, 0]
-        original = triangulation.cofactor_vectors
+        original = CameraRig.cofactor_vectors
         for later in (3, 4, 5):
-            def skewed(table, u_j, u_k, later=later):
-                vectors = original(table, u_j, u_k)
+            def skewed(self, j, k, u_j, u_k, later=later):
+                vectors, factor = original(self, j, k, u_j, u_k)
                 vectors[later] = vectors[2] + [1, 0, 0, 0]
-                return vectors
-            monkeypatch.setattr(triangulation, "cofactor_vectors", skewed)
+                return vectors, factor
+            monkeypatch.setattr(CameraRig, "cofactor_vectors", skewed)
             with pytest.raises(AmbiguousTriangulationError, match=f"rows 2 and {later}"):
                 triangulate(rig, u)
 
