@@ -24,12 +24,15 @@ from .linalg import (
     DEFAULT_RANK_TOL,
     EXACT,
     FLOAT,
+    INT64_LIMIT,
     BackendError,
     Mat,
     Scalar,
     ShapeError,
     _cleared,
     _exact_rank,
+    _int_array,
+    _max_abs,
     decode_scalar,
     det,
     encode_scalar,
@@ -245,7 +248,7 @@ class CameraRig:
             tables[(j, k)] = camera_minor_table(self, j, k)
             fundamentals[(j, k)] = _fundamental(cams[j].matrix, *tables[(j, k)])
         object.__setattr__(self, "_minor_tables", tables)
-        object.__setattr__(self, "_table_max", {pair: max(int(np.abs(t).max()), 1) for pair, (t, _)
+        object.__setattr__(self, "_table_max", {pair: max(_max_abs(t), 1) for pair, (t, _)
                                                 in tables.items() if t.dtype == np.int64})
         object.__setattr__(self, "_fundamentals", fundamentals)
         object.__setattr__(self, "general_position", _validate_focal_points(cams, tol))
@@ -300,7 +303,7 @@ class CameraRig:
         u_j and u_k as a 6x4 array, times the positive integer ``factor``.
         Exact: w is the :meth:`minor_table` at the points cleared to
         integers, factor is den den_j den_k, and w is int64 when
-        9 max(|table|, 1) max|den_j u_j| max|den_k u_k| < 2^63 (so no sum
+        9 max(|table|, 1) max|den_j u_j| max|den_k u_k| < INT64_LIMIT (so no sum
         overflows), else Python ints.  Floats: float64 and factor 1.  Raises
         :class:`BackendError` unless both points are on the rig's backend."""
         _check_backend(self, (u_j, u_k))
@@ -310,7 +313,7 @@ class CameraRig:
         (u_j, den_j), (u_k, den_k) = _cleared(u_j.coords), _cleared(u_k.coords)
         outer = [x * y for x in u_j for y in u_k]
         small = (table.dtype == np.int64 and 9 * self._table_max[min(j, k), max(j, k)]
-                 * max(map(abs, u_j)) * max(map(abs, u_k)) < _INT64_LIMIT)
+                 * max(map(abs, u_j)) * max(map(abs, u_k)) < INT64_LIMIT)
         return table @ np.array(outer, dtype=np.int64 if small else object), den * den_j * den_k
 
     def __repr__(self):
@@ -352,8 +355,6 @@ _MINOR_ROWS, _MINOR_INDEX, _MINOR_SIGN = _minor_layout()
 # and the bilinear index 3a + b -> 3b + a (see CameraRig.minor_table).
 _SWAP_ROWS = [3, 4, 5, 0, 1, 2]
 _SWAP_BILINEAR = [3 * b + a for a in range(3) for b in range(3)]
-# Stored exact tables are int64 when every |entry| is below this.
-_INT64_LIMIT = 2 ** 63
 
 
 def camera_minor_table(rig: CameraRig, j: int, k: int) -> tuple:
@@ -373,8 +374,8 @@ def camera_minor_table(rig: CameraRig, j: int, k: int) -> tuple:
     Returns ``(table, den)``.  On the exact backend the minors are taken of
     the stack times the lcm L of its denominators, so they are integers
     times L^3; den is the least positive integer that clears the true
-    minors, and the table holds them times den, as int64 when every entry
-    fits and as Python ints in an object array otherwise.  On the float
+    minors, and the table holds them times den, in the width that
+    :func:`rigidview.linalg._int_array` decides.  On the float
     backend the table is float64 and den is 1.  The rig keeps every pair's
     table (:meth:`CameraRig.minor_table`); nothing else builds one.
     """
@@ -396,8 +397,7 @@ def camera_minor_table(rig: CameraRig, j: int, k: int) -> tuple:
     g = gcd(den, *table.ravel().tolist())
     if g > 1:
         table, den = table // g, den // g
-    fits = max(map(abs, table.ravel().tolist())) < _INT64_LIMIT
-    return np.ascontiguousarray(table, dtype=np.int64 if fits else object), den
+    return _int_array(np.ascontiguousarray(table)), den
 
 
 def _reduced(x, den=1):

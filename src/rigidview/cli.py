@@ -46,7 +46,7 @@ def _tuple(values, backend):
 
 
 def _point_json(pt: ProjectivePoint):
-    return [encode_scalar(c) if not isinstance(c, float) else c for c in pt.coords]
+    return [encode_scalar(c) for c in pt.coords]
 
 
 def _emit(doc, args) -> None:
@@ -84,7 +84,7 @@ def _cmd_triangulate(args) -> int:
         return 1
     _emit({
         "point": _point_json(sol.point),
-        "lambdas": [encode_scalar(l) if not isinstance(l, float) else l for l in sol.lambdas],
+        "lambdas": [encode_scalar(l) for l in sol.lambdas],
         "witness": {"pair": list(sol.pair), "row": sol.row},
     }, args)
     return 0

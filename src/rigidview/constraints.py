@@ -25,8 +25,8 @@ import numpy as np
 
 from .cameras import (CameraRig, ProjectivePoint, _check_backend, _multiview_matrix, _reduced,
                       multiview_membership)
-from .linalg import (EXACT, BackendError, Mat, Scalar, ShapeError, _cleared, _is_probable_prime,
-                     adjugate, det)
+from .linalg import (EXACT, BackendError, Mat, Scalar, ShapeError, _cleared, _int_array,
+                     _is_probable_prime, _max_abs, adjugate, det)
 from .triangulation import (AmbiguousTriangulationError, NotInVarietyError,
                             NotTriangulableError, _proportional_exact, triangulate)
 
@@ -206,9 +206,9 @@ def _symmetric_products(w: np.ndarray, rows, mod=None) -> np.ndarray:
 
 
 def _gram(tensor: QuadTensor, exact: bool, d: int, e: int):
-    """The (d, e) tensor as a matrix on the slots of Sym^d and Sym^e, and on
-    the exact backend the least positive integer that clears its
-    denominators (the matrix is returned multiplied by it).  Raises
+    """The (d, e) tensor as a matrix on the slots of Sym^d and Sym^e; on the
+    exact backend cleared of denominators by the least positive integer,
+    returned with it (width: :func:`rigidview.linalg._int_array`).  Raises
     ValueError unless the tensor is of bidegree (d, e)."""
     if tensor.bidegree != (d, e):
         raise ValueError(f"a tensor of bidegree {tensor.bidegree} where {(d, e)} is needed")
@@ -221,11 +221,7 @@ def _gram(tensor: QuadTensor, exact: bool, d: int, e: int):
     gram = np.zeros((len(slots_a), len(slots_b)), dtype=object if exact else np.float64)
     for key, coef, c in zip(coefs, coefs.values(), cleared):
         gram[key] = int(c) if exact else float(coef)
-    return gram, den if exact else None
-
-
-def _max_abs(values: np.ndarray) -> int:
-    return int(max(map(abs, values.ravel().tolist())))
+    return (_int_array(gram), den) if exact else (gram, None)
 
 
 def _value_bound(side_a, gram: np.ndarray, side_b) -> int:
@@ -245,9 +241,6 @@ def _value_bound(side_a, gram: np.ndarray, side_b) -> int:
 # exact in int64 while each of its sums has fewer than 32 terms.
 _VERDICT_PRIME_LIMIT = 2 ** 29
 _VERDICT_PRIMES = []
-# Integers of smaller magnitude are reduced as one int64 array; larger ones
-# by one Python % per prime.
-_INT64_SAFE = 2 ** 62
 
 
 def _verdict_primes(bound: int) -> list:
@@ -266,14 +259,8 @@ def _verdict_primes(bound: int) -> list:
 
 def _residues(values: np.ndarray, primes: np.ndarray) -> np.ndarray:
     """Exact integers modulo each prime, as int64 with the prime axis first
-    and then the shape of ``values``."""
-    flat = values.ravel().tolist()
-    small = [x if -_INT64_SAFE < x < _INT64_SAFE else 0 for x in flat]
-    out = np.array(small, dtype=np.int64) % primes[:, None]
-    for i, x in enumerate(flat):
-        if not -_INT64_SAFE < x < _INT64_SAFE:
-            out[:, i] = [x % p for p in primes.tolist()]
-    return out.reshape(primes.shape + values.shape)
+    and then the shape of ``values``, by one ``%`` in the array's width."""
+    return (values % primes.reshape(primes.shape + (1,) * values.ndim)).astype(np.int64, copy=False)
 
 
 def _residue_nonzero(side_a, gram: np.ndarray, side_b, primes) -> bool:
@@ -344,8 +331,9 @@ class OcticEngine:
     Cofactor vectors come from :meth:`CameraRig.cofactor_vectors`.  The
     exact backend computes on integers: G is cleared too, and each
     camera-pair row of values comes with the positive integer it was
-    multiplied by, divided out only in :meth:`evaluate`.  Floats go
-    through float64.
+    multiplied by, divided out only in :meth:`evaluate`.  w and G are int64
+    or Python ints by :func:`rigidview.linalg._int_array`'s rule, and
+    :meth:`cleared` multiplies as Python ints.  Floats go through float64.
 
     The exact zero test, :meth:`vanishes`, forms no value.  Every cleared
     |value| is at most B = C(d+3, 3) C(e+3, 3) d! e! max|w_a|^d max|G|

@@ -17,12 +17,16 @@ from fractions import Fraction
 from math import gcd, isfinite, lcm, prod
 from typing import Iterable, Sequence, Union
 
+import numpy as np
+
 Scalar = Union[int, Fraction, float]
 
 EXACT = "exact"
 FLOAT = "float"
 
 DEFAULT_RANK_TOL = 1e-9
+# Exact integer arrays are int64 when every |entry| is below this (_int_array).
+INT64_LIMIT = 2 ** 63
 
 
 class BackendError(TypeError):
@@ -158,6 +162,21 @@ def _cleared(values):
     if den == 1:
         return values, 1
     return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def _max_abs(values: np.ndarray) -> int:
+    """max |entry| of an int64 or object integer array as a Python int (0 if empty)."""
+    if values.dtype == object:
+        return max(map(abs, values.ravel().tolist()), default=0)
+    return int(np.abs(values).max()) if values.size else 0
+
+
+def _int_array(values) -> np.ndarray:
+    """The one width rule for exact integer arrays: int64 when every |entry|
+    is below :data:`INT64_LIMIT`, else Python ints in an object array.
+    Readers branch once on the dtype, never per entry."""
+    values = np.asarray(values, dtype=object)
+    return values.astype(np.int64) if _max_abs(values) < INT64_LIMIT else values
 
 
 def _is_probable_prime(m: int) -> bool:

@@ -31,8 +31,8 @@ import numpy as np
 from .cameras import CameraRig
 from .constraints import (QuadTensor, _ROW_PAIRS, _gram, _symmetric_products, polarize,
                           unit_distance_form)
-from .linalg import (EXACT, Scalar, _bareiss_echelon, _is_probable_prime, decode_scalar,
-                     encode_scalar)
+from .linalg import (EXACT, INT64_LIMIT, Scalar, _bareiss_echelon, _int_array,
+                     _is_probable_prime, _max_abs, decode_scalar, encode_scalar)
 
 
 def variable_index(n: int, side: str, cam: int, coord: int) -> int:
@@ -76,14 +76,6 @@ def _basis_index(n: int, multidegree: tuple):
     return basis, {m: i for i, m in enumerate(basis)}
 
 
-def _int_array(values) -> np.ndarray:
-    """Python ints as an int64 array when all fit, else as an object array."""
-    values = np.asarray(values, dtype=object)
-    if values.size == 0 or int(np.abs(values).max()) < 2 ** 63:
-        return values.astype(np.int64)
-    return values
-
-
 class MultiHomogPoly:
     """Sparse polynomial whose terms all share one multidegree.
 
@@ -92,9 +84,9 @@ class MultiHomogPoly:
     ``numbers.Rational`` raises TypeError).  A polynomial is immutable, and
     its one stored form is its cleared row ``(cols, nums, den)``: the terms'
     positions in ``monomial_basis(n, multidegree)`` (the smallest unsigned
-    dtype that holds the basis size), their coefficients times den (int64
-    where all fit, else Python ints) and den, the lcm of the coefficients'
-    reduced denominators.  Every rank and failure bound reads it;
+    dtype that holds the basis size), their coefficients times den (in the
+    width of :func:`rigidview.linalg._int_array`) and den, the lcm of the
+    coefficients' reduced denominators.  Every rank and failure bound reads it;
     :attr:`terms` is derived from it on each access.
     """
 
@@ -148,7 +140,7 @@ class MultiHomogPoly:
         cols, nums, den = self._row
         if not len(cols):
             return {}
-        if den >= 2 ** 63:
+        if den >= INT64_LIMIT:
             # int64 cannot hold den: divide as Python ints
             nums = nums.astype(object)
         values = (nums // den).tolist()
@@ -328,10 +320,10 @@ def _contract_octics(rig: CameraRig, tensor: QuadTensor, pair_u, pair_v,
     # No partial sum of a row of a times a row of b, and no entry of either,
     # exceeds this bound: each factor counts as at least 1, so an all-zero
     # operand (a pair whose 6x4 stack has rank below 3) cannot let the other
-    # through.  When it and the clearing factor are below 2^63, the product
-    # and the division are exact in int64, else they stay in Python ints.
-    bound = max(int(np.abs(a).sum(axis=1).max()), 1) * max(int(np.abs(b).max()), 1)
-    if den < 2 ** 63 and bound < 2 ** 63:
+    # through.  Below INT64_LIMIT, with the clearing factor, the product and
+    # the division are exact in int64, else they stay in Python ints.
+    bound = max(int(np.abs(a).sum(axis=1).max()), 1) * max(_max_abs(b), 1)
+    if den < INT64_LIMIT and bound < INT64_LIMIT:
         a, b = a.astype(np.int64), b.astype(np.int64)
     coefs = (a @ b.T).reshape(len(rows_u), 36, len(rows_v), 36).transpose(0, 2, 1, 3)
     coefs = coefs.reshape(-1, 36 * 36)

@@ -68,6 +68,22 @@ class TestProjectTriangulate:
         assert record["witness"] == {"pair": list(sol.pair), "row": sol.row}
         assert record["lambdas"] == [encode_scalar(s) for s in sol.lambdas]
 
+    def test_float_triangulate_record(self, tmp_path, capsys):
+        rig_file = str(tmp_path / "frig.json")
+        main(["--seed", "1", "--backend", "float", "--json-out", rig_file, "gen-rig", "--n", "2"])
+        want = [2.0, -1.0, 3.0, 1.0]
+        code, doc = run_cli(capsys, "--backend", "float", "project", "--rig", rig_file,
+                            "--point", json.dumps(want))
+        assert code == 0
+        code, record = run_cli(capsys, "--backend", "float", "triangulate", "--rig", rig_file,
+                               "--tuple", json.dumps(doc["images"]))
+        assert code == 0
+        assert all(type(c) is float for c in record["point"] + record["lambdas"])
+        x = record["point"]
+        scale = x[3] / want[3]
+        assert max(abs(a - scale * b) for a, b in zip(x, want)) <= 1e-9 * max(map(abs, x))
+        assert record["witness"]["pair"] == [0, 1]
+
     def test_triangulate_nonmember_exits_nonzero(self, rig_file, capsys):
         code, doc = run_cli(capsys, "triangulate", "--rig", rig_file,
                             "--tuple", "[[1,2,3],[9,1,4]]")

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,7 +43,8 @@ from rigidview.constraints import (
     unit_distance_form,
 )
 from rigidview import cameras, constraints, harness, triangulation
-from rigidview.linalg import BackendError, Mat, ShapeError, _is_probable_prime, det
+from rigidview.linalg import (INT64_LIMIT, BackendError, Mat, ShapeError, _int_array,
+                              _is_probable_prime, det)
 from rigidview.polyspace import all_octics_symbolic, expand_wedge_symbolic
 from rigidview.triangulation import assemble_b
 
@@ -757,13 +759,34 @@ class TestResidueVerdict:
 
     def test_reduction_paths_are_taken(self):
         rigs = _residue_rigs(2)
-        sizes = {}
+        dtypes = {}
         for name in ("int", "height-1e6"):
             rig = rigs[name]
             u, v = _residue_inputs(rig, random.Random(f"{name}:2"))[0]
-            (w_u, _), _ = _engine(rig, Family.OCTIC_FULL)._cofactors((u, v))
-            sizes[name] = constraints._max_abs(w_u)
-        assert sizes["int"] < constraints._INT64_SAFE <= sizes["height-1e6"]
+            engine = _engine(rig, Family.OCTIC_FULL)
+            (w_u, _), _ = engine._cofactors((u, v))
+            dtypes[name] = w_u.dtype
+            assert engine.blocks[0][2].dtype == np.int64
+        assert dtypes == {"int": np.int64, "height-1e6": object}
+
+    @pytest.mark.parametrize("shape", [(3, 6, 4), (10, 10)])
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_residues_of_either_width(self, shape, count):
+        rng = random.Random(f"{shape}:{count}")
+        primes = np.array(constraints._verdict_primes(2 ** 200)[:count], dtype=np.int64)
+        size = prod(shape)
+        small = [rng.randint(-INT64_LIMIT + 1, INT64_LIMIT - 1) for _ in range(size - 2)]
+        small += [INT64_LIMIT - 1, -(INT64_LIMIT - 1)]
+        large = [rng.choice((-1, 1)) * rng.randint(INT64_LIMIT, 2 ** 100) for _ in range(size // 2)]
+        large += small[size // 2:]
+        cases = ((_int_array(small), small), (np.array(small, dtype=object), small),
+                 (_int_array(large), large))
+        assert [arr.dtype for arr, _ in cases] == [np.int64, object, object]
+        for arr, values in cases:
+            got = constraints._residues(arr.reshape(shape), primes)
+            assert got.dtype == np.int64 and got.shape == (count,) + shape
+            assert got.reshape(count, -1).tolist() == [[x % p for x in values]
+                                                       for p in primes.tolist()]
 
     def test_too_few_primes_are_refused(self):
         rig = random_rig(random.Random(547), 2)

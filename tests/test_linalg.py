@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,9 +12,12 @@ from helpers import reference_adjugate, reference_det, reference_invert
 from rigidview.linalg import (
     EXACT,
     FLOAT,
+    INT64_LIMIT,
     BackendError,
     Mat,
     ShapeError,
+    _int_array,
+    _max_abs,
     adjugate,
     decode_scalar,
     det,
@@ -366,3 +370,23 @@ class TestDecodeScalar:
         got = decode_scalar(v)
         assert got == want and type(got) is type(want)
         assert float(got) == v
+
+
+class TestIntArray:
+    """The one width rule for exact integer arrays."""
+
+    @pytest.mark.parametrize("values,dtype", [
+        ([INT64_LIMIT - 1, -(INT64_LIMIT - 1), 0], np.int64),
+        ([[1, -2], [3, INT64_LIMIT]], object),
+        ([-INT64_LIMIT], object),
+        ([], np.int64),
+    ])
+    def test_width_at_the_limit(self, values, dtype):
+        arr = _int_array(values)
+        assert arr.dtype == dtype
+        assert arr.tolist() == values
+        flat = np.ravel(np.array(values, dtype=object)).tolist()
+        want = max(map(abs, flat), default=0)
+        assert _max_abs(arr) == want and type(_max_abs(arr)) is int
+        if dtype == np.int64:
+            assert _max_abs(arr.astype(object)) == want
