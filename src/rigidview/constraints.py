@@ -331,9 +331,10 @@ class OcticEngine:
     Cofactor vectors come from :meth:`CameraRig.cofactor_vectors`.  The
     exact backend computes on integers: G is cleared too, and each
     camera-pair row of values comes with the positive integer it was
-    multiplied by, divided out only in :meth:`evaluate`.  w and G are int64
-    or Python ints by :func:`rigidview.linalg._int_array`'s rule, and
-    :meth:`cleared` multiplies as Python ints.  Floats go through float64.
+    multiplied by, divided out only in :meth:`evaluate`.  G is int64 or
+    Python ints by :func:`rigidview.linalg._int_array`'s rule; w is int64
+    only when a bound on its sums is below ``INT64_LIMIT``.  :meth:`cleared`
+    multiplies as Python ints.  Floats go through float64.
 
     The exact zero test, :meth:`vanishes`, forms no value.  Every cleared
     |value| is at most B = C(d+3, 3) C(e+3, 3) d! e! max|w_a|^d max|G|

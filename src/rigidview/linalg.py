@@ -25,7 +25,8 @@ EXACT = "exact"
 FLOAT = "float"
 
 DEFAULT_RANK_TOL = 1e-9
-# Exact integer arrays are int64 when every |entry| is below this (_int_array).
+# Stored exact integer arrays are int64 when every |entry| is below this
+# (_int_array); products are int64 when a bound on their sums is.
 INT64_LIMIT = 2 ** 63
 
 
@@ -166,13 +167,11 @@ def _cleared(values):
 
 def _max_abs(values: np.ndarray) -> int:
     """max |entry| of an int64 or object integer array as a Python int (0 if empty)."""
-    if values.dtype == object:
-        return max(map(abs, values.ravel().tolist()), default=0)
-    return int(np.abs(values).max()) if values.size else 0
+    return max(map(abs, values.ravel().tolist()), default=0)
 
 
 def _int_array(values) -> np.ndarray:
-    """The one width rule for exact integer arrays: int64 when every |entry|
+    """The width rule for stored exact integer arrays: int64 when every |entry|
     is below :data:`INT64_LIMIT`, else Python ints in an object array.
     Readers branch once on the dtype, never per entry."""
     values = np.asarray(values, dtype=object)

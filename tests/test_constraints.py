@@ -700,7 +700,8 @@ class TestMembership:
 def _residue_rigs(n):
     """Rigs whose cleared cofactor vectors take each reduction path: integer
     cameras (int64), Fraction cameras, the integer cameras over 1000 and
-    cameras of height 10^6 (entries beyond 2^62, reduced by Python %)."""
+    cameras of height 10^6 (object-array cofactor vectors, reduced by one
+    object %)."""
     base = random_rig(random.Random(521 + n), n)
     return {"int": base, "fraction": fraction_rig(random.Random(523 + n), n),
             "over-1000": scaled_rig(base, Fraction(1, 1000)),

@@ -373,7 +373,7 @@ class TestDecodeScalar:
 
 
 class TestIntArray:
-    """The one width rule for exact integer arrays."""
+    """The width rule for stored exact integer arrays."""
 
     @pytest.mark.parametrize("values,dtype", [
         ([INT64_LIMIT - 1, -(INT64_LIMIT - 1), 0], np.int64),
@@ -390,3 +390,7 @@ class TestIntArray:
         assert _max_abs(arr) == want and type(_max_abs(arr)) is int
         if dtype == np.int64:
             assert _max_abs(arr.astype(object)) == want
+
+    def test_max_abs_at_the_int64_minimum(self):
+        arr = np.array([3, -INT64_LIMIT], dtype=np.int64)
+        assert _max_abs(arr) == INT64_LIMIT and type(_max_abs(arr)) is int
