@@ -131,13 +131,16 @@ class QuadTensor:
     for Y, symmetric within each group, whose diagonal restriction
     T(X, ..., X, Y, ..., Y) reproduces the form.  ``entries`` maps (sorted
     d-tuple, sorted e-tuple) of coordinate indices to the coefficient that
-    every ordering of the two tuples carries; ``bidegree`` is (d, e)."""
+    every ordering of the two tuples carries; ``bidegree`` is (d, e).
+    ``_grams`` keeps the tensor's Gram matrix per backend once
+    :func:`_gram` has built it."""
 
-    __slots__ = ("entries", "bidegree")
+    __slots__ = ("entries", "bidegree", "_grams")
 
     def __init__(self, entries, bidegree):
         self.entries = dict(entries)
         self.bidegree = tuple(bidegree)
+        self._grams = {}
         if any((len(p), len(r)) != self.bidegree for p, r in self.entries):
             raise ValueError(f"an entry of another bidegree than {self.bidegree}")
 
@@ -208,10 +211,13 @@ def _symmetric_products(w: np.ndarray, rows, mod=None) -> np.ndarray:
 def _gram(tensor: QuadTensor, exact: bool, d: int, e: int):
     """The (d, e) tensor as a matrix on the slots of Sym^d and Sym^e; on the
     exact backend cleared of denominators by the least positive integer,
-    returned with it (width: :func:`rigidview.linalg._int_array`).  Raises
-    ValueError unless the tensor is of bidegree (d, e)."""
+    returned with it (width: :func:`rigidview.linalg._int_array`).  Built
+    on the tensor's first use on a backend and kept in it, read-only.
+    Raises ValueError unless the tensor is of bidegree (d, e)."""
     if tensor.bidegree != (d, e):
         raise ValueError(f"a tensor of bidegree {tensor.bidegree} where {(d, e)} is needed")
+    if exact in tensor._grams:
+        return tensor._grams[exact]
     slots_a, slots_b = _sym_slots(d)[0], _sym_slots(e)[0]
     coefs = {}
     for (p, r), coef in tensor.entries.items():
@@ -221,7 +227,10 @@ def _gram(tensor: QuadTensor, exact: bool, d: int, e: int):
     gram = np.zeros((len(slots_a), len(slots_b)), dtype=object if exact else np.float64)
     for key, coef, c in zip(coefs, coefs.values(), cleared):
         gram[key] = int(c) if exact else float(coef)
-    return (_int_array(gram), den) if exact else (gram, None)
+    gram = _int_array(gram) if exact else gram
+    gram.flags.writeable = False
+    tensor._grams[exact] = (gram, den if exact else None)
+    return tensor._grams[exact]
 
 
 def _value_bound(side_a, gram: np.ndarray, side_b) -> int:
@@ -263,19 +272,49 @@ def _residues(values: np.ndarray, primes: np.ndarray) -> np.ndarray:
     return (values % primes.reshape(primes.shape + (1,) * values.ndim)).astype(np.int64, copy=False)
 
 
+def _row_basis(s: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """Rows spanning the row space of each prime's matrix: ``s`` holds
+    residues of shape (primes, rows, columns) modulo ``mod`` of shape
+    (primes, 1, 1), and the result has shape (primes, k, columns), k the
+    largest rank.  Each step takes every prime's first nonzero row as its
+    pivot and clears the pivot's leading column from every row, pivot
+    included: row r becomes r[lead] pivot subtracted from pivot[lead] r,
+    mod p.  pivot[lead] is a unit, so the pivots and the rows left span
+    what the rows spanned, and the pivots alone span it once every row is
+    zero.  Each step leaves one more column zero in every row, so there are
+    at most ``columns`` steps; a prime whose rows have all vanished takes a
+    zero pivot, so its padding rows are zero.  Every product is of two
+    residues, below 2^58 for primes below 2^29."""
+    at = np.arange(len(s))
+    basis = []
+    for _ in range(s.shape[-1]):
+        if not s.any():
+            break
+        # every prime's first nonzero entry: its pivot row and leading column
+        row, lead = np.divmod((s.reshape(len(s), -1) != 0).argmax(axis=1), s.shape[-1])
+        pivot = s[at, row]
+        s = (s * pivot[at, lead][:, None, None]
+             - s[at, :, lead][:, :, None] * pivot[:, None, :]) % mod
+        basis.append(pivot)
+    return np.stack(basis, axis=1) if basis else s[:, :0]
+
+
 def _residue_nonzero(side_a, gram: np.ndarray, side_b, primes) -> bool:
     """Whether some value of S_a G S_b^T is nonzero modulo one of the
     primes; each side is ``(w, rows)``, integer cofactor vectors and rows.
-    w, G, S and S_a G are reduced for all primes along one int64 axis; the
-    last product is taken one prime at a time, so that its largest
-    temporary is one prime's block of values."""
+    w, G and S are reduced for all primes along one int64 axis.  Modulo p
+    the block is zero exactly when B_a G S_b^T is, the rows of B_a spanning
+    the row space of S_a mod p (:func:`_row_basis`), so only B_a G S_b^T
+    is formed, for all primes at once: on a consistent tuple a's cofactor
+    vectors are all multiples of its one world point, and B_a is one row."""
     primes = np.array(primes, dtype=np.int64)
     mod = primes.reshape(-1, 1, 1, 1)
     s_a, s_b = (_symmetric_products(_residues(w, primes), rows, mod) % mod
                 for w, rows in (side_a, side_b))
-    t_a = s_a.reshape(len(primes), -1, s_a.shape[-1]) @ _residues(gram, primes) % mod[..., 0]
-    return any((t @ s.reshape(-1, s.shape[-1]).T % p).any()
-               for t, s, p in zip(t_a, s_b, primes.tolist()))
+    mod = mod[..., 0]
+    b_a = _row_basis(s_a.reshape(len(primes), -1, s_a.shape[-1]), mod)
+    t_a = b_a @ _residues(gram, primes) % mod
+    return (t_a @ s_b.reshape(len(primes), -1, s_b.shape[-1]).transpose(0, 2, 1) % mod).any()
 
 
 def _residues_vanish(side_a, gram: np.ndarray, side_b, primes: list, bound: int) -> bool:
@@ -342,9 +381,15 @@ class OcticEngine:
     test reduces w and G modulo fixed primes below 2^29, descending from
     2^29, and contracts in int64: residue products are below 2^58 and sums
     over at most C(3+3, 3) = 20 slots below 2^63; a degree above 3 raises.
-    The first prime alone settles almost every nonzero block; a zero block
-    needs all residues zero modulo primes whose product exceeds B, and is
-    then zero by the Chinese remainder theorem.
+    Modulo p, S_a G S_b^T is zero exactly when B_a G S_b^T is, the rows of
+    B_a spanning the row space of S_a mod p (:func:`_row_basis`), so only
+    B_a G S_b^T is formed.  On a consistent tuple a every cofactor vector
+    is a multiple of the one world point X, every row of S_a a multiple
+    of the symmetric power X^d, and B_a is one row: 1 x 10 x 126 per
+    prime for the full octics at n = 4, not 126 x 10 x 126.  The first
+    prime alone settles almost every nonzero block; a zero block needs all
+    residues zero modulo primes whose product exceeds B, and is then zero
+    by the Chinese remainder theorem.
     """
 
     __slots__ = ("exact", "rig", "row_sets", "blocks")
@@ -627,7 +672,10 @@ def rigid_pair_by_equations(rig: CameraRig, u, v,
     cannot overflow) and forms no value: a nonzero residue proves a nonzero
     octic, and all residues zero modulo primes whose product exceeds
     B = 400 max|w_u|^2 max|G| max|w_v|^2, a bound on every cleared value,
-    prove every octic zero."""
+    prove every octic zero.  Per prime it contracts only a row basis B_u
+    of S_u mod p against G S_v^T; u is consistent here, so its cofactor
+    vectors are multiples of its one world point and B_u is one row.  The
+    unit tensor's Gram matrix is built on the first call and kept."""
     family = Family(family)
     if family not in _OCTIC_FAMILIES:
         raise ValueError("membership by equations uses an octic family")

@@ -1,9 +1,10 @@
 """Shared test fixtures: deterministic rigs, naive determinant oracle, the
 partial-pivoting determinant, Gauss-Jordan inverse and cofactor adjugate
 references, the from-scratch camera minor table, the per-index references
-for cofactor vectors and tensor values, one engine value, the
-cofactor-expansion reference for the symbolic octics, the per-column
-mod-p rank, and the per-term coefficient matrix and failure bounds."""
+for cofactor vectors and tensor values, one engine value, the full-block
+residue test, the cofactor-expansion reference for the symbolic octics,
+the per-column mod-p rank, and the per-term coefficient matrix and
+failure bounds."""
 
 import itertools
 from fractions import Fraction
@@ -15,7 +16,7 @@ import numpy as np
 
 from rigidview.cameras import (_MINOR_INDEX, _MINOR_ROWS, _MINOR_SIGN, CameraRig,
                                ProjectivePoint, _det3)
-from rigidview.constraints import OcticEngine
+from rigidview.constraints import OcticEngine, _residues, _symmetric_products
 from rigidview.linalg import EXACT, FLOAT, Mat, det, rank, signed_maximal_minors
 from rigidview.polyspace import RANK_PRIME_COUNT, MultiHomogPoly, _shared_degree, monomial_basis
 from rigidview.triangulation import _cofactor_nonzero, _nonzero_cut
@@ -179,6 +180,20 @@ def engine_value(rig, tensor, u_sel, v_sel, u, v):
     (j1, k1, *rows_u), (j2, k2, *rows_v) = u_sel, v_sel
     row_sets = [([(j1, k1)], [tuple(rows_u)]), ([(j2, k2)], [tuple(rows_v)])]
     return OcticEngine(rig, row_sets, [(0, 1, tensor)]).evaluate((u, v))[0]
+
+
+def full_block_nonzero(side_a, gram, side_b, primes):
+    """Whether some value of S_a G S_b^T is nonzero modulo one of the
+    primes, from each prime's whole block, one prime at a time: the
+    reference for the row-basis contraction of
+    :func:`rigidview.constraints._residue_nonzero`."""
+    primes = np.array(primes, dtype=np.int64)
+    mod = primes.reshape(-1, 1, 1, 1)
+    s_a, s_b = (_symmetric_products(_residues(w, primes), rows, mod) % mod
+                for w, rows in (side_a, side_b))
+    t_a = s_a.reshape(len(primes), -1, s_a.shape[-1]) @ _residues(gram, primes) % mod[..., 0]
+    return any((t @ s.reshape(-1, s.shape[-1]).T % p).any()
+               for t, s, p in zip(t_a, s_b, primes.tolist()))
 
 
 def tensor_value(tensor, a, b, c, d):

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (count_calls, engine_value, fraction_rig, naive_det, random_rig,
-                     random_world_point, scaled_rig, standard_rig, tensor_value, wedge5)
+from helpers import (count_calls, engine_value, fraction_rig, full_block_nonzero, naive_det,
+                     random_rig, random_world_point, reference_modp_rank, scaled_rig,
+                     standard_rig, tensor_value, wedge5)
 from rigidview.cameras import (
     CameraRig,
     ProjectivePoint,
@@ -717,14 +718,16 @@ def _moved(points, j, c):
 
 def _residue_inputs(rig, rng):
     """Member pairs, non-member pairs, member pairs with one image coordinate
-    moved by 1 and, with two cameras, the epipole pair on either side."""
+    moved by 1 on side v and on side u (whose reduced side then has rank
+    above 1) and, with two cameras, the epipole pair on either side."""
     cases = []
     for _ in range(2):
         x, y = unit_pair(rng)
         u, v = forward_map(rig, x), forward_map(rig, y)
         far = ProjectivePoint((y[0] + rng.randint(1, 5), y[1], y[2], y[3]))
         cases += [(u, v), (u, forward_map(rig, far)),
-                  (u, _moved(v, rng.randrange(rig.n), rng.randrange(3)))]
+                  (u, _moved(v, rng.randrange(rig.n), rng.randrange(3))),
+                  (_moved(u, rng.randrange(rig.n), rng.randrange(3)), v)]
     if rig.n == 2:
         ep = (rig.epipole(0, 1), rig.epipole(1, 0))
         cases += [(u, ep), (ep, u)]
@@ -873,11 +876,129 @@ class TestResidueVerdict:
         with pytest.raises(ValueError, match="overflow int64"):
             engine.vanishes((u, u))
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_consistent_side_reduces_to_one_row(self, n, monkeypatch):
+        # on a consistent tuple every cofactor vector is a multiple of the
+        # one world point, so S_u has rank 1: one basis row per prime
+        bases = []
+        reduce_rows = constraints._row_basis
+
+        def recorded(s, mod):
+            bases.append(reduce_rows(s, mod))
+            return bases[-1]
+
+        monkeypatch.setattr(constraints, "_row_basis", recorded)
+        ranks = {}
+        for name, rig in _residue_rigs(n).items():
+            engine = _engine(rig, Family.OCTIC_FULL)
+            for u, v in _residue_inputs(rig, random.Random(f"{name}:{n}")):
+                bases.clear()
+                engine.vanishes((u, v))
+                consistent = multiview_membership(rig, u).ok
+                for basis in bases:
+                    ranks.setdefault(consistent, set()).add(basis.shape[1])
+                    if consistent:
+                        assert basis.shape[1] == 1 and basis.any(axis=2).all()
+        assert ranks[True] == {1} and max(ranks[False]) > 1
+
+    def test_verdicts_build_the_gram_once(self, monkeypatch):
+        rig = random_rig(random.Random(601), 3)
+        x, y = unit_pair(random.Random(607))
+        u, v = forward_map(rig, x), forward_map(rig, y)
+        assert rigid_pair_by_equations(rig, u, v)
+        # _cleared clears the Gram's denominators: it runs once per build
+        built = count_calls(monkeypatch, constraints, "_cleared")
+        assert rigid_pair_by_equations(rig, u, v) and rigid_pair_by_equations(rig, u, v)
+        assert built == []
+        # a new tensor builds its own, once, and every engine shares it
+        tensor = polarize(unit_distance_form())
+        engines = [constraints.OcticEngine(rig, [([(0, 1)], [(0, 0)])] * 2, [(0, 1, tensor)])
+                   for _ in range(2)]
+        assert len(built) == 1
+        gram = engines[0].blocks[0][2]
+        assert engines[1].blocks[0][2] is gram and not gram.flags.writeable
+
     def test_float_engine_refuses_the_residue_test(self):
         rig = CameraRig([cam.matrix.to_float() for cam in random_rig(random.Random(587), 2).cameras])
         u = (ProjectivePoint((1.0, 2.0, 3.0)), ProjectivePoint((4.0, 5.0, 7.0)))
         with pytest.raises(BackendError):
             _engine(rig, Family.OCTIC_NINE).vanishes((u, u))
+
+
+def _ranked_w(rng, rank, big):
+    """Vectors of shape (2, 6, 4), as if of two camera pairs: ``rank``
+    random vectors, then multiples of them (or zeros), shuffled; so the
+    powers w_i^d of the twelve span a space of dimension ``rank`` when d
+    allows.  An object array with entries up to 2^80 when ``big``."""
+    top = 2 ** 80 if big else 50
+    gens = [[rng.randint(-top, top) for _ in range(4)] for _ in range(rank)]
+    multiples = [(rng.randint(0, 9), rng.choice(gens)) if gens else (0, [0] * 4)
+                 for _ in range(12 - rank)]
+    vectors = gens + [[f * c for c in g] for f, g in multiples]
+    rng.shuffle(vectors)
+    return np.array(vectors, dtype=object if big else np.int64).reshape(2, 6, 4)
+
+
+# A verdict prime next to the small primes at which ranks drop.
+_MIXED_PRIMES = constraints._verdict_primes(1) + [3, 5, 7, 11]
+
+
+def _reduced_products(w, rows, primes):
+    """Each prime's matrix S of w at ``rows`` as residues, of shape
+    (primes, rows, slots), and the primes in shape (primes, 1, 1)."""
+    mod = np.array(primes, dtype=np.int64).reshape(-1, 1, 1, 1)
+    s = constraints._symmetric_products(constraints._residues(w, mod.ravel()), rows, mod) % mod
+    return s.reshape(len(primes), -1, s.shape[-1]), mod[..., 0]
+
+
+class TestRowBasis:
+    """The row basis of the residue test and its contraction, against each
+    prime's own rank and the full block."""
+
+    @pytest.mark.parametrize("big", [False, True])
+    def test_rows_span_the_row_space(self, big):
+        rng = random.Random(f"row-basis:{big}")
+        top_ranks, mixed = set(), False
+        for degree in (1, 2, 3):
+            rows = [(i,) * degree for i in range(6)]
+            for rank in range(11):
+                w = _ranked_w(rng, rank, big)
+                s, mod = _reduced_products(w, rows, _MIXED_PRIMES)
+                basis = constraints._row_basis(s, mod)
+                ranks = [reference_modp_rank(m, p) for m, p in zip(s, _MIXED_PRIMES)]
+                assert basis.shape == (len(_MIXED_PRIMES), max(ranks), s.shape[-1])
+                for b, m, p, r in zip(basis, s, _MIXED_PRIMES, ranks):
+                    assert ((0 <= b) & (b < p)).all()
+                    # r nonzero rows spanning the rows of m, then zero padding
+                    assert b[:r].any(axis=1).all() and not b[r:].any()
+                    assert reference_modp_rank(b, p) == r
+                    assert reference_modp_rank(np.vstack([m, b]), p) == r
+                if degree == 2:
+                    top_ranks.add(ranks[0])
+                mixed |= len(set(ranks)) > 1
+        assert top_ranks == set(range(11))
+        assert mixed
+
+    @pytest.mark.parametrize("big", [False, True])
+    @pytest.mark.parametrize("degrees", [(1, 2), (2, 2), (3, 2), (2, 3), (3, 1)])
+    def test_residue_test_equals_the_full_block(self, degrees, big):
+        rng = random.Random(f"residue-block:{degrees}:{big}")
+        batches = [[p] for p in _MIXED_PRIMES] + [_MIXED_PRIMES, [3, 5]]
+        outcomes = set()
+        for _ in range(6):
+            sides = [(_ranked_w(rng, rng.randint(0, 10), big),
+                      [tuple(sorted(rng.randrange(6) for _ in range(d))) for _ in range(5)])
+                     for d in degrees]
+            shape = [len(constraints._sym_slots(d)[0]) for d in degrees]
+            gram = np.array([[rng.randint(-9, 9) for _ in range(shape[1])]
+                             for _ in range(shape[0])], dtype=np.int64)
+            # a Gram that vanishes modulo 3 and 5 only
+            for g in (gram, 15 * gram):
+                for primes in batches:
+                    got = constraints._residue_nonzero(sides[0], g, sides[1], primes)
+                    assert got == full_block_nonzero(sides[0], g, sides[1], primes)
+                    outcomes.add(got)
+        assert outcomes == {True, False}
 
 
 class TestGroupActions:
