@@ -196,20 +196,54 @@ class GeneralPositionReport:
 class MembershipResult:
     """Outcome of the consistency test for an image tuple: ``ok`` is True
     when the stacked multiview matrix has rank at most n + 3, and ``rank``
-    is that rank.  The world point and the scales come from
-    :func:`rigidview.triangulation.triangulate`."""
+    is that rank.  On the exact backend ``cofactors`` is the
+    :class:`CofactorPass` that decided it (None on floats); its witness and
+    vectors serve :func:`rigidview.triangulation.triangulate`, which takes
+    the world point and the scales, and the octic verdict."""
 
-    __slots__ = ("ok", "rank")
+    __slots__ = ("ok", "rank", "cofactors")
 
-    def __init__(self, ok, rank):
+    def __init__(self, ok, rank, cofactors=None):
         self.ok = ok
         self.rank = rank
+        self.cofactors = cofactors
 
     def __bool__(self):
         return self.ok
 
     def __repr__(self):
         return f"MembershipResult(ok={self.ok}, rank={self.rank})"
+
+
+class CofactorPass:
+    """An exact image tuple's cofactor vectors, one
+    :meth:`CameraRig.cofactor_vectors` call per camera pair at most, and its
+    witness ``(pair, row)``: the first camera pair in lexicographic order
+    and the first row of it whose vector has a nonzero point (first four
+    coordinates), or None when no pair has one.  The scan computes the
+    pairs up to the witness; :meth:`vectors` computes any other pair on
+    first use and keeps it.  Points off the rig's backend raise
+    :class:`BackendError`."""
+
+    __slots__ = ("rig", "points", "witness", "_vectors")
+
+    def __init__(self, rig: CameraRig, points: Sequence[ProjectivePoint]):
+        _check_backend(rig, points)
+        self.rig, self.points = rig, points
+        self._vectors = {}
+        self.witness = None
+        for pair in itertools.combinations(range(rig.n), 2):
+            row = next((i for i, w in enumerate(self.vectors(*pair)[0].tolist()) if any(w)), None)
+            if row is not None:
+                self.witness = (pair, row)
+                break
+
+    def vectors(self, j: int, k: int):
+        """``(w, factor)`` of cameras j and k at the tuple's points, as
+        :meth:`CameraRig.cofactor_vectors` returns it."""
+        if (j, k) not in self._vectors:
+            self._vectors[j, k] = self.rig.cofactor_vectors(j, k, self.points[j], self.points[k])
+        return self._vectors[j, k]
 
 
 class CameraRig:
@@ -472,10 +506,18 @@ def _multiview_matrix(rig: CameraRig, cams: Sequence[int],
 def multiview_membership(rig: CameraRig, points: Sequence[ProjectivePoint]) -> MembershipResult:
     """Test whether an image tuple is a consistent set of n views.
 
-    Stacks the block rows [A_j | 0 .. u_j .. 0] into a 3n x (4+n) matrix;
-    the tuple is consistent exactly when its rank is at most n+3.  Exact:
-    one fraction-free elimination of the cleared integer rows, no
-    :class:`Mat`; floats: :func:`rigidview.linalg.rank` at ``rig.tol``.
+    The tuple is consistent exactly when some world point X != 0 has A_l X
+    in span(u_l) for every camera l, that is, when the stacked 3n x (4+n)
+    matrix of block rows [A_l | 0 .. u_l .. 0] has rank at most n + 3.
+    Floats: :func:`rigidview.linalg.rank` of that matrix at ``rig.tol``.
+    Exact: one :class:`CofactorPass`, whose witness vector x decides: the
+    tuple is consistent exactly when (A_l x) x u_l = 0 for every l.  If so,
+    x is such a point; if the tuple is consistent, the witness pair's B is
+    singular with a nonzero cofactor vector, so of rank 5 and with that
+    vector spanning its kernel, and x is the one world point.  The rank is
+    then n + 3 (a second point would give B a second kernel vector), else
+    n + 4.  Only without a witness (for n = 2, the epipole pair) does one
+    fraction-free elimination of the cleared integer rows take the rank.
     Points off the rig's backend raise :class:`BackendError`.
     """
     n = rig.n
@@ -483,11 +525,28 @@ def multiview_membership(rig: CameraRig, points: Sequence[ProjectivePoint]) -> M
         raise ShapeError(f"expected {n} image points, got {len(points)}")
     if any(len(p) != 3 for p in points):
         raise ShapeError("image points have 3 coordinates")
-    if rig.backend == EXACT:
+    if rig.backend == FLOAT:
+        r = rank(_multiview_matrix(rig, range(n), points), rig.tol).rank
+        return MembershipResult(r <= n + 3, r)
+    scan = CofactorPass(rig, points)
+    if scan.witness is None:
         r = _exact_rank(_multiview_rows(rig, range(n), points))
     else:
-        r = rank(_multiview_matrix(rig, range(n), points), rig.tol).rank
-    return MembershipResult(r <= n + 3, r)
+        pair, row = scan.witness
+        r = n + 3 if _reprojects(rig, points, scan.vectors(*pair)[0][row].tolist()) else n + 4
+    return MembershipResult(r <= n + 3, r, scan)
+
+
+def _reprojects(rig: CameraRig, points: Sequence[ProjectivePoint], x) -> bool:
+    """Whether A_l x is a multiple of u_l (zero included) for every camera
+    l: every 2x2 minor of [A_l x, u_l] vanishes, exactly."""
+    x0, x1, x2, x3 = x
+    for cam, point in zip(rig.cameras, points):
+        a, b, c = (r[0] * x0 + r[1] * x1 + r[2] * x2 + r[3] * x3 for r in cam.matrix.data)
+        u0, u1, u2 = point.coords
+        if a * u1 != b * u0 or b * u2 != c * u1 or a * u2 != c * u0:
+            return False
+    return True
 
 
 class RigidMotion:

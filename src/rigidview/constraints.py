@@ -182,25 +182,20 @@ def _sym_slots(d: int):
                      .reshape(len(layer), d).T) for layer in layers]
 
 
-def _symmetric_products(w: np.ndarray, rows, mod=None) -> np.ndarray:
+def _symmetric_products(w: np.ndarray, rows) -> np.ndarray:
     """The symmetric products of vectors w of shape (..., V, 4) at the slots
     of Sym^d R^4: after w's leading axes, one row per d-tuple
     (i_1, ..., i_d) in ``rows`` of positions along V, holding at slot s the
     sum over the distinct orderings (p_1, ..., p_d) of s of
     w[i_1, p_1] ... w[i_d, p_d].  The products are taken one layer of
-    :func:`_sym_slots` and one factor at a time.  With ``mod`` (broadcast
-    against them) every product that another factor multiplies is reduced
-    first, so that on residues below 2^29 and d <= 3 each product is below
-    2^58 and each sum of d! <= 6 below 2^63."""
+    :func:`_sym_slots` and one factor at a time."""
     rows = np.array(rows, dtype=np.intp).reshape(len(rows), -1)
     out = None
     for slots, coords in _sym_slots(rows.shape[1])[1]:
         factors = [w[..., i[:, None], p] for i, p in zip(rows.T, coords)]
         acc = factors[0] if factors else np.ones(w.shape[:-2] + (len(rows), 1), dtype=w.dtype)
-        for m, factor in enumerate(factors[1:], 2):
+        for factor in factors[1:]:
             acc = acc * factor
-            if mod is not None and m < len(factors):
-                acc %= mod
         if out is None:
             out = acc
         else:
@@ -234,13 +229,16 @@ def _gram(tensor: QuadTensor, exact: bool, d: int, e: int):
 
 
 def _value_bound(side_a, gram: np.ndarray, side_b) -> int:
-    """B = C(d+3, 3) C(e+3, 3) max|S_a| max|G| max|S_b| >= every |value| of
-    S_a G S_b^T, with max|S| <= d! max|w|^d for integer cofactor vectors w;
-    each side is ``(w, rows)``, rows of degree d (e on side b)."""
-    (w_a, rows_a), (w_b, rows_b) = side_a, side_b
-    d, e = len(rows_a[0]), len(rows_b[0])
+    """B = C(d+3, 3) C(e+3, 3) d! e! max|x|^d max|G| max|w|^e >= every
+    |value| of x^d G S_b^T.  Side a is ``(x, d)``: integers and a degree,
+    max|x| read over all of x, so that a side's whole w_a bounds
+    S_a G S_b^T too.  Side b is ``(w, rows)``: integer cofactor vectors and
+    rows of degree e.  An entry of x^d (of S_b) sums at most d! (e!)
+    products, and the contraction sums C(d+3, 3) (C(e+3, 3)) slots."""
+    (x, d), (w, rows) = side_a, side_b
+    e = len(rows[0])
     return (comb(d + 3, 3) * comb(e + 3, 3) * factorial(d) * factorial(e)
-            * _max_abs(w_a) ** d * _max_abs(gram) * _max_abs(w_b) ** e)
+            * _max_abs(x) ** d * _max_abs(gram) * _max_abs(w) ** e)
 
 
 # The verdict primes: the primes below 2^29 in descending order, found on
@@ -272,60 +270,63 @@ def _residues(values: np.ndarray, primes: np.ndarray) -> np.ndarray:
     return (values % primes.reshape(primes.shape + (1,) * values.ndim)).astype(np.int64, copy=False)
 
 
-def _row_basis(s: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """Rows spanning the row space of each prime's matrix: ``s`` holds
-    residues of shape (primes, rows, columns) modulo ``mod`` of shape
-    (primes, 1, 1), and the result has shape (primes, k, columns), k the
-    largest rank.  Each step takes every prime's first nonzero row as its
-    pivot and clears the pivot's leading column from every row, pivot
-    included: row r becomes r[lead] pivot subtracted from pivot[lead] r,
-    mod p.  pivot[lead] is a unit, so the pivots and the rows left span
-    what the rows spanned, and the pivots alone span it once every row is
-    zero.  Each step leaves one more column zero in every row, so there are
-    at most ``columns`` steps; a prime whose rows have all vanished takes a
-    zero pivot, so its padding rows are zero.  Every product is of two
-    residues, below 2^58 for primes below 2^29."""
-    at = np.arange(len(s))
-    basis = []
-    for _ in range(s.shape[-1]):
-        if not s.any():
-            break
-        # every prime's first nonzero entry: its pivot row and leading column
-        row, lead = np.divmod((s.reshape(len(s), -1) != 0).argmax(axis=1), s.shape[-1])
-        pivot = s[at, row]
-        s = (s * pivot[at, lead][:, None, None]
-             - s[at, :, lead][:, :, None] * pivot[:, None, :]) % mod
-        basis.append(pivot)
-    return np.stack(basis, axis=1) if basis else s[:, :0]
+@lru_cache(maxsize=None)
+def _slot_maps(d: int):
+    """The slots of Sym^d R^4, in :func:`_sym_slots` order, as a d x slots
+    array of their coordinate indices and the number of distinct orderings
+    of each; and the slot of every ordered index d-tuple, as an array of
+    shape (4,) * d."""
+    index = _sym_slots(d)[0]
+    coords = np.array(list(index), dtype=np.intp).reshape(len(index), d).T
+    counts = np.array([len(set(itertools.permutations(s))) for s in index], dtype=np.int64)
+    ordered = np.array([index[tuple(sorted(p))] for p in itertools.product(range(4), repeat=d)],
+                       dtype=np.intp).reshape((4,) * d)
+    return coords, counts, ordered
 
 
 def _residue_nonzero(side_a, gram: np.ndarray, side_b, primes) -> bool:
-    """Whether some value of S_a G S_b^T is nonzero modulo one of the
-    primes; each side is ``(w, rows)``, integer cofactor vectors and rows.
-    w, G and S are reduced for all primes along one int64 axis.  Modulo p
-    the block is zero exactly when B_a G S_b^T is, the rows of B_a spanning
-    the row space of S_a mod p (:func:`_row_basis`), so only B_a G S_b^T
-    is formed, for all primes at once: on a consistent tuple a's cofactor
-    vectors are all multiples of its one world point, and B_a is one row."""
+    """Whether some value of x^d G S_b^T is nonzero modulo one of the
+    primes: side a is ``(x, d)``, one integer 4-vector and its degree, and
+    side b is ``(w, rows)``, integer cofactor vectors of shape (camera
+    pairs, 6, 4) and rows of degree e.  For all primes at once in int64:
+    the symmetric power x^d (its slots' orderings times their monomials),
+    t = x^d G, and t read as the symmetric tensor Q on (R^4)^e,
+    Q[a_1, ..., a_e] = t[slot(a_1, ..., a_e)].  Q(w_i1, ..., w_ie) is
+    t S_b^T at row (i1, ..., ie), and it is taken for all six vectors of
+    every camera pair of b, one factor at a time (W Q W^T for e = 2).
+    Residues are below 2^29: every product is below 2^58, x^d G sums at
+    most 20 of them and each factor of the contraction 4."""
     primes = np.array(primes, dtype=np.int64)
-    mod = primes.reshape(-1, 1, 1, 1)
-    s_a, s_b = (_symmetric_products(_residues(w, primes), rows, mod) % mod
-                for w, rows in (side_a, side_b))
-    mod = mod[..., 0]
-    b_a = _row_basis(s_a.reshape(len(primes), -1, s_a.shape[-1]), mod)
-    t_a = b_a @ _residues(gram, primes) % mod
-    return (t_a @ s_b.reshape(len(primes), -1, s_b.shape[-1]).transpose(0, 2, 1) % mod).any()
+    mod = primes[:, None]
+    (x, d), (w, rows) = side_a, side_b
+    coords, counts, _ = _slot_maps(d)
+    power, r = counts % mod, _residues(x, primes)
+    for c in coords:
+        power = power * r[:, c] % mod
+    e = len(rows[0])
+    t = (power[:, None] @ _residues(gram, primes))[:, 0] % mod
+    values = t[:, _slot_maps(e)[2]].reshape(len(primes), 1, 4 ** e)
+    w = _residues(w, primes)[:, :, None]
+    mod = mod.reshape(-1, 1, 1, 1, 1)
+    for s in range(e):
+        # contract the last axis of length 4 with each pair's vectors: the
+        # axes go from (4,) * (e - s) + (6,) * s to one 4 fewer, one 6 more
+        shape = values.shape[:2] + (4 ** (e - s - 1), 4, 6 ** s)
+        values = w @ values.reshape(shape) % mod
+    at = np.array(rows, dtype=np.intp).reshape(len(rows), e) @ 6 ** np.arange(e - 1, -1, -1)
+    return bool(values.reshape(values.shape[:2] + (6 ** e,))[:, :, at].any())
 
 
 def _residues_vanish(side_a, gram: np.ndarray, side_b, primes: list, bound: int) -> bool:
-    """Whether every value of S_a G S_b^T is zero, given a bound on every
-    |value|: the residues modulo the first prime alone, then, only if they
-    all vanish, modulo the other primes at once.  A nonzero residue proves
-    a nonzero value; all residues zero prove the values zero only because
-    the primes' product exceeds the bound, so a smaller prime set raises.
-    So does a side of degree d > 3: S_a G sums over C(d+3, 3) >= 35 slots.
-    (Up to degree 3 the sums have at most 20 terms.)"""
-    if max(len(rows[0]) for _, rows in (side_a, side_b)) > 3:
+    """Whether every value of x^d G S_b^T is zero (sides as in
+    :func:`_residue_nonzero`), given a bound on every |value|: the residues
+    modulo the first prime alone, then, only if they all vanish, modulo the
+    other primes at once.  A nonzero residue proves a nonzero value; all
+    residues zero prove the values zero only because the primes' product
+    exceeds the bound, so a smaller prime set raises.  So does a side of
+    degree above 3: x^d G would sum over C(d+3, 3) >= 35 slots.  (Up to
+    degree 3 the sums have at most 20 terms.)"""
+    if max(side_a[1], len(side_b[1][0])) > 3:
         raise ValueError("sums of 35 residue products can overflow int64: the residue test "
                          "takes degrees up to 3 on each side")
     if prod(primes) <= bound:
@@ -334,6 +335,20 @@ def _residues_vanish(side_a, gram: np.ndarray, side_b, primes: list, bound: int)
                          "zero values")
     return not (_residue_nonzero(side_a, gram, side_b, primes[:1])
                 or (len(primes) > 1 and _residue_nonzero(side_a, gram, side_b, primes[1:])))
+
+
+def _spanning_vector(vectors, rows):
+    """For a consistent side, a vector that spans the row space of S
+    through its symmetric power: the first vector of the first row, camera
+    pairs in the order of ``vectors`` (an iterable of 6x4 integer arrays,
+    read only as far as needed), whose vectors are all nonzero.  None when
+    no row has that, so that S is zero."""
+    for w in vectors:
+        nonzero = (w != 0).any(axis=1).tolist()
+        for row in rows:
+            if all(nonzero[i] for i in row):
+                return w[row[0] if row else 0]
+    return None
 
 
 # Row pairs i1 <= i2 of a camera pair's six cofactor vectors: the rows of
@@ -375,21 +390,25 @@ class OcticEngine:
     only when a bound on its sums is below ``INT64_LIMIT``.  :meth:`cleared`
     multiplies as Python ints.  Floats go through float64.
 
-    The exact zero test, :meth:`vanishes`, forms no value.  Every cleared
-    |value| is at most B = C(d+3, 3) C(e+3, 3) d! e! max|w_a|^d max|G|
-    max|w_b|^e (400 max|w_a|^2 max|G| max|w_b|^2 for the octics).  The
-    test reduces w and G modulo fixed primes below 2^29, descending from
-    2^29, and contracts in int64: residue products are below 2^58 and sums
-    over at most C(3+3, 3) = 20 slots below 2^63; a degree above 3 raises.
-    Modulo p, S_a G S_b^T is zero exactly when B_a G S_b^T is, the rows of
-    B_a spanning the row space of S_a mod p (:func:`_row_basis`), so only
-    B_a G S_b^T is formed.  On a consistent tuple a every cofactor vector
-    is a multiple of the one world point X, every row of S_a a multiple
-    of the symmetric power X^d, and B_a is one row: 1 x 10 x 126 per
-    prime for the full octics at n = 4, not 126 x 10 x 126.  The first
-    prime alone settles almost every nonzero block; a zero block needs all
-    residues zero modulo primes whose product exceeds B, and is then zero
-    by the Chinese remainder theorem.
+    The exact zero test, :meth:`vanishes`, forms no value and needs side a
+    of each block consistent.  Then every cofactor vector of a is c_i x,
+    x its one world point (:func:`multiview_membership`), so the row of
+    vectors i_1, ..., i_d of S_a is c_i1 ... c_id x^d: S_a is zero when
+    no row has all its vectors nonzero, and otherwise the block is zero
+    exactly when x^d G S_b^T is, x any nonzero vector.  Those values are
+    Q(w_i1, ..., w_ie), Q the symmetric tensor read from t = x^d G
+    (Q[a, b] = t[slot(a, b)] for the octics): W Q W^T per camera pair of
+    b, with no symmetric product and no elimination
+    (:func:`_residue_nonzero`).  Each is at most B = C(d+3, 3) C(e+3, 3)
+    d! e! max|x|^d max|G| max|w_b|^e in magnitude (400 max|x|^2 max|G|
+    max|w_b|^2 for the octics), never more than with max|w_a|.  The test
+    reduces x, G and w_b modulo fixed primes below 2^29, descending from
+    2^29, and contracts in int64: products are below 2^58, and x^d G sums
+    at most C(3+3, 3) = 20 of them, each factor of Q 4, so every sum is
+    below 2^63; a degree above 3 raises.  The first prime alone settles
+    almost every nonzero block; a zero block needs all residues zero
+    modulo primes whose product exceeds B, and is then zero by the
+    Chinese remainder theorem.
     """
 
     __slots__ = ("exact", "rig", "row_sets", "blocks")
@@ -440,16 +459,28 @@ class OcticEngine:
             out.append((values, None if f_a is None else den * np.outer(f_a, f_b).ravel()))
         return out
 
-    def vanishes(self, tuples) -> bool:
+    def vanishes(self, memberships) -> bool:
         """Whether every value is zero, on the exact backend, from residues
-        modulo the verdict primes as the class describes.  A block whose
-        bound B is 0 (w_a, G or w_b all zero) vanishes with no prime."""
+        modulo the verdict primes as the class describes.  ``memberships``
+        holds one :func:`multiview_membership` result per row set, and the
+        vectors are read from their cofactor passes, so no camera pair's
+        vectors are computed twice.  Side a of every block must be
+        consistent, else ValueError.  A block whose S_a is zero, or whose
+        bound B is 0, vanishes with no prime."""
         if not self.exact:
             raise BackendError("the residue zero test needs the exact backend")
-        cofactors = self._cofactors(tuples)
+        if len(memberships) != len(self.row_sets):
+            raise ShapeError(f"expected {len(self.row_sets)} image tuples, got {len(memberships)}")
         for a, b, gram, _ in self.blocks:
-            side_a = (cofactors[a][0], self.row_sets[a][1])
-            side_b = (cofactors[b][0], self.row_sets[b][1])
+            if not memberships[a].ok:
+                raise ValueError("the residue test needs a consistent first side of each block")
+            (pairs_a, rows_a), (pairs_b, rows_b) = self.row_sets[a], self.row_sets[b]
+            cofactors_a, cofactors_b = memberships[a].cofactors, memberships[b].cofactors
+            x = _spanning_vector((cofactors_a.vectors(j, k)[0] for j, k in pairs_a), rows_a)
+            if x is None:
+                continue
+            side_a = (x, len(rows_a[0]))
+            side_b = (np.stack([cofactors_b.vectors(j, k)[0] for j, k in pairs_b]), rows_b)
             bound = _value_bound(side_a, gram, side_b)
             if bound and not _residues_vanish(side_a, gram, side_b, _verdict_primes(bound), bound):
                 return False
@@ -663,28 +694,35 @@ def rigid_pair_oracle(rig: CameraRig, u, v, tol: float | None = None) -> bool:
 def rigid_pair_by_equations(rig: CameraRig, u, v,
                             family: Family | str = Family.OCTIC_FULL,
                             tol: float | None = None) -> bool:
-    """Equation-side membership: both tuples consistent (ranks at
+    """Equation-side membership: both tuples consistent (on floats, ranks at
     ``rig.tol``) and every unit-distance octic of the family vanishing
     (exactly, or on floats below ``tol`` times the normalizer).
 
-    The exact verdict is :meth:`OcticEngine.vanishes`, which decides from
-    residues modulo fixed primes below 2^29 (so that the int64 contraction
-    cannot overflow) and forms no value: a nonzero residue proves a nonzero
-    octic, and all residues zero modulo primes whose product exceeds
-    B = 400 max|w_u|^2 max|G| max|w_v|^2, a bound on every cleared value,
-    prove every octic zero.  Per prime it contracts only a row basis B_u
-    of S_u mod p against G S_v^T; u is consistent here, so its cofactor
-    vectors are multiples of its one world point and B_u is one row.  The
-    unit tensor's Gram matrix is built on the first call and kept."""
+    The exact verdict is :meth:`OcticEngine.vanishes` on the two
+    :func:`multiview_membership` results, whose cofactor passes give it
+    every vector.  u is consistent, so its vectors are multiples of its
+    world point x, and every octic vanishes exactly when Q[a, b] =
+    (x^2 G)[slot(a, b)] makes W_b Q W_b^T zero at the family's rows for
+    every camera pair b of v (or no family row of u has both vectors
+    nonzero).  Residues modulo fixed primes below 2^29 decide it: a
+    nonzero residue proves a nonzero octic, and all residues zero modulo
+    primes whose product exceeds B = 400 max|x|^2 max|G| max|w_v|^2 prove
+    every octic zero.  Every octic is tested, not q(X, Y) at triangulated
+    points, which is the oracle.  The unit tensor's Gram matrix is built
+    on the first call and kept."""
     family = Family(family)
     if family not in _OCTIC_FAMILIES:
         raise ValueError("membership by equations uses an octic family")
-    if not (multiview_membership(rig, u).ok and multiview_membership(rig, v).ok):
-        return False
+    memberships = []
+    for points in (u, v):
+        membership = multiview_membership(rig, points)
+        if not membership.ok:
+            return False
+        memberships.append(membership)
     row_set = _octic_row_set(rig.n, family)
     engine = OcticEngine(rig, (row_set, row_set), [(0, 1, _UNIT_TENSOR)])
     if rig.backend == EXACT:
-        return engine.vanishes((u, v))
+        return engine.vanishes(memberships)
     ((values, _),) = engine.cleared((u, v))
     # the normalizer depends on the camera pairs only: one per row of values
     t = tol if tol is not None else DEFAULT_VANISH_TOL

@@ -10,7 +10,9 @@ lines meet in the world point X.  For rank-5 B the kernel is recovered by
 Cramer's rule: deleting any row i and taking signed maximal minors yields a
 vector whose first four coordinates represent X.  The recovery is available
 exactly over rationals and with tolerances over floats.  The cofactor
-vectors come from :meth:`rigidview.cameras.CameraRig.cofactor_vectors`.
+vectors come from :meth:`rigidview.cameras.CameraRig.cofactor_vectors`;
+on the exact backend, through the consistency test's
+:class:`rigidview.cameras.CofactorPass`, so the witness scan is that pass.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Sequence
 
-from .cameras import CameraRig, ProjectivePoint, _multiview_matrix, _reduced, multiview_membership
+from .cameras import (CameraRig, CofactorPass, ProjectivePoint, _multiview_matrix, _reduced,
+                      multiview_membership)
 from .linalg import EXACT, FLOAT, Mat, rank
 
 
@@ -104,40 +107,48 @@ def _scale(camera, x, u, exact: bool):
 
 def is_triangulable(rig: CameraRig, points: Sequence[ProjectivePoint]) -> bool:
     """Whether some camera pair's triangulation matrix has rank 5 with a row
-    giving a nonzero recovered point (see :func:`_pair_scan`).  False when
+    giving a nonzero recovered point (see :func:`_pair_scan`), read from
+    the same pass as the consistency test on the exact backend.  False when
     every pair degenerates (for two cameras this happens exactly at the
     epipole pair).  Raises :class:`NotInVarietyError` when the tuple is not
     consistent.
     """
-    if not multiview_membership(rig, points).ok:
+    membership = multiview_membership(rig, points)
+    if not membership.ok:
         raise NotInVarietyError("tuple fails the consistency rank test")
-    return _pair_scan(rig, points) is not None
+    return _pair_scan(rig, points, membership.cofactors) is not None
 
 
-def _pair_scan(rig: CameraRig, points: Sequence[ProjectivePoint]):
+def _pair_scan(rig: CameraRig, points: Sequence[ProjectivePoint], cofactors=None):
     """The witness scan of :func:`is_triangulable` on a consistent tuple:
     ``(pair, row, vectors, factor, cut)``, or None when no pair has one.
 
-    Scans camera pairs lexicographically; the witness is the first row
+    The witness is the first row, camera pairs taken lexicographically,
     whose cofactor vector (from :meth:`CameraRig.cofactor_vectors`, times
     ``factor``, so integers on the exact backend) gives a nonzero point
-    (:func:`_cofactor_nonzero`).  A pair qualifies only
-    when its B has rank 5.  On floats that is one :func:`rank` of B at
-    ``rig.tol``.  On the exact backend no rank is taken: the tuple is
-    consistent, so det B = 0, and B has rank 5 exactly when some cofactor
-    vector has a nonzero first four coordinates.  (At rank 5 a nonzero
-    cofactor vector spans the kernel, and a kernel vector (0, -l_j, -l_k)
-    forces l_j u_j = l_k u_k = 0; below rank 5 every cofactor vector is
-    zero.)
+    (:func:`_cofactor_nonzero`).  A pair qualifies only when its B has
+    rank 5.  On the exact backend that is the witness of the
+    :class:`CofactorPass` ``cofactors`` (of a new one when None), and no
+    rank is taken: the tuple is consistent, so det B = 0, and B has rank 5
+    exactly when some cofactor vector has a nonzero first four coordinates.
+    (At rank 5 a nonzero cofactor vector spans the kernel, and a kernel
+    vector (0, -l_j, -l_k) forces l_j u_j = l_k u_k = 0; below rank 5 every
+    cofactor vector is zero.)  On floats each pair takes one :func:`rank`
+    of B at ``rig.tol``.
     """
+    if rig.backend == EXACT:
+        scan = CofactorPass(rig, points) if cofactors is None else cofactors
+        if scan.witness is None:
+            return None
+        pair, row = scan.witness
+        w, factor = scan.vectors(*pair)
+        return pair, row, w.tolist(), factor, 0.0
     for j, k in combinations(range(rig.n), 2):
         u_j, u_k = points[j], points[k]
-        cut = 0.0
-        if rig.backend == FLOAT:
-            b = assemble_b(rig, j, k, u_j, u_k).mat
-            if rank(b, rig.tol).rank != 5:
-                continue
-            cut = _nonzero_cut(b, rig.tol)
+        b = assemble_b(rig, j, k, u_j, u_k).mat
+        if rank(b, rig.tol).rank != 5:
+            continue
+        cut = _nonzero_cut(b, rig.tol)
         w, factor = rig.cofactor_vectors(j, k, u_j, u_k)
         vectors = w.tolist()
         for i, v in enumerate(vectors):
@@ -149,15 +160,19 @@ def _pair_scan(rig: CameraRig, points: Sequence[ProjectivePoint]):
 def triangulate(rig: CameraRig, points: Sequence[ProjectivePoint]) -> TriangulationSolution:
     """Recover the world point behind a consistent image tuple.
 
-    Takes the point from the witness row of :func:`_pair_scan` over its
-    factor (the one division) and the scales from A_j X = lambda_j u_j and
-    A_k X = lambda_k u_k, and cross-checks every later nonzero row of that
-    pair: exactly up to scale, or on floats within :data:`CONSISTENCY_TOL`
-    of angular distance.  Points off the rig's backend raise BackendError.
+    One :func:`multiview_membership` decides consistency; on the exact
+    backend its :class:`CofactorPass` also holds the witness, so no pair's
+    cofactor vectors are computed twice.  Takes the point from the witness
+    row of :func:`_pair_scan` over its factor (the one division) and the
+    scales from A_j X = lambda_j u_j and A_k X = lambda_k u_k, and
+    cross-checks every later nonzero row of that pair: exactly up to
+    scale, or on floats within :data:`CONSISTENCY_TOL` of angular distance.
+    Points off the rig's backend raise BackendError.
     """
-    if not multiview_membership(rig, points).ok:
+    membership = multiview_membership(rig, points)
+    if not membership.ok:
         raise NotInVarietyError("tuple fails the consistency rank test")
-    scan = _pair_scan(rig, points)
+    scan = _pair_scan(rig, points, membership.cofactors)
     if scan is None:
         raise NotTriangulableError("no camera pair has a rank-5 triangulation matrix")
     pair, row, vectors, factor, cut = scan

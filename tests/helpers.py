@@ -2,9 +2,9 @@
 partial-pivoting determinant, Gauss-Jordan inverse and cofactor adjugate
 references, the from-scratch camera minor table, the per-index references
 for cofactor vectors and tensor values, one engine value, the full-block
-residue test, the cofactor-expansion reference for the symbolic octics,
-the per-column mod-p rank, and the per-term coefficient matrix and
-failure bounds."""
+and row-basis residue tests, the cofactor-expansion reference for the
+symbolic octics, the per-column mod-p rank, and the per-term coefficient
+matrix and failure bounds."""
 
 import itertools
 from fractions import Fraction
@@ -182,18 +182,60 @@ def engine_value(rig, tensor, u_sel, v_sel, u, v):
     return OcticEngine(rig, row_sets, [(0, 1, tensor)]).evaluate((u, v))[0]
 
 
+def residue_products(w, rows, primes):
+    """S of integer vectors w at ``rows`` as exact Python-int symmetric
+    products, then reduced modulo each prime: shape (primes, rows, slots),
+    with the primes as an int64 array of shape (primes, 1, 1)."""
+    primes = np.array(primes, dtype=np.int64)
+    s = _residues(_symmetric_products(np.asarray(w).astype(object), rows), primes)
+    return s.reshape(len(primes), -1, s.shape[-1]), primes.reshape(-1, 1, 1)
+
+
 def full_block_nonzero(side_a, gram, side_b, primes):
     """Whether some value of S_a G S_b^T is nonzero modulo one of the
-    primes, from each prime's whole block, one prime at a time: the
-    reference for the row-basis contraction of
-    :func:`rigidview.constraints._residue_nonzero`."""
-    primes = np.array(primes, dtype=np.int64)
-    mod = primes.reshape(-1, 1, 1, 1)
-    s_a, s_b = (_symmetric_products(_residues(w, primes), rows, mod) % mod
-                for w, rows in (side_a, side_b))
-    t_a = s_a.reshape(len(primes), -1, s_a.shape[-1]) @ _residues(gram, primes) % mod[..., 0]
-    return any((t @ s.reshape(-1, s.shape[-1]).T % p).any()
-               for t, s, p in zip(t_a, s_b, primes.tolist()))
+    primes, from each prime's whole block, one prime at a time; each side
+    is ``(w, rows)``.  The reference for the rank-one contraction of
+    :func:`rigidview.constraints._residue_nonzero` and for
+    :func:`row_basis_nonzero`."""
+    (s_a, mod), (s_b, _) = (residue_products(w, rows, primes) for w, rows in (side_a, side_b))
+    t_a = s_a @ _residues(gram, mod.ravel()) % mod
+    return any((t @ s.T % p).any() for t, s, p in zip(t_a, s_b, mod.ravel().tolist()))
+
+
+def row_basis(s, mod):
+    """Rows spanning the row space of each prime's matrix: ``s`` holds
+    residues of shape (primes, rows, columns) modulo ``mod`` of shape
+    (primes, 1, 1), and the result has shape (primes, k, columns), k the
+    largest rank.  Each step takes every prime's first nonzero row as its
+    pivot and clears the pivot's leading column from every row, pivot
+    included: row r becomes r[lead] pivot subtracted from pivot[lead] r,
+    mod p.  pivot[lead] is a unit, so the pivots and the rows left span
+    what the rows spanned, and the pivots alone span it once every row is
+    zero.  A prime whose rows have all vanished takes a zero pivot, so its
+    padding rows are zero."""
+    at = np.arange(len(s))
+    basis = []
+    for _ in range(s.shape[-1]):
+        if not s.any():
+            break
+        # every prime's first nonzero entry: its pivot row and leading column
+        row, lead = np.divmod((s.reshape(len(s), -1) != 0).argmax(axis=1), s.shape[-1])
+        pivot = s[at, row]
+        s = (s * pivot[at, lead][:, None, None]
+             - s[at, :, lead][:, :, None] * pivot[:, None, :]) % mod
+        basis.append(pivot)
+    return np.stack(basis, axis=1) if basis else s[:, :0]
+
+
+def row_basis_nonzero(side_a, gram, side_b, primes):
+    """Whether some value of S_a G S_b^T is nonzero modulo one of the
+    primes, for sides ``(w, rows)`` of any rank: modulo p the block is
+    zero exactly when B_a G S_b^T is, the rows of B_a spanning the row
+    space of S_a mod p (:func:`row_basis`).  The row-basis form of the
+    residue test, for a side a that need not be consistent."""
+    (s_a, mod), (s_b, _) = (residue_products(w, rows, primes) for w, rows in (side_a, side_b))
+    t_a = row_basis(s_a, mod) @ _residues(gram, mod.ravel()) % mod
+    return bool((t_a @ s_b.transpose(0, 2, 1) % mod).any())
 
 
 def tensor_value(tensor, a, b, c, d):

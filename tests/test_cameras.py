@@ -476,9 +476,10 @@ class TestMembership:
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("kind", ["int", "fraction", "float", "float_tol"])
     def test_rank_decides_membership(self, monkeypatch, n, kind):
-        # .rank is the rank of the stacked multiview matrix, read off one
-        # elimination and no kernel, and .ok is rank <= n + 3; an exact rig
-        # and tuple build no Mat and take no rank, floats take one rank
+        # .rank is the rank of the stacked multiview matrix and .ok is
+        # rank <= n + 3, with no kernel taken; floats read it off one
+        # elimination and one rank, an exact rig and tuple build no Mat and
+        # take no rank, and eliminate only when no camera pair gives a point
         rng = random.Random(41 + n)
         rig = fraction_rig(rng, n) if kind == "fraction" else random_rig(rng, n)
         if kind.startswith("float"):
@@ -503,11 +504,13 @@ class TestMembership:
             mats = count_calls(monkeypatch, cameras, "Mat")
             res = multiview_membership(rig, points)
             monkeypatch.undo()
-            assert len(eliminations) == 1 and kernels == []
+            assert kernels == []
             if kind in ("int", "fraction"):
                 assert ranks == [] and mats == []
+                assert len(eliminations) == (res.cofactors.witness is None)
+                assert (res.cofactors.witness is None) == (points == cases[-1] and n == 2)
             else:
-                assert len(ranks) == 1 and len(mats) == 1
+                assert len(eliminations) == 1 and len(ranks) == 1 and len(mats) == 1
             assert res.rank == want
             assert res.ok == (want <= n + 3)
         assert multiview_membership(rig, cases[0]).ok
@@ -532,13 +535,100 @@ class TestMembership:
             multiview_membership(fraction_rig(rng, 3), moved)
 
 
-class TestOneElimination:
-    """Camera construction and the membership test read their rank off the
-    one kernel computation: exactly one fraction-free elimination each."""
+class TestCofactorPass:
+    """The exact consistency pass against the fraction-free rank of the
+    stacked multiview matrix."""
 
-    def test_membership_eliminates_once(self, monkeypatch):
-        # the one elimination runs on the cleared integer rows of the
-        # stacked multiview matrix, and its rank is that matrix's rank
+    @staticmethod
+    def _rig(kind, n, rng):
+        if kind == "fraction":
+            return fraction_rig(rng, n)
+        height = {"int": 20, "height-1e6": 10 ** 6, "height-1e7": 10 ** 7}[kind]
+        while True:
+            rig = CameraRig([random_camera_mat(rng, height) for _ in range(n)])
+            if rig.general_position.ok:
+                return rig
+
+    @staticmethod
+    def _tuples(rig, rng):
+        """``(kind, tuple)``: member tuples, each with one coordinate moved
+        by 1, views of each camera's focal point with that camera's image
+        point arbitrary, and for two cameras the epipole pair."""
+        n = rig.n
+        out = []
+        for _ in range(2):
+            member = forward_map(rig, ProjectivePoint([rng.randint(-30, 30) for _ in range(3)] + [1]))
+            out.append(("member", member))
+            for _ in range(2):
+                j, c = rng.randrange(n), rng.randrange(3)
+                coords = list(member[j].coords)
+                coords[c] += 1
+                out.append(("moved", member[:j] + (ProjectivePoint(coords),) + member[j + 1:]))
+        for j in range(n):
+            f = rig.focal_point(j)
+            out.append(("focal", tuple(ProjectivePoint((3, 1, 4)) if i == j else
+                                       rig.camera(i).project(f) for i in range(n))))
+        if n == 2:
+            out.append(("epipole", (rig.epipole(0, 1), rig.epipole(1, 0))))
+        return out
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["int", "fraction", "height-1e6", "height-1e7"])
+    def test_pass_equals_the_elimination(self, monkeypatch, n, kind):
+        # .ok and .rank as the elimination has them; the elimination runs
+        # only when no camera pair's cofactor vectors give a point, which on
+        # general-position rigs is only the n = 2 epipole pair
+        rng = random.Random(f"pass:{kind}:{n}")
+        rig = self._rig(kind, n, rng)
+        fallbacks, verdicts = set(), set()
+        for what, points in self._tuples(rig, rng):
+            want = linalg._exact_rank(cameras._multiview_rows(rig, range(n), points))
+            eliminations = count_calls(monkeypatch, cameras, "_exact_rank")
+            res = multiview_membership(rig, points)
+            monkeypatch.undo()
+            assert (res.ok, res.rank) == (want <= n + 3, want), what
+            pointless = not any(rig.cofactor_vectors(j, k, points[j], points[k])[0].any()
+                                for j, k in itertools.combinations(range(n), 2))
+            assert len(eliminations) == pointless == (res.cofactors.witness is None)
+            if pointless:
+                fallbacks.add(what)
+            verdicts.add((what, res.ok))
+        assert fallbacks == ({"epipole"} if n == 2 else set())
+        assert {("member", True), ("moved", False), ("focal", True)} <= verdicts
+
+    def test_witness_vector_is_the_world_point(self):
+        # on a consistent tuple with a witness the rank is n + 3 and the
+        # witness vector is the world point; every cofactor vector of every
+        # pair is a multiple of it
+        rng = random.Random(71)
+        for n in (2, 3, 4):
+            rig = random_rig(rng, n)
+            x = ProjectivePoint((3, -2, 5, 7))
+            res = multiview_membership(rig, forward_map(rig, x))
+            pair, row = res.cofactors.witness
+            w = res.cofactors.vectors(*pair)[0]
+            assert res.rank == n + 3 and ProjectivePoint(w[row].tolist()) == x
+            for j, k in itertools.combinations(range(n), 2):
+                for y in res.cofactors.vectors(j, k)[0].tolist():
+                    assert all(y[a] * x[b] == y[b] * x[a] for a in range(4) for b in range(4))
+
+    def test_points_beyond_the_witness_pair_are_checked(self):
+        # the scan stops at pair (0, 1), yet a float third point still raises
+        rig = random_rig(random.Random(73), 3)
+        u = forward_map(rig, ProjectivePoint((3, -2, 5, 7)))
+        with pytest.raises(linalg.BackendError):
+            multiview_membership(rig, u[:2] + (u[2].to_float(),))
+
+
+class TestOneElimination:
+    """Camera construction reads its rank off one fraction-free
+    elimination; exact membership eliminates only when no camera pair's
+    cofactor vectors give a point."""
+
+    def test_membership_eliminates_only_without_a_witness(self, monkeypatch):
+        # the n = 2 epipole pair has no witness: its one elimination runs on
+        # the cleared integer rows of the stacked multiview matrix, and its
+        # rank is that matrix's rank; the other tuples eliminate nothing
         rng = random.Random(53)
         for n in (2, 3, 4):
             for rig in (random_rig(rng, n), fraction_rig(rng, n)):
@@ -552,11 +642,13 @@ class TestOneElimination:
                     calls = count_calls(monkeypatch, linalg, "_bareiss_echelon")
                     res = multiview_membership(rig, points)
                     monkeypatch.undo()
-                    assert len(calls) == 1
+                    epipoles = len(cases) == 3 and points == cases[2][0]
+                    assert len(calls) == epipoles
                     assert res.ok == ok
                     assert res.rank == rank(stacked).rank
-                    assert [list(r) for r in calls[0][0]] == [
-                        list(linalg._cleared(r)[0]) for r in stacked.data]
+                    if epipoles:
+                        assert [list(r) for r in calls[0][0]] == [
+                            list(linalg._cleared(r)[0]) for r in stacked.data]
 
     def test_camera_eliminates_once(self, monkeypatch):
         rng = random.Random(59)

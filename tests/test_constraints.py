@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (count_calls, engine_value, fraction_rig, full_block_nonzero, naive_det,
-                     random_rig, random_world_point, reference_modp_rank, scaled_rig,
-                     standard_rig, tensor_value, wedge5)
+                     random_rig, random_world_point, reference_modp_rank, residue_products,
+                     row_basis, row_basis_nonzero, scaled_rig, standard_rig, tensor_value, wedge5)
 from rigidview.cameras import (
     CameraRig,
     ProjectivePoint,
@@ -685,6 +685,9 @@ class TestMembership:
         assert not rigid_pair_oracle(rig, bad, ep)
 
     def test_oracle_tests_membership_once_per_side(self, monkeypatch):
+        # one membership per side, whose cofactor pass is also the witness
+        # scan: the witness pair's vectors are computed once, and no
+        # elimination runs on a tuple with a witness
         rng = random.Random(239)
         for n in (2, 3, 4):
             rig = random_rig(rng, n)
@@ -693,9 +696,35 @@ class TestMembership:
             calls = []
             for module in (triangulation, constraints):
                 count_calls(monkeypatch, module, "multiview_membership", calls)
+            vectors = count_calls(monkeypatch, CameraRig, "cofactor_vectors")
+            eliminations = count_calls(monkeypatch, cameras, "_exact_rank")
             assert rigid_pair_oracle(rig, u, v)
-            assert len(calls) <= 2
             monkeypatch.undo()
+            assert [c[1] for c in calls] == [u, v]
+            assert [c[1:3] for c in vectors] == [(0, 1), (0, 1)]
+            assert eliminations == []
+
+    def test_equations_compute_each_pair_once(self, monkeypatch):
+        # rigid_pair_by_equations reads the engine's vectors from the two
+        # membership passes: at most one cofactor_vectors call per camera
+        # pair and side, on u only the pairs up to its witness, and no
+        # elimination on tuples with a witness
+        rng = random.Random(241)
+        for n in (2, 3, 4):
+            rig = random_rig(rng, n)
+            x, y = unit_pair(rng)
+            u, v = forward_map(rig, x), forward_map(rig, y)
+            for family in _families(n):
+                vectors = count_calls(monkeypatch, CameraRig, "cofactor_vectors")
+                eliminations = count_calls(monkeypatch, cameras, "_exact_rank")
+                assert rigid_pair_by_equations(rig, u, v, family)
+                monkeypatch.undo()
+                keys = [(c[1], c[2], c[3] is u[c[1]]) for c in vectors]
+                assert len(keys) == len(set(keys))
+                want_v = constraints._octic_row_set(n, family)[0]
+                assert sorted(k[:2] for k in keys if not k[2]) == sorted(set(want_v) | {(0, 1)})
+                assert [k[:2] for k in keys if k[2]] == [(0, 1)]
+                assert eliminations == []
 
 
 def _residue_rigs(n):
@@ -740,26 +769,44 @@ def _engine(rig, family):
                                    [(0, 1, polarize(unit_distance_form()))])
 
 
+def _memberships(rig, *tuples):
+    """One membership result per image tuple: what OcticEngine.vanishes reads."""
+    return [multiview_membership(rig, points) for points in tuples]
+
+
+def _proportional(a, b):
+    """Whether every 2x2 minor of the integer vectors a and b vanishes."""
+    return all(a[i] * b[j] == a[j] * b[i] for i in range(4) for j in range(i + 1, 4))
+
+
 class TestResidueVerdict:
     """The exact zero test from residues against the cleared values."""
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_verdict_equals_the_cleared_values(self, n):
-        verdicts = set()
+        # an inconsistent u is refused; on the others the verdict is that
+        # of the values, and the bound with max|w_u| bounds every value
+        verdicts, refused = set(), 0
         for name, rig in _residue_rigs(n).items():
             cases = _residue_inputs(rig, random.Random(f"{name}:{n}"))
             for family in _families(n):
                 engine = _engine(rig, family)
                 for u, v in cases:
                     ((values, _),) = engine.cleared((u, v))
-                    verdict = engine.vanishes((u, v))
+                    memberships = _memberships(rig, u, v)
+                    if not memberships[0].ok:
+                        with pytest.raises(ValueError, match="consistent"):
+                            engine.vanishes(memberships)
+                        refused += 1
+                        continue
+                    verdict = engine.vanishes(memberships)
                     assert verdict == (not values.any())
                     verdicts.add(verdict)
                     (w_u, _), (w_v, _) = engine._cofactors((u, v))
                     rows = engine.row_sets[0][1]
-                    bound = constraints._value_bound((w_u, rows), engine.blocks[0][2], (w_v, rows))
+                    bound = constraints._value_bound((w_u, 2), engine.blocks[0][2], (w_v, rows))
                     assert max(map(abs, values.ravel().tolist())) <= bound
-        assert verdicts == {True, False}
+        assert verdicts == {True, False} and refused > 0
 
     def test_reduction_paths_are_taken(self):
         rigs = _residue_rigs(2)
@@ -799,7 +846,8 @@ class TestResidueVerdict:
         engine = _engine(rig, Family.OCTIC_FULL)
         (w_u, _), (w_v, _) = engine._cofactors((u, v))
         gram = engine.blocks[0][2]
-        sides = ((w_u, constraints._ROW_PAIRS), gram, (w_v, constraints._ROW_PAIRS))
+        x = constraints._spanning_vector(w_u, constraints._ROW_PAIRS)
+        sides = ((x, 2), gram, (w_v, constraints._ROW_PAIRS))
         bound = constraints._value_bound(*sides)
         primes = constraints._verdict_primes(bound)
         assert constraints._residues_vanish(*sides, primes, bound)
@@ -855,15 +903,35 @@ class TestResidueVerdict:
                 row_sets = [(cameras, rows[0]), (cameras, rows[1])]
                 engine = constraints.OcticEngine(rig, row_sets, [(0, 1, polarize(form))])
                 for u, v in cases:
+                    memberships = _memberships(rig, u, v)
+                    if not memberships[0].ok:
+                        continue
                     ((values, _),) = engine.cleared((u, v))
-                    verdict = engine.vanishes((u, v))
+                    verdict = engine.vanishes(memberships)
                     assert verdict == (not values.any())
                     verdicts.add(verdict)
                     (w_u, _), (w_v, _) = engine._cofactors((u, v))
-                    bound = constraints._value_bound((w_u, rows[0]), engine.blocks[0][2],
+                    bound = constraints._value_bound((w_u, len(rows[0][0])), engine.blocks[0][2],
                                                      (w_v, rows[1]))
                     assert max(map(abs, values.ravel().tolist())) <= bound
         assert verdicts == {True, False}
+
+    def test_degree_zero_side(self):
+        # a (0, 2) form: side u has empty rows, its S one constant column, so
+        # the verdict is the form at v's vectors, here Y_3^2 - Y_0^2
+        rig = random_rig(random.Random(601), 2)
+        form = BihomForm((0, 2), {((0, 0, 0, 0), (0, 0, 0, 2)): 1,
+                                  ((0, 0, 0, 0), (2, 0, 0, 0)): -1})
+        row_sets = [([(0, 1)], [()]), ([(0, 1)], [(0, 0), (3, 3)])]
+        engine = constraints.OcticEngine(rig, row_sets, [(0, 1, polarize(form))])
+        u = forward_map(rig, ProjectivePoint((3, -2, 5, 7)))
+        verdicts = []
+        for y in ((1, 2, 3, 1), (2, 1, 3, 1)):
+            v = forward_map(rig, ProjectivePoint(y))
+            ((values, _),) = engine.cleared((u, v))
+            verdicts.append(engine.vanishes(_memberships(rig, u, v)))
+            assert verdicts[-1] == (not values.any())
+        assert verdicts == [True, False]
 
     def test_degree_four_side_is_refused(self):
         # 35 slots of Sym^4: a sum of 35 residue products can reach 2^63
@@ -874,32 +942,32 @@ class TestResidueVerdict:
         engine = constraints.OcticEngine(rig, row_sets, [(0, 1, polarize(form))])
         assert engine.evaluate((u, u)) != [0]
         with pytest.raises(ValueError, match="overflow int64"):
-            engine.vanishes((u, u))
+            engine.vanishes(_memberships(rig, u, u))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_consistent_side_reduces_to_one_row(self, n, monkeypatch):
         # on a consistent tuple every cofactor vector is a multiple of the
-        # one world point, so S_u has rank 1: one basis row per prime
-        bases = []
-        reduce_rows = constraints._row_basis
-
-        def recorded(s, mod):
-            bases.append(reduce_rows(s, mod))
-            return bases[-1]
-
-        monkeypatch.setattr(constraints, "_row_basis", recorded)
-        ranks = {}
+        # one world point, so side u enters each prime as one nonzero vector
+        # x that every vector of u is a multiple of: no symmetric product
+        # and no row basis
+        assert not hasattr(constraints, "_row_basis")
+        sides = count_calls(monkeypatch, constraints, "_residue_nonzero")
+        products = count_calls(monkeypatch, constraints, "_symmetric_products")
+        seen = 0
         for name, rig in _residue_rigs(n).items():
-            engine = _engine(rig, Family.OCTIC_FULL)
             for u, v in _residue_inputs(rig, random.Random(f"{name}:{n}")):
-                bases.clear()
-                engine.vanishes((u, v))
-                consistent = multiview_membership(rig, u).ok
-                for basis in bases:
-                    ranks.setdefault(consistent, set()).add(basis.shape[1])
-                    if consistent:
-                        assert basis.shape[1] == 1 and basis.any(axis=2).all()
-        assert ranks[True] == {1} and max(ranks[False]) > 1
+                memberships = _memberships(rig, u, v)
+                if not memberships[0].ok:
+                    continue
+                w_u = _engine(rig, Family.OCTIC_FULL)._cofactors((u, v))[0][0]
+                for family in _families(n):
+                    sides.clear()
+                    _engine(rig, family).vanishes(memberships)
+                    for (x, d), _, _, _ in sides:
+                        assert d == 2 and x.shape == (4,) and x.any()
+                        assert all(_proportional(x.tolist(), y) for y in w_u.reshape(-1, 4).tolist())
+                        seen += 1
+        assert products == [] and seen > 0
 
     def test_verdicts_build_the_gram_once(self, monkeypatch):
         rig = random_rig(random.Random(601), 3)
@@ -922,7 +990,7 @@ class TestResidueVerdict:
         rig = CameraRig([cam.matrix.to_float() for cam in random_rig(random.Random(587), 2).cameras])
         u = (ProjectivePoint((1.0, 2.0, 3.0)), ProjectivePoint((4.0, 5.0, 7.0)))
         with pytest.raises(BackendError):
-            _engine(rig, Family.OCTIC_NINE).vanishes((u, u))
+            _engine(rig, Family.OCTIC_NINE).vanishes(_memberships(rig, u, u))
 
 
 def _ranked_w(rng, rank, big):
@@ -943,17 +1011,9 @@ def _ranked_w(rng, rank, big):
 _MIXED_PRIMES = constraints._verdict_primes(1) + [3, 5, 7, 11]
 
 
-def _reduced_products(w, rows, primes):
-    """Each prime's matrix S of w at ``rows`` as residues, of shape
-    (primes, rows, slots), and the primes in shape (primes, 1, 1)."""
-    mod = np.array(primes, dtype=np.int64).reshape(-1, 1, 1, 1)
-    s = constraints._symmetric_products(constraints._residues(w, mod.ravel()), rows, mod) % mod
-    return s.reshape(len(primes), -1, s.shape[-1]), mod[..., 0]
-
-
 class TestRowBasis:
-    """The row basis of the residue test and its contraction, against each
-    prime's own rank and the full block."""
+    """The row-basis residue test of ``helpers``, kept as the reference for
+    sides of any rank, against each prime's own rank and the full block."""
 
     @pytest.mark.parametrize("big", [False, True])
     def test_rows_span_the_row_space(self, big):
@@ -963,8 +1023,8 @@ class TestRowBasis:
             rows = [(i,) * degree for i in range(6)]
             for rank in range(11):
                 w = _ranked_w(rng, rank, big)
-                s, mod = _reduced_products(w, rows, _MIXED_PRIMES)
-                basis = constraints._row_basis(s, mod)
+                s, mod = residue_products(w, rows, _MIXED_PRIMES)
+                basis = row_basis(s, mod)
                 ranks = [reference_modp_rank(m, p) for m, p in zip(s, _MIXED_PRIMES)]
                 assert basis.shape == (len(_MIXED_PRIMES), max(ranks), s.shape[-1])
                 for b, m, p, r in zip(basis, s, _MIXED_PRIMES, ranks):
@@ -995,10 +1055,110 @@ class TestRowBasis:
             # a Gram that vanishes modulo 3 and 5 only
             for g in (gram, 15 * gram):
                 for primes in batches:
-                    got = constraints._residue_nonzero(sides[0], g, sides[1], primes)
+                    got = row_basis_nonzero(sides[0], g, sides[1], primes)
                     assert got == full_block_nonzero(sides[0], g, sides[1], primes)
                     outcomes.add(got)
         assert outcomes == {True, False}
+
+
+class TestRankOneResidues:
+    """The rank-one residue test of a consistent side u against the
+    full-block reference of ``helpers``."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_rank_one_equals_the_full_block(self, n):
+        # every family, on the residue rigs: the engine's verdict is the
+        # reference's at the primes of the max|w_u| bound and that of the
+        # values; the first verdict prime gives the same residue verdict;
+        # a Gram times 15 vanishes modulo 3 and 5 by both routes and leaves
+        # the verdict as it was
+        outcomes = set()
+        for name, rig in _residue_rigs(n).items():
+            for u, v in _residue_inputs(rig, random.Random(f"rank-one:{name}:{n}")):
+                memberships = _memberships(rig, u, v)
+                if not memberships[0].ok:
+                    continue
+                for family in _families(n):
+                    engine = _engine(rig, family)
+                    (w_u, _), (w_v, _) = engine._cofactors((u, v))
+                    rows = engine.row_sets[0][1]
+                    gram = engine.blocks[0][2]
+                    ((values, _),) = engine.cleared((u, v))
+                    full_bound = constraints._value_bound((w_u, 2), gram, (w_v, rows))
+                    want = not (full_bound and full_block_nonzero(
+                        (w_u, rows), gram, (w_v, rows), constraints._verdict_primes(full_bound)))
+                    verdict = engine.vanishes(memberships)
+                    assert verdict == want == (not values.any())
+                    outcomes.add(verdict)
+                    x = constraints._spanning_vector(w_u, rows)
+                    if x is None:
+                        continue
+                    side_a, side_b = (x, 2), (w_v, rows)
+                    assert constraints._value_bound(side_a, gram, side_b) <= full_bound
+                    first = constraints._verdict_primes(1)
+                    for g in (gram, 15 * gram):
+                        assert (constraints._residue_nonzero(side_a, g, side_b, first)
+                                == full_block_nonzero((w_u, rows), g, side_b, first))
+                    for small in ([3], [5], [3, 5]):
+                        assert not constraints._residue_nonzero(side_a, 15 * gram, side_b, small)
+                        assert not full_block_nonzero((w_u, rows), 15 * gram, side_b, small)
+                    bound = constraints._value_bound(side_a, 15 * gram, side_b)
+                    assert constraints._residues_vanish(
+                        side_a, 15 * gram, side_b, constraints._verdict_primes(bound), bound) == want
+        assert outcomes == {True, False}
+
+    def test_zero_family_rows_vanish(self):
+        # a hand-built side whose nine-family rows (i, i), i < 3, are all
+        # zero while rows 3 to 5 are not: S_u = 0, so the block vanishes by
+        # both routes, though the full family's rows do not
+        rng = random.Random(613)
+        base = [rng.randint(-40, 40) for _ in range(4)]
+        w = np.array([[[0] * 4] * 3 + [[c * f for f in base] for c in (2, -3, 5)]] * 3,
+                     dtype=np.int64)
+        rows_nine = constraints._octic_row_set(3, Family.OCTIC_NINE)[1]
+        gram = _engine(random_rig(rng, 2), Family.OCTIC_NINE).blocks[0][2]
+        assert constraints._spanning_vector(w, rows_nine) is None
+        assert not full_block_nonzero((w, rows_nine), gram, (w, rows_nine), _MIXED_PRIMES)
+        assert constraints._spanning_vector(w, constraints._ROW_PAIRS).tolist() == [
+            2 * f for f in base]
+        # the same through the engine: a rank-2 camera puts the left kernel
+        # of B on its own rows, so rows 0 to 2 of pair (0, 1) vanish
+        cams = random_rig(rng, 2).cameras
+        flat = Mat([list(cams[1].matrix.data[0]), list(cams[1].matrix.data[1]),
+                    [a + b for a, b in zip(*cams[1].matrix.data[:2])]])
+        rig = CameraRig([cams[0].matrix, flat])
+        assert rig.camera(1).rank == 2
+        u = forward_map(rig, ProjectivePoint(random_world_point(rng)))
+        v = forward_map(rig, ProjectivePoint(random_world_point(rng)))
+        memberships = _memberships(rig, u, v)
+        w_u, _ = memberships[0].cofactors.vectors(0, 1)
+        assert memberships[0].ok and not w_u[:3].any() and w_u[3:].any()
+        engine = _engine(rig, Family.OCTIC_NINE)
+        assert engine.vanishes(memberships)
+        ((values, _),) = engine.cleared((u, v))
+        assert not values.any()
+        assert not _engine(rig, Family.OCTIC_FULL).vanishes(memberships)
+
+    def test_later_primes_decide_a_block_zero_modulo_the_first(self):
+        # a Gram divisible by the first verdict prime: every residue of the
+        # first prime vanishes, the values do not, and only the later primes
+        # say so
+        rig = random_rig(random.Random(617), 3)
+        x, y = unit_pair(random.Random(619))
+        u = forward_map(rig, x)
+        v = forward_map(rig, ProjectivePoint((y[0] + 1, y[1], y[2], y[3])))
+        engine = _engine(rig, Family.OCTIC_FULL)
+        (w_u, _), (w_v, _) = engine._cofactors((u, v))
+        first = constraints._verdict_primes(1)
+        gram = first[0] * engine.blocks[0][2]
+        side_a = (constraints._spanning_vector(w_u, constraints._ROW_PAIRS), 2)
+        side_b = (w_v, constraints._ROW_PAIRS)
+        bound = constraints._value_bound(side_a, gram, side_b)
+        primes = constraints._verdict_primes(bound)
+        assert len(primes) > 1 and primes[0] == first[0]
+        assert not constraints._residue_nonzero(side_a, gram, side_b, first)
+        assert constraints._residue_nonzero(side_a, gram, side_b, primes[1:])
+        assert not constraints._residues_vanish(side_a, gram, side_b, primes, bound)
 
 
 class TestGroupActions:
