@@ -392,20 +392,20 @@ class OcticEngine:
 
     The exact zero test, :meth:`vanishes`, forms no value and needs side a
     of each block consistent.  Then every cofactor vector of a is c_i x,
-    x its one world point (:func:`multiview_membership`), so the row of
-    vectors i_1, ..., i_d of S_a is c_i1 ... c_id x^d: S_a is zero when
-    no row has all its vectors nonzero, and otherwise the block is zero
-    exactly when x^d G S_b^T is, x any nonzero vector.  Those values are
-    Q(w_i1, ..., w_ie), Q the symmetric tensor read from t = x^d G
-    (Q[a, b] = t[slot(a, b)] for the octics): W Q W^T per camera pair of
-    b, with no symmetric product and no elimination
+    x its one world point up to scale (:func:`multiview_membership`), so
+    the row of vectors i_1, ..., i_d of S_a is c_i1 ... c_id x^d: S_a is
+    zero when no row has all its vectors nonzero, and otherwise the block
+    is zero exactly when x^d G S_b^T is, x any nonzero cofactor vector of
+    a.  Those values are Q(w_i1, ..., w_ie), Q the symmetric tensor read
+    from t = x^d G (Q[a, b] = t[slot(a, b)] for the octics): W Q W^T per
+    camera pair of b, with no symmetric product and no elimination
     (:func:`_residue_nonzero`).  Each is at most B = C(d+3, 3) C(e+3, 3)
     d! e! max|x|^d max|G| max|w_b|^e in magnitude (400 max|x|^2 max|G|
     max|w_b|^2 for the octics), never more than with max|w_a|.  The test
     reduces x, G and w_b modulo fixed primes below 2^29, descending from
-    2^29, and contracts in int64: products are below 2^58, and x^d G sums
-    at most C(3+3, 3) = 20 of them, each factor of Q 4, so every sum is
-    below 2^63; a degree above 3 raises.  The first prime alone settles
+    2^29, and contracts in int64: products are below 2^58, x^d G sums at
+    most C(3+3, 3) = 20 of them and each factor of Q sums 4, so every sum
+    is below 2^63; a degree above 3 raises.  The first prime alone settles
     almost every nonzero block; a zero block needs all residues zero
     modulo primes whose product exceeds B, and is then zero by the
     Chinese remainder theorem.
