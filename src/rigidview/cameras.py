@@ -638,7 +638,9 @@ def rig_to_json(rig: CameraRig) -> dict:
 
 
 def rig_from_json(doc: dict, backend: str | None = None, tol: float | None = None) -> CameraRig:
-    cams = doc["cameras"]
+    cams = doc["cameras"] if isinstance(doc, dict) else None
+    if not isinstance(cams, list) or not all(isinstance(flat, list) for flat in cams):
+        raise ShapeError('a rig is a JSON object whose "cameras" are arrays of 12 entries')
     if backend is None:
         has_str = any(isinstance(x, str) for flat in cams for x in flat)
         backend = EXACT if has_str else (

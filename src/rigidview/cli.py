@@ -37,12 +37,19 @@ def _load_rig(path: str, backend: str | None, tol: float | None = None) -> Camer
         return rig_from_json(json.load(fh), backend, tol)
 
 
+def _array(value, what: str) -> list:
+    """``value`` if it is a JSON array, else ValueError naming ``what``."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON array, not {value!r}")
+    return value
+
+
 def _point(values, backend) -> ProjectivePoint:
-    return ProjectivePoint([decode_scalar(v, backend) for v in values])
+    return ProjectivePoint([decode_scalar(v, backend) for v in _array(values, "a point")])
 
 
 def _tuple(values, backend):
-    return tuple(_point(p, backend) for p in values)
+    return tuple(_point(p, backend) for p in _array(values, "an image tuple"))
 
 
 def _point_json(pt: ProjectivePoint):
@@ -140,12 +147,14 @@ def _cmd_dimension(args) -> int:
 
 def _as_affine_obs(values):
     out = []
-    for entry in values:
-        if len(entry) == 2:
-            out.append((float(entry[0]), float(entry[1])))
-        else:
-            w = [float(c) for c in entry]
-            out.append((w[0] / w[2], w[1] / w[2]))
+    for entry in _array(values, "the observed points"):
+        w = [decode_scalar(c, FLOAT) for c in _array(entry, "an observed point")]
+        if len(w) == 2:
+            w.append(1.0)
+        if len(w) != 3 or w[2] == 0:
+            raise ValueError(f"an observed point is 2 affine or 3 homogeneous coordinates "
+                             f"with a nonzero last one, not {entry!r}")
+        out.append((w[0] / w[2], w[1] / w[2]))
     return out
 
 

@@ -18,7 +18,7 @@ import itertools
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, isqrt, prod
+from math import factorial, isqrt, prod
 from typing import Optional, Sequence
 
 import numpy as np
@@ -132,7 +132,7 @@ class QuadTensor:
     T(X, ..., X, Y, ..., Y) reproduces the form.  ``entries`` maps (sorted
     d-tuple, sorted e-tuple) of coordinate indices to the coefficient that
     every ordering of the two tuples carries; ``bidegree`` is (d, e).
-    ``_grams`` keeps the tensor's Gram matrix per backend once
+    ``_grams`` keeps the tensor's dense 4^d x 4^e matrix per backend once
     :func:`_gram` has built it."""
 
     __slots__ = ("entries", "bidegree", "_grams")
@@ -167,85 +167,90 @@ _UNIT_FORM = unit_distance_form()
 _UNIT_TENSOR = polarize(_UNIT_FORM)
 
 
-@lru_cache(maxsize=None)
-def _sym_slots(d: int):
-    """The C(d + 3, 3) slots of the symmetric power Sym^d of R^4, the sorted
-    index d-tuples, as a map to their positions in lexicographic order; and
-    the 4^d ordered index tuples in layers ``(slots, coords)``: the first
-    ordering of every slot, then the second of every slot that has one,
-    and so on, each as its slots and a d x len(slots) array."""
-    index = {s: i for i, s in enumerate(itertools.combinations_with_replacement(range(4), d))}
-    groups = [sorted(set(itertools.permutations(s))) for s in index]
-    layers = [[(s, g[k]) for s, g in enumerate(groups) if len(g) > k]
-              for k in range(max(map(len, groups)))]
-    return index, [([s for s, _ in layer], np.array([p for _, p in layer], dtype=np.intp)
-                     .reshape(len(layer), d).T) for layer in layers]
-
-
-def _symmetric_products(w: np.ndarray, rows) -> np.ndarray:
-    """The symmetric products of vectors w of shape (..., V, 4) at the slots
-    of Sym^d R^4: after w's leading axes, one row per d-tuple
-    (i_1, ..., i_d) in ``rows`` of positions along V, holding at slot s the
-    sum over the distinct orderings (p_1, ..., p_d) of s of
-    w[i_1, p_1] ... w[i_d, p_d].  The products are taken one layer of
-    :func:`_sym_slots` and one factor at a time."""
-    rows = np.array(rows, dtype=np.intp).reshape(len(rows), -1)
-    out = None
-    for slots, coords in _sym_slots(rows.shape[1])[1]:
-        factors = [w[..., i[:, None], p] for i, p in zip(rows.T, coords)]
-        acc = factors[0] if factors else np.ones(w.shape[:-2] + (len(rows), 1), dtype=w.dtype)
-        for factor in factors[1:]:
-            acc = acc * factor
-        if out is None:
-            out = acc
-        else:
-            out[..., slots] += acc
-    return out
-
-
 def _gram(tensor: QuadTensor, exact: bool, d: int, e: int):
-    """The (d, e) tensor as a matrix on the slots of Sym^d and Sym^e; on the
-    exact backend cleared of denominators by the least positive integer,
-    returned with it (width: :func:`rigidview.linalg._int_array`).  Built
-    on the tensor's first use on a backend and kept in it, read-only.
-    Raises ValueError unless the tensor is of bidegree (d, e)."""
+    """The (d, e) tensor as a dense 4^d x 4^e matrix T, every ordering of
+    each entry's two index tuples filled in: with X_a and X_b the outer
+    products of the cofactor vectors of two rows, T(w_i1, ..., w'_ke) is
+    X_a T X_b^T.  On the exact backend cleared of denominators by the least
+    positive integer, returned with it (width:
+    :func:`rigidview.linalg._int_array`).  Built on the tensor's first use
+    on a backend and kept in it, read-only.  Raises ValueError unless the
+    tensor is of bidegree (d, e)."""
     if tensor.bidegree != (d, e):
         raise ValueError(f"a tensor of bidegree {tensor.bidegree} where {(d, e)} is needed")
     if exact in tensor._grams:
         return tensor._grams[exact]
-    slots_a, slots_b = _sym_slots(d)[0], _sym_slots(e)[0]
-    coefs = {}
+    gram = np.zeros((4,) * (d + e), dtype=object)
     for (p, r), coef in tensor.entries.items():
-        key = (slots_a[tuple(sorted(p))], slots_b[tuple(sorted(r))])
-        coefs[key] = coefs.get(key, 0) + coef
-    cleared, den = _cleared([Fraction(c) for c in coefs.values()])
-    gram = np.zeros((len(slots_a), len(slots_b)), dtype=object if exact else np.float64)
-    for key, coef, c in zip(coefs, coefs.values(), cleared):
-        gram[key] = int(c) if exact else float(coef)
-    gram = _int_array(gram) if exact else gram
+        for pp, rr in itertools.product(set(itertools.permutations(p)),
+                                        set(itertools.permutations(r))):
+            gram[pp + rr] += coef
+    values = gram.ravel().tolist()
+    cleared, den = _cleared(values)
+    gram = _int_array([int(c) for c in cleared]) if exact else np.array(values, dtype=np.float64)
+    gram = gram.reshape(4 ** d, 4 ** e)
     gram.flags.writeable = False
     tensor._grams[exact] = (gram, den if exact else None)
     return tensor._grams[exact]
 
 
+@lru_cache(maxsize=64)
+def _row_plan(rows: tuple):
+    """For rows, e-tuples of vector positions: the positions that some row
+    reads, in order; the column of each row among the e-fold products of
+    those vectors that :func:`_contract` forms, the row's places among them
+    read as the digits of a number, the first the most significant; and e."""
+    used, e = sorted({k for row in rows for k in row}), len(rows[0])
+    index = np.array([[used.index(k) for k in row] for row in rows], dtype=np.intp)
+    at = index.reshape(len(rows), e) @ len(used) ** np.arange(e - 1, -1, -1)
+    at.flags.writeable = False
+    return tuple(used), at, e
+
+
+def _contract(t: np.ndarray, w: np.ndarray, rows, primes: Optional[np.ndarray] = None):
+    """The values of tensors t, one per row, at the rows of each group of
+    vectors w: t has shape (B, M, 4^e), w shape (B, P, V, 4), and the value
+    of row m at an e-tuple (k_1, ..., k_e) in ``rows`` (positions along V)
+    and group p is t_m(w_pk1, ..., w_pke); shape (B, M, P, len(rows)).  The
+    last axis of length 4 of t is contracted with each group's vectors that
+    some row reads, one factor at a time (W Q W^T for e = 2), so that every
+    sum has 4 terms; with ``primes``, B primes as int64, every factor is
+    reduced modulo them."""
+    used, at, e = _row_plan(tuple(rows))
+    if len(used) < w.shape[2]:
+        w = w[:, :, used]
+    b, m, size = t.shape
+    pairs, v = w.shape[1:3]
+    values = t.reshape(b, m, 1, size, 1)
+    if not e:
+        # no factor to contract: the tensor itself at every group
+        values = values.repeat(pairs, axis=2)
+    w = w.reshape(len(w), 1, pairs, 1, v, 4)
+    for s in range(e):
+        # the axes go from (4,) * (e - s) + (V,) * s to one 4 fewer, one V more
+        values = w @ values.reshape(values.shape[:3] + (4 ** (e - s - 1), 4, v ** s))
+        if primes is not None:
+            values %= primes.reshape(-1, 1, 1, 1, 1, 1)
+    return values.reshape(values.shape[:3] + (v ** e,))[..., at]
+
+
 def _value_bound(side_a, gram: np.ndarray, side_b) -> int:
-    """B = C(d+3, 3) C(e+3, 3) d! e! max|x|^d max|G| max|w|^e >= every
-    |value| of x^d G S_b^T.  Side a is ``(x, d)``: integers and a degree,
-    max|x| read over all of x, so that a side's whole w_a bounds
-    S_a G S_b^T too.  Side b is ``(w, rows)``: integer cofactor vectors and
-    rows of degree e.  An entry of x^d (of S_b) sums at most d! (e!)
-    products, and the contraction sums C(d+3, 3) (C(e+3, 3)) slots."""
+    """B = 4^(d+e) max|x|^d max|T| max|w|^e >= every |value| of
+    x^d T X_b^T.  Side a is ``(x, d)``: integers and a degree, max|x| read
+    over all of x, so that a side's whole w_a bounds X_a T X_b^T too.
+    Side b is ``(w, rows)``: integer cofactor vectors and rows of degree e.
+    A value sums the 4^(d+e) entries of T, each times d coordinates of x
+    and e of w."""
     (x, d), (w, rows) = side_a, side_b
     e = len(rows[0])
-    return (comb(d + 3, 3) * comb(e + 3, 3) * factorial(d) * factorial(e)
-            * _max_abs(x) ** d * _max_abs(gram) * _max_abs(w) ** e)
+    return 4 ** (d + e) * _max_abs(x) ** d * _max_abs(gram) * _max_abs(w) ** e
 
 
 # The verdict primes: the primes below 2^29 in descending order, found on
 # demand and kept (one fixed sequence, so every caller may share it).
 # Residues are below 2^29, so a product of two is below 2^58, and a sum of
-# fewer than 32 such products is below 2^63: the residue contraction is
-# exact in int64 while each of its sums has fewer than 32 terms.
+# four such products is below 2^60: the residue contraction, four
+# coordinates at a time (:func:`_contract`), is exact in int64.
 _VERDICT_PRIME_LIMIT = 2 ** 29
 _VERDICT_PRIMES = []
 
@@ -270,65 +275,28 @@ def _residues(values: np.ndarray, primes: np.ndarray) -> np.ndarray:
     return (values % primes.reshape(primes.shape + (1,) * values.ndim)).astype(np.int64, copy=False)
 
 
-@lru_cache(maxsize=None)
-def _slot_maps(d: int):
-    """The slots of Sym^d R^4, in :func:`_sym_slots` order, as a d x slots
-    array of their coordinate indices and the number of distinct orderings
-    of each; and the slot of every ordered index d-tuple, as an array of
-    shape (4,) * d."""
-    index = _sym_slots(d)[0]
-    coords = np.array(list(index), dtype=np.intp).reshape(len(index), d).T
-    counts = np.array([len(set(itertools.permutations(s))) for s in index], dtype=np.int64)
-    ordered = np.array([index[tuple(sorted(p))] for p in itertools.product(range(4), repeat=d)],
-                       dtype=np.intp).reshape((4,) * d)
-    return coords, counts, ordered
-
-
 def _residue_nonzero(side_a, gram: np.ndarray, side_b, primes) -> bool:
-    """Whether some value of x^d G S_b^T is nonzero modulo one of the
+    """Whether some value of x^d T X_b^T is nonzero modulo one of the
     primes: side a is ``(x, d)``, one integer 4-vector and its degree, and
     side b is ``(w, rows)``, integer cofactor vectors of shape (camera
-    pairs, 6, 4) and rows of degree e.  For all primes at once in int64:
-    the symmetric power x^d (its slots' orderings times their monomials),
-    t = x^d G, and t read as the symmetric tensor Q on (R^4)^e,
-    Q[a_1, ..., a_e] = t[slot(a_1, ..., a_e)].  Q(w_i1, ..., w_ie) is
-    t S_b^T at row (i1, ..., ie), and it is taken for all six vectors of
-    every camera pair of b, one factor at a time (W Q W^T for e = 2).
-    Residues are below 2^29: every product is below 2^58, x^d G sums at
-    most 20 of them and each factor of the contraction 4."""
+    pairs, 6, 4) and rows of degree e.  For all primes at once in int64, by
+    two calls of :func:`_contract`: t = x^d T, the rows of T^T at x, then
+    t at the rows of every camera pair of b."""
     primes = np.array(primes, dtype=np.int64)
-    mod = primes[:, None]
     (x, d), (w, rows) = side_a, side_b
-    coords, counts, _ = _slot_maps(d)
-    power, r = counts % mod, _residues(x, primes)
-    for c in coords:
-        power = power * r[:, c] % mod
-    e = len(rows[0])
-    t = (power[:, None] @ _residues(gram, primes))[:, 0] % mod
-    values = t[:, _slot_maps(e)[2]].reshape(len(primes), 1, 4 ** e)
-    w = _residues(w, primes)[:, :, None]
-    mod = mod.reshape(-1, 1, 1, 1, 1)
-    for s in range(e):
-        # contract the last axis of length 4 with each pair's vectors: the
-        # axes go from (4,) * (e - s) + (6,) * s to one 4 fewer, one 6 more
-        shape = values.shape[:2] + (4 ** (e - s - 1), 4, 6 ** s)
-        values = w @ values.reshape(shape) % mod
-    at = np.array(rows, dtype=np.intp).reshape(len(rows), e) @ 6 ** np.arange(e - 1, -1, -1)
-    return bool(values.reshape(values.shape[:2] + (6 ** e,))[:, :, at].any())
+    x = _residues(x, primes).reshape(len(primes), 1, 1, 4)
+    t = _contract(_residues(gram.T, primes), x, [(0,) * d], primes)
+    t = t.reshape(len(primes), 1, gram.shape[1])
+    return bool(_contract(t, _residues(w, primes), rows, primes).any())
 
 
 def _residues_vanish(side_a, gram: np.ndarray, side_b, primes: list, bound: int) -> bool:
-    """Whether every value of x^d G S_b^T is zero (sides as in
+    """Whether every value of x^d T X_b^T is zero (sides as in
     :func:`_residue_nonzero`), given a bound on every |value|: the residues
     modulo the first prime alone, then, only if they all vanish, modulo the
     other primes at once.  A nonzero residue proves a nonzero value; all
     residues zero prove the values zero only because the primes' product
-    exceeds the bound, so a smaller prime set raises.  So does a side of
-    degree above 3: x^d G would sum over C(d+3, 3) >= 35 slots.  (Up to
-    degree 3 the sums have at most 20 terms.)"""
-    if max(side_a[1], len(side_b[1][0])) > 3:
-        raise ValueError("sums of 35 residue products can overflow int64: the residue test "
-                         "takes degrees up to 3 on each side")
+    exceeds the bound, so a smaller prime set raises."""
     if prod(primes) <= bound:
         raise ValueError(f"the product of {len(primes)} primes does not exceed the "
                          f"{bound.bit_length()}-bit bound: zero residues would not prove "
@@ -338,11 +306,11 @@ def _residues_vanish(side_a, gram: np.ndarray, side_b, primes: list, bound: int)
 
 
 def _spanning_vector(vectors, rows):
-    """For a consistent side, a vector that spans the row space of S
-    through its symmetric power: the first vector of the first row, camera
+    """For a consistent side, a vector that spans the row space of X
+    through its outer power: the first vector of the first row, camera
     pairs in the order of ``vectors`` (an iterable of 6x4 integer arrays,
     read only as far as needed), whose vectors are all nonzero.  None when
-    no row has that, so that S is zero."""
+    no row has that, so that X is zero."""
     for w in vectors:
         nonzero = (w != 0).any(axis=1).tolist()
         for row in rows:
@@ -367,25 +335,28 @@ def _row_set_indices(set_a, set_b) -> list:
 
 class OcticEngine:
     """Values of bihomogeneous forms at cofactor vectors, by contraction
-    with the Gram matrix of the form's polarization.
+    with the dense matrix of the form's polarization.
 
     A block ``(a, b, tensor)`` pairs image tuples a and b with the tensor T
     of a (d, e) form; a value T(w_i1, ..., w_id, w'_k1, ..., w'_ke) takes d
     cofactor vectors of one camera pair in tuple a and e of a pair in tuple
     b.  Each image tuple has a row set ``(pairs, rows)``: camera pairs
-    (j, k) and rows, d-tuples of cofactor-row indices.  Its matrix S has
-    one row per camera pair and row, camera pairs outermost, holding the
-    symmetric products of the row's vectors at the C(d+3, 3) slots of
-    Sym^d R^4 (:func:`_symmetric_products`).  A block of values is
-    S_a G S_b^T, G the tensor on the slots, regrouped so that each camera
-    pair of a and each of b gives one row of values.  The octic families
-    take d = e = 2 and row pairs (i1, i2); GENERAL_DE takes rows (i,) * d,
-    whose value is the form itself at w_i and w'_k.
+    (j, k) and rows, d-tuples of cofactor-row indices.  T is a dense
+    4^d x 4^e matrix, every ordering of each entry's index tuples filled in
+    (:func:`_gram`): 4^(d+e) entries, 256 for the octics and 1024 for
+    bidegree (3, 2) or (4, 1).  With X_a the outer products of the rows'
+    vectors of side a, a block of values is X_a T X_b^T, and
+    :func:`_contract` forms it one factor at a time: it contracts the rows
+    of T^T with each camera pair's vectors of a, giving t = X_a T, one
+    tensor per row of a, and then t with each camera pair's vectors of b.
+    Each camera pair of a and each of b gives one row of values.  The octic families take d = e = 2 and
+    row pairs (i1, i2); GENERAL_DE takes rows (i,) * d, whose value is the
+    form itself at w_i and w'_k.
 
     Cofactor vectors come from :meth:`CameraRig.cofactor_vectors`.  The
-    exact backend computes on integers: G is cleared too, and each
+    exact backend computes on integers: T is cleared too, and each
     camera-pair row of values comes with the positive integer it was
-    multiplied by, divided out only in :meth:`evaluate`.  G is int64 or
+    multiplied by, divided out only in :meth:`evaluate`.  T is int64 or
     Python ints by :func:`rigidview.linalg._int_array`'s rule; w is int64
     only when a bound on its sums is below ``INT64_LIMIT``.  :meth:`cleared`
     multiplies as Python ints.  Floats go through float64.
@@ -393,22 +364,20 @@ class OcticEngine:
     The exact zero test, :meth:`vanishes`, forms no value and needs side a
     of each block consistent.  Then every cofactor vector of a is c_i x,
     x its one world point up to scale (:func:`multiview_membership`), so
-    the row of vectors i_1, ..., i_d of S_a is c_i1 ... c_id x^d: S_a is
-    zero when no row has all its vectors nonzero, and otherwise the block
-    is zero exactly when x^d G S_b^T is, x any nonzero cofactor vector of
-    a.  Those values are Q(w_i1, ..., w_ie), Q the symmetric tensor read
-    from t = x^d G (Q[a, b] = t[slot(a, b)] for the octics): W Q W^T per
-    camera pair of b, with no symmetric product and no elimination
-    (:func:`_residue_nonzero`).  Each is at most B = C(d+3, 3) C(e+3, 3)
-    d! e! max|x|^d max|G| max|w_b|^e in magnitude (400 max|x|^2 max|G|
-    max|w_b|^2 for the octics), never more than with max|w_a|.  The test
-    reduces x, G and w_b modulo fixed primes below 2^29, descending from
-    2^29, and contracts in int64: products are below 2^58, x^d G sums at
-    most C(3+3, 3) = 20 of them and each factor of Q sums 4, so every sum
-    is below 2^63; a degree above 3 raises.  The first prime alone settles
-    almost every nonzero block; a zero block needs all residues zero
-    modulo primes whose product exceeds B, and is then zero by the
-    Chinese remainder theorem.
+    the row of vectors i_1, ..., i_d of X_a is c_i1 ... c_id x^d, the outer
+    power of x: X_a is zero when no row has all its vectors nonzero, and
+    otherwise the block is zero exactly when x^d T X_b^T is, x any nonzero
+    cofactor vector of a.  The same :func:`_contract` takes t = x^d T and
+    its values at every camera pair of b, on residues
+    (:func:`_residue_nonzero`), with no elimination.  Each value is at most
+    B = 4^(d+e) max|x|^d max|T| max|w_b|^e in magnitude (256 max|x|^2
+    max|T| max|w_b|^2 for the octics), never more than with max|w_a|.  The
+    test reduces x, T and w_b modulo fixed primes below 2^29, descending
+    from 2^29, and contracts in int64: products are below 2^58 and every
+    sum has 4 terms, so it is below 2^60, at any degree.  The first prime
+    alone settles almost every nonzero block; a zero block needs all
+    residues zero modulo primes whose product exceeds B, and is then zero
+    by the Chinese remainder theorem.
     """
 
     __slots__ = ("exact", "rig", "row_sets", "blocks")
@@ -445,18 +414,21 @@ class OcticEngine:
         a and of b (b fastest), each row multiplied on the exact backend by
         the positive integer at the same place in ``factors`` (None on the
         float backend)."""
-        products = []
-        for (w, f), (_, rows) in zip(self._cofactors(tuples), self.row_sets):
-            # as Python ints: products of int64 entries can overflow
-            s = _symmetric_products(w if f is None else w.astype(object), rows)
-            products.append((s.reshape(-1, s.shape[-1]), None if f is None else f ** len(rows[0])))
+        cofactors = self._cofactors(tuples)
         out = []
         for a, b, gram, den in self.blocks:
-            (s_a, f_a), (s_b, f_b) = products[a], products[b]
+            (w_a, f_a), (w_b, f_b) = cofactors[a], cofactors[b]
             (pairs_a, rows_a), (pairs_b, rows_b) = self.row_sets[a], self.row_sets[b]
-            values = (s_a @ gram @ s_b.T).reshape(len(pairs_a), len(rows_a), len(pairs_b), -1)
+            if f_a is not None:
+                # as Python ints: products of int64 entries can overflow
+                w_a, w_b = w_a.astype(object), w_b.astype(object)
+            # t = X_a T: the rows of T^T at the rows of a, then t at those of b
+            t = _contract(gram.T[None], w_a[None], rows_a)[0]
+            values = _contract(t.reshape(len(t), -1).T[None], w_b[None], rows_b)[0]
+            values = values.reshape(len(pairs_a), len(rows_a), len(pairs_b), len(rows_b))
             values = values.transpose(0, 2, 1, 3).reshape(len(pairs_a) * len(pairs_b), -1)
-            out.append((values, None if f_a is None else den * np.outer(f_a, f_b).ravel()))
+            out.append((values, None if f_a is None else
+                        den * np.outer(f_a ** len(rows_a[0]), f_b ** len(rows_b[0])).ravel()))
         return out
 
     def vanishes(self, memberships) -> bool:
@@ -465,7 +437,7 @@ class OcticEngine:
         holds one :func:`multiview_membership` result per row set, and the
         vectors are read from their cofactor passes, so no camera pair's
         vectors are computed twice.  Side a of every block must be
-        consistent, else ValueError.  A block whose S_a is zero, or whose
+        consistent, else ValueError.  A block whose X_a is zero, or whose
         bound B is 0, vanishes with no prime."""
         if not self.exact:
             raise BackendError("the residue zero test needs the exact backend")
@@ -701,15 +673,16 @@ def rigid_pair_by_equations(rig: CameraRig, u, v,
     The exact verdict is :meth:`OcticEngine.vanishes` on the two
     :func:`multiview_membership` results, whose cofactor passes give it
     every vector.  u is consistent, so its vectors are multiples of its
-    world point x, and every octic vanishes exactly when Q[a, b] =
-    (x^2 G)[slot(a, b)] makes W_b Q W_b^T zero at the family's rows for
-    every camera pair b of v (or no family row of u has both vectors
-    nonzero).  Residues modulo fixed primes below 2^29 decide it: a
-    nonzero residue proves a nonzero octic, and all residues zero modulo
-    primes whose product exceeds B = 400 max|x|^2 max|G| max|w_v|^2 prove
-    every octic zero.  Every octic is tested, not q(X, Y) at triangulated
-    points, which is the oracle.  The unit tensor's Gram matrix is built
-    on the first call and kept."""
+    world point x, and every octic vanishes exactly when Q = x^2 T, the
+    dense 16 x 16 tensor T contracted twice with x and read as a 4 x 4
+    matrix, makes W_b Q W_b^T zero at the family's rows for every camera
+    pair b of v (or no family row of u has both vectors nonzero).
+    Residues modulo fixed primes below 2^29 decide it: a nonzero residue
+    proves a nonzero octic, and all residues zero modulo primes whose
+    product exceeds B = 256 max|x|^2 max|T| max|w_v|^2 prove every octic
+    zero.  Every octic is tested, not q(X, Y) at triangulated points, which
+    is the oracle.  The unit tensor's dense matrix is built on the first
+    call and kept."""
     family = Family(family)
     if family not in _OCTIC_FAMILIES:
         raise ValueError("membership by equations uses an octic family")

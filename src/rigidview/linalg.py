@@ -48,10 +48,13 @@ def encode_scalar(x: Scalar):
 
 
 def decode_scalar(v, backend: str = EXACT) -> Scalar:
-    """Scalar from its JSON form; NaN and infinities raise ValueError.
+    """Scalar from its JSON form: a number or a string; NaN, infinities,
+    null, booleans and any other value raise ValueError.
 
     On the exact backend a float is read as the shortest decimal that
     round-trips to it (``repr``), so 0.1 is 1/10 and 1e-13 is 1/10^13."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, Fraction, str)):
+        raise ValueError(f"scalar {v!r} is not a number or a string")
     if isinstance(v, float) and not isfinite(v):
         raise ValueError(f"scalar {v} is not finite")
     if backend == FLOAT:

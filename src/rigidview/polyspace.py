@@ -12,9 +12,10 @@ the conjectured minimal generators per degree class.
 The cofactor vectors come from the signed 3x3 camera minors that the rig
 stores (:meth:`rigidview.cameras.CameraRig.minor_table`), and the octics
 from the contraction that :class:`rigidview.constraints.OcticEngine` evaluates
-numerically: ``S_u G S_v^T``, with S holding the symmetric products of a
-camera pair's cofactor vectors as coefficients over the 36 monomials of
-bidegree (2, 2) in its two image points.
+numerically: ``X_u T X_v^T``, T the dense 16 x 16 matrix of the form's
+polarization and X holding the outer products of a camera pair's cofactor
+vectors as coefficients over the 36 monomials of bidegree (2, 2) in its two
+image points.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cameras import CameraRig
-from .constraints import (QuadTensor, _ROW_PAIRS, _gram, _symmetric_products, polarize,
-                          unit_distance_form)
+from .constraints import QuadTensor, _ROW_PAIRS, _gram, polarize, unit_distance_form
 from .linalg import (EXACT, INT64_LIMIT, Scalar, _bareiss_echelon, _int_array,
                      _is_probable_prime, _max_abs, decode_scalar, encode_scalar)
 
@@ -259,29 +259,26 @@ def _fold_map():
 _FOLD_ORDER, _FOLD_STARTS = _fold_map()
 
 
-def _sym_products(rig: CameraRig, j: int, k: int):
-    """S for camera pair (j, k): a 21 x 10 x 36 array of ints whose entry
-    [r, s, m] is the coefficient of bidegree-(2, 2) monomial m in the
-    symmetric product of cofactor vectors i1, i2 (row pair r) at slot
-    s = (p, q) of the symmetric square, w_i1[p] w_i2[q] + w_i1[q] w_i2[p]
-    (one product when p = q), and the positive integer it is multiplied by.
+def _outer_rows(rig: CameraRig, j: int, k: int):
+    """X for camera pair (j, k): a 21 x 16 x 36 array of ints whose entry
+    [r, (p, q), m] is the coefficient of bidegree-(2, 2) monomial m in
+    w_i1[p] w_i2[q], the outer product of cofactor vectors i1, i2 (row
+    pair r), and the positive integer it is multiplied by.
 
     The cofactor vectors are bilinear in (u_j, u_k) with the coefficients of
     the rig's cleared minor table, taken as Python ints so that no product
     can overflow."""
     table, den = rig.minor_table(j, k)
-    # vectors 0-5 at coefficient e1 and 6-11 at e2, so that the products run
-    # over all 9 x 9 pairs (e1, e2), then folded onto the 36 monomials
-    coefs = table.astype(object).transpose(2, 0, 1)
-    w = np.concatenate(np.broadcast_arrays(coefs[:, None], coefs[None, :]), axis=2)
-    s = _symmetric_products(w, [(i1, 6 + i2) for i1, i2 in _ROW_PAIRS])
-    s = s.reshape(81, len(_ROW_PAIRS), 10).transpose(1, 2, 0)
-    return np.add.reduceat(s[..., _FOLD_ORDER], _FOLD_STARTS, axis=-1), den * den
+    # the products run over all 9 x 9 pairs of bilinear monomials, then are
+    # folded onto the 36 monomials
+    c, (i1, i2) = table.astype(object), np.array(_ROW_PAIRS).T
+    x = (c[i1, :, None, :, None] * c[i2, None, :, None, :]).reshape(len(_ROW_PAIRS), 16, 81)
+    return np.add.reduceat(x[..., _FOLD_ORDER], _FOLD_STARTS, axis=-1), den * den
 
 
 def _side_exponents(n: int, j: int, k: int) -> list:
     """The 36 bidegree-(2, 2) monomials in the points of cameras j and k as
-    exponent vectors over one side's 3n variables, in the column order of S."""
+    exponent vectors over one side's 3n variables, in the column order of X."""
     out = []
     for mj, mk in itertools.product(_DEG2, repeat=2):
         exps = [0] * (3 * n)
@@ -295,9 +292,9 @@ def _side_exponents(n: int, j: int, k: int) -> list:
 def _contract_octics(rig: CameraRig, tensor: QuadTensor, pair_u, pair_v,
                      rows_u, rows_v) -> list:
     """The octics of every row pair in ``rows_u`` (positions in _ROW_PAIRS)
-    against every one in ``rows_v``, as S_u G S_v^T: the coefficient of
+    against every one in ``rows_v``, as X_u T X_v^T: the coefficient of
     monomial (m_u, m_v) in the octic of row pairs (r_u, r_v) is the sum over
-    s, t of S_u[r_u, s, m_u] G[s, t] S_v[r_v, t, m_v], computed on cleared
+    s, t of X_u[r_u, s, m_u] T[s, t] X_v[r_v, t, m_v], computed on cleared
     integers over the product of the three clearing factors.  Each octic is
     its cleared row of these integers: with g the gcd of the clearing factor
     and the row's entries, the entries over g and the factor over g.  Raises
@@ -306,8 +303,8 @@ def _contract_octics(rig: CameraRig, tensor: QuadTensor, pair_u, pair_v,
         raise ValueError("symbolic expansion needs an exact rig")
     n = rig.n
     gram, den = _gram(tensor, True, 2, 2)
-    s_u, den_u = _sym_products(rig, *pair_u)
-    s_v, den_v = (s_u, den_u) if tuple(pair_v) == tuple(pair_u) else _sym_products(rig, *pair_v)
+    x_u, den_u = _outer_rows(rig, *pair_u)
+    x_v, den_v = (x_u, den_u) if tuple(pair_v) == tuple(pair_u) else _outer_rows(rig, *pair_v)
     den *= den_u * den_v
     exps = [h + t for h in _side_exponents(n, *pair_u) for t in _side_exponents(n, *pair_v)]
     degree = multidegree_of(exps[0])
@@ -315,8 +312,8 @@ def _contract_octics(rig: CameraRig, tensor: QuadTensor, pair_u, pair_v,
     basis, index = _basis_index(n, degree)
     perm = np.array([index[e] for e in exps], dtype=np.min_scalar_type(len(basis)))
 
-    a = s_u[rows_u].transpose(0, 2, 1).reshape(-1, 10) @ gram
-    b = s_v[rows_v].transpose(0, 2, 1).reshape(-1, 10)
+    a = x_u[rows_u].transpose(0, 2, 1).reshape(-1, 16) @ gram
+    b = x_v[rows_v].transpose(0, 2, 1).reshape(-1, 16)
     # No partial sum of a row of a times a row of b, and no entry of either,
     # exceeds this bound: each factor counts as at least 1, so an all-zero
     # operand (a pair whose 6x4 stack has rank below 3) cannot let the other
@@ -387,7 +384,7 @@ def all_octics_symbolic(rig: CameraRig, tensor: QuadTensor,
                         pair_u=(0, 1), pair_v=(0, 1)) -> list:
     """All 441 symbolic octics of one camera-pair-of-pairs (row index pairs
     i1 <= i2 and i3 <= i4 over the six rows of each side, i3, i4 varying
-    fastest), assembled as one integer contraction ``S_u G S_v^T``."""
+    fastest), assembled as one integer contraction ``X_u T X_v^T``."""
     rows = np.arange(len(_ROW_PAIRS))
     return _contract_octics(rig, tensor, pair_u, pair_v, rows, rows)
 

@@ -9,14 +9,14 @@ matrix and failure bounds."""
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, log2
+from math import lcm, log2, prod
 from operator import attrgetter
 
 import numpy as np
 
 from rigidview.cameras import (_MINOR_INDEX, _MINOR_ROWS, _MINOR_SIGN, CameraRig,
                                ProjectivePoint, _det3)
-from rigidview.constraints import OcticEngine, _residues, _symmetric_products
+from rigidview.constraints import OcticEngine, _residues
 from rigidview.linalg import EXACT, FLOAT, Mat, det, rank, signed_maximal_minors
 from rigidview.polyspace import RANK_PRIME_COUNT, MultiHomogPoly, _shared_degree, monomial_basis
 from rigidview.triangulation import _cofactor_nonzero, _nonzero_cut
@@ -183,23 +183,34 @@ def engine_value(rig, tensor, u_sel, v_sel, u, v):
 
 
 def residue_products(w, rows, primes):
-    """S of integer vectors w at ``rows`` as exact Python-int symmetric
-    products, then reduced modulo each prime: shape (primes, rows, slots),
-    with the primes as an int64 array of shape (primes, 1, 1)."""
+    """X of integer vectors w of shape (..., 6, 4) at ``rows``: per vector
+    group and row (i_1, ..., i_d), the 4^d exact Python-int products
+    w[i_1, p_1] ... w[i_d, p_d], p_1 varying slowest; then reduced modulo
+    each prime: shape (primes, groups x rows, 4^d), with the primes as an
+    int64 array of shape (primes, 1, 1)."""
     primes = np.array(primes, dtype=np.int64)
-    s = _residues(_symmetric_products(np.asarray(w).astype(object), rows), primes)
-    return s.reshape(len(primes), -1, s.shape[-1]), primes.reshape(-1, 1, 1)
+    groups = np.asarray(w).astype(object).reshape(-1, 6, 4).tolist()
+    x = np.array([[prod(g[i][p] for i, p in zip(row, ps))
+                   for ps in itertools.product(range(4), repeat=len(row))]
+                  for g in groups for row in rows], dtype=object)
+    return _residues(x, primes), primes.reshape(-1, 1, 1)
+
+
+def _block(a, gram, b, mod):
+    """a G b^T modulo mod, per prime, as Python ints: a sum of 4^d residue
+    products can exceed int64."""
+    g = _residues(gram, mod.ravel()).astype(object)
+    return a.astype(object) @ g % mod @ b.transpose(0, 2, 1).astype(object) % mod
 
 
 def full_block_nonzero(side_a, gram, side_b, primes):
-    """Whether some value of S_a G S_b^T is nonzero modulo one of the
-    primes, from each prime's whole block, one prime at a time; each side
-    is ``(w, rows)``.  The reference for the rank-one contraction of
+    """Whether some value of X_a T X_b^T is nonzero modulo one of the
+    primes, from each prime's whole block; each side is ``(w, rows)``.  The
+    reference for the rank-one contraction of
     :func:`rigidview.constraints._residue_nonzero` and for
     :func:`row_basis_nonzero`."""
-    (s_a, mod), (s_b, _) = (residue_products(w, rows, primes) for w, rows in (side_a, side_b))
-    t_a = s_a @ _residues(gram, mod.ravel()) % mod
-    return any((t @ s.T % p).any() for t, s, p in zip(t_a, s_b, mod.ravel().tolist()))
+    (x_a, mod), (x_b, _) = (residue_products(w, rows, primes) for w, rows in (side_a, side_b))
+    return bool(_block(x_a, gram, x_b, mod).any())
 
 
 def row_basis(s, mod):
@@ -228,14 +239,13 @@ def row_basis(s, mod):
 
 
 def row_basis_nonzero(side_a, gram, side_b, primes):
-    """Whether some value of S_a G S_b^T is nonzero modulo one of the
+    """Whether some value of X_a T X_b^T is nonzero modulo one of the
     primes, for sides ``(w, rows)`` of any rank: modulo p the block is
-    zero exactly when B_a G S_b^T is, the rows of B_a spanning the row
-    space of S_a mod p (:func:`row_basis`).  The row-basis form of the
+    zero exactly when B_a T X_b^T is, the rows of B_a spanning the row
+    space of X_a mod p (:func:`row_basis`).  The row-basis form of the
     residue test, for a side a that need not be consistent."""
-    (s_a, mod), (s_b, _) = (residue_products(w, rows, primes) for w, rows in (side_a, side_b))
-    t_a = row_basis(s_a, mod) @ _residues(gram, mod.ravel()) % mod
-    return bool((t_a @ s_b.transpose(0, 2, 1) % mod).any())
+    (x_a, mod), (x_b, _) = (residue_products(w, rows, primes) for w, rows in (side_a, side_b))
+    return bool(_block(row_basis(x_a, mod), gram, x_b, mod).any())
 
 
 def tensor_value(tensor, a, b, c, d):

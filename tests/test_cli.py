@@ -133,6 +133,43 @@ class TestNonFiniteInput:
         assert capsys.readouterr().err.startswith("error:")
 
 
+class TestMalformedInput:
+    """JSON of the wrong kind is an input error, refused where it is read:
+    exit 2 and an "error:" line, never exit 1 with a traceback."""
+
+    @pytest.fixture
+    def rig_file(self, tmp_path, capsys):
+        path = tmp_path / "rig.json"
+        main(["--seed", "3", "--json-out", str(path), "gen-rig", "--n", "2"])
+        capsys.readouterr()
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--u", "5", "--v", "[[1, 2, 3], [4, 5, 6]]"],
+        ["project", "--point", "[1, null, 0, 1]"],
+        ["project", "--point", "[1, true, 0, 1]"],
+        ["triangulate", "--tuple", "[[1, 2, 3], 7]"],
+        ["refine", "--u", "[5, 6]", "--v", "[[1, 2], [3, 4]]"],
+        ["refine", "--u", "[[1, 2, 0], [1, 2]]", "--v", "[[1, 2], [3, 4]]"],
+    ], ids=["check-scalar-tuple", "project-null", "project-boolean", "triangulate-scalar-point",
+            "refine-scalar-observations", "refine-point-at-infinity"])
+    def test_malformed_argument_exits_two(self, rig_file, capsys, argv):
+        code = main(argv[:1] + ["--rig", rig_file] + argv[1:])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("doc", [{"cameras": 5}, {"cameras": [5, 6]}, [1, 2]],
+                             ids=["scalar-cameras", "scalar-camera", "array-rig"])
+    def test_malformed_rig_exits_two(self, tmp_path, capsys, doc):
+        path = tmp_path / "rig.json"
+        path.write_text(json.dumps(doc))
+        code = main(["project", "--rig", str(path), "--point", "[1, 0, 0, 1]"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and captured.err.startswith("error:")
+
+
 class TestCheck:
     @pytest.fixture
     def setup(self, tmp_path, capsys):

@@ -933,26 +933,72 @@ class TestResidueVerdict:
             assert verdicts[-1] == (not values.any())
         assert verdicts == [True, False]
 
-    def test_degree_four_side_is_refused(self):
-        # 35 slots of Sym^4: a sum of 35 residue products can reach 2^63
-        rig = random_rig(random.Random(593), 2)
-        u = forward_map(rig, ProjectivePoint(random_world_point(random.Random(599))))
-        form = BihomForm((4, 1), {((4, 0, 0, 0), (1, 0, 0, 0)): 1, ((0, 0, 0, 4), (0, 0, 0, 1)): 1})
-        row_sets = [([(0, 1)], [(0,) * 4]), ([(0, 1)], [(1,)])]
-        engine = constraints.OcticEngine(rig, row_sets, [(0, 1, polarize(form))])
-        assert engine.evaluate((u, u)) != [0]
-        with pytest.raises(ValueError, match="overflow int64"):
-            engine.vanishes(_memberships(rig, u, u))
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("degrees", [(4, 1), (1, 4)])
+    def test_degree_four_side_equals_the_full_block(self, degrees, n):
+        # F = (X_0^2 + X_1 X_2 + X_3^2) X_3 (X_0 Y_3 - X_3 Y_0), zero when the
+        # two points share their first affine coordinate, and F with X and Y
+        # swapped: T has 4^5 = 1024 entries, and a value sums 256 products
+        # on the degree-four side, but the residue contraction sums four at
+        # a time.  The verdict equals the full-block reference at the primes
+        # of the max|w_u| bound and the values; the x bound is below that
+        # bound, and that bound is above every cleared value.
+        y0, y3 = (1, 0, 0, 0), (0, 0, 0, 1)
+        form = BihomForm((4, 1), {((3, 0, 0, 1), y3): 1, ((2, 0, 0, 2), y0): -1,
+                                  ((1, 1, 1, 1), y3): 1, ((0, 1, 1, 2), y0): -1,
+                                  ((1, 0, 0, 3), y3): 1, ((0, 0, 0, 4), y0): -1})
+        if degrees == (1, 4):
+            form = BihomForm((1, 4), {(b, a): c for (a, b), c in form.coeffs.items()})
+        rows_four = [(0, 0, 0, 0), (0, 1, 2, 3), (1, 1, 4, 5), (2, 3, 3, 5), (5, 5, 5, 5)]
+        rows_one = [(i,) for i in range(6)]
+        rows_u, rows_v = (rows_four, rows_one) if degrees == (4, 1) else (rows_one, rows_four)
+        verdicts = set()
+        for name, rig in _residue_rigs(n).items():
+            rng = random.Random(f"degree-four:{name}:{n}:{degrees}")
+            cameras = constraints._camera_pairs(n)
+            engine = constraints.OcticEngine(rig, [(cameras, rows_u), (cameras, rows_v)],
+                                             [(0, 1, polarize(form))])
+            gram = engine.blocks[0][2]
+            assert gram.shape == (4 ** degrees[0], 4 ** degrees[1])
+            cases = _residue_inputs(rig, rng)
+            for _ in range(2):
+                x = ProjectivePoint(random_world_point(rng))
+                k = rng.randint(1, 3)
+                same = (k * x[0], rng.randint(-9, 9), rng.randint(-9, 9), k * x[3])
+                cases.append((forward_map(rig, x), forward_map(rig, ProjectivePoint(same))))
+            for u, v in cases:
+                memberships = _memberships(rig, u, v)
+                if not memberships[0].ok:
+                    continue
+                ((values, _),) = engine.cleared((u, v))
+                (w_u, _), (w_v, _) = engine._cofactors((u, v))
+                full_bound = constraints._value_bound((w_u, degrees[0]), gram, (w_v, rows_v))
+                assert max(map(abs, values.ravel().tolist())) <= full_bound
+                want = not (full_bound and full_block_nonzero(
+                    (w_u, rows_u), gram, (w_v, rows_v), constraints._verdict_primes(full_bound)))
+                verdict = engine.vanishes(memberships)
+                assert verdict == want == (not values.any())
+                verdicts.add(verdict)
+                x = constraints._spanning_vector(w_u, rows_u)
+                if x is None:
+                    continue
+                side_a, side_b = (x, degrees[0]), (w_v, rows_v)
+                bound = constraints._value_bound(side_a, gram, side_b)
+                assert bound <= full_bound
+                assert constraints._residues_vanish(
+                    side_a, gram, side_b, constraints._verdict_primes(bound), bound) == want
+        assert verdicts == {True, False}
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_consistent_side_reduces_to_one_row(self, n, monkeypatch):
         # on a consistent tuple every cofactor vector is a multiple of the
         # one world point, so side u enters each prime as one nonzero vector
-        # x that every vector of u is a multiple of: no symmetric product
-        # and no row basis
+        # x that every vector of u is a multiple of: every contraction is
+        # of T with x or of one tensor row x^2 T per prime, never of the
+        # rows of u, and there is no row basis
         assert not hasattr(constraints, "_row_basis")
         sides = count_calls(monkeypatch, constraints, "_residue_nonzero")
-        products = count_calls(monkeypatch, constraints, "_symmetric_products")
+        contractions = count_calls(monkeypatch, constraints, "_contract")
         seen = 0
         for name, rig in _residue_rigs(n).items():
             for u, v in _residue_inputs(rig, random.Random(f"{name}:{n}")):
@@ -967,7 +1013,8 @@ class TestResidueVerdict:
                         assert d == 2 and x.shape == (4,) and x.any()
                         assert all(_proportional(x.tolist(), y) for y in w_u.reshape(-1, 4).tolist())
                         seen += 1
-        assert products == [] and seen > 0
+        assert all(t.shape[1] == 1 or w.shape[1:3] == (1, 1) for t, w, *_ in contractions)
+        assert len(contractions) == 2 * seen and seen > 0
 
     def test_verdicts_build_the_gram_once(self, monkeypatch):
         rig = random_rig(random.Random(601), 3)
@@ -1049,9 +1096,8 @@ class TestRowBasis:
             sides = [(_ranked_w(rng, rng.randint(0, 10), big),
                       [tuple(sorted(rng.randrange(6) for _ in range(d))) for _ in range(5)])
                      for d in degrees]
-            shape = [len(constraints._sym_slots(d)[0]) for d in degrees]
-            gram = np.array([[rng.randint(-9, 9) for _ in range(shape[1])]
-                             for _ in range(shape[0])], dtype=np.int64)
+            gram = np.array([[rng.randint(-9, 9) for _ in range(4 ** degrees[1])]
+                             for _ in range(4 ** degrees[0])], dtype=np.int64)
             # a Gram that vanishes modulo 3 and 5 only
             for g in (gram, 15 * gram):
                 for primes in batches:
