@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, isqrt, prod
 from typing import Optional, Sequence
 
@@ -185,7 +184,7 @@ def _gram(tensor: QuadTensor, exact: bool, d: int, e: int):
         for pp, rr in itertools.product(set(itertools.permutations(p)),
                                         set(itertools.permutations(r))):
             gram[pp + rr] += coef
-    values = gram.ravel().tolist()
+    values = [Fraction(c) for c in gram.ravel().tolist()]
     cleared, den = _cleared(values)
     gram = _int_array([int(c) for c in cleared]) if exact else np.array(values, dtype=np.float64)
     gram = gram.reshape(4 ** d, 4 ** e)
@@ -194,44 +193,31 @@ def _gram(tensor: QuadTensor, exact: bool, d: int, e: int):
     return tensor._grams[exact]
 
 
-@lru_cache(maxsize=64)
-def _row_plan(rows: tuple):
-    """For rows, e-tuples of vector positions: the positions that some row
-    reads, in order; the column of each row among the e-fold products of
-    those vectors that :func:`_contract` forms, the row's places among them
-    read as the digits of a number, the first the most significant; and e."""
-    used, e = sorted({k for row in rows for k in row}), len(rows[0])
-    index = np.array([[used.index(k) for k in row] for row in rows], dtype=np.intp)
-    at = index.reshape(len(rows), e) @ len(used) ** np.arange(e - 1, -1, -1)
-    at.flags.writeable = False
-    return tuple(used), at, e
-
-
 def _contract(t: np.ndarray, w: np.ndarray, rows, primes: Optional[np.ndarray] = None):
     """The values of tensors t, one per row, at the rows of each group of
     vectors w: t has shape (B, M, 4^e), w shape (B, P, V, 4), and the value
     of row m at an e-tuple (k_1, ..., k_e) in ``rows`` (positions along V)
-    and group p is t_m(w_pk1, ..., w_pke); shape (B, M, P, len(rows)).  The
-    last axis of length 4 of t is contracted with each group's vectors that
-    some row reads, one factor at a time (W Q W^T for e = 2), so that every
-    sum has 4 terms; with ``primes``, B primes as int64, every factor is
+    and group p is t_m(w_pk1, ..., w_pke); shape (B, M, P, len(rows)).
+    The last axis of length 4 is contracted one factor at a time, so that
+    every sum has 4 terms: first with every vector of each group, once for
+    all rows that end in it, then row by row with the row's vectors
+    k_(e-1), ..., k_1.  With ``primes``, B primes as int64, every factor is
     reduced modulo them."""
-    used, at, e = _row_plan(tuple(rows))
-    if len(used) < w.shape[2]:
-        w = w[:, :, used]
+    rows = np.asarray(rows, dtype=np.intp).reshape(len(rows), -1)
     b, m, size = t.shape
-    pairs, v = w.shape[1:3]
-    values = t.reshape(b, m, 1, size, 1)
-    if not e:
-        # no factor to contract: the tensor itself at every group
-        values = values.repeat(pairs, axis=2)
-    w = w.reshape(len(w), 1, pairs, 1, v, 4)
-    for s in range(e):
-        # the axes go from (4,) * (e - s) + (V,) * s to one 4 fewer, one V more
-        values = w @ values.reshape(values.shape[:3] + (4 ** (e - s - 1), 4, v ** s))
+    values = t.reshape(b, m, 1, 1, size)
+    for s, k in enumerate(rows.T[::-1]):
+        # (B, M, P, R, 4^j) to (B, M, P, R, 4^(j-1)); R = V in the first step
+        vectors = w if s == 0 else w[:, :, k]
+        values = values.reshape(values.shape[:4] + (values.shape[4] // 4, 4))
+        values = (values @ vectors[:, None, :, :, :, None])[..., 0]
         if primes is not None:
-            values %= primes.reshape(-1, 1, 1, 1, 1, 1)
-    return values.reshape(values.shape[:3] + (v ** e,))[..., at]
+            values %= primes.reshape(-1, 1, 1, 1, 1)
+        if s == 0:
+            values = values[:, :, :, k]
+    values = values[..., 0]
+    # a row of degree 0 reads no vector: t_m itself at every group
+    return values if len(rows.T) else np.broadcast_to(values, (b, m, w.shape[1], len(rows)))
 
 
 def _value_bound(side_a, gram: np.ndarray, side_b) -> int:
@@ -285,8 +271,7 @@ def _residue_nonzero(side_a, gram: np.ndarray, side_b, primes) -> bool:
     primes = np.array(primes, dtype=np.int64)
     (x, d), (w, rows) = side_a, side_b
     x = _residues(x, primes).reshape(len(primes), 1, 1, 4)
-    t = _contract(_residues(gram.T, primes), x, [(0,) * d], primes)
-    t = t.reshape(len(primes), 1, gram.shape[1])
+    t = _contract(_residues(gram.T, primes), x, [(0,) * d], primes)[:, None, :, 0, 0]
     return bool(_contract(t, _residues(w, primes), rows, primes).any())
 
 
@@ -346,12 +331,14 @@ class OcticEngine:
     (:func:`_gram`): 4^(d+e) entries, 256 for the octics and 1024 for
     bidegree (3, 2) or (4, 1).  With X_a the outer products of the rows'
     vectors of side a, a block of values is X_a T X_b^T, and
-    :func:`_contract` forms it one factor at a time: it contracts the rows
-    of T^T with each camera pair's vectors of a, giving t = X_a T, one
-    tensor per row of a, and then t with each camera pair's vectors of b.
-    Each camera pair of a and each of b gives one row of values.  The octic families take d = e = 2 and
-    row pairs (i1, i2); GENERAL_DE takes rows (i,) * d, whose value is the
-    form itself at w_i and w'_k.
+    :func:`_contract` forms it one factor at a time, the factors after
+    the first row by row with the row's vectors: it contracts the rows of
+    T^T with each camera pair's vectors of a, giving t = X_a T, one tensor
+    per row of a, and then t with each camera pair's vectors of b (b
+    first when e > d).  Each camera pair of a and each of b gives one row
+    of values.  The
+    octic families take d = e = 2 and row pairs (i1, i2); GENERAL_DE takes
+    rows (i,) * d, whose value is the form itself at w_i and w'_k.
 
     Cofactor vectors come from :meth:`CameraRig.cofactor_vectors`.  The
     exact backend computes on integers: T is cleared too, and each
@@ -418,15 +405,20 @@ class OcticEngine:
         out = []
         for a, b, gram, den in self.blocks:
             (w_a, f_a), (w_b, f_b) = cofactors[a], cofactors[b]
-            (pairs_a, rows_a), (pairs_b, rows_b) = self.row_sets[a], self.row_sets[b]
+            rows_a, rows_b = self.row_sets[a][1], self.row_sets[b][1]
             if f_a is not None:
                 # as Python ints: products of int64 entries can overflow
                 w_a, w_b = w_a.astype(object), w_b.astype(object)
-            # t = X_a T: the rows of T^T at the rows of a, then t at those of b
-            t = _contract(gram.T[None], w_a[None], rows_a)[0]
-            values = _contract(t.reshape(len(t), -1).T[None], w_b[None], rows_b)[0]
-            values = values.reshape(len(pairs_a), len(rows_a), len(pairs_b), len(rows_b))
-            values = values.transpose(0, 2, 1, 3).reshape(len(pairs_a) * len(pairs_b), -1)
+            # t = X_a T, the rows of T^T at the rows of a, then t at those of
+            # b; side b first (t = T X_b^T) when its degree is higher, so
+            # that the second call, once per row of t, has fewer factors
+            swap = len(rows_b[0]) > len(rows_a[0])
+            (w_1, rows_1), (w_2, rows_2) = [(w_a, rows_a), (w_b, rows_b)][::-1 if swap else 1]
+            t = _contract((gram if swap else gram.T)[None], w_1[None], rows_1)[0]
+            values = _contract(t.reshape(len(t), -1).T[None], w_2[None], rows_2)[0]
+            values = values.reshape(len(w_1), len(rows_1), len(w_2), len(rows_2))
+            values = values.transpose((2, 0, 3, 1) if swap else (0, 2, 1, 3))
+            values = values.reshape(len(w_a) * len(w_b), -1)
             out.append((values, None if f_a is None else
                         den * np.outer(f_a ** len(rows_a[0]), f_b ** len(rows_b[0])).ravel()))
         return out

@@ -1418,6 +1418,35 @@ class TestGeneralForms:
             assert isinstance(got, float)
             assert abs(got - form.evaluate(wu, wv)) <= 1e-12 * size
 
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_float_coefficients_equal_their_fractions(self, backend):
+        # polarize keeps a coefficient of multinomial count 1 as it is, so
+        # these forms reach the dense matrix with float coefficients
+        rng = random.Random(293)
+        rig = random_rig(rng, 3)
+        x = random_world_point(rng)
+        y = (x[0] + Fraction(3, 2),) + x[1:]
+        z = (x[0], x[1] + 1) + x[2:]
+        if backend == "float":
+            rig = CameraRig([cam.matrix.to_float() for cam in rig.cameras])
+            x, y, z = ([float(c) for c in p] for p in (x, y, z))
+        u, v, w = (forward_map(rig, ProjectivePoint(p)) for p in (x, y, z))
+        float_form = BihomForm((1, 2), {((1, 0, 0, 0), (0, 1, 1, 0)): 0.5,
+                                        ((0, 0, 0, 1), (0, 0, 0, 2)): -2.0})
+        exact_form = BihomForm((1, 2), {((1, 0, 0, 0), (0, 1, 1, 0)): Fraction(1, 2),
+                                        ((0, 0, 0, 1), (0, 0, 0, 2)): -2})
+        for family, floats, fractions, tuples in [
+                (Family.OCTIC_FULL, {"form": distance_form(1.5)},
+                 {"form": distance_form(Fraction(3, 2))}, (u, v)),
+                (Family.GENERAL_DE, {"form": float_form}, {"form": exact_form}, (u, v)),
+                (Family.PAIRWISE_DISTANCE, {"squared_distances": (2.25, 1.0, 3.25)},
+                 {"squared_distances": (Fraction(9, 4), 1, Fraction(13, 4))}, (u, v, w))]:
+            got = constraint_system(rig, family, **floats).evaluate(*tuples)
+            assert got == constraint_system(rig, family, **fractions).evaluate(*tuples)
+            if backend == "exact" and family != Family.GENERAL_DE:
+                # x, y and z are at squared distances 9/4, 1 and 13/4
+                assert all(value == 0 for value in got)
+
     def test_general_system_count(self):
         rng = random.Random(271)
         rig = random_rig(rng, 2)
