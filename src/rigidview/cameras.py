@@ -198,8 +198,8 @@ class MembershipResult:
     when the stacked multiview matrix has rank at most n + 3, and ``rank``
     is that rank.  On the exact backend ``cofactors`` is the
     :class:`CofactorPass` that decided it (None on floats); its witness and
-    vectors serve :func:`rigidview.triangulation.triangulate`, which takes
-    the world point and the scales, and the octic verdict."""
+    vectors serve the witness step of :func:`rigidview.triangulation.triangulate`
+    and of the direct oracle, and the octic verdict."""
 
     __slots__ = ("ok", "rank", "cofactors")
 
@@ -216,14 +216,13 @@ class MembershipResult:
 
 
 class CofactorPass:
-    """An exact image tuple's cofactor vectors, one
-    :meth:`CameraRig.cofactor_vectors` call per camera pair at most, and its
-    witness ``(pair, row)``: the first camera pair in lexicographic order
-    and the first row of it whose vector has a nonzero point (first four
-    coordinates), or None when no pair has one.  The scan computes the
-    pairs up to the witness; :meth:`vectors` computes any other pair on
-    first use and keeps it.  Points off the rig's backend raise
-    :class:`BackendError`."""
+    """An exact image tuple's cofactor vectors, computed at most once per
+    camera pair, and its witness ``(pair, row)``: the first camera pair in
+    lexicographic order and the first row of it whose vector has a nonzero
+    point (first four coordinates), or None when no pair has one.  The scan
+    computes the pairs up to the witness; :meth:`vectors` computes any other
+    pair on first use and keeps it.  The backend is checked once, for the
+    whole tuple: points off the rig's backend raise :class:`BackendError`."""
 
     __slots__ = ("rig", "points", "witness", "_vectors")
 
@@ -242,7 +241,7 @@ class CofactorPass:
         """``(w, factor)`` of cameras j and k at the tuple's points, as
         :meth:`CameraRig.cofactor_vectors` returns it."""
         if (j, k) not in self._vectors:
-            self._vectors[j, k] = self.rig.cofactor_vectors(j, k, self.points[j], self.points[k])
+            self._vectors[j, k] = self.rig._cofactor_vectors(j, k, self.points[j], self.points[k])
         return self._vectors[j, k]
 
 
@@ -341,6 +340,11 @@ class CameraRig:
         overflows), else Python ints.  Floats: float64 and factor 1.  Raises
         :class:`BackendError` unless both points are on the rig's backend."""
         _check_backend(self, (u_j, u_k))
+        return self._cofactor_vectors(j, k, u_j, u_k)
+
+    def _cofactor_vectors(self, j: int, k: int, u_j: ProjectivePoint, u_k: ProjectivePoint):
+        """:meth:`cofactor_vectors` for points whose backend the caller has
+        checked (:class:`CofactorPass` checks its whole tuple once)."""
         table, den = self.minor_table(j, k)
         if self.backend == FLOAT:
             return table @ np.array([x * y for x in u_j for y in u_k]), 1
@@ -418,7 +422,8 @@ def camera_minor_table(rig: CameraRig, j: int, k: int) -> tuple:
     stack = rig.camera(j).matrix.data + rig.camera(k).matrix.data
     exact = rig.backend == EXACT
     scale = lcm(*(x.denominator for row in stack for x in row)) if exact else 1
-    if scale != 1:
+    if exact:
+        # ints at scale 1 too, where Fraction entries would otherwise stay Fractions
         stack = tuple(tuple(int(x * scale) for x in row) for row in stack)
     dropped = [[row[:c] + row[c + 1:] for row in stack] for c in range(4)]
     minors = [[(-1) ** c * _det3(rows[p], rows[q], rows[r]) for c, rows in enumerate(dropped)]

@@ -27,7 +27,7 @@ from .cameras import (CameraRig, ProjectivePoint, _check_backend, _multiview_mat
 from .linalg import (EXACT, BackendError, Mat, Scalar, ShapeError, _cleared, _int_array,
                      _is_probable_prime, _max_abs, adjugate, det)
 from .triangulation import (AmbiguousTriangulationError, NotInVarietyError,
-                            NotTriangulableError, _proportional_exact, triangulate)
+                            NotTriangulableError, _proportional_exact, _witness)
 
 
 class Family(str, Enum):
@@ -626,15 +626,22 @@ def rigid_pair_oracle(rig: CameraRig, u, v, tol: float | None = None) -> bool:
     Both tuples must be consistent; when both triangulate, the recovered
     world points must satisfy the unit-distance form; a non-triangulable side
     (two cameras, the epipole pair) is accepted whenever the other side is
-    consistent, matching the closure components of the image.  Ranks read
-    ``rig.tol``; on floats ``tol`` is the vanish tolerance of the form.
+    consistent, matching the closure components of the image.  Each side
+    runs triangulation's shared witness step
+    (:func:`rigidview.triangulation._witness`), and q is evaluated on the
+    two cleared witness vectors as they are, not on the triangulated points:
+    q is bihomogeneous of bidegree (2, 2), so its zero test gives the same
+    answer at any nonzero multiples of the two points.  On floats the factor
+    is 1 and the vectors are the points.  Ranks read ``rig.tol``; on floats
+    ``tol`` is the vanish tolerance of the form.
     """
-    # One triangulation per side.  An inconsistent side decides first; then
+    # One witness step per side.  An inconsistent side decides first; then
     # a non-triangulable side; only then a side whose candidates disagree.
     sides = []
     for points in (u, v):
         try:
-            sides.append(triangulate(rig, points).point)
+            _, row, vectors, _ = _witness(rig, points)
+            sides.append(vectors[row])
         except NotInVarietyError:
             return False
         except (NotTriangulableError, AmbiguousTriangulationError) as exc:
@@ -648,11 +655,11 @@ def rigid_pair_oracle(rig: CameraRig, u, v, tol: float | None = None) -> bool:
         if isinstance(side, Exception):
             raise side
     x, y = sides
-    value = _UNIT_FORM.evaluate(x.coords, y.coords)
+    value = _UNIT_FORM.evaluate(x, y)
     if rig.backend == EXACT:
         return value == 0
     t = tol if tol is not None else DEFAULT_VANISH_TOL
-    return abs(value) <= t * (_norm(x.coords) ** 2) * (_norm(y.coords) ** 2)
+    return abs(value) <= t * (_norm(x) ** 2) * (_norm(y) ** 2)
 
 
 def rigid_pair_by_equations(rig: CameraRig, u, v,

@@ -157,17 +157,21 @@ def _pair_scan(rig: CameraRig, points: Sequence[ProjectivePoint], cofactors=None
     return None
 
 
-def triangulate(rig: CameraRig, points: Sequence[ProjectivePoint]) -> TriangulationSolution:
-    """Recover the world point behind a consistent image tuple.
+def _witness(rig: CameraRig, points: Sequence[ProjectivePoint]):
+    """The witness step of :func:`triangulate` and of
+    :func:`rigidview.constraints.rigid_pair_oracle`: ``(pair, row, vectors,
+    factor)``, the witness pair and row of :func:`_pair_scan` with that
+    pair's six cofactor vectors times the positive integer ``factor``
+    (integers on the exact backend; on floats, floats and factor 1).
 
     One :func:`multiview_membership` decides consistency; on the exact
     backend its :class:`CofactorPass` also holds the witness, so no pair's
-    cofactor vectors are computed twice.  Takes the point from the witness
-    row of :func:`_pair_scan` over its factor (the one division) and the
-    scales from A_j X = lambda_j u_j and A_k X = lambda_k u_k, and
-    cross-checks every later nonzero row of that pair: exactly up to
-    scale, or on floats within :data:`CONSISTENCY_TOL` of angular distance.
-    Points off the rig's backend raise BackendError.
+    cofactor vectors are computed twice.  Every later nonzero row of the
+    pair is cross-checked against the witness row: exactly up to scale, or
+    on floats within :data:`CONSISTENCY_TOL` of angular distance.  Raises,
+    in this order, :class:`NotInVarietyError`, :class:`NotTriangulableError`
+    and :class:`AmbiguousTriangulationError`; points off the rig's backend
+    raise BackendError.
     """
     membership = multiview_membership(rig, points)
     if not membership.ok:
@@ -176,20 +180,36 @@ def triangulate(rig: CameraRig, points: Sequence[ProjectivePoint]) -> Triangulat
     if scan is None:
         raise NotTriangulableError("no camera pair has a rank-5 triangulation matrix")
     pair, row, vectors, factor, cut = scan
+    w = vectors[row]
     exact = rig.backend == EXACT
-    x = tuple(_reduced(c, factor) for c in vectors[row])
-    point = ProjectivePoint(x)
     for i in range(row + 1, 6):
         candidate = vectors[i]
         if not _cofactor_nonzero(candidate, cut):
             continue
         if exact:
-            if not _proportional_exact(vectors[row], candidate):
+            if not _proportional_exact(w, candidate):
                 raise AmbiguousTriangulationError(f"rows {row} and {i} give different points")
-        elif _angular_distance(x, candidate) > CONSISTENCY_TOL:
+        elif _angular_distance(w, candidate) > CONSISTENCY_TOL:
             raise AmbiguousTriangulationError(f"rows {row} and {i} disagree beyond tolerance")
-    lambdas = tuple(_scale(rig.camera(cam), x, points[cam], exact) for cam in pair)
-    return TriangulationSolution(point, lambdas, pair, row)
+    return pair, row, vectors, factor
+
+
+def triangulate(rig: CameraRig, points: Sequence[ProjectivePoint]) -> TriangulationSolution:
+    """Recover the world point behind a consistent image tuple.
+
+    Runs the witness step :func:`_witness` (consistency, witness scan and
+    cross-check of the later rows), then takes the point from the witness
+    row over its factor (the one division) and the scales from
+    A_j X = lambda_j u_j and A_k X = lambda_k u_k.  The direct oracle
+    :func:`rigidview.constraints.rigid_pair_oracle` shares the witness step
+    and stops there: it evaluates q on the cleared witness vectors, which
+    is exact because q is bihomogeneous of bidegree (2, 2).  Points off the
+    rig's backend raise BackendError.
+    """
+    pair, row, vectors, factor = _witness(rig, points)
+    x = tuple(_reduced(c, factor) for c in vectors[row])
+    lambdas = tuple(_scale(rig.camera(cam), x, points[cam], rig.backend == EXACT) for cam in pair)
+    return TriangulationSolution(ProjectivePoint(x), lambdas, pair, row)
 
 
 def _proportional_exact(a, b) -> bool:

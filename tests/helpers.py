@@ -3,8 +3,9 @@ partial-pivoting determinant, Gauss-Jordan inverse and cofactor adjugate
 references, the from-scratch camera minor table, the per-index references
 for cofactor vectors and tensor values, one engine value, the full-block
 and row-basis residue tests, the cofactor-expansion reference for the
-symbolic octics, the per-column mod-p rank, and the per-term coefficient
-matrix and failure bounds."""
+symbolic octics, the per-column mod-p rank, the per-term coefficient
+matrix and failure bounds, and the direct oracle through triangulated
+points."""
 
 import itertools
 from fractions import Fraction
@@ -16,10 +17,13 @@ import numpy as np
 
 from rigidview.cameras import (_MINOR_INDEX, _MINOR_ROWS, _MINOR_SIGN, CameraRig,
                                ProjectivePoint, _det3)
-from rigidview.constraints import OcticEngine, _residues
+from rigidview.constraints import (_UNIT_FORM, DEFAULT_VANISH_TOL, OcticEngine, _norm,
+                                   _residues)
 from rigidview.linalg import EXACT, FLOAT, Mat, det, rank, signed_maximal_minors
 from rigidview.polyspace import RANK_PRIME_COUNT, MultiHomogPoly, _shared_degree, monomial_basis
-from rigidview.triangulation import _cofactor_nonzero, _nonzero_cut
+from rigidview.triangulation import (AmbiguousTriangulationError, NotInVarietyError,
+                                     NotTriangulableError, _cofactor_nonzero, _nonzero_cut,
+                                     triangulate)
 
 
 def standard_rig():
@@ -440,3 +444,30 @@ def reference_quotient_failure_bound(octics, component, octic_terms=None, compon
     a = reference_height_bits(octics, octic_terms)
     b = reference_height_bits(component, component_terms)
     return (a // 30 + b // 30 + (a + b) // 30) / RANK_PRIME_COUNT
+
+
+def reference_rigid_pair_oracle(rig, u, v, tol=None):
+    """The direct membership oracle on the two :func:`triangulate` points:
+    the library's former ``rigid_pair_oracle``, with the same order of
+    decisions and the same raised exceptions."""
+    sides = []
+    for points in (u, v):
+        try:
+            sides.append(triangulate(rig, points).point)
+        except NotInVarietyError:
+            return False
+        except (NotTriangulableError, AmbiguousTriangulationError) as exc:
+            sides.append(exc)
+    if any(isinstance(side, NotTriangulableError) for side in sides):
+        if rig.n == 2:
+            return True
+        raise RuntimeError("non-triangulable tuple with three or more cameras")
+    for side in sides:
+        if isinstance(side, Exception):
+            raise side
+    x, y = sides
+    value = _UNIT_FORM.evaluate(x.coords, y.coords)
+    if rig.backend == EXACT:
+        return value == 0
+    t = tol if tol is not None else DEFAULT_VANISH_TOL
+    return abs(value) <= t * (_norm(x.coords) ** 2) * (_norm(y.coords) ** 2)

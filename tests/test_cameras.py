@@ -26,7 +26,8 @@ from rigidview.cameras import (
     rig_from_json,
     rig_to_json,
 )
-from rigidview.constraints import Family, constraint_system
+from rigidview.constraints import (Family, constraint_system, rigid_pair_by_equations,
+                                   rigid_pair_oracle)
 from rigidview.linalg import Mat, det, rank
 from rigidview.triangulation import triangulate
 
@@ -339,6 +340,27 @@ class TestStoredMinorTables:
         if kind.startswith("height"):
             assert np.abs(rig.minor_table(0, 1)[0]).max() > 2 ** 50
 
+    def test_fraction_entries_of_denominator_one_are_read_as_ints(self):
+        # cameras written with Fraction entries whose denominators are all 1
+        # give the int rig's tables, fundamentals and verdicts
+        rig = standard_rig()
+        frac = CameraRig([Mat([[Fraction(x) for x in row] for row in cam.matrix.data])
+                          for cam in rig.cameras])
+        for j, k in itertools.permutations(range(2), 2):
+            (table, den), (want, want_den) = frac.minor_table(j, k), rig.minor_table(j, k)
+            assert den == want_den and table.dtype == want.dtype and (table == want).all()
+            assert frac.fundamental(j, k) == rig.fundamental(j, k)
+        x = ProjectivePoint((0, 0, 2, 1))
+        for r in (rig, frac):
+            # the int rig's images have int coordinates, frac's Fractions
+            u = forward_map(r, x)
+            epipoles = (r.epipole(0, 1), r.epipole(1, 0))
+            for v, member in ((forward_map(r, ProjectivePoint((1, 0, 2, 1))), True),
+                              (forward_map(r, ProjectivePoint((2, 0, 2, 1))), False),
+                              (epipoles, True)):
+                for check in (rigid_pair_by_equations, rigid_pair_oracle):
+                    assert check(frac, u, v) == check(rig, u, v) == member
+
     def test_tables_are_built_once_with_the_rig(self, monkeypatch):
         rng = random.Random(67)
         mats = [random_camera_mat(rng) for _ in range(4)]
@@ -611,6 +633,17 @@ class TestCofactorPass:
             for j, k in itertools.combinations(range(n), 2):
                 for y in res.cofactors.vectors(j, k)[0].tolist():
                     assert all(y[a] * x[b] == y[b] * x[a] for a in range(4) for b in range(4))
+
+    def test_backend_is_checked_once_per_tuple(self, monkeypatch):
+        # the pass checks the whole tuple once, then computes each camera
+        # pair's vectors without checking again
+        rig = random_rig(random.Random(75), 4)
+        u = forward_map(rig, ProjectivePoint((3, -2, 5, 7)))
+        checks = count_calls(monkeypatch, cameras, "_check_backend")
+        scan = cameras.CofactorPass(rig, u)
+        for j, k in itertools.combinations(range(4), 2):
+            scan.vectors(j, k)
+        assert len(checks) == 1
 
     def test_points_beyond_the_witness_pair_are_checked(self):
         # the scan stops at pair (0, 1), yet a float third point still raises

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (count_calls, engine_value, fraction_rig, full_block_nonzero, naive_det,
-                     random_rig, random_world_point, reference_modp_rank, residue_products,
-                     row_basis, row_basis_nonzero, scaled_rig, standard_rig, tensor_value, wedge5)
+                     random_rig, random_world_point, reference_modp_rank,
+                     reference_rigid_pair_oracle, residue_products, row_basis, row_basis_nonzero,
+                     scaled_rig, standard_rig, tensor_value, wedge5)
 from rigidview.cameras import (
     CameraRig,
     ProjectivePoint,
@@ -696,7 +697,7 @@ class TestMembership:
             calls = []
             for module in (triangulation, constraints):
                 count_calls(monkeypatch, module, "multiview_membership", calls)
-            vectors = count_calls(monkeypatch, CameraRig, "cofactor_vectors")
+            vectors = count_calls(monkeypatch, CameraRig, "_cofactor_vectors")
             eliminations = count_calls(monkeypatch, cameras, "_exact_rank")
             assert rigid_pair_oracle(rig, u, v)
             monkeypatch.undo()
@@ -706,16 +707,16 @@ class TestMembership:
 
     def test_equations_compute_each_pair_once(self, monkeypatch):
         # rigid_pair_by_equations reads the engine's vectors from the two
-        # membership passes: at most one cofactor_vectors call per camera
-        # pair and side, on u only the pairs up to its witness, and no
-        # elimination on tuples with a witness
+        # membership passes: the cofactor vectors of each camera pair and
+        # side computed at most once, on u only the pairs up to its witness,
+        # and no elimination on tuples with a witness
         rng = random.Random(241)
         for n in (2, 3, 4):
             rig = random_rig(rng, n)
             x, y = unit_pair(rng)
             u, v = forward_map(rig, x), forward_map(rig, y)
             for family in _families(n):
-                vectors = count_calls(monkeypatch, CameraRig, "cofactor_vectors")
+                vectors = count_calls(monkeypatch, CameraRig, "_cofactor_vectors")
                 eliminations = count_calls(monkeypatch, cameras, "_exact_rank")
                 assert rigid_pair_by_equations(rig, u, v, family)
                 monkeypatch.undo()
@@ -725,6 +726,103 @@ class TestMembership:
                 assert sorted(k[:2] for k in keys if not k[2]) == sorted(set(want_v) | {(0, 1)})
                 assert [k[:2] for k in keys if k[2]] == [(0, 1)]
                 assert eliminations == []
+
+
+class TestOracleOnWitnessVectors:
+    """rigid_pair_oracle evaluates q on the two cleared witness vectors;
+    the reference evaluates it on the two triangulated points."""
+
+    @staticmethod
+    def _rigs(kind, n):
+        """``(exact, rig, rng)``: an int or Fraction-entry rig, the rig of
+        ``kind`` (the int rig itself, or in floats), and the generator that
+        drew the exact rig, for the tuples."""
+        rng = random.Random(f"oracle:{kind == 'fraction'}:{n}")
+        exact = fraction_rig(rng, n) if kind == "fraction" else random_rig(rng, n)
+        if not kind.startswith("float"):
+            return exact, exact, rng
+        tol = 1e-6 if kind == "float-rig-tol" else None
+        return exact, CameraRig([cam.matrix.to_float() for cam in exact.cameras], tol), rng
+
+    @staticmethod
+    def _cases(rig, rng):
+        """``(kind, u, v)``: a member pair (also with Fraction image
+        coordinates), a non-member pair, an epipole side (for n > 2 the
+        views of the last camera's focal point, with an arbitrary last image
+        point) and an inconsistent side, drawn on the exact rig."""
+        n = rig.n
+        u, v, _, _ = harness.sample_member_pair(rig, rng)
+        w, z, _, _ = harness.sample_nonmember_pair(rig, rng)
+        if n == 2:
+            ep = (rig.epipole(0, 1), rig.epipole(1, 0))
+        else:
+            f = rig.focal_point(n - 1)
+            ep = tuple(rig.camera(i).project(f) for i in range(n - 1)) + (ProjectivePoint((3, 1, 4)),)
+        moved = list(u[1].coords)
+        moved[0] += 1
+        bad = (u[0], ProjectivePoint(moved)) + u[2:]
+        assert not multiview_membership(rig, bad).ok
+        scaled = (u[0].scaled(Fraction(2, 7)),) + u[1:]
+        return [("member", u, v), ("member", scaled, v), ("nonmember", w, z),
+                ("epipole", u, ep), ("epipole", ep, v),
+                ("inconsistent", bad, v), ("inconsistent", ep, bad)]
+
+    @staticmethod
+    def _in_floats(u, v):
+        """The pair in floats, as it is and with every point scaled to
+        max-norm 1: at the integer-cleared size the float ranks often
+        misjudge a tuple, so mostly the scaled copies reach q."""
+        def unit(p):
+            top = max(abs(c) for c in p.coords)
+            return ProjectivePoint([float(c / top) for c in p.coords])
+        return [tuple(tuple(f(p) for p in side) for side in (u, v))
+                for f in (ProjectivePoint.to_float, unit)]
+
+    @staticmethod
+    def _outcome(oracle, *args):
+        try:
+            return oracle(*args)
+        except Exception as exc:  # the same type must be raised by both
+            return type(exc)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["int", "fraction", "float", "float-rig-tol"])
+    @pytest.mark.parametrize("tol", [1e-7, 1e-3])
+    def test_oracle_equals_the_triangulated_reference(self, kind, n, tol):
+        exact_rig, rig, rng = self._rigs(kind, n)
+        outcomes = set()
+        for what, u, v in self._cases(exact_rig, rng):
+            pairs = [(u, v)] if rig is exact_rig else self._in_floats(u, v)
+            for a, b in pairs:
+                got = self._outcome(rigid_pair_oracle, rig, a, b, tol)
+                assert got == self._outcome(reference_rigid_pair_oracle, rig, a, b, tol), what
+                outcomes.add((what, got))
+        if rig is exact_rig:
+            # the truths known from construction
+            assert {("member", True), ("nonmember", False), ("inconsistent", False)} <= outcomes
+            assert ("epipole", True) in outcomes or n > 2
+        else:
+            # both verdicts occur: the unit-scaled members pass the form's
+            # tolerance test, and some pair fails
+            assert ("member", True) in outcomes and False in {got for _, got in outcomes}
+
+    def test_exact_oracle_builds_no_point_and_no_scale(self, monkeypatch):
+        # the exact oracle reads q at the cleared witness vectors: no division
+        # by their factor and no scale, on rigs whose factor is 1 and above 1
+        def refuse(*args):
+            raise AssertionError("the oracle divides out no factor and takes no scale")
+        for n in (2, 3, 4):
+            for kind in ("int", "fraction"):
+                rig, _, rng = self._rigs(kind, n)
+                u, v, _, _ = harness.sample_member_pair(rig, rng)
+                w, z, _, _ = harness.sample_nonmember_pair(rig, rng)
+                monkeypatch.setattr(triangulation, "_reduced", refuse)
+                monkeypatch.setattr(triangulation, "_scale", refuse)
+                assert rigid_pair_oracle(rig, u, v)
+                assert not rigid_pair_oracle(rig, w, z)
+                with pytest.raises(AssertionError):  # triangulate itself divides
+                    triangulation.triangulate(rig, u)
+                monkeypatch.undo()
 
 
 def _residue_rigs(n):

@@ -312,13 +312,13 @@ class TestSinglePass:
         assert work == ([], [], [], [])
         _, _, vectors, _, _ = triangulation._pair_scan(rig, u)
         assert vectors[0] == vectors[1] == [0, 0, 0, 0]
-        original = CameraRig.cofactor_vectors
+        original = CameraRig._cofactor_vectors
         for later in (3, 4, 5):
             def skewed(self, j, k, u_j, u_k, later=later):
                 vectors, factor = original(self, j, k, u_j, u_k)
                 vectors[later] = vectors[2] + [1, 0, 0, 0]
                 return vectors, factor
-            monkeypatch.setattr(CameraRig, "cofactor_vectors", skewed)
+            monkeypatch.setattr(CameraRig, "_cofactor_vectors", skewed)
             with pytest.raises(AmbiguousTriangulationError, match=f"rows 2 and {later}"):
                 triangulate(rig, u)
 
