@@ -22,7 +22,8 @@ from .harness import (
 )
 from .linalg import EXACT, FLOAT, decode_scalar, encode_scalar
 from .polyspace import generator_count, octic_span, random_rank_prime
-from .triangulation import NotInVarietyError, NotTriangulableError, triangulate
+from .triangulation import (AmbiguousTriangulationError, NotInVarietyError, NotTriangulableError,
+                            triangulate)
 
 
 def _load_json_arg(value: str):
@@ -86,7 +87,7 @@ def _cmd_triangulate(args) -> int:
     points = _tuple(_load_json_arg(args.tuple), rig.backend)
     try:
         sol = triangulate(rig, points)
-    except (NotInVarietyError, NotTriangulableError) as exc:
+    except (NotInVarietyError, NotTriangulableError, AmbiguousTriangulationError) as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)}, args)
         return 1
     _emit({

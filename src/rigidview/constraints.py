@@ -25,7 +25,7 @@ import numpy as np
 from .cameras import (CameraRig, ProjectivePoint, _check_backend, _multiview_matrix, _reduced,
                       multiview_membership)
 from .linalg import (EXACT, BackendError, Mat, Scalar, ShapeError, _cleared, _int_array,
-                     _is_probable_prime, _max_abs, adjugate, det)
+                     adjugate, det)
 from .triangulation import (AmbiguousTriangulationError, NotInVarietyError,
                             NotTriangulableError, _proportional_exact, _witness)
 
@@ -193,7 +193,7 @@ def _gram(tensor: QuadTensor, exact: bool, d: int, e: int):
     return tensor._grams[exact]
 
 
-def _contract(t: np.ndarray, w: np.ndarray, rows, primes: Optional[np.ndarray] = None):
+def _contract(t: np.ndarray, w: np.ndarray, rows):
     """The values of tensors t, one per row, at the rows of each group of
     vectors w: t has shape (B, M, 4^e), w shape (B, P, V, 4), and the value
     of row m at an e-tuple (k_1, ..., k_e) in ``rows`` (positions along V)
@@ -201,8 +201,8 @@ def _contract(t: np.ndarray, w: np.ndarray, rows, primes: Optional[np.ndarray] =
     The last axis of length 4 is contracted one factor at a time, so that
     every sum has 4 terms: first with every vector of each group, once for
     all rows that end in it, then row by row with the row's vectors
-    k_(e-1), ..., k_1.  With ``primes``, B primes as int64, every factor is
-    reduced modulo them."""
+    k_(e-1), ..., k_1.  The values take the dtype numpy gives the product of
+    t and w: exact on Python ints (object arrays)."""
     rows = np.asarray(rows, dtype=np.intp).reshape(len(rows), -1)
     b, m, size = t.shape
     values = t.reshape(b, m, 1, 1, size)
@@ -211,83 +211,11 @@ def _contract(t: np.ndarray, w: np.ndarray, rows, primes: Optional[np.ndarray] =
         vectors = w if s == 0 else w[:, :, k]
         values = values.reshape(values.shape[:4] + (values.shape[4] // 4, 4))
         values = (values @ vectors[:, None, :, :, :, None])[..., 0]
-        if primes is not None:
-            values %= primes.reshape(-1, 1, 1, 1, 1)
         if s == 0:
             values = values[:, :, :, k]
     values = values[..., 0]
     # a row of degree 0 reads no vector: t_m itself at every group
     return values if len(rows.T) else np.broadcast_to(values, (b, m, w.shape[1], len(rows)))
-
-
-def _value_bound(side_a, gram: np.ndarray, side_b) -> int:
-    """B = 4^(d+e) max|x|^d max|T| max|w|^e >= every |value| of
-    x^d T X_b^T.  Side a is ``(x, d)``: integers and a degree, max|x| read
-    over all of x, so that a side's whole w_a bounds X_a T X_b^T too.
-    Side b is ``(w, rows)``: integer cofactor vectors and rows of degree e.
-    A value sums the 4^(d+e) entries of T, each times d coordinates of x
-    and e of w."""
-    (x, d), (w, rows) = side_a, side_b
-    e = len(rows[0])
-    return 4 ** (d + e) * _max_abs(x) ** d * _max_abs(gram) * _max_abs(w) ** e
-
-
-# The verdict primes: the primes below 2^29 in descending order, found on
-# demand and kept (one fixed sequence, so every caller may share it).
-# Residues are below 2^29, so a product of two is below 2^58, and a sum of
-# four such products is below 2^60: the residue contraction, four
-# coordinates at a time (:func:`_contract`), is exact in int64.
-_VERDICT_PRIME_LIMIT = 2 ** 29
-_VERDICT_PRIMES = []
-
-
-def _verdict_primes(bound: int) -> list:
-    """The shortest prefix of the verdict primes whose product exceeds bound."""
-    out, product = [], 1
-    while product <= bound:
-        if len(out) == len(_VERDICT_PRIMES):
-            p = (_VERDICT_PRIMES[-1] if _VERDICT_PRIMES else _VERDICT_PRIME_LIMIT + 1) - 2
-            while not _is_probable_prime(p):
-                p -= 2
-            _VERDICT_PRIMES.append(p)
-        out.append(_VERDICT_PRIMES[len(out)])
-        product *= out[-1]
-    return out
-
-
-def _residues(values: np.ndarray, primes: np.ndarray) -> np.ndarray:
-    """Exact integers modulo each prime, as int64 with the prime axis first
-    and then the shape of ``values``, by one ``%`` in the array's width."""
-    return (values % primes.reshape(primes.shape + (1,) * values.ndim)).astype(np.int64, copy=False)
-
-
-def _residue_nonzero(side_a, gram: np.ndarray, side_b, primes) -> bool:
-    """Whether some value of x^d T X_b^T is nonzero modulo one of the
-    primes: side a is ``(x, d)``, one integer 4-vector and its degree, and
-    side b is ``(w, rows)``, integer cofactor vectors of shape (camera
-    pairs, 6, 4) and rows of degree e.  For all primes at once in int64, by
-    two calls of :func:`_contract`: t = x^d T, the rows of T^T at x, then
-    t at the rows of every camera pair of b."""
-    primes = np.array(primes, dtype=np.int64)
-    (x, d), (w, rows) = side_a, side_b
-    x = _residues(x, primes).reshape(len(primes), 1, 1, 4)
-    t = _contract(_residues(gram.T, primes), x, [(0,) * d], primes)[:, None, :, 0, 0]
-    return bool(_contract(t, _residues(w, primes), rows, primes).any())
-
-
-def _residues_vanish(side_a, gram: np.ndarray, side_b, primes: list, bound: int) -> bool:
-    """Whether every value of x^d T X_b^T is zero (sides as in
-    :func:`_residue_nonzero`), given a bound on every |value|: the residues
-    modulo the first prime alone, then, only if they all vanish, modulo the
-    other primes at once.  A nonzero residue proves a nonzero value; all
-    residues zero prove the values zero only because the primes' product
-    exceeds the bound, so a smaller prime set raises."""
-    if prod(primes) <= bound:
-        raise ValueError(f"the product of {len(primes)} primes does not exceed the "
-                         f"{bound.bit_length()}-bit bound: zero residues would not prove "
-                         "zero values")
-    return not (_residue_nonzero(side_a, gram, side_b, primes[:1])
-                or (len(primes) > 1 and _residue_nonzero(side_a, gram, side_b, primes[1:])))
 
 
 def _spanning_vector(vectors, rows):
@@ -348,23 +276,15 @@ class OcticEngine:
     only when a bound on its sums is below ``INT64_LIMIT``.  :meth:`cleared`
     multiplies as Python ints.  Floats go through float64.
 
-    The exact zero test, :meth:`vanishes`, forms no value and needs side a
-    of each block consistent.  Then every cofactor vector of a is c_i x,
-    x its one world point up to scale (:func:`multiview_membership`), so
-    the row of vectors i_1, ..., i_d of X_a is c_i1 ... c_id x^d, the outer
-    power of x: X_a is zero when no row has all its vectors nonzero, and
-    otherwise the block is zero exactly when x^d T X_b^T is, x any nonzero
-    cofactor vector of a.  The same :func:`_contract` takes t = x^d T and
-    its values at every camera pair of b, on residues
-    (:func:`_residue_nonzero`), with no elimination.  Each value is at most
-    B = 4^(d+e) max|x|^d max|T| max|w_b|^e in magnitude (256 max|x|^2
-    max|T| max|w_b|^2 for the octics), never more than with max|w_a|.  The
-    test reduces x, T and w_b modulo fixed primes below 2^29, descending
-    from 2^29, and contracts in int64: products are below 2^58 and every
-    sum has 4 terms, so it is below 2^60, at any degree.  The first prime
-    alone settles almost every nonzero block; a zero block needs all
-    residues zero modulo primes whose product exceeds B, and is then zero
-    by the Chinese remainder theorem.
+    The exact zero test, :meth:`vanishes`, forms no block of X_a and needs
+    side a of each block consistent.  Then every cofactor vector of a is
+    c_i x, x its one world point up to scale (:func:`multiview_membership`),
+    so the row of vectors i_1, ..., i_d of X_a is c_i1 ... c_id x^d, the
+    outer power of x: X_a is zero when no row has all its vectors nonzero,
+    and otherwise the block is zero exactly when x^d T X_b^T is, x any
+    nonzero cofactor vector of a.  The same :func:`_contract` takes
+    t = x^d T and its values at every camera pair of b, on Python ints, so
+    every value is exact.
     """
 
     __slots__ = ("exact", "rig", "row_sets", "blocks")
@@ -424,29 +344,31 @@ class OcticEngine:
         return out
 
     def vanishes(self, memberships) -> bool:
-        """Whether every value is zero, on the exact backend, from residues
-        modulo the verdict primes as the class describes.  ``memberships``
-        holds one :func:`multiview_membership` result per row set, and the
-        vectors are read from their cofactor passes, so no camera pair's
-        vectors are computed twice.  Side a of every block must be
-        consistent, else ValueError.  A block whose X_a is zero, or whose
-        bound B is 0, vanishes with no prime."""
+        """Whether every value is zero, on the exact backend, from x^d T at
+        side b's rows as the class describes; False at the first block with
+        a nonzero value.  ``memberships`` holds one
+        :func:`multiview_membership` result per row set, and the vectors are
+        read from their cofactor passes, so no camera pair's vectors are
+        computed twice.  Side a of every block must be consistent, else
+        ValueError.  A block whose X_a is zero vanishes with no contraction."""
         if not self.exact:
-            raise BackendError("the residue zero test needs the exact backend")
+            raise BackendError("the exact zero test needs the exact backend")
         if len(memberships) != len(self.row_sets):
             raise ShapeError(f"expected {len(self.row_sets)} image tuples, got {len(memberships)}")
         for a, b, gram, _ in self.blocks:
             if not memberships[a].ok:
-                raise ValueError("the residue test needs a consistent first side of each block")
+                raise ValueError("the exact zero test needs a consistent first side of each block")
             (pairs_a, rows_a), (pairs_b, rows_b) = self.row_sets[a], self.row_sets[b]
             cofactors_a, cofactors_b = memberships[a].cofactors, memberships[b].cofactors
             x = _spanning_vector((cofactors_a.vectors(j, k)[0] for j, k in pairs_a), rows_a)
             if x is None:
                 continue
-            side_a = (x, len(rows_a[0]))
-            side_b = (np.stack([cofactors_b.vectors(j, k)[0] for j, k in pairs_b]), rows_b)
-            bound = _value_bound(side_a, gram, side_b)
-            if bound and not _residues_vanish(side_a, gram, side_b, _verdict_primes(bound), bound):
+            # as Python ints: products of int64 entries can overflow
+            x = x.astype(object).reshape(1, 1, 1, 4)
+            w = np.stack([cofactors_b.vectors(j, k)[0] for j, k in pairs_b]).astype(object)
+            # t = x^d T, the rows of T^T at x, then t at the rows of b
+            t = _contract(gram.T[None], x, [(0,) * len(rows_a[0])])[:, None, :, 0, 0]
+            if _contract(t, w[None], rows_b).any():
                 return False
         return True
 
@@ -675,12 +597,10 @@ def rigid_pair_by_equations(rig: CameraRig, u, v,
     world point x, and every octic vanishes exactly when Q = x^2 T, the
     dense 16 x 16 tensor T contracted twice with x and read as a 4 x 4
     matrix, makes W_b Q W_b^T zero at the family's rows for every camera
-    pair b of v (or no family row of u has both vectors nonzero).
-    Residues modulo fixed primes below 2^29 decide it: a nonzero residue
-    proves a nonzero octic, and all residues zero modulo primes whose
-    product exceeds B = 256 max|x|^2 max|T| max|w_v|^2 prove every octic
-    zero.  Every octic is tested, not q(X, Y) at triangulated points, which
-    is the oracle.  The unit tensor's dense matrix is built on the first
+    pair b of v (or no family row of u has both vectors nonzero).  Both
+    contractions run on Python ints, so the values tested are the cleared
+    octics themselves.  Every octic is tested, not q(X, Y) at triangulated
+    points, which is the oracle.  The unit tensor's dense matrix is built on the first
     call and kept."""
     family = Family(family)
     if family not in _OCTIC_FAMILIES:

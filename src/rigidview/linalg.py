@@ -184,7 +184,7 @@ def _int_array(values) -> np.ndarray:
 def _is_probable_prime(m: int) -> bool:
     """Miller-Rabin with the twelve prime bases up to 37, which is
     deterministic for every m below 3.3 * 10^24, so exact for the word-size
-    moduli of the mod-p ranks and of the octic verdicts."""
+    moduli of the mod-p ranks."""
     if m < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):

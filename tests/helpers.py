@@ -1,24 +1,22 @@
 """Shared test fixtures: deterministic rigs, naive determinant oracle, the
 partial-pivoting determinant, Gauss-Jordan inverse and cofactor adjugate
 references, the from-scratch camera minor table, the per-index references
-for cofactor vectors and tensor values, one engine value, the full-block
-and row-basis residue tests, the cofactor-expansion reference for the
-symbolic octics, the per-column mod-p rank, the per-term coefficient
-matrix and failure bounds, and the direct oracle through triangulated
-points."""
+for cofactor vectors and tensor values, one engine value, the
+cofactor-expansion reference for the symbolic octics, the per-column mod-p
+rank, the per-term coefficient matrix and failure bounds, and the direct
+oracle through triangulated points."""
 
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, log2, prod
+from math import lcm, log2
 from operator import attrgetter
 
 import numpy as np
 
 from rigidview.cameras import (_MINOR_INDEX, _MINOR_ROWS, _MINOR_SIGN, CameraRig,
                                ProjectivePoint, _det3)
-from rigidview.constraints import (_UNIT_FORM, DEFAULT_VANISH_TOL, OcticEngine, _norm,
-                                   _residues)
+from rigidview.constraints import _UNIT_FORM, DEFAULT_VANISH_TOL, OcticEngine, _norm
 from rigidview.linalg import EXACT, FLOAT, Mat, det, rank, signed_maximal_minors
 from rigidview.polyspace import RANK_PRIME_COUNT, MultiHomogPoly, _shared_degree, monomial_basis
 from rigidview.triangulation import (AmbiguousTriangulationError, NotInVarietyError,
@@ -184,72 +182,6 @@ def engine_value(rig, tensor, u_sel, v_sel, u, v):
     (j1, k1, *rows_u), (j2, k2, *rows_v) = u_sel, v_sel
     row_sets = [([(j1, k1)], [tuple(rows_u)]), ([(j2, k2)], [tuple(rows_v)])]
     return OcticEngine(rig, row_sets, [(0, 1, tensor)]).evaluate((u, v))[0]
-
-
-def residue_products(w, rows, primes):
-    """X of integer vectors w of shape (..., 6, 4) at ``rows``: per vector
-    group and row (i_1, ..., i_d), the 4^d exact Python-int products
-    w[i_1, p_1] ... w[i_d, p_d], p_1 varying slowest; then reduced modulo
-    each prime: shape (primes, groups x rows, 4^d), with the primes as an
-    int64 array of shape (primes, 1, 1)."""
-    primes = np.array(primes, dtype=np.int64)
-    groups = np.asarray(w).astype(object).reshape(-1, 6, 4).tolist()
-    x = np.array([[prod(g[i][p] for i, p in zip(row, ps))
-                   for ps in itertools.product(range(4), repeat=len(row))]
-                  for g in groups for row in rows], dtype=object)
-    return _residues(x, primes), primes.reshape(-1, 1, 1)
-
-
-def _block(a, gram, b, mod):
-    """a G b^T modulo mod, per prime, as Python ints: a sum of 4^d residue
-    products can exceed int64."""
-    g = _residues(gram, mod.ravel()).astype(object)
-    return a.astype(object) @ g % mod @ b.transpose(0, 2, 1).astype(object) % mod
-
-
-def full_block_nonzero(side_a, gram, side_b, primes):
-    """Whether some value of X_a T X_b^T is nonzero modulo one of the
-    primes, from each prime's whole block; each side is ``(w, rows)``.  The
-    reference for the rank-one contraction of
-    :func:`rigidview.constraints._residue_nonzero` and for
-    :func:`row_basis_nonzero`."""
-    (x_a, mod), (x_b, _) = (residue_products(w, rows, primes) for w, rows in (side_a, side_b))
-    return bool(_block(x_a, gram, x_b, mod).any())
-
-
-def row_basis(s, mod):
-    """Rows spanning the row space of each prime's matrix: ``s`` holds
-    residues of shape (primes, rows, columns) modulo ``mod`` of shape
-    (primes, 1, 1), and the result has shape (primes, k, columns), k the
-    largest rank.  Each step takes every prime's first nonzero row as its
-    pivot and clears the pivot's leading column from every row, pivot
-    included: row r becomes r[lead] pivot subtracted from pivot[lead] r,
-    mod p.  pivot[lead] is a unit, so the pivots and the rows left span
-    what the rows spanned, and the pivots alone span it once every row is
-    zero.  A prime whose rows have all vanished takes a zero pivot, so its
-    padding rows are zero."""
-    at = np.arange(len(s))
-    basis = []
-    for _ in range(s.shape[-1]):
-        if not s.any():
-            break
-        # every prime's first nonzero entry: its pivot row and leading column
-        row, lead = np.divmod((s.reshape(len(s), -1) != 0).argmax(axis=1), s.shape[-1])
-        pivot = s[at, row]
-        s = (s * pivot[at, lead][:, None, None]
-             - s[at, :, lead][:, :, None] * pivot[:, None, :]) % mod
-        basis.append(pivot)
-    return np.stack(basis, axis=1) if basis else s[:, :0]
-
-
-def row_basis_nonzero(side_a, gram, side_b, primes):
-    """Whether some value of X_a T X_b^T is nonzero modulo one of the
-    primes, for sides ``(w, rows)`` of any rank: modulo p the block is
-    zero exactly when B_a T X_b^T is, the rows of B_a spanning the row
-    space of X_a mod p (:func:`row_basis`).  The row-basis form of the
-    residue test, for a side a that need not be consistent."""
-    (x_a, mod), (x_b, _) = (residue_products(w, rows, primes) for w, rows in (side_a, side_b))
-    return bool(_block(row_basis(x_a, mod), gram, x_b, mod).any())
 
 
 def tensor_value(tensor, a, b, c, d):

@@ -90,6 +90,19 @@ class TestProjectTriangulate:
         assert code == 1
         assert "error" in doc
 
+    def test_triangulate_ambiguous_exits_one(self, tmp_path, capsys):
+        # a consistent float tuple whose candidates disagree (rows 0 and 2 by
+        # an angular gap of 1.1e-5 against the 1e-6 tolerance) is not bad
+        # input: exit 1 and the error record, as for the other two errors
+        rig_file = str(tmp_path / "frig.json")
+        main(["--seed", "7", "--backend", "float", "--json-out", rig_file, "gen-rig", "--n", "2"])
+        points = [[-0.255813963488, -0.99999999, 0.720930222558],
+                  [-1.00000001, -0.038461548462, -0.230769240769]]
+        code, doc = run_cli(capsys, "--backend", "float", "triangulate", "--rig", rig_file,
+                            "--tuple", json.dumps(points))
+        assert code == 1
+        assert doc["error"] == "AmbiguousTriangulationError" and doc["message"]
+
     def test_project_keeps_tiny_coordinates(self, rig_file, capsys):
         # 1e-13 is read as 1/10^13, not rounded to 0
         code, tiny = run_cli(capsys, "project", "--rig", rig_file,

@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (count_calls, engine_value, fraction_rig, full_block_nonzero, naive_det,
-                     random_rig, random_world_point, reference_modp_rank,
-                     reference_rigid_pair_oracle, residue_products, row_basis, row_basis_nonzero,
-                     scaled_rig, standard_rig, tensor_value, wedge5)
+from helpers import (count_calls, engine_value, fraction_rig, naive_det, random_rig,
+                     random_world_point, reference_rigid_pair_oracle, scaled_rig, standard_rig,
+                     tensor_value, wedge5)
 from rigidview.cameras import (
     CameraRig,
     ProjectivePoint,
@@ -45,8 +44,7 @@ from rigidview.constraints import (
     unit_distance_form,
 )
 from rigidview import cameras, constraints, harness, triangulation
-from rigidview.linalg import (INT64_LIMIT, BackendError, Mat, ShapeError, _int_array,
-                              _is_probable_prime, det)
+from rigidview.linalg import BackendError, Mat, ShapeError, det
 from rigidview.polyspace import all_octics_symbolic, expand_wedge_symbolic
 from rigidview.triangulation import assemble_b
 
@@ -825,11 +823,10 @@ class TestOracleOnWitnessVectors:
                 monkeypatch.undo()
 
 
-def _residue_rigs(n):
-    """Rigs whose cleared cofactor vectors take each reduction path: integer
-    cameras (int64), Fraction cameras, the integer cameras over 1000 and
-    cameras of height 10^6 (object-array cofactor vectors, reduced by one
-    object %)."""
+def _verdict_rigs(n):
+    """Rigs whose cleared cofactor vectors take each width: integer cameras
+    (int64), Fraction cameras, the integer cameras over 1000 and cameras of
+    height 10^6 (Python ints in object arrays)."""
     base = random_rig(random.Random(521 + n), n)
     return {"int": base, "fraction": fraction_rig(random.Random(523 + n), n),
             "over-1000": scaled_rig(base, Fraction(1, 1000)),
@@ -843,10 +840,10 @@ def _moved(points, j, c):
     return points[:j] + (ProjectivePoint(coords),) + points[j + 1:]
 
 
-def _residue_inputs(rig, rng):
+def _verdict_inputs(rig, rng):
     """Member pairs, non-member pairs, member pairs with one image coordinate
-    moved by 1 on side v and on side u (whose reduced side then has rank
-    above 1) and, with two cameras, the epipole pair on either side."""
+    moved by 1 on side v and on side u (which in general leaves that tuple
+    inconsistent) and, with two cameras, the epipole pair on either side."""
     cases = []
     for _ in range(2):
         x, y = unit_pair(rng)
@@ -877,16 +874,21 @@ def _proportional(a, b):
     return all(a[i] * b[j] == a[j] * b[i] for i in range(4) for j in range(i + 1, 4))
 
 
-class TestResidueVerdict:
-    """The exact zero test from residues against the cleared values."""
+# The unit form's cleared dense tensor, the Gram every octic family uses.
+_UNIT_GRAM = constraints._gram(constraints._UNIT_TENSOR, True, 2, 2)[0]
+
+
+class TestExactVerdict:
+    """The exact zero test, one exact contraction per block, against the
+    cleared values."""
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_verdict_equals_the_cleared_values(self, n):
         # an inconsistent u is refused; on the others the verdict is that
-        # of the values, and the bound with max|w_u| bounds every value
+        # of the values
         verdicts, refused = set(), 0
-        for name, rig in _residue_rigs(n).items():
-            cases = _residue_inputs(rig, random.Random(f"{name}:{n}"))
+        for name, rig in _verdict_rigs(n).items():
+            cases = _verdict_inputs(rig, random.Random(f"{name}:{n}"))
             for family in _families(n):
                 engine = _engine(rig, family)
                 for u, v in cases:
@@ -900,90 +902,90 @@ class TestResidueVerdict:
                     verdict = engine.vanishes(memberships)
                     assert verdict == (not values.any())
                     verdicts.add(verdict)
-                    (w_u, _), (w_v, _) = engine._cofactors((u, v))
-                    rows = engine.row_sets[0][1]
-                    bound = constraints._value_bound((w_u, 2), engine.blocks[0][2], (w_v, rows))
-                    assert max(map(abs, values.ravel().tolist())) <= bound
         assert verdicts == {True, False} and refused > 0
 
-    def test_reduction_paths_are_taken(self):
-        rigs = _residue_rigs(2)
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_rank_one_equals_the_cleared_values(self, n):
+        # every family, on the verdict rigs, with the unit form and with it
+        # times 15 and times 536870909 (the largest prime below 2^29): the
+        # verdict is that of the values, whatever primes divide the Gram
+        unit, outcomes = unit_distance_form(), set()
+        for name, rig in _verdict_rigs(n).items():
+            for u, v in _verdict_inputs(rig, random.Random(f"rank-one:{name}:{n}")):
+                memberships = _memberships(rig, u, v)
+                if not memberships[0].ok:
+                    continue
+                for family in _families(n):
+                    row_set = constraints._octic_row_set(n, family)
+                    verdicts = set()
+                    for scale in (1, 15, 536870909):
+                        form = BihomForm((2, 2), {e: scale * c for e, c in unit.coeffs.items()})
+                        engine = constraints.OcticEngine(rig, (row_set, row_set),
+                                                         [(0, 1, polarize(form))])
+                        assert (engine.blocks[0][2] == scale * _UNIT_GRAM).all()
+                        ((values, _),) = engine.cleared((u, v))
+                        verdicts.add(engine.vanishes(memberships))
+                        assert verdicts == {not values.any()}
+                    outcomes |= verdicts
+        assert outcomes == {True, False}
+
+    def test_both_vector_widths_are_taken(self):
+        rigs = _verdict_rigs(2)
         dtypes = {}
         for name in ("int", "height-1e6"):
             rig = rigs[name]
-            u, v = _residue_inputs(rig, random.Random(f"{name}:2"))[0]
+            u, v = _verdict_inputs(rig, random.Random(f"{name}:2"))[0]
             engine = _engine(rig, Family.OCTIC_FULL)
             (w_u, _), _ = engine._cofactors((u, v))
             dtypes[name] = w_u.dtype
             assert engine.blocks[0][2].dtype == np.int64
         assert dtypes == {"int": np.int64, "height-1e6": object}
 
-    @pytest.mark.parametrize("shape", [(3, 6, 4), (10, 10)])
-    @pytest.mark.parametrize("count", [1, 5])
-    def test_residues_of_either_width(self, shape, count):
-        rng = random.Random(f"{shape}:{count}")
-        primes = np.array(constraints._verdict_primes(2 ** 200)[:count], dtype=np.int64)
-        size = prod(shape)
-        small = [rng.randint(-INT64_LIMIT + 1, INT64_LIMIT - 1) for _ in range(size - 2)]
-        small += [INT64_LIMIT - 1, -(INT64_LIMIT - 1)]
-        large = [rng.choice((-1, 1)) * rng.randint(INT64_LIMIT, 2 ** 100) for _ in range(size // 2)]
-        large += small[size // 2:]
-        cases = ((_int_array(small), small), (np.array(small, dtype=object), small),
-                 (_int_array(large), large))
-        assert [arr.dtype for arr, _ in cases] == [np.int64, object, object]
-        for arr, values in cases:
-            got = constraints._residues(arr.reshape(shape), primes)
-            assert got.dtype == np.int64 and got.shape == (count,) + shape
-            assert got.reshape(count, -1).tolist() == [[x % p for x in values]
-                                                       for p in primes.tolist()]
-
-    def test_too_few_primes_are_refused(self):
-        rig = random_rig(random.Random(547), 2)
-        x, y = unit_pair(random.Random(557))
-        u, v = forward_map(rig, x), forward_map(rig, y)
-        engine = _engine(rig, Family.OCTIC_FULL)
-        (w_u, _), (w_v, _) = engine._cofactors((u, v))
-        gram = engine.blocks[0][2]
-        x = constraints._spanning_vector(w_u, constraints._ROW_PAIRS)
-        sides = ((x, 2), gram, (w_v, constraints._ROW_PAIRS))
-        bound = constraints._value_bound(*sides)
-        primes = constraints._verdict_primes(bound)
-        assert constraints._residues_vanish(*sides, primes, bound)
-        # one prime decides alone when the bound is below it
-        assert constraints._residues_vanish(*sides, primes[:1], primes[0] - 1)
-        for fewer, limit in ((primes[:-1], bound), (primes[:1], bound), (primes, prod(primes))):
-            with pytest.raises(ValueError, match="does not exceed the"):
-                constraints._residues_vanish(*sides, fewer, limit)
-
-    def test_verdict_primes(self):
-        bound = 2 ** 1000
-        primes = constraints._verdict_primes(bound)
-        assert primes == sorted(set(primes), reverse=True)
-        assert primes[0] == 2 ** 29 - 3  # the largest prime below 2^29
-        assert all(p < 2 ** 29 and _is_probable_prime(p) for p in primes)
-        assert prod(primes[:-1]) <= bound < prod(primes)
-        assert constraints._verdict_primes(0) == []
-
-    def test_first_prime_settles_a_nonmember(self, monkeypatch):
-        rig = random_rig(random.Random(563), 3)
-        x, y = unit_pair(random.Random(569))
-        far = ProjectivePoint((y[0] + 1, y[1], y[2], y[3]))
-        calls = count_calls(monkeypatch, constraints, "_residue_nonzero")
-        assert not rigid_pair_by_equations(rig, forward_map(rig, x), forward_map(rig, far))
-        assert [len(c[3]) for c in calls] == [1]
-        # a member takes the first prime, then the rest at once
-        calls.clear()
-        assert rigid_pair_by_equations(rig, forward_map(rig, x), forward_map(rig, y))
-        assert len(calls) == 2 and len(calls[0][3]) == 1 and len(calls[1][3]) > 1
-
-    def test_epipole_pair_takes_no_prime(self, monkeypatch):
-        rig = random_rig(random.Random(571), 2)
-        u = forward_map(rig, ProjectivePoint(random_world_point(random.Random(577))))
-        ep = (rig.epipole(0, 1), rig.epipole(1, 0))
-        calls = count_calls(monkeypatch, constraints, "_residue_nonzero")
-        for family in (Family.OCTIC_FULL, Family.OCTIC_NINE):
-            assert rigid_pair_by_equations(rig, u, ep, family)
-        assert calls == []
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_two_exact_contractions_per_block(self, n, monkeypatch):
+        # on a consistent tuple every cofactor vector is a multiple of the
+        # one world point, so side u enters as one nonzero 4-vector x that
+        # every vector of u is a multiple of: a member block and a
+        # non-member block each take two contractions on Python ints, x^d T
+        # and its values at v's rows, and a block whose X_u is zero none
+        contractions = count_calls(monkeypatch, constraints, "_contract")
+        verdicts = set()
+        for name, rig in _verdict_rigs(n).items():
+            for u, v in _verdict_inputs(rig, random.Random(f"{name}:{n}")):
+                memberships = _memberships(rig, u, v)
+                if not memberships[0].ok:
+                    continue
+                w_u = _engine(rig, Family.OCTIC_FULL)._cofactors((u, v))[0][0]
+                for family in _families(n):
+                    engine = _engine(rig, family)
+                    contractions.clear()
+                    verdict = engine.vanishes(memberships)
+                    if constraints._spanning_vector(w_u, engine.row_sets[0][1]) is None:
+                        assert verdict and contractions == []
+                        continue
+                    assert len(contractions) == 2
+                    (gram_t, x, _), (t, w, rows) = contractions
+                    assert gram_t.shape == (1, 16, 16) and x.shape == (1, 1, 1, 4)
+                    assert x.dtype == t.dtype == w.dtype == object and x.any()
+                    assert all(_proportional(x.ravel().tolist(), y)
+                               for y in w_u.reshape(-1, 4).tolist())
+                    assert t.shape == (1, 1, 16) and w.shape == (1, len(engine.row_sets[1][0]), 6, 4)
+                    verdicts.add(verdict)
+        assert verdicts == {True, False}
+        if n == 2:
+            # the epipole pair is accepted in either order: its cofactor
+            # vectors are all zero, so as side u no row is nonzero, and as
+            # side v every value is zero
+            rig = random_rig(random.Random(571), 2)
+            u = forward_map(rig, ProjectivePoint(random_world_point(random.Random(577))))
+            ep = (rig.epipole(0, 1), rig.epipole(1, 0))
+            assert not multiview_membership(rig, ep).cofactors.vectors(0, 1)[0].any()
+            for family in (Family.OCTIC_FULL, Family.OCTIC_NINE):
+                contractions.clear()
+                assert rigid_pair_by_equations(rig, ep, u, family)
+                assert contractions == []
+                assert rigid_pair_by_equations(rig, u, ep, family)
+                assert len(contractions) == 2 and not contractions[1][1].any()
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_degree_three_verdict_equals_the_cleared_values(self, n):
@@ -994,9 +996,9 @@ class TestResidueVerdict:
                  BihomForm((2, 3), {(a, (b[0] + 1,) + b[1:]): c for (a, b), c in unit.coeffs.items()})]
         triples, pairs = [(0, 1, 2), (0, 0, 5), (3, 4, 4), (1, 1, 1), (2, 3, 5)], constraints._ROW_PAIRS[:8]
         verdicts = set()
-        for name, rig in _residue_rigs(n).items():
+        for name, rig in _verdict_rigs(n).items():
             cameras = constraints._camera_pairs(n)
-            cases = _residue_inputs(rig, random.Random(f"{name}:{n}"))
+            cases = _verdict_inputs(rig, random.Random(f"{name}:{n}"))
             for form, rows in zip(forms, ((triples, pairs), (pairs, triples))):
                 row_sets = [(cameras, rows[0]), (cameras, rows[1])]
                 engine = constraints.OcticEngine(rig, row_sets, [(0, 1, polarize(form))])
@@ -1008,10 +1010,6 @@ class TestResidueVerdict:
                     verdict = engine.vanishes(memberships)
                     assert verdict == (not values.any())
                     verdicts.add(verdict)
-                    (w_u, _), (w_v, _) = engine._cofactors((u, v))
-                    bound = constraints._value_bound((w_u, len(rows[0][0])), engine.blocks[0][2],
-                                                     (w_v, rows[1]))
-                    assert max(map(abs, values.ravel().tolist())) <= bound
         assert verdicts == {True, False}
 
     def test_degree_zero_side(self):
@@ -1033,14 +1031,11 @@ class TestResidueVerdict:
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("degrees", [(4, 1), (1, 4)])
-    def test_degree_four_side_equals_the_full_block(self, degrees, n):
+    def test_degree_four_verdict_equals_the_cleared_values(self, degrees, n):
         # F = (X_0^2 + X_1 X_2 + X_3^2) X_3 (X_0 Y_3 - X_3 Y_0), zero when the
         # two points share their first affine coordinate, and F with X and Y
         # swapped: T has 4^5 = 1024 entries, and a value sums 256 products
-        # on the degree-four side, but the residue contraction sums four at
-        # a time.  The verdict equals the full-block reference at the primes
-        # of the max|w_u| bound and the values; the x bound is below that
-        # bound, and that bound is above every cleared value.
+        # on the degree-four side
         y0, y3 = (1, 0, 0, 0), (0, 0, 0, 1)
         form = BihomForm((4, 1), {((3, 0, 0, 1), y3): 1, ((2, 0, 0, 2), y0): -1,
                                   ((1, 1, 1, 1), y3): 1, ((0, 1, 1, 2), y0): -1,
@@ -1051,14 +1046,13 @@ class TestResidueVerdict:
         rows_one = [(i,) for i in range(6)]
         rows_u, rows_v = (rows_four, rows_one) if degrees == (4, 1) else (rows_one, rows_four)
         verdicts = set()
-        for name, rig in _residue_rigs(n).items():
+        for name, rig in _verdict_rigs(n).items():
             rng = random.Random(f"degree-four:{name}:{n}:{degrees}")
             cameras = constraints._camera_pairs(n)
             engine = constraints.OcticEngine(rig, [(cameras, rows_u), (cameras, rows_v)],
                                              [(0, 1, polarize(form))])
-            gram = engine.blocks[0][2]
-            assert gram.shape == (4 ** degrees[0], 4 ** degrees[1])
-            cases = _residue_inputs(rig, rng)
+            assert engine.blocks[0][2].shape == (4 ** degrees[0], 4 ** degrees[1])
+            cases = _verdict_inputs(rig, rng)
             for _ in range(2):
                 x = ProjectivePoint(random_world_point(rng))
                 k = rng.randint(1, 3)
@@ -1069,200 +1063,23 @@ class TestResidueVerdict:
                 if not memberships[0].ok:
                     continue
                 ((values, _),) = engine.cleared((u, v))
-                (w_u, _), (w_v, _) = engine._cofactors((u, v))
-                full_bound = constraints._value_bound((w_u, degrees[0]), gram, (w_v, rows_v))
-                assert max(map(abs, values.ravel().tolist())) <= full_bound
-                want = not (full_bound and full_block_nonzero(
-                    (w_u, rows_u), gram, (w_v, rows_v), constraints._verdict_primes(full_bound)))
                 verdict = engine.vanishes(memberships)
-                assert verdict == want == (not values.any())
+                assert verdict == (not values.any())
                 verdicts.add(verdict)
-                x = constraints._spanning_vector(w_u, rows_u)
-                if x is None:
-                    continue
-                side_a, side_b = (x, degrees[0]), (w_v, rows_v)
-                bound = constraints._value_bound(side_a, gram, side_b)
-                assert bound <= full_bound
-                assert constraints._residues_vanish(
-                    side_a, gram, side_b, constraints._verdict_primes(bound), bound) == want
         assert verdicts == {True, False}
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_consistent_side_reduces_to_one_row(self, n, monkeypatch):
-        # on a consistent tuple every cofactor vector is a multiple of the
-        # one world point, so side u enters each prime as one nonzero vector
-        # x that every vector of u is a multiple of: every contraction is
-        # of T with x or of one tensor row x^2 T per prime, never of the
-        # rows of u, and there is no row basis
-        assert not hasattr(constraints, "_row_basis")
-        sides = count_calls(monkeypatch, constraints, "_residue_nonzero")
-        contractions = count_calls(monkeypatch, constraints, "_contract")
-        seen = 0
-        for name, rig in _residue_rigs(n).items():
-            for u, v in _residue_inputs(rig, random.Random(f"{name}:{n}")):
-                memberships = _memberships(rig, u, v)
-                if not memberships[0].ok:
-                    continue
-                w_u = _engine(rig, Family.OCTIC_FULL)._cofactors((u, v))[0][0]
-                for family in _families(n):
-                    sides.clear()
-                    _engine(rig, family).vanishes(memberships)
-                    for (x, d), _, _, _ in sides:
-                        assert d == 2 and x.shape == (4,) and x.any()
-                        assert all(_proportional(x.tolist(), y) for y in w_u.reshape(-1, 4).tolist())
-                        seen += 1
-        assert all(t.shape[1] == 1 or w.shape[1:3] == (1, 1) for t, w, *_ in contractions)
-        assert len(contractions) == 2 * seen and seen > 0
-
-    def test_verdicts_build_the_gram_once(self, monkeypatch):
-        rig = random_rig(random.Random(601), 3)
-        x, y = unit_pair(random.Random(607))
-        u, v = forward_map(rig, x), forward_map(rig, y)
-        assert rigid_pair_by_equations(rig, u, v)
-        # _cleared clears the Gram's denominators: it runs once per build
-        built = count_calls(monkeypatch, constraints, "_cleared")
-        assert rigid_pair_by_equations(rig, u, v) and rigid_pair_by_equations(rig, u, v)
-        assert built == []
-        # a new tensor builds its own, once, and every engine shares it
-        tensor = polarize(unit_distance_form())
-        engines = [constraints.OcticEngine(rig, [([(0, 1)], [(0, 0)])] * 2, [(0, 1, tensor)])
-                   for _ in range(2)]
-        assert len(built) == 1
-        gram = engines[0].blocks[0][2]
-        assert engines[1].blocks[0][2] is gram and not gram.flags.writeable
-
-    def test_float_engine_refuses_the_residue_test(self):
-        rig = CameraRig([cam.matrix.to_float() for cam in random_rig(random.Random(587), 2).cameras])
-        u = (ProjectivePoint((1.0, 2.0, 3.0)), ProjectivePoint((4.0, 5.0, 7.0)))
-        with pytest.raises(BackendError):
-            _engine(rig, Family.OCTIC_NINE).vanishes(_memberships(rig, u, u))
-
-
-def _ranked_w(rng, rank, big):
-    """Vectors of shape (2, 6, 4), as if of two camera pairs: ``rank``
-    random vectors, then multiples of them (or zeros), shuffled; so the
-    powers w_i^d of the twelve span a space of dimension ``rank`` when d
-    allows.  An object array with entries up to 2^80 when ``big``."""
-    top = 2 ** 80 if big else 50
-    gens = [[rng.randint(-top, top) for _ in range(4)] for _ in range(rank)]
-    multiples = [(rng.randint(0, 9), rng.choice(gens)) if gens else (0, [0] * 4)
-                 for _ in range(12 - rank)]
-    vectors = gens + [[f * c for c in g] for f, g in multiples]
-    rng.shuffle(vectors)
-    return np.array(vectors, dtype=object if big else np.int64).reshape(2, 6, 4)
-
-
-# A verdict prime next to the small primes at which ranks drop.
-_MIXED_PRIMES = constraints._verdict_primes(1) + [3, 5, 7, 11]
-
-
-class TestRowBasis:
-    """The row-basis residue test of ``helpers``, kept as the reference for
-    sides of any rank, against each prime's own rank and the full block."""
-
-    @pytest.mark.parametrize("big", [False, True])
-    def test_rows_span_the_row_space(self, big):
-        rng = random.Random(f"row-basis:{big}")
-        top_ranks, mixed = set(), False
-        for degree in (1, 2, 3):
-            rows = [(i,) * degree for i in range(6)]
-            for rank in range(11):
-                w = _ranked_w(rng, rank, big)
-                s, mod = residue_products(w, rows, _MIXED_PRIMES)
-                basis = row_basis(s, mod)
-                ranks = [reference_modp_rank(m, p) for m, p in zip(s, _MIXED_PRIMES)]
-                assert basis.shape == (len(_MIXED_PRIMES), max(ranks), s.shape[-1])
-                for b, m, p, r in zip(basis, s, _MIXED_PRIMES, ranks):
-                    assert ((0 <= b) & (b < p)).all()
-                    # r nonzero rows spanning the rows of m, then zero padding
-                    assert b[:r].any(axis=1).all() and not b[r:].any()
-                    assert reference_modp_rank(b, p) == r
-                    assert reference_modp_rank(np.vstack([m, b]), p) == r
-                if degree == 2:
-                    top_ranks.add(ranks[0])
-                mixed |= len(set(ranks)) > 1
-        assert top_ranks == set(range(11))
-        assert mixed
-
-    @pytest.mark.parametrize("big", [False, True])
-    @pytest.mark.parametrize("degrees", [(1, 2), (2, 2), (3, 2), (2, 3), (3, 1)])
-    def test_residue_test_equals_the_full_block(self, degrees, big):
-        rng = random.Random(f"residue-block:{degrees}:{big}")
-        batches = [[p] for p in _MIXED_PRIMES] + [_MIXED_PRIMES, [3, 5]]
-        outcomes = set()
-        for _ in range(6):
-            sides = [(_ranked_w(rng, rng.randint(0, 10), big),
-                      [tuple(sorted(rng.randrange(6) for _ in range(d))) for _ in range(5)])
-                     for d in degrees]
-            gram = np.array([[rng.randint(-9, 9) for _ in range(4 ** degrees[1])]
-                             for _ in range(4 ** degrees[0])], dtype=np.int64)
-            # a Gram that vanishes modulo 3 and 5 only
-            for g in (gram, 15 * gram):
-                for primes in batches:
-                    got = row_basis_nonzero(sides[0], g, sides[1], primes)
-                    assert got == full_block_nonzero(sides[0], g, sides[1], primes)
-                    outcomes.add(got)
-        assert outcomes == {True, False}
-
-
-class TestRankOneResidues:
-    """The rank-one residue test of a consistent side u against the
-    full-block reference of ``helpers``."""
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_rank_one_equals_the_full_block(self, n):
-        # every family, on the residue rigs: the engine's verdict is the
-        # reference's at the primes of the max|w_u| bound and that of the
-        # values; the first verdict prime gives the same residue verdict;
-        # a Gram times 15 vanishes modulo 3 and 5 by both routes and leaves
-        # the verdict as it was
-        outcomes = set()
-        for name, rig in _residue_rigs(n).items():
-            for u, v in _residue_inputs(rig, random.Random(f"rank-one:{name}:{n}")):
-                memberships = _memberships(rig, u, v)
-                if not memberships[0].ok:
-                    continue
-                for family in _families(n):
-                    engine = _engine(rig, family)
-                    (w_u, _), (w_v, _) = engine._cofactors((u, v))
-                    rows = engine.row_sets[0][1]
-                    gram = engine.blocks[0][2]
-                    ((values, _),) = engine.cleared((u, v))
-                    full_bound = constraints._value_bound((w_u, 2), gram, (w_v, rows))
-                    want = not (full_bound and full_block_nonzero(
-                        (w_u, rows), gram, (w_v, rows), constraints._verdict_primes(full_bound)))
-                    verdict = engine.vanishes(memberships)
-                    assert verdict == want == (not values.any())
-                    outcomes.add(verdict)
-                    x = constraints._spanning_vector(w_u, rows)
-                    if x is None:
-                        continue
-                    side_a, side_b = (x, 2), (w_v, rows)
-                    assert constraints._value_bound(side_a, gram, side_b) <= full_bound
-                    first = constraints._verdict_primes(1)
-                    for g in (gram, 15 * gram):
-                        assert (constraints._residue_nonzero(side_a, g, side_b, first)
-                                == full_block_nonzero((w_u, rows), g, side_b, first))
-                    for small in ([3], [5], [3, 5]):
-                        assert not constraints._residue_nonzero(side_a, 15 * gram, side_b, small)
-                        assert not full_block_nonzero((w_u, rows), 15 * gram, side_b, small)
-                    bound = constraints._value_bound(side_a, 15 * gram, side_b)
-                    assert constraints._residues_vanish(
-                        side_a, 15 * gram, side_b, constraints._verdict_primes(bound), bound) == want
-        assert outcomes == {True, False}
 
     def test_zero_family_rows_vanish(self):
         # a hand-built side whose nine-family rows (i, i), i < 3, are all
-        # zero while rows 3 to 5 are not: S_u = 0, so the block vanishes by
-        # both routes, though the full family's rows do not
+        # zero while rows 3 to 5 are not: X_u = 0, so the block vanishes,
+        # though the full family's rows do not
         rng = random.Random(613)
         base = [rng.randint(-40, 40) for _ in range(4)]
         w = np.array([[[0] * 4] * 3 + [[c * f for f in base] for c in (2, -3, 5)]] * 3,
-                     dtype=np.int64)
+                     dtype=object)
         rows_nine = constraints._octic_row_set(3, Family.OCTIC_NINE)[1]
         gram = _engine(random_rig(rng, 2), Family.OCTIC_NINE).blocks[0][2]
         assert constraints._spanning_vector(w, rows_nine) is None
-        assert not full_block_nonzero((w, rows_nine), gram, (w, rows_nine), _MIXED_PRIMES)
+        assert not constraints._contract(gram.T[None], w[None], rows_nine).any()
         assert constraints._spanning_vector(w, constraints._ROW_PAIRS).tolist() == [
             2 * f for f in base]
         # the same through the engine: a rank-2 camera puts the left kernel
@@ -1283,26 +1100,28 @@ class TestRankOneResidues:
         assert not values.any()
         assert not _engine(rig, Family.OCTIC_FULL).vanishes(memberships)
 
-    def test_later_primes_decide_a_block_zero_modulo_the_first(self):
-        # a Gram divisible by the first verdict prime: every residue of the
-        # first prime vanishes, the values do not, and only the later primes
-        # say so
-        rig = random_rig(random.Random(617), 3)
-        x, y = unit_pair(random.Random(619))
-        u = forward_map(rig, x)
-        v = forward_map(rig, ProjectivePoint((y[0] + 1, y[1], y[2], y[3])))
-        engine = _engine(rig, Family.OCTIC_FULL)
-        (w_u, _), (w_v, _) = engine._cofactors((u, v))
-        first = constraints._verdict_primes(1)
-        gram = first[0] * engine.blocks[0][2]
-        side_a = (constraints._spanning_vector(w_u, constraints._ROW_PAIRS), 2)
-        side_b = (w_v, constraints._ROW_PAIRS)
-        bound = constraints._value_bound(side_a, gram, side_b)
-        primes = constraints._verdict_primes(bound)
-        assert len(primes) > 1 and primes[0] == first[0]
-        assert not constraints._residue_nonzero(side_a, gram, side_b, first)
-        assert constraints._residue_nonzero(side_a, gram, side_b, primes[1:])
-        assert not constraints._residues_vanish(side_a, gram, side_b, primes, bound)
+    def test_verdicts_build_the_gram_once(self, monkeypatch):
+        rig = random_rig(random.Random(601), 3)
+        x, y = unit_pair(random.Random(607))
+        u, v = forward_map(rig, x), forward_map(rig, y)
+        assert rigid_pair_by_equations(rig, u, v)
+        # _cleared clears the Gram's denominators: it runs once per build
+        built = count_calls(monkeypatch, constraints, "_cleared")
+        assert rigid_pair_by_equations(rig, u, v) and rigid_pair_by_equations(rig, u, v)
+        assert built == []
+        # a new tensor builds its own, once, and every engine shares it
+        tensor = polarize(unit_distance_form())
+        engines = [constraints.OcticEngine(rig, [([(0, 1)], [(0, 0)])] * 2, [(0, 1, tensor)])
+                   for _ in range(2)]
+        assert len(built) == 1
+        gram = engines[0].blocks[0][2]
+        assert engines[1].blocks[0][2] is gram and not gram.flags.writeable
+
+    def test_float_engine_refuses_the_exact_test(self):
+        rig = CameraRig([cam.matrix.to_float() for cam in random_rig(random.Random(587), 2).cameras])
+        u = (ProjectivePoint((1.0, 2.0, 3.0)), ProjectivePoint((4.0, 5.0, 7.0)))
+        with pytest.raises(BackendError):
+            _engine(rig, Family.OCTIC_NINE).vanishes(_memberships(rig, u, u))
 
 
 class TestGroupActions:
