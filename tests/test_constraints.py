@@ -44,7 +44,7 @@ from rigidview.constraints import (
     unit_distance_form,
 )
 from rigidview import cameras, constraints, harness, triangulation
-from rigidview.linalg import BackendError, Mat, ShapeError, det
+from rigidview.linalg import INT64_LIMIT, BackendError, Mat, ShapeError, det
 from rigidview.polyspace import all_octics_symbolic, expand_wedge_symbolic
 from rigidview.triangulation import assemble_b
 
@@ -878,6 +878,42 @@ def _proportional(a, b):
 _UNIT_GRAM = constraints._gram(constraints._UNIT_TENSOR, True, 2, 2)[0]
 
 
+def _naive_contract(t, w, rows):
+    """The values of :func:`rigidview.constraints._contract`, one at a time
+    from its definition: t_m(w_pk1, ..., w_pke) = sum over the index tuples
+    j of t[m, j] w_pk1[j_1] ... w_pke[j_e], j_1 slowest."""
+    e = len(rows[0])
+    return [[[[sum(t_bm[i] * prod(w_bp[k][j] for k, j in zip(row, js))
+                   for i, js in enumerate(itertools.product(range(4), repeat=e)))
+               for row in rows] for w_bp in w_b] for t_bm in t_b]
+            for t_b, w_b in zip(t, w)]
+
+
+class TestContract:
+    """``_contract`` against its definition, on the widths it is given:
+    Python ints (small, and past int64 as the exact backend's heights can
+    reach) and float64 holding small integers, which sum exactly."""
+
+    @pytest.mark.parametrize("width", ["int", "big-int", "float"])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+    def test_values_equal_the_definition(self, degree, width):
+        rng = random.Random(f"contract:{degree}:{width}")
+        top = 2 ** 80 if width == "big-int" else 9
+        t = [[[rng.randint(-top, top) for _ in range(4 ** degree)] for _ in range(3)]
+             for _ in range(2)]
+        # two batches of two groups of six vectors, one of them zero
+        w = [[[[rng.randint(-top, top) for _ in range(4)] if k != 4 else [0] * 4
+               for k in range(6)] for _ in range(2)] for _ in range(2)]
+        rows = [tuple(rng.randrange(6) for _ in range(degree)) for _ in range(5)]
+        rows[0] = (4,) * degree
+        dtype = np.float64 if width == "float" else object
+        got = constraints._contract(np.array(t, dtype=dtype), np.array(w, dtype=dtype), rows)
+        assert got.shape == (2, 3, 2, 5) and got.dtype == dtype
+        assert got.tolist() == _naive_contract(t, w, rows)
+        # a row through the zero vector is zero, unless it reads no vector
+        assert got[..., 0].any() == (degree == 0)
+
+
 class TestExactVerdict:
     """The exact zero test, one exact contraction per block, against the
     cleared values."""
@@ -972,20 +1008,68 @@ class TestExactVerdict:
                     assert t.shape == (1, 1, 16) and w.shape == (1, len(engine.row_sets[1][0]), 6, 4)
                     verdicts.add(verdict)
         assert verdicts == {True, False}
-        if n == 2:
-            # the epipole pair is accepted in either order: its cofactor
-            # vectors are all zero, so as side u no row is nonzero, and as
-            # side v every value is zero
-            rig = random_rig(random.Random(571), 2)
-            u = forward_map(rig, ProjectivePoint(random_world_point(random.Random(577))))
-            ep = (rig.epipole(0, 1), rig.epipole(1, 0))
-            assert not multiview_membership(rig, ep).cofactors.vectors(0, 1)[0].any()
-            for family in (Family.OCTIC_FULL, Family.OCTIC_NINE):
-                contractions.clear()
-                assert rigid_pair_by_equations(rig, ep, u, family)
-                assert contractions == []
-                assert rigid_pair_by_equations(rig, u, ep, family)
-                assert len(contractions) == 2 and not contractions[1][1].any()
+
+    @pytest.mark.parametrize("family", [Family.OCTIC_FULL, Family.OCTIC_NINE])
+    def test_epipole_pair_in_either_order(self, family, monkeypatch):
+        # the epipole pair is accepted in either order: its cofactor vectors
+        # are all zero, so as side u no row is nonzero, and as side v every
+        # value is zero
+        contractions = count_calls(monkeypatch, constraints, "_contract")
+        rig = random_rig(random.Random(571), 2)
+        u = forward_map(rig, ProjectivePoint(random_world_point(random.Random(577))))
+        ep = (rig.epipole(0, 1), rig.epipole(1, 0))
+        assert not multiview_membership(rig, ep).cofactors.vectors(0, 1)[0].any()
+        assert rigid_pair_by_equations(rig, ep, u, family)
+        assert contractions == []
+        assert rigid_pair_by_equations(rig, u, ep, family)
+        assert len(contractions) == 2 and not contractions[1][1].any()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_the_first_nonzero_block_decides(self, n, monkeypatch):
+        # two blocks, tuple 0 against tuples 1 and 2: a tuple 1 off the unit
+        # sphere about x refuses the pair after the first block's two
+        # contractions, else both blocks take theirs, and the verdict is
+        # that of every block's values
+        rig = random_rig(random.Random(f"two-blocks:{n}"), n)
+        row_set = constraints._octic_row_set(n, Family.OCTIC_NINE)
+        tensor = polarize(unit_distance_form())
+        engine = constraints.OcticEngine(rig, [row_set] * 3, [(0, 1, tensor), (0, 2, tensor)])
+        x, y = unit_pair(random.Random(f"two-blocks-pair:{n}"))
+        # y reflected through x, at unit distance from x too
+        y2 = ProjectivePoint(tuple(2 * a - b for a, b in zip(x[:3], y[:3])) + (1,))
+        far = ProjectivePoint((y[0] + 1, y[1], y[2], y[3]))
+        contractions = count_calls(monkeypatch, constraints, "_contract")
+        for points, want, calls in (((x, y, y2), [True, True], 4), ((x, y, far), [True, False], 4),
+                                    ((x, far, y2), [False, True], 2)):
+            tuples = [forward_map(rig, p) for p in points]
+            assert [not values.any() for values, _ in engine.cleared(tuples)] == want
+            contractions.clear()
+            assert engine.vanishes(_memberships(rig, *tuples)) == all(want)
+            assert len(contractions) == calls
+
+    @pytest.mark.parametrize("scale", [2 ** 31 - 1, 2 ** 61 - 1, (2 ** 31 - 1) * (2 ** 61 - 1),
+                                       2 ** 89 - 1],
+                             ids=["M31", "M61", "M31*M61", "M89"])
+    def test_a_gram_divisible_by_large_primes_keeps_its_verdicts(self, scale):
+        # the unit form times a product of large primes: every value is a
+        # multiple of each, and the exact verdict still tells a member from
+        # a non-member; a Gram past int64 is held as Python ints
+        unit = unit_distance_form()
+        form = BihomForm((2, 2), {e: scale * c for e, c in unit.coeffs.items()})
+        rig = random_rig(random.Random(617), 3)
+        row_set = constraints._octic_row_set(3, Family.OCTIC_FULL)
+        engine = constraints.OcticEngine(rig, (row_set, row_set), [(0, 1, polarize(form))])
+        gram = engine.blocks[0][2]
+        assert (gram == scale * _UNIT_GRAM.astype(object)).all()
+        big = scale * max(abs(c) for c in _UNIT_GRAM.ravel().tolist()) >= INT64_LIMIT
+        assert gram.dtype == (object if big else np.int64)
+        x, y = unit_pair(random.Random(619))
+        far = ProjectivePoint((y[0] + 1, y[1], y[2], y[3]))
+        for z, want in ((y, True), (far, False)):
+            u, v = forward_map(rig, x), forward_map(rig, z)
+            ((values, _),) = engine.cleared((u, v))
+            assert all(c % scale == 0 for c in values.ravel().tolist())
+            assert engine.vanishes(_memberships(rig, u, v)) == want == (not values.any())
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_degree_three_verdict_equals_the_cleared_values(self, n):
