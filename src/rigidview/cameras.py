@@ -197,9 +197,9 @@ class MembershipResult:
     """Outcome of the consistency test for an image tuple: ``ok`` is True
     when the stacked multiview matrix has rank at most n + 3, and ``rank``
     is that rank.  On the exact backend ``cofactors`` is the
-    :class:`CofactorPass` that decided it (None on floats); its witness and
-    vectors serve the witness step of :func:`rigidview.triangulation.triangulate`
-    and of the direct oracle, and the octic verdict."""
+    :class:`CofactorPass` that decided it (None on floats); its witness is
+    the triangulation witness, read as it is, and its vectors serve the
+    octic verdict."""
 
     __slots__ = ("ok", "rank", "cofactors")
 
@@ -219,10 +219,12 @@ class CofactorPass:
     """An exact image tuple's cofactor vectors, computed at most once per
     camera pair, and its witness ``(pair, row)``: the first camera pair in
     lexicographic order and the first row of it whose vector has a nonzero
-    point (first four coordinates), or None when no pair has one.  The scan
-    computes the pairs up to the witness; :meth:`vectors` computes any other
-    pair on first use and keeps it.  The backend is checked once, for the
-    whole tuple: points off the rig's backend raise :class:`BackendError`."""
+    point (first four coordinates), or None when no pair has one.  On a
+    consistent tuple the witness pair's B has rank 5, so each of its vectors
+    is a multiple of the witness vector, the world point.  The scan computes
+    the pairs up to the witness; :meth:`vectors` computes any other pair on
+    first use and keeps it.  The backend is checked once, for the whole
+    tuple: points off the rig's backend raise :class:`BackendError`."""
 
     __slots__ = ("rig", "points", "witness", "_vectors")
 

@@ -27,7 +27,7 @@ from .cameras import (CameraRig, ProjectivePoint, _check_backend, _multiview_mat
 from .linalg import (EXACT, BackendError, Mat, Scalar, ShapeError, _cleared, _int_array,
                      adjugate, det)
 from .triangulation import (AmbiguousTriangulationError, NotInVarietyError,
-                            NotTriangulableError, _proportional_exact, _witness)
+                            NotTriangulableError, _witness)
 
 
 class Family(str, Enum):
@@ -558,12 +558,11 @@ def rigid_pair_oracle(rig: CameraRig, u, v, tol: float | None = None) -> bool:
     ``tol`` is the vanish tolerance of the form.
     """
     # One witness step per side.  An inconsistent side decides first; then
-    # a non-triangulable side; only then a side whose candidates disagree.
+    # a non-triangulable side; only then a float side whose candidates disagree.
     sides = []
     for points in (u, v):
         try:
-            _, row, vectors, _ = _witness(rig, points)
-            sides.append(vectors[row])
+            sides.append(_witness(rig, points)[2])
         except NotInVarietyError:
             return False
         except (NotTriangulableError, AmbiguousTriangulationError) as exc:
@@ -665,6 +664,15 @@ def _sqrt_exact(x):
         raise ChowFactorError("square root is irrational", "irrational")
     r = Fraction(rn, rd)
     return r.numerator if r.denominator == 1 else r
+
+
+def _proportional_exact(a, b) -> bool:
+    """Whether every 2x2 minor of the exact vectors a and b vanishes."""
+    for i in range(len(a)):
+        for j in range(i + 1, len(a)):
+            if a[i] * b[j] != a[j] * b[i]:
+                return False
+    return True
 
 
 def chow_factor(a: Mat) -> tuple:

@@ -21,6 +21,7 @@ import numpy as np
 
 from .cameras import (
     CameraRig,
+    CofactorPass,
     ProjectivePoint,
     RigidMotion,
     apply_left_action,
@@ -40,7 +41,7 @@ from .constraints import (
 )
 from .linalg import FLOAT, Mat, det, invert, rank
 from .polyspace import generator_count, octic_span, random_rank_prime
-from .triangulation import _pair_scan, assemble_b, is_triangulable
+from .triangulation import assemble_b, is_triangulable
 
 
 class SamplingError(RuntimeError):
@@ -142,8 +143,9 @@ def _canonical_tuple(points) -> tuple:
 def _sample_images(rig: CameraRig, rng, draw, what: str):
     """The redraw loop of the pair samplers: calls ``draw(rng)`` for a world
     pair (x, y), or None to redraw, until both points project and both image
-    tuples are triangulable; returns (u, v, x, y) with integer-cleared image
-    tuples.  Every call of ``draw`` uses up one of ``MAX_REDRAWS``."""
+    tuples have a :class:`CofactorPass` witness (are triangulable); returns
+    (u, v, x, y) with integer-cleared image tuples.  Every call of ``draw``
+    uses up one of ``MAX_REDRAWS``."""
     for _ in range(MAX_REDRAWS):
         pair = draw(rng)
         if pair is None:
@@ -154,8 +156,8 @@ def _sample_images(rig: CameraRig, rng, draw, what: str):
             v = _canonical_tuple(forward_map(rig, y))
         except ValueError:
             continue
-        # forward images are consistent: only the pair scan can fail
-        if _pair_scan(rig, u) and _pair_scan(rig, v):
+        # forward images are consistent: only the witness can be missing
+        if CofactorPass(rig, u).witness is not None and CofactorPass(rig, v).witness is not None:
             return u, v, x, y
     raise SamplingError(f"could not sample a {what}")
 

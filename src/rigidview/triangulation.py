@@ -10,9 +10,11 @@ lines meet in the world point X.  For rank-5 B the kernel is recovered by
 Cramer's rule: deleting any row i and taking signed maximal minors yields a
 vector whose first four coordinates represent X.  The recovery is available
 exactly over rationals and with tolerances over floats.  The cofactor
-vectors come from :meth:`rigidview.cameras.CameraRig.cofactor_vectors`;
-on the exact backend, through the consistency test's
-:class:`rigidview.cameras.CofactorPass`, so the witness scan is that pass.
+vectors come from :meth:`rigidview.cameras.CameraRig.cofactor_vectors`.
+The exact witness is that of the consistency test's
+:class:`rigidview.cameras.CofactorPass`, taken as it is (see
+:func:`_witness`); on floats a rank-5 scan finds it and a tolerance
+cross-checks the pair's later rows.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Sequence
 
-from .cameras import (CameraRig, CofactorPass, ProjectivePoint, _multiview_matrix, _reduced,
-                      multiview_membership)
+from .cameras import CameraRig, ProjectivePoint, _multiview_matrix, _reduced, multiview_membership
 from .linalg import EXACT, FLOAT, Mat, rank
 
 
@@ -90,8 +91,8 @@ def _nonzero_cut(b: Mat, tol: float | None) -> float:
 
 
 def _cofactor_nonzero(w, cut: float) -> bool:
-    """The zero test of the witness scan and of the cross-check in
-    :func:`triangulate`: whether one of the first four coordinates of
+    """The zero test of the float witness scan and cross-check (see
+    :func:`_witness`): whether one of the first four coordinates of
     cofactor vector ``w`` exceeds ``cut`` in magnitude (see
     :func:`_nonzero_cut`)."""
     return max(abs(x) for x in w[:4]) > cut
@@ -107,8 +108,9 @@ def _scale(camera, x, u, exact: bool):
 
 def is_triangulable(rig: CameraRig, points: Sequence[ProjectivePoint]) -> bool:
     """Whether some camera pair's triangulation matrix has rank 5 with a row
-    giving a nonzero recovered point (see :func:`_pair_scan`), read from
-    the same pass as the consistency test on the exact backend.  False when
+    giving a nonzero recovered point: on the exact backend, whether the
+    consistency test's :class:`rigidview.cameras.CofactorPass` found a
+    witness; on floats, whether :func:`_pair_scan` finds one.  False when
     every pair degenerates (for two cameras this happens exactly at the
     epipole pair).  Raises :class:`NotInVarietyError` when the tuple is not
     consistent.
@@ -116,109 +118,92 @@ def is_triangulable(rig: CameraRig, points: Sequence[ProjectivePoint]) -> bool:
     membership = multiview_membership(rig, points)
     if not membership.ok:
         raise NotInVarietyError("tuple fails the consistency rank test")
-    return _pair_scan(rig, points, membership.cofactors) is not None
+    if rig.backend == EXACT:
+        return membership.cofactors.witness is not None
+    return _pair_scan(rig, points) is not None
 
 
-def _pair_scan(rig: CameraRig, points: Sequence[ProjectivePoint], cofactors=None):
-    """The witness scan of :func:`is_triangulable` on a consistent tuple:
-    ``(pair, row, vectors, factor, cut)``, or None when no pair has one.
+def _pair_scan(rig: CameraRig, points: Sequence[ProjectivePoint]):
+    """The float witness scan of a consistent tuple: ``(pair, row, vectors,
+    cut)``, or None when no pair has one.
 
     The witness is the first row, camera pairs taken lexicographically,
-    whose cofactor vector (from :meth:`CameraRig.cofactor_vectors`, times
-    ``factor``, so integers on the exact backend) gives a nonzero point
-    (:func:`_cofactor_nonzero`).  A pair qualifies only when its B has
-    rank 5.  On the exact backend that is the witness of the
-    :class:`CofactorPass` ``cofactors`` (of a new one when None), and no
-    rank is taken: the tuple is consistent, so det B = 0, and B has rank 5
-    exactly when some cofactor vector has a nonzero first four coordinates.
-    (At rank 5 a nonzero cofactor vector spans the kernel, and a kernel
-    vector (0, -l_j, -l_k) forces l_j u_j = l_k u_k = 0; below rank 5 every
-    cofactor vector is zero.)  On floats each pair takes one :func:`rank`
-    of B at ``rig.tol``.
+    whose cofactor vector (from :meth:`CameraRig.cofactor_vectors`) gives a
+    nonzero point (:func:`_cofactor_nonzero` at ``cut``, see
+    :func:`_nonzero_cut`); a pair qualifies only when one :func:`rank` of
+    its B at ``rig.tol`` is 5.  ``vectors`` are that pair's six cofactor
+    vectors.  The exact witness is that of
+    :class:`rigidview.cameras.CofactorPass` (see :func:`_witness`).
     """
-    if rig.backend == EXACT:
-        scan = CofactorPass(rig, points) if cofactors is None else cofactors
-        if scan.witness is None:
-            return None
-        pair, row = scan.witness
-        w, factor = scan.vectors(*pair)
-        return pair, row, w.tolist(), factor, 0.0
     for j, k in combinations(range(rig.n), 2):
         u_j, u_k = points[j], points[k]
         b = assemble_b(rig, j, k, u_j, u_k).mat
         if rank(b, rig.tol).rank != 5:
             continue
         cut = _nonzero_cut(b, rig.tol)
-        w, factor = rig.cofactor_vectors(j, k, u_j, u_k)
-        vectors = w.tolist()
+        vectors = rig.cofactor_vectors(j, k, u_j, u_k)[0].tolist()
         for i, v in enumerate(vectors):
             if _cofactor_nonzero(v, cut):
-                return (j, k), i, vectors, factor, cut
+                return (j, k), i, vectors, cut
     return None
 
 
 def _witness(rig: CameraRig, points: Sequence[ProjectivePoint]):
     """The witness step of :func:`triangulate` and of
-    :func:`rigidview.constraints.rigid_pair_oracle`: ``(pair, row, vectors,
-    factor)``, the witness pair and row of :func:`_pair_scan` with that
-    pair's six cofactor vectors times the positive integer ``factor``
-    (integers on the exact backend; on floats, floats and factor 1).
+    :func:`rigidview.constraints.rigid_pair_oracle`: ``(pair, row, x,
+    factor)``, the witness pair and row with that row's cofactor vector x
+    times the positive integer ``factor`` (integers on the exact backend; on
+    floats, floats and factor 1).
 
-    One :func:`multiview_membership` decides consistency; on the exact
-    backend its :class:`CofactorPass` also holds the witness, so no pair's
-    cofactor vectors are computed twice.  Every later nonzero row of the
-    pair is cross-checked against the witness row: exactly up to scale, or
-    on floats within :data:`CONSISTENCY_TOL` of angular distance.  Raises,
-    in this order, :class:`NotInVarietyError`, :class:`NotTriangulableError`
-    and :class:`AmbiguousTriangulationError`; points off the rig's backend
-    raise BackendError.
+    One :func:`multiview_membership` decides consistency.  On the exact
+    backend its :class:`rigidview.cameras.CofactorPass` holds the witness,
+    read as it is: x reprojects into every camera, so the witness pair's B
+    is singular, and x is nonzero, so B has rank 5 and every cofactor
+    vector of the pair is a multiple of x.  On floats :func:`_pair_scan`
+    finds the witness, and every later nonzero row of the pair must lie
+    within :data:`CONSISTENCY_TOL` of angular distance of x.  Raises, in
+    this order, :class:`NotInVarietyError`, :class:`NotTriangulableError`
+    and (floats only) :class:`AmbiguousTriangulationError`; points off the
+    rig's backend raise BackendError.
     """
     membership = multiview_membership(rig, points)
     if not membership.ok:
         raise NotInVarietyError("tuple fails the consistency rank test")
-    scan = _pair_scan(rig, points, membership.cofactors)
+    if rig.backend == EXACT:
+        scan = membership.cofactors
+        if scan.witness is None:
+            raise NotTriangulableError("no camera pair has a rank-5 triangulation matrix")
+        pair, row = scan.witness
+        w, factor = scan.vectors(*pair)
+        return pair, row, w[row].tolist(), factor
+    scan = _pair_scan(rig, points)
     if scan is None:
         raise NotTriangulableError("no camera pair has a rank-5 triangulation matrix")
-    pair, row, vectors, factor, cut = scan
-    w = vectors[row]
-    exact = rig.backend == EXACT
+    pair, row, vectors, cut = scan
+    x = vectors[row]
     for i in range(row + 1, 6):
-        candidate = vectors[i]
-        if not _cofactor_nonzero(candidate, cut):
-            continue
-        if exact:
-            if not _proportional_exact(w, candidate):
-                raise AmbiguousTriangulationError(f"rows {row} and {i} give different points")
-        elif _angular_distance(w, candidate) > CONSISTENCY_TOL:
+        v = vectors[i]
+        if _cofactor_nonzero(v, cut) and _angular_distance(x, v) > CONSISTENCY_TOL:
             raise AmbiguousTriangulationError(f"rows {row} and {i} disagree beyond tolerance")
-    return pair, row, vectors, factor
+    return pair, row, x, 1
 
 
 def triangulate(rig: CameraRig, points: Sequence[ProjectivePoint]) -> TriangulationSolution:
     """Recover the world point behind a consistent image tuple.
 
-    Runs the witness step :func:`_witness` (consistency, witness scan and
-    cross-check of the later rows), then takes the point from the witness
-    row over its factor (the one division) and the scales from
-    A_j X = lambda_j u_j and A_k X = lambda_k u_k.  The direct oracle
-    :func:`rigidview.constraints.rigid_pair_oracle` shares the witness step
-    and stops there: it evaluates q on the cleared witness vectors, which
-    is exact because q is bihomogeneous of bidegree (2, 2).  Points off the
-    rig's backend raise BackendError.
+    Runs the witness step :func:`_witness` (consistency, the witness and,
+    on floats, the cross-check of the later rows), then takes the point
+    from the witness vector over its factor (the one division) and the
+    scales from A_j X = lambda_j u_j and A_k X = lambda_k u_k.  The direct
+    oracle :func:`rigidview.constraints.rigid_pair_oracle` shares the
+    witness step and stops there: it evaluates q on the cleared witness
+    vectors, which is exact because q is bihomogeneous of bidegree (2, 2).
+    Points off the rig's backend raise BackendError.
     """
-    pair, row, vectors, factor = _witness(rig, points)
-    x = tuple(_reduced(c, factor) for c in vectors[row])
+    pair, row, x, factor = _witness(rig, points)
+    x = tuple(_reduced(c, factor) for c in x)
     lambdas = tuple(_scale(rig.camera(cam), x, points[cam], rig.backend == EXACT) for cam in pair)
     return TriangulationSolution(ProjectivePoint(x), lambdas, pair, row)
-
-
-def _proportional_exact(a, b) -> bool:
-    """Whether every 2x2 minor of the exact vectors a and b vanishes."""
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            if a[i] * b[j] != a[j] * b[i]:
-                return False
-    return True
 
 
 def _angular_distance(a, b) -> float:

@@ -3,14 +3,10 @@ tolerance, one printed pass/fail line each.  Run with `pytest -v
 tests/test_acceptance.py` (add -s to see the lines while running).
 """
 
-import itertools
 import random
 
-import pytest
-
-from helpers import naive_det
-from rigidview.cameras import CameraRig, ProjectivePoint, forward_map
-from rigidview.constraints import Family, chow_factor, chow_map, constraint_system
+from rigidview.cameras import CameraRig, ProjectivePoint
+from rigidview.constraints import chow_factor, chow_map
 from rigidview.harness import (
     make_scene,
     numeric_dimension,

@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -102,10 +101,10 @@ class TestUnitPairSampling:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_samplers_skip_the_membership_test(self, monkeypatch, n):
-        # forward images are consistent by construction; only the pair scan
-        # of is_triangulable can reject them
+        # forward images are consistent by construction; only a missing
+        # witness of their cofactor pass can reject them
         membership = count_calls(monkeypatch, triangulation, "multiview_membership")
-        scans = count_calls(monkeypatch, harness, "_pair_scan")
+        scans = count_calls(monkeypatch, harness, "CofactorPass")
         rig = random_rig(5, n)
         sample_member_pair(rig, 5)
         sample_nonmember_pair(rig, 5)

@@ -7,6 +7,7 @@ from helpers import (count_calls, fraction_rig, naive_det, random_rig, random_wo
 from rigidview import cameras, harness, linalg, triangulation
 from rigidview.cameras import (CameraRig, ProjectivePoint, forward_map, multiview_membership,
                                projectively_equal)
+from rigidview.constraints import rigid_pair_oracle
 from rigidview.linalg import Mat, det, rank
 from rigidview.triangulation import (
     AmbiguousTriangulationError,
@@ -231,6 +232,46 @@ class TestExactPairShortcut:
                                 seen[r] += 1
         assert sum(seen.values()) >= 600 and seen[4] >= 50, seen
 
+    def test_witness_pair_rows_are_multiples_of_the_witness(self):
+        # on an exact consistent tuple the witness pair's B has rank 5, so
+        # its six cofactor vectors span one line: what lets triangulation
+        # take the consistency pass's witness with no cross-check
+        rng = random.Random(151)
+        seen = {}
+        for n in (2, 3, 4):
+            for kind in ("int", "fraction", "height-1e7", "repeated"):
+                for _ in range(4):
+                    rig = {"int": lambda: random_rig(rng, n),
+                           "fraction": lambda: fraction_rig(rng, n),
+                           "height-1e7": lambda: random_rig(rng, n, height=10 ** 7),
+                           "repeated": lambda: self._repeated_camera_rig(rng, n)}[kind]()
+                    tuples = (self._consistent_tuples(rig, rng) if kind != "repeated" else
+                              [forward_map(rig, ProjectivePoint(random_world_point(rng)))
+                               for _ in range(3)])
+                    for u in tuples:
+                        scan = multiview_membership(rig, u).cofactors
+                        if scan.witness is None:
+                            continue
+                        (j, k), row = scan.witness
+                        assert kind != "repeated" or (j, k) != (0, 1)
+                        w = scan.vectors(j, k)[0].tolist()
+                        assert rank(Mat(w)).rank == 1, (kind, n, j, k)
+                        assert triangulate(rig, u).point == ProjectivePoint(w[row])
+                        key = (kind, (j, k) == (0, 1))
+                        seen[key] = seen.get(key, 0) + 1
+        # keys: (kind, whether the witness pair is the first pair); a
+        # baseline point or a repeated camera moves it past (0, 1)
+        assert all(seen.get((kind, True), 0) >= 30 and seen.get((kind, False), 0) >= 8
+                   for kind in ("int", "fraction", "height-1e7")), seen
+        assert seen.get(("repeated", False), 0) >= 20, seen
+
+    @staticmethod
+    def _repeated_camera_rig(rng, n):
+        """A rig whose cameras 0 and 1 are one camera: that pair's B has
+        rank 4 at every consistent tuple (for n = 2 there is no witness)."""
+        base = random_rig(rng, n)
+        return CameraRig([base.camera(0).matrix] + [c.matrix for c in base.cameras[:-1]])
+
 
 class TestRigTolerance:
     def test_pair_rank_reads_the_rig_tolerance(self):
@@ -303,24 +344,49 @@ class TestSinglePass:
         assert work == ([], [], [], [])
         assert sol.point == x
 
+    @staticmethod
+    def _skewed(original, later):
+        """``original`` cofactor vectors with row ``later`` set to row 2 plus
+        (1, 0, 0, 0)."""
+        def skewed(self, j, k, u_j, u_k):
+            vectors, factor = original(self, j, k, u_j, u_k)
+            vectors[later] = vectors[2] + [1, 0, 0, 0]
+            return vectors, factor
+        return skewed
+
     def test_triangulate_cross_checks_later_rows_only(self, monkeypatch):
+        # floats: rows after the witness row 2 that give another point raise
         rig = standard_rig()
-        u = forward_map(rig, ProjectivePoint((1, 1, 0, 1)))
-        work = self._count_pair_work(monkeypatch)
-        sol = triangulate(rig, u)
+        float_rig = CameraRig([c.matrix.to_float() for c in rig.cameras])
+        u = tuple(p.to_float() for p in forward_map(rig, ProjectivePoint((1, 1, 0, 1))))
+        sol = triangulate(float_rig, u)
         assert sol.row == 2
-        assert work == ([], [], [], [])
-        _, _, vectors, _, _ = triangulation._pair_scan(rig, u)
-        assert vectors[0] == vectors[1] == [0, 0, 0, 0]
+        _, _, vectors, _ = triangulation._pair_scan(float_rig, u)
+        assert vectors[0] == vectors[1] == [0.0, 0.0, 0.0, 0.0]
         original = CameraRig._cofactor_vectors
         for later in (3, 4, 5):
-            def skewed(self, j, k, u_j, u_k, later=later):
-                vectors, factor = original(self, j, k, u_j, u_k)
-                vectors[later] = vectors[2] + [1, 0, 0, 0]
-                return vectors, factor
-            monkeypatch.setattr(CameraRig, "_cofactor_vectors", skewed)
+            monkeypatch.setattr(CameraRig, "_cofactor_vectors", self._skewed(original, later))
             with pytest.raises(AmbiguousTriangulationError, match=f"rows 2 and {later}"):
-                triangulate(rig, u)
+                triangulate(float_rig, u)
+
+    def test_exact_witness_is_not_cross_checked(self, monkeypatch):
+        # exact: the witness of the consistency pass is read as it is, so
+        # later rows made to disagree change neither the point nor a verdict
+        rig = standard_rig()
+        u, v, w = (forward_map(rig, ProjectivePoint(x))
+                   for x in ((1, 1, 0, 1), (1, 1, 1, 1), (1, 1, 3, 1)))
+        want = [triangulate(rig, t) for t in (u, v)]
+        assert rigid_pair_oracle(rig, u, v) and not rigid_pair_oracle(rig, u, w)
+        original = CameraRig._cofactor_vectors
+        for later in (3, 4, 5):
+            monkeypatch.setattr(CameraRig, "_cofactor_vectors", self._skewed(original, later))
+            skewed = multiview_membership(rig, u).cofactors.vectors(0, 1)[0].tolist()
+            assert rank(Mat(skewed)).rank == 2
+            for t, sol in zip((u, v), want):
+                got = triangulate(rig, t)
+                assert (got.pair, got.row) == (sol.pair, sol.row)
+                assert got.point.coords == sol.point.coords and got.lambdas == sol.lambdas
+            assert rigid_pair_oracle(rig, u, v) and not rigid_pair_oracle(rig, u, w)
 
     def test_fraction_rig_divides_the_denominator_out(self):
         # a rig whose minor table is stored times den > 1 gives the witness
