@@ -196,14 +196,13 @@ class GeneralPositionReport:
 class MembershipResult:
     """Outcome of the consistency test for an image tuple: ``ok`` is True
     when the stacked multiview matrix has rank at most n + 3, and ``rank``
-    is that rank.  On the exact backend ``cofactors`` is the
-    :class:`CofactorPass` that decided it (None on floats); its witness is
-    the triangulation witness, read as it is, and its vectors serve the
-    octic verdict."""
+    is that rank.  ``cofactors`` is the :class:`CofactorPass` that decided
+    it: its witness is the triangulation witness, read as it is, and its
+    vectors serve the octic verdict."""
 
     __slots__ = ("ok", "rank", "cofactors")
 
-    def __init__(self, ok, rank, cofactors=None):
+    def __init__(self, ok, rank, cofactors):
         self.ok = ok
         self.rank = rank
         self.cofactors = cofactors
@@ -215,16 +214,28 @@ class MembershipResult:
         return f"MembershipResult(ok={self.ok}, rank={self.rank})"
 
 
+# On floats a vector of the unit-scaled problem (the cofactor vectors of
+# CofactorPass, and A_l x over |A_l| |x|) counts as zero at or below this norm.
+WITNESS_FLOOR = 1e-9
+# The largest sine between A_l x and u_l at which a float tuple is
+# consistent, for a rig built without ``tol``.
+DEFAULT_SINE_TOL = 1e-11
+
+
 class CofactorPass:
-    """An exact image tuple's cofactor vectors, computed at most once per
-    camera pair, and its witness ``(pair, row)``: the first camera pair in
-    lexicographic order and the first row of it whose vector has a nonzero
-    point (first four coordinates), or None when no pair has one.  On a
-    consistent tuple the witness pair's B has rank 5, so each of its vectors
-    is a multiple of the witness vector, the world point.  The scan computes
-    the pairs up to the witness; :meth:`vectors` computes any other pair on
-    first use and keeps it.  The backend is checked once, for the whole
-    tuple: points off the rig's backend raise :class:`BackendError`."""
+    """An image tuple's cofactor vectors, computed at most once per camera
+    pair, and its witness ``(pair, row)``, or None when no pair has one.
+    Exact: the first camera pair in lexicographic order and the first row
+    of it whose vector has a nonzero point (first four coordinates).
+    Floats: the vectors are those of the unit-scaled problem (cameras of
+    unit Frobenius norm, image points of unit norm), and the witness is the
+    row of largest norm of the first pair where that norm exceeds
+    :data:`WITNESS_FLOOR`.  On a consistent tuple the witness pair's B has
+    rank 5, so each of its vectors is a multiple of the witness vector, the
+    world point.  The scan computes the pairs up to the witness;
+    :meth:`vectors` computes any other pair on first use and keeps it.  The
+    backend is checked once, for the whole tuple: points off the rig's
+    backend raise :class:`BackendError`."""
 
     __slots__ = ("rig", "points", "witness", "_vectors")
 
@@ -233,17 +244,35 @@ class CofactorPass:
         self.rig, self.points = rig, points
         self._vectors = {}
         self.witness = None
+        exact = rig.backend == EXACT
         for pair in itertools.combinations(range(rig.n), 2):
-            row = next((i for i, w in enumerate(self.vectors(*pair)[0].tolist()) if any(w)), None)
+            w = self.vectors(*pair)[0]
+            if exact:
+                row = next((i for i, x in enumerate(w.tolist()) if any(x)), None)
+            else:
+                norms = np.linalg.norm(w, axis=1)
+                row = int(norms.argmax()) if norms.max() > WITNESS_FLOOR else None
             if row is not None:
                 self.witness = (pair, row)
                 break
 
     def vectors(self, j: int, k: int):
-        """``(w, factor)`` of cameras j and k at the tuple's points, as
-        :meth:`CameraRig.cofactor_vectors` returns it."""
+        """``(w, factor)`` of cameras j and k at the tuple's points: exact,
+        as :meth:`CameraRig.cofactor_vectors` returns it; on floats, the
+        vectors of the unit-scaled problem and factor 1.  Those are the
+        rig's vectors at the unit image points (:func:`_unit`) with rows
+        0-2 divided by s_j s_k^2 and rows 3-5 by s_j^2 s_k, s the cameras'
+        Frobenius norms: each minor of the table takes one row of one
+        camera and two of the other."""
         if (j, k) not in self._vectors:
-            self._vectors[j, k] = self.rig._cofactor_vectors(j, k, self.points[j], self.points[k])
+            u_j, u_k = self.points[j], self.points[k]
+            if u_j.backend == EXACT:
+                self._vectors[j, k] = self.rig._cofactor_vectors(j, k, u_j, u_k)
+            else:
+                w, _ = self.rig._cofactor_vectors(j, k, _unit(u_j.coords), _unit(u_k.coords))
+                s_j, s_k = self.rig._frobenius[j], self.rig._frobenius[k]
+                rows = np.repeat([s_j * s_k * s_k, s_j * s_j * s_k], 3)
+                self._vectors[j, k] = (w / rows[:, None], 1)
         return self._vectors[j, k]
 
 
@@ -252,12 +281,14 @@ class CameraRig:
 
     Caches: focal points, all ordered epipoles e[(k, j)] = A_k applied to the
     focal point of camera j, the camera minor table of every pair j < k (see
-    :meth:`minor_table`), fundamental matrices for unordered pairs, and the
-    general-position record.  Immutable after construction, safe to share.
+    :meth:`minor_table`), fundamental matrices for unordered pairs, the
+    general-position record and, on floats, each camera's Frobenius norm
+    (the scales of :class:`CofactorPass`).  Immutable after construction,
+    safe to share.
     """
 
     __slots__ = ("cameras", "tol", "general_position", "_epipoles", "_fundamentals",
-                 "_minor_tables", "_table_max")
+                 "_minor_tables", "_table_max", "_frobenius")
 
     def __init__(self, matrices: Sequence[Mat | Camera], tol: float | None = None):
         cams = tuple(m if isinstance(m, Camera) else Camera(m, tol) for m in matrices)
@@ -286,6 +317,12 @@ class CameraRig:
         object.__setattr__(self, "_table_max", {pair: max(_max_abs(t), 1) for pair, (t, _)
                                                 in tables.items() if t.dtype == np.int64})
         object.__setattr__(self, "_fundamentals", fundamentals)
+        if self.backend == FLOAT:
+            norms = np.linalg.norm([cam.matrix.data for cam in cams], axis=(1, 2))
+            # a zero camera keeps scale 1: its minors are zero at any scale
+            object.__setattr__(self, "_frobenius", np.where(norms > 0, norms, 1.0))
+        else:
+            object.__setattr__(self, "_frobenius", None)
         object.__setattr__(self, "general_position", _validate_focal_points(cams, tol))
 
     def __setattr__(self, name, value):
@@ -516,32 +553,44 @@ def multiview_membership(rig: CameraRig, points: Sequence[ProjectivePoint]) -> M
     The tuple is consistent exactly when some world point X != 0 has A_l X
     in span(u_l) for every camera l, that is, when the stacked 3n x (4+n)
     matrix of block rows [A_l | 0 .. u_l .. 0] has rank at most n + 3.
-    Floats: :func:`rigidview.linalg.rank` of that matrix at ``rig.tol``.
-    Exact: one :class:`CofactorPass`, whose witness vector x decides: the
-    tuple is consistent exactly when (A_l x) x u_l = 0 for every l.  If so,
-    x is such a point; if the tuple is consistent, the witness pair's B is
+    One :class:`CofactorPass` decides, on both backends, by its witness
+    vector x: the tuple is consistent exactly when A_l x is a multiple of
+    u_l for every l.  If the tuple is consistent, the witness pair's B is
     singular with a nonzero cofactor vector, so of rank 5 and with that
     vector spanning its kernel, and x is the one world point.  The rank is
     then n + 3 (a second point would give B a second kernel vector), else
-    n + 4.  Only without a witness (for n = 2, the epipole pair) does one
-    fraction-free elimination of the cleared integer rows take the rank.
-    Points off the rig's backend raise :class:`BackendError`.
+    n + 4.  Exact: (A_l x) x u_l = 0 for every l.  Floats: the largest sine
+    between A_l x and u_l (:func:`_largest_sine`) is at most ``rig.tol``,
+    or :data:`DEFAULT_SINE_TOL` when the rig has none.  Only without a
+    witness (for n = 2, the epipole pair) is the rank taken of the stacked
+    matrix: one fraction-free elimination of the cleared integer rows, or
+    on floats :func:`rigidview.linalg.rank` at ``rig.tol`` of the
+    unit-scaled stack, whose blocks [A_l / s_l | u_l / |u_l|] have the
+    same rank.  Points off the rig's backend raise :class:`BackendError`.
     """
     n = rig.n
     if len(points) != n:
         raise ShapeError(f"expected {n} image points, got {len(points)}")
     if any(len(p) != 3 for p in points):
         raise ShapeError("image points have 3 coordinates")
-    if rig.backend == FLOAT:
-        r = rank(_multiview_matrix(rig, range(n), points), rig.tol).rank
-        return MembershipResult(r <= n + 3, r)
     scan = CofactorPass(rig, points)
     if scan.witness is None:
-        r = _exact_rank(_multiview_rows(rig, range(n), points))
+        if rig.backend == EXACT:
+            r = _exact_rank(_multiview_rows(rig, range(n), points))
+        else:
+            # the unit-scaled stack: block l divided by s_l, unit image points
+            units = [ProjectivePoint(_unit(p.coords).tolist()) for p in points]
+            rows = [[c / rig._frobenius[i // 3] for c in row]
+                    for i, row in enumerate(_multiview_rows(rig, range(n), units))]
+            r = rank(Mat(rows), rig.tol).rank
+        return MembershipResult(r <= n + 3, r, scan)
+    pair, row = scan.witness
+    x = scan.vectors(*pair)[0][row]
+    if rig.backend == EXACT:
+        ok = _reprojects(rig, points, x.tolist())
     else:
-        pair, row = scan.witness
-        r = n + 3 if _reprojects(rig, points, scan.vectors(*pair)[0][row].tolist()) else n + 4
-    return MembershipResult(r <= n + 3, r, scan)
+        ok = _largest_sine(rig, points, x) <= (DEFAULT_SINE_TOL if rig.tol is None else rig.tol)
+    return MembershipResult(ok, n + 3 if ok else n + 4, scan)
 
 
 def _reprojects(rig: CameraRig, points: Sequence[ProjectivePoint], x) -> bool:
@@ -554,6 +603,27 @@ def _reprojects(rig: CameraRig, points: Sequence[ProjectivePoint], x) -> bool:
         if a * u1 != b * u0 or b * u2 != c * u1 or a * u2 != c * u0:
             return False
     return True
+
+
+def _largest_sine(rig: CameraRig, points: Sequence[ProjectivePoint], x) -> float:
+    """The float consistency residual of world point x: the largest sine of
+    the angle between A_l x and u_l over the cameras l, invariant to the
+    scale of x, of each camera and of each image point.  A camera whose
+    A_l x counts as zero (|A_l x| at most :data:`WITNESS_FLOOR` |A_l| |x|,
+    the Frobenius norm) is consistent, as in :func:`_reprojects`."""
+    images = np.array([cam.matrix.data for cam in rig.cameras]) @ x
+    u = np.array([_unit(p.coords) for p in points])
+    lengths = np.linalg.norm(images, axis=1)
+    seen = lengths > WITNESS_FLOOR * rig._frobenius * np.linalg.norm(x)
+    sines = np.linalg.norm(np.cross(images[seen], u[seen]), axis=1) / lengths[seen]
+    return float(sines.max(initial=0.0))
+
+
+def _unit(coords) -> np.ndarray:
+    """A float vector over its norm, taken after dividing by its largest
+    entry so that no square under- or overflows."""
+    v = np.divide(coords, max(map(abs, coords)))
+    return v / np.linalg.norm(v)
 
 
 class RigidMotion:

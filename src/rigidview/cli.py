@@ -22,8 +22,7 @@ from .harness import (
 )
 from .linalg import EXACT, FLOAT, decode_scalar, encode_scalar
 from .polyspace import generator_count, octic_span, random_rank_prime
-from .triangulation import (AmbiguousTriangulationError, NotInVarietyError, NotTriangulableError,
-                            triangulate)
+from .triangulation import NotInVarietyError, NotTriangulableError, triangulate
 
 
 def _load_json_arg(value: str):
@@ -87,7 +86,7 @@ def _cmd_triangulate(args) -> int:
     points = _tuple(_load_json_arg(args.tuple), rig.backend)
     try:
         sol = triangulate(rig, points)
-    except (NotInVarietyError, NotTriangulableError, AmbiguousTriangulationError) as exc:
+    except (NotInVarietyError, NotTriangulableError) as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)}, args)
         return 1
     _emit({
@@ -216,7 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", required=True)
     p.add_argument("--v", required=True)
     p.add_argument("--family", choices=["full", "nine", "sixteen", "oracle"], default="full")
-    p.add_argument("--tol", type=float, default=None, help="float rank and vanish tolerance")
+    p.add_argument("--tol", type=float, default=None,
+                   help="float tolerance: the rig's rank and consistency tolerance, "
+                        "and the vanish tolerance")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("span-dim", help="span dimension of the 441 octics and the quotient")

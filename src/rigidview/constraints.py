@@ -8,8 +8,8 @@ cofactor vectors for the two world points turns T into degree-8
 image-space constraints ("octics"); families of those, plus
 bilinear and trilinear consistency residuals, give set-level membership
 tests for image pairs of distance-linked points.  Everything evaluates over
-both scalar backends; vanishing tests are exact on rationals and
-norm-normalized on floats.
+both scalar backends; vanishing tests are exact on rationals and, on
+floats, compare scale-free ratios with a tolerance.
 """
 
 from __future__ import annotations
@@ -22,12 +22,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cameras import (CameraRig, ProjectivePoint, _check_backend, _multiview_matrix, _reduced,
-                      multiview_membership)
-from .linalg import (EXACT, BackendError, Mat, Scalar, ShapeError, _cleared, _int_array,
-                     adjugate, det)
-from .triangulation import (AmbiguousTriangulationError, NotInVarietyError,
-                            NotTriangulableError, _witness)
+from .cameras import (WITNESS_FLOOR, CameraRig, ProjectivePoint, _check_backend,
+                      _multiview_matrix, _reduced, multiview_membership)
+from .linalg import EXACT, Mat, Scalar, ShapeError, _cleared, _int_array, adjugate, det
+from .triangulation import NotInVarietyError, NotTriangulableError, _witness
 
 
 class Family(str, Enum):
@@ -221,15 +219,23 @@ def _contract(t: np.ndarray, w: np.ndarray, rows):
 def _spanning_vector(vectors, rows):
     """For a consistent side, a vector that spans the row space of X
     through its outer power: the first vector of the first row, camera
-    pairs in the order of ``vectors`` (an iterable of 6x4 integer arrays,
-    read only as far as needed), whose vectors are all nonzero.  None when
-    no row has that, so that X is zero."""
+    pairs in the order of ``vectors`` (an iterable of 6x4 arrays, integer
+    or the unit-scaled floats of :class:`rigidview.cameras.CofactorPass`,
+    read only as far as needed), whose vectors are all nonzero (on floats,
+    of norm above :data:`rigidview.cameras.WITNESS_FLOOR`).  None when no
+    row has that, so that X is zero."""
     for w in vectors:
-        nonzero = (w != 0).any(axis=1).tolist()
+        nonzero = ((np.linalg.norm(w, axis=1) > WITNESS_FLOOR) if w.dtype == np.float64
+                   else (w != 0).any(axis=1)).tolist()
         for row in rows:
             if all(nonzero[i] for i in row):
                 return w[row[0] if row else 0]
     return None
+
+
+# The float zero test of the verdicts (OcticEngine.vanishes, rigid_pair_oracle):
+# the largest ratio of a value to its vectors' norms that counts as zero.
+DEFAULT_VANISH_TOL = 5e-12
 
 
 # Row pairs i1 <= i2 of a camera pair's six cofactor vectors: the rows of
@@ -276,15 +282,16 @@ class OcticEngine:
     only when a bound on its sums is below ``INT64_LIMIT``.  :meth:`cleared`
     multiplies as Python ints.  Floats go through float64.
 
-    The exact zero test, :meth:`vanishes`, forms no block of X_a and needs
-    side a of each block consistent.  Then every cofactor vector of a is
+    The zero test, :meth:`vanishes`, forms no block of X_a and needs side
+    a of each block consistent.  Then every cofactor vector of a is
     c_i x, x its one world point up to scale (:func:`multiview_membership`),
     so the row of vectors i_1, ..., i_d of X_a is c_i1 ... c_id x^d, the
     outer power of x: X_a is zero when no row has all its vectors nonzero,
     and otherwise the block is zero exactly when x^d T X_b^T is, x any
     nonzero cofactor vector of a.  The same :func:`_contract` takes
-    t = x^d T and its values at every camera pair of b, on Python ints, so
-    every value is exact.
+    t = x^d T and its values at every camera pair of b: exact on Python
+    ints, and on floats scale-free ratios of the unit-scaled vectors of
+    :class:`rigidview.cameras.CofactorPass`.
     """
 
     __slots__ = ("exact", "rig", "row_sets", "blocks")
@@ -343,32 +350,48 @@ class OcticEngine:
                         den * np.outer(f_a ** len(rows_a[0]), f_b ** len(rows_b[0])).ravel()))
         return out
 
-    def vanishes(self, memberships) -> bool:
-        """Whether every value is zero, on the exact backend, from x^d T at
-        side b's rows as the class describes; False at the first block with
-        a nonzero value.  ``memberships`` holds one
-        :func:`multiview_membership` result per row set, and the vectors are
-        read from their cofactor passes, so no camera pair's vectors are
-        computed twice.  Side a of every block must be consistent, else
-        ValueError.  A block whose X_a is zero vanishes with no contraction."""
-        if not self.exact:
-            raise BackendError("the exact zero test needs the exact backend")
+    def vanishes(self, memberships, tol: float | None = None) -> bool:
+        """Whether every value is zero, from x^d T at side b's rows as the
+        class describes; False at the first block with a nonzero value.
+        ``memberships`` holds one :func:`multiview_membership` result per row
+        set, and the vectors are read from their cofactor passes, so no
+        camera pair's vectors are computed twice.  Side a of every block must
+        be consistent, else ValueError.  A block whose X_a is zero vanishes
+        with no contraction.  Floats read the passes' unit-scaled vectors,
+        with x side a's witness vector: a value counts as zero when
+        |value| / (|x|^d max_k |w_k|^e) is at most ``tol`` (None:
+        :data:`DEFAULT_VANISH_TOL`), w_k the six vectors of its camera pair
+        of b, and a pair of b whose vectors all count as zero
+        (:data:`rigidview.cameras.WITNESS_FLOOR`) gives zero values."""
         if len(memberships) != len(self.row_sets):
             raise ShapeError(f"expected {len(self.row_sets)} image tuples, got {len(memberships)}")
         for a, b, gram, _ in self.blocks:
             if not memberships[a].ok:
-                raise ValueError("the exact zero test needs a consistent first side of each block")
+                raise ValueError("the zero test needs a consistent first side of each block")
             (pairs_a, rows_a), (pairs_b, rows_b) = self.row_sets[a], self.row_sets[b]
             cofactors_a, cofactors_b = memberships[a].cofactors, memberships[b].cofactors
             x = _spanning_vector((cofactors_a.vectors(j, k)[0] for j, k in pairs_a), rows_a)
             if x is None:
                 continue
-            # as Python ints: products of int64 entries can overflow
-            x = x.astype(object).reshape(1, 1, 1, 4)
-            w = np.stack([cofactors_b.vectors(j, k)[0] for j, k in pairs_b]).astype(object)
+            w = np.stack([cofactors_b.vectors(j, k)[0] for j, k in pairs_b])
+            if self.exact:
+                # as Python ints: products of int64 entries can overflow
+                x, w = x.astype(object), w.astype(object)
+            else:
+                pair, row = cofactors_a.witness
+                x = cofactors_a.vectors(*pair)[0][row]
             # t = x^d T, the rows of T^T at x, then t at the rows of b
-            t = _contract(gram.T[None], x, [(0,) * len(rows_a[0])])[:, None, :, 0, 0]
-            if _contract(t, w[None], rows_b).any():
+            d, e = len(rows_a[0]), len(rows_b[0])
+            t = _contract(gram.T[None], x.reshape(1, 1, 1, 4), [(0,) * d])[:, None, :, 0, 0]
+            values = _contract(t, w[None], rows_b)[0, 0]
+            if self.exact:
+                if values.any():
+                    return False
+                continue
+            sizes = np.linalg.norm(w, axis=2).max(axis=1)
+            sizes = np.where(sizes > WITNESS_FLOOR, sizes, np.inf)
+            cut = (DEFAULT_VANISH_TOL if tol is None else tol) * np.linalg.norm(x) ** d
+            if (np.abs(values) > cut * sizes[:, None] ** e).any():
                 return False
         return True
 
@@ -529,19 +552,6 @@ def coplanar_residuals(rig: CameraRig, tuples4) -> list:
             for cols in itertools.product(*(w.tolist() for w, _ in cofactors))]
 
 
-DEFAULT_VANISH_TOL = 1e-7
-
-
-def _norm(coords):
-    return sum(float(x) * float(x) for x in coords) ** 0.5
-
-
-def _octic_normalizer(pair_u, pair_v, u, v):
-    (j1, k1), (j2, k2) = pair_u, pair_v
-    return (_norm(u[j1].coords) * _norm(u[k1].coords)
-            * _norm(v[j2].coords) * _norm(v[k2].coords)) ** 2
-
-
 def rigid_pair_oracle(rig: CameraRig, u, v, tol: float | None = None) -> bool:
     """Direct membership test for an image pair of points at distance 1.
 
@@ -553,54 +563,52 @@ def rigid_pair_oracle(rig: CameraRig, u, v, tol: float | None = None) -> bool:
     (:func:`rigidview.triangulation._witness`), and q is evaluated on the
     two cleared witness vectors as they are, not on the triangulated points:
     q is bihomogeneous of bidegree (2, 2), so its zero test gives the same
-    answer at any nonzero multiples of the two points.  On floats the factor
-    is 1 and the vectors are the points.  Ranks read ``rig.tol``; on floats
-    ``tol`` is the vanish tolerance of the form.
+    answer at any nonzero multiples of the two points.  On floats, where the
+    vectors are the unit-scaled witnesses, q counts as zero when
+    |q(x, y)| / (|x|^2 |y|^2) is at most ``tol`` (None:
+    :data:`DEFAULT_VANISH_TOL`), the ratio of :meth:`OcticEngine.vanishes`.
     """
-    # One witness step per side.  An inconsistent side decides first; then
-    # a non-triangulable side; only then a float side whose candidates disagree.
+    # One witness step per side.  An inconsistent side decides first, then
+    # a non-triangulable side.
     sides = []
     for points in (u, v):
         try:
             sides.append(_witness(rig, points)[2])
         except NotInVarietyError:
             return False
-        except (NotTriangulableError, AmbiguousTriangulationError) as exc:
+        except NotTriangulableError as exc:
             sides.append(exc)
     if any(isinstance(side, NotTriangulableError) for side in sides):
         if rig.n == 2:
             return True
         raise RuntimeError("non-triangulable tuple with three or more cameras; "
                            "the oracle needs a general-position rig")
-    for side in sides:
-        if isinstance(side, Exception):
-            raise side
     x, y = sides
     value = _UNIT_FORM.evaluate(x, y)
     if rig.backend == EXACT:
         return value == 0
-    t = tol if tol is not None else DEFAULT_VANISH_TOL
-    return abs(value) <= t * (_norm(x) ** 2) * (_norm(y) ** 2)
+    t = DEFAULT_VANISH_TOL if tol is None else tol
+    return abs(value) <= t * sum(c * c for c in x) * sum(c * c for c in y)
 
 
 def rigid_pair_by_equations(rig: CameraRig, u, v,
                             family: Family | str = Family.OCTIC_FULL,
                             tol: float | None = None) -> bool:
-    """Equation-side membership: both tuples consistent (on floats, ranks at
-    ``rig.tol``) and every unit-distance octic of the family vanishing
-    (exactly, or on floats below ``tol`` times the normalizer).
+    """Equation-side membership: both tuples consistent and every
+    unit-distance octic of the family vanishing, by
+    :meth:`OcticEngine.vanishes` on the two :func:`multiview_membership`
+    results, whose cofactor passes give it every vector (on floats ``tol``
+    is its ratio's tolerance).
 
-    The exact verdict is :meth:`OcticEngine.vanishes` on the two
-    :func:`multiview_membership` results, whose cofactor passes give it
-    every vector.  u is consistent, so its vectors are multiples of its
-    world point x, and every octic vanishes exactly when Q = x^2 T, the
-    dense 16 x 16 tensor T contracted twice with x and read as a 4 x 4
-    matrix, makes W_b Q W_b^T zero at the family's rows for every camera
-    pair b of v (or no family row of u has both vectors nonzero).  Both
-    contractions run on Python ints, so the values tested are the cleared
-    octics themselves.  Every octic is tested, not q(X, Y) at triangulated
-    points, which is the oracle.  The unit tensor's dense matrix is built on the first
-    call and kept."""
+    u is consistent, so its vectors are multiples of its world point x,
+    and every octic vanishes exactly when Q = x^2 T, the dense 16 x 16
+    tensor T contracted twice with x and read as a 4 x 4 matrix, makes
+    W_b Q W_b^T zero at the family's rows for every camera pair b of v (or
+    no family row of u has both vectors nonzero).  On the exact backend
+    both contractions run on Python ints, so the values tested are the
+    cleared octics themselves.  Every octic is tested, not q(X, Y) at
+    triangulated points, which is the oracle.  The unit tensor's dense
+    matrix is built on the first call and kept."""
     family = Family(family)
     if family not in _OCTIC_FAMILIES:
         raise ValueError("membership by equations uses an octic family")
@@ -611,15 +619,7 @@ def rigid_pair_by_equations(rig: CameraRig, u, v,
             return False
         memberships.append(membership)
     row_set = _octic_row_set(rig.n, family)
-    engine = OcticEngine(rig, (row_set, row_set), [(0, 1, _UNIT_TENSOR)])
-    if rig.backend == EXACT:
-        return engine.vanishes(memberships)
-    ((values, _),) = engine.cleared((u, v))
-    # the normalizer depends on the camera pairs only: one per row of values
-    t = tol if tol is not None else DEFAULT_VANISH_TOL
-    pairs = row_set[0]
-    limits = [t * max(_octic_normalizer(pu, pv, u, v), 1e-300) for pu in pairs for pv in pairs]
-    return not (np.abs(values) > np.array(limits)[:, None]).any()
+    return OcticEngine(rig, (row_set, row_set), [(0, 1, _UNIT_TENSOR)]).vanishes(memberships, tol)
 
 
 def _check_positive(*distances) -> None:

@@ -16,12 +16,10 @@ import numpy as np
 
 from rigidview.cameras import (_MINOR_INDEX, _MINOR_ROWS, _MINOR_SIGN, CameraRig,
                                ProjectivePoint, _det3)
-from rigidview.constraints import _UNIT_FORM, DEFAULT_VANISH_TOL, OcticEngine, _norm
+from rigidview.constraints import _UNIT_FORM, DEFAULT_VANISH_TOL, OcticEngine
 from rigidview.linalg import EXACT, FLOAT, Mat, det, rank, signed_maximal_minors
 from rigidview.polyspace import RANK_PRIME_COUNT, MultiHomogPoly, _shared_degree, monomial_basis
-from rigidview.triangulation import (AmbiguousTriangulationError, NotInVarietyError,
-                                     NotTriangulableError, _cofactor_nonzero, _nonzero_cut,
-                                     triangulate)
+from rigidview.triangulation import NotInVarietyError, NotTriangulableError, triangulate
 
 
 def standard_rig():
@@ -168,11 +166,11 @@ def wedge5(b, i):
     return signed_maximal_minors(b.mat.delete_row(i))
 
 
-def wedge5_point(b, i, tol=None):
-    """First four coordinates of the row-i cofactor vector as a world point,
-    or None when they all vanish."""
+def wedge5_point(b, i):
+    """First four coordinates of the row-i cofactor vector of an exact B as
+    a world point, or None when they are all zero."""
     w = wedge5(b, i)[:4]
-    return ProjectivePoint(w) if _cofactor_nonzero(w, _nonzero_cut(b.mat, tol)) else None
+    return ProjectivePoint(w) if any(c != 0 for c in w) else None
 
 
 def engine_value(rig, tensor, u_sel, v_sel, u, v):
@@ -388,18 +386,15 @@ def reference_rigid_pair_oracle(rig, u, v, tol=None):
             sides.append(triangulate(rig, points).point)
         except NotInVarietyError:
             return False
-        except (NotTriangulableError, AmbiguousTriangulationError) as exc:
+        except NotTriangulableError as exc:
             sides.append(exc)
     if any(isinstance(side, NotTriangulableError) for side in sides):
         if rig.n == 2:
             return True
         raise RuntimeError("non-triangulable tuple with three or more cameras")
-    for side in sides:
-        if isinstance(side, Exception):
-            raise side
-    x, y = sides
-    value = _UNIT_FORM.evaluate(x.coords, y.coords)
+    x, y = (side.coords for side in sides)
+    value = _UNIT_FORM.evaluate(x, y)
     if rig.backend == EXACT:
         return value == 0
     t = tol if tol is not None else DEFAULT_VANISH_TOL
-    return abs(value) <= t * (_norm(x.coords) ** 2) * (_norm(y.coords) ** 2)
+    return abs(value) <= t * sum(c * c for c in x) * sum(c * c for c in y)

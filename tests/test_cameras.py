@@ -499,9 +499,9 @@ class TestMembership:
     @pytest.mark.parametrize("kind", ["int", "fraction", "float", "float_tol"])
     def test_rank_decides_membership(self, monkeypatch, n, kind):
         # .rank is the rank of the stacked multiview matrix and .ok is
-        # rank <= n + 3, with no kernel taken; floats read it off one
-        # elimination and one rank, an exact rig and tuple build no Mat and
-        # take no rank, and eliminate only when no camera pair gives a point
+        # rank <= n + 3, with no kernel taken; on both backends the cofactor
+        # pass decides, and the stacked matrix is eliminated (on floats
+        # built as a Mat and ranked) only when no camera pair gives a point
         rng = random.Random(41 + n)
         rig = fraction_rig(rng, n) if kind == "fraction" else random_rig(rng, n)
         if kind.startswith("float"):
@@ -526,13 +526,14 @@ class TestMembership:
             mats = count_calls(monkeypatch, cameras, "Mat")
             res = multiview_membership(rig, points)
             monkeypatch.undo()
+            fallback = res.cofactors.witness is None
             assert kernels == []
+            assert fallback == (points is cases[-1] and n == 2)
+            assert len(eliminations) == fallback
             if kind in ("int", "fraction"):
                 assert ranks == [] and mats == []
-                assert len(eliminations) == (res.cofactors.witness is None)
-                assert (res.cofactors.witness is None) == (points == cases[-1] and n == 2)
             else:
-                assert len(eliminations) == 1 and len(ranks) == 1 and len(mats) == 1
+                assert len(ranks) == len(mats) == fallback
             assert res.rank == want
             assert res.ok == (want <= n + 3)
         assert multiview_membership(rig, cases[0]).ok
@@ -617,6 +618,34 @@ class TestCofactorPass:
             verdicts.add((what, res.ok))
         assert fallbacks == ({"epipole"} if n == 2 else set())
         assert {("member", True), ("moved", False), ("focal", True)} <= verdicts
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_float_pass_equals_the_exact_one(self, n):
+        # on floats, with each camera scaled by 10^U(-2, 2) and each image
+        # point by 10^k, k up to 250 either way (the unit points are taken
+        # with no square under- or overflowing): the exact .ok and .rank,
+        # and on consistent tuples the witness pair and a witness vector at
+        # the exact world point
+        rng = random.Random(f"float-pass:{n}")
+        rig = self._rig("int", n, rng)
+        for k in (-250, -3, 0, 3, 250):
+            frig = CameraRig([cam.matrix.to_float().scaled(10.0 ** rng.uniform(-2, 2))
+                              for cam in rig.cameras])
+            for what, points in self._tuples(rig, rng):
+                exact = multiview_membership(rig, points)
+                scaled = tuple(ProjectivePoint([float(c) / max(map(abs, p.coords)) * 10.0 ** k
+                                                for c in p.coords]) for p in points)
+                res = multiview_membership(frig, scaled)
+                assert (res.ok, res.rank) == (exact.ok, exact.rank), (what, k)
+                if exact.cofactors.witness is None:
+                    assert res.cofactors.witness is None
+                if not exact.ok or exact.cofactors.witness is None:
+                    continue
+                (pair, row), (want_pair, want_row) = res.cofactors.witness, exact.cofactors.witness
+                assert pair == want_pair, (what, k)
+                x = ProjectivePoint(res.cofactors.vectors(*pair)[0][row].tolist())
+                want = ProjectivePoint(exact.cofactors.vectors(*pair)[0][want_row].tolist())
+                assert projectively_equal(x, want.to_float(), tol=1e-9), (what, k)
 
     def test_witness_vector_is_the_world_point(self):
         # on a consistent tuple with a witness the rank is n + 3 and the

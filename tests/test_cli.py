@@ -1,9 +1,11 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from rigidview.cameras import ProjectivePoint, rig_from_json
+from rigidview import harness
+from rigidview.cameras import ProjectivePoint, rig_from_json, rig_to_json
 from rigidview.cli import main
 from rigidview.constraints import rigid_pair_oracle
 from rigidview.linalg import decode_scalar, encode_scalar
@@ -90,10 +92,10 @@ class TestProjectTriangulate:
         assert code == 1
         assert "error" in doc
 
-    def test_triangulate_ambiguous_exits_one(self, tmp_path, capsys):
-        # a consistent float tuple whose candidates disagree (rows 0 and 2 by
-        # an angular gap of 1.1e-5 against the 1e-6 tolerance) is not bad
-        # input: exit 1 and the error record, as for the other two errors
+    def test_triangulate_moved_float_tuple_exits_one(self, tmp_path, capsys):
+        # a float tuple moved off consistency by about 1e-8 (its largest
+        # sine is 5.3e-9, above the default tolerance) is not bad input:
+        # exit 1 and a NotInVarietyError record
         rig_file = str(tmp_path / "frig.json")
         main(["--seed", "7", "--backend", "float", "--json-out", rig_file, "gen-rig", "--n", "2"])
         points = [[-0.255813963488, -0.99999999, 0.720930222558],
@@ -101,7 +103,7 @@ class TestProjectTriangulate:
         code, doc = run_cli(capsys, "--backend", "float", "triangulate", "--rig", rig_file,
                             "--tuple", json.dumps(points))
         assert code == 1
-        assert doc["error"] == "AmbiguousTriangulationError" and doc["message"]
+        assert doc["error"] == "NotInVarietyError" and doc["message"]
 
     def test_project_keeps_tiny_coordinates(self, rig_file, capsys):
         # 1e-13 is read as 1/10^13, not rounded to 0
@@ -244,6 +246,47 @@ class TestCheck:
             assert code == want
             assert doc["member"] is rigid_pair_oracle(rig, as_tuple(images[0]),
                                                       as_tuple(images[x]), tol=1e-6)
+
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_float_check_equals_the_exact_check_at_any_scale(self, tmp_path, capsys, n):
+        # `rigidview --backend float check` on a rig whose cameras are each
+        # scaled to max-norm 10^U(-2, 2) and tuples whose points are each
+        # scaled to max-norm 10^U(-3, 3) exits as the exact check does, for
+        # every equation family and the oracle: member, non-member, moved
+        # and (two cameras) epipole pairs
+        rng = random.Random(f"cli-float-scale:{n}")
+
+        def scaled(entries, exponent):
+            factor = 10.0 ** rng.uniform(-exponent, exponent) / float(max(map(abs, entries)))
+            return [float(c) * factor for c in entries]
+
+        rig = harness.random_rig(rng, n)
+        u, v, _, _ = harness.sample_member_pair(rig, rng)
+        w, z, _, _ = harness.sample_nonmember_pair(rig, rng)
+        moved = (ProjectivePoint([u[0][0] + 1] + list(u[0].coords[1:])),) + u[1:]
+        cases = [(u, v), (w, z), (moved, v)]
+        if n == 2:
+            cases.append((u, (rig.epipole(0, 1), rig.epipole(1, 0))))
+        families = ["full", "nine", "oracle"] + (["sixteen"] if n > 2 else [])
+        exact_rig, float_rig = tmp_path / "rig.json", tmp_path / "frig.json"
+        exact_rig.write_text(json.dumps(rig_to_json(rig)))
+        codes = set()
+        for run in range(2):
+            float_rig.write_text(json.dumps({"cameras": [
+                scaled([c for row in cam.matrix.data for c in row], 2) for cam in rig.cameras]}))
+            for a, b in cases:
+                exact_args = [json.dumps([[encode_scalar(c) for c in p] for p in t])
+                              for t in (a, b)]
+                float_args = [json.dumps([scaled(p.coords, 3) for p in t]) for t in (a, b)]
+                for family in families:
+                    want, _ = run_cli(capsys, "check", "--rig", str(exact_rig),
+                                      "--u", exact_args[0], "--v", exact_args[1], "--family", family)
+                    got, _ = run_cli(capsys, "--backend", "float", "check", "--rig", str(float_rig),
+                                     "--u", float_args[0], "--v", float_args[1], "--family", family)
+                    assert got == want, (family, run)
+                    codes.add(want)
+        assert codes == {0, 1}
 
 
 class TestCounts:

@@ -10,7 +10,6 @@ from rigidview.cameras import (CameraRig, ProjectivePoint, forward_map, multivie
 from rigidview.constraints import rigid_pair_oracle
 from rigidview.linalg import Mat, det, rank
 from rigidview.triangulation import (
-    AmbiguousTriangulationError,
     NotInVarietyError,
     NotTriangulableError,
     assemble_b,
@@ -274,10 +273,10 @@ class TestExactPairShortcut:
 
 
 class TestRigTolerance:
-    def test_pair_rank_reads_the_rig_tolerance(self):
+    def test_consistency_reads_the_rig_tolerance(self):
         # a member tuple at max-norm 1 with one coordinate moved by 1e-7 is
-        # consistent at the rig's 1e-6; for two cameras B is the multiview
-        # matrix, so it has rank 5 at the same tolerance
+        # consistent at the rig's 1e-6, and triangulates there, but not at
+        # the default sine tolerance
         rng = random.Random(5)
         rig = harness.random_rig(rng, 2)
         float_rig = CameraRig([c.matrix.to_float() for c in rig.cameras], 1e-6)
@@ -288,6 +287,10 @@ class TestRigTolerance:
         assert multiview_membership(float_rig, moved).rank == 5
         assert triangulate(float_rig, moved).pair == (0, 1)
         assert is_triangulable(float_rig, moved) is True
+        default_rig = CameraRig([c.matrix.to_float() for c in rig.cameras])
+        assert multiview_membership(default_rig, moved).rank == 6
+        with pytest.raises(NotInVarietyError):
+            triangulate(default_rig, moved)
 
 
 class TestSinglePass:
@@ -309,7 +312,7 @@ class TestSinglePass:
         built, determinants, ranks and B matrices assembled."""
         return (count_calls(monkeypatch, cameras, "camera_minor_table"),
                 count_calls(monkeypatch, linalg, "_det_rows"),
-                count_calls(monkeypatch, triangulation, "rank"),
+                count_calls(monkeypatch, cameras, "rank"),
                 count_calls(monkeypatch, triangulation, "assemble_b"))
 
     @pytest.mark.parametrize("rig, x, row", [
@@ -354,20 +357,34 @@ class TestSinglePass:
             return vectors, factor
         return skewed
 
-    def test_triangulate_cross_checks_later_rows_only(self, monkeypatch):
-        # floats: rows after the witness row 2 that give another point raise
+    def test_float_witness_is_the_largest_row(self, monkeypatch):
+        # floats: the witness is the row of largest norm among the
+        # unit-scaled vectors, read as it is: a row scaled up becomes the
+        # witness with the same point, and a smaller row moved off the line
+        # of the others changes nothing, since no other row is cross-checked
         rig = standard_rig()
         float_rig = CameraRig([c.matrix.to_float() for c in rig.cameras])
         u = tuple(p.to_float() for p in forward_map(rig, ProjectivePoint((1, 1, 0, 1))))
+        want = ProjectivePoint((1.0, 1.0, 0.0, 1.0))
+        w = multiview_membership(float_rig, u).cofactors.vectors(0, 1)[0].tolist()
+        assert [i for i, row in enumerate(w) if any(row)] == [2, 5]
+        assert sum(c * c for c in w[5]) > sum(c * c for c in w[2])
         sol = triangulate(float_rig, u)
-        assert sol.row == 2
-        _, _, vectors, _ = triangulation._pair_scan(float_rig, u)
-        assert vectors[0] == vectors[1] == [0.0, 0.0, 0.0, 0.0]
+        assert (sol.pair, sol.row) == ((0, 1), 5)
+        assert projectively_equal(sol.point, want, tol=1e-12)
         original = CameraRig._cofactor_vectors
-        for later in (3, 4, 5):
-            monkeypatch.setattr(CameraRig, "_cofactor_vectors", self._skewed(original, later))
-            with pytest.raises(AmbiguousTriangulationError, match=f"rows 2 and {later}"):
-                triangulate(float_rig, u)
+        for later, row, change in ((3, 3, lambda w: 10 * w[2]), (4, 4, lambda w: -3 * w[5]),
+                                   (3, 5, lambda w: w[2] + [0.5, 0, 0, 0]),
+                                   (4, 5, lambda w: w[2] + [0, 0, 0, 0.5])):
+            def changed(self, j, k, u_j, u_k):
+                vectors, factor = original(self, j, k, u_j, u_k)
+                vectors[later] = change(vectors)
+                return vectors, factor
+            monkeypatch.setattr(CameraRig, "_cofactor_vectors", changed)
+            sol = triangulate(float_rig, u)
+            assert (sol.pair, sol.row) == ((0, 1), row), later
+            assert projectively_equal(sol.point, want, tol=1e-12)
+        monkeypatch.undo()
 
     def test_exact_witness_is_not_cross_checked(self, monkeypatch):
         # exact: the witness of the consistency pass is read as it is, so
