@@ -167,7 +167,7 @@ class Camera:
         image = self.matrix.apply(x.coords)
         if self.backend == FLOAT:
             scale = max(abs(e) for r in self.matrix.data for e in r) * max(abs(c) for c in x.coords)
-            if max(abs(c) for c in image) <= DEFAULT_RANK_TOL * max(scale, 1.0):
+            if max(abs(c) for c in image) <= DEFAULT_RANK_TOL * scale:
                 raise ProjectionError("point coincides with the focal point")
         elif all(c == 0 for c in image):
             raise ProjectionError("point coincides with the focal point")

@@ -21,6 +21,7 @@ image points.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm, log2
@@ -76,6 +77,62 @@ def _basis_index(n: int, multidegree: tuple):
     return basis, {m: i for i, m in enumerate(basis)}
 
 
+def _clear(coefs) -> tuple:
+    """Nonzero rationals as (nums, den): den the lcm of their reduced
+    denominators, nums each coefficient times den, by the linalg width rule."""
+    den = lcm(*(int(c.denominator) for c in coefs))
+    return _int_array([int(c.numerator) * (den // int(c.denominator)) for c in coefs]), den
+
+
+def _row_values(nums: np.ndarray, den: int) -> list:
+    """nums / den entry by entry: an int where it is integral, else a Fraction."""
+    if den >= INT64_LIMIT:
+        # int64 cannot hold den: divide as Python ints
+        nums = nums.astype(object)
+    values = (nums // den).tolist()
+    if den != 1:
+        odd = np.flatnonzero(nums % den)
+        for i, x in zip(odd.tolist(), nums[odd].tolist()):
+            values[i] = Fraction(x, den)
+    return values
+
+
+class _Terms(Mapping):
+    """Exponent tuple -> coefficient, a read-only view of a polynomial's
+    cleared row in row order.  ``len`` and iteration derive no coefficient,
+    a lookup one, and ``items()`` and ``values()`` each derive all, as lists."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: "MultiHomogPoly"):
+        self._poly = poly
+
+    def _basis(self):
+        poly = self._poly
+        return _basis_index(poly.n, poly.multidegree) if poly.multidegree else ((), {})
+
+    def __len__(self):
+        return len(self._poly._row[0])
+
+    def __iter__(self):
+        return map(self._basis()[0].__getitem__, self._poly._row[0].tolist())
+
+    def __getitem__(self, exps):
+        cols, nums, den = self._poly._row
+        col = self._basis()[1].get(exps)
+        hit = np.flatnonzero(cols == col) if col is not None else ()
+        if not len(hit):
+            raise KeyError(exps)
+        return _row_values(nums[hit], den)[0]
+
+    def values(self) -> list:
+        _, nums, den = self._poly._row
+        return _row_values(nums, den)
+
+    def items(self) -> list:
+        return list(zip(self, self.values()))
+
+
 class MultiHomogPoly:
     """Sparse polynomial whose terms all share one multidegree.
 
@@ -87,7 +144,8 @@ class MultiHomogPoly:
     dtype that holds the basis size), their coefficients times den (in the
     width of :func:`rigidview.linalg._int_array`) and den, the lcm of the
     coefficients' reduced denominators.  Every rank and failure bound reads it;
-    :attr:`terms` is derived from it on each access.
+    :attr:`terms` is a read-only mapping over it (``dict(q.terms)`` is a
+    mutable copy), and ``==`` compares the rows as column -> value maps.
     """
 
     __slots__ = ("n", "multidegree", "_row")
@@ -116,10 +174,7 @@ class MultiHomogPoly:
         if not cols:
             self._row = (np.zeros(0, np.uint8), np.zeros(0, np.int64), 1)
             return
-        den = lcm(*(int(c.denominator) for c in coefs))
-        self._row = (np.array(cols, dtype=np.min_scalar_type(len(basis))),
-                     _int_array([int(c.numerator) * (den // int(c.denominator)) for c in coefs]),
-                     den)
+        self._row = (np.array(cols, dtype=np.min_scalar_type(len(basis))), *_clear(coefs))
 
     @classmethod
     def _trusted(cls, n: int, multidegree: tuple, row) -> "MultiHomogPoly":
@@ -133,23 +188,9 @@ class MultiHomogPoly:
         return poly
 
     @property
-    def terms(self) -> dict:
-        """Exponent tuple -> coefficient, in row order: an int where the
-        coefficient is integral, else a Fraction.  Derived from the cleared
-        row on each access."""
-        cols, nums, den = self._row
-        if not len(cols):
-            return {}
-        if den >= INT64_LIMIT:
-            # int64 cannot hold den: divide as Python ints
-            nums = nums.astype(object)
-        values = (nums // den).tolist()
-        if den != 1:
-            odd = np.flatnonzero(nums % den)
-            for i, x in zip(odd.tolist(), nums[odd].tolist()):
-                values[i] = Fraction(x, den)
-        basis, _ = _basis_index(self.n, self.multidegree)
-        return dict(zip(map(basis.__getitem__, cols.tolist()), values))
+    def terms(self) -> Mapping:
+        """Exponent tuple -> coefficient: a :class:`_Terms` view of the row."""
+        return _Terms(self)
 
     @classmethod
     def zero(cls, n: int) -> "MultiHomogPoly":
@@ -175,7 +216,7 @@ class MultiHomogPoly:
             return self
         if self.multidegree != other.multidegree:
             raise ValueError("cannot add polynomials of different multidegrees")
-        terms = self.terms
+        terms = dict(self.terms.items())
         for e, c in other.terms.items():
             terms[e] = terms.get(e, 0) + c
         return MultiHomogPoly(self.n, terms)
@@ -219,8 +260,14 @@ class MultiHomogPoly:
         return self.terms.get(tuple(exps), 0)
 
     def __eq__(self, other):
-        return (isinstance(other, MultiHomogPoly) and self.n == other.n
-                and self.terms == other.terms)
+        """Equal n, multidegree and column -> value maps.  Rows are reduced
+        against den, so equal maps have equal den and numerators."""
+        if not (isinstance(other, MultiHomogPoly) and self.n == other.n
+                and self.multidegree == other.multidegree):
+            return False
+        (c1, n1, d1), (c2, n2, d2) = self._row, other._row
+        o1, o2 = np.argsort(c1), np.argsort(c2)
+        return d1 == d2 and np.array_equal(c1[o1], c2[o2]) and np.array_equal(n1[o1], n2[o2])
 
     def __repr__(self):
         return f"MultiHomogPoly(n={self.n}, degree={self.multidegree}, terms={len(self._row[0])})"
@@ -241,6 +288,8 @@ class MultiHomogPoly:
 # Degree-2 monomials of one image point as index pairs a <= a', in the order
 # of _block_monomials(2).
 _DEG2 = [(a, b) for a in range(3) for b in range(a, 3)]
+# _DEG2_OF[a, b]: the position in _DEG2 of the monomial of indices a and b.
+_DEG2_OF = np.array([[_DEG2.index((min(a, b), max(a, b))) for b in range(3)] for a in range(3)])
 
 
 def _fold_map():
@@ -401,30 +450,19 @@ def ideal_component_basis(rig: CameraRig) -> list:
                          "three or more cameras would need the trilinear generators")
     if rig.backend != EXACT:
         raise ValueError("symbolic expansion needs an exact rig")
-    n, target = rig.n, (2, 2, 2, 2)
-    basis, index = _basis_index(n, target)
     f = rig.fundamental(0, 1)
-    gens = []
-    for side, complement in (("u", (1, 1, 2, 2)), ("v", (2, 2, 1, 1))):
-        terms = {}
-        for a in range(3):
-            for b in range(3):
-                if f[a, b] == 0:
-                    continue
-                exps = [0] * (6 * n)
-                exps[variable_index(n, side, 0, a)] = 1
-                exps[variable_index(n, side, 1, b)] = 1
-                terms[tuple(exps)] = f[a, b]
-        gens.append((MultiHomogPoly(n, terms), complement))
-    out = []
-    for gen, complement in gens:
-        _, nums, den = gen._row
-        exps = list(gen.terms)
-        for monomial in monomial_basis(n, complement):
-            cols = [index[tuple(a + b for a, b in zip(e, monomial))] for e in exps]
-            row = (np.array(cols, dtype=np.min_scalar_type(len(basis))), nums, den)
-            out.append(MultiHomogPoly._trusted(n, target, row))
-    return out
+    terms = [(a, b) for a in range(3) for b in range(3) if f[a, b] != 0]
+    nums, den = _clear([f[t] for t in terms])
+    a, b = np.array(terms, dtype=np.intp).reshape(-1, 2).T
+    # Term (a, b) times the monomial (c, d) of the same side sits at 6 D[a, c]
+    # + D[b, d] (D = _DEG2_OF) over that side's two degree-2 blocks; with the
+    # other side's monomial m the column is 36 pair + m (u) or pair + 36 m (v).
+    pair = (6 * _DEG2_OF[a][:, :, None] + _DEG2_OF[b][:, None, :]).reshape(-1, 9).T
+    m = np.arange(36)[:, None, None]
+    cols = np.concatenate([(36 * pair + m).transpose(1, 0, 2).reshape(324, -1),  # (c, d, m)
+                           (pair + 36 * m).reshape(324, -1)])                    # (m, c, d)
+    cols = cols.astype(np.min_scalar_type(6 ** 4))
+    return [MultiHomogPoly._trusted(2, (2, 2, 2, 2), (row, nums, den)) for row in cols]
 
 
 # The number of primes in [2^30, 2^31), pi(2^31) - pi(2^30).

@@ -18,7 +18,8 @@ from rigidview.cameras import (_MINOR_INDEX, _MINOR_ROWS, _MINOR_SIGN, CameraRig
                                ProjectivePoint, _det3)
 from rigidview.constraints import _UNIT_FORM, DEFAULT_VANISH_TOL, OcticEngine
 from rigidview.linalg import EXACT, FLOAT, Mat, det, rank, signed_maximal_minors
-from rigidview.polyspace import RANK_PRIME_COUNT, MultiHomogPoly, _shared_degree, monomial_basis
+from rigidview.polyspace import (RANK_PRIME_COUNT, MultiHomogPoly, _shared_degree, monomial_basis,
+                                 variable_index)
 from rigidview.triangulation import NotInVarietyError, NotTriangulableError, triangulate
 
 
@@ -289,6 +290,48 @@ def reference_octics(rig, tensor, selections):
                 f = Fraction(c, denom)
                 terms[e] = f.numerator if f.denominator == 1 else f
         out.append(MultiHomogPoly(n, terms))
+    return out
+
+
+def reference_terms(q):
+    """The term dict of q, entry by entry from its cleared row: the exponent
+    tuple of each column and nums / den, an int where it is integral, else a
+    Fraction, in row order."""
+    cols, nums, den = q._row
+    basis = monomial_basis(q.n, q.multidegree) if len(cols) else []
+    out = {}
+    for c, x in zip(cols.tolist(), nums.tolist()):
+        f = Fraction(x, den)
+        out[basis[c]] = f.numerator if f.denominator == 1 else f
+    return out
+
+
+def reference_component_basis(rig):
+    """The (2,2,2,2) slice of the two-camera consistency ideal term by term:
+    the generator u_1^T F u_2 (entries of F that are 0 skipped), then
+    v_1^T F v_2, times every monomial of the complementary multidegree in
+    basis order, each product's exponent tuple looked up in the basis.  A
+    row keeps its generator's term order and cleared numerators."""
+    n, target = 2, (2, 2, 2, 2)
+    basis = monomial_basis(n, target)
+    index = {m: i for i, m in enumerate(basis)}
+    f = rig.fundamental(0, 1)
+    out = []
+    for side, complement in (("u", (1, 1, 2, 2)), ("v", (2, 2, 1, 1))):
+        terms = {}
+        for a in range(3):
+            for b in range(3):
+                if f[a, b] == 0:
+                    continue
+                exps = [0] * (6 * n)
+                exps[variable_index(n, side, 0, a)] = 1
+                exps[variable_index(n, side, 1, b)] = 1
+                terms[tuple(exps)] = f[a, b]
+        _, nums, den = MultiHomogPoly(n, terms)._row
+        for monomial in monomial_basis(n, complement):
+            cols = [index[tuple(a + b for a, b in zip(e, monomial))] for e in terms]
+            row = (np.array(cols, dtype=np.min_scalar_type(len(basis))), nums, den)
+            out.append(MultiHomogPoly._trusted(n, target, row))
     return out
 
 

@@ -28,6 +28,7 @@ from rigidview.cameras import (
 )
 from rigidview.constraints import (Family, constraint_system, rigid_pair_by_equations,
                                    rigid_pair_oracle)
+from rigidview.harness import random_rig as harness_random_rig
 from rigidview.linalg import Mat, det, rank
 from rigidview.triangulation import triangulate
 
@@ -175,6 +176,21 @@ class TestProjection:
         rig = standard_rig()
         with pytest.raises(ProjectionError):
             rig.camera(0).project(ProjectivePoint((0, 0, 0, 1)))
+
+    def test_float_cutoff_is_scale_free(self):
+        # with cameras of scale 1e-12 every image is below DEFAULT_RANK_TOL
+        # itself, yet the point is far from both focal points
+        base = harness_random_rig(random.Random(3), 2)
+        big = CameraRig([cam.matrix.to_float() for cam in base.cameras])
+        small = CameraRig([cam.matrix.to_float().scaled(1e-12) for cam in base.cameras])
+        x = ProjectivePoint((1, 2, 3, 1)).to_float()
+        for want, got in zip(forward_map(big, x), forward_map(small, x)):
+            assert max(map(abs, got.coords)) < linalg.DEFAULT_RANK_TOL
+            assert projectively_equal(got, want)
+        for rig in (big, small):
+            for cam in rig.cameras:
+                with pytest.raises(ProjectionError):
+                    cam.project(cam.focal_point)
 
     def test_baseline_point_projects_to_epipoles(self):
         rig = standard_rig()

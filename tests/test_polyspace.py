@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from helpers import (engine_value, fraction_rig, random_rig, random_world_point,
-                     reference_coefficient_matrix_modp, reference_modp_failure_bound,
-                     reference_modp_rank, reference_octics, reference_quotient_failure_bound,
-                     scaled_rig, standard_rig, wedge5)
+                     reference_coefficient_matrix_modp, reference_component_basis,
+                     reference_modp_failure_bound, reference_modp_rank, reference_octics,
+                     reference_quotient_failure_bound, reference_terms, scaled_rig, standard_rig,
+                     wedge5)
+from rigidview import polyspace
 from rigidview.cameras import CameraRig, ProjectivePoint, forward_map
 from rigidview.constraints import BihomForm, distance_form_squared, polarize, unit_distance_form
 from rigidview.harness import _sub_seed
@@ -318,9 +320,9 @@ def families():
 
 @pytest.fixture(scope="module")
 def family_terms(families):
-    """The term dicts of ``families``, derived once for the reference
-    helpers: ``terms`` is derived from the cleared row on every read."""
-    return {name: tuple([q.terms for q in polys] for polys in pair)
+    """The term dicts of ``families``, copied once for the reference
+    helpers: each read of a ``terms`` view derives its coefficients anew."""
+    return {name: tuple([dict(q.terms.items()) for q in polys] for polys in pair)
             for name, pair in families.items()}
 
 
@@ -488,7 +490,8 @@ class TestDerivedTerms:
         x = MultiHomogPoly.variable(2, "u", 0, 0)
         basis = monomial_basis(2, (1, 0, 0, 0))
         for q in (MultiHomogPoly.zero(2), x - x, MultiHomogPoly(2, {basis[1]: 0}), x * 0):
-            assert q.terms == {} and q.multidegree is None and q.is_zero()
+            assert q.terms == {} and {} == q.terms and q.multidegree is None and q.is_zero()
+            assert len(q.terms) == 0 and list(q.terms) == [] and q.terms.items() == []
             assert q == MultiHomogPoly.zero(2)
 
     @pytest.mark.parametrize("coef", [0.5, 2.0, 0.0, 1j, Decimal("0.5"), "1"])
@@ -500,6 +503,71 @@ class TestDerivedTerms:
     def test_float_scalar_rejected(self):
         with pytest.raises(TypeError, match="0.5"):
             MultiHomogPoly.variable(2, "u", 0, 0) * 0.5
+
+
+class TestTermsView:
+    """``terms`` is a read-only mapping over the cleared row: it stores
+    nothing and derives a coefficient only where one is read."""
+
+    def test_len_and_iteration_derive_nothing(self, families, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a coefficient was derived")
+
+        q = families["fraction"][0][5]
+        basis = monomial_basis(2, q.multidegree)
+        monkeypatch.setattr(polyspace, "_row_values", refuse)
+        assert len(q.terms) == len(q._row[0]) > 0
+        assert list(q.terms) == [basis[c] for c in q._row[0].tolist()]
+        assert sum(len(p.terms) for p in families["int"][0]) == sum(
+            len(p._row[0]) for p in families["int"][0])
+
+    def test_copy_equals_the_entrywise_derivation(self, families):
+        polys = hand_built_polys() + [q for octics, component in families.values()
+                                      for q in octics[::16] + component[::64]]
+        for q in polys:
+            want = reference_terms(q)
+            got = dict(q.terms)
+            assert got == want and list(got) == list(want)
+            assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
+            assert dict(q.terms.items()) == got and q.terms.values() == list(want.values())
+            assert q.terms == want and want == q.terms
+
+    def test_item_assignment_raises(self):
+        q = hand_built_polys()[1]
+        key = next(iter(q.terms))
+        with pytest.raises(TypeError):
+            q.terms[key] = 1
+        with pytest.raises(TypeError):
+            del q.terms[key]
+        copy = dict(q.terms)
+        copy[key] = 1
+        assert q.terms[key] == Fraction(-7, 6)
+
+    def test_coefficient_reads_one_column(self):
+        basis = monomial_basis(2, (1, 1, 0, 0))
+        q = hand_built_polys()[1]
+        assert q.coefficient(basis[1]) == Fraction(-7, 6) and q.coefficient(list(basis[2])) == 5
+        assert type(q.coefficient(basis[2])) is int
+        assert q.coefficient(basis[0]) == 0 and basis[0] not in q.terms
+        assert q.coefficient(basis[1][:-1]) == 0 and q.coefficient(basis[1] + (0,)) == 0
+        with pytest.raises(KeyError):
+            q.terms[basis[0]]
+        assert hand_built_polys()[0].coefficient(basis[0]) == 2 ** 70 + 3
+        assert MultiHomogPoly.zero(2).coefficient(basis[1]) == 0
+
+    def test_equality_ignores_term_order(self):
+        basis = monomial_basis(2, (1, 1, 0, 0))
+        coefs = {basis[1]: Fraction(-7, 6), basis[2]: 5, basis[3]: Fraction(1, 10)}
+        a = MultiHomogPoly(2, coefs)
+        b = MultiHomogPoly(2, dict(reversed(coefs.items())))
+        assert a._row[0].tolist() != b._row[0].tolist()
+        assert a == b and b == a and a.terms == b.terms
+        assert a != MultiHomogPoly(2, {**coefs, basis[3]: Fraction(1, 5)})
+        assert a != MultiHomogPoly(2, {**coefs, basis[4]: 1})
+        assert a != MultiHomogPoly(2, {basis[1]: Fraction(-7, 6), basis[2]: 5})
+        assert a != MultiHomogPoly(2, {e: 30 * c for e, c in coefs.items()})
+        assert a != MultiHomogPoly(3, {e + (0,) * 6: c for e, c in coefs.items()})
+        assert MultiHomogPoly.variable(2, "u", 0, 0) != MultiHomogPoly.variable(2, "u", 1, 0)
 
 
 class TestSpanDimension:
@@ -705,6 +773,24 @@ class TestIdealComponent:
             vs = [p.coords for p in v]
             for poly in random.Random(1).sample(component, 40):
                 assert poly.evaluate(us, vs) == 0
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "standard"])
+    def test_rows_equal_the_term_by_term_reference(self, kind):
+        rigs = {"int": lambda: [random_rig(random.Random(s), 2) for s in (373, 389)],
+                "fraction": lambda: [fraction_rig(random.Random(401))],
+                "standard": lambda: [standard_rig()]}[kind]()
+        for rig in rigs:
+            got, want = ideal_component_basis(rig), reference_component_basis(rig)
+            assert len(got) == len(want) == 648
+            for g, w in zip(got, want):
+                assert g.multidegree == w.multidegree == (2, 2, 2, 2)
+                assert g._row[0].tolist() == w._row[0].tolist()
+                assert g._row[0].dtype == w._row[0].dtype
+                assert g._row[1].tolist() == w._row[1].tolist()
+                assert g._row[1].dtype == w._row[1].dtype and g._row[2] == w._row[2]
+            # the standard rig's F has zero entries, which are skipped
+            assert all(len(g._row[0]) == (2 if kind == "standard" else 9) for g in got)
+            assert span_dimension(got, random_rank_prime(random.Random(kind))) == 567
 
     def test_three_cameras_unsupported(self):
         rng = random.Random(383)
