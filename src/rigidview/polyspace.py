@@ -99,17 +99,26 @@ def _row_values(nums: np.ndarray, den: int) -> list:
 
 class _Terms(Mapping):
     """Exponent tuple -> coefficient, a read-only view of a polynomial's
-    cleared row in row order.  ``len`` and iteration derive no coefficient,
-    a lookup one, and ``items()`` and ``values()`` each derive all, as lists."""
+    cleared row in row order.  ``len`` and iteration derive no coefficient;
+    the first lookup, ``items()`` or ``values()`` derives all of them, as a
+    column -> value map that the view keeps for its later reads, so
+    ``dict(q.terms)`` derives each coefficient once."""
 
-    __slots__ = ("_poly",)
+    __slots__ = ("_poly", "_by_col")
 
     def __init__(self, poly: "MultiHomogPoly"):
         self._poly = poly
+        self._by_col = None
 
     def _basis(self):
         poly = self._poly
         return _basis_index(poly.n, poly.multidegree) if poly.multidegree else ((), {})
+
+    def _values_by_col(self) -> dict:
+        if self._by_col is None:
+            cols, nums, den = self._poly._row
+            self._by_col = dict(zip(cols.tolist(), _row_values(nums, den)))
+        return self._by_col
 
     def __len__(self):
         return len(self._poly._row[0])
@@ -118,16 +127,14 @@ class _Terms(Mapping):
         return map(self._basis()[0].__getitem__, self._poly._row[0].tolist())
 
     def __getitem__(self, exps):
-        cols, nums, den = self._poly._row
         col = self._basis()[1].get(exps)
-        hit = np.flatnonzero(cols == col) if col is not None else ()
-        if not len(hit):
+        by_col = self._values_by_col()
+        if col not in by_col:
             raise KeyError(exps)
-        return _row_values(nums[hit], den)[0]
+        return by_col[col]
 
     def values(self) -> list:
-        _, nums, den = self._poly._row
-        return _row_values(nums, den)
+        return list(self._values_by_col().values())
 
     def items(self) -> list:
         return list(zip(self, self.values()))
@@ -338,6 +345,19 @@ def _side_exponents(n: int, j: int, k: int) -> list:
     return out
 
 
+@lru_cache(maxsize=64)
+def _contraction_columns(n: int, pair_u: tuple, pair_v: tuple):
+    """The multidegree of the octics of camera pairs pair_u and pair_v, and
+    the basis position of each of the 36 x 36 contraction columns, as a
+    read-only array."""
+    exps = [h + t for h in _side_exponents(n, *pair_u) for t in _side_exponents(n, *pair_v)]
+    degree = multidegree_of(exps[0])
+    basis, index = _basis_index(n, degree)
+    perm = np.array([index[e] for e in exps], dtype=np.min_scalar_type(len(basis)))
+    perm.flags.writeable = False
+    return degree, perm
+
+
 def _contract_octics(rig: CameraRig, tensor: QuadTensor, pair_u, pair_v,
                      rows_u, rows_v) -> list:
     """The octics of every row pair in ``rows_u`` (positions in _ROW_PAIRS)
@@ -355,11 +375,7 @@ def _contract_octics(rig: CameraRig, tensor: QuadTensor, pair_u, pair_v,
     x_u, den_u = _outer_rows(rig, *pair_u)
     x_v, den_v = (x_u, den_u) if tuple(pair_v) == tuple(pair_u) else _outer_rows(rig, *pair_v)
     den *= den_u * den_v
-    exps = [h + t for h in _side_exponents(n, *pair_u) for t in _side_exponents(n, *pair_v)]
-    degree = multidegree_of(exps[0])
-    # the basis position of each contraction column
-    basis, index = _basis_index(n, degree)
-    perm = np.array([index[e] for e in exps], dtype=np.min_scalar_type(len(basis)))
+    degree, perm = _contraction_columns(n, tuple(pair_u), tuple(pair_v))
 
     a = x_u[rows_u].transpose(0, 2, 1).reshape(-1, 16) @ gram
     b = x_v[rows_v].transpose(0, 2, 1).reshape(-1, 16)
@@ -376,13 +392,17 @@ def _contract_octics(rig: CameraRig, tensor: QuadTensor, pair_u, pair_v,
     # g divides den and every entry of its row: the row clears to coefs / g
     g = np.gcd(np.gcd.reduce(coefs, axis=1), den)
     coefs //= g[:, None]
+    # one nonzero scan of the whole matrix, split into rows: row-major, so
+    # each row's columns come in ascending order
+    nonzero = coefs != 0
+    cols, nums = np.broadcast_to(perm, coefs.shape)[nonzero], coefs[nonzero]
+    ends = np.cumsum(nonzero.sum(axis=1)).tolist()
     out = []
-    for row, row_den in zip(coefs, (den // g).tolist()):
-        idx = np.flatnonzero(row)
-        nums = row[idx]
-        if nums.dtype == object:
-            nums = _int_array(nums)
-        out.append(MultiHomogPoly._trusted(n, degree, (perm[idx], nums, row_den)))
+    for start, end, row_den in zip([0] + ends, ends, (den // g).tolist()):
+        row_nums = nums[start:end]
+        if row_nums.dtype == object:
+            row_nums = _int_array(row_nums)
+        out.append(MultiHomogPoly._trusted(n, degree, (cols[start:end], row_nums, row_den)))
     return out
 
 
@@ -486,39 +506,68 @@ def _check_rank_modulus(p) -> None:
                          "stay below 2^30)")
 
 
-# Exactness of the float64 products: a centered residue has |x| < 2^30 and a
-# limb |l| <= 2^15, so each term is below 2^45, and every product below sums
-# at most 2 * PANEL_WIDTH = 2^8 terms: its partial sums stay below 2^53 and
-# are exact in any summation order.  A wider panel breaks this bound.
+# Exactness of the float64 products: a centered residue has |x| <= 2^30 - 1,
+# a low limb lies in [0, 2^15) and a high limb in [-2^15, 2^15), and every
+# product below sums PANEL_WIDTH = 2^7 terms of each kind, so its partial
+# sums stay below 2^7 (2^30 - 1)(2^16 - 1) < 2^53 - 2^37 and are exact in any
+# summation order, as is adding a residue below 2^31.  A wider panel breaks
+# this bound.
 PANEL_WIDTH = 128
 # Panels at most this wide are eliminated column by column.
 _LEAF_WIDTH = 32
 # Rows per trailing-update product, which bounds its float64 temporaries.
 _UPDATE_ROWS = 128
+# Rows per fill of coefficient_matrix_modp, which bounds its temporaries.
+_FILL_ROWS = 64
+
+
+def _reduce(x: np.ndarray, p: int, work: np.ndarray) -> None:
+    """x mod p in place, for float64 x holding integers below 2^53 - 2^36 in
+    magnitude; work is a float64 array of x's shape that is overwritten.
+    x * (1/p) carries two roundings, so it is within |x / p| (2^-52 + 2^-106)
+    < 1 of x / p, and its floor q is off by at most one: q p and x - q p are
+    exact, the latter lies in (-p, 2p), and one fix-up each way brings it
+    into [0, p)."""
+    np.multiply(x, 1.0 / p, out=work)
+    np.floor(work, out=work)
+    work *= p
+    x -= work
+    np.add(x, p, out=x, where=x < 0)
+    np.subtract(x, p, out=x, where=x >= p)
 
 
 def _limb_operands(a: np.ndarray, b: np.ndarray, p: int):
     """Float64 matrices whose product is congruent to a @ b mod p: a and
     a * 2^15 mod p side by side, against the low and high 15-bit limbs of
-    b, all centered.  a has at most PANEL_WIDTH columns; b is overwritten."""
+    b, all centered.  a has residues in [0, p) and at most PANEL_WIDTH
+    columns; b is overwritten.  a * 2^15 is below 2^46 and is reduced in
+    float64 by :func:`_reduce`, with the left half as its work array before a
+    is written there."""
     q = a.shape[1]
     left = np.empty((a.shape[0], 2 * q))
+    np.multiply(a, 1 << 15, out=left[:, q:])
+    _reduce(left[:, q:], p, left[:, :q])
     left[:, :q] = a
-    left[:, q:] = a * (1 << 15) % p
-    np.subtract(left, p, out=left, where=left > p // 2)
-    np.subtract(b, p, out=b, where=b > p // 2)
+    # about half the entries move, which the masked where= loops take slowly
+    left -= (left > p // 2) * float(p)
+    b -= (b > p // 2) * p
     right = np.empty((2 * q, b.shape[1]))
-    right[:q] = low = b & 0x7FFF
-    b -= low
-    right[q:] = b >> 15
+    np.bitwise_and(b, 0x7FFF, out=right[:q])
+    np.right_shift(b, 15, out=b)
+    right[q:] = b
     return left, right
 
 
 def _add_product(c: np.ndarray, left: np.ndarray, right: np.ndarray, p: int) -> None:
-    """c = (c + left @ right) mod p in place, for operands from
-    :func:`_limb_operands`."""
-    c += (left @ right).astype(np.int64)
-    np.remainder(c, p, out=c)
+    """c = (c + left @ right) mod p in place, for int64 c holding residues
+    in [0, p) and operands from :func:`_limb_operands`.  By the PANEL_WIDTH
+    bound the sum is an integer below 2^53 - 2^36 in magnitude, exact in
+    float64, and :func:`_reduce` reduces it there; c's own storage serves as
+    its work array, since c's values are in the sum already."""
+    x = left @ right
+    x += c
+    _reduce(x, p, c.view(np.float64))
+    np.copyto(c, x, casting="unsafe")
 
 
 def _eliminate_columns(x: np.ndarray, p: int):
@@ -576,10 +625,16 @@ def _modp_rank(a: np.ndarray, p: int) -> int:
     panel of PANEL_WIDTH columns, the rows with an entry there are
     eliminated on the panel, and the other non-pivot rows' trailing columns
     are replaced by their Schur complement, one float64 BLAS product per
-    _UPDATE_ROWS rows.  Rows that become zero are dropped.  The work is done
-    in a itself, which is overwritten: a second copy of the union's
-    coefficient matrix would be most of a span request's peak memory."""
-    np.mod(a, p, out=a)
+    _UPDATE_ROWS rows, exact below 2^53 and reduced mod p in float64 (see
+    :func:`_add_product`).  Rows that become zero are dropped, so the fewer
+    panels a dependent row needs to fall into the span of the pivots chosen
+    so far, the less work it costs: :func:`span_dimension` passes its rows
+    sorted by leading column for that reason.  Entries outside [0, p) are
+    reduced first.  The work is done in a itself, which is overwritten: a
+    second copy of the union's coefficient matrix would be most of a span
+    request's peak memory."""
+    if a.size and (a.min() < 0 or a.max() >= p):
+        np.mod(a, p, out=a)
     rows = np.flatnonzero(a.any(axis=1))
     rank = 0
     for c in range(0, a.shape[1], PANEL_WIDTH):
@@ -607,17 +662,32 @@ def coefficient_matrix_modp(polys: Sequence[MultiHomogPoly], p: int) -> np.ndarr
     """Rows of coefficients over the shared monomial basis, reduced mod p.
 
     Each row is read from the polynomial's cleared row ``(cols, nums,
-    den)``: nums mod p times the inverse of den mod p.  Raises ValueError
+    den)``: nums mod p times the inverse of den mod p, taken once per
+    distinct den; the rows are filled _FILL_ROWS at a time.  Raises ValueError
     when p divides den, the lcm of the reduced coefficient denominators,
     that is when p divides some coefficient's denominator."""
     degree = _shared_degree(polys)
     basis, _ = _basis_index(polys[0].n, degree)
+    inverses = {}
+    for poly in polys:
+        den = poly._row[2]
+        if den not in inverses:
+            if den % p == 0:
+                raise ValueError("prime divides a coefficient denominator; pick another prime")
+            inverses[den] = pow(den, -1, p)
     out = np.zeros((len(polys), len(basis)), dtype=np.int64)
-    for r, poly in enumerate(polys):
-        cols, nums, den = poly._row
-        if den % p == 0:
-            raise ValueError("prime divides a coefficient denominator; pick another prime")
-        out[r, cols] = nums % p * pow(den, -1, p) % p
+    flat = out.reshape(-1)
+    # a few rows at a time, so that their flattened entries stay small next
+    # to the matrix
+    for s in range(0, len(polys), _FILL_ROWS):
+        rows = [poly._row for poly in polys[s:s + _FILL_ROWS]]
+        lengths = [len(cols) for cols, _, _ in rows]
+        cols = np.concatenate([cols for cols, _, _ in rows])
+        starts = np.repeat(np.arange(s, s + len(rows)) * len(basis), lengths)
+        nums = np.remainder(np.concatenate([nums for _, nums, _ in rows]), p)
+        inv = np.repeat([inverses[den] for _, _, den in rows], lengths)
+        # residues and inverses are below 2^31: the product fits in int64
+        flat[starts + cols] = nums.astype(np.int64, copy=False) * inv % p
     return out
 
 
@@ -642,11 +712,14 @@ def span_dimension(polys: Sequence[MultiHomogPoly], modulus: Optional[int] = Non
     (:func:`_modp_rank`), and p must be a prime below 2^31 (else
     ValueError): its products run in float64 on residues centered below
     2^30 times 15-bit limbs, and stay exact only while every sum of
-    2 * PANEL_WIDTH such terms is below 2^53.  The result never exceeds the
-    rational rank r.  It is smaller only if p divides one fixed nonzero
-    r x r minor M of the row-cleared integer coefficient matrix; |M| is at
-    most the Hadamard bound H, so at most log2(H)/30 primes of 30 bits or
-    more divide it.  A
+    2 * PANEL_WIDTH such terms, plus a residue, is below 2^53; the sums are
+    reduced mod p in float64 too.  The rows go to the elimination sorted by
+    leading column (stably, on a copy of the list: the caller's keeps its
+    order), which leaves the rank unchanged and lets dependent rows drop out
+    after fewer panels.  The result never exceeds the rational rank r.  It
+    is smaller only if p divides one fixed nonzero r x r minor M of the
+    row-cleared integer coefficient matrix; |M| is at most the Hadamard
+    bound H, so at most log2(H)/30 primes of 30 bits or more divide it.  A
     prime from :func:`random_rank_prime`, uniform over the RANK_PRIME_COUNT
     (about 5.07e7) primes in [2^30, 2^31), therefore gives a smaller rank
     with probability at most (log2(H)/30) / RANK_PRIME_COUNT, the figure
@@ -666,6 +739,11 @@ def span_dimension(polys: Sequence[MultiHomogPoly], modulus: Optional[int] = Non
     if not polys:
         return 0
     if modulus is not None:
+        # the rows by leading column, the smallest basis position of each
+        cols = [q._row[0] for q in polys]
+        starts = np.cumsum([0] + [len(c) for c in cols[:-1]])
+        lead = np.minimum.reduceat(np.concatenate(cols), starts)
+        polys = [polys[i] for i in np.argsort(lead, kind="stable").tolist()]
         return _modp_rank(coefficient_matrix_modp(polys, modulus), modulus)
     basis, _ = _basis_index(polys[0].n, _shared_degree(polys))
     rows = []

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -521,6 +522,21 @@ class TestTermsView:
         assert sum(len(p.terms) for p in families["int"][0]) == sum(
             len(p._row[0]) for p in families["int"][0])
 
+    def test_dict_copy_derives_the_row_once(self, families, monkeypatch):
+        calls = []
+
+        def counted(nums, den):
+            calls.append(len(nums))
+            return row_values(nums, den)
+
+        row_values = polyspace._row_values
+        monkeypatch.setattr(polyspace, "_row_values", counted)
+        for q in (families["fraction"][0][5], families["height-1e6"][0][7], hand_built_polys()[4]):
+            calls.clear()
+            got = dict(q.terms)
+            assert calls == [len(q._row[0])]
+            assert got == dict(q.terms.items()) and list(got) == list(q.terms)
+
     def test_copy_equals_the_entrywise_derivation(self, families):
         polys = hand_built_polys() + [q for octics, component in families.values()
                                       for q in octics[::16] + component[::64]]
@@ -639,6 +655,38 @@ class TestSpanDimension:
         assert quotient_failure_bound(octics, component) == pytest.approx(want, rel=1e-12)
         assert want > 0
 
+    @pytest.mark.parametrize("family", ["octics", "union"])
+    def test_row_order_does_not_change_the_rank(self, families, family):
+        octics, component = families["int"]
+        polys = octics if family == "octics" else component + octics
+        p = 2 ** 31 - 1
+        shuffled = list(polys)
+        random.Random(433).shuffle(shuffled)
+        want = 126 if family == "octics" else 567 + 9
+        for order in (polys, shuffled, polys[::-1]):
+            assert span_dimension(order, p) == want
+
+    def test_caller_list_keeps_its_order(self, families):
+        octics, component = families["int"]
+        polys = octics[::-1] + [MultiHomogPoly.zero(2)] + component[::7]
+        before = list(polys)
+        span_dimension(polys, 2 ** 31 - 1)
+        assert len(polys) == len(before) and all(a is b for a, b in zip(polys, before))
+
+    def test_union_rank_memory(self, families):
+        # the union's 1089 x 1296 int64 matrix is most of the rank's peak;
+        # the elimination works in it and adds blocks of bounded size
+        octics, component = families["int"]
+        union = component + octics
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert span_dimension(union, 2 ** 31 - 1) == 567 + 9
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * len(union) * 6 ** 4 * 8
+
     def test_permutation_and_scaling_invariance(self):
         rng = random.Random(359)
         rig = random_rig(rng, 2)
@@ -673,6 +721,16 @@ class TestModpRank:
         assert _modp_rank(a.copy(), p) == reference_modp_rank(a, p)
 
     @pytest.mark.parametrize("p", RANK_PRIMES)
+    @pytest.mark.parametrize("r", [17, 150, 300])
+    def test_rows_sorted_by_leading_column_match_reference(self, p, r):
+        a = planted_matrix(p + r + 1, 300, 700, r, p)
+        nonzero = a % p != 0
+        # zero rows sort last
+        lead = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), a.shape[1])
+        a = a[np.argsort(lead, kind="stable")]
+        assert _modp_rank(a.copy(), p) == reference_modp_rank(a, p)
+
+    @pytest.mark.parametrize("p", RANK_PRIMES)
     def test_random_tall_matrix_matches_reference(self, p):
         a = np.random.default_rng(p).integers(-2 ** 40, 2 ** 40, size=(400, 2 * PANEL_WIDTH + 5))
         a[50] = a[3] - 5 * a[17]
@@ -690,22 +748,45 @@ class TestModpRank:
         assert _modp_rank(np.zeros((4, 300), dtype=np.int64), 3) == 0
         assert _modp_rank(np.full((4, 300), 6), 3) == 0
 
-    def test_product_exact_near_the_float64_bound(self):
+    @pytest.mark.parametrize("added", ["random", "p - 1"])
+    def test_product_exact_near_the_float64_bound(self, added):
         # Entries p - 1 centre to -1, far from the bound.  Mod 2^31 - 1,
         # multiplying by 2^15 rotates the 31 bits, so each x below has x and
         # 2^15 * x mod p odd and in (2^29, 2^30): against odd limbs near
-        # 2^15 every term is odd and the sums pass 2^52.5.
+        # 2^15 every term is odd and the sums pass 2^52.5.  The residue c
+        # added to the product in float64 is at most p - 1.
         p = 2 ** 31 - 1
         rng = np.random.default_rng(5)
         left = 2 ** 30 - 1 - 2 ** 15 - 2 * rng.integers(0, 2 ** 13, size=(4, PANEL_WIDTH))
         low, high = 2 ** 15 - 1 - 2 * rng.integers(0, 2 ** 10, size=(2, PANEL_WIDTH, 6))
         right = high * 2 ** 15 + low
-        got = rng.integers(0, p, size=(4, 6))
+        got = rng.integers(0, p, size=(4, 6)) if added == "random" else np.full((4, 6), p - 1)
         want = (got.astype(object) + left.astype(object) @ right.astype(object)) % p
         lf, rf = _limb_operands(left, right, p)
         assert np.abs(lf @ rf).max() > 2 ** 52.5
         _add_product(got, lf, rf, p)
         assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("p", RANK_PRIMES)
+    def test_limb_operands_match_python_ints(self, p):
+        rng = np.random.default_rng(p)
+        edges = np.tile(sorted(x for x in {0, 1, p // 2, p // 2 + 1, p - 1} if x < p), (7, 1))
+        a = np.concatenate([rng.integers(0, p, size=(60, 7)), edges.T])
+        b = np.concatenate([rng.integers(0, p, size=(7, 40)), edges], axis=1)
+
+        def centered(x):
+            x %= p
+            return x - p if x > p // 2 else x
+
+        left, right = _limb_operands(a, b.copy(), p)
+        assert left.dtype == right.dtype == np.float64
+        assert left.tolist() == [[centered(x) for x in row] + [centered(x * 2 ** 15) for x in row]
+                                 for row in a.tolist()]
+        low, high = right[:7], right[7:]
+        assert (low >= 0).all() and (low < 2 ** 15).all() and (np.abs(high) <= 2 ** 15).all()
+        assert (low + 2 ** 15 * high).tolist() == [[centered(x) for x in row] for row in b.tolist()]
+        assert (left @ right % p).tolist() == (a.astype(object) @ b.astype(object) % p).tolist()
+
 
 class TestSpanFacts:
     def test_441_octics_span_126_and_quotient_9(self):
