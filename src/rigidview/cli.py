@@ -118,8 +118,7 @@ def _cmd_span_dim(args) -> int:
         rig = _load_rig(args.rig, EXACT)
     else:
         rig = random_rig(args.seed, 2, args.height)
-    p = args.modulus if args.modulus is not None else random_rank_prime(random.Random(args.seed))
-    doc = octic_span(rig, p)
+    doc = octic_span(rig, random_rank_prime(random.Random(args.seed)))
     _emit(doc, args)
     return 0 if (doc["span"], doc["quotient"]) == (126, 9) else 1
 
@@ -172,6 +171,9 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    for flag, count in (("--samples", args.samples), ("--rigs", args.rigs)):
+        if count is not None and count < 1:
+            raise ValueError(f"{flag} must be at least 1, not {count}")
     config = {"seed": args.seed}
     if args.n:
         ns = [int(x) for x in args.n.split(",")]
@@ -223,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("span-dim", help="span dimension of the 441 octics and the quotient")
     p.add_argument("--rig", default=None)
     p.add_argument("--height", type=int, default=20)
-    p.add_argument("--modulus", type=int, default=None)
     p.set_defaults(func=_cmd_span_dim)
 
     p = sub.add_parser("counts", help="conjectured generator counts per degree class")

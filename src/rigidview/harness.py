@@ -441,6 +441,9 @@ def refine_rigid_pair(rig: CameraRig, obs_u, obs_v, max_iter: int = 100) -> Refi
     """
     if rig.backend != FLOAT:
         raise ValueError("refinement runs on the float backend")
+    if not len(obs_u) == len(obs_v) == rig.n:
+        raise ValueError(f"refinement needs {rig.n} observations per side, "
+                         f"not {len(obs_u)} and {len(obs_v)}")
     cams = _camera_arrays(rig)
     obs_u = [tuple(map(float, o)) for o in obs_u]
     obs_v = [tuple(map(float, o)) for o in obs_v]

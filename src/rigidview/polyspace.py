@@ -6,8 +6,9 @@ ordered u_(1,0), u_(1,1), u_(1,2), ..., u_(n,2), v_(1,0), ..., v_(n,2); an
 exponent vector is a tuple of 6n nonnegative integers.  The module expands
 triangulation cofactor vectors and the degree-8 distance constraints
 symbolically for a fixed numeric rig, computes span dimensions of
-polynomial families (exactly or modulo a random 31-bit prime), and counts
-the conjectured minimal generators per degree class.
+polynomial families modulo a random 31-bit prime, and counts the
+conjectured minimal generators per degree class.  Polynomials carry no
+arithmetic: nothing in the package adds or multiplies them.
 
 The cofactor vectors come from the signed 3x3 camera minors that the rig
 stores (:meth:`rigidview.cameras.CameraRig.minor_table`), and the octics
@@ -26,14 +27,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm, log2
 from numbers import Rational
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .cameras import CameraRig
 from .constraints import QuadTensor, _ROW_PAIRS, _gram, polarize, unit_distance_form
-from .linalg import (EXACT, INT64_LIMIT, Scalar, _bareiss_echelon, _int_array,
-                     _is_probable_prime, _max_abs, decode_scalar, encode_scalar)
+from .linalg import EXACT, INT64_LIMIT, Scalar, _int_array, _is_probable_prime, _max_abs
 
 
 def variable_index(n: int, side: str, cam: int, coord: int) -> int:
@@ -143,15 +143,16 @@ class _Terms(Mapping):
 class MultiHomogPoly:
     """Sparse polynomial whose terms all share one multidegree.
 
-    The zero polynomial has no terms and multidegree None.  Coefficients are
-    exact rationals (ints or Fractions; a coefficient that is not a
-    ``numbers.Rational`` raises TypeError).  A polynomial is immutable, and
-    its one stored form is its cleared row ``(cols, nums, den)``: the terms'
-    positions in ``monomial_basis(n, multidegree)`` (the smallest unsigned
-    dtype that holds the basis size), their coefficients times den (in the
-    width of :func:`rigidview.linalg._int_array`) and den, the lcm of the
-    coefficients' reduced denominators.  Every rank and failure bound reads it;
-    :attr:`terms` is a read-only mapping over it (``dict(q.terms)`` is a
+    The zero polynomial ``MultiHomogPoly(n)`` has no terms and multidegree
+    None.  Coefficients are exact rationals (ints or Fractions; a
+    coefficient that is not a ``numbers.Rational`` raises TypeError).  A
+    polynomial is immutable, and its one stored form is its cleared row
+    ``(cols, nums, den)``: the terms' positions in ``monomial_basis(n,
+    multidegree)`` (the smallest unsigned dtype that holds the basis size),
+    their coefficients times den (in the width of
+    :func:`rigidview.linalg._int_array`) and den, the lcm of the
+    coefficients' reduced denominators.  Every rank and failure bound reads
+    it; :attr:`terms` is a read-only mapping over it (``dict(q.terms)`` is a
     mutable copy), and ``==`` compares the rows as column -> value maps.
     """
 
@@ -199,69 +200,8 @@ class MultiHomogPoly:
         """Exponent tuple -> coefficient: a :class:`_Terms` view of the row."""
         return _Terms(self)
 
-    @classmethod
-    def zero(cls, n: int) -> "MultiHomogPoly":
-        return cls(n, {})
-
-    @classmethod
-    def constant(cls, n: int, c: Scalar) -> "MultiHomogPoly":
-        return cls(n, {(0,) * (6 * n): c})
-
-    @classmethod
-    def variable(cls, n: int, side: str, cam: int, coord: int) -> "MultiHomogPoly":
-        exps = [0] * (6 * n)
-        exps[variable_index(n, side, cam, coord)] = 1
-        return cls(n, {tuple(exps): 1})
-
     def is_zero(self) -> bool:
         return not len(self._row[0])
-
-    def __add__(self, other: "MultiHomogPoly") -> "MultiHomogPoly":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.multidegree != other.multidegree:
-            raise ValueError("cannot add polynomials of different multidegrees")
-        terms = dict(self.terms.items())
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return MultiHomogPoly(self.n, terms)
-
-    def __neg__(self) -> "MultiHomogPoly":
-        return MultiHomogPoly(self.n, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "MultiHomogPoly") -> "MultiHomogPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "MultiHomogPoly":
-        if not isinstance(other, MultiHomogPoly):
-            if other == 0:
-                return MultiHomogPoly.zero(self.n)
-            return MultiHomogPoly(self.n, {e: c * other for e, c in self.terms.items()})
-        if self.is_zero() or other.is_zero():
-            return MultiHomogPoly.zero(self.n)
-        terms, right = {}, other.terms.items()
-        for e1, c1 in self.terms.items():
-            for e2, c2 in right:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return MultiHomogPoly(self.n, terms)
-
-    __rmul__ = __mul__
-
-    def evaluate(self, us: Sequence[Sequence[Scalar]], vs: Sequence[Sequence[Scalar]]) -> Scalar:
-        flat = [c for pt in us for c in pt[:3]] + [c for pt in vs for c in pt[:3]]
-        if len(flat) != 6 * self.n:
-            raise ValueError("need n image points per side")
-        total = 0
-        for exps, coef in self.terms.items():
-            term = coef
-            for val, e in zip(flat, exps):
-                if e:
-                    term = term * val ** e
-            total = total + term
-        return total
 
     def coefficient(self, exps: Sequence[int]) -> Scalar:
         return self.terms.get(tuple(exps), 0)
@@ -278,18 +218,6 @@ class MultiHomogPoly:
 
     def __repr__(self):
         return f"MultiHomogPoly(n={self.n}, degree={self.multidegree}, terms={len(self._row[0])})"
-
-    def to_json(self) -> dict:
-        return {
-            "degree": list(self.multidegree) if self.multidegree else [0] * (2 * self.n),
-            "terms": [{"exps": list(e), "coef": encode_scalar(c)}
-                      for e, c in sorted(self.terms.items(), reverse=True)],
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "MultiHomogPoly":
-        n = len(doc["degree"]) // 2
-        return cls(n, {tuple(t["exps"]): decode_scalar(t["coef"]) for t in doc["terms"]})
 
 
 # Degree-2 monomials of one image point as index pairs a <= a', in the order
@@ -431,22 +359,6 @@ def expand_wedge_symbolic(rig: CameraRig, j: int, k: int, row: int,
                 terms[tuple(exps)] = coef if den == 1 else Fraction(coef, den)
         out.append(MultiHomogPoly(n, terms))
     return out
-
-
-def expand_octic_symbolic(rig: CameraRig, tensor: QuadTensor, u_sel, v_sel) -> MultiHomogPoly:
-    """Symbolic degree-8 constraint for one index choice.
-
-    ``u_sel = (j1, k1, i1, i2)`` and ``v_sel = (j2, k2, i3, i4)`` as in the
-    numeric evaluator; the result is multihomogeneous of degree 2 in each of
-    the four involved image points and vanishes on image pairs of
-    constraint-satisfying world points.  It is one row of the contraction
-    that :func:`all_octics_symbolic` computes.
-    """
-    j1, k1, i1, i2 = u_sel
-    j2, k2, i3, i4 = v_sel
-    rows_u = [_ROW_PAIRS.index((min(i1, i2), max(i1, i2)))]
-    rows_v = [_ROW_PAIRS.index((min(i3, i4), max(i3, i4)))]
-    return _contract_octics(rig, tensor, (j1, k1), (j2, k2), rows_u, rows_v)[0]
 
 
 def all_octics_symbolic(rig: CameraRig, tensor: QuadTensor,
@@ -705,10 +617,11 @@ def _shared_degree(polys):
     return degree
 
 
-def span_dimension(polys: Sequence[MultiHomogPoly], modulus: Optional[int] = None) -> int:
-    """Dimension of the linear span inside the fixed multidegree component.
+def span_dimension(polys: Sequence[MultiHomogPoly], modulus: int) -> int:
+    """Dimension of the linear span inside the fixed multidegree component,
+    taken modulo the prime ``modulus``.
 
-    With ``modulus`` the rank is computed by blocked elimination mod p
+    The rank is computed by blocked elimination mod p
     (:func:`_modp_rank`), and p must be a prime below 2^31 (else
     ValueError): its products run in float64 on residues centered below
     2^30 times 15-bit limbs, and stay exact only while every sum of
@@ -724,37 +637,22 @@ def span_dimension(polys: Sequence[MultiHomogPoly], modulus: Optional[int] = Non
     (about 5.07e7) primes in [2^30, 2^31), therefore gives a smaller rank
     with probability at most (log2(H)/30) / RANK_PRIME_COUNT, the figure
     :func:`modp_failure_bound` computes (about 1.5e-5 for the 441 octics of
-    a random two-camera rig with camera entries below 20).  Without
-    ``modulus`` the rank is exact (fraction-free elimination; impractical
-    beyond small inputs).
+    a random two-camera rig with camera entries below 20).
 
-    Both routes read each polynomial's cleared row (see
-    :class:`MultiHomogPoly`): the exact one its integers, the mod-p
-    one :func:`coefficient_matrix_modp`, which raises ValueError when p
-    divides a row's denominator, that is some coefficient's denominator.
+    The rows are each polynomial's cleared row (see :class:`MultiHomogPoly`)
+    reduced by :func:`coefficient_matrix_modp`, which raises ValueError when
+    p divides a row's denominator, that is some coefficient's denominator.
     """
-    if modulus is not None:
-        _check_rank_modulus(modulus)
+    _check_rank_modulus(modulus)
     polys = [q for q in polys if not q.is_zero()]
     if not polys:
         return 0
-    if modulus is not None:
-        # the rows by leading column, the smallest basis position of each
-        cols = [q._row[0] for q in polys]
-        starts = np.cumsum([0] + [len(c) for c in cols[:-1]])
-        lead = np.minimum.reduceat(np.concatenate(cols), starts)
-        polys = [polys[i] for i in np.argsort(lead, kind="stable").tolist()]
-        return _modp_rank(coefficient_matrix_modp(polys, modulus), modulus)
-    basis, _ = _basis_index(polys[0].n, _shared_degree(polys))
-    rows = []
-    for poly in polys:
-        cols, nums, _ = poly._row
-        row = [0] * len(basis)
-        for c, x in zip(cols.tolist(), nums.tolist()):
-            row[c] = x
-        rows.append(row)
-    _, pivots, _ = _bareiss_echelon(rows)
-    return len(pivots)
+    # the rows by leading column, the smallest basis position of each
+    cols = [q._row[0] for q in polys]
+    starts = np.cumsum([0] + [len(c) for c in cols[:-1]])
+    lead = np.minimum.reduceat(np.concatenate(cols), starts)
+    polys = [polys[i] for i in np.argsort(lead, kind="stable").tolist()]
+    return _modp_rank(coefficient_matrix_modp(polys, modulus), modulus)
 
 
 def _height_bits(polys: Sequence[MultiHomogPoly]) -> float:
@@ -831,9 +729,6 @@ class GeneratorCount:
         self.n = n
         self.classes = tuple(classes)
         self.total = total
-
-    def by_label(self) -> dict:
-        return {c.label: c.count for c in self.classes}
 
     def to_json(self) -> dict:
         return {"n": self.n, "total": self.total,

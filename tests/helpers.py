@@ -2,9 +2,10 @@
 partial-pivoting determinant, Gauss-Jordan inverse and cofactor adjugate
 references, the from-scratch camera minor table, the per-index references
 for cofactor vectors and tensor values, one engine value, the
-cofactor-expansion reference for the symbolic octics, the per-column mod-p
-rank, the per-term coefficient matrix and failure bounds, and the direct
-oracle through triangulated points."""
+cofactor-expansion reference for the symbolic octics on plain {exps: coef}
+term dicts (no polyspace arithmetic), the per-column mod-p rank, the exact
+rank of a polynomial family, the per-term coefficient matrix and failure
+bounds, and the direct oracle through triangulated points."""
 
 import itertools
 from fractions import Fraction
@@ -17,7 +18,7 @@ import numpy as np
 from rigidview.cameras import (_MINOR_INDEX, _MINOR_ROWS, _MINOR_SIGN, CameraRig,
                                ProjectivePoint, _det3)
 from rigidview.constraints import _UNIT_FORM, DEFAULT_VANISH_TOL, OcticEngine
-from rigidview.linalg import EXACT, FLOAT, Mat, det, rank, signed_maximal_minors
+from rigidview.linalg import EXACT, FLOAT, Mat, _exact_rank, det, rank, signed_maximal_minors
 from rigidview.polyspace import (RANK_PRIME_COUNT, MultiHomogPoly, _shared_degree, monomial_basis,
                                  variable_index)
 from rigidview.triangulation import NotInVarietyError, NotTriangulableError, triangulate
@@ -212,48 +213,60 @@ def count_calls(monkeypatch, module, name, calls=None):
     return calls
 
 
+def _add(p, q, scale=1):
+    """p + scale * q for polynomials given as term dicts {exps: coef}."""
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + scale * c
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def _mul(p, q):
+    """The product of two term dicts."""
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c != 0}
+
+
 def _poly_det(entries):
-    """Determinant of a square grid of polynomials by cofactor expansion."""
-    size = len(entries)
-    n = entries[0][0].n
-    if size == 1:
+    """Determinant of a square grid of term dicts by cofactor expansion
+    along the first column."""
+    if len(entries) == 1:
         return entries[0][0]
-    acc = MultiHomogPoly.zero(n)
-    for r in range(size):
-        e = entries[r][0]
-        if e.is_zero():
-            continue
-        minor = [row[1:] for i, row in enumerate(entries) if i != r]
-        term = e * _poly_det(minor)
-        acc = acc + (term if r % 2 == 0 else -term)
+    acc = {}
+    for r, row in enumerate(entries):
+        if row[0]:
+            minor = [other[1:] for i, other in enumerate(entries) if i != r]
+            acc = _add(acc, _mul(row[0], _poly_det(minor)), (-1) ** r)
     return acc
 
 
 def reference_wedge(rig, j, k, row, side="u"):
     """The row-deleted cofactor vector of the symbolic pair matrix B, its
-    four world coordinates expanded as 5x5 polynomial determinants."""
+    four world coordinates expanded as 5x5 polynomial determinants, as
+    term dicts."""
     n = rig.n
-    zero = MultiHomogPoly.zero(n)
     grid = []
     for cam, offset in ((j, 0), (k, 3)):
         for r in range(3):
             if r + offset == row:
                 continue
-            image = [MultiHomogPoly.variable(n, side, cam, r), zero]
-            grid.append([MultiHomogPoly.constant(n, c) if c != 0 else zero
+            exps = [0] * (6 * n)
+            exps[variable_index(n, side, cam, r)] = 1
+            image = [{tuple(exps): 1}, {}]
+            grid.append([{(0,) * (6 * n): c} if c != 0 else {}
                          for c in rig.camera(cam).matrix.data[r]]
                         + (image if offset == 0 else image[::-1]))
-    out = []
-    for c in range(4):
-        d = _poly_det([r[:c] + r[c + 1:] for r in grid])
-        out.append(d if c % 2 == 0 else -d)
-    return out
+    return [_add({}, _poly_det([r[:c] + r[c + 1:] for r in grid]), (-1) ** c) for c in range(4)]
 
 
 def reference_octics(rig, tensor, selections):
-    """Symbolic octics by cofactor expansion, one per ``(u_sel, v_sel)`` as
-    in :func:`rigidview.polyspace.expand_octic_symbolic`: the tensor's
-    cleared coefficients times products of the wedge polynomials, with the
+    """Symbolic octics by cofactor expansion, one per ``(u_sel, v_sel)``, each
+    ``(j, k, i, i')`` a camera pair and two of its cofactor rows: the tensor's
+    cleared coefficients times products of the wedge term dicts, with the
     clearing factor divided out of each coefficient at the end."""
     n = rig.n
     split = 3 * n
@@ -266,9 +279,9 @@ def reference_octics(rig, tensor, selections):
                 if (side, j, k, i) not in wedges:
                     wedges[side, j, k, i] = reference_wedge(rig, j, k, i, side)
             wa, wb = wedges[side, j, k, ia], wedges[side, j, k, ib]
-            left = wa[p] * wb[q]
+            left = _mul(wa[p], wb[q])
             if p != q:
-                left = left + wa[q] * wb[p]
+                left = _add(left, _mul(wa[q], wb[p]))
             products[key] = left
         return products[key]
 
@@ -279,8 +292,8 @@ def reference_octics(rig, tensor, selections):
         for ((p, q), (r, s)), coef in tensor.entries.items():
             c_int = int(Fraction(coef) * denom)
             left = sym_product("u", j1, k1, i1, i2, p, q)
-            right = sym_product("v", j2, k2, i3, i4, r, s).terms.items()
-            for e1, c1 in left.terms.items():
+            right = sym_product("v", j2, k2, i3, i4, r, s).items()
+            for e1, c1 in left.items():
                 for e2, c2 in right:
                     e = e1[:split] + e2[split:]
                     acc[e] = acc.get(e, 0) + c_int * c1 * c2
@@ -360,6 +373,13 @@ def reference_modp_rank(a, p):
             a[r + 1 + nzr, c:] = (block - np.outer(factors[nzr], a[r, c:])) % p
         r += 1
     return r
+
+
+def exact_rank(polys):
+    """The rational rank of a polynomial family: one fraction-free
+    elimination of its dense coefficient rows over the shared basis."""
+    basis, _ = _reference_basis(polys[0].n, _shared_degree(polys))
+    return _exact_rank([[t.get(m, 0) for m in basis] for t in (dict(q.terms) for q in polys)])
 
 
 def _terms(polys, terms):

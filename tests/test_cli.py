@@ -166,8 +166,9 @@ class TestMalformedInput:
         ["triangulate", "--tuple", "[[1, 2, 3], 7]"],
         ["refine", "--u", "[5, 6]", "--v", "[[1, 2], [3, 4]]"],
         ["refine", "--u", "[[1, 2, 0], [1, 2]]", "--v", "[[1, 2], [3, 4]]"],
+        ["refine", "--u", "[[0.1, 0.2]]", "--v", "[[0.3, 0.4], [0.5, 0.6], [0.7, 0.8]]"],
     ], ids=["check-scalar-tuple", "project-null", "project-boolean", "triangulate-scalar-point",
-            "refine-scalar-observations", "refine-point-at-infinity"])
+            "refine-scalar-observations", "refine-point-at-infinity", "refine-observation-count"])
     def test_malformed_argument_exits_two(self, rig_file, capsys, argv):
         code = main(argv[:1] + ["--rig", rig_file] + argv[1:])
         captured = capsys.readouterr()
@@ -329,6 +330,18 @@ class TestVerify:
         code = main(["verify", "--experiment", "BOGUS"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--experiment", "VANISH", "--samples", "-3"],
+        ["--experiment", "VANISH", "--samples", "0"],
+        ["--experiment", "SPAN_126_9", "--rigs", "0"],
+    ], ids=["negative-samples", "zero-samples", "zero-rigs"])
+    def test_count_below_one_exits_two(self, capsys, argv):
+        # a check over no sample checks nothing, so it is refused, not passed
+        code = main(["--seed", "1", "verify"] + argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and captured.err.startswith("error:")
+
 
 class TestRefine:
     def test_refine_noiseless(self, tmp_path, capsys):
@@ -353,9 +366,3 @@ class TestSpanDim:
         assert doc["octics"] == 441
         assert 2 ** 30 <= doc["modulus"] < 2 ** 31
         assert 0 < doc["failure_bound"] < 1e-3
-
-    @pytest.mark.parametrize("modulus", ["15", str(2 ** 33 - 9)])
-    def test_bad_modulus_reported(self, capsys, modulus):
-        code = main(["--seed", "3", "span-dim", "--modulus", modulus])
-        assert code == 2
-        assert "not a prime below 2^31" in capsys.readouterr().err

@@ -216,6 +216,13 @@ class TestRefinement:
         with pytest.raises(ValueError):
             refine_rigid_pair(rig, [(0, 0)] * 3, [(0, 0)] * 3)
 
+    @pytest.mark.parametrize("count_u, count_v", [(1, 3), (3, 2), (2, 2), (4, 4)])
+    def test_one_observation_per_camera_required(self, count_u, count_v):
+        # no observation is dropped and no camera skipped in silence
+        frig = to_float_rig(random_rig(97, 3))
+        with pytest.raises(ValueError, match="3 observations per side"):
+            refine_rigid_pair(frig, [(0.1, 0.2)] * count_u, [(0.3, 0.4)] * count_v)
+
 
 class TestExperiments:
     def test_unknown_tag(self):
