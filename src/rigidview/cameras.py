@@ -399,8 +399,21 @@ class CameraRig:
 
 def _check_backend(rig: CameraRig, points: Sequence[ProjectivePoint]) -> None:
     """The one scalar-backend rule: image points share the rig's backend."""
-    if any(p.backend != rig.backend for p in points):
-        raise BackendError("image points and rig must share one scalar backend")
+    backend = rig.backend
+    for p in points:
+        if p.backend != backend:
+            raise BackendError("image points and rig must share one scalar backend")
+
+
+def _check_tuple(rig: CameraRig, points: Sequence[ProjectivePoint]) -> None:
+    """An image tuple fits the rig: one image point of 3 coordinates per
+    camera (else :class:`ShapeError`), on the rig's backend."""
+    if len(points) != rig.n:
+        raise ShapeError(f"expected {rig.n} image points, got {len(points)}")
+    for p in points:
+        if len(p.coords) != 3:
+            raise ShapeError("image points have 3 coordinates")
+    _check_backend(rig, points)
 
 
 def _det3(r0, r1, r2):
@@ -569,10 +582,7 @@ def multiview_membership(rig: CameraRig, points: Sequence[ProjectivePoint]) -> M
     same rank.  Points off the rig's backend raise :class:`BackendError`.
     """
     n = rig.n
-    if len(points) != n:
-        raise ShapeError(f"expected {n} image points, got {len(points)}")
-    if any(len(p) != 3 for p in points):
-        raise ShapeError("image points have 3 coordinates")
+    _check_tuple(rig, points)
     scan = CofactorPass(rig, points)
     if scan.witness is None:
         if rig.backend == EXACT:
@@ -629,7 +639,8 @@ def _unit(coords) -> np.ndarray:
 class RigidMotion:
     """A 4x4 world motion [R t; 0 1] with R orthogonal of determinant one.
 
-    The exact backend admits rational rotations (see :func:`cayley_rotation`).
+    Exact backend only, which admits rational rotations (see
+    :func:`cayley_rotation`); a float matrix raises :class:`BackendError`.
     """
 
     __slots__ = ("matrix",)
@@ -637,21 +648,13 @@ class RigidMotion:
     def __init__(self, matrix: Mat):
         if (matrix.rows, matrix.cols) != (4, 4):
             raise ShapeError("rigid motions are 4x4")
+        if matrix.backend != EXACT:
+            raise BackendError("rigid motions are defined on the exact backend")
         r = matrix.submatrix(range(3), range(3))
-        bottom = matrix.row(3)
-        rtr = r.transpose() @ r
-        if matrix.backend == EXACT:
-            if tuple(bottom) != (0, 0, 0, 1):
-                raise ValueError("bottom row must be (0, 0, 0, 1)")
-            if rtr != Mat.identity(3) or det(r) != 1:
-                raise ValueError("rotation block must be orthogonal with determinant 1")
-        else:
-            t = 1e-9
-            if max(abs(b - e) for b, e in zip(bottom, (0.0, 0.0, 0.0, 1.0))) > t:
-                raise ValueError("bottom row must be (0, 0, 0, 1)")
-            err = max(abs(rtr[i, j] - (1.0 if i == j else 0.0)) for i in range(3) for j in range(3))
-            if err > t or abs(det(r) - 1.0) > t:
-                raise ValueError("rotation block must be orthogonal with determinant 1")
+        if tuple(matrix.row(3)) != (0, 0, 0, 1):
+            raise ValueError("bottom row must be (0, 0, 0, 1)")
+        if r.transpose() @ r != Mat.identity(3) or det(r) != 1:
+            raise ValueError("rotation block must be orthogonal with determinant 1")
         object.__setattr__(self, "matrix", matrix)
 
     def __setattr__(self, name, value):
@@ -659,9 +662,8 @@ class RigidMotion:
 
     @classmethod
     def from_parts(cls, rotation: Mat, translation: Sequence[Scalar]) -> "RigidMotion":
-        zero, one = (0.0, 1.0) if rotation.backend == FLOAT else (0, 1)
         rows = [list(rotation.data[i]) + [translation[i]] for i in range(3)]
-        rows.append([zero, zero, zero, one])
+        rows.append([0, 0, 0, 1])
         return cls(Mat(rows))
 
     @classmethod

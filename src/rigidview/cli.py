@@ -11,6 +11,7 @@ import argparse
 import json
 import random
 import sys
+from math import isfinite
 
 from .cameras import CameraRig, ProjectivePoint, forward_map, rig_from_json, rig_to_json
 from .constraints import Family, rigid_pair_by_equations, rigid_pair_oracle
@@ -102,6 +103,8 @@ _FAMILY_ALIASES = {"full": Family.OCTIC_FULL, "nine": Family.OCTIC_NINE,
 
 
 def _cmd_check(args) -> int:
+    if args.tol is not None and not (isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be finite and positive, not {args.tol}")
     rig = _load_rig(args.rig, args.backend, args.tol)
     u = _tuple(_load_json_arg(args.u), rig.backend)
     v = _tuple(_load_json_arg(args.v), rig.backend)
@@ -158,6 +161,8 @@ def _as_affine_obs(values):
 
 
 def _cmd_refine(args) -> int:
+    if args.max_iter < 0:
+        raise ValueError(f"--max-iter must be at least 0, not {args.max_iter}")
     rig = _load_rig(args.rig, FLOAT)
     obs_u = _as_affine_obs(_load_json_arg(args.u))
     obs_v = _as_affine_obs(_load_json_arg(args.v))

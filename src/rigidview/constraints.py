@@ -22,9 +22,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cameras import (WITNESS_FLOOR, CameraRig, ProjectivePoint, _check_backend,
+from .cameras import (WITNESS_FLOOR, CameraRig, ProjectivePoint, _check_backend, _check_tuple,
                       _multiview_matrix, _reduced, multiview_membership)
-from .linalg import EXACT, Mat, Scalar, ShapeError, _cleared, _int_array, adjugate, det
+from .linalg import (EXACT, BackendError, Mat, Scalar, ShapeError, _cleared, _int_array,
+                     adjugate, det)
 from .triangulation import NotInVarietyError, NotTriangulableError, _witness
 
 
@@ -567,9 +568,14 @@ def rigid_pair_oracle(rig: CameraRig, u, v, tol: float | None = None) -> bool:
     vectors are the unit-scaled witnesses, q counts as zero when
     |q(x, y)| / (|x|^2 |y|^2) is at most ``tol`` (None:
     :data:`DEFAULT_VANISH_TOL`), the ratio of :meth:`OcticEngine.vanishes`.
+    Both tuples are checked to fit the rig first
+    (:func:`rigidview.cameras._check_tuple`), so an inconsistent side never
+    hides the other.
     """
-    # One witness step per side.  An inconsistent side decides first, then
-    # a non-triangulable side.
+    # Then one witness step per side: an inconsistent side decides first,
+    # then a non-triangulable side.
+    for points in (u, v):
+        _check_tuple(rig, points)
     sides = []
     for points in (u, v):
         try:
@@ -608,17 +614,20 @@ def rigid_pair_by_equations(rig: CameraRig, u, v,
     both contractions run on Python ints, so the values tested are the
     cleared octics themselves.  Every octic is tested, not q(X, Y) at
     triangulated points, which is the oracle.  The unit tensor's dense
-    matrix is built on the first call and kept."""
+    matrix is built on the first call and kept.  The family's camera count
+    and both tuples are checked first, as in :func:`rigid_pair_oracle`."""
     family = Family(family)
     if family not in _OCTIC_FAMILIES:
         raise ValueError("membership by equations uses an octic family")
+    row_set = _octic_row_set(rig.n, family)
+    for points in (u, v):
+        _check_tuple(rig, points)
     memberships = []
     for points in (u, v):
         membership = multiview_membership(rig, points)
         if not membership.ok:
             return False
         memberships.append(membership)
-    row_set = _octic_row_set(rig.n, family)
     return OcticEngine(rig, (row_set, row_set), [(0, 1, _UNIT_TENSOR)]).vanishes(memberships, tol)
 
 
@@ -680,53 +689,42 @@ def chow_factor(a: Mat) -> tuple:
 
     Locates the singular point of the degenerate conic through the adjugate,
     adds its skew matrix to split off a rank-1 outer product, and reads off
-    the two factors.  Raises :class:`ChowFactorError` for full-rank input,
-    complex-conjugate splits, or irrational splits.
+    the two factors.  Exact backend only; a float matrix raises
+    :class:`rigidview.linalg.BackendError`.  Raises
+    :class:`ChowFactorError` for full-rank input, complex-conjugate splits,
+    or irrational splits.
     """
     if (a.rows, a.cols) != (3, 3):
         raise ShapeError("expected a 3x3 matrix")
+    if a.backend != EXACT:
+        raise BackendError("chow_factor is defined on the exact backend")
     if a.transpose() != a:
         raise ValueError("matrix must be symmetric")
-    exact = a.backend == EXACT
-    t = 1e-9
-    scale = max(abs(float(x)) for r in a.data for x in r) or 1.0
-    d = det(a)
-    if (exact and d != 0) or (not exact and abs(d) > t * scale ** 3):
+    if det(a) != 0:
         raise ChowFactorError("matrix has rank 3", "rank3")
     n = adjugate(a).scaled(-1)
-    n_is_zero = (all(x == 0 for r in n.data for x in r) if exact
-                 else all(abs(x) <= t * scale ** 2 for r in n.data for x in r))
-    if n_is_zero:
+    if all(x == 0 for r in n.data for x in r):
         # rank one: a double line 2c * u u^T
-        diag = [(abs(a[i, i]), i) for i in range(3)]
-        best, i = max(diag)
-        if (exact and best == 0) or (not exact and best <= t * scale):
+        best, i = max((abs(a[i, i]), i) for i in range(3))
+        if best == 0:
             raise ChowFactorError("zero matrix", "rank3")
         u = ProjectivePoint(a.row(i))
         return (u, u)
-    diag = [(n[i, i], i) for i in range(3)]
-    best, j = max(diag)
-    if (exact and best <= 0) or (not exact and best <= t * scale ** 2):
+    best, j = max((n[i, i], i) for i in range(3))
+    if best <= 0:
         raise ChowFactorError("conjugate complex factors", "complex")
-    if exact:
-        s = _sqrt_exact(best)
-        p = [Fraction(x) / s for x in n.col(j)]
-    else:
-        s = best ** 0.5
-        p = [x / s for x in n.col(j)]
-    zero = 0.0 if not exact else 0
-    skew = Mat([[zero, -p[2], p[1]],
-                [p[2], zero, -p[0]],
-                [-p[1], p[0], zero]])
+    s = _sqrt_exact(best)
+    p = [Fraction(x) / s for x in n.col(j)]
+    skew = Mat([[0, -p[2], p[1]],
+                [p[2], 0, -p[0]],
+                [-p[1], p[0], 0]])
     r = Mat([[a[i, q] + skew[i, q] for q in range(3)] for i in range(3)])
-    row = max(range(3), key=lambda i: max(abs(float(x)) for x in r.row(i)))
-    col = max(range(3), key=lambda i: max(abs(float(x)) for x in r.col(i)))
+    row = max(range(3), key=lambda i: max(abs(x) for x in r.row(i)))
+    col = max(range(3), key=lambda i: max(abs(x) for x in r.col(i)))
     u = ProjectivePoint(r.row(row))
     v = ProjectivePoint(r.col(col))
-    if exact:
-        check = chow_map(u, v)
-        if not _proportional_exact([e for row in check.data for e in row],
-                                   [e for row in a.data for e in row]):
-            raise ChowFactorError("factorization check failed", "complex")
-        return tuple(sorted((u, v), key=lambda pt: pt.canonical()))
-    return (u, v)
+    check = chow_map(u, v)
+    if not _proportional_exact([e for row in check.data for e in row],
+                               [e for row in a.data for e in row]):
+        raise ChowFactorError("factorization check failed", "complex")
+    return tuple(sorted((u, v), key=lambda pt: pt.canonical()))

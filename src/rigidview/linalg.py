@@ -7,8 +7,10 @@ Two scalar backends are supported and never mixed inside one computation:
 * ``"exact"``: Python ints and :class:`fractions.Fraction`, with decidable
   equality and fraction-free (Bareiss) elimination so intermediate entries
   stay minor-sized,
-* ``"float"``: IEEE binary64, where every comparison against zero goes
-  through an explicit tolerance, never bare equality.
+* ``"float"``: IEEE binary64 through numpy's LAPACK: rank and kernel from
+  the singular value decomposition, with singular values at most a
+  relative tolerance counted as zero, and the determinant from the LU
+  factorization.  The package writes no float elimination of its own.
 """
 
 from __future__ import annotations
@@ -243,61 +245,24 @@ def _bareiss_echelon(data):
     return a, pivot_cols, sign
 
 
-def _float_echelon(data):
-    """Complete-pivoting elimination.
-
-    Returns (echelon rows, pivot magnitudes, column permutation, sign of
-    the row and column permutations).  Elimination stops at the first
-    all-zero trailing block, so a square matrix is singular exactly when
-    fewer pivots than rows come back, and otherwise its determinant is the
-    sign times the product of the echelon diagonal.  NaN never wins a pivot
-    search, so non-finite entries are rejected rather than read as zeros.
-    """
-    a = [list(map(float, r)) for r in data]
-    if not all(isfinite(x) for r in a for x in r):
-        raise ValueError("float elimination needs finite entries")
-    nrows, ncols = len(a), len(a[0])
-    col_perm = list(range(ncols))
-    pivots = []
-    sign = 1
-    k = 0
-    while k < min(nrows, ncols):
-        best, bi, bj = 0.0, k, k
-        for i in range(k, nrows):
-            for j in range(k, ncols):
-                if abs(a[i][j]) > best:
-                    best, bi, bj = abs(a[i][j]), i, j
-        if best == 0.0:
-            break
-        if bi != k:
-            a[k], a[bi] = a[bi], a[k]
-            sign = -sign
-        if bj != k:
-            for row in a:
-                row[k], row[bj] = row[bj], row[k]
-            col_perm[k], col_perm[bj] = col_perm[bj], col_perm[k]
-            sign = -sign
-        pivots.append(best)
-        piv = a[k][k]
-        for i in range(k + 1, nrows):
-            f = a[i][k] / piv
-            if f != 0.0:
-                for j in range(k, ncols):
-                    a[i][j] -= f * a[k][j]
-                a[i][k] = 0.0
-        k += 1
-    return a, pivots, col_perm, sign
+def _float_array(rows) -> np.ndarray:
+    """Float rows as a float64 array for LAPACK; NaN and infinities raise
+    ValueError, since LAPACK would carry them into every result."""
+    a = np.array(rows, dtype=np.float64)
+    if not np.isfinite(a).all():
+        raise ValueError("float linear algebra needs finite entries")
+    return a
 
 
 class RankReport:
     """Result of a rank computation: the rank, and on the float backend the
-    pivot magnitudes and the tolerance that was applied."""
+    singular values (largest first) and the tolerance that was applied."""
 
-    __slots__ = ("rank", "pivots", "tolerance")
+    __slots__ = ("rank", "singular_values", "tolerance")
 
-    def __init__(self, rank: int, pivots=(), tolerance=None):
+    def __init__(self, rank: int, singular_values=(), tolerance=None):
         self.rank = rank
-        self.pivots = tuple(pivots)
+        self.singular_values = tuple(singular_values)
         self.tolerance = tolerance
 
     def __eq__(self, other):
@@ -312,8 +277,7 @@ def det(m: Mat) -> Scalar:
 
     Exact backend: each row is cleared of denominators and the matrix goes
     through the fraction-free elimination of :func:`rank`.  Float backend:
-    the signed product of the diagonal of :func:`rank`'s complete-pivoting
-    elimination.
+    LAPACK's LU factorization with partial pivoting (``numpy.linalg.det``).
     """
     if not m.is_square():
         raise ShapeError("determinant needs a square matrix")
@@ -326,10 +290,7 @@ def _det_rows(rows, backend: str) -> Scalar:
     if n > 8:
         raise ShapeError("det supports matrices up to size 8")
     if backend == FLOAT:
-        ech, pivots, _, sign = _float_echelon(rows)
-        if len(pivots) < n:
-            return 0.0
-        return sign * prod(ech[k][k] for k in range(n))
+        return float(np.linalg.det(_float_array(rows)))
     cleared = [_cleared(r) for r in rows]
     ech, pivot_cols, sign = _bareiss_echelon([r for r, _ in cleared])
     if len(pivot_cols) < n:
@@ -349,23 +310,23 @@ def _exact_rank(rows) -> int:
 
 
 def rank(m: Mat, tol: float | None = None) -> RankReport:
-    """Rank of a matrix; on the float backend pivots below ``tol`` times the
-    largest pivot are treated as zero (default 1e-9)."""
+    """Rank of a matrix.  Float backend: the numerical rank, the number of
+    singular values (LAPACK's SVD) above ``tol`` times the largest (default
+    :data:`DEFAULT_RANK_TOL`); a zero matrix has rank 0."""
     if m.backend == EXACT:
         return RankReport(_exact_rank(m.data))
     if tol is None:
         tol = DEFAULT_RANK_TOL
-    _, pivots, _, _ = _float_echelon(m.data)
-    if not pivots:
-        return RankReport(0, pivots, tol)
-    cutoff = tol * max(pivots)
-    return RankReport(sum(1 for p in pivots if p > cutoff), pivots, tol)
+    s = np.linalg.svd(_float_array(m.data), compute_uv=False)
+    return RankReport(int(np.count_nonzero(s > tol * s[0])), s.tolist(), tol)
 
 
 def nullspace(m: Mat, tol: float | None = None) -> list[tuple]:
-    """Basis of the kernel, from the elimination of :func:`rank`, so its
-    length is the column count minus the rank.  Exact vectors are
-    integer-cleared."""
+    """Basis of the kernel; its length is the column count minus the rank
+    of :func:`rank` at the same ``tol``.  Exact vectors come from the
+    fraction-free elimination and are integer-cleared.  Float vectors are
+    the right singular vectors past that rank, each divided by its entry of
+    largest magnitude, which becomes 1."""
     if m.backend == EXACT:
         ech, pivot_cols, _ = _bareiss_echelon([_cleared(r)[0] for r in m.data])
         free_cols = [c for c in range(m.cols) if c not in pivot_cols]
@@ -381,22 +342,10 @@ def nullspace(m: Mat, tol: float | None = None) -> list[tuple]:
         return basis
     if tol is None:
         tol = DEFAULT_RANK_TOL
-    ech, pivots, col_perm, _ = _float_echelon(m.data)
-    cutoff = tol * max(pivots) if pivots else 0.0
-    rk = sum(1 for p in pivots if p > cutoff)
-    basis = []
-    for f in range(rk, m.cols):
-        v = [0.0] * m.cols
-        v[f] = 1.0
-        for r in range(rk - 1, -1, -1):
-            s = sum(ech[r][j] * v[j] for j in range(r + 1, m.cols))
-            v[r] = -s / ech[r][r]
-        w = [0.0] * m.cols
-        for pos, orig in enumerate(col_perm):
-            w[orig] = v[pos]
-        norm = max(abs(x) for x in w)
-        basis.append(tuple(x / norm for x in w))
-    return basis
+    _, s, vt = np.linalg.svd(_float_array(m.data))
+    kernel = vt[np.count_nonzero(s > tol * s[0]):]
+    peaks = kernel[np.arange(len(kernel)), np.abs(kernel).argmax(axis=1)]
+    return [tuple(v) for v in (kernel / peaks[:, None]).tolist()]
 
 
 def integer_cleared(vec: Sequence[Scalar]) -> tuple:

@@ -167,8 +167,18 @@ class TestMalformedInput:
         ["refine", "--u", "[5, 6]", "--v", "[[1, 2], [3, 4]]"],
         ["refine", "--u", "[[1, 2, 0], [1, 2]]", "--v", "[[1, 2], [3, 4]]"],
         ["refine", "--u", "[[0.1, 0.2]]", "--v", "[[0.3, 0.4], [0.5, 0.6], [0.7, 0.8]]"],
+        ["refine", "--u", "[[0.1, 0.2], [0.3, 0.4]]", "--v", "[[0.3, 0.4], [0.5, 0.6]]",
+         "--max-iter", "-1"],
+        # an inconsistent u must not decide before v and the family are checked
+        ["check", "--u", "[[1, 2, 3], [4, 5, 6]]", "--v", "[[1, 2, 3]]"],
+        ["check", "--u", "[[1, 2, 3], [4, 5, 6]]", "--v", "[[1, 2, 3]]", "--family", "oracle"],
+        ["check", "--u", "[[1, 2, 3], [4, 5, 6]]", "--v", "[[1, 2, 3], [4, 5, 6, 7]]"],
+        ["check", "--u", "[[1, 2, 3], [4, 5, 6]]", "--v", "[[1, 2, 3], [4, 5, 6]]",
+         "--family", "sixteen"],
     ], ids=["check-scalar-tuple", "project-null", "project-boolean", "triangulate-scalar-point",
-            "refine-scalar-observations", "refine-point-at-infinity", "refine-observation-count"])
+            "refine-scalar-observations", "refine-point-at-infinity", "refine-observation-count",
+            "refine-negative-max-iter", "check-short-v", "check-short-v-oracle",
+            "check-world-point-in-v", "check-sixteen-on-two-cameras"])
     def test_malformed_argument_exits_two(self, rig_file, capsys, argv):
         code = main(argv[:1] + ["--rig", rig_file] + argv[1:])
         captured = capsys.readouterr()
@@ -184,6 +194,62 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == "" and captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1", "-inf"])
+    def test_tol_not_finite_and_positive_exits_two(self, rig_file, capsys, tol):
+        # an inconsistent pair on the float backend: a finite positive
+        # tolerance reads it as a non-member, and no other is accepted
+        argv = ["--backend", "float", "check", "--rig", rig_file,
+                "--u", "[[1, 2, 3], [4, 5, 6]]", "--v", "[[1, 2, 3], [4, 5, 6]]"]
+        assert main(argv + ["--tol", "1e-6"]) == 1
+        capsys.readouterr()
+        code = main(argv + [f"--tol={tol}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and captured.err.startswith("error:")
+
+
+class TestFileArguments:
+    """'@path' reads a JSON argument from a file, and --rig replaces the
+    seeded rig of span-dim and dimension."""
+
+    def test_at_path_arguments_equal_inline_ones(self, tmp_path, capsys):
+        rig = str(tmp_path / "rig.json")
+        main(["--seed", "5", "--json-out", rig, "gen-rig", "--n", "2"])
+        point = tmp_path / "point.json"
+        point.write_text("[0, 0, 0, 1]")
+        inline = run_cli(capsys, "project", "--rig", rig, "--point", "[0, 0, 0, 1]")
+        assert run_cli(capsys, "project", "--rig", rig, "--point", f"@{point}") == inline
+        images = tmp_path / "images.json"
+        images.write_text(json.dumps(inline[1]["images"]))
+        _, moved = run_cli(capsys, "project", "--rig", rig, "--point", "[1, 0, 0, 1]")
+        for argv in (["triangulate", "--rig", rig, "--tuple"],
+                     ["check", "--rig", rig, "--v", json.dumps(moved["images"]), "--u"]):
+            want = run_cli(capsys, *argv, json.dumps(inline[1]["images"]))
+            assert want[0] == 0
+            assert run_cli(capsys, *argv, f"@{images}") == want
+
+    def test_at_path_to_a_missing_file_exits_two(self, tmp_path, capsys):
+        rig = str(tmp_path / "rig.json")
+        main(["--seed", "5", "--json-out", rig, "gen-rig", "--n", "2"])
+        code = main(["project", "--rig", rig, "--point", f"@{tmp_path / 'missing.json'}"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err.startswith("error:")
+
+    def test_span_dim_rig_file_equals_its_seeded_rig(self, tmp_path, capsys):
+        rig = str(tmp_path / "rig.json")
+        main(["--seed", "3", "--json-out", rig, "gen-rig", "--n", "2"])
+        seeded = run_cli(capsys, "--seed", "3", "span-dim")
+        assert run_cli(capsys, "--seed", "3", "span-dim", "--rig", rig) == seeded
+        assert seeded[0] == 0 and (seeded[1]["span"], seeded[1]["quotient"]) == (126, 9)
+
+    def test_dimension_rig_file_equals_its_seeded_rig(self, tmp_path, capsys):
+        rig = str(tmp_path / "rig.json")
+        main(["--seed", "2", "--json-out", rig, "gen-rig", "--n", "2"])
+        argv = ["--seed", "2", "dimension", "--scenario", "rigid-pair"]
+        seeded = run_cli(capsys, *argv)
+        assert run_cli(capsys, *argv, "--rig", rig) == seeded == (0, {"scenario": "rigid-pair",
+                                                                      "dimension": 5})
 
 
 class TestCheck:

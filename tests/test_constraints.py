@@ -692,6 +692,43 @@ class TestMembership:
         assert not rigid_pair_oracle(rig, ep, bad)
         assert not rigid_pair_oracle(rig, bad, ep)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_verdicts_check_both_tuples_before_consistency(self, n):
+        # a tuple that does not fit the rig (too few points, a world point,
+        # floats on an exact rig) raises on either side, whether the other
+        # side is consistent or not: an inconsistent side never decides
+        # before both tuples are checked
+        rng = random.Random(f"fit:{n}")
+        rig = random_rig(rng, n)
+        x, y = unit_pair(rng)
+        u, v = forward_map(rig, x), forward_map(rig, y)
+        bad = (ProjectivePoint((1, 2, 3)),) + u[1:]
+        assert not multiview_membership(rig, bad).ok
+        unfit = [(v[:-1], ShapeError), (v[:-1] + (ProjectivePoint((1, 2, 3, 4)),), ShapeError),
+                 (tuple(p.to_float() for p in v), BackendError)]
+        verdicts = [lambda a, b: rigid_pair_oracle(rig, a, b)]
+        verdicts += [lambda a, b, fam=fam: rigid_pair_by_equations(rig, a, b, fam)
+                     for fam in _families(n)]
+        for verdict in verdicts:
+            assert verdict(u, v) and not verdict(bad, v) and not verdict(v, bad)
+            for wrong, error in unfit:
+                for side in (u, bad):
+                    with pytest.raises(error):
+                        verdict(side, wrong)
+                    with pytest.raises(error):
+                        verdict(wrong, side)
+
+    def test_sixteen_family_on_two_cameras_raises_whatever_u(self):
+        rng = random.Random(251)
+        rig = random_rig(rng, 2)
+        x, y = unit_pair(rng)
+        u, v = forward_map(rig, x), forward_map(rig, y)
+        bad = (ProjectivePoint((1, 2, 3)), ProjectivePoint((4, 5, 6)))
+        assert not multiview_membership(rig, bad).ok
+        for side in (u, bad):
+            with pytest.raises(ValueError, match="three cameras"):
+                rigid_pair_by_equations(rig, side, v, Family.OCTIC_SIXTEEN)
+
     def test_oracle_tests_membership_once_per_side(self, monkeypatch):
         # one membership per side, whose cofactor pass is also the witness
         # scan: the witness pair's vectors are computed once, and no
@@ -1581,6 +1618,11 @@ class TestChow:
         with pytest.raises(ChowFactorError) as exc:
             chow_factor(Mat.identity(3))
         assert exc.value.reason == "rank3"
+
+    def test_float_matrix_raises_backend_error(self):
+        a = chow_map(ProjectivePoint((1, 2, -1)), ProjectivePoint((3, 0, 1)))
+        with pytest.raises(BackendError):
+            chow_factor(a.to_float())
 
     def test_complex_split_rejected(self):
         with pytest.raises(ChowFactorError) as exc:
