@@ -47,7 +47,7 @@ from .harness import (
     run_experiment,
     sample_unit_pair,
 )
-from .linalg import EXACT, FLOAT, Mat, det, nullspace, rank, signed_maximal_minors
+from .linalg import EXACT, FLOAT, Mat, det, rank, signed_maximal_minors
 from .polyspace import (
     MultiHomogPoly,
     all_octics_symbolic,
@@ -97,7 +97,6 @@ __all__ = [
     "ideal_component_basis",
     "is_triangulable",
     "multiview_membership",
-    "nullspace",
     "numeric_dimension",
     "polarize",
     "projectively_equal",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, hypot, lcm
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -38,7 +38,6 @@ from .linalg import (
     encode_scalar,
     integer_cleared,
     invert,
-    nullspace,
     rank,
 )
 
@@ -138,7 +137,13 @@ ImageTuple = tuple  # tuple of n image-plane ProjectivePoint
 
 
 class Camera:
-    """A 3x4 projection matrix with its cached focal point (the kernel).
+    """A 3x4 projection matrix with its cached focal point (the kernel): the
+    signed 3x3 minors c_i = (-1)^i det(A without column i) (Hartley and
+    Zisserman, ch. 6).  Exact: rank 3 exactly when some minor is nonzero,
+    and c cleared to coprime integers, last nonzero entry positive.
+    Floats: rank 3 when :func:`rank` at ``tol`` is 3 and some minor is
+    nonzero, and c taken of the orthonormalized rows (a positive multiple,
+    accurate at any scale) over its entry of largest magnitude.
 
     Rank-deficient matrices are representable (focal_point is then None) so
     that rigs can record the violation instead of refusing construction.
@@ -149,10 +154,23 @@ class Camera:
     def __init__(self, matrix: Mat, tol: float | None = None):
         if (matrix.rows, matrix.cols) != (3, 4):
             raise ShapeError("camera matrices are 3x4")
-        kern = nullspace(matrix, tol)
+        exact = matrix.backend == EXACT
+        rows = matrix.data if exact else _orthonormalized(matrix.data)
+        c = [(-1) ** i * _det3(*(row[:i] + row[i + 1:] for row in rows)) for i in range(4)]
+        if any(c):
+            r = 3 if exact else rank(matrix, tol).rank
+        else:
+            r = min(rank(matrix, tol).rank, 2)
+        focal = None
+        if r == 3 and exact:
+            c = integer_cleared(c)
+            focal = ProjectivePoint(c if next(x for x in reversed(c) if x) > 0 else [-x for x in c])
+        elif r == 3:
+            top = max(c, key=abs)
+            focal = ProjectivePoint([x / top for x in c])
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "rank", 4 - len(kern))
-        object.__setattr__(self, "focal_point", ProjectivePoint(kern[0]) if len(kern) == 1 else None)
+        object.__setattr__(self, "rank", r)
+        object.__setattr__(self, "focal_point", focal)
 
     def __setattr__(self, name, value):
         raise AttributeError("Camera is immutable")
@@ -422,6 +440,19 @@ def _det3(r0, r1, r2):
             + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0]))
 
 
+def _orthonormalized(rows):
+    """Gram-Schmidt on float rows: L^-1 rows for a lower triangular L of
+    positive diagonal; a row in the span of the earlier ones stays zero."""
+    out = []
+    for row in rows:
+        for q in out:
+            d = sum(a * b for a, b in zip(row, q))
+            row = [a - d * b for a, b in zip(row, q)]
+        n = hypot(*row) or 1.0
+        out.append([a / n for a in row])
+    return out
+
+
 def _minor_layout():
     """Where :func:`camera_minor_table` reads each entry [i, c, 3a + b]: the
     row triple left after deleting rows i, a and 3 + b of the 6x4 stack (an
@@ -521,14 +552,10 @@ def _validate_focal_points(cams, tol) -> GeneralPositionReport:
     for i, j in itertools.combinations(range(len(cams)), 2):
         if projectively_equal(focals[i], focals[j], tol):
             violations.append(f"focal points {i} and {j} coincide")
-    for trip in itertools.combinations(range(len(cams)), 3):
-        stacked = Mat([focals[i].coords for i in trip])
-        if rank(stacked, tol).rank < 3:
-            violations.append(f"focal points {trip} are collinear")
-    for quad in itertools.combinations(range(len(cams)), 4):
-        stacked = Mat([focals[i].coords for i in quad])
-        if rank(stacked, tol).rank < 4:
-            violations.append(f"focal points {quad} are coplanar")
+    for size, shape in ((3, "collinear"), (4, "coplanar")):
+        for group in itertools.combinations(range(len(cams)), size):
+            if rank(Mat([focals[i].coords for i in group]), tol).rank < size:
+                violations.append(f"focal points {group} are {shape}")
     return GeneralPositionReport(violations)
 
 

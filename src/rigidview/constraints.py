@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 from fractions import Fraction
-from math import factorial, isqrt, prod
+from math import factorial, inf, isqrt, prod
 from typing import Optional, Sequence
 
 import numpy as np
@@ -631,9 +631,9 @@ def rigid_pair_by_equations(rig: CameraRig, u, v,
     return OcticEngine(rig, (row_set, row_set), [(0, 1, _UNIT_TENSOR)]).vanishes(memberships, tol)
 
 
-def _check_positive(*distances) -> None:
-    if any(d <= 0 for d in distances):
-        raise ValueError("distances must be positive")
+def _check_positive(d12: Scalar, d13: Scalar, d23: Scalar) -> None:
+    if not all(0 < d < inf for d in (d12, d13, d23)):
+        raise ValueError(f"distances must be finite and positive: d12={d12}, d13={d13}, d23={d23}")
 
 
 def collinearity_discriminant(d12: Scalar, d13: Scalar, d23: Scalar) -> Scalar:

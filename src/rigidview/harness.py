@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cameras import (
+    Camera,
     CameraRig,
     CofactorPass,
     ProjectivePoint,
@@ -81,7 +82,7 @@ def random_camera(seed, height: int = 20, signed: bool = False) -> Mat:
             m = Mat([[rng.randint(-height, height) for _ in range(4)] for _ in range(3)])
         else:
             m = Mat([[rng.randrange(height) for _ in range(4)] for _ in range(3)])
-        if rank(m).rank == 3:
+        if Camera(m).rank == 3:
             return m
     raise SamplingError("could not draw a rank-3 camera")
 

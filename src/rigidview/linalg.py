@@ -7,9 +7,9 @@ Two scalar backends are supported and never mixed inside one computation:
 * ``"exact"``: Python ints and :class:`fractions.Fraction`, with decidable
   equality and fraction-free (Bareiss) elimination so intermediate entries
   stay minor-sized,
-* ``"float"``: IEEE binary64 through numpy's LAPACK: rank and kernel from
-  the singular value decomposition, with singular values at most a
-  relative tolerance counted as zero, and the determinant from the LU
+* ``"float"``: IEEE binary64 through numpy's LAPACK: rank from the
+  singular value decomposition, with singular values at most a relative
+  tolerance counted as zero, and the determinant from the LU
   factorization.  The package writes no float elimination of its own.
 """
 
@@ -321,33 +321,6 @@ def rank(m: Mat, tol: float | None = None) -> RankReport:
     return RankReport(int(np.count_nonzero(s > tol * s[0])), s.tolist(), tol)
 
 
-def nullspace(m: Mat, tol: float | None = None) -> list[tuple]:
-    """Basis of the kernel; its length is the column count minus the rank
-    of :func:`rank` at the same ``tol``.  Exact vectors come from the
-    fraction-free elimination and are integer-cleared.  Float vectors are
-    the right singular vectors past that rank, each divided by its entry of
-    largest magnitude, which becomes 1."""
-    if m.backend == EXACT:
-        ech, pivot_cols, _ = _bareiss_echelon([_cleared(r)[0] for r in m.data])
-        free_cols = [c for c in range(m.cols) if c not in pivot_cols]
-        basis = []
-        for f in free_cols:
-            v = [Fraction(0)] * m.cols
-            v[f] = Fraction(1)
-            for r in range(len(pivot_cols) - 1, -1, -1):
-                pc = pivot_cols[r]
-                s = sum((ech[r][j] * v[j] for j in range(pc + 1, m.cols)), Fraction(0))
-                v[pc] = -s / ech[r][pc]
-            basis.append(integer_cleared(v))
-        return basis
-    if tol is None:
-        tol = DEFAULT_RANK_TOL
-    _, s, vt = np.linalg.svd(_float_array(m.data))
-    kernel = vt[np.count_nonzero(s > tol * s[0]):]
-    peaks = kernel[np.arange(len(kernel)), np.abs(kernel).argmax(axis=1)]
-    return [tuple(v) for v in (kernel / peaks[:, None]).tolist()]
-
-
 def integer_cleared(vec: Sequence[Scalar]) -> tuple:
     """Scale an exact vector to coprime integers (direction preserved)."""
     ints = [x.numerator for x in _cleared(vec)[0]]
@@ -387,14 +360,13 @@ def adjugate(m: Mat) -> Mat:
 
 
 def invert(m: Mat) -> Mat:
-    """Inverse of a square matrix of size at most 8: its adjugate over its
-    determinant.  Exact entries that are integers come back as ints; a
-    singular matrix (determinant exactly zero) raises ValueError."""
+    """Inverse of an exact square matrix of size at most 8: its adjugate
+    over its determinant.  Entries that are integers come back as ints; a
+    singular matrix raises ValueError, and a float one BackendError."""
+    if m.backend == FLOAT:
+        raise BackendError("invert is defined on the exact backend")
     d = det(m)
     if d == 0:
         raise ValueError("matrix is singular")
-    adj = adjugate(m).data
-    if m.backend == FLOAT:
-        return Mat([[x / d for x in r] for r in adj])
-    inv = [[Fraction(x, d) for x in r] for r in adj]
+    inv = [[Fraction(x, d) for x in r] for r in adjugate(m).data]
     return Mat([[x.numerator if x.denominator == 1 else x for x in r] for r in inv])

@@ -1,11 +1,12 @@
 """Shared test fixtures: deterministic rigs, naive determinant oracle, the
 partial-pivoting determinant, Gauss-Jordan inverse and cofactor adjugate
-references, the from-scratch camera minor table, the per-index references
-for cofactor vectors and tensor values, one engine value, the
-cofactor-expansion reference for the symbolic octics on plain {exps: coef}
-term dicts (no polyspace arithmetic), the per-column mod-p rank, the exact
-rank of a polynomial family, the per-term coefficient matrix and failure
-bounds, and the direct oracle through triangulated points."""
+references, the back-substitution and SVD kernel, the from-scratch camera
+minor table, the per-index references for cofactor vectors and tensor
+values, one engine value, the cofactor-expansion reference for the
+symbolic octics on plain {exps: coef} term dicts (no polyspace
+arithmetic), the per-column mod-p rank, the exact rank of a polynomial
+family, the per-term coefficient matrix and failure bounds, and the direct
+oracle through triangulated points."""
 
 import itertools
 from fractions import Fraction
@@ -18,7 +19,9 @@ import numpy as np
 from rigidview.cameras import (_MINOR_INDEX, _MINOR_ROWS, _MINOR_SIGN, CameraRig,
                                ProjectivePoint, _det3)
 from rigidview.constraints import _UNIT_FORM, DEFAULT_VANISH_TOL, OcticEngine
-from rigidview.linalg import EXACT, FLOAT, Mat, _exact_rank, det, rank, signed_maximal_minors
+from rigidview.linalg import (DEFAULT_RANK_TOL, EXACT, FLOAT, Mat, _bareiss_echelon, _cleared,
+                              _exact_rank, _float_array, det, integer_cleared, rank,
+                              signed_maximal_minors)
 from rigidview.polyspace import (RANK_PRIME_COUNT, MultiHomogPoly, _shared_degree, monomial_basis,
                                  variable_index)
 from rigidview.triangulation import NotInVarietyError, NotTriangulableError, triangulate
@@ -134,6 +137,31 @@ def reference_invert(m, tol=None):
     if m.backend != FLOAT:
         inv = [[x.numerator if x.denominator == 1 else x for x in r] for r in inv]
     return Mat(inv)
+
+
+def reference_nullspace(m, tol=None):
+    """Basis of the kernel, the library's former ``nullspace``: exact
+    vectors by back-substitution on the fraction-free elimination, one per
+    free column (1 there), integer-cleared; float vectors are the right
+    singular vectors past the rank at ``tol``, each divided by its entry of
+    largest magnitude."""
+    if m.backend == EXACT:
+        ech, pivot_cols, _ = _bareiss_echelon([_cleared(r)[0] for r in m.data])
+        basis = []
+        for f in (c for c in range(m.cols) if c not in pivot_cols):
+            v = [Fraction(0)] * m.cols
+            v[f] = Fraction(1)
+            for r in range(len(pivot_cols) - 1, -1, -1):
+                pc = pivot_cols[r]
+                s = sum((ech[r][j] * v[j] for j in range(pc + 1, m.cols)), Fraction(0))
+                v[pc] = -s / ech[r][pc]
+            basis.append(integer_cleared(v))
+        return basis
+    tol = DEFAULT_RANK_TOL if tol is None else tol
+    _, s, vt = np.linalg.svd(_float_array(m.data))
+    kernel = vt[np.count_nonzero(s > tol * s[0]):]
+    peaks = kernel[np.arange(len(kernel)), np.abs(kernel).argmax(axis=1)]
+    return [tuple(v) for v in (kernel / peaks[:, None]).tolist()]
 
 
 def reference_adjugate(m):

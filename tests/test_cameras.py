@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import count_calls, fraction_rig, reference_minor_table
+from helpers import count_calls, fraction_rig, reference_minor_table, reference_nullspace
 from rigidview import cameras, linalg
 from rigidview.cameras import (
     Camera,
@@ -157,6 +157,103 @@ class TestRigConstruction:
                 epis = [rig.epipole(k, j) for j in range(n) if j != k]
                 for a, b in itertools.combinations(epis, 2):
                     assert a != b
+
+
+# The seeds of the rigs the camera tests draw.
+RIG_SEEDS = (2024, 2025, 3, 5, 29, 31, 11, 17, 23, 67, 613, 37, 39, 41, 42, 43, 44, 47, 71,
+             73, 75, 53, 59, "fundamental:int", "fundamental:fraction", "tables:int",
+             "tables:fraction", "cofactors:int", "cofactors:fraction", "pass:int:2",
+             "pass:fraction:3", "float-pass:2", "float-pass:3", "float-pass:4")
+
+
+def _same_float_point(got, want):
+    """Float focal points normalized alike (largest entry 1) and equal to
+    1e-12.  Where two entries tie for the largest magnitude either may be
+    the 1, so there the points are compared up to sign."""
+    assert max(got.coords, key=abs) == 1.0 and max(map(abs, got.coords)) == 1.0
+    near = max(abs(a - b) for a, b in zip(got.coords, want))
+    flipped = max(abs(a + b) for a, b in zip(got.coords, want))
+    top = sorted(map(abs, want))
+    return near <= 1e-12 or (flipped <= 1e-12 and top[-1] - top[-2] <= 1e-12)
+
+
+class TestFocalPointsFromMinors:
+    """Focal points are the signed 3x3 minors of the camera; they equal the
+    back-substitution and SVD kernel: exactly (==) on the exact backend,
+    to 1e-12 relative on floats."""
+
+    @pytest.mark.parametrize("seed", RIG_SEEDS)
+    def test_seeded_rigs_match_the_kernel(self, seed):
+        rng = random.Random(seed)
+        for n in (2, 3, 4):
+            for rig in (random_rig(rng, n), fraction_rig(rng, n), harness_random_rig(rng, n)):
+                frig = CameraRig([cam.matrix.to_float() for cam in rig.cameras])
+                for j, cam in enumerate(rig.cameras):
+                    (want,) = reference_nullspace(cam.matrix)
+                    assert cam.rank == 3 and cam.focal_point.coords == want
+                    (fwant,) = reference_nullspace(frig.camera(j).matrix)
+                    assert frig.camera(j).rank == 3
+                    assert _same_float_point(frig.focal_point(j), fwant)
+                for k, j in itertools.permutations(range(n), 2):
+                    assert rig.epipole(k, j).coords == rig.camera(k).matrix.apply(
+                        reference_nullspace(rig.camera(j).matrix)[0])
+
+    @pytest.mark.parametrize("rows,want", [
+        # a zero column: the kernel is that column's unit vector
+        ([[0, 1, 2, 3], [0, 4, 5, 6], [0, 7, 8, 10]], (1, 0, 0, 0)),
+        # dependent first three columns, so the minor without column 3 is 0
+        ([[1, 2, 3, 5], [0, 1, 1, 7], [2, 1, 3, 4]], (-1, -1, 1, 0)),
+        # Fraction entries
+        ([[Fraction(1, 2), 0, 0, 1], [0, Fraction(2, 3), 0, 2],
+          [0, 0, Fraction(-3, 4), Fraction(1, 5)]], (-2, -3, Fraction(4, 15), 1)),
+    ])
+    def test_planted_cameras_match_the_kernel(self, rows, want):
+        m = Mat(rows)
+        (ref,) = reference_nullspace(m)
+        cam = Camera(m)
+        assert cam.rank == 3 and cam.focal_point.coords == ref
+        assert ProjectivePoint(ref) == ProjectivePoint(want)
+        assert all(type(x) is int for x in cam.focal_point.coords)
+        # at scales where the unscaled minors would under- or overflow too
+        for factor in (1.0, 1e-120, 1e120):
+            fm = m.to_float().scaled(factor)
+            fcam = Camera(fm)
+            assert fcam.rank == 3
+            assert _same_float_point(fcam.focal_point, reference_nullspace(fm)[0])
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-8])
+    def test_nearly_rank_one_float_camera(self, delta):
+        # rows within delta of one rank-1 matrix: at delta = 1e-8 the minors
+        # of the rows themselves all round to zero, and those of the
+        # orthonormalized rows still give the exact camera's point
+        rows = [[1.0, 1.0, 1.0, 1.0], [1.0 + delta, 1.0, 1.0, 1.0],
+                [1.0, 1.0 + delta, 1.0, 1.0]]
+        cam = Camera(Mat(rows))
+        exact = Camera(Mat([[Fraction(x) for x in r] for r in rows])).focal_point.coords
+        top = max(exact, key=abs)
+        assert cam.rank == 3
+        assert _same_float_point(cam.focal_point, [float(x / top) for x in exact])
+
+    def test_tolerance_below_rounding_gives_rank_two_or_a_point(self):
+        # at tol 1e-300 the singular values rank float cameras of exactly
+        # dependent rows 3 on rounding noise; where every minor of the
+        # orthonormalized rows is zero the camera has rank 2, else a point
+        rng = random.Random(3)
+        by_minors = 0
+        for _ in range(200):
+            r0, r1 = ([rng.randint(-9, 9) for _ in range(4)] for _ in range(2))
+            k = rng.randint(-5, 5)
+            m = Mat([r0, r1, [k * a + b for a, b in zip(r0, r1)]]).to_float()
+            cam = Camera(m, 1e-300)
+            assert (cam.focal_point is None) == (cam.rank < 3)
+            by_minors += cam.rank < rank(m, 1e-300).rank
+        assert by_minors > 0
+
+    def test_rank_two_camera_has_no_focal_point(self):
+        m = Mat([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 0]])
+        assert len(reference_nullspace(m)) == 2
+        for cam in (Camera(m), Camera(m.to_float())):
+            assert cam.rank == 2 and cam.focal_point is None
 
 
 class TestProjection:
@@ -537,13 +634,11 @@ class TestMembership:
         for points in cases:
             want = rank(cameras._multiview_matrix(rig, range(n), points), rig.tol).rank
             eliminations = count_calls(monkeypatch, linalg, "_bareiss_echelon")
-            kernels = count_calls(monkeypatch, cameras, "nullspace")
             ranks = count_calls(monkeypatch, cameras, "rank")
             mats = count_calls(monkeypatch, cameras, "Mat")
             res = multiview_membership(rig, points)
             monkeypatch.undo()
             fallback = res.cofactors.witness is None
-            assert kernels == []
             assert fallback == (points is cases[-1] and n == 2)
             if kind in ("int", "fraction"):
                 assert len(eliminations) == fallback
@@ -699,9 +794,9 @@ class TestCofactorPass:
 
 
 class TestOneElimination:
-    """Camera construction reads its rank off one fraction-free
-    elimination; exact membership eliminates only when no camera pair's
-    cofactor vectors give a point."""
+    """An exact camera eliminates only when all its 3x3 minors are zero;
+    exact membership eliminates only when no camera pair's cofactor
+    vectors give a point."""
 
     def test_membership_eliminates_only_without_a_witness(self, monkeypatch):
         # the n = 2 epipole pair has no witness: its one elimination runs on
@@ -728,13 +823,15 @@ class TestOneElimination:
                         assert [list(r) for r in calls[0][0]] == [
                             list(linalg._cleared(r)[0]) for r in stacked.data]
 
-    def test_camera_eliminates_once(self, monkeypatch):
+    def test_camera_eliminates_only_when_rank_deficient(self, monkeypatch):
+        # a nonzero minor decides rank 3 with no elimination; a camera whose
+        # minors all vanish is ranked by one elimination
         rng = random.Random(59)
         deficient = Mat([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, Fraction(1, 2)]])
         for m, want in [(random_camera_mat(rng), 3), (deficient, 2)]:
             calls = count_calls(monkeypatch, linalg, "_bareiss_echelon")
             cam = Camera(m)
-            assert len(calls) == 1
+            assert len(calls) == (want < 3)
             assert cam.rank == want
             assert (cam.focal_point is None) == (want < 3)
             monkeypatch.undo()

@@ -377,6 +377,16 @@ class TestDimension:
         assert code == 0
         assert doc["dimension"] == 5
 
+    @pytest.mark.parametrize("d12", ["nan", "inf"])
+    def test_distance_not_finite_exits_two(self, capsys, d12):
+        code = main(["dimension", "--scenario", "pairwise3", "--d12", d12,
+                     "--d13", "1", "--d23", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (f"error: distances must be finite and positive: "
+                                f"d12={float(d12)}, d13=1.0, d23=1.0\n")
+
 
 class TestVerify:
     def test_passing_experiment_exits_zero(self, capsys):
