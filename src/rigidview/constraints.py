@@ -171,9 +171,12 @@ def _gram(tensor: QuadTensor, exact: bool, d: int, e: int):
     products of the cofactor vectors of two rows, T(w_i1, ..., w'_ke) is
     X_a T X_b^T.  On the exact backend cleared of denominators by the least
     positive integer, returned with it (width:
-    :func:`rigidview.linalg._int_array`).  Built on the tensor's first use
-    on a backend and kept in it, read-only.  Raises ValueError unless the
-    tensor is of bidegree (d, e)."""
+    :func:`rigidview.linalg._int_array`), and then with T's nonzero
+    entries ``(slots, columns, values)``: the d row indices of each entry
+    (shape (d, N)), its column and its value, a Python int on the exact
+    backend and a float64 on floats.  Built on the tensor's first use on a
+    backend and kept in it, every array read-only.  Raises ValueError
+    unless the tensor is of bidegree (d, e)."""
     if tensor.bidegree != (d, e):
         raise ValueError(f"a tensor of bidegree {tensor.bidegree} where {(d, e)} is needed")
     if exact in tensor._grams:
@@ -187,16 +190,24 @@ def _gram(tensor: QuadTensor, exact: bool, d: int, e: int):
     cleared, den = _cleared(values)
     gram = _int_array([int(c) for c in cleared]) if exact else np.array(values, dtype=np.float64)
     gram = gram.reshape(4 ** d, 4 ** e)
-    gram.flags.writeable = False
-    tensor._grams[exact] = (gram, den if exact else None)
+    rows, columns = np.nonzero(gram)
+    # row r of T is the d-tuple of base-4 digits of r, the first slot's the highest
+    slots = np.array([rows // 4 ** (d - 1 - k) % 4 for k in range(d)],
+                     dtype=np.intp).reshape(d, len(rows))
+    nonzeros = (slots, columns, gram[rows, columns].astype(object if exact else np.float64))
+    for array in (gram,) + nonzeros:
+        array.flags.writeable = False
+    tensor._grams[exact] = (gram, den if exact else None, nonzeros)
     return tensor._grams[exact]
 
 
 def _contract(t: np.ndarray, w: np.ndarray, rows):
     """The values of tensors t, one per row, at the rows of each group of
     vectors w: t has shape (B, M, 4^e), w shape (B, P, V, 4), and the value
-    of row m at an e-tuple (k_1, ..., k_e) in ``rows`` (positions along V)
-    and group p is t_m(w_pk1, ..., w_pke); shape (B, M, P, len(rows)).
+    of row m at an e-tuple (k_1, ..., k_e) in ``rows`` (positions along V;
+    an (R, e) ``intp`` array, as :class:`OcticEngine` keeps them, is read
+    without a copy) and group p is t_m(w_pk1, ..., w_pke); shape
+    (B, M, P, len(rows)).
     The last axis of length 4 is contracted one factor at a time, so that
     every sum has 4 terms: first with every vector of each group, once for
     all rows that end in it, then row by row with the row's vectors
@@ -217,6 +228,19 @@ def _contract(t: np.ndarray, w: np.ndarray, rows):
     return values if len(rows.T) else np.broadcast_to(values, (b, m, w.shape[1], len(rows)))
 
 
+def _power_times(nonzeros, x, width):
+    """t = x^d T from T's nonzero entries ``(slots, columns, values)``
+    (:func:`_gram`): entry j of t, of ``width`` 4^e, sums each value in
+    column j times x at its d row indices.  Python ints when x and the
+    values are, float64 when both are."""
+    slots, columns, terms = nonzeros
+    for slot in slots:
+        terms = terms * x[slot]
+    t = np.zeros(width, dtype=terms.dtype)
+    np.add.at(t, columns, terms)
+    return t
+
+
 def _spanning_vector(vectors, rows):
     """For a consistent side, a vector that spans the row space of X
     through its outer power: the first vector of the first row, camera
@@ -230,7 +254,7 @@ def _spanning_vector(vectors, rows):
                    else (w != 0).any(axis=1)).tolist()
         for row in rows:
             if all(nonzero[i] for i in row):
-                return w[row[0] if row else 0]
+                return w[row[0] if len(row) else 0]
     return None
 
 
@@ -239,9 +263,21 @@ def _spanning_vector(vectors, rows):
 DEFAULT_VANISH_TOL = 5e-12
 
 
+def _index_rows(rows) -> np.ndarray:
+    """Rows, tuples of cofactor-row indices of one length, as a read-only
+    (rows, length) ``intp`` array: ``rows`` itself when it already is one."""
+    rows = np.asarray(rows, dtype=np.intp)
+    if rows.flags.writeable:
+        rows = rows.view()
+        rows.flags.writeable = False
+    return rows
+
+
 # Row pairs i1 <= i2 of a camera pair's six cofactor vectors: the rows of
-# OCTIC_FULL and of polyspace.all_octics_symbolic, in their order.
-_ROW_PAIRS = [(i1, i2) for i1 in range(6) for i2 in range(i1, 6)]
+# OCTIC_FULL and of polyspace.all_octics_symbolic, in their order; and
+# (i, i), i < 3, the rows of OCTIC_NINE (OCTIC_SIXTEEN takes the first two).
+_ROW_PAIRS = _index_rows([(i1, i2) for i1 in range(6) for i2 in range(i1, 6)])
+_DIAGONAL_ROWS = _index_rows([(i, i) for i in range(3)])
 
 
 def _row_set_indices(set_a, set_b) -> list:
@@ -249,6 +285,7 @@ def _row_set_indices(set_a, set_b) -> list:
     sets in the order of :class:`OcticEngine`'s values: camera pair of a,
     camera pair of b, row of a, row of b, the last fastest."""
     (pairs_a, rows_a), (pairs_b, rows_b) = set_a, set_b
+    rows_a, rows_b = ([tuple(r) for r in np.asarray(rows).tolist()] for rows in (rows_a, rows_b))
     return [(pa + ra, pb + rb) for pa in pairs_a for pb in pairs_b
             for ra in rows_a for rb in rows_b]
 
@@ -261,7 +298,9 @@ class OcticEngine:
     of a (d, e) form; a value T(w_i1, ..., w_id, w'_k1, ..., w'_ke) takes d
     cofactor vectors of one camera pair in tuple a and e of a pair in tuple
     b.  Each image tuple has a row set ``(pairs, rows)``: camera pairs
-    (j, k) and rows, d-tuples of cofactor-row indices.  T is a dense
+    (j, k) and rows, d-tuples of cofactor-row indices, kept as one
+    read-only (rows, d) ``intp`` array that every contraction indexes
+    with.  T is a dense
     4^d x 4^e matrix, every ordering of each entry's index tuples filled in
     (:func:`_gram`): 4^(d+e) entries, 256 for the octics and 1024 for
     bidegree (3, 2) or (4, 1).  With X_a the outer products of the rows'
@@ -289,9 +328,11 @@ class OcticEngine:
     so the row of vectors i_1, ..., i_d of X_a is c_i1 ... c_id x^d, the
     outer power of x: X_a is zero when no row has all its vectors nonzero,
     and otherwise the block is zero exactly when x^d T X_b^T is, x any
-    nonzero cofactor vector of a.  The same :func:`_contract` takes
-    t = x^d T and its values at every camera pair of b: exact on Python
-    ints, and on floats scale-free ratios of the unit-scaled vectors of
+    nonzero cofactor vector of a.  t = x^d T is summed from T's nonzero
+    entries (19 of the unit form's 256), each entry times x's coordinates
+    at its d row indices, and one :func:`_contract` per block takes t's
+    values at every camera pair of b: exact on Python ints, and on floats
+    scale-free ratios of the unit-scaled vectors of
     :class:`rigidview.cameras.CofactorPass`.
     """
 
@@ -304,9 +345,9 @@ class OcticEngine:
         degrees of the two row sets' rows."""
         self.exact = rig.backend == EXACT
         self.rig = rig
-        self.row_sets = list(row_sets)
-        self.blocks = [(a, b) + _gram(tensor, self.exact, len(self.row_sets[a][1][0]),
-                                      len(self.row_sets[b][1][0]))
+        self.row_sets = [(pairs, _index_rows(rows)) for pairs, rows in row_sets]
+        self.blocks = [(a, b) + _gram(tensor, self.exact, self.row_sets[a][1].shape[1],
+                                      self.row_sets[b][1].shape[1])
                        for a, b, tensor in blocks]
 
     def _cofactors(self, tuples) -> list:
@@ -331,7 +372,7 @@ class OcticEngine:
         float backend)."""
         cofactors = self._cofactors(tuples)
         out = []
-        for a, b, gram, den in self.blocks:
+        for a, b, gram, den, _ in self.blocks:
             (w_a, f_a), (w_b, f_b) = cofactors[a], cofactors[b]
             rows_a, rows_b = self.row_sets[a][1], self.row_sets[b][1]
             if f_a is not None:
@@ -340,7 +381,7 @@ class OcticEngine:
             # t = X_a T, the rows of T^T at the rows of a, then t at those of
             # b; side b first (t = T X_b^T) when its degree is higher, so
             # that the second call, once per row of t, has fewer factors
-            swap = len(rows_b[0]) > len(rows_a[0])
+            swap = rows_b.shape[1] > rows_a.shape[1]
             (w_1, rows_1), (w_2, rows_2) = [(w_a, rows_a), (w_b, rows_b)][::-1 if swap else 1]
             t = _contract((gram if swap else gram.T)[None], w_1[None], rows_1)[0]
             values = _contract(t.reshape(len(t), -1).T[None], w_2[None], rows_2)[0]
@@ -348,12 +389,14 @@ class OcticEngine:
             values = values.transpose((2, 0, 3, 1) if swap else (0, 2, 1, 3))
             values = values.reshape(len(w_a) * len(w_b), -1)
             out.append((values, None if f_a is None else
-                        den * np.outer(f_a ** len(rows_a[0]), f_b ** len(rows_b[0])).ravel()))
+                        den * np.outer(f_a ** rows_a.shape[1], f_b ** rows_b.shape[1]).ravel()))
         return out
 
     def vanishes(self, memberships, tol: float | None = None) -> bool:
         """Whether every value is zero, from x^d T at side b's rows as the
-        class describes; False at the first block with a nonzero value.
+        class describes: t = x^d T from T's nonzero entries, then one
+        :func:`_contract` per block, t at side b's rows; False at the first
+        block with a nonzero value.
         ``memberships`` holds one :func:`multiview_membership` result per row
         set, and the vectors are read from their cofactor passes, so no
         camera pair's vectors are computed twice.  Side a of every block must
@@ -366,7 +409,7 @@ class OcticEngine:
         (:data:`rigidview.cameras.WITNESS_FLOOR`) gives zero values."""
         if len(memberships) != len(self.row_sets):
             raise ShapeError(f"expected {len(self.row_sets)} image tuples, got {len(memberships)}")
-        for a, b, gram, _ in self.blocks:
+        for a, b, gram, _, nonzeros in self.blocks:
             if not memberships[a].ok:
                 raise ValueError("the zero test needs a consistent first side of each block")
             (pairs_a, rows_a), (pairs_b, rows_b) = self.row_sets[a], self.row_sets[b]
@@ -374,17 +417,17 @@ class OcticEngine:
             x = _spanning_vector((cofactors_a.vectors(j, k)[0] for j, k in pairs_a), rows_a)
             if x is None:
                 continue
-            w = np.stack([cofactors_b.vectors(j, k)[0] for j, k in pairs_b])
+            w = np.array([cofactors_b.vectors(j, k)[0] for j, k in pairs_b])
             if self.exact:
                 # as Python ints: products of int64 entries can overflow
                 x, w = x.astype(object), w.astype(object)
             else:
                 pair, row = cofactors_a.witness
                 x = cofactors_a.vectors(*pair)[0][row]
-            # t = x^d T, the rows of T^T at x, then t at the rows of b
-            d, e = len(rows_a[0]), len(rows_b[0])
-            t = _contract(gram.T[None], x.reshape(1, 1, 1, 4), [(0,) * d])[:, None, :, 0, 0]
-            values = _contract(t, w[None], rows_b)[0, 0]
+            # t = x^d T from T's nonzero entries, then t at the rows of b
+            d, e = rows_a.shape[1], rows_b.shape[1]
+            t = _power_times(nonzeros, x, gram.shape[1])
+            values = _contract(t[None, None], w[None], rows_b)[0, 0]
             if self.exact:
                 if values.any():
                     return False
@@ -433,14 +476,14 @@ _OCTIC_FAMILIES = (Family.OCTIC_FULL, Family.OCTIC_NINE, Family.OCTIC_SIXTEEN)
 
 def _octic_row_set(n: int, family: Family):
     """The row set ``(camera pairs, row pairs)`` of an octic family, the
-    same on both sides."""
+    same on both sides; the row pairs as a read-only index array."""
     if family == Family.OCTIC_FULL:
         return _camera_pairs(n), _ROW_PAIRS
     if family == Family.OCTIC_NINE:
-        return _camera_pairs(n), [(i, i) for i in range(3)]
+        return _camera_pairs(n), _DIAGONAL_ROWS
     if n < 3:
         raise ValueError("the sixteen-polynomial family needs at least three cameras")
-    return [(0, 1), (0, 2)], [(i, i) for i in range(2)]
+    return [(0, 1), (0, 2)], _DIAGONAL_ROWS[:2]
 
 
 class ConstraintSystem:
@@ -607,15 +650,17 @@ def rigid_pair_by_equations(rig: CameraRig, u, v,
     is its ratio's tolerance).
 
     u is consistent, so its vectors are multiples of its world point x,
-    and every octic vanishes exactly when Q = x^2 T, the dense 16 x 16
-    tensor T contracted twice with x and read as a 4 x 4 matrix, makes
-    W_b Q W_b^T zero at the family's rows for every camera pair b of v (or
-    no family row of u has both vectors nonzero).  On the exact backend
-    both contractions run on Python ints, so the values tested are the
-    cleared octics themselves.  Every octic is tested, not q(X, Y) at
-    triangulated points, which is the oracle.  The unit tensor's dense
-    matrix is built on the first call and kept.  The family's camera count
-    and both tuples are checked first, as in :func:`rigid_pair_oracle`."""
+    and every octic vanishes exactly when Q = x^2 T, read as a 4 x 4
+    matrix, makes W_b Q W_b^T zero at the family's rows for every camera
+    pair b of v (or no family row of u has both vectors nonzero).  Q is
+    summed from the 19 nonzero entries of the dense 16 x 16 tensor T, and
+    one contraction takes its values at v's rows.  On the exact backend
+    both run on Python ints, so the values tested are the cleared octics
+    themselves.  Every octic is tested, not q(X, Y) at triangulated
+    points, which is the oracle.  The unit tensor's dense matrix and its
+    nonzero index are built on the first call and kept.  The family's
+    camera count and both tuples are checked first, as in
+    :func:`rigid_pair_oracle`."""
     family = Family(family)
     if family not in _OCTIC_FAMILIES:
         raise ValueError("membership by equations uses an octic family")

@@ -255,7 +255,7 @@ def _outer_rows(rig: CameraRig, j: int, k: int):
     table, den = rig.minor_table(j, k)
     # the products run over all 9 x 9 pairs of bilinear monomials, then are
     # folded onto the 36 monomials
-    c, (i1, i2) = table.astype(object), np.array(_ROW_PAIRS).T
+    c, (i1, i2) = table.astype(object), _ROW_PAIRS.T
     x = (c[i1, :, None, :, None] * c[i2, None, :, None, :]).reshape(len(_ROW_PAIRS), 16, 81)
     return np.add.reduceat(x[..., _FOLD_ORDER], _FOLD_STARTS, axis=-1), den * den
 
@@ -299,7 +299,7 @@ def _contract_octics(rig: CameraRig, tensor: QuadTensor, pair_u, pair_v,
     if rig.backend != EXACT:
         raise ValueError("symbolic expansion needs an exact rig")
     n = rig.n
-    gram, den = _gram(tensor, True, 2, 2)
+    gram, den, _ = _gram(tensor, True, 2, 2)
     x_u, den_u = _outer_rows(rig, *pair_u)
     x_v, den_v = (x_u, den_u) if tuple(pair_v) == tuple(pair_u) else _outer_rows(rig, *pair_v)
     den *= den_u * den_v

@@ -1000,10 +1000,50 @@ class TestContract:
         # a row through the zero vector is zero, unless it reads no vector
         assert got[..., 0].any() == (degree == 0)
 
+    @pytest.mark.parametrize("width", ["big-int", "float"])
+    @pytest.mark.parametrize("scale", [1, 536870909])
+    @pytest.mark.parametrize("bidegree", [(0, 2), (1, 4), (2, 2), (2, 3), (3, 2), (4, 1)],
+                             ids=lambda b: "%d-%d" % b)
+    def test_power_times_equals_the_definition(self, bidegree, scale, width):
+        # t = x^d T from the Gram's nonzero entries against _contract's
+        # definition, T^T at the row (0,) * d of the one vector x, for a
+        # form of every bidegree the verdict tests use (the unit form, it
+        # times X_3 or Y_0, and the degree-four and degree-zero tests'
+        # forms) and for it times 536870909
+        unit = unit_distance_form()
+        y0, y3 = (1, 0, 0, 0), (0, 0, 0, 1)
+        quartic = {((3, 0, 0, 1), y3): 1, ((2, 0, 0, 2), y0): -1, ((1, 1, 1, 1), y3): 1,
+                   ((0, 1, 1, 2), y0): -1, ((1, 0, 0, 3), y3): 1, ((0, 0, 0, 4), y0): -1}
+        coeffs = {(2, 2): unit.coeffs,
+                  (3, 2): {(a[:3] + (a[3] + 1,), b): c for (a, b), c in unit.coeffs.items()},
+                  (2, 3): {(a, (b[0] + 1,) + b[1:]): c for (a, b), c in unit.coeffs.items()},
+                  (4, 1): quartic, (1, 4): {(b, a): c for (a, b), c in quartic.items()},
+                  (0, 2): {((0, 0, 0, 0), (0, 0, 0, 2)): 1, ((0, 0, 0, 0), (2, 0, 0, 0)): -1}}
+        form = BihomForm(bidegree, {k: scale * c for k, c in coeffs[bidegree].items()})
+        d, e = bidegree
+        exact = width == "big-int"
+        gram, _, nonzeros = constraints._gram(polarize(form), exact, d, e)
+        assert len(nonzeros[2]) == np.count_nonzero(gram) > 0
+        rng = random.Random(f"power-times:{bidegree}:{scale}:{width}")
+        top = 2 ** 80 if exact else 9
+        x = np.array([rng.randint(-top, top) for _ in range(4)],
+                     dtype=object if exact else np.float64)
+        got = constraints._power_times(nonzeros, x, 4 ** e)
+        assert got.shape == (4 ** e,) and got.dtype == x.dtype
+        gram_t = (gram.astype(object) if exact else gram).T.tolist()
+        want = [r[0][0] for r in _naive_contract([gram_t], [[[x.tolist()]]], [(0,) * d])[0]]
+        if exact:
+            # past 2^80 wherever x enters
+            assert got.tolist() == want and (d == 0 or max(abs(c) for c in want) > 2 ** 80)
+        else:
+            # the float Gram holds entries such as 1/3, rounded: the two
+            # orders of summation agree to rounding
+            assert got.tolist() == pytest.approx(want, rel=0, abs=1e-12 * max(map(abs, want)))
+
 
 class TestExactVerdict:
-    """The exact zero test, one exact contraction per block, against the
-    cleared values."""
+    """The exact zero test, x^d T from the Gram's nonzero entries and one
+    exact contraction per block, against the cleared values."""
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_verdict_equals_the_cleared_values(self, n):
@@ -1065,12 +1105,13 @@ class TestExactVerdict:
         assert dtypes == {"int": np.int64, "height-1e6": object}
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_two_exact_contractions_per_block(self, n, monkeypatch):
+    def test_one_exact_contraction_per_block(self, n, monkeypatch):
         # on a consistent tuple every cofactor vector is a multiple of the
         # one world point, so side u enters as one nonzero 4-vector x that
-        # every vector of u is a multiple of: a member block and a
-        # non-member block each take two contractions on Python ints, x^d T
-        # and its values at v's rows, and a block whose X_u is zero none
+        # every vector of u is a multiple of: t = x^d T comes from the
+        # Gram's nonzero entries, a member block and a non-member block each
+        # take one contraction on Python ints, t at v's rows (the engine's
+        # own index array), and a block whose X_u is zero none
         contractions = count_calls(monkeypatch, constraints, "_contract")
         verdicts = set()
         for name, rig in _verdict_rigs(n).items():
@@ -1083,16 +1124,22 @@ class TestExactVerdict:
                     engine = _engine(rig, family)
                     contractions.clear()
                     verdict = engine.vanishes(memberships)
-                    if constraints._spanning_vector(w_u, engine.row_sets[0][1]) is None:
+                    (pairs_u, rows_u), (pairs_v, rows_v) = engine.row_sets
+                    if constraints._spanning_vector(w_u, rows_u) is None:
                         assert verdict and contractions == []
                         continue
-                    assert len(contractions) == 2
-                    (gram_t, x, _), (t, w, rows) = contractions
-                    assert gram_t.shape == (1, 16, 16) and x.shape == (1, 1, 1, 4)
-                    assert x.dtype == t.dtype == w.dtype == object and x.any()
-                    assert all(_proportional(x.ravel().tolist(), y)
-                               for y in w_u.reshape(-1, 4).tolist())
-                    assert t.shape == (1, 1, 16) and w.shape == (1, len(engine.row_sets[1][0]), 6, 4)
+                    assert len(contractions) == 1
+                    ((t, w, rows),) = contractions
+                    x = constraints._spanning_vector(
+                        (memberships[0].cofactors.vectors(j, k)[0] for j, k in pairs_u), rows_u)
+                    x = x.astype(object)
+                    assert x.any() and all(_proportional(x.tolist(), y)
+                                           for y in w_u.reshape(-1, 4).tolist())
+                    assert t.dtype == w.dtype == object
+                    assert t.shape == (1, 1, 16) and w.shape == (1, len(pairs_v), 6, 4)
+                    gram = engine.blocks[0][2].astype(object)
+                    assert t.ravel().tolist() == (np.outer(x, x).ravel() @ gram).tolist()
+                    assert rows is rows_v and rows.dtype == np.intp and not rows.flags.writeable
                     verdicts.add(verdict)
         assert verdicts == {True, False}
 
@@ -1109,13 +1156,13 @@ class TestExactVerdict:
         assert rigid_pair_by_equations(rig, ep, u, family)
         assert contractions == []
         assert rigid_pair_by_equations(rig, u, ep, family)
-        assert len(contractions) == 2 and not contractions[1][1].any()
+        assert len(contractions) == 1 and not contractions[0][1].any()
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_the_first_nonzero_block_decides(self, n, monkeypatch):
         # two blocks, tuple 0 against tuples 1 and 2: a tuple 1 off the unit
-        # sphere about x refuses the pair after the first block's two
-        # contractions, else both blocks take theirs, and the verdict is
+        # sphere about x refuses the pair after the first block's one
+        # contraction, else both blocks take theirs, and the verdict is
         # that of every block's values
         rig = random_rig(random.Random(f"two-blocks:{n}"), n)
         row_set = constraints._octic_row_set(n, Family.OCTIC_NINE)
@@ -1126,8 +1173,8 @@ class TestExactVerdict:
         y2 = ProjectivePoint(tuple(2 * a - b for a, b in zip(x[:3], y[:3])) + (1,))
         far = ProjectivePoint((y[0] + 1, y[1], y[2], y[3]))
         contractions = count_calls(monkeypatch, constraints, "_contract")
-        for points, want, calls in (((x, y, y2), [True, True], 4), ((x, y, far), [True, False], 4),
-                                    ((x, far, y2), [False, True], 2)):
+        for points, want, calls in (((x, y, y2), [True, True], 2), ((x, y, far), [True, False], 2),
+                                    ((x, far, y2), [False, True], 1)):
             tuples = [forward_map(rig, p) for p in points]
             assert [not values.any() for values, _ in engine.cleared(tuples)] == want
             contractions.clear()
@@ -1280,13 +1327,23 @@ class TestExactVerdict:
         built = count_calls(monkeypatch, constraints, "_cleared")
         assert rigid_pair_by_equations(rig, u, v) and rigid_pair_by_equations(rig, u, v)
         assert built == []
-        # a new tensor builds its own, once, and every engine shares it
+        # a new tensor builds its own Gram and nonzero index, once per
+        # backend, and every engine on that backend shares them, read-only
         tensor = polarize(unit_distance_form())
-        engines = [constraints.OcticEngine(rig, [([(0, 1)], [(0, 0)])] * 2, [(0, 1, tensor)])
-                   for _ in range(2)]
-        assert len(built) == 1
-        gram = engines[0].blocks[0][2]
-        assert engines[1].blocks[0][2] is gram and not gram.flags.writeable
+        float_rig = CameraRig([cam.matrix.to_float() for cam in rig.cameras])
+        indexes = []
+        for backend_rig, dtype in ((rig, object), (float_rig, np.float64)):
+            engines = [constraints.OcticEngine(backend_rig, [([(0, 1)], [(0, 0)])] * 2,
+                                               [(0, 1, tensor)]) for _ in range(2)]
+            assert len(built) == len(indexes) + 1
+            gram, _, nonzeros = engines[0].blocks[0][2:]
+            assert engines[1].blocks[0][2] is gram and engines[1].blocks[0][4] is nonzeros
+            assert not any(a.flags.writeable for a in (gram,) + nonzeros)
+            slots, columns, values = nonzeros
+            assert slots.shape == (2, 19) and values.dtype == dtype
+            assert values.tolist() == gram[slots[0] * 4 + slots[1], columns].tolist()
+            indexes.append(nonzeros)
+        assert indexes[0] is not indexes[1]
 
     def test_float_engine_refuses_an_inconsistent_first_side(self):
         rig = CameraRig([cam.matrix.to_float() for cam in random_rig(random.Random(587), 2).cameras])
