@@ -394,7 +394,12 @@ class CameraRig:
         Exact: w is the :meth:`minor_table` at the points cleared to
         integers, factor is den den_j den_k, and w is int64 when
         9 max(|table|, 1) max|den_j u_j| max|den_k u_k| < INT64_LIMIT (so no sum
-        overflows), else Python ints.  Floats: float64 and factor 1.  Raises
+        overflows), else Python ints.  Floats: float64 and factor 1.  The
+        table, read as 24 3x3 blocks, is multiplied in two stages: by u_k
+        (in int64 when 3 max(|table|, 1) max|den_k u_k| < INT64_LIMIT), then
+        by u_j (in int64 under the bound on w), so past int64 the second
+        stage takes 72 Python-int products, not the 216 of the table against
+        u_j (x) u_k; a Python-int table takes both on Python ints.  Raises
         :class:`BackendError` unless both points are on the rig's backend."""
         _check_backend(self, (u_j, u_k))
         return self._cofactor_vectors(j, k, u_j, u_k)
@@ -403,13 +408,20 @@ class CameraRig:
         """:meth:`cofactor_vectors` for points whose backend the caller has
         checked (:class:`CofactorPass` checks its whole tuple once)."""
         table, den = self.minor_table(j, k)
+        # [i, c, a, b]: the sum over b with u_k, then over a with u_j
+        table = table.reshape(24, 3, 3)
         if self.backend == FLOAT:
-            return table @ np.array([x * y for x in u_j for y in u_k]), 1
+            w = table @ np.fromiter(u_k, np.float64, 3) @ np.fromiter(u_j, np.float64, 3)
+            return w.reshape(6, 4), 1
         (u_j, den_j), (u_k, den_k) = _cleared(u_j.coords), _cleared(u_k.coords)
-        outer = [x * y for x in u_j for y in u_k]
-        small = (table.dtype == np.int64 and 9 * self._table_max[min(j, k), max(j, k)]
-                 * max(map(abs, u_j)) * max(map(abs, u_k)) < INT64_LIMIT)
-        return table @ np.array(outer, dtype=np.int64 if small else object), den * den_j * den_k
+        # a Python-int table has no int64 bound: both stages on Python ints
+        top = self._table_max.get((min(j, k), max(j, k)), INT64_LIMIT)
+        size_j, size_k = max(map(abs, u_j)), max(map(abs, u_k))
+        first = np.int64 if 3 * top * size_k < INT64_LIMIT else object
+        second = np.int64 if 9 * top * size_j * size_k < INT64_LIMIT else object
+        w = table @ np.array(u_k, dtype=first)
+        w = w.astype(second, copy=False) @ np.array(u_j, dtype=second)
+        return w.reshape(6, 4), den * den_j * den_k
 
     def __repr__(self):
         return f"CameraRig(n={self.n}, backend={self.backend}, general_position={self.general_position.ok})"

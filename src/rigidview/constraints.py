@@ -330,8 +330,10 @@ class OcticEngine:
     and otherwise the block is zero exactly when x^d T X_b^T is, x any
     nonzero cofactor vector of a.  t = x^d T is summed from T's nonzero
     entries (19 of the unit form's 256), each entry times x's coordinates
-    at its d row indices, and one :func:`_contract` per block takes t's
-    values at every camera pair of b: exact on Python ints, and on floats
+    at its d row indices, and :func:`_contract` takes t's values at the
+    camera pairs of b, first pair, then the rest: b's first camera pair
+    alone, where most non-members already show a nonzero value, then its
+    other pairs in one call.  Exact on Python ints, and on floats
     scale-free ratios of the unit-scaled vectors of
     :class:`rigidview.cameras.CofactorPass`.
     """
@@ -394,9 +396,12 @@ class OcticEngine:
 
     def vanishes(self, memberships, tol: float | None = None) -> bool:
         """Whether every value is zero, from x^d T at side b's rows as the
-        class describes: t = x^d T from T's nonzero entries, then one
-        :func:`_contract` per block, t at side b's rows; False at the first
-        block with a nonzero value.
+        class describes: t = x^d T from T's nonzero entries, then t at side
+        b's rows, first pair, then the rest: one :func:`_contract` at b's
+        first camera pair and, unless that shows a nonzero value, one at
+        all its other pairs; False at the first nonzero value, so a
+        non-member that the first pair rejects computes no other pair's
+        vectors of b.
         ``memberships`` holds one :func:`multiview_membership` result per row
         set, and the vectors are read from their cofactor passes, so no
         camera pair's vectors are computed twice.  Side a of every block must
@@ -417,26 +422,34 @@ class OcticEngine:
             x = _spanning_vector((cofactors_a.vectors(j, k)[0] for j, k in pairs_a), rows_a)
             if x is None:
                 continue
-            w = np.array([cofactors_b.vectors(j, k)[0] for j, k in pairs_b])
+            d, e = rows_a.shape[1], rows_b.shape[1]
             if self.exact:
                 # as Python ints: products of int64 entries can overflow
-                x, w = x.astype(object), w.astype(object)
+                x = x.astype(object)
             else:
                 pair, row = cofactors_a.witness
                 x = cofactors_a.vectors(*pair)[0][row]
-            # t = x^d T from T's nonzero entries, then t at the rows of b
-            d, e = rows_a.shape[1], rows_b.shape[1]
+                cut = (DEFAULT_VANISH_TOL if tol is None else tol) * np.linalg.norm(x) ** d
+            # t = x^d T from T's nonzero entries, then t at the rows of b:
+            # first at b's first camera pair alone, which rejects most
+            # non-members before the other pairs' vectors are computed, then
+            # at the other pairs in one contraction
             t = _power_times(nonzeros, x, gram.shape[1])
-            values = _contract(t[None, None], w[None], rows_b)[0, 0]
-            if self.exact:
-                if values.any():
+            for group in (pairs_b[:1], pairs_b[1:]):
+                if not group:
+                    continue
+                w = np.array([cofactors_b.vectors(j, k)[0] for j, k in group])
+                if self.exact:
+                    w = w.astype(object)
+                values = _contract(t[None, None], w[None], rows_b)[0, 0]
+                if self.exact:
+                    nonzero = values.any()
+                else:
+                    sizes = np.linalg.norm(w, axis=2).max(axis=1)
+                    sizes = np.where(sizes > WITNESS_FLOOR, sizes, np.inf)
+                    nonzero = (np.abs(values) > cut * sizes[:, None] ** e).any()
+                if nonzero:
                     return False
-                continue
-            sizes = np.linalg.norm(w, axis=2).max(axis=1)
-            sizes = np.where(sizes > WITNESS_FLOOR, sizes, np.inf)
-            cut = (DEFAULT_VANISH_TOL if tol is None else tol) * np.linalg.norm(x) ** d
-            if (np.abs(values) > cut * sizes[:, None] ** e).any():
-                return False
         return True
 
     def evaluate(self, tuples) -> list:
@@ -654,7 +667,10 @@ def rigid_pair_by_equations(rig: CameraRig, u, v,
     matrix, makes W_b Q W_b^T zero at the family's rows for every camera
     pair b of v (or no family row of u has both vectors nonzero).  Q is
     summed from the 19 nonzero entries of the dense 16 x 16 tensor T, and
-    one contraction takes its values at v's rows.  On the exact backend
+    its values are taken at v's rows, first pair, then the rest: at v's
+    first camera pair, which rejects most non-members before v's other
+    pairs' vectors are computed, then at all the others in one
+    contraction.  On the exact backend
     both run on Python ints, so the values tested are the cleared octics
     themselves.  Every octic is tested, not q(X, Y) at triangulated
     points, which is the oracle.  The unit tensor's dense matrix and its

@@ -1,8 +1,8 @@
 """Shared test fixtures: deterministic rigs, naive determinant oracle, the
 partial-pivoting determinant, Gauss-Jordan inverse and cofactor adjugate
 references, the back-substitution and SVD kernel, the from-scratch camera
-minor table, the per-index references for cofactor vectors and tensor
-values, one engine value, the cofactor-expansion reference for the
+minor table, the one-stage cofactor-vector product, the per-index
+references for cofactor vectors and tensor values, one engine value, the cofactor-expansion reference for the
 symbolic octics on plain {exps: coef} term dicts (no polyspace
 arithmetic), the per-column mod-p rank, the exact rank of a polynomial
 family, the per-term coefficient matrix and failure bounds, and the direct
@@ -187,6 +187,24 @@ def reference_minor_table(rig, j, k):
     minors = np.array(minors + [[0] * 4], dtype=object)
     table = (minors[_MINOR_INDEX] * _MINOR_SIGN[..., None]).transpose(0, 2, 1)
     return np.ascontiguousarray(table, dtype=object if rig.backend == EXACT else np.float64)
+
+
+def reference_cofactor_vectors(rig, j, k, u_j, u_k):
+    """``(w, factor)`` of :meth:`rigidview.cameras.CameraRig.cofactor_vectors`
+    in one stage: the rig's minor table of cameras j and k times the outer
+    product u_j (x) u_k of the points cleared to integers, int64 when
+    9 max(|table|, 1) max|u_j| max|u_k| < 2^63, else Python ints; float64
+    (the points as given) and factor 1 on floats.  The reference for the
+    two-stage product."""
+    table, den = rig.minor_table(j, k)
+    if rig.backend == FLOAT:
+        return table @ np.array([x * y for x in u_j for y in u_k]), 1
+    (u_j, den_j), (u_k, den_k) = _cleared(u_j.coords), _cleared(u_k.coords)
+    top = max(max(abs(x) for x in table.ravel().tolist()), 1)
+    small = (table.dtype == np.int64
+             and 9 * top * max(map(abs, u_j)) * max(map(abs, u_k)) < 2 ** 63)
+    outer = np.array([x * y for x in u_j for y in u_k], dtype=np.int64 if small else object)
+    return table @ outer, den * den_j * den_k
 
 
 def wedge5(b, i):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import count_calls, fraction_rig, reference_minor_table, reference_nullspace
+from helpers import (count_calls, fraction_rig, reference_cofactor_vectors, reference_minor_table,
+                     reference_nullspace)
 from rigidview import cameras, linalg
 from rigidview.cameras import (
     Camera,
@@ -519,6 +520,93 @@ class TestCofactorVectors:
                         assert (w.dtype == np.int64) == fits
                         dtypes.append(w.dtype)
         assert dtypes.count(np.int64) >= 50 and dtypes.count(object) >= 50
+
+    @staticmethod
+    def _two_stage_rigs(n):
+        """Rigs of n cameras for the two-stage product: int and Fraction
+        cameras, int cameras whose last has rank 2, height 10^6 (an int64
+        table, Python-int vectors) and height 10^7 (a Python-int table)."""
+        rng = random.Random(f"two-stage:{n}")
+        mats = [random_camera_mat(rng) for _ in range(n)]
+        r0, r1, _ = mats[-1].data
+        deficient = Mat([r0, r1, [a + b for a, b in zip(r0, r1)]])
+        rigs = {"int": CameraRig(mats), "fraction": fraction_rig(rng, n),
+                "rank-deficient": CameraRig(mats[:-1] + [deficient])}
+        for name, height in (("height-1e6", 10 ** 6), ("height-1e7", 10 ** 7)):
+            rigs[name] = CameraRig([random_camera_mat(rng, height) for _ in range(n)])
+        return rigs
+
+    @staticmethod
+    def _width_branch(rig, j, k, u_j, u_k):
+        """Where the two stages fit int64, by their bounds: both, the first
+        (times u_k) only, neither, or neither because the table does not."""
+        table, _ = rig.minor_table(j, k)
+        if table.dtype == object:
+            return "python-table"
+        top = max(int(np.abs(table).max()), 1)
+        size_j, size_k = (max(map(abs, linalg._cleared(p.coords)[0])) for p in (u_j, u_k))
+        if 9 * top * size_j * size_k < 2 ** 63:
+            return "int64"
+        return "int64-then-python" if 3 * top * size_k < 2 ** 63 else "python"
+
+    @staticmethod
+    def _two_stage_points(rig, j, k, rng):
+        """Image point pairs (u_j, u_k): int and Fraction coordinates, one
+        pair planted past each stage's int64 bound on a small table (u_j
+        near 2^50, then u_k near 2^62), and the epipole pair where both
+        epipoles exist; floats on a float rig."""
+        def point(coord):
+            return ProjectivePoint([coord() for _ in range(3)])
+
+        def small():
+            return point(lambda: rng.randint(1, 1000) * rng.choice((-1, 1)))
+
+        if rig.backend == linalg.FLOAT:
+            cases = [[point(lambda: rng.uniform(-1e3, 1e3)) for _ in range(2)] for _ in range(3)]
+        else:
+            cases = [[point(lambda: rng.randint(-10 ** 6, 10 ** 6)) for _ in range(2)],
+                     [point(lambda: Fraction(rng.randint(1, 50) * rng.choice((-1, 1)),
+                                             rng.randint(1, 12))) for _ in range(2)],
+                     [point(lambda: rng.randint(2 ** 49, 2 ** 50)), small()],
+                     [small(), point(lambda: -rng.randint(2 ** 61, 2 ** 62))]]
+        epipoles = rig.epipole(j, k), rig.epipole(k, j)
+        if None not in epipoles:
+            cases.append(list(epipoles))
+        return cases
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_two_stages_equal_the_one_stage_product(self, n):
+        # the table times u_k, then times u_j, against the table times
+        # u_j (x) u_k: the same values, dtype and factor on every rig, in
+        # both camera orders, with every width branch taken, the epipole
+        # pair (all vectors zero) and a rank-2 camera included
+        branches = set()
+        for name, rig in self._two_stage_rigs(n).items():
+            rng = random.Random(f"two-stage:{name}:{n}")
+            for j, k in itertools.permutations(range(n), 2):
+                for u_j, u_k in self._two_stage_points(rig, j, k, rng):
+                    w, factor = rig.cofactor_vectors(j, k, u_j, u_k)
+                    want, want_factor = reference_cofactor_vectors(rig, j, k, u_j, u_k)
+                    assert w.shape == (6, 4) and w.dtype == want.dtype
+                    assert w.tolist() == want.tolist() and factor == want_factor
+                    branches.add(self._width_branch(rig, j, k, u_j, u_k))
+        assert branches == {"int64", "int64-then-python", "python", "python-table"}
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_float_two_stages_agree_with_the_one_stage_product(self, n):
+        # the same rigs and orders on floats: float64 vectors and factor 1,
+        # within 1e-12 of max|table| max|u_j| max|u_k| of the one-stage product
+        for name, exact in self._two_stage_rigs(n).items():
+            rig = CameraRig([cam.matrix.to_float() for cam in exact.cameras])
+            rng = random.Random(f"two-stage-float:{name}:{n}")
+            for j, k in itertools.permutations(range(n), 2):
+                for u_j, u_k in self._two_stage_points(rig, j, k, rng):
+                    w, factor = rig.cofactor_vectors(j, k, u_j, u_k)
+                    want, _ = reference_cofactor_vectors(rig, j, k, u_j, u_k)
+                    scale = (np.abs(rig.minor_table(j, k)[0]).max()
+                             * max(map(abs, u_j)) * max(map(abs, u_k)))
+                    assert factor == 1 and w.dtype == np.float64 and w.shape == (6, 4)
+                    assert np.abs(w - want).max() <= 1e-12 * scale
 
     def test_float_rig_gives_float_vectors(self):
         rig = TestStoredMinorTables._rig("float")

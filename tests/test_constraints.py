@@ -1042,8 +1042,9 @@ class TestContract:
 
 
 class TestExactVerdict:
-    """The exact zero test, x^d T from the Gram's nonzero entries and one
-    exact contraction per block, against the cleared values."""
+    """The exact zero test, x^d T from the Gram's nonzero entries and its
+    exact contractions at v's camera pairs, first pair, then the rest,
+    against the cleared values."""
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_verdict_equals_the_cleared_values(self, n):
@@ -1105,15 +1106,19 @@ class TestExactVerdict:
         assert dtypes == {"int": np.int64, "height-1e6": object}
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_one_exact_contraction_per_block(self, n, monkeypatch):
+    def test_first_pair_then_the_rest(self, n, monkeypatch):
         # on a consistent tuple every cofactor vector is a multiple of the
         # one world point, so side u enters as one nonzero 4-vector x that
         # every vector of u is a multiple of: t = x^d T comes from the
-        # Gram's nonzero entries, a member block and a non-member block each
-        # take one contraction on Python ints, t at v's rows (the engine's
-        # own index array), and a block whose X_u is zero none
+        # Gram's nonzero entries, and the contractions on Python ints take
+        # t at v's rows (the engine's own index array), first at v's first
+        # camera pair alone, then, unless that shows a nonzero value, at
+        # all its other pairs in one call: two cameras take one call, a
+        # member of three or more two, and a non-member that the first
+        # pair rejects one.  A block whose X_u is zero takes none
+        contract = constraints._contract
         contractions = count_calls(monkeypatch, constraints, "_contract")
-        verdicts = set()
+        verdicts, first_pair_rejects = set(), 0
         for name, rig in _verdict_rigs(n).items():
             for u, v in _verdict_inputs(rig, random.Random(f"{name}:{n}")):
                 memberships = _memberships(rig, u, v)
@@ -1128,20 +1133,48 @@ class TestExactVerdict:
                     if constraints._spanning_vector(w_u, rows_u) is None:
                         assert verdict and contractions == []
                         continue
-                    assert len(contractions) == 1
-                    ((t, w, rows),) = contractions
                     x = constraints._spanning_vector(
                         (memberships[0].cofactors.vectors(j, k)[0] for j, k in pairs_u), rows_u)
                     x = x.astype(object)
                     assert x.any() and all(_proportional(x.tolist(), y)
                                            for y in w_u.reshape(-1, 4).tolist())
-                    assert t.dtype == w.dtype == object
-                    assert t.shape == (1, 1, 16) and w.shape == (1, len(pairs_v), 6, 4)
+                    first_values = contract(*contractions[0])
+                    if n == 2:
+                        assert len(contractions) == 1
+                    elif verdict:
+                        assert len(contractions) == 2
+                    else:
+                        assert len(contractions) == (1 if first_values.any() else 2)
+                        first_pair_rejects += first_values.any()
                     gram = engine.blocks[0][2].astype(object)
-                    assert t.ravel().tolist() == (np.outer(x, x).ravel() @ gram).tolist()
-                    assert rows is rows_v and rows.dtype == np.intp and not rows.flags.writeable
+                    for (t, w, rows), group in zip(contractions, (pairs_v[:1], pairs_v[1:])):
+                        assert t.dtype == w.dtype == object
+                        assert t.shape == (1, 1, 16) and w.shape == (1, len(group), 6, 4)
+                        assert t.ravel().tolist() == (np.outer(x, x).ravel() @ gram).tolist()
+                        assert rows is rows_v and rows.dtype == np.intp
+                        assert not rows.flags.writeable
                     verdicts.add(verdict)
         assert verdicts == {True, False}
+        assert first_pair_rejects > 0 or n == 2
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_a_non_member_computes_v_at_its_first_pair_only(self, n, monkeypatch):
+        # v off the unit sphere about u's world point: its first camera
+        # pair already shows a nonzero octic, so of v's cofactor vectors
+        # only that pair's are computed (by its membership pass), while a
+        # member v computes every pair of the family once
+        rig = random_rig(random.Random(f"first-pair:{n}"), n)
+        x, y = unit_pair(random.Random(f"first-pair-points:{n}"))
+        far = ProjectivePoint((y[0] + 1, y[1], y[2], y[3]))
+        u = forward_map(rig, x)
+        for family in _families(n):
+            pairs = constraints._octic_row_set(n, family)[0]
+            for v, member in ((forward_map(rig, far), False), (forward_map(rig, y), True)):
+                vectors = count_calls(monkeypatch, CameraRig, "_cofactor_vectors")
+                assert rigid_pair_by_equations(rig, u, v, family) == member
+                monkeypatch.undo()
+                of_v = [c[1:3] for c in vectors if c[3] is v[c[1]]]
+                assert of_v == (list(pairs) if member else [(0, 1)])
 
     @pytest.mark.parametrize("family", [Family.OCTIC_FULL, Family.OCTIC_NINE])
     def test_epipole_pair_in_either_order(self, family, monkeypatch):
@@ -1161,9 +1194,10 @@ class TestExactVerdict:
     @pytest.mark.parametrize("n", [2, 3])
     def test_the_first_nonzero_block_decides(self, n, monkeypatch):
         # two blocks, tuple 0 against tuples 1 and 2: a tuple 1 off the unit
-        # sphere about x refuses the pair after the first block's one
-        # contraction, else both blocks take theirs, and the verdict is
-        # that of every block's values
+        # sphere about x refuses the pair after the first block's first
+        # contraction (its first camera pair), else both blocks take theirs,
+        # one with two cameras and, with three, the first pair and then the
+        # others, and the verdict is that of every block's values
         rig = random_rig(random.Random(f"two-blocks:{n}"), n)
         row_set = constraints._octic_row_set(n, Family.OCTIC_NINE)
         tensor = polarize(unit_distance_form())
@@ -1173,8 +1207,9 @@ class TestExactVerdict:
         y2 = ProjectivePoint(tuple(2 * a - b for a, b in zip(x[:3], y[:3])) + (1,))
         far = ProjectivePoint((y[0] + 1, y[1], y[2], y[3]))
         contractions = count_calls(monkeypatch, constraints, "_contract")
-        for points, want, calls in (((x, y, y2), [True, True], 2), ((x, y, far), [True, False], 2),
-                                    ((x, far, y2), [False, True], 1)):
+        counts = {2: (2, 2, 1), 3: (4, 3, 1)}[n]
+        for points, want, calls in zip(((x, y, y2), (x, y, far), (x, far, y2)),
+                                       ([True, True], [True, False], [False, True]), counts):
             tuples = [forward_map(rig, p) for p in points]
             assert [not values.any() for values, _ in engine.cleared(tuples)] == want
             contractions.clear()
