@@ -6,7 +6,9 @@ ordered u_(1,0), u_(1,1), u_(1,2), ..., u_(n,2), v_(1,0), ..., v_(n,2); an
 exponent vector is a tuple of 6n nonnegative integers.  The module expands
 triangulation cofactor vectors and the degree-8 distance constraints
 symbolically for a fixed numeric rig, computes span dimensions of
-polynomial families modulo a random 31-bit prime, and counts the
+polynomial families modulo a random 31-bit prime (sparse rows with distinct
+leading columns are taken as pivots, the other rows reduced by them
+sparsely, and only the remainder is eliminated densely), and counts the
 conjectured minimal generators per degree class.  Polynomials carry no
 arithmetic: nothing in the package adds or multiplies them.
 
@@ -305,16 +307,24 @@ def _contract_octics(rig: CameraRig, tensor: QuadTensor, pair_u, pair_v,
     den *= den_u * den_v
     degree, perm = _contraction_columns(n, tuple(pair_u), tuple(pair_v))
 
-    a = x_u[rows_u].transpose(0, 2, 1).reshape(-1, 16) @ gram
+    a = x_u[rows_u].transpose(0, 2, 1).reshape(-1, 16)
     b = x_v[rows_v].transpose(0, 2, 1).reshape(-1, 16)
-    # No partial sum of a row of a times a row of b, and no entry of either,
-    # exceeds this bound: each factor counts as at least 1, so an all-zero
-    # operand (a pair whose 6x4 stack has rank below 3) cannot let the other
-    # through.  Below INT64_LIMIT, with the clearing factor, the product and
-    # the division are exact in int64, else they stay in Python ints.
+    # No partial sum of a row of a times a column of T, and no row sum of
+    # |a T|, exceeds max|a| times the sum of |T|: below INT64_LIMIT a T is
+    # exact in int64, else it is taken in Python ints.
+    if _max_abs(a) * sum(map(abs, gram.ravel().tolist())) < INT64_LIMIT:
+        a = a.astype(np.int64) @ gram.astype(np.int64)
+    else:
+        a = a @ gram
+    # No partial sum of a row of a T times a row of b, and no entry of
+    # either, exceeds this bound: each factor counts as at least 1, so an
+    # all-zero operand (a pair whose 6x4 stack has rank below 3) cannot let
+    # the other through.  Below INT64_LIMIT, with the clearing factor, the
+    # product and the division are exact in int64, else they stay in Python
+    # ints.
     bound = max(int(np.abs(a).sum(axis=1).max()), 1) * max(_max_abs(b), 1)
-    if den < INT64_LIMIT and bound < INT64_LIMIT:
-        a, b = a.astype(np.int64), b.astype(np.int64)
+    dtype = np.int64 if den < INT64_LIMIT and bound < INT64_LIMIT else object
+    a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
     coefs = (a @ b.T).reshape(len(rows_u), 36, len(rows_v), 36).transpose(0, 2, 1, 3)
     coefs = coefs.reshape(-1, 36 * 36)
     # g divides den and every entry of its row: the row clears to coefs / g
@@ -541,7 +551,8 @@ def _modp_rank(a: np.ndarray, p: int) -> int:
     :func:`_add_product`).  Rows that become zero are dropped, so the fewer
     panels a dependent row needs to fall into the span of the pivots chosen
     so far, the less work it costs: :func:`span_dimension` passes its rows
-    sorted by leading column for that reason.  Entries outside [0, p) are
+    sorted by leading column for that reason, the remainder of its sparse
+    pass when some row is sparse, else all rows.  Entries outside [0, p) are
     reduced first.  The work is done in a itself, which is overwritten: a
     second copy of the union's coefficient matrix would be most of a span
     request's peak memory."""
@@ -570,36 +581,45 @@ def _modp_rank(a: np.ndarray, p: int) -> int:
     return rank
 
 
+def _residue_chunks(polys: Sequence[MultiHomogPoly], p: int):
+    """The polynomials' cleared rows reduced mod p, _FILL_ROWS rows at a
+    time, which bounds the temporaries: per chunk each entry's row (its
+    position in ``polys``), its column as an ``intp`` and nums mod p times the
+    inverse of den mod p, zero residues included.  One inverse is taken per
+    distinct den.  Raises ValueError when p divides a chunk's den, the lcm of
+    the reduced coefficient denominators, that is when p divides some
+    coefficient's denominator."""
+    inverses = {}
+    for s in range(0, len(polys), _FILL_ROWS):
+        rows = [poly._row for poly in polys[s:s + _FILL_ROWS]]
+        for _, _, den in rows:
+            if den not in inverses:
+                if den % p == 0:
+                    raise ValueError("prime divides a coefficient denominator; pick another prime")
+                inverses[den] = pow(den, -1, p)
+        lengths = [len(cols) for cols, _, _ in rows]
+        at = np.repeat(np.arange(s, s + len(rows)), lengths)
+        cols = np.concatenate([cols for cols, _, _ in rows]).astype(np.intp)
+        nums = np.remainder(np.concatenate([nums for _, nums, _ in rows]), p)
+        inv = np.repeat([inverses[den] for _, _, den in rows], lengths)
+        # residues and inverses are below 2^31: the product fits in int64
+        yield at, cols, nums.astype(np.int64, copy=False) * inv % p
+
+
 def coefficient_matrix_modp(polys: Sequence[MultiHomogPoly], p: int) -> np.ndarray:
     """Rows of coefficients over the shared monomial basis, reduced mod p.
 
     Each row is read from the polynomial's cleared row ``(cols, nums,
-    den)``: nums mod p times the inverse of den mod p, taken once per
-    distinct den; the rows are filled _FILL_ROWS at a time.  Raises ValueError
-    when p divides den, the lcm of the reduced coefficient denominators,
-    that is when p divides some coefficient's denominator."""
+    den)`` by :func:`_residue_chunks`: nums mod p times the inverse of den
+    mod p, filled a few rows at a time.  Raises ValueError when p divides
+    den, the lcm of the reduced coefficient denominators, that is when p
+    divides some coefficient's denominator."""
     degree = _shared_degree(polys)
-    basis, _ = _basis_index(polys[0].n, degree)
-    inverses = {}
-    for poly in polys:
-        den = poly._row[2]
-        if den not in inverses:
-            if den % p == 0:
-                raise ValueError("prime divides a coefficient denominator; pick another prime")
-            inverses[den] = pow(den, -1, p)
-    out = np.zeros((len(polys), len(basis)), dtype=np.int64)
+    size = len(_basis_index(polys[0].n, degree)[0])
+    out = np.zeros((len(polys), size), dtype=np.int64)
     flat = out.reshape(-1)
-    # a few rows at a time, so that their flattened entries stay small next
-    # to the matrix
-    for s in range(0, len(polys), _FILL_ROWS):
-        rows = [poly._row for poly in polys[s:s + _FILL_ROWS]]
-        lengths = [len(cols) for cols, _, _ in rows]
-        cols = np.concatenate([cols for cols, _, _ in rows])
-        starts = np.repeat(np.arange(s, s + len(rows)) * len(basis), lengths)
-        nums = np.remainder(np.concatenate([nums for _, nums, _ in rows]), p)
-        inv = np.repeat([inverses[den] for _, _, den in rows], lengths)
-        # residues and inverses are below 2^31: the product fits in int64
-        flat[starts + cols] = nums.astype(np.int64, copy=False) * inv % p
+    for at, cols, values in _residue_chunks(polys, p):
+        flat[at * size + cols] = values
     return out
 
 
@@ -617,42 +637,163 @@ def _shared_degree(polys):
     return degree
 
 
+# A row is sparse, and a candidate pivot of span_dimension's sparse pass,
+# when it has at most basis size / SPARSE_DIVISOR nonzeros.  A pivot of d
+# nonzeros costs d column updates of every remaining row; against the 441
+# octics (1296 columns), 567 random pivot rows beat the dense route up to
+# d = 12 to 14 and lose from d = 16 on, so the threshold, 10 there, stays
+# below that, and the consistency slice's rows of 9 nonzeros fall under it.
+SPARSE_DIVISOR = 128
+
+
+def _sparse_pivots(polys: Sequence[MultiHomogPoly], p: int):
+    """Pivots among sparse rows: the rows mod p (entries that p divides
+    dropped, so that a row's leading column is its leading column mod p),
+    one row per distinct leading column, the one with the fewest nonzeros
+    (then the first in ``polys``), scaled to a leading 1.  Distinct leads
+    put the pivots in echelon form.
+
+    Returns the pivots' leading columns, their other entries as arrays
+    ``(pivot, column, value)`` with ``pivot`` the position of the entry's
+    pivot among the leads, and the rows of ``polys`` that are neither a
+    pivot nor zero mod p."""
+    at, cols, values = (np.concatenate(x) for x in zip(*_residue_chunks(polys, p)))
+    nonzero = values != 0
+    order = np.lexsort((cols[nonzero], at[nonzero]))
+    at, cols, values = at[nonzero][order], cols[nonzero][order], values[nonzero][order]
+    # per row left nonzero: its first entry (the leading one) and its count
+    starts = np.flatnonzero(np.diff(at, prepend=-1))
+    counts = np.diff(starts, append=len(at))
+    by_lead = np.lexsort((at[starts], counts, cols[starts]))
+    firsts = starts[by_lead[np.diff(cols[starts][by_lead], prepend=-1) != 0]]
+    pivot_of_row = np.full(len(polys), -1)
+    pivot_of_row[at[firsts]] = np.arange(len(firsts))
+    scale = np.array([pow(x, -1, p) for x in values[firsts].tolist()], dtype=np.int64)
+    entry = pivot_of_row[at] >= 0
+    entry[firsts] = False
+    pivot = pivot_of_row[at[entry]]
+    rest = np.setdiff1d(at[starts], at[firsts]).tolist()
+    return cols[firsts], (pivot, cols[entry], values[entry] * scale[pivot] % p), \
+        [polys[i] for i in rest]
+
+
+def _eliminate_pivots(rt: np.ndarray, leads: np.ndarray, entries, p: int) -> None:
+    """Reduce the rows of ``rt`` (held transposed, one row per basis
+    column, residues in [0, p)) by the pivots from :func:`_sparse_pivots`,
+    so that every row's entries at ``leads`` may be dropped: afterwards each
+    row minus its multiples of the pivots is read from the other columns.
+
+    Pivot j waits for pivot i when row i has an entry in column leads[j]
+    (then leads[i] < leads[j], so the waits have no cycle); the pivots fall
+    into levels by the longest chain of waits before them.  Within a level
+    no pivot touches another's lead, so the multipliers are the rows' entries
+    at the level's leads, read once, and each pivot entry (i, c, v) updates
+    column c by minus v times column leads[i].  The updates go in rounds in
+    which no column repeats, each one int64 product and one ``%``: a residue
+    plus (p - 1)^2 is below 2^63 for p below 2^31."""
+    pivot, cols, values = entries
+    lead_pivot = np.full(len(rt), -1)
+    lead_pivot[leads] = np.arange(len(leads))
+    waits = lead_pivot[cols] >= 0
+    before, after = pivot[waits], lead_pivot[cols[waits]]
+    level = np.zeros(len(leads), dtype=np.intp)
+    while True:
+        deeper = level.copy()
+        np.maximum.at(deeper, after, level[before] + 1)
+        if np.array_equal(deeper, level):
+            break
+        level = deeper
+    # per entry, its level and its round: its place among the level's
+    # entries of the same column
+    entry_level = level[pivot]
+    order = np.lexsort((cols, entry_level))
+    entry_level, sources, cols, factors = \
+        entry_level[order], leads[pivot[order]], cols[order], p - values[order]
+    group = np.flatnonzero((np.diff(cols, prepend=-1) != 0) | (np.diff(entry_level, prepend=-1) != 0))
+    rounds = np.arange(len(cols)) - np.repeat(group, np.diff(group, append=len(cols)))
+    step = entry_level * (int(rounds.max(initial=0)) + 1) + rounds
+    order = np.argsort(step, kind="stable")
+    for take in np.split(order, np.flatnonzero(np.diff(step[order])) + 1):
+        c = cols[take]
+        x = rt[sources[take]]
+        x *= factors[take, None]
+        x += rt[c]
+        np.remainder(x, p, out=x)
+        rt[c] = x
+
+
 def span_dimension(polys: Sequence[MultiHomogPoly], modulus: int) -> int:
     """Dimension of the linear span inside the fixed multidegree component,
     taken modulo the prime ``modulus``.
 
-    The rank is computed by blocked elimination mod p
-    (:func:`_modp_rank`), and p must be a prime below 2^31 (else
-    ValueError): its products run in float64 on residues centered below
-    2^30 times 15-bit limbs, and stay exact only while every sum of
-    2 * PANEL_WIDTH such terms, plus a residue, is below 2^53; the sums are
-    reduced mod p in float64 too.  The rows go to the elimination sorted by
-    leading column (stably, on a copy of the list: the caller's keeps its
-    order), which leaves the rank unchanged and lets dependent rows drop out
-    after fewer panels.  The result never exceeds the rational rank r.  It
-    is smaller only if p divides one fixed nonzero r x r minor M of the
-    row-cleared integer coefficient matrix; |M| is at most the Hadamard
-    bound H, so at most log2(H)/30 primes of 30 bits or more divide it.  A
-    prime from :func:`random_rank_prime`, uniform over the RANK_PRIME_COUNT
-    (about 5.07e7) primes in [2^30, 2^31), therefore gives a smaller rank
-    with probability at most (log2(H)/30) / RANK_PRIME_COUNT, the figure
+    Sparse rows first: a row with at most 1/SPARSE_DIVISOR of the basis
+    size in nonzeros is sparse, and :func:`_sparse_pivots` takes one
+    sparse row per distinct leading column mod p as a pivot (Faugere and
+    Lachartre, PASCO 2010).  The k pivots are in echelon form and add k to
+    the rank with no arithmetic.  The other rows are filled mod p
+    transposed and reduced by the pivots sparsely
+    (:func:`_eliminate_pivots`), and their remainder at the columns that
+    lead no pivot goes to the dense elimination.  Input with no sparse row
+    goes to it directly.
+
+    The dense elimination is blocked, mod p (:func:`_modp_rank`), and p must
+    be a prime below 2^31 (else ValueError): its products run in float64
+    on residues centered below 2^30 times 15-bit limbs, and stay exact only
+    while every sum of 2 * PANEL_WIDTH such terms, plus a residue, is below
+    2^53; the sums are reduced mod p in float64 too.  Its rows go to it
+    sorted by leading column (stably, on a copy of the list: the caller's
+    keeps its order), which leaves the rank unchanged and lets dependent
+    rows drop out after fewer panels.
+
+    The rank over GF(p) does not depend on how it is computed, so the bound
+    below holds for the sparse pass as for the dense route.  The result
+    never exceeds the rational rank r.  It is smaller only if p divides one
+    fixed nonzero r x r minor M of the row-cleared integer coefficient
+    matrix; |M| is at most the Hadamard bound H, so at most log2(H)/30
+    primes of 30 bits or more divide it.  A prime from
+    :func:`random_rank_prime`, uniform over the RANK_PRIME_COUNT (about
+    5.07e7) primes in [2^30, 2^31), therefore gives a smaller rank with
+    probability at most (log2(H)/30) / RANK_PRIME_COUNT, the figure
     :func:`modp_failure_bound` computes (about 1.5e-5 for the 441 octics of
     a random two-camera rig with camera entries below 20).
 
     The rows are each polynomial's cleared row (see :class:`MultiHomogPoly`)
-    reduced by :func:`coefficient_matrix_modp`, which raises ValueError when
-    p divides a row's denominator, that is some coefficient's denominator.
+    reduced by :func:`_residue_chunks`, which raises ValueError when p
+    divides a row's denominator, that is some coefficient's denominator;
+    every row is read, pivots included.  Mixed multidegrees raise
+    ValueError.
     """
     _check_rank_modulus(modulus)
     polys = [q for q in polys if not q.is_zero()]
     if not polys:
         return 0
-    # the rows by leading column, the smallest basis position of each
-    cols = [q._row[0] for q in polys]
-    starts = np.cumsum([0] + [len(c) for c in cols[:-1]])
-    lead = np.minimum.reduceat(np.concatenate(cols), starts)
-    polys = [polys[i] for i in np.argsort(lead, kind="stable").tolist()]
-    return _modp_rank(coefficient_matrix_modp(polys, modulus), modulus)
+    size = len(_basis_index(polys[0].n, _shared_degree(polys))[0])
+    sparse = [len(q._row[0]) * SPARSE_DIVISOR <= size for q in polys]
+    if not any(sparse):
+        # the rows by leading column, the smallest basis position of each
+        cols = [q._row[0] for q in polys]
+        starts = np.cumsum([0] + [len(c) for c in cols[:-1]])
+        lead = np.minimum.reduceat(np.concatenate(cols), starts)
+        polys = [polys[i] for i in np.argsort(lead, kind="stable").tolist()]
+        return _modp_rank(coefficient_matrix_modp(polys, modulus), modulus)
+    leads, entries, rest = _sparse_pivots([q for q, s in zip(polys, sparse) if s], modulus)
+    rest += [q for q, s in zip(polys, sparse) if not s]
+    if not rest:
+        return len(leads)
+    rt = np.zeros((size, len(rest)), dtype=np.int64)
+    flat = rt.reshape(-1)
+    for at, cols, values in _residue_chunks(rest, modulus):
+        flat[cols * len(rest) + at] = values
+    _eliminate_pivots(rt, leads, entries, modulus)
+    free = np.ones(size, dtype=bool)
+    free[leads] = False
+    remainder = rt[free].T
+    del rt
+    # the remainder's nonzero rows by leading column
+    nonzero = remainder != 0
+    live = np.flatnonzero(nonzero.any(axis=1))
+    order = live[np.argsort(nonzero[live].argmax(axis=1), kind="stable")]
+    return len(leads) + _modp_rank(remainder[order], modulus)
 
 
 def _height_bits(polys: Sequence[MultiHomogPoly]) -> float:

@@ -15,10 +15,11 @@ from helpers import (engine_value, exact_rank, fraction_rig, random_rig, random_
                      wedge5)
 from rigidview import polyspace
 from rigidview.cameras import CameraRig, ProjectivePoint, forward_map
-from rigidview.constraints import BihomForm, distance_form_squared, polarize, unit_distance_form
+from rigidview.constraints import (BihomForm, _gram, distance_form_squared, polarize,
+                                   unit_distance_form)
 from rigidview.harness import _sub_seed
 from rigidview.harness import random_rig as harness_random_rig
-from rigidview.linalg import Mat
+from rigidview.linalg import Mat, _max_abs
 from rigidview.polyspace import (
     PANEL_WIDTH,
     RANK_PRIME_COUNT,
@@ -276,6 +277,32 @@ class TestContractionMatchesReference:
         rig = CameraRig(degenerate + large)
         got = all_octics_symbolic(rig, polarize(unit_distance_form()), (0, 1), (2, 3))
         assert len(got) == 441 and all(q.is_zero() for q in got)
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "height-1e7"])
+    def test_first_product_width_keeps_the_stored_rows(self, kind, monkeypatch):
+        # X_u T is taken in int64 while max|X_u| times the sum of |T| is
+        # below 2^63 (the int and Fraction rigs), else on Python ints (the
+        # height-10^7 rig); with every product forced onto Python ints the
+        # stored rows come out the same, dtypes included
+        rig = {"int": lambda: random_rig(random.Random(389), 2),
+               "fraction": lambda: fraction_rig(random.Random(401)),
+               "height-1e7": lambda: random_rig(random.Random(409), 2, height=10 ** 7)}[kind]()
+        t = polarize(unit_distance_form())
+        x, _ = polyspace._outer_rows(rig, 0, 1)
+        gram = _gram(t, True, 2, 2)[0]
+        assert (_max_abs(x) * sum(map(abs, gram.ravel().tolist())) >= 2 ** 63) == (kind == "height-1e7")
+        rows = np.arange(0, 21, 4)
+
+        def stored():
+            return [q._row for q in polyspace._contract_octics(rig, t, (0, 1), (0, 1), rows, rows)]
+
+        got = stored()
+        monkeypatch.setattr(polyspace, "INT64_LIMIT", 0)
+        want = stored()
+        assert len(got) == len(want) == len(rows) ** 2
+        for (c1, n1, d1), (c2, n2, d2) in zip(got, want):
+            assert c1.dtype == c2.dtype and n1.dtype == n2.dtype and d1 == d2
+            assert c1.tolist() == c2.tolist() and n1.tolist() == n2.tolist()
 
     def test_single_octic_matches_reference(self):
         rig = random_rig(random.Random(419), 3)
@@ -789,6 +816,154 @@ class TestModpRank:
         assert (left @ right % p).tolist() == (a.astype(object) @ b.astype(object) % p).tolist()
 
 
+@pytest.fixture
+def dense_ranks(monkeypatch):
+    """The shapes of the matrices that span_dimension hands to _modp_rank."""
+    shapes = []
+
+    def recorded(a, p):
+        shapes.append(a.shape)
+        return _modp_rank(a, p)
+
+    monkeypatch.setattr(polyspace, "_modp_rank", recorded)
+    return shapes
+
+
+# 648 columns: a row of at most 648 // SPARSE_DIVISOR = 5 nonzeros is
+# sparse.  The rows below use the first 81 columns.
+PASS_BASIS = monomial_basis(2, (2, 2, 2, 1))
+
+
+def polys_of(rows):
+    """Polynomials over PASS_BASIS from column -> coefficient dicts."""
+    return [MultiHomogPoly(2, {PASS_BASIS[c]: v for c, v in row.items()}) for row in rows]
+
+
+def dense_row(rng, p, cols=range(81)):
+    """Coefficients in [1, p) at ``cols``: nonzero, and nonzero mod p."""
+    return {c: int(rng.integers(1, p)) for c in cols}
+
+
+def assert_rank_matches_reference(polys, p, want=None):
+    """span_dimension equals the column-by-column reference (and ``want``)."""
+    rank = reference_modp_rank(coefficient_matrix_modp([q for q in polys if not q.is_zero()], p), p)
+    assert span_dimension(polys, p) == rank
+    if want is not None:
+        assert rank == want
+
+
+class TestSparsePass:
+    """span_dimension's sparse pivots against reference_modp_rank, on planted
+    rows; ``dense_ranks`` records what the dense elimination is left."""
+
+    def test_sparse_divisor_splits_the_basis_at_five(self):
+        assert len(PASS_BASIS) // polyspace.SPARSE_DIVISOR == 5
+
+    @pytest.mark.parametrize("p", [5, 65521, 2 ** 31 - 1])
+    def test_p_dividing_a_lead_coefficient_moves_the_lead(self, p, dense_ranks):
+        # row 0 is row 1 mod p; taking its symbolic lead, column 0, as a
+        # pivot would count both
+        rng = np.random.default_rng(p)
+        rows = [{0: Fraction(3 * p, 7), 4: 5, 9: 2}, {4: 5, 9: 2}, {4: 1, 10: 1},
+                dense_row(rng, p)]
+        assert_rank_matches_reference(polys_of(rows), p, want=3)
+        assert dense_ranks[0][0] <= 2
+
+    @pytest.mark.parametrize("p", [3, 65521])
+    def test_rows_zero_mod_p_drop_out(self, p, dense_ranks):
+        rng = np.random.default_rng(p)
+        rows = [{2: p, 7: 2 * p}, {2: 1}, {c: p * int(rng.integers(1, 5)) for c in range(40)},
+                {2: 1, 5: -p}, {3: 1, 8: 1}]
+        assert_rank_matches_reference(polys_of(rows), p, want=2)
+        # leads 2 and 3 are pivots, and the two rows behind them reduce to zero
+        assert dense_ranks == [(0, len(PASS_BASIS) - 2)]
+
+    @pytest.mark.parametrize("p", [7, 2 ** 31 - 1])
+    def test_repeated_leads(self, p, dense_ranks):
+        rows = [{0: 1, 1: 2, 2: 3}, {0: 1}, {0: 2, 3: 1}, {0: 5, 1: 1}, {1: 1},
+                {1: 3, 2: 1, 3: 1, 4: 1}, {0: 1, 1: 2, 2: 3}, {5: 1, 6: 1}, {5: 2, 6: 2}]
+        assert_rank_matches_reference(polys_of(rows), p, want=6)
+        # one pivot per distinct lead, 0, 1 and 5: the other six remain
+        assert dense_ranks[0][0] <= len(rows) - 3
+
+    def test_the_fewest_nonzeros_lead(self):
+        # row 1 has the fewest nonzeros of lead 0 and becomes its pivot
+        polys = polys_of([{0: 1, 1: 1, 2: 1}, {0: 1}, {0: 1, 3: 1}])
+        leads, (_, cols, _), rest = polyspace._sparse_pivots(polys, 65521)
+        assert leads.tolist() == [0] and cols.size == 0
+        assert rest == [polys[0], polys[2]]
+
+    @pytest.mark.parametrize("p", [3, 65521, 2 ** 31 - 1])
+    def test_all_sparse_with_distinct_leads_leaves_no_remainder(self, p, dense_ranks):
+        rng = np.random.default_rng(p)
+        rows = [{i: int(rng.integers(1, p)), **{int(c): int(rng.integers(1, p))
+                                               for c in rng.choice(range(i + 1, 81), 4)}}
+                for i in range(0, 60, 2)]
+        assert_rank_matches_reference(polys_of(rows), p, want=len(rows))
+        assert dense_ranks == []
+
+    @pytest.mark.parametrize("p", [3, 2 ** 31 - 1])
+    def test_all_dense_rows_take_the_dense_route(self, p, dense_ranks):
+        rng = np.random.default_rng(p)
+        rows = [dense_row(rng, p, range(i, i + 6)) for i in range(0, 70, 3)] + [dense_row(rng, p)]
+        assert_rank_matches_reference(polys_of(rows), p)
+        assert dense_ranks == [(len(rows), len(PASS_BASIS))]
+
+    @pytest.mark.parametrize("p", [5, 65521, 2 ** 31 - 1])
+    def test_dependency_chain_of_ten_levels(self, p, dense_ranks):
+        # pivot i has an entry at pivot i + 1's lead, so pivot i + 1 waits
+        # for it: ten levels.  A dense combination of the chain reduces to
+        # zero only if the levels go in order.
+        rng = np.random.default_rng(p + 1)
+        chain = [{i: int(rng.integers(1, p)), i + 1: int(rng.integers(1, p))} for i in range(10)]
+        mix = rng.integers(1, p, size=10).tolist()
+        combo = {c: sum(m * row.get(c, 0) for m, row in zip(mix, chain)) for c in range(11)}
+        rows = chain + [combo, dense_row(rng, p, range(6)), {30: 1, 31: 2}]
+        polys = polys_of(rows)
+        leads, (_, cols, _), _ = polyspace._sparse_pivots(polys[:10], p)
+        assert leads.tolist() == list(range(10)) and cols.tolist() == list(range(1, 11))
+        assert_rank_matches_reference(polys, p, want=12)
+        assert dense_ranks[0][0] <= 2
+
+    @pytest.mark.parametrize("p", [5, 65521, 2 ** 31 - 1])
+    def test_random_families(self, p):
+        rng = np.random.default_rng(p + 2)
+        for _ in range(8):
+            rows = []
+            for _ in range(int(rng.integers(1, 60))):
+                nnz = int(rng.integers(1, 6)) if rng.random() < 0.6 else int(rng.integers(6, 82))
+                cols = rng.choice(81, nnz, replace=False).tolist()
+                if rng.random() < 0.3:
+                    cols[0] = int(rng.integers(0, 4))
+                rows.append(dict(zip(cols, rng.integers(-3 * p, 3 * p, size=nnz).tolist())))
+            # a few multiples of p and sums of earlier rows
+            rows += [{c: p * v for c, v in rows[0].items()},
+                     {c: rows[0].get(c, 0) + 2 * rows[-1].get(c, 0) for c in range(81)}]
+            assert_rank_matches_reference(polys_of(rows), p)
+
+    @pytest.mark.parametrize("pivot", [True, False])
+    def test_prime_dividing_a_sparse_denominator_raises(self, pivot):
+        p = 65537
+        rng = np.random.default_rng(3)
+        # the raising row is the pivot of lead 0, or a sparse row behind it
+        raising = {0: Fraction(1, p), 2: 1} if pivot else {0: Fraction(5, 3 * p), 1: 1, 2: 1, 3: 1}
+        rows = [raising, {0: 1, 4: 1, 5: 1, 6: 1}, dense_row(rng, p)]
+        with pytest.raises(ValueError, match="denominator"):
+            span_dimension(polys_of(rows), p)
+
+    def test_empty_input_and_caller_order(self, dense_ranks):
+        p = 65521
+        assert span_dimension([], p) == 0
+        assert span_dimension([MultiHomogPoly(2)], p) == 0
+        rng = np.random.default_rng(11)
+        polys = polys_of([dense_row(rng, p), {7: 1}, {3: 2, 9: 1}, {3: 1}]) + [MultiHomogPoly(2)]
+        before = list(polys)
+        assert span_dimension(polys, p) == 4
+        assert all(a is b for a, b in zip(polys, before)) and len(polys) == len(before)
+        # leads 7 and 3 are pivots; {3: 2, 9: 1} reduces to {9: 1}
+        assert dense_ranks == [(2, len(PASS_BASIS) - 2)]
+
+
 class TestSpanFacts:
     def test_441_octics_span_126_and_quotient_9(self):
         rng = random.Random(367)
@@ -826,6 +1001,18 @@ class TestOcticSpan:
         assert octic_span(rig, random_rank_prime(rng)) == {
             "octics": 441, "span": 126, "component_span": 567, "quotient": 9,
             "modulus": modulus, "failure_bound": bound}
+
+    @pytest.mark.parametrize("idx", range(5))
+    def test_union_hands_the_dense_rank_its_remainder_only(self, idx, dense_ranks):
+        # the 648 slice rows are sparse and 567 of them become pivots, so the
+        # dense elimination sees at most the other 1089 - 567 rows: a silent
+        # fall back to the dense route for all 1089 fails here
+        rng = random.Random(_sub_seed(105, idx))
+        rig = harness_random_rig(rng, 2, 20)
+        octics = all_octics_symbolic(rig, polarize(unit_distance_form()))
+        component = ideal_component_basis(rig)
+        assert span_dimension(component + octics, random_rank_prime(rng)) == 567 + 9
+        assert len(dense_ranks) == 1 and dense_ranks[0][0] <= len(component) + len(octics) - 567
 
     def test_exact_span_is_126(self):
         # the standard rig's octics are sparse with coefficients of at most
