@@ -609,6 +609,37 @@ def coplanar_residuals(rig: CameraRig, tuples4) -> list:
             for cols in itertools.product(*(w.tolist() for w, _ in cofactors))]
 
 
+# The memberships of the last image pair a verdict computed, as
+# (rig, points, memberships) with points = tuple(u) + tuple(v), or None.  The
+# next verdict on the very same objects takes them once: criterion 03 decides
+# every pair by both verdicts.  The rig and the points are immutable and held
+# here, so no identity can be reused.  Each read and write of the slot is one
+# reference, so two threads can at worst both take one pair's memberships,
+# which are valid for both, or recompute them.
+_handoff = None
+
+
+def _pair_memberships(rig: CameraRig, u, v) -> tuple:
+    """The :func:`multiview_membership` of u, then of v, stopping at the
+    first inconsistent side, as both verdicts take them; the caller has
+    checked that both tuples fit the rig.  When the last verdict's pair was
+    the same rig and the same point objects (``is``), its memberships are
+    taken and the hand-off slot is emptied; otherwise they are computed and
+    left in the slot for the next verdict.  A call whose passes raise
+    leaves the slot as it was."""
+    global _handoff
+    points = tuple(u) + tuple(v)
+    slot = _handoff
+    if slot is not None and slot[0] is rig and all(a is b for a, b in zip(slot[1], points)):
+        _handoff = None
+        return slot[2]
+    memberships = (multiview_membership(rig, u),)
+    if memberships[0].ok:
+        memberships += (multiview_membership(rig, v),)
+    _handoff = (rig, points, memberships)
+    return memberships
+
+
 def rigid_pair_oracle(rig: CameraRig, u, v, tol: float | None = None) -> bool:
     """Direct membership test for an image pair of points at distance 1.
 
@@ -617,11 +648,14 @@ def rigid_pair_oracle(rig: CameraRig, u, v, tol: float | None = None) -> bool:
     (two cameras, the epipole pair) is accepted whenever the other side is
     consistent, matching the closure components of the image.  Each side
     runs triangulation's shared witness step
-    (:func:`rigidview.triangulation._witness`), and q is evaluated on the
-    two cleared witness vectors as they are, not on the triangulated points:
-    q is bihomogeneous of bidegree (2, 2), so its zero test gives the same
-    answer at any nonzero multiples of the two points.  On floats, where the
-    vectors are the unit-scaled witnesses, q counts as zero when
+    (:func:`rigidview.triangulation._witness`) on the pair's memberships
+    (:func:`_pair_memberships`: taken from a
+    :func:`rigid_pair_by_equations` call on the same pair just before, else
+    computed), and q is evaluated on the two cleared witness vectors as
+    they are, not on the triangulated points: q is bihomogeneous of
+    bidegree (2, 2), so its zero test gives the same answer at any nonzero
+    multiples of the two points.  On floats, where the vectors are the
+    unit-scaled witnesses, q counts as zero when
     |q(x, y)| / (|x|^2 |y|^2) is at most ``tol`` (None:
     :data:`DEFAULT_VANISH_TOL`), the ratio of :meth:`OcticEngine.vanishes`.
     Both tuples are checked to fit the rig first
@@ -633,9 +667,9 @@ def rigid_pair_oracle(rig: CameraRig, u, v, tol: float | None = None) -> bool:
     for points in (u, v):
         _check_tuple(rig, points)
     sides = []
-    for points in (u, v):
+    for membership in _pair_memberships(rig, u, v):
         try:
-            sides.append(_witness(rig, points)[2])
+            sides.append(_witness(membership)[2])
         except NotInVarietyError:
             return False
         except NotTriangulableError as exc:
@@ -658,9 +692,11 @@ def rigid_pair_by_equations(rig: CameraRig, u, v,
                             tol: float | None = None) -> bool:
     """Equation-side membership: both tuples consistent and every
     unit-distance octic of the family vanishing, by
-    :meth:`OcticEngine.vanishes` on the two :func:`multiview_membership`
-    results, whose cofactor passes give it every vector (on floats ``tol``
-    is its ratio's tolerance).
+    :meth:`OcticEngine.vanishes` on the pair's two
+    :func:`multiview_membership` results (:func:`_pair_memberships`: taken
+    from a :func:`rigid_pair_oracle` call on the same pair just before,
+    else computed), whose cofactor passes give it every vector (on floats
+    ``tol`` is its ratio's tolerance).
 
     u is consistent, so its vectors are multiples of its world point x,
     and every octic vanishes exactly when Q = x^2 T, read as a 4 x 4
@@ -683,12 +719,9 @@ def rigid_pair_by_equations(rig: CameraRig, u, v,
     row_set = _octic_row_set(rig.n, family)
     for points in (u, v):
         _check_tuple(rig, points)
-    memberships = []
-    for points in (u, v):
-        membership = multiview_membership(rig, points)
-        if not membership.ok:
-            return False
-        memberships.append(membership)
+    memberships = _pair_memberships(rig, u, v)
+    if not all(m.ok for m in memberships):
+        return False
     return OcticEngine(rig, (row_set, row_set), [(0, 1, _UNIT_TENSOR)]).vanishes(memberships, tol)
 
 

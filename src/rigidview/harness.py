@@ -721,10 +721,10 @@ def _exp_group_action(config, seed):
             continue
         for kind, sampler in (("member", sample_member_pair), ("nonmember", sample_nonmember_pair)):
             u, v, x, y = sampler(rig, random.Random(_sub_seed(seed, (idx, kind))))
+            verdict = rigid_pair_by_equations(rig, u, v, Family.OCTIC_NINE)
             um = _canonical_tuple(forward_map(moved, ProjectivePoint(n_inv.apply(x.coords))))
             vm = _canonical_tuple(forward_map(moved, ProjectivePoint(n_inv.apply(y.coords))))
-            if (rigid_pair_by_equations(moved, um, vm, Family.OCTIC_NINE)
-                    != rigid_pair_by_equations(rig, u, v, Family.OCTIC_NINE)):
+            if rigid_pair_by_equations(moved, um, vm, Family.OCTIC_NINE) != verdict:
                 failures.append({"sample": idx, "kind": kind, "reason": "right action verdict"})
             mats = [Mat([[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)])
                     for _ in range(rig.n)]
@@ -732,8 +732,7 @@ def _exp_group_action(config, seed):
             moved_left = apply_left_action(rig, mats)
             ul = _canonical_tuple(ProjectivePoint(m.apply(p.coords)) for m, p in zip(mats, u))
             vl = _canonical_tuple(ProjectivePoint(m.apply(p.coords)) for m, p in zip(mats, v))
-            if (rigid_pair_by_equations(moved_left, ul, vl, Family.OCTIC_NINE)
-                    != rigid_pair_by_equations(rig, u, v, Family.OCTIC_NINE)):
+            if rigid_pair_by_equations(moved_left, ul, vl, Family.OCTIC_NINE) != verdict:
                 failures.append({"sample": idx, "kind": kind, "reason": "left action verdict"})
     return samples, failures, {}
 

@@ -249,17 +249,22 @@ def _outer_rows(rig: CameraRig, j: int, k: int):
     """X for camera pair (j, k): a 21 x 16 x 36 array of ints whose entry
     [r, (p, q), m] is the coefficient of bidegree-(2, 2) monomial m in
     w_i1[p] w_i2[q], the outer product of cofactor vectors i1, i2 (row
-    pair r), and the positive integer it is multiplied by.
+    pair r), the positive integer it is multiplied by, and the bound
+    4 max|table|^2 on every |entry|.
 
     The cofactor vectors are bilinear in (u_j, u_k) with the coefficients of
-    the rig's cleared minor table, taken as Python ints so that no product
-    can overflow."""
+    the rig's cleared minor table, and each entry of X sums at most 4
+    products of two table entries: X is built in int64 when the bound is
+    below INT64_LIMIT, else on Python ints, so that no product or sum can
+    overflow."""
     table, den = rig.minor_table(j, k)
+    bound = 4 * _max_abs(table) ** 2
     # the products run over all 9 x 9 pairs of bilinear monomials, then are
     # folded onto the 36 monomials
-    c, (i1, i2) = table.astype(object), _ROW_PAIRS.T
+    c = table.astype(np.int64 if bound < INT64_LIMIT else object, copy=False)
+    i1, i2 = _ROW_PAIRS.T
     x = (c[i1, :, None, :, None] * c[i2, None, :, None, :]).reshape(len(_ROW_PAIRS), 16, 81)
-    return np.add.reduceat(x[..., _FOLD_ORDER], _FOLD_STARTS, axis=-1), den * den
+    return np.add.reduceat(x[..., _FOLD_ORDER], _FOLD_STARTS, axis=-1), den * den, bound
 
 
 def _side_exponents(n: int, j: int, k: int) -> list:
@@ -302,20 +307,21 @@ def _contract_octics(rig: CameraRig, tensor: QuadTensor, pair_u, pair_v,
         raise ValueError("symbolic expansion needs an exact rig")
     n = rig.n
     gram, den, _ = _gram(tensor, True, 2, 2)
-    x_u, den_u = _outer_rows(rig, *pair_u)
-    x_v, den_v = (x_u, den_u) if tuple(pair_v) == tuple(pair_u) else _outer_rows(rig, *pair_v)
+    x_u, den_u, bound_u = _outer_rows(rig, *pair_u)
+    x_v, den_v, _ = ((x_u, den_u, bound_u) if tuple(pair_v) == tuple(pair_u)
+                     else _outer_rows(rig, *pair_v))
     den *= den_u * den_v
     degree, perm = _contraction_columns(n, tuple(pair_u), tuple(pair_v))
 
     a = x_u[rows_u].transpose(0, 2, 1).reshape(-1, 16)
     b = x_v[rows_v].transpose(0, 2, 1).reshape(-1, 16)
     # No partial sum of a row of a times a column of T, and no row sum of
-    # |a T|, exceeds max|a| times the sum of |T|: below INT64_LIMIT a T is
-    # exact in int64, else it is taken in Python ints.
-    if _max_abs(a) * sum(map(abs, gram.ravel().tolist())) < INT64_LIMIT:
-        a = a.astype(np.int64) @ gram.astype(np.int64)
+    # |a T|, exceeds X_u's bound times the sum of |T|: below INT64_LIMIT a T
+    # is exact in int64, else it is taken in Python ints.
+    if bound_u * sum(map(abs, gram.ravel().tolist())) < INT64_LIMIT:
+        a = a.astype(np.int64, copy=False) @ gram.astype(np.int64, copy=False)
     else:
-        a = a @ gram
+        a = a.astype(object) @ gram.astype(object)
     # No partial sum of a row of a T times a row of b, and no entry of
     # either, exceeds this bound: each factor counts as at least 1, so an
     # all-zero operand (a pair whose 6x4 stack has rank below 3) cannot let

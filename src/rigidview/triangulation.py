@@ -13,14 +13,16 @@ exactly over rationals and with tolerances over floats.  The cofactor
 vectors come from :meth:`rigidview.cameras.CameraRig.cofactor_vectors`.
 On both backends the witness is that of the consistency test's
 :class:`rigidview.cameras.CofactorPass`, taken as it is (see
-:func:`_witness`).
+:func:`_witness`, which reads it from a membership result, so the oracle
+can hand it the membership its pair already has).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .cameras import CameraRig, ProjectivePoint, _multiview_matrix, _reduced, multiview_membership
+from .cameras import (CameraRig, MembershipResult, ProjectivePoint, _multiview_matrix, _reduced,
+                      multiview_membership)
 from .linalg import EXACT, Mat
 
 
@@ -94,22 +96,20 @@ def is_triangulable(rig: CameraRig, points: Sequence[ProjectivePoint]) -> bool:
     return membership.cofactors.witness is not None
 
 
-def _witness(rig: CameraRig, points: Sequence[ProjectivePoint]):
+def _witness(membership: MembershipResult):
     """The witness step of :func:`triangulate` and of
     :func:`rigidview.constraints.rigid_pair_oracle`: ``(pair, row, x,
     factor)``, the witness pair and row with that row's cofactor vector x
     times the positive integer ``factor`` (integers on the exact backend; on
     floats, the unit-scaled pass's floats and factor 1).
 
-    One :func:`multiview_membership` decides consistency, and its
-    :class:`rigidview.cameras.CofactorPass` holds the witness, read as it
-    is: x reprojects into every camera, so the witness pair's B is
-    singular, and x is nonzero, so B has rank 5 and every cofactor vector
-    of the pair is a multiple of x.  Raises, in this order,
-    :class:`NotInVarietyError` and :class:`NotTriangulableError`; points off
-    the rig's backend raise BackendError.
+    ``membership`` is the tuple's :func:`multiview_membership`, which
+    decides consistency; its :class:`rigidview.cameras.CofactorPass` holds
+    the witness, read as it is: x reprojects into every camera, so the
+    witness pair's B is singular, and x is nonzero, so B has rank 5 and
+    every cofactor vector of the pair is a multiple of x.  Raises, in this
+    order, :class:`NotInVarietyError` and :class:`NotTriangulableError`.
     """
-    membership = multiview_membership(rig, points)
     if not membership.ok:
         raise NotInVarietyError("tuple fails the consistency rank test")
     scan = membership.cofactors
@@ -123,16 +123,17 @@ def _witness(rig: CameraRig, points: Sequence[ProjectivePoint]):
 def triangulate(rig: CameraRig, points: Sequence[ProjectivePoint]) -> TriangulationSolution:
     """Recover the world point behind a consistent image tuple.
 
-    Runs the witness step :func:`_witness` (consistency and the witness),
-    then takes the point from the witness vector over its factor (the one
-    division) and the scales from A_j X = lambda_j u_j and
-    A_k X = lambda_k u_k.  The direct
-    oracle :func:`rigidview.constraints.rigid_pair_oracle` shares the
-    witness step and stops there: it evaluates q on the cleared witness
-    vectors, which is exact because q is bihomogeneous of bidegree (2, 2).
+    Runs the witness step :func:`_witness` on the tuple's own
+    :func:`multiview_membership` (consistency and the witness), then takes
+    the point from the witness vector over its factor (the one division)
+    and the scales from A_j X = lambda_j u_j and A_k X = lambda_k u_k.  The
+    direct oracle :func:`rigidview.constraints.rigid_pair_oracle` shares the
+    witness step, on the memberships it shares with the equations verdict,
+    and stops there: it evaluates q on the cleared witness vectors, which
+    is exact because q is bihomogeneous of bidegree (2, 2).
     Points off the rig's backend raise BackendError.
     """
-    pair, row, x, factor = _witness(rig, points)
+    pair, row, x, factor = _witness(multiview_membership(rig, points))
     x = tuple(_reduced(c, factor) for c in x)
     lambdas = tuple(_scale(rig.camera(cam), x, points[cam], rig.backend == EXACT) for cam in pair)
     return TriangulationSolution(ProjectivePoint(x), lambdas, pair, row)

@@ -44,7 +44,7 @@ from rigidview.constraints import (
     unit_distance_form,
 )
 from rigidview import cameras, constraints, harness, triangulation
-from rigidview.linalg import INT64_LIMIT, BackendError, Mat, ShapeError, det
+from rigidview.linalg import EXACT, INT64_LIMIT, BackendError, Mat, ShapeError, det
 from rigidview.polyspace import all_octics_symbolic, expand_wedge_symbolic
 from rigidview.triangulation import assemble_b
 
@@ -753,13 +753,14 @@ class TestMembership:
         # rigid_pair_by_equations reads the engine's vectors from the two
         # membership passes: the cofactor vectors of each camera pair and
         # side computed at most once, on u only the pairs up to its witness,
-        # and no elimination on tuples with a witness
+        # and no elimination on tuples with a witness; each family's call
+        # has its own point objects, so none takes the last call's passes
         rng = random.Random(241)
         for n in (2, 3, 4):
             rig = random_rig(rng, n)
             x, y = unit_pair(rng)
-            u, v = forward_map(rig, x), forward_map(rig, y)
             for family in _families(n):
+                u, v = forward_map(rig, x), forward_map(rig, y)
                 vectors = count_calls(monkeypatch, CameraRig, "_cofactor_vectors")
                 eliminations = count_calls(monkeypatch, cameras, "_exact_rank")
                 assert rigid_pair_by_equations(rig, u, v, family)
@@ -770,6 +771,104 @@ class TestMembership:
                 assert sorted(k[:2] for k in keys if not k[2]) == sorted(set(want_v) | {(0, 1)})
                 assert [k[:2] for k in keys if k[2]] == [(0, 1)]
                 assert eliminations == []
+
+
+class TestPairMembershipHandOff:
+    """The two verdicts on one image pair share one consistency pass per
+    side: the second takes the first's memberships once, when the rig and
+    every point are the same objects."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """The points of every consistency pass, from an empty hand-off slot."""
+        monkeypatch.setattr(constraints, "_handoff", None)
+        return count_calls(monkeypatch, cameras, "CofactorPass")
+
+    @staticmethod
+    def _member_pair(n):
+        rig = random_rig(random.Random(f"handoff:{n}"), n)
+        u, v, _, _ = harness.sample_member_pair(rig, random.Random(f"handoff-pair:{n}"))
+        return rig, u, v
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("first", ["equations", "oracle"])
+    def test_both_verdicts_make_two_passes(self, passes, n, first):
+        rig, u, v = self._member_pair(n)
+        verdicts = [rigid_pair_by_equations, rigid_pair_oracle]
+        for verdict in verdicts if first == "equations" else verdicts[::-1]:
+            assert verdict(rig, u, v)
+        assert [c[1] for c in passes] == [u, v]
+
+    def test_a_third_verdict_recomputes(self, passes):
+        rig, u, v = self._member_pair(3)
+        assert rigid_pair_by_equations(rig, u, v) and rigid_pair_oracle(rig, u, v)
+        assert rigid_pair_by_equations(rig, u, v, Family.OCTIC_NINE)
+        assert [c[1] for c in passes] == [u, v, u, v]
+
+    def test_equal_but_distinct_objects_recompute(self, passes):
+        # a rig rebuilt from the same cameras, and new point objects with
+        # equal coordinates, each take passes of their own
+        rig, u, v = self._member_pair(2)
+        assert rigid_pair_by_equations(rig, u, v)
+        assert rigid_pair_oracle(CameraRig(rig.cameras), u, v)
+        assert len(passes) == 4
+        assert rigid_pair_by_equations(rig, u, v)
+        copy_u = tuple(ProjectivePoint(p.coords) for p in u)
+        assert rigid_pair_oracle(rig, copy_u, v)
+        assert len(passes) == 8
+        # a list of the same objects is the same pair
+        assert rigid_pair_by_equations(rig, list(copy_u), list(v))
+        assert len(passes) == 8
+
+    def test_an_inconsistent_u_runs_no_pass_on_v(self, passes):
+        rig, u, v = self._member_pair(3)
+        bad = _moved(u, 1, 0)
+        assert not multiview_membership(rig, bad).ok
+        del passes[:]
+        assert not rigid_pair_oracle(rig, bad, v)
+        assert [c[1] for c in passes] == [bad]
+        assert not rigid_pair_by_equations(rig, bad, v)
+        assert [c[1] for c in passes] == [bad]
+
+    @staticmethod
+    def _cases(n):
+        """Exact and float ``(rig, u, v)``: member, non-member and moved pairs
+        and, for two cameras, the epipole pair on either side."""
+        rng = random.Random(f"handoff-cases:{n}")
+        rig = random_rig(rng, n)
+        frig = CameraRig([cam.matrix.to_float() for cam in rig.cameras])
+        cases = []
+        for _, u, v in _scale_cases(rig, rng):
+            cases.append((rig, u, v))
+            cases.append((frig, tuple(p.to_float() for p in u), tuple(p.to_float() for p in v)))
+        return cases
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_handed_off_verdicts_equal_fresh_ones(self, monkeypatch, n):
+        def fresh(verdict, *args):
+            monkeypatch.setattr(constraints, "_handoff", None)
+            return verdict(*args)
+
+        seen = set()
+        for rig, u, v in self._cases(n):
+            want = (fresh(rigid_pair_by_equations, rig, u, v), fresh(rigid_pair_oracle, rig, u, v))
+            seen.add((rig.backend, want))
+            assert want[0] == want[1]
+            monkeypatch.setattr(constraints, "_handoff", None)
+            assert (rigid_pair_by_equations(rig, u, v), rigid_pair_oracle(rig, u, v)) == want
+            assert (rigid_pair_oracle(rig, u, v), rigid_pair_by_equations(rig, u, v)) == want[::-1]
+            # a call that raises between the two leaves the slot as it was
+            assert rigid_pair_by_equations(rig, u, v) == want[0]
+            other = tuple(p.to_float() if rig.backend == EXACT else ProjectivePoint((1, 2, 3))
+                          for p in v)
+            with pytest.raises(BackendError):
+                rigid_pair_oracle(rig, u, other)
+            passes = count_calls(monkeypatch, cameras, "CofactorPass")
+            assert rigid_pair_oracle(rig, u, v) == want[1]
+            assert passes == []
+            monkeypatch.undo()
+        assert {(b, (True, True)) for b in ("exact", "float")} <= seen
+        assert {(b, (False, False)) for b in ("exact", "float")} <= seen
 
 
 def _scale_cases(rig, rng):

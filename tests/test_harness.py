@@ -252,6 +252,14 @@ class TestExperiments:
         assert 2 ** 30 <= report.details["dims"][0]["modulus"] < 2 ** 31
         assert 0 < report.details["dims"][0]["failure_bound"] < 1e-3
 
+    def test_group_action_decides_each_base_pair_once(self, monkeypatch):
+        # per sample and kind: the base pair once, then the right and the
+        # left action's pairs, each compared with that one verdict
+        calls = count_calls(monkeypatch, harness, "rigid_pair_by_equations")
+        report = run_experiment("GROUP_ACTION", {"samples": 2, "seed": 2})
+        assert report.passed, report.failures
+        assert len(calls) == 2 * 2 * 3
+
     def test_report_reproducible(self):
         a = run_experiment("SEPARATE", {"samples": 3, "seed": 11})
         b = run_experiment("SEPARATE", {"samples": 3, "seed": 11})

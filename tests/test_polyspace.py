@@ -278,19 +278,24 @@ class TestContractionMatchesReference:
         got = all_octics_symbolic(rig, polarize(unit_distance_form()), (0, 1), (2, 3))
         assert len(got) == 441 and all(q.is_zero() for q in got)
 
-    @pytest.mark.parametrize("kind", ["int", "fraction", "height-1e7"])
+    @pytest.mark.parametrize("kind", ["int", "fraction", "height-1e3", "height-1e7"])
     def test_first_product_width_keeps_the_stored_rows(self, kind, monkeypatch):
-        # X_u T is taken in int64 while max|X_u| times the sum of |T| is
-        # below 2^63 (the int and Fraction rigs), else on Python ints (the
-        # height-10^7 rig); with every product forced onto Python ints the
-        # stored rows come out the same, dtypes included
+        # X is built in int64 while 4 max|table|^2 is below 2^63, and X_u T
+        # is taken in int64 while that bound times the sum of |T| is: both
+        # on the int and Fraction rigs, only X on the height-10^3 rig,
+        # neither on the height-10^7 rig; with every product forced onto
+        # Python ints the stored rows come out the same, dtypes included
         rig = {"int": lambda: random_rig(random.Random(389), 2),
                "fraction": lambda: fraction_rig(random.Random(401)),
+               "height-1e3": lambda: random_rig(random.Random(409), 2, height=10 ** 3),
                "height-1e7": lambda: random_rig(random.Random(409), 2, height=10 ** 7)}[kind]()
         t = polarize(unit_distance_form())
-        x, _ = polyspace._outer_rows(rig, 0, 1)
+        x, _, bound = polyspace._outer_rows(rig, 0, 1)
+        assert x.dtype == (object if kind == "height-1e7" else np.int64)
+        assert _max_abs(x) <= bound == 4 * _max_abs(rig.minor_table(0, 1)[0]) ** 2
         gram = _gram(t, True, 2, 2)[0]
-        assert (_max_abs(x) * sum(map(abs, gram.ravel().tolist())) >= 2 ** 63) == (kind == "height-1e7")
+        assert ((bound * sum(map(abs, gram.ravel().tolist())) >= 2 ** 63)
+                == kind.startswith("height"))
         rows = np.arange(0, 21, 4)
 
         def stored():
