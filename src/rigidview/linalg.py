@@ -171,7 +171,11 @@ def _cleared(values):
 
 
 def _max_abs(values: np.ndarray) -> int:
-    """max |entry| of an int64 or object integer array as a Python int (0 if empty)."""
+    """max |entry| of an int64 or object integer array as a Python int (0 if empty).
+    int64 arrays are scanned by numpy and their extremes negated as Python
+    ints, which stays exact at -2^63."""
+    if values.dtype == np.int64:
+        return max(int(values.max()), -int(values.min())) if values.size else 0
     return max(map(abs, values.ravel().tolist()), default=0)
 
 

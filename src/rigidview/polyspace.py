@@ -99,6 +99,17 @@ def _row_values(nums: np.ndarray, den: int) -> list:
     return values
 
 
+def _frozen(row) -> tuple:
+    """A cleared row ``(cols, nums, den)``, or its ``(cols, nums)``, with
+    both arrays made read-only.  Views of a read-only array are born
+    read-only, so builders of many rows mark the arrays they slice the rows
+    from once."""
+    for x in row[:2]:
+        if x.flags.writeable:
+            x.flags.writeable = False
+    return row
+
+
 class _Terms(Mapping):
     """Exponent tuple -> coefficient, a read-only view of a polynomial's
     cleared row in row order.  ``len`` and iteration derive no coefficient;
@@ -156,6 +167,8 @@ class MultiHomogPoly:
     coefficients' reduced denominators.  Every rank and failure bound reads
     it; :attr:`terms` is a read-only mapping over it (``dict(q.terms)`` is a
     mutable copy), and ``==`` compares the rows as column -> value maps.
+    The row's two arrays are read-only (:func:`_frozen`): the rank hand-off
+    of :func:`span_dimension` relies on a polynomial never changing.
     """
 
     __slots__ = ("n", "multidegree", "_row")
@@ -182,19 +195,20 @@ class MultiHomogPoly:
             cols.append(col)
             coefs.append(c)
         if not cols:
-            self._row = (np.zeros(0, np.uint8), np.zeros(0, np.int64), 1)
+            self._row = _frozen((np.zeros(0, np.uint8), np.zeros(0, np.int64), 1))
             return
-        self._row = (np.array(cols, dtype=np.min_scalar_type(len(basis))), *_clear(coefs))
+        self._row = _frozen((np.array(cols, dtype=np.min_scalar_type(len(basis))), *_clear(coefs)))
 
     @classmethod
     def _trusted(cls, n: int, multidegree: tuple, row) -> "MultiHomogPoly":
         """A polynomial from its cleared row over the basis of
         ``multidegree``, nothing checked or copied: ``row`` lists distinct
-        columns with nonzero numerators, reduced against den."""
+        columns with nonzero numerators, reduced against den.  Its arrays
+        are made read-only."""
         poly = cls.__new__(cls)
         poly.n = n
         poly.multidegree = multidegree if len(row[0]) else None
-        poly._row = row
+        poly._row = _frozen(row)
         return poly
 
     @property
@@ -339,7 +353,7 @@ def _contract_octics(rig: CameraRig, tensor: QuadTensor, pair_u, pair_v,
     # one nonzero scan of the whole matrix, split into rows: row-major, so
     # each row's columns come in ascending order
     nonzero = coefs != 0
-    cols, nums = np.broadcast_to(perm, coefs.shape)[nonzero], coefs[nonzero]
+    cols, nums = _frozen((np.broadcast_to(perm, coefs.shape)[nonzero], coefs[nonzero]))
     ends = np.cumsum(nonzero.sum(axis=1)).tolist()
     out = []
     for start, end, row_den in zip([0] + ends, ends, (den // g).tolist()):
@@ -409,7 +423,7 @@ def ideal_component_basis(rig: CameraRig) -> list:
     m = np.arange(36)[:, None, None]
     cols = np.concatenate([(36 * pair + m).transpose(1, 0, 2).reshape(324, -1),  # (c, d, m)
                            (pair + 36 * m).reshape(324, -1)])                    # (m, c, d)
-    cols = cols.astype(np.min_scalar_type(6 ** 4))
+    cols, nums = _frozen((cols.astype(np.min_scalar_type(6 ** 4)), nums))
     return [MultiHomogPoly._trusted(2, (2, 2, 2, 2), (row, nums, den)) for row in cols]
 
 
@@ -443,9 +457,11 @@ def _check_rank_modulus(p) -> None:
 PANEL_WIDTH = 128
 # Panels at most this wide are eliminated column by column.
 _LEAF_WIDTH = 32
-# Rows per trailing-update product, which bounds its float64 temporaries.
+# Rows and columns per trailing-update product, which bound its float64
+# temporaries.
 _UPDATE_ROWS = 128
-# Rows per fill of coefficient_matrix_modp, which bounds its temporaries.
+_UPDATE_COLUMNS = 256
+# Rows per chunk of _residue_chunks, which bounds the fills' temporaries.
 _FILL_ROWS = 64
 
 
@@ -464,13 +480,12 @@ def _reduce(x: np.ndarray, p: int, work: np.ndarray) -> None:
     np.subtract(x, p, out=x, where=x >= p)
 
 
-def _limb_operands(a: np.ndarray, b: np.ndarray, p: int):
-    """Float64 matrices whose product is congruent to a @ b mod p: a and
-    a * 2^15 mod p side by side, against the low and high 15-bit limbs of
-    b, all centered.  a has residues in [0, p) and at most PANEL_WIDTH
-    columns; b is overwritten.  a * 2^15 is below 2^46 and is reduced in
-    float64 by :func:`_reduce`, with the left half as its work array before a
-    is written there."""
+def _limb_left(a: np.ndarray, p: int) -> np.ndarray:
+    """The float64 left operand of a product congruent to a @ b mod p: a
+    and a * 2^15 mod p side by side, centered.  a has residues in [0, p) and
+    at most PANEL_WIDTH columns.  a * 2^15 is below 2^46 and is reduced in
+    float64 by :func:`_reduce`, with the left half as its work array before
+    a is written there."""
     q = a.shape[1]
     left = np.empty((a.shape[0], 2 * q))
     np.multiply(a, 1 << 15, out=left[:, q:])
@@ -478,12 +493,27 @@ def _limb_operands(a: np.ndarray, b: np.ndarray, p: int):
     left[:, :q] = a
     # about half the entries move, which the masked where= loops take slowly
     left -= (left > p // 2) * float(p)
+    return left
+
+
+def _limb_right(b: np.ndarray, p: int) -> np.ndarray:
+    """The float64 right operand against :func:`_limb_left`: the low and
+    high 15-bit limbs of b's centered residues, stacked.  b has residues in
+    [0, p) and is overwritten."""
+    q = b.shape[0]
     b -= (b > p // 2) * p
     right = np.empty((2 * q, b.shape[1]))
     np.bitwise_and(b, 0x7FFF, out=right[:q])
     np.right_shift(b, 15, out=b)
     right[q:] = b
-    return left, right
+    return right
+
+
+def _limb_operands(a: np.ndarray, b: np.ndarray, p: int):
+    """Float64 matrices whose product is congruent to a @ b mod p:
+    :func:`_limb_left` of a and :func:`_limb_right` of b, which is
+    overwritten."""
+    return _limb_left(a, p), _limb_right(b, p)
 
 
 def _add_product(c: np.ndarray, left: np.ndarray, right: np.ndarray, p: int) -> None:
@@ -547,44 +577,67 @@ def _eliminate_panel(x: np.ndarray, p: int):
     return np.concatenate([pivots1, rest1[order2]]), q1 + q2, e
 
 
-def _modp_rank(a: np.ndarray, p: int) -> int:
+def _modp_rank(a: np.ndarray, p: int) -> np.ndarray:
     """Rank of the int64 matrix a over GF(p), p a prime below 2^31, by
-    blocked elimination (Dumas, Giorgi and Pernet, FFLAS-FFPACK, 2008): per
-    panel of PANEL_WIDTH columns, the rows with an entry there are
+    blocked elimination (Dumas, Giorgi and Pernet, FFLAS-FFPACK, 2008),
+    returned as the pivot rows: the positions in a of rank-many rows whose
+    original entries form a basis of a's row space mod p.
+
+    Per panel of PANEL_WIDTH columns, the rows with an entry there are
     eliminated on the panel, and the other non-pivot rows' trailing columns
     are replaced by their Schur complement, one float64 BLAS product per
-    _UPDATE_ROWS rows, exact below 2^53 and reduced mod p in float64 (see
-    :func:`_add_product`).  Rows that become zero are dropped, so the fewer
-    panels a dependent row needs to fall into the span of the pivots chosen
-    so far, the less work it costs: :func:`span_dimension` passes its rows
-    sorted by leading column for that reason, the remainder of its sparse
-    pass when some row is sparse, else all rows.  Entries outside [0, p) are
-    reduced first.  The work is done in a itself, which is overwritten: a
-    second copy of the union's coefficient matrix would be most of a span
-    request's peak memory."""
+    _UPDATE_ROWS rows and _UPDATE_COLUMNS columns, exact below 2^53 and
+    reduced mod p in float64 (see :func:`_add_product`).  Each row then
+    equals its original plus a combination of the original pivot rows
+    taken so far, so a row that becomes zero lies in their span and is
+    dropped, and the pivot rows span what every row spans.  The fewer panels
+    a dependent row needs to fall into that span, the less work it costs:
+    :func:`span_dimension` fills the columns in the order of
+    :func:`_column_order`, whose first panel holds the octics' full rank,
+    and passes the rows sorted by leading column in that order.  Entries outside [0, p) are reduced first.  The work is done in a
+    itself, which is overwritten: a second copy of the coefficient matrix
+    would be most of a span request's peak memory."""
     if a.size and (a.min() < 0 or a.max() >= p):
         np.mod(a, p, out=a)
     rows = np.flatnonzero(a.any(axis=1))
-    rank = 0
+    basis = [np.zeros(0, dtype=np.intp)]
     for c in range(0, a.shape[1], PANEL_WIDTH):
         if rows.size == 0:
             break
         hit = a[rows, c:c + PANEL_WIDTH].any(axis=1)
         touched = rows[hit]
         order, q, e = _eliminate_panel(a[touched, c:c + PANEL_WIDTH], p)
-        rank += q
-        touched = touched[order]
-        trailing = slice(c + PANEL_WIDTH, None)
-        left, right = _limb_operands(e, a[touched[:q], trailing], p)
-        keep = [rows[~hit]]
-        for s in range(q, touched.size, _UPDATE_ROWS):
-            block_rows = touched[s:s + _UPDATE_ROWS]
-            block = a[block_rows, trailing]
-            _add_product(block, left[s - q:s - q + _UPDATE_ROWS], right, p)
-            a[block_rows, trailing] = block
-            keep.append(block_rows[block.any(axis=1)])
-        rows = np.sort(np.concatenate(keep))
-    return rank
+        pivots, rest = touched[order[:q]], touched[order[q:]]
+        basis.append(pivots)
+        rows = rows[~hit]
+        if rest.size == 0:
+            continue
+        left = _limb_left(e, p)
+        live = np.zeros(rest.size, dtype=bool)
+        for t in range(c + PANEL_WIDTH, a.shape[1], _UPDATE_COLUMNS):
+            cols = slice(t, t + _UPDATE_COLUMNS)
+            right = _limb_right(a[pivots, cols], p)
+            for s in range(0, rest.size, _UPDATE_ROWS):
+                block_rows = rest[s:s + _UPDATE_ROWS]
+                block = a[block_rows, cols]
+                _add_product(block, left[s:s + _UPDATE_ROWS], right, p)
+                a[block_rows, cols] = block
+                live[s:s + _UPDATE_ROWS] |= block.any(axis=1)
+        rows = np.sort(np.concatenate([rows, rest[live]]))
+    return np.concatenate(basis)
+
+
+@lru_cache(maxsize=8)
+def _column_order(size: int) -> np.ndarray:
+    """The place of each of ``size`` basis columns in the dense
+    elimination's column order: one fixed pseudo-random permutation per
+    basis size, read-only.  The rank does not depend on the column order,
+    but the work does: in the monomial order the octics' first panel of
+    128 columns has rank 57 of their 126, in a random order the full 126, so
+    every dependent row drops after one panel."""
+    order = np.random.default_rng(size).permutation(size)
+    order.flags.writeable = False
+    return order
 
 
 def _residue_chunks(polys: Sequence[MultiHomogPoly], p: int):
@@ -612,6 +665,16 @@ def _residue_chunks(polys: Sequence[MultiHomogPoly], p: int):
         yield at, cols, nums.astype(np.int64, copy=False) * inv % p
 
 
+def _fill(polys: Sequence[MultiHomogPoly], p: int, size: int, place: np.ndarray) -> np.ndarray:
+    """The rows of :func:`_residue_chunks` as a dense int64 matrix of
+    ``size`` columns, basis column c at column ``place[c]``."""
+    out = np.zeros((len(polys), size), dtype=np.int64)
+    flat = out.reshape(-1)
+    for at, cols, values in _residue_chunks(polys, p):
+        flat[at * size + place[cols]] = values
+    return out
+
+
 def coefficient_matrix_modp(polys: Sequence[MultiHomogPoly], p: int) -> np.ndarray:
     """Rows of coefficients over the shared monomial basis, reduced mod p.
 
@@ -622,11 +685,7 @@ def coefficient_matrix_modp(polys: Sequence[MultiHomogPoly], p: int) -> np.ndarr
     divides some coefficient's denominator."""
     degree = _shared_degree(polys)
     size = len(_basis_index(polys[0].n, degree)[0])
-    out = np.zeros((len(polys), size), dtype=np.int64)
-    flat = out.reshape(-1)
-    for at, cols, values in _residue_chunks(polys, p):
-        flat[at * size + cols] = values
-    return out
+    return _fill(polys, p, size, np.arange(size))
 
 
 def _shared_degree(polys):
@@ -728,11 +787,31 @@ def _eliminate_pivots(rt: np.ndarray, leads: np.ndarray, entries, p: int) -> Non
         rt[c] = x
 
 
+# span_dimension's one-shot hand-off: (modulus, the nonzero polynomials of
+# the last all-dense rank, its pivot rows among them), or None.  The
+# polynomials are immutable and held here, so no identity can be reused;
+# each read and write is one reference, so two threads can at worst both
+# take one slot, valid for both, or recompute.
+_handoff = None
+
+
 def span_dimension(polys: Sequence[MultiHomogPoly], modulus: int) -> int:
     """Dimension of the linear span inside the fixed multidegree component,
     taken modulo the prime ``modulus``.
 
-    Sparse rows first: a row with at most 1/SPARSE_DIVISOR of the basis
+    Hand-off first: when the last call that took the all-dense route below
+    (the slot ``_handoff``) used the same modulus and ranked only
+    polynomials that are in ``polys`` (the same objects, ``is``), this call
+    empties the slot and drops those of them that were not its pivot rows.
+    The pivot rows span the others mod p (see :func:`_modp_rank`), so the
+    span and the result are unchanged; the dropped rows were read under
+    this modulus by that call, and raise nothing.  A call that does not
+    match neither takes nor clears the slot.  The slot holds its
+    polynomials until a call takes or replaces it, and every thread shares
+    it: concurrent calls at worst both take one slot, valid for both, or
+    recompute.  :func:`octic_span`'s union rank takes the octics' slot.
+
+    Sparse rows next: a row with at most 1/SPARSE_DIVISOR of the basis
     size in nonzeros is sparse, and :func:`_sparse_pivots` takes one
     sparse row per distinct leading column mod p as a pivot (Faugere and
     Lachartre, PASCO 2010).  The k pivots are in echelon form and add k to
@@ -740,23 +819,25 @@ def span_dimension(polys: Sequence[MultiHomogPoly], modulus: int) -> int:
     transposed and reduced by the pivots sparsely
     (:func:`_eliminate_pivots`), and their remainder at the columns that
     lead no pivot goes to the dense elimination.  Input with no sparse row
-    goes to it directly.
+    goes to it directly, and its polynomials and pivot rows are left in
+    the slot for the next call.
 
     The dense elimination is blocked, mod p (:func:`_modp_rank`), and p must
     be a prime below 2^31 (else ValueError): its products run in float64
     on residues centered below 2^30 times 15-bit limbs, and stay exact only
     while every sum of 2 * PANEL_WIDTH such terms, plus a residue, is below
-    2^53; the sums are reduced mod p in float64 too.  Its rows go to it
-    sorted by leading column (stably, on a copy of the list: the caller's
-    keeps its order), which leaves the rank unchanged and lets dependent
-    rows drop out after fewer panels.
+    2^53; the sums are reduced mod p in float64 too.  Its columns are taken
+    in the fixed order of :func:`_column_order` and its rows sorted by
+    leading column in that order (stably, on a copy of the list: the
+    caller's keeps its order), which leaves the rank unchanged and lets
+    dependent rows drop out after fewer panels.
 
     The rank over GF(p) does not depend on how it is computed, so the bound
-    below holds for the sparse pass as for the dense route.  The result
-    never exceeds the rational rank r.  It is smaller only if p divides one
-    fixed nonzero r x r minor M of the row-cleared integer coefficient
-    matrix; |M| is at most the Hadamard bound H, so at most log2(H)/30
-    primes of 30 bits or more divide it.  A prime from
+    below holds for the sparse pass and the hand-off as for the dense route.
+    The result never exceeds the rational rank r.  It is smaller only if p
+    divides one fixed nonzero r x r minor M of the row-cleared integer
+    coefficient matrix; |M| is at most the Hadamard bound H, so at most
+    log2(H)/30 primes of 30 bits or more divide it.  A prime from
     :func:`random_rank_prime`, uniform over the RANK_PRIME_COUNT (about
     5.07e7) primes in [2^30, 2^31), therefore gives a smaller rank with
     probability at most (log2(H)/30) / RANK_PRIME_COUNT, the figure
@@ -766,22 +847,35 @@ def span_dimension(polys: Sequence[MultiHomogPoly], modulus: int) -> int:
     The rows are each polynomial's cleared row (see :class:`MultiHomogPoly`)
     reduced by :func:`_residue_chunks`, which raises ValueError when p
     divides a row's denominator, that is some coefficient's denominator;
-    every row is read, pivots included.  Mixed multidegrees raise
-    ValueError.
+    every row not dropped by the hand-off is read, pivots included.  Mixed
+    multidegrees raise ValueError.
     """
+    global _handoff
     _check_rank_modulus(modulus)
     polys = [q for q in polys if not q.is_zero()]
+    # read before the hand-off drops rows, as every row is checked
+    degree = _shared_degree(polys) if polys else None
+    slot = _handoff
+    if slot is not None and slot[0] == modulus:
+        held = set(map(id, polys))
+        if all(id(q) in held for q in slot[1]):
+            _handoff = None
+            dropped = set(map(id, slot[1])).difference(map(id, slot[2]))
+            polys = [q for q in polys if id(q) not in dropped]
     if not polys:
         return 0
-    size = len(_basis_index(polys[0].n, _shared_degree(polys))[0])
+    size = len(_basis_index(polys[0].n, degree)[0])
+    place = _column_order(size)
     sparse = [len(q._row[0]) * SPARSE_DIVISOR <= size for q in polys]
     if not any(sparse):
-        # the rows by leading column, the smallest basis position of each
+        # the rows by leading column, the smallest place of each
         cols = [q._row[0] for q in polys]
         starts = np.cumsum([0] + [len(c) for c in cols[:-1]])
-        lead = np.minimum.reduceat(np.concatenate(cols), starts)
+        lead = np.minimum.reduceat(place[np.concatenate(cols)], starts)
         polys = [polys[i] for i in np.argsort(lead, kind="stable").tolist()]
-        return _modp_rank(coefficient_matrix_modp(polys, modulus), modulus)
+        pivots = _modp_rank(_fill(polys, modulus, size, place), modulus)
+        _handoff = (modulus, polys, [polys[i] for i in pivots.tolist()])
+        return len(pivots)
     leads, entries, rest = _sparse_pivots([q for q, s in zip(polys, sparse) if s], modulus)
     rest += [q for q, s in zip(polys, sparse) if not s]
     if not rest:
@@ -793,13 +887,15 @@ def span_dimension(polys: Sequence[MultiHomogPoly], modulus: int) -> int:
     _eliminate_pivots(rt, leads, entries, modulus)
     free = np.ones(size, dtype=bool)
     free[leads] = False
-    remainder = rt[free].T
+    free = np.flatnonzero(free)
+    # the remainder at the free columns, in their elimination order
+    remainder = rt[free[np.argsort(place[free])]].T
     del rt
     # the remainder's nonzero rows by leading column
     nonzero = remainder != 0
     live = np.flatnonzero(nonzero.any(axis=1))
     order = live[np.argsort(nonzero[live].argmax(axis=1), kind="stable")]
-    return len(leads) + _modp_rank(remainder[order], modulus)
+    return len(leads) + len(_modp_rank(remainder[order], modulus))
 
 
 def _height_bits(polys: Sequence[MultiHomogPoly]) -> float:
@@ -839,7 +935,11 @@ def octic_span(rig: CameraRig, modulus: int) -> dict:
     prime ``modulus``: the span dimension of the 441 unit-distance octics,
     that of the (2,2,2,2) slice of the consistency ideal, the octics'
     dimension modulo that slice (the union's span minus the slice's), and the
-    :func:`quotient_failure_bound` of a random prime."""
+    :func:`quotient_failure_bound` of a random prime.  The octics' rank is
+    taken first and the union's right after it, so the union takes the
+    octics' pivot rows from :func:`span_dimension`'s hand-off and ranks the
+    slice with those 126 octics only; the slice's rank in between leaves the
+    hand-off as it is."""
     octics = all_octics_symbolic(rig, polarize(unit_distance_form()))
     component = ideal_component_basis(rig)
     span = span_dimension(octics, modulus)

@@ -394,3 +394,20 @@ class TestIntArray:
     def test_max_abs_at_the_int64_minimum(self):
         arr = np.array([3, -INT64_LIMIT], dtype=np.int64)
         assert _max_abs(arr) == INT64_LIMIT and type(_max_abs(arr)) is int
+
+    @pytest.mark.parametrize("values", [
+        np.zeros(0, dtype=np.int64),
+        np.zeros((0, 4), dtype=np.int64),
+        np.array([[0, 0], [0, 0]], dtype=np.int64),
+        np.array([[-INT64_LIMIT, INT64_LIMIT - 1]], dtype=np.int64),
+        np.array([INT64_LIMIT - 1, -5], dtype=np.int64),
+        np.array([-(INT64_LIMIT - 1), 7], dtype=np.int64),
+        np.random.default_rng(3).integers(-2 ** 62, 2 ** 62, size=(756, 16)),
+        np.zeros(0, dtype=object),
+        np.array([3, -(2 ** 80), 2 ** 70], dtype=object),
+        np.array([[-INT64_LIMIT, 4], [1, -2]], dtype=object),
+    ])
+    def test_max_abs_matches_python_ints(self, values):
+        # int64 input takes numpy's extremes, object input Python's abs
+        want = max(map(abs, values.ravel().tolist()), default=0)
+        assert _max_abs(values) == want and type(_max_abs(values)) is int

@@ -45,6 +45,13 @@ from rigidview.polyspace import (
 from rigidview.triangulation import assemble_b
 
 
+@pytest.fixture(autouse=True)
+def empty_handoff(monkeypatch):
+    """Every test starts from an empty rank hand-off slot, so that no test
+    depends on what an earlier one ranked."""
+    monkeypatch.setattr(polyspace, "_handoff", None)
+
+
 def random_image_point(rng):
     while True:
         c = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3))
@@ -408,6 +415,19 @@ class TestClearedRows:
     the contraction and the component build, or the one derived from the
     terms; the per-term reference is the independent route."""
 
+    def test_rows_are_read_only(self, families):
+        # span_dimension's hand-off keeps polynomials by identity, so a row
+        # must not change under it
+        built = [MultiHomogPoly(2), variable(2, "u", 0, 0)] + hand_built_polys()
+        for polys in [built] + [octics + component for octics, component in families.values()]:
+            for q in polys:
+                cols, nums, _ = q._row
+                assert not cols.flags.writeable and not nums.flags.writeable
+        octics, _ = families["height-1e6"]
+        assert any(q._row[1].dtype == object for q in octics)
+        with pytest.raises(ValueError, match="read-only"):
+            octics[0]._row[1][0] = 1
+
     @pytest.mark.parametrize("p", RANK_PRIMES)
     def test_families_match_reference(self, families, family_terms, p):
         for name, (octics, component) in families.items():
@@ -720,6 +740,43 @@ class TestSpanDimension:
             tracemalloc.stop()
         assert peak <= 1.6 * len(union) * 6 ** 4 * 8
 
+    @pytest.mark.parametrize("name", ["int", "fraction"])
+    def test_octic_rank_takes_one_panel(self, families, panels, name):
+        # in the column order the first panel holds the octics' whole rank,
+        # so every other row drops in its trailing update
+        octics, _ = families[name]
+        assert span_dimension(octics, 2 ** 31 - 1) == 126
+        assert len(panels) == 1
+
+    def test_octic_rank_memory(self, families, monkeypatch):
+        # the octics' 441 x 1296 int64 matrix is most of their rank's peak;
+        # the column order puts the whole rank in the first panel, whose
+        # trailing update goes in blocks of _UPDATE_ROWS x _UPDATE_COLUMNS
+        octics, _ = families["int"]
+        size = len(octics) * 6 ** 4 * 8
+        added = []
+
+        def measured(a, p):
+            # a is allocated already: count what the elimination adds
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            pivots = _modp_rank(a, p)
+            added.append(tracemalloc.get_traced_memory()[1] - base)
+            return pivots
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert span_dimension(octics, 2 ** 31 - 1) == 126
+            peak = tracemalloc.get_traced_memory()[1] - base
+            monkeypatch.setattr(polyspace, "_handoff", None)
+            monkeypatch.setattr(polyspace, "_modp_rank", measured)
+            assert span_dimension(octics, 2 ** 31 - 1) == 126
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.8 * size
+        assert len(added) == 1 and added[0] <= 0.75 * size
+
     def test_permutation_and_scaling_invariance(self):
         rng = random.Random(359)
         rig = random_rig(rng, 2)
@@ -731,6 +788,22 @@ class TestSpanDimension:
         rescaled = [scaled(q, Fraction(rng.randint(1, 9), rng.randint(1, 9))) for q in shuffled]
         assert exact_rank(rescaled) == base
         assert span_dimension(rescaled, random_rank_prime(rng)) == base
+
+
+@pytest.fixture
+def panels(monkeypatch):
+    """The shapes of the full-width panels that _modp_rank eliminates (the
+    halves that _eliminate_panel recurses on are narrower)."""
+    shapes = []
+    original = polyspace._eliminate_panel
+
+    def recorded(x, p):
+        if x.shape[1] == PANEL_WIDTH:
+            shapes.append(x.shape)
+        return original(x, p)
+
+    monkeypatch.setattr(polyspace, "_eliminate_panel", recorded)
+    return shapes
 
 
 def planted_matrix(seed, m, n, r, p):
@@ -751,7 +824,7 @@ class TestModpRank:
     @pytest.mark.parametrize("r", [17, 150, 300])
     def test_planted_rank_deficiency_matches_reference(self, p, r):
         a = planted_matrix(p + r, 300, 700, r, p)
-        assert _modp_rank(a.copy(), p) == reference_modp_rank(a, p)
+        assert len(_modp_rank(a.copy(), p)) == reference_modp_rank(a, p)
 
     @pytest.mark.parametrize("p", RANK_PRIMES)
     @pytest.mark.parametrize("r", [17, 150, 300])
@@ -761,25 +834,49 @@ class TestModpRank:
         # zero rows sort last
         lead = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), a.shape[1])
         a = a[np.argsort(lead, kind="stable")]
-        assert _modp_rank(a.copy(), p) == reference_modp_rank(a, p)
+        assert len(_modp_rank(a.copy(), p)) == reference_modp_rank(a, p)
+
+    @pytest.mark.parametrize("p", RANK_PRIMES)
+    @pytest.mark.parametrize("r", [17, 150, 300])
+    @pytest.mark.parametrize("width", [
+        PANEL_WIDTH + polyspace._UPDATE_COLUMNS + 5,
+        2 * PANEL_WIDTH + 2 * polyspace._UPDATE_COLUMNS + 1])
+    def test_pivot_rows_are_a_basis(self, p, r, width):
+        # trailing widths that end past a chunk boundary, on more rows than
+        # one update block
+        a = planted_matrix(p + r + width, 2 * polyspace._UPDATE_ROWS + 44, width, r, p)
+        pivots = _modp_rank(a.copy(), p)
+        rank = reference_modp_rank(a, p)
+        assert len(pivots) == len(set(pivots.tolist())) == rank
+        assert reference_modp_rank(a[pivots], p) == rank
+
+    def test_full_rank_first_panel_drops_every_other_row(self, panels):
+        # rows of rank 100 spread over every column: one panel finds them,
+        # and the dependent rows fall to zero in its trailing update
+        p = 65521
+        rng = np.random.default_rng(7)
+        a = rng.integers(0, p, size=(300, 100)) @ rng.integers(0, p, size=(100, 900)) % p
+        pivots = _modp_rank(a.copy(), p)
+        assert len(pivots) == reference_modp_rank(a[pivots], p) == 100
+        assert panels == [(300, PANEL_WIDTH)]
 
     @pytest.mark.parametrize("p", RANK_PRIMES)
     def test_random_tall_matrix_matches_reference(self, p):
         a = np.random.default_rng(p).integers(-2 ** 40, 2 ** 40, size=(400, 2 * PANEL_WIDTH + 5))
         a[50] = a[3] - 5 * a[17]
-        assert _modp_rank(a.copy(), p) == reference_modp_rank(a, p)
+        assert len(_modp_rank(a.copy(), p)) == reference_modp_rank(a, p)
 
     def test_entries_p_minus_1(self):
         p = 2 ** 31 - 1
         a = np.full((260, 300), p - 1)
         a[::3, 2::5] = 1
-        assert _modp_rank(a.copy(), p) == reference_modp_rank(a, p)
+        assert len(_modp_rank(a.copy(), p)) == reference_modp_rank(a, p)
 
     def test_empty_and_zero_matrices(self):
-        assert _modp_rank(np.zeros((0, 5), dtype=np.int64), 3) == 0
-        assert _modp_rank(np.zeros((4, 0), dtype=np.int64), 3) == 0
-        assert _modp_rank(np.zeros((4, 300), dtype=np.int64), 3) == 0
-        assert _modp_rank(np.full((4, 300), 6), 3) == 0
+        assert len(_modp_rank(np.zeros((0, 5), dtype=np.int64), 3)) == 0
+        assert len(_modp_rank(np.zeros((4, 0), dtype=np.int64), 3)) == 0
+        assert len(_modp_rank(np.zeros((4, 300), dtype=np.int64), 3)) == 0
+        assert len(_modp_rank(np.full((4, 300), 6), 3)) == 0
 
     @pytest.mark.parametrize("added", ["random", "p - 1"])
     def test_product_exact_near_the_float64_bound(self, added):
@@ -823,7 +920,8 @@ class TestModpRank:
 
 @pytest.fixture
 def dense_ranks(monkeypatch):
-    """The shapes of the matrices that span_dimension hands to _modp_rank."""
+    """The shapes of the matrices that span_dimension hands to _modp_rank,
+    its one dense elimination."""
     shapes = []
 
     def recorded(a, p):
@@ -1025,6 +1123,136 @@ class TestOcticSpan:
         # random rig it takes minutes
         octics = all_octics_symbolic(standard_rig(), polarize(unit_distance_form()))
         assert exact_rank(octics) == 126
+
+
+@pytest.fixture(scope="module")
+def criterion_05_families():
+    """The 441 octics, the (2,2,2,2) slice and the prime of each of the five
+    rigs of acceptance criterion 05."""
+    out = []
+    for idx in range(5):
+        rng = random.Random(_sub_seed(105, idx))
+        rig = harness_random_rig(rng, 2, 20)
+        octics = all_octics_symbolic(rig, polarize(unit_distance_form()))
+        out.append((octics, ideal_component_basis(rig), random_rank_prime(rng)))
+    return out
+
+
+def full_rank(polys, p):
+    """reference_modp_rank of the nonzero polynomials' coefficient rows."""
+    return reference_modp_rank(coefficient_matrix_modp([q for q in polys if not q.is_zero()], p), p)
+
+
+class TestRankHandOff:
+    """span_dimension hands the pivot rows of an all-dense rank to the next
+    call once, when that call has the same modulus and holds every
+    polynomial the rank ranked (the same objects); ``dense_ranks`` shows how
+    many rows the union's dense elimination is left."""
+
+    # the union's dense rows when it takes the octics' 126 pivot rows: the
+    # slice's sparse pivots span the slice, so only octic rows remain
+    HANDED_OFF_ROWS = 126
+
+    @pytest.mark.parametrize("idx", range(5))
+    def test_union_after_octics_equals_fresh_and_reference(self, idx, criterion_05_families,
+                                                           dense_ranks, panels):
+        octics, component, p = criterion_05_families[idx]
+        union = component + octics
+        assert span_dimension(octics, p) == 126
+        slot = polyspace._handoff
+        assert slot[0] == p and len(slot[2]) == 126
+        assert {id(q) for q in slot[1]} == {id(q) for q in octics}
+        assert {id(q) for q in slot[2]} <= {id(q) for q in octics}
+        assert full_rank(slot[2], p) == 126
+        # the slice's rank in between neither takes nor clears the slot
+        assert span_dimension(component, p) == 567
+        assert polyspace._handoff is slot
+        assert span_dimension(union, p) == 567 + 9
+        assert polyspace._handoff is None
+        assert dense_ranks[-1][0] <= self.HANDED_OFF_ROWS
+        # from an empty slot the union ranks every octic
+        assert span_dimension(union, p) == 567 + 9 == full_rank(union, p)
+        assert dense_ranks[-1][0] > self.HANDED_OFF_ROWS
+        # in the column order each of the three dense ranks takes one panel
+        assert len(panels) == 3
+
+    @pytest.mark.parametrize("change", ["prime", "missing", "copies"])
+    def test_a_call_that_does_not_match_recomputes(self, change, criterion_05_families,
+                                                   dense_ranks):
+        octics, component, p = criterion_05_families[0]
+        assert span_dimension(octics, p) == 126
+        slot = polyspace._handoff
+        modulus, held = p, octics
+        if change == "prime":
+            modulus = random_rank_prime(random.Random(439))
+            assert modulus != p
+        elif change == "missing":
+            held = octics[:200] + octics[201:]
+        else:
+            held = [MultiHomogPoly._trusted(q.n, q.multidegree, q._row) for q in octics]
+            assert held[0] == octics[0] and held[0] is not octics[0]
+        got = span_dimension(component + held, modulus)
+        assert polyspace._handoff is slot
+        assert dense_ranks[-1][0] > self.HANDED_OFF_ROWS
+        polyspace._handoff = None
+        assert got == span_dimension(component + held, modulus) == 567 + 9
+
+    @pytest.mark.parametrize("p", [5, 65521, 2 ** 31 - 1])
+    def test_random_families(self, p):
+        rng = np.random.default_rng(p + 3)
+
+        def dense_rows(k):
+            # at least 6 nonzeros each: PASS_BASIS counts at most 5 as sparse
+            return [dense_row(rng, p, rng.choice(81, int(rng.integers(6, 40)), replace=False).tolist())
+                    for _ in range(k)]
+
+        for _ in range(6):
+            rows = dense_rows(int(rng.integers(1, 30)))
+            # positive combinations of earlier rows: dependent, and dense
+            rows += [{c: 2 * rows[0].get(c, 0) + 3 * rows[-1].get(c, 0)
+                      for c in rows[0].keys() | rows[-1].keys()} for _ in range(3)]
+            ranked = polys_of(rows)
+            ranked.append(scaled(ranked[1], Fraction(2, 3)))
+            assert span_dimension(ranked, p) == full_rank(ranked, p)
+            slot = polyspace._handoff
+            assert slot is not None and slot[0] == p and len(slot[2]) < len(ranked)
+            # one sparse row sends the union down the sparse route
+            others = polys_of(dense_rows(int(rng.integers(0, 20))) + [{int(rng.integers(0, 81)): 1}])
+            union = others + ranked[::-1] + ranked[:2]
+            want = full_rank(union, p)
+            assert span_dimension(union, p) == want
+            assert polyspace._handoff is None
+            assert span_dimension(union, p) == want
+
+    def test_a_slot_of_rank_zero(self):
+        # dense rows that vanish mod p: the slot keeps no pivot row, and a
+        # call that takes it drops every one of them
+        p = 7
+        zeros = polys_of([{c: p * (c + 1) for c in range(i, i + 8)} for i in range(3)])
+        assert span_dimension(zeros, p) == 0
+        assert polyspace._handoff[2] == []
+        assert span_dimension(zeros, p) == 0
+        assert polyspace._handoff is None
+        # the dropped rows still count for the multidegree check
+        assert span_dimension(zeros, p) == 0
+        with pytest.raises(ValueError, match="mixed"):
+            span_dimension(zeros + [variable(2, "u", 0, 0)], p)
+
+    def test_a_denominator_that_p_divides_leaves_no_slot(self):
+        p = 65537
+        rng = np.random.default_rng(5)
+        rows = [dense_row(rng, p, range(i, i + 8)) for i in range(4)]
+        raising = polys_of(rows[:3] + [{**rows[3], 9: Fraction(1, p)}])
+        with pytest.raises(ValueError, match="denominator"):
+            span_dimension(raising, p)
+        assert polyspace._handoff is None
+        # a call that takes the slot and then raises leaves it empty too
+        good = polys_of(rows)
+        assert span_dimension(good, p) == 4
+        assert polyspace._handoff is not None
+        with pytest.raises(ValueError, match="denominator"):
+            span_dimension(polys_of([{0: Fraction(1, p)}]) + good, p)
+        assert polyspace._handoff is None
 
 
 class TestIdealComponent:
