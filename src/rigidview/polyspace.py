@@ -347,9 +347,13 @@ def _contract_octics(rig: CameraRig, tensor: QuadTensor, pair_u, pair_v,
     a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
     coefs = (a @ b.T).reshape(len(rows_u), 36, len(rows_v), 36).transpose(0, 2, 1, 3)
     coefs = coefs.reshape(-1, 36 * 36)
-    # g divides den and every entry of its row: the row clears to coefs / g
+    # g divides den and every entry of its row: the row clears to coefs / g.
+    # g takes few values, as it divides den, and a division by one scalar
+    # over the rows that share it is far cheaper than by an array.
     g = np.gcd(np.gcd.reduce(coefs, axis=1), den)
-    coefs //= g[:, None]
+    for d in np.unique(g).tolist():
+        if d != 1:
+            coefs[g == d] //= d
     # one nonzero scan of the whole matrix, split into rows: row-major, so
     # each row's columns come in ascending order
     nonzero = coefs != 0
@@ -465,9 +469,25 @@ _UPDATE_COLUMNS = 256
 _FILL_ROWS = 64
 
 
+def _mod(x: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
+    """x mod p as ``x - (x // p) * p``, equal to numpy's remainder in value
+    and dtype for p > 0, on int64 and object arrays; ``out`` may be x.
+    This serves every int64 residue of the ranks (float64 sums go through
+    :func:`_reduce`): numpy divides an int64 array by a scalar on a fast
+    path but takes remainders element by element, several times slower.
+    In int64 the product (x // p) * p may wrap, but the result is exact all
+    the same: the subtraction is exact modulo 2^64, and the true value lies
+    in [0, p)."""
+    q = x // p
+    q *= p
+    return np.subtract(x, q, out=out)
+
+
 def _reduce(x: np.ndarray, p: int, work: np.ndarray) -> None:
     """x mod p in place, for float64 x holding integers below 2^53 - 2^36 in
     magnitude; work is a float64 array of x's shape that is overwritten.
+    This serves the float64 sums of the products (int64 residues go through
+    :func:`_mod`), where a floor of x * (1/p) costs less than a division.
     x * (1/p) carries two roundings, so it is within |x / p| (2^-52 + 2^-106)
     < 1 of x / p, and its floor q is off by at most one: q p and x - q p are
     exact, the latter lies in (-p, 2p), and one fix-up each way brings it
@@ -550,8 +570,8 @@ def _eliminate_columns(x: np.ndarray, p: int):
         y[r, w + j] = 1
         rows, span = rows[1:], slice(c, w + j + 1)
         if rows.size:
-            factors = y[rows, c] * pow(int(y[r, c]), -1, p) % p
-            y[rows, span] = (y[rows, span] - np.outer(factors, y[r, span])) % p
+            factors = _mod(y[rows, c] * pow(int(y[r, c]), -1, p), p)
+            y[rows, span] = _mod(y[rows, span] - np.outer(factors, y[r, span]), p)
     q, rest = len(pivots), np.flatnonzero(free)
     return np.concatenate([np.array(pivots, dtype=np.intp), rest]), q, y[rest, w:w + q]
 
@@ -594,11 +614,12 @@ def _modp_rank(a: np.ndarray, p: int) -> np.ndarray:
     a dependent row needs to fall into that span, the less work it costs:
     :func:`span_dimension` fills the columns in the order of
     :func:`_column_order`, whose first panel holds the octics' full rank,
-    and passes the rows sorted by leading column in that order.  Entries outside [0, p) are reduced first.  The work is done in a
-    itself, which is overwritten: a second copy of the coefficient matrix
-    would be most of a span request's peak memory."""
+    and passes the rows sorted by leading column in that order.  Entries
+    outside [0, p) are reduced first.  The work is done in a itself, which
+    is overwritten: a second copy of the coefficient matrix would be most of
+    a span request's peak memory."""
     if a.size and (a.min() < 0 or a.max() >= p):
-        np.mod(a, p, out=a)
+        _mod(a, p, out=a)
     rows = np.flatnonzero(a.any(axis=1))
     basis = [np.zeros(0, dtype=np.intp)]
     for c in range(0, a.shape[1], PANEL_WIDTH):
@@ -647,7 +668,11 @@ def _residue_chunks(polys: Sequence[MultiHomogPoly], p: int):
     inverse of den mod p, zero residues included.  One inverse is taken per
     distinct den.  Raises ValueError when p divides a chunk's den, the lcm of
     the reduced coefficient denominators, that is when p divides some
-    coefficient's denominator."""
+    coefficient's denominator.
+
+    A chunk frees its temporaries before it is yielded, so a consumer that
+    drops each chunk before the next (as :func:`_fill` does) holds about one
+    chunk at a time."""
     inverses = {}
     for s in range(0, len(polys), _FILL_ROWS):
         rows = [poly._row for poly in polys[s:s + _FILL_ROWS]]
@@ -657,21 +682,30 @@ def _residue_chunks(polys: Sequence[MultiHomogPoly], p: int):
                     raise ValueError("prime divides a coefficient denominator; pick another prime")
                 inverses[den] = pow(den, -1, p)
         lengths = [len(cols) for cols, _, _ in rows]
-        at = np.repeat(np.arange(s, s + len(rows)), lengths)
-        cols = np.concatenate([cols for cols, _, _ in rows]).astype(np.intp)
-        nums = np.remainder(np.concatenate([nums for _, nums, _ in rows]), p)
+        values = np.concatenate([nums for _, nums, _ in rows])
+        values = _mod(values, p, out=values).astype(np.int64, copy=False)
         inv = np.repeat([inverses[den] for _, _, den in rows], lengths)
         # residues and inverses are below 2^31: the product fits in int64
-        yield at, cols, nums.astype(np.int64, copy=False) * inv % p
+        values *= inv
+        del inv
+        _mod(values, p, out=values)
+        at = np.repeat(np.arange(s, s + len(rows)), lengths)
+        cols = np.concatenate([cols for cols, _, _ in rows]).astype(np.intp)
+        yield at, cols, values
 
 
 def _fill(polys: Sequence[MultiHomogPoly], p: int, size: int, place: np.ndarray) -> np.ndarray:
     """The rows of :func:`_residue_chunks` as a dense int64 matrix of
-    ``size`` columns, basis column c at column ``place[c]``."""
+    ``size`` columns, basis column c at column ``place[c]``.  Each chunk's
+    flat index is built in its row array, and the chunk is dropped before
+    the next is built: the fill adds about one chunk to the matrix."""
     out = np.zeros((len(polys), size), dtype=np.int64)
     flat = out.reshape(-1)
     for at, cols, values in _residue_chunks(polys, p):
-        flat[at * size + place[cols]] = values
+        at *= size
+        at += place[cols]
+        flat[at] = values
+        del at, cols, values
     return out
 
 
@@ -689,17 +723,15 @@ def coefficient_matrix_modp(polys: Sequence[MultiHomogPoly], p: int) -> np.ndarr
 
 
 def _shared_degree(polys):
-    degree = None
-    for poly in polys:
-        if poly.is_zero():
-            continue
-        if degree is None:
-            degree = poly.multidegree
-        elif degree != poly.multidegree:
-            raise ValueError("polynomials have mixed multidegrees")
-    if degree is None:
+    """The one multidegree of the nonzero polynomials; a zero polynomial's
+    is None."""
+    degrees = {poly.multidegree for poly in polys}
+    degrees.discard(None)
+    if len(degrees) > 1:
+        raise ValueError("polynomials have mixed multidegrees")
+    if not degrees:
         raise ValueError("all polynomials are zero")
-    return degree
+    return degrees.pop()
 
 
 # A row is sparse, and a candidate pivot of span_dimension's sparse pass,
@@ -738,7 +770,7 @@ def _sparse_pivots(polys: Sequence[MultiHomogPoly], p: int):
     entry[firsts] = False
     pivot = pivot_of_row[at[entry]]
     rest = np.setdiff1d(at[starts], at[firsts]).tolist()
-    return cols[firsts], (pivot, cols[entry], values[entry] * scale[pivot] % p), \
+    return cols[firsts], (pivot, cols[entry], _mod(values[entry] * scale[pivot], p)), \
         [polys[i] for i in rest]
 
 
@@ -754,8 +786,8 @@ def _eliminate_pivots(rt: np.ndarray, leads: np.ndarray, entries, p: int) -> Non
     no pivot touches another's lead, so the multipliers are the rows' entries
     at the level's leads, read once, and each pivot entry (i, c, v) updates
     column c by minus v times column leads[i].  The updates go in rounds in
-    which no column repeats, each one int64 product and one ``%``: a residue
-    plus (p - 1)^2 is below 2^63 for p below 2^31."""
+    which no column repeats, each one int64 product and one :func:`_mod`: a
+    residue plus (p - 1)^2 is below 2^63 for p below 2^31."""
     pivot, cols, values = entries
     lead_pivot = np.full(len(rt), -1)
     lead_pivot[leads] = np.arange(len(leads))
@@ -783,7 +815,7 @@ def _eliminate_pivots(rt: np.ndarray, leads: np.ndarray, entries, p: int) -> Non
         x = rt[sources[take]]
         x *= factors[take, None]
         x += rt[c]
-        np.remainder(x, p, out=x)
+        _mod(x, p, out=x)
         rt[c] = x
 
 
@@ -852,26 +884,28 @@ def span_dimension(polys: Sequence[MultiHomogPoly], modulus: int) -> int:
     """
     global _handoff
     _check_rank_modulus(modulus)
-    polys = [q for q in polys if not q.is_zero()]
+    # each row's length, read once: it drops the zero rows and splits the
+    # others into sparse and dense
+    rows = [(q, k) for q in polys if (k := len(q._row[0]))]
     # read before the hand-off drops rows, as every row is checked
-    degree = _shared_degree(polys) if polys else None
+    degree = _shared_degree(q for q, _ in rows) if rows else None
     slot = _handoff
     if slot is not None and slot[0] == modulus:
-        held = set(map(id, polys))
+        held = {id(q) for q, _ in rows}
         if all(id(q) in held for q in slot[1]):
             _handoff = None
             dropped = set(map(id, slot[1])).difference(map(id, slot[2]))
-            polys = [q for q in polys if id(q) not in dropped]
-    if not polys:
+            rows = [(q, k) for q, k in rows if id(q) not in dropped]
+    if not rows:
         return 0
-    size = len(_basis_index(polys[0].n, degree)[0])
+    size = len(_basis_index(rows[0][0].n, degree)[0])
     place = _column_order(size)
-    sparse = [len(q._row[0]) * SPARSE_DIVISOR <= size for q in polys]
+    polys, lengths = map(list, zip(*rows))
+    sparse = [k * SPARSE_DIVISOR <= size for k in lengths]
     if not any(sparse):
         # the rows by leading column, the smallest place of each
-        cols = [q._row[0] for q in polys]
-        starts = np.cumsum([0] + [len(c) for c in cols[:-1]])
-        lead = np.minimum.reduceat(place[np.concatenate(cols)], starts)
+        starts = np.cumsum([0] + lengths[:-1])
+        lead = np.minimum.reduceat(place[np.concatenate([q._row[0] for q in polys])], starts)
         polys = [polys[i] for i in np.argsort(lead, kind="stable").tolist()]
         pivots = _modp_rank(_fill(polys, modulus, size, place), modulus)
         _handoff = (modulus, polys, [polys[i] for i in pivots.tolist()])

@@ -27,6 +27,7 @@ from rigidview.polyspace import (
     _add_product,
     _is_probable_prime,
     _limb_operands,
+    _mod,
     _modp_rank,
     all_octics_symbolic,
     coefficient_matrix_modp,
@@ -220,6 +221,15 @@ def assert_same_polys(got, want):
         assert {e: type(c) for e, c in g.items()} == {e: type(c) for e, c in w.items()}
 
 
+# Rigs that take every width of the contraction's two products.
+CONTRACTION_RIGS = {
+    "int": lambda: random_rig(random.Random(389), 2),
+    "fraction": lambda: fraction_rig(random.Random(401)),
+    "height-1e3": lambda: random_rig(random.Random(409), 2, height=10 ** 3),
+    "height-1e7": lambda: random_rig(random.Random(409), 2, height=10 ** 7),
+}
+
+
 class TestContractionMatchesReference:
     """The contraction against the cofactor-expansion reference."""
 
@@ -285,17 +295,14 @@ class TestContractionMatchesReference:
         got = all_octics_symbolic(rig, polarize(unit_distance_form()), (0, 1), (2, 3))
         assert len(got) == 441 and all(q.is_zero() for q in got)
 
-    @pytest.mark.parametrize("kind", ["int", "fraction", "height-1e3", "height-1e7"])
+    @pytest.mark.parametrize("kind", list(CONTRACTION_RIGS))
     def test_first_product_width_keeps_the_stored_rows(self, kind, monkeypatch):
         # X is built in int64 while 4 max|table|^2 is below 2^63, and X_u T
         # is taken in int64 while that bound times the sum of |T| is: both
         # on the int and Fraction rigs, only X on the height-10^3 rig,
         # neither on the height-10^7 rig; with every product forced onto
         # Python ints the stored rows come out the same, dtypes included
-        rig = {"int": lambda: random_rig(random.Random(389), 2),
-               "fraction": lambda: fraction_rig(random.Random(401)),
-               "height-1e3": lambda: random_rig(random.Random(409), 2, height=10 ** 3),
-               "height-1e7": lambda: random_rig(random.Random(409), 2, height=10 ** 7)}[kind]()
+        rig = CONTRACTION_RIGS[kind]()
         t = polarize(unit_distance_form())
         x, _, bound = polyspace._outer_rows(rig, 0, 1)
         assert x.dtype == (object if kind == "height-1e7" else np.int64)
@@ -315,6 +322,35 @@ class TestContractionMatchesReference:
         for (c1, n1, d1), (c2, n2, d2) in zip(got, want):
             assert c1.dtype == c2.dtype and n1.dtype == n2.dtype and d1 == d2
             assert c1.tolist() == c2.tolist() and n1.tolist() == n2.tolist()
+
+    @pytest.mark.parametrize("kind", list(CONTRACTION_RIGS))
+    def test_rows_equal_the_division_by_row_gcds(self, kind):
+        # the contraction divides the rows that share a gcd g with den by one
+        # scalar per value of g; the reference divides the whole contraction,
+        # taken on Python ints, by the column of row gcds at once
+        rig = CONTRACTION_RIGS[kind]()
+        t = polarize(unit_distance_form())
+        rows = np.arange(0, 21, 4)
+        gram, den, _ = _gram(t, True, 2, 2)
+        x, den_x, _ = polyspace._outer_rows(rig, 0, 1)
+        den *= den_x * den_x
+        a = x[rows].transpose(0, 2, 1).reshape(-1, 16).astype(object)
+        coefs = ((a @ gram.astype(object)) @ a.T).reshape(len(rows), 36, len(rows), 36)
+        coefs = coefs.transpose(0, 2, 1, 3).reshape(-1, 36 * 36)
+        g = np.gcd(np.gcd.reduce(coefs, axis=1), den)
+        coefs //= g[:, None]
+        perm = polyspace._contraction_columns(2, (0, 1), (0, 1))[1]
+        got = polyspace._contract_octics(rig, t, (0, 1), (0, 1), rows, rows)
+        assert len(got) == len(coefs)
+        for q, row, row_den in zip(got, coefs, (den // g).tolist()):
+            cols, nums, d = q._row
+            nonzero = np.flatnonzero(row)
+            assert d == row_den
+            assert cols.tolist() == perm[nonzero].tolist()
+            assert nums.tolist() == row[nonzero].tolist()
+        # g takes the values 1 and 2 on the int rig and 15 values on the
+        # Fraction rig, so rows are divided by more than one scalar
+        assert len(set(g.tolist())) >= (2 if kind in ("int", "fraction") else 1)
 
     def test_single_octic_matches_reference(self):
         rig = random_rig(random.Random(419), 3)
@@ -661,6 +697,17 @@ class TestSpanDimension:
         with pytest.raises(ValueError):
             span_dimension([p, q], 2 ** 31 - 1)
 
+    def test_zero_rows_drop_out(self):
+        # a zero polynomial has no multidegree: it neither counts nor mixes
+        p, q, zero = variable(2, "u", 0, 0), variable(2, "v", 0, 0), MultiHomogPoly(2)
+        assert span_dimension([], 2 ** 31 - 1) == 0
+        assert span_dimension([zero, zero], 2 ** 31 - 1) == 0
+        assert span_dimension([zero, p, zero, scaled(p, 3), zero], 2 ** 31 - 1) == 1
+        with pytest.raises(ValueError, match="mixed"):
+            span_dimension([p, zero, q], 2 ** 31 - 1)
+        with pytest.raises(ValueError, match="all polynomials are zero"):
+            coefficient_matrix_modp([zero], 2 ** 31 - 1)
+
     def test_modp_matches_exact_on_small_family(self):
         rng = random.Random(353)
         rig = random_rig(rng, 2)
@@ -776,6 +823,28 @@ class TestSpanDimension:
             tracemalloc.stop()
         assert peak <= 1.8 * size
         assert len(added) == 1 and added[0] <= 0.75 * size
+
+    def test_fill_memory(self, families):
+        # the fill builds each chunk's flat index in the chunk's own arrays
+        # and holds one chunk of _FILL_ROWS rows at a time: over the
+        # 441 x 1296 int64 matrix it returns, it adds less than five int64
+        # arrays of the largest chunk's length: the chunk's index, columns
+        # and values and one temporary at a time (a chunk kept alive by the
+        # generator while the index is built took about nine)
+        octics, _ = families["int"]
+        size = len(octics) * 6 ** 4 * 8
+        rows = polyspace._FILL_ROWS
+        chunk = max(sum(len(q._row[0]) for q in octics[s:s + rows])
+                    for s in range(0, len(octics), rows))
+        place = polyspace._column_order(6 ** 4)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            polyspace._fill(octics, 2 ** 31 - 1, 6 ** 4, place)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert size <= peak <= size + 5 * 8 * chunk
 
     def test_permutation_and_scaling_invariance(self):
         rng = random.Random(359)
@@ -916,6 +985,50 @@ class TestModpRank:
         assert (low >= 0).all() and (low < 2 ** 15).all() and (np.abs(high) <= 2 ** 15).all()
         assert (low + 2 ** 15 * high).tolist() == [[centered(x) for x in row] for row in b.tolist()]
         assert (left @ right % p).tolist() == (a.astype(object) @ b.astype(object) % p).tolist()
+
+
+# The smallest prime above 2^30 and the largest below 2^31.
+MOD_PRIMES = [2 ** 30 + 3, 2 ** 31 - 1]
+
+
+class TestMod:
+    """_mod against np.remainder, in value and dtype."""
+
+    def test_primes(self):
+        assert [x for x in range(2 ** 30, 2 ** 30 + 4) if _is_probable_prime(x)] == [MOD_PRIMES[0]]
+        assert _is_probable_prime(MOD_PRIMES[1])
+
+    @pytest.mark.parametrize("p", MOD_PRIMES)
+    def test_int64_matches_remainder(self, p):
+        rng = np.random.default_rng(p)
+        edges = [0, 1, -1, p - 1, p, -p, 2 ** 62, -(2 ** 62), 2 ** 63 - 1, -(2 ** 63),
+                 -(2 ** 63) + 1]
+        x = np.concatenate([rng.integers(-(2 ** 63), 2 ** 63 - 1, size=495, endpoint=True),
+                            rng.integers(-(2 ** 40), 2 ** 40, size=495),
+                            np.array(edges, dtype=np.int64)]).reshape(-1, 11)
+        # at -2^63, (x // p) * p wraps past -2^63, and the result is still exact
+        assert (x // p * p > 0).any()
+        got = _mod(x, p)
+        want = np.remainder(x, p)
+        assert got.dtype == want.dtype == np.int64
+        assert got.tolist() == want.tolist() == [[v % p for v in row] for row in x.tolist()]
+
+    @pytest.mark.parametrize("p", MOD_PRIMES)
+    def test_out_may_be_the_input(self, p):
+        x = np.random.default_rng(p).integers(-(2 ** 63), 2 ** 63 - 1, size=(40, 33))
+        want = np.remainder(x, p)
+        assert _mod(x, p, out=x) is x
+        assert x.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("p", MOD_PRIMES)
+    def test_object_beyond_int64(self, p):
+        values = [0, -1, 2 ** 63, -(2 ** 63) - 1, 2 ** 100 + 7, -(2 ** 90) * 3, p * 2 ** 70]
+        x = np.array(values, dtype=object)
+        want = np.remainder(x, p)
+        got = _mod(x, p)
+        assert got.dtype == want.dtype == object
+        assert got.tolist() == want.tolist() == [v % p for v in values]
+        assert _mod(x, p, out=x) is x and x.tolist() == want.tolist()
 
 
 @pytest.fixture
