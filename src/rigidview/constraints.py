@@ -130,8 +130,10 @@ class QuadTensor:
     T(X, ..., X, Y, ..., Y) reproduces the form.  ``entries`` maps (sorted
     d-tuple, sorted e-tuple) of coordinate indices to the coefficient that
     every ordering of the two tuples carries; ``bidegree`` is (d, e).
-    ``_grams`` keeps the tensor's dense 4^d x 4^e matrix per backend once
-    :func:`_gram` has built it."""
+    ``_grams`` keeps, per backend, what :func:`_gram` built from the
+    tensor: its dense 4^d x 4^e matrix, which only the symbolic octics of
+    :mod:`rigidview.polyspace` read, its clearing factor and its nonzero
+    entries, which :class:`OcticEngine` reads."""
 
     __slots__ = ("entries", "bidegree", "_grams")
 
@@ -167,16 +169,19 @@ _UNIT_TENSOR = polarize(_UNIT_FORM)
 
 def _gram(tensor: QuadTensor, exact: bool, d: int, e: int):
     """The (d, e) tensor as a dense 4^d x 4^e matrix T, every ordering of
-    each entry's two index tuples filled in: with X_a and X_b the outer
-    products of the cofactor vectors of two rows, T(w_i1, ..., w'_ke) is
-    X_a T X_b^T.  On the exact backend cleared of denominators by the least
-    positive integer, returned with it (width:
+    each entry's two index tuples filled in, so that X_a T X_b^T holds the
+    values at the rows of two sides, X the outer products of each row's
+    cofactor vectors.  On the exact backend cleared of denominators by the
+    least positive integer, returned with it (width:
     :func:`rigidview.linalg._int_array`), and then with T's nonzero
     entries ``(slots, columns, values)``: the d row indices of each entry
     (shape (d, N)), its column and its value, a Python int on the exact
-    backend and a float64 on floats.  Built on the tensor's first use on a
-    backend and kept in it, every array read-only.  Raises ValueError
-    unless the tensor is of bidegree (d, e)."""
+    backend and a float64 on floats.  :class:`OcticEngine` reads the
+    factor and the nonzero entries; only
+    :func:`rigidview.polyspace._contract_octics` reads the dense T.  Built
+    on the tensor's first use on a backend and kept in it, every array
+    read-only.  Raises ValueError unless the tensor is of bidegree
+    (d, e)."""
     if tensor.bidegree != (d, e):
         raise ValueError(f"a tensor of bidegree {tensor.bidegree} where {(d, e)} is needed")
     if exact in tensor._grams:
@@ -202,60 +207,59 @@ def _gram(tensor: QuadTensor, exact: bool, d: int, e: int):
 
 
 def _contract(t: np.ndarray, w: np.ndarray, rows):
-    """The values of tensors t, one per row, at the rows of each group of
-    vectors w: t has shape (B, M, 4^e), w shape (B, P, V, 4), and the value
-    of row m at an e-tuple (k_1, ..., k_e) in ``rows`` (positions along V;
-    an (R, e) ``intp`` array, as :class:`OcticEngine` keeps them, is read
-    without a copy) and group p is t_m(w_pk1, ..., w_pke); shape
-    (B, M, P, len(rows)).
+    """The values of tensors t, one per row, at the rows of a group of
+    vectors w: t has shape (M, 4^e), w shape (P, V, 4), and the value of
+    row m at an e-tuple (k_1, ..., k_e) in ``rows`` (positions along V; an
+    (R, e) ``intp`` array, as :class:`OcticEngine` keeps them, is read
+    without a copy) and group p is t_m(w_pk1, ..., w_pke); shape (M, P, R).
     The last axis of length 4 is contracted one factor at a time, so that
     every sum has 4 terms: first with every vector of each group, once for
     all rows that end in it, then row by row with the row's vectors
     k_(e-1), ..., k_1.  The values take the dtype numpy gives the product of
     t and w: exact on Python ints (object arrays)."""
     rows = np.asarray(rows, dtype=np.intp).reshape(len(rows), -1)
-    b, m, size = t.shape
-    values = t.reshape(b, m, 1, 1, size)
+    m, size = t.shape
+    values = t.reshape(m, 1, 1, size)
     for s, k in enumerate(rows.T[::-1]):
-        # (B, M, P, R, 4^j) to (B, M, P, R, 4^(j-1)); R = V in the first step
-        vectors = w if s == 0 else w[:, :, k]
-        values = values.reshape(values.shape[:4] + (values.shape[4] // 4, 4))
-        values = (values @ vectors[:, None, :, :, :, None])[..., 0]
+        # (M, P, R, 4^j) to (M, P, R, 4^(j-1)); R = V in the first step
+        vectors = w if s == 0 else w[:, k]
+        values = values.reshape(values.shape[:3] + (values.shape[3] // 4, 4))
+        values = (values @ vectors[None, :, :, :, None])[..., 0]
         if s == 0:
-            values = values[:, :, :, k]
+            values = values[:, :, k]
     values = values[..., 0]
     # a row of degree 0 reads no vector: t_m itself at every group
-    return values if len(rows.T) else np.broadcast_to(values, (b, m, w.shape[1], len(rows)))
+    return values if len(rows.T) else np.broadcast_to(values, (m, w.shape[0], len(rows)))
 
 
 def _power_times(nonzeros, x, width):
-    """t = x^d T from T's nonzero entries ``(slots, columns, values)``
-    (:func:`_gram`): entry j of t, of ``width`` 4^e, sums each value in
-    column j times x at its d row indices.  Python ints when x and the
+    """t = X T from T's nonzero entries ``(slots, columns, values)``
+    (:func:`_gram`), one column per row of X: x has shape (d, 4, M), x[k]
+    the k-th vector of each of M rows, and entry (j, m) of t, of ``width``
+    4^e rows, sums each value in column j of T times, for every slot k,
+    x[k] at the entry's k-th row index and m.  Python ints when x and the
     values are, float64 when both are."""
     slots, columns, terms = nonzeros
-    for slot in slots:
-        terms = terms * x[slot]
-    t = np.zeros(width, dtype=terms.dtype)
+    terms = terms[:, None]
+    for slot, vectors in zip(slots, x):
+        terms = terms * vectors[slot]
+    t = np.zeros((width, x.shape[2]), dtype=terms.dtype)
     np.add.at(t, columns, terms)
     return t
 
 
-def _spanning_vector(vectors, rows):
-    """For a consistent side, a vector that spans the row space of X
-    through its outer power: the first vector of the first row, camera
-    pairs in the order of ``vectors`` (an iterable of 6x4 arrays, integer
+def _zero_outer_rows(vectors, rows) -> bool:
+    """Whether X, the outer products of the rows' vectors, is zero: no row
+    of any camera pair in ``vectors`` (an iterable of 6x4 arrays, integer
     or the unit-scaled floats of :class:`rigidview.cameras.CofactorPass`,
-    read only as far as needed), whose vectors are all nonzero (on floats,
-    of norm above :data:`rigidview.cameras.WITNESS_FLOOR`).  None when no
-    row has that, so that X is zero."""
+    read only as far as needed) has all its vectors nonzero (on floats, of
+    norm above :data:`rigidview.cameras.WITNESS_FLOOR`)."""
     for w in vectors:
         nonzero = ((np.linalg.norm(w, axis=1) > WITNESS_FLOOR) if w.dtype == np.float64
                    else (w != 0).any(axis=1)).tolist()
-        for row in rows:
-            if all(nonzero[i] for i in row):
-                return w[row[0] if len(row) else 0]
-    return None
+        if any(all(nonzero[i] for i in row) for row in rows):
+            return False
+    return True
 
 
 # The float zero test of the verdicts (OcticEngine.vanishes, rigid_pair_oracle):
@@ -291,8 +295,8 @@ def _row_set_indices(set_a, set_b) -> list:
 
 
 class OcticEngine:
-    """Values of bihomogeneous forms at cofactor vectors, by contraction
-    with the dense matrix of the form's polarization.
+    """Values of bihomogeneous forms at cofactor vectors, from the nonzero
+    entries of the form's polarization.
 
     A block ``(a, b, tensor)`` pairs image tuples a and b with the tensor T
     of a (d, e) form; a value T(w_i1, ..., w_id, w'_k1, ..., w'_ke) takes d
@@ -300,42 +304,34 @@ class OcticEngine:
     b.  Each image tuple has a row set ``(pairs, rows)``: camera pairs
     (j, k) and rows, d-tuples of cofactor-row indices, kept as one
     read-only (rows, d) ``intp`` array that every contraction indexes
-    with.  T is a dense
-    4^d x 4^e matrix, every ordering of each entry's index tuples filled in
-    (:func:`_gram`): 4^(d+e) entries, 256 for the octics and 1024 for
-    bidegree (3, 2) or (4, 1).  With X_a the outer products of the rows'
-    vectors of side a, a block of values is X_a T X_b^T, and
-    :func:`_contract` forms it one factor at a time, the factors after
-    the first row by row with the row's vectors: it contracts the rows of
-    T^T with each camera pair's vectors of a, giving t = X_a T, one tensor
-    per row of a, and then t with each camera pair's vectors of b (b
-    first when e > d).  Each camera pair of a and each of b gives one row
-    of values.  The
-    octic families take d = e = 2 and row pairs (i1, i2); GENERAL_DE takes
-    rows (i,) * d, whose value is the form itself at w_i and w'_k.
+    with.  With X_a the outer products of the rows' vectors of side a, a
+    block of values is X_a T X_b^T, formed one way: :func:`_power_times`
+    builds t = X_a T from T's nonzero entries (:func:`_gram`; 19 of the
+    unit form's 256), one column per camera pair and row of a, and
+    :func:`_contract` takes t at the rows of each camera pair of b, one
+    factor at a time.  Each camera pair of a and each of b gives one row of
+    values.  The octic families take d = e = 2 and row pairs (i1, i2);
+    GENERAL_DE takes rows (i,) * d, whose value is the form itself at w_i
+    and w'_k.
 
     Cofactor vectors come from :meth:`CameraRig.cofactor_vectors`.  The
-    exact backend computes on integers: T is cleared too, and each
+    exact backend computes on Python ints: T is cleared, and each
     camera-pair row of values comes with the positive integer it was
-    multiplied by, divided out only in :meth:`evaluate`.  T is int64 or
-    Python ints by :func:`rigidview.linalg._int_array`'s rule; w is int64
-    only when a bound on its sums is below ``INT64_LIMIT``.  :meth:`cleared`
-    multiplies as Python ints.  Floats go through float64.
+    multiplied by, divided out only in :meth:`evaluate`.  Floats go through
+    float64.
 
-    The zero test, :meth:`vanishes`, forms no block of X_a and needs side
-    a of each block consistent.  Then every cofactor vector of a is
-    c_i x, x its one world point up to scale (:func:`multiview_membership`),
-    so the row of vectors i_1, ..., i_d of X_a is c_i1 ... c_id x^d, the
-    outer power of x: X_a is zero when no row has all its vectors nonzero,
-    and otherwise the block is zero exactly when x^d T X_b^T is, x any
-    nonzero cofactor vector of a.  t = x^d T is summed from T's nonzero
-    entries (19 of the unit form's 256), each entry times x's coordinates
-    at its d row indices, and :func:`_contract` takes t's values at the
-    camera pairs of b, first pair, then the rest: b's first camera pair
-    alone, where most non-members already show a nonzero value, then its
-    other pairs in one call.  Exact on Python ints, and on floats
-    scale-free ratios of the unit-scaled vectors of
-    :class:`rigidview.cameras.CofactorPass`.
+    The zero test, :meth:`vanishes`, needs side a of each block
+    consistent.  Then every cofactor vector of a is c_i x, x its one world
+    point up to scale (:func:`multiview_membership`), so the row of vectors
+    i_1, ..., i_d of X_a is c_i1 ... c_id x^d, the outer power of x: X_a is
+    zero when no row has all its vectors nonzero, and otherwise the block
+    is zero exactly when x^d T X_b^T is, x the membership's witness vector.
+    t = x^d T is the same :func:`_power_times` at one row, and
+    :func:`_contract` takes it at the camera pairs of b, first pair, then
+    the rest: b's first camera pair alone, where most non-members already
+    show a nonzero value, then its other pairs in one call.  Exact on
+    Python ints, and on floats scale-free ratios of the unit-scaled vectors
+    of :class:`rigidview.cameras.CofactorPass`.
     """
 
     __slots__ = ("exact", "rig", "row_sets", "blocks")
@@ -344,12 +340,13 @@ class OcticEngine:
         """``row_sets`` holds one row set per image tuple; ``blocks`` lists
         ``(a, b, tensor)``, the tensor at every camera pair and row of tuple
         a's row set against every one of tuple b's; its bidegree is the
-        degrees of the two row sets' rows."""
+        degrees of the two row sets' rows.  A block is kept as ``(a, b,
+        den, nonzeros)`` of :func:`_gram`."""
         self.exact = rig.backend == EXACT
         self.rig = rig
         self.row_sets = [(pairs, _index_rows(rows)) for pairs, rows in row_sets]
         self.blocks = [(a, b) + _gram(tensor, self.exact, self.row_sets[a][1].shape[1],
-                                      self.row_sets[b][1].shape[1])
+                                      self.row_sets[b][1].shape[1])[1:]
                        for a, b, tensor in blocks]
 
     def _cofactors(self, tuples) -> list:
@@ -374,74 +371,69 @@ class OcticEngine:
         float backend)."""
         cofactors = self._cofactors(tuples)
         out = []
-        for a, b, gram, den, _ in self.blocks:
+        for a, b, den, nonzeros in self.blocks:
             (w_a, f_a), (w_b, f_b) = cofactors[a], cofactors[b]
             rows_a, rows_b = self.row_sets[a][1], self.row_sets[b][1]
+            d, e = rows_a.shape[1], rows_b.shape[1]
             if f_a is not None:
                 # as Python ints: products of int64 entries can overflow
                 w_a, w_b = w_a.astype(object), w_b.astype(object)
-            # t = X_a T, the rows of T^T at the rows of a, then t at those of
-            # b; side b first (t = T X_b^T) when its degree is higher, so
-            # that the second call, once per row of t, has fewer factors
-            swap = rows_b.shape[1] > rows_a.shape[1]
-            (w_1, rows_1), (w_2, rows_2) = [(w_a, rows_a), (w_b, rows_b)][::-1 if swap else 1]
-            t = _contract((gram if swap else gram.T)[None], w_1[None], rows_1)[0]
-            values = _contract(t.reshape(len(t), -1).T[None], w_2[None], rows_2)[0]
-            values = values.reshape(len(w_1), len(rows_1), len(w_2), len(rows_2))
-            values = values.transpose((2, 0, 3, 1) if swap else (0, 2, 1, 3))
-            values = values.reshape(len(w_a) * len(w_b), -1)
+            # t = X_a T, one column per camera pair and row of a, then t at
+            # the rows of each camera pair of b
+            x = w_a[:, rows_a].transpose(2, 3, 0, 1).reshape(d, 4, len(w_a) * len(rows_a))
+            values = _contract(_power_times(nonzeros, x, 4 ** e).T, w_b, rows_b)
+            values = values.reshape(len(w_a), len(rows_a), len(w_b), len(rows_b))
+            values = values.transpose(0, 2, 1, 3).reshape(len(w_a) * len(w_b), -1)
             out.append((values, None if f_a is None else
-                        den * np.outer(f_a ** rows_a.shape[1], f_b ** rows_b.shape[1]).ravel()))
+                        den * np.outer(f_a ** d, f_b ** e).ravel()))
         return out
 
     def vanishes(self, memberships, tol: float | None = None) -> bool:
         """Whether every value is zero, from x^d T at side b's rows as the
-        class describes: t = x^d T from T's nonzero entries, then t at side
-        b's rows, first pair, then the rest: one :func:`_contract` at b's
-        first camera pair and, unless that shows a nonzero value, one at
-        all its other pairs; False at the first nonzero value, so a
-        non-member that the first pair rejects computes no other pair's
-        vectors of b.
+        class describes: one :func:`_contract` at b's first camera pair
+        and, unless that shows a nonzero value, one at all its other pairs;
+        False at the first nonzero value, so a non-member that the first
+        pair rejects computes no other pair's vectors of b.
         ``memberships`` holds one :func:`multiview_membership` result per row
         set, and the vectors are read from their cofactor passes, so no
         camera pair's vectors are computed twice.  Side a of every block must
         be consistent, else ValueError.  A block whose X_a is zero vanishes
-        with no contraction.  Floats read the passes' unit-scaled vectors,
-        with x side a's witness vector: a value counts as zero when
-        |value| / (|x|^d max_k |w_k|^e) is at most ``tol`` (None:
-        :data:`DEFAULT_VANISH_TOL`), w_k the six vectors of its camera pair
-        of b, and a pair of b whose vectors all count as zero
-        (:data:`rigidview.cameras.WITNESS_FLOOR`) gives zero values."""
+        with no contraction.  Floats read the passes' unit-scaled vectors:
+        a value counts as zero when |value| / (|x|^d max_k |w_k|^e) is at
+        most ``tol`` (None: :data:`DEFAULT_VANISH_TOL`), w_k the six vectors
+        of its camera pair of b, and a pair of b whose vectors all count as
+        zero (:data:`rigidview.cameras.WITNESS_FLOOR`) gives zero values."""
         if len(memberships) != len(self.row_sets):
             raise ShapeError(f"expected {len(self.row_sets)} image tuples, got {len(memberships)}")
-        for a, b, gram, _, nonzeros in self.blocks:
+        for a, b, _, nonzeros in self.blocks:
             if not memberships[a].ok:
                 raise ValueError("the zero test needs a consistent first side of each block")
             (pairs_a, rows_a), (pairs_b, rows_b) = self.row_sets[a], self.row_sets[b]
             cofactors_a, cofactors_b = memberships[a].cofactors, memberships[b].cofactors
-            x = _spanning_vector((cofactors_a.vectors(j, k)[0] for j, k in pairs_a), rows_a)
-            if x is None:
+            if _zero_outer_rows((cofactors_a.vectors(j, k)[0] for j, k in pairs_a), rows_a):
                 continue
             d, e = rows_a.shape[1], rows_b.shape[1]
+            # no witness only when every vector of a is zero, and then a
+            # nonzero X_a has rows of degree 0, which read no vector
+            pair, row = cofactors_a.witness or (pairs_a[0], 0)
+            x = cofactors_a.vectors(*pair)[0][row]
             if self.exact:
                 # as Python ints: products of int64 entries can overflow
                 x = x.astype(object)
             else:
-                pair, row = cofactors_a.witness
-                x = cofactors_a.vectors(*pair)[0][row]
                 cut = (DEFAULT_VANISH_TOL if tol is None else tol) * np.linalg.norm(x) ** d
-            # t = x^d T from T's nonzero entries, then t at the rows of b:
-            # first at b's first camera pair alone, which rejects most
-            # non-members before the other pairs' vectors are computed, then
-            # at the other pairs in one contraction
-            t = _power_times(nonzeros, x, gram.shape[1])
+            # t = x^d T, then t at the rows of b: first at b's first camera
+            # pair alone, which rejects most non-members before the other
+            # pairs' vectors are computed, then at the other pairs in one
+            # contraction
+            t = _power_times(nonzeros, x[None, :, None].repeat(d, 0), 4 ** e).T
             for group in (pairs_b[:1], pairs_b[1:]):
                 if not group:
                     continue
                 w = np.array([cofactors_b.vectors(j, k)[0] for j, k in group])
                 if self.exact:
                     w = w.astype(object)
-                values = _contract(t[None, None], w[None], rows_b)[0, 0]
+                values = _contract(t, w, rows_b)[0]
                 if self.exact:
                     nonzero = values.any()
                 else:
@@ -699,18 +691,18 @@ def rigid_pair_by_equations(rig: CameraRig, u, v,
     ``tol`` is its ratio's tolerance).
 
     u is consistent, so its vectors are multiples of its world point x,
-    and every octic vanishes exactly when Q = x^2 T, read as a 4 x 4
-    matrix, makes W_b Q W_b^T zero at the family's rows for every camera
-    pair b of v (or no family row of u has both vectors nonzero).  Q is
-    summed from the 19 nonzero entries of the dense 16 x 16 tensor T, and
+    taken as u's witness vector, and every octic vanishes exactly when
+    Q = x^2 T, read as a 4 x 4 matrix, makes W_b Q W_b^T zero at the
+    family's rows for every camera pair b of v (or no family row of u has
+    both vectors nonzero).  Q is summed from the 19 nonzero entries of T, and
     its values are taken at v's rows, first pair, then the rest: at v's
     first camera pair, which rejects most non-members before v's other
     pairs' vectors are computed, then at all the others in one
     contraction.  On the exact backend
     both run on Python ints, so the values tested are the cleared octics
     themselves.  Every octic is tested, not q(X, Y) at triangulated
-    points, which is the oracle.  The unit tensor's dense matrix and its
-    nonzero index are built on the first call and kept.  The family's
+    points, which is the oracle.  The unit tensor's nonzero entries are
+    built on the first call and kept.  The family's
     camera count and both tuples are checked first, as in
     :func:`rigid_pair_oracle`."""
     family = Family(family)

@@ -529,19 +529,14 @@ def _limb_right(b: np.ndarray, p: int) -> np.ndarray:
     return right
 
 
-def _limb_operands(a: np.ndarray, b: np.ndarray, p: int):
-    """Float64 matrices whose product is congruent to a @ b mod p:
-    :func:`_limb_left` of a and :func:`_limb_right` of b, which is
-    overwritten."""
-    return _limb_left(a, p), _limb_right(b, p)
-
-
 def _add_product(c: np.ndarray, left: np.ndarray, right: np.ndarray, p: int) -> None:
     """c = (c + left @ right) mod p in place, for int64 c holding residues
-    in [0, p) and operands from :func:`_limb_operands`.  By the PANEL_WIDTH
-    bound the sum is an integer below 2^53 - 2^36 in magnitude, exact in
-    float64, and :func:`_reduce` reduces it there; c's own storage serves as
-    its work array, since c's values are in the sum already."""
+    in [0, p), left = :func:`_limb_left` of a and right =
+    :func:`_limb_right` of b, whose product is congruent to a @ b mod p.
+    By the PANEL_WIDTH bound the sum is an integer below 2^53 - 2^36 in
+    magnitude, exact in float64, and :func:`_reduce` reduces it there; c's
+    own storage serves as its work array, since c's values are in the sum
+    already."""
     x = left @ right
     x += c
     _reduce(x, p, c.view(np.float64))
@@ -588,11 +583,11 @@ def _eliminate_panel(x: np.ndarray, p: int):
     order1, q1, e1 = _eliminate_panel(x[:, :h], p)
     pivots1, rest1 = order1[:q1], order1[q1:]
     right = x[rest1, h:]
-    _add_product(right, *_limb_operands(e1, x[pivots1, h:], p), p)
+    _add_product(right, _limb_left(e1, p), _limb_right(x[pivots1, h:], p), p)
     order2, q2, e2 = _eliminate_panel(right, p)
     e = np.empty((len(order2) - q2, q1 + q2), dtype=np.int64)
     e[:, :q1] = e1[order2[q2:]]
-    _add_product(e[:, :q1], *_limb_operands(e2, e1[order2[:q2]], p), p)
+    _add_product(e[:, :q1], _limb_left(e2, p), _limb_right(e1[order2[:q2]], p), p)
     e[:, q1:] = e2
     return np.concatenate([pivots1, rest1[order2]]), q1 + q2, e
 

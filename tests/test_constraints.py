@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (count_calls, engine_value, fraction_rig, naive_det, random_rig,
-                     random_world_point, reference_rigid_pair_oracle, scaled_rig, standard_rig,
-                     tensor_value, wedge5)
+                     random_world_point, reference_cofactor_vectors, reference_rigid_pair_oracle,
+                     scaled_rig, standard_rig, tensor_value, wedge5)
 from rigidview.cameras import (
     CameraRig,
     ProjectivePoint,
@@ -1064,37 +1064,54 @@ def _proportional(a, b):
 _UNIT_GRAM = constraints._gram(constraints._UNIT_TENSOR, True, 2, 2)[0]
 
 
+def _bidegree_form(bidegree, scale=1):
+    """A form of each bidegree the engine tests use: the unit form, it times
+    X_3 or Y_0, the degree-four form F = (X_0^2 + X_1 X_2 + X_3^2) X_3
+    (X_0 Y_3 - X_3 Y_0) and F with X and Y swapped, and Y_3^2 - Y_0^2; all
+    times ``scale``."""
+    unit = unit_distance_form()
+    y0, y3 = (1, 0, 0, 0), (0, 0, 0, 1)
+    quartic = {((3, 0, 0, 1), y3): 1, ((2, 0, 0, 2), y0): -1, ((1, 1, 1, 1), y3): 1,
+               ((0, 1, 1, 2), y0): -1, ((1, 0, 0, 3), y3): 1, ((0, 0, 0, 4), y0): -1}
+    coeffs = {(2, 2): unit.coeffs,
+              (3, 2): {(a[:3] + (a[3] + 1,), b): c for (a, b), c in unit.coeffs.items()},
+              (2, 3): {(a, (b[0] + 1,) + b[1:]): c for (a, b), c in unit.coeffs.items()},
+              (4, 1): quartic, (1, 4): {(b, a): c for (a, b), c in quartic.items()},
+              (0, 2): {((0, 0, 0, 0), (0, 0, 0, 2)): 1, ((0, 0, 0, 0), (2, 0, 0, 0)): -1}}
+    return BihomForm(bidegree, {k: scale * c for k, c in coeffs[bidegree].items()})
+
+
 def _naive_contract(t, w, rows):
     """The values of :func:`rigidview.constraints._contract`, one at a time
     from its definition: t_m(w_pk1, ..., w_pke) = sum over the index tuples
     j of t[m, j] w_pk1[j_1] ... w_pke[j_e], j_1 slowest."""
     e = len(rows[0])
-    return [[[[sum(t_bm[i] * prod(w_bp[k][j] for k, j in zip(row, js))
-                   for i, js in enumerate(itertools.product(range(4), repeat=e)))
-               for row in rows] for w_bp in w_b] for t_bm in t_b]
-            for t_b, w_b in zip(t, w)]
+    return [[[sum(t_m[i] * prod(w_p[k][j] for k, j in zip(row, js))
+                  for i, js in enumerate(itertools.product(range(4), repeat=e)))
+              for row in rows] for w_p in w] for t_m in t]
 
 
 class TestContract:
-    """``_contract`` against its definition, on the widths it is given:
-    Python ints (small, and past int64 as the exact backend's heights can
-    reach) and float64 holding small integers, which sum exactly."""
+    """``_contract`` and ``_power_times`` against their definitions, on the
+    widths they are given: Python ints (small, and past int64 as the exact
+    backend's heights can reach) and float64 holding small integers, which
+    sum exactly; and the engine's values, which both form, against the
+    dense tensor at the cofactor vectors, entry by entry."""
 
     @pytest.mark.parametrize("width", ["int", "big-int", "float"])
     @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
     def test_values_equal_the_definition(self, degree, width):
         rng = random.Random(f"contract:{degree}:{width}")
         top = 2 ** 80 if width == "big-int" else 9
-        t = [[[rng.randint(-top, top) for _ in range(4 ** degree)] for _ in range(3)]
-             for _ in range(2)]
-        # two batches of two groups of six vectors, one of them zero
-        w = [[[[rng.randint(-top, top) for _ in range(4)] if k != 4 else [0] * 4
-               for k in range(6)] for _ in range(2)] for _ in range(2)]
+        t = [[rng.randint(-top, top) for _ in range(4 ** degree)] for _ in range(3)]
+        # two groups of six vectors, one of them zero
+        w = [[[rng.randint(-top, top) for _ in range(4)] if k != 4 else [0] * 4
+              for k in range(6)] for _ in range(2)]
         rows = [tuple(rng.randrange(6) for _ in range(degree)) for _ in range(5)]
         rows[0] = (4,) * degree
         dtype = np.float64 if width == "float" else object
         got = constraints._contract(np.array(t, dtype=dtype), np.array(w, dtype=dtype), rows)
-        assert got.shape == (2, 3, 2, 5) and got.dtype == dtype
+        assert got.shape == (3, 2, 5) and got.dtype == dtype
         assert got.tolist() == _naive_contract(t, w, rows)
         # a row through the zero vector is zero, unless it reads no vector
         assert got[..., 0].any() == (degree == 0)
@@ -1104,40 +1121,106 @@ class TestContract:
     @pytest.mark.parametrize("bidegree", [(0, 2), (1, 4), (2, 2), (2, 3), (3, 2), (4, 1)],
                              ids=lambda b: "%d-%d" % b)
     def test_power_times_equals_the_definition(self, bidegree, scale, width):
-        # t = x^d T from the Gram's nonzero entries against _contract's
-        # definition, T^T at the row (0,) * d of the one vector x, for a
-        # form of every bidegree the verdict tests use (the unit form, it
-        # times X_3 or Y_0, and the degree-four and degree-zero tests'
-        # forms) and for it times 536870909
-        unit = unit_distance_form()
-        y0, y3 = (1, 0, 0, 0), (0, 0, 0, 1)
-        quartic = {((3, 0, 0, 1), y3): 1, ((2, 0, 0, 2), y0): -1, ((1, 1, 1, 1), y3): 1,
-                   ((0, 1, 1, 2), y0): -1, ((1, 0, 0, 3), y3): 1, ((0, 0, 0, 4), y0): -1}
-        coeffs = {(2, 2): unit.coeffs,
-                  (3, 2): {(a[:3] + (a[3] + 1,), b): c for (a, b), c in unit.coeffs.items()},
-                  (2, 3): {(a, (b[0] + 1,) + b[1:]): c for (a, b), c in unit.coeffs.items()},
-                  (4, 1): quartic, (1, 4): {(b, a): c for (a, b), c in quartic.items()},
-                  (0, 2): {((0, 0, 0, 0), (0, 0, 0, 2)): 1, ((0, 0, 0, 0), (2, 0, 0, 0)): -1}}
-        form = BihomForm(bidegree, {k: scale * c for k, c in coeffs[bidegree].items()})
+        # t = X T from the Gram's nonzero entries against _contract's
+        # definition, T^T at the row (0, ..., d - 1) of each of three rows'
+        # d distinct vectors, for a form of every bidegree the verdict
+        # tests use and for it times 536870909
         d, e = bidegree
         exact = width == "big-int"
-        gram, _, nonzeros = constraints._gram(polarize(form), exact, d, e)
+        gram, _, nonzeros = constraints._gram(polarize(_bidegree_form(bidegree, scale)),
+                                              exact, d, e)
         assert len(nonzeros[2]) == np.count_nonzero(gram) > 0
         rng = random.Random(f"power-times:{bidegree}:{scale}:{width}")
         top = 2 ** 80 if exact else 9
-        x = np.array([rng.randint(-top, top) for _ in range(4)],
-                     dtype=object if exact else np.float64)
+        x = np.array([[[rng.randint(-top, top) for _ in range(3)] for _ in range(4)]
+                      for _ in range(d)], dtype=object if exact else np.float64).reshape(d, 4, 3)
         got = constraints._power_times(nonzeros, x, 4 ** e)
-        assert got.shape == (4 ** e,) and got.dtype == x.dtype
+        assert got.shape == (4 ** e, 3) and got.dtype == x.dtype
         gram_t = (gram.astype(object) if exact else gram).T.tolist()
-        want = [r[0][0] for r in _naive_contract([gram_t], [[[x.tolist()]]], [(0,) * d])[0]]
+        vectors = x.transpose(2, 0, 1).tolist()
+        want = [[r[0] for r in m] for m in _naive_contract(gram_t, vectors, [tuple(range(d))])]
         if exact:
             # past 2^80 wherever x enters
-            assert got.tolist() == want and (d == 0 or max(abs(c) for c in want) > 2 ** 80)
+            assert got.tolist() == want
+            assert d == 0 or max(abs(c) for m in want for c in m) > 2 ** 80
         else:
             # the float Gram holds entries such as 1/3, rounded: the two
             # orders of summation agree to rounding
-            assert got.tolist() == pytest.approx(want, rel=0, abs=1e-12 * max(map(abs, want)))
+            top = max(abs(c) for m in want for c in m)
+            assert got.ravel().tolist() == pytest.approx(sum(want, []), rel=0, abs=1e-12 * top)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_power_times_reads_each_slot_at_its_own_vectors(self, d):
+        # a tensor that is not symmetric in its d slots, as its nonzero
+        # entries of random values: slot k of an entry reads x[k] at the
+        # entry's k-th row index, the highest base-4 digit of its row first
+        rng = random.Random(f"slots:{d}")
+        dense = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(4)] for _ in range(4 ** d)]
+        digits = list(itertools.product(range(4), repeat=d))
+        entries = [(r, c) for r in range(4 ** d) for c in range(4) if dense[r][c]]
+        slots = np.array([[digits[r][k] for r, _ in entries] for k in range(d)], dtype=np.intp)
+        nonzeros = (slots, np.array([c for _, c in entries], dtype=np.intp),
+                    np.array([dense[r][c] for r, c in entries], dtype=object))
+        x = np.array([[[rng.randint(-9, 9) for _ in range(2)] for _ in range(4)]
+                      for _ in range(d)], dtype=object)
+        got = constraints._power_times(nonzeros, x, 4).tolist()
+        for m in range(2):
+            for c in range(4):
+                assert got[c][m] == sum(dense[r][c] * prod(x[k, i, m] for k, i in enumerate(js))
+                                        for r, js in enumerate(digits))
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    @pytest.mark.parametrize("bidegree", [(2, 2), (2, 3), (1, 4), (0, 2)],
+                             ids=lambda b: "%d-%d" % b)
+    def test_evaluate_equals_the_definition(self, bidegree, backend):
+        # every value of a (d, e) form on three Fraction cameras and on
+        # their floats: the dense Gram contracted with the reference
+        # cofactor vectors of a and then of b (_naive_contract), over the
+        # Gram's and the vectors' factors; (2, 3), (1, 4) and (0, 2) have
+        # the higher degree on side b
+        rng = random.Random(f"evaluate:{bidegree}:{backend}")
+        rig = fraction_rig(rng, 3)
+        if backend == "float":
+            rig = CameraRig([cam.matrix.to_float() for cam in rig.cameras])
+        d, e = bidegree
+        rows = {0: [()], 1: [(0,), (2,), (5,)], 2: [(0, 0), (1, 4), (3, 5)],
+                3: [(0, 1, 2), (3, 4, 4)], 4: [(0, 1, 2, 3), (5, 5, 4, 4)]}
+        pairs = constraints._camera_pairs(3)
+        form = _bidegree_form(bidegree)
+        engine = constraints.OcticEngine(rig, [(pairs, rows[d]), (pairs, rows[e])],
+                                         [(0, 1, polarize(form))])
+        points = [random_world_point(rng) for _ in range(2)]
+        if backend == "float":
+            points = [[float(c) for c in p] for p in points]
+        u, v = (forward_map(rig, ProjectivePoint(p)) for p in points)
+        gram, den, _ = constraints._gram(polarize(form), backend == "exact", d, e)
+        gram_t = gram.T.tolist()
+
+        def value(gram_t, w_a, row_a, w_b, row_b):
+            t = [m[0][0] for m in _naive_contract(gram_t, [w_a], [row_a])]
+            return _naive_contract([t], [w_b], [row_b])[0][0][0]
+
+        want, sizes = [], []
+        for (j1, k1, *row_a), (j2, k2, *row_b) in constraints._row_set_indices(
+                (pairs, rows[d]), (pairs, rows[e])):
+            (w_a, f_a), (w_b, f_b) = (reference_cofactor_vectors(rig, j1, k1, u[j1], u[k1]),
+                                      reference_cofactor_vectors(rig, j2, k2, v[j2], v[k2]))
+            row_a, row_b = tuple(row_a), tuple(row_b)
+            total = value(gram_t, w_a.tolist(), row_a, w_b.tolist(), row_b)
+            if den is None:
+                want.append(total)
+                # the same sum of absolute values bounds its rounding
+                sizes.append(value(np.abs(gram.T).tolist(), np.abs(w_a).tolist(), row_a,
+                                   np.abs(w_b).tolist(), row_b))
+            else:
+                want.append(Fraction(total, den * f_a ** d * f_b ** e))
+        got = engine.evaluate((u, v))
+        assert len(got) == len(want) == 9 * len(rows[d]) * len(rows[e])
+        if backend == "exact":
+            assert got == want and any(want) and any(type(g) is Fraction for g in got)
+        else:
+            assert all(abs(g - r) <= 1e-12 * s for g, r, s in zip(got, want, sizes))
+            assert any(abs(r) > 1e-6 * s for r, s in zip(want, sizes))
 
 
 class TestExactVerdict:
@@ -1172,7 +1255,7 @@ class TestExactVerdict:
         # every family, on the verdict rigs, with the unit form and with it
         # times 15 and times 536870909 (the largest prime below 2^29): the
         # verdict is that of the values, whatever primes divide the Gram
-        unit, outcomes = unit_distance_form(), set()
+        outcomes = set()
         for name, rig in _verdict_rigs(n).items():
             for u, v in _verdict_inputs(rig, random.Random(f"rank-one:{name}:{n}")):
                 memberships = _memberships(rig, u, v)
@@ -1182,10 +1265,11 @@ class TestExactVerdict:
                     row_set = constraints._octic_row_set(n, family)
                     verdicts = set()
                     for scale in (1, 15, 536870909):
-                        form = BihomForm((2, 2), {e: scale * c for e, c in unit.coeffs.items()})
+                        tensor = polarize(_bidegree_form((2, 2), scale))
                         engine = constraints.OcticEngine(rig, (row_set, row_set),
-                                                         [(0, 1, polarize(form))])
-                        assert (engine.blocks[0][2] == scale * _UNIT_GRAM).all()
+                                                         [(0, 1, tensor)])
+                        gram = constraints._gram(tensor, True, 2, 2)[0]
+                        assert (gram == scale * _UNIT_GRAM).all()
                         ((values, _),) = engine.cleared((u, v))
                         verdicts.add(engine.vanishes(memberships))
                         assert verdicts == {not values.any()}
@@ -1201,13 +1285,13 @@ class TestExactVerdict:
             engine = _engine(rig, Family.OCTIC_FULL)
             (w_u, _), _ = engine._cofactors((u, v))
             dtypes[name] = w_u.dtype
-            assert engine.blocks[0][2].dtype == np.int64
         assert dtypes == {"int": np.int64, "height-1e6": object}
+        assert _UNIT_GRAM.dtype == np.int64
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_first_pair_then_the_rest(self, n, monkeypatch):
         # on a consistent tuple every cofactor vector is a multiple of the
-        # one world point, so side u enters as one nonzero 4-vector x that
+        # one world point, so side u enters as its witness vector x, which
         # every vector of u is a multiple of: t = x^d T comes from the
         # Gram's nonzero entries, and the contractions on Python ints take
         # t at v's rows (the engine's own index array), first at v's first
@@ -1229,12 +1313,11 @@ class TestExactVerdict:
                     contractions.clear()
                     verdict = engine.vanishes(memberships)
                     (pairs_u, rows_u), (pairs_v, rows_v) = engine.row_sets
-                    if constraints._spanning_vector(w_u, rows_u) is None:
+                    if constraints._zero_outer_rows(w_u, rows_u):
                         assert verdict and contractions == []
                         continue
-                    x = constraints._spanning_vector(
-                        (memberships[0].cofactors.vectors(j, k)[0] for j, k in pairs_u), rows_u)
-                    x = x.astype(object)
+                    pair, row = memberships[0].cofactors.witness
+                    x = memberships[0].cofactors.vectors(*pair)[0][row].astype(object)
                     assert x.any() and all(_proportional(x.tolist(), y)
                                            for y in w_u.reshape(-1, 4).tolist())
                     first_values = contract(*contractions[0])
@@ -1245,10 +1328,10 @@ class TestExactVerdict:
                     else:
                         assert len(contractions) == (1 if first_values.any() else 2)
                         first_pair_rejects += first_values.any()
-                    gram = engine.blocks[0][2].astype(object)
+                    gram = _UNIT_GRAM.astype(object)
                     for (t, w, rows), group in zip(contractions, (pairs_v[:1], pairs_v[1:])):
                         assert t.dtype == w.dtype == object
-                        assert t.shape == (1, 1, 16) and w.shape == (1, len(group), 6, 4)
+                        assert t.shape == (1, 16) and w.shape == (len(group), 6, 4)
                         assert t.ravel().tolist() == (np.outer(x, x).ravel() @ gram).tolist()
                         assert rows is rows_v and rows.dtype == np.intp
                         assert not rows.flags.writeable
@@ -1322,12 +1405,11 @@ class TestExactVerdict:
         # the unit form times a product of large primes: every value is a
         # multiple of each, and the exact verdict still tells a member from
         # a non-member; a Gram past int64 is held as Python ints
-        unit = unit_distance_form()
-        form = BihomForm((2, 2), {e: scale * c for e, c in unit.coeffs.items()})
+        tensor = polarize(_bidegree_form((2, 2), scale))
         rig = random_rig(random.Random(617), 3)
         row_set = constraints._octic_row_set(3, Family.OCTIC_FULL)
-        engine = constraints.OcticEngine(rig, (row_set, row_set), [(0, 1, polarize(form))])
-        gram = engine.blocks[0][2]
+        engine = constraints.OcticEngine(rig, (row_set, row_set), [(0, 1, tensor)])
+        gram = constraints._gram(tensor, True, 2, 2)[0]
         assert (gram == scale * _UNIT_GRAM.astype(object)).all()
         big = scale * max(abs(c) for c in _UNIT_GRAM.ravel().tolist()) >= INT64_LIMIT
         assert gram.dtype == (object if big else np.int64)
@@ -1343,9 +1425,7 @@ class TestExactVerdict:
     def test_degree_three_verdict_equals_the_cleared_values(self, n):
         # the unit-distance form times X_3 and times Y_0: bidegrees (3, 2)
         # and (2, 3), on rows of three cofactor rows against row pairs
-        unit = unit_distance_form()
-        forms = [BihomForm((3, 2), {(a[:3] + (a[3] + 1,), b): c for (a, b), c in unit.coeffs.items()}),
-                 BihomForm((2, 3), {(a, (b[0] + 1,) + b[1:]): c for (a, b), c in unit.coeffs.items()})]
+        forms = [_bidegree_form((3, 2)), _bidegree_form((2, 3))]
         triples, pairs = [(0, 1, 2), (0, 0, 5), (3, 4, 4), (1, 1, 1), (2, 3, 5)], constraints._ROW_PAIRS[:8]
         verdicts = set()
         for name, rig in _verdict_rigs(n).items():
@@ -1366,20 +1446,21 @@ class TestExactVerdict:
 
     def test_degree_zero_side(self):
         # a (0, 2) form: side u has empty rows, its S one constant column, so
-        # the verdict is the form at v's vectors, here Y_3^2 - Y_0^2
+        # the verdict is the form at v's vectors, here Y_3^2 - Y_0^2; also
+        # with u the epipole pair, whose pass has no witness
         rig = random_rig(random.Random(601), 2)
-        form = BihomForm((0, 2), {((0, 0, 0, 0), (0, 0, 0, 2)): 1,
-                                  ((0, 0, 0, 0), (2, 0, 0, 0)): -1})
         row_sets = [([(0, 1)], [()]), ([(0, 1)], [(0, 0), (3, 3)])]
-        engine = constraints.OcticEngine(rig, row_sets, [(0, 1, polarize(form))])
-        u = forward_map(rig, ProjectivePoint((3, -2, 5, 7)))
-        verdicts = []
-        for y in ((1, 2, 3, 1), (2, 1, 3, 1)):
-            v = forward_map(rig, ProjectivePoint(y))
-            ((values, _),) = engine.cleared((u, v))
-            verdicts.append(engine.vanishes(_memberships(rig, u, v)))
-            assert verdicts[-1] == (not values.any())
-        assert verdicts == [True, False]
+        engine = constraints.OcticEngine(rig, row_sets, [(0, 1, polarize(_bidegree_form((0, 2))))])
+        epipoles = (rig.epipole(0, 1), rig.epipole(1, 0))
+        assert multiview_membership(rig, epipoles).cofactors.witness is None
+        for u in (forward_map(rig, ProjectivePoint((3, -2, 5, 7))), epipoles):
+            verdicts = []
+            for y in ((1, 2, 3, 1), (2, 1, 3, 1)):
+                v = forward_map(rig, ProjectivePoint(y))
+                ((values, _),) = engine.cleared((u, v))
+                verdicts.append(engine.vanishes(_memberships(rig, u, v)))
+                assert verdicts[-1] == (not values.any())
+            assert verdicts == [True, False]
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("degrees", [(4, 1), (1, 4)])
@@ -1388,12 +1469,7 @@ class TestExactVerdict:
         # two points share their first affine coordinate, and F with X and Y
         # swapped: T has 4^5 = 1024 entries, and a value sums 256 products
         # on the degree-four side
-        y0, y3 = (1, 0, 0, 0), (0, 0, 0, 1)
-        form = BihomForm((4, 1), {((3, 0, 0, 1), y3): 1, ((2, 0, 0, 2), y0): -1,
-                                  ((1, 1, 1, 1), y3): 1, ((0, 1, 1, 2), y0): -1,
-                                  ((1, 0, 0, 3), y3): 1, ((0, 0, 0, 4), y0): -1})
-        if degrees == (1, 4):
-            form = BihomForm((1, 4), {(b, a): c for (a, b), c in form.coeffs.items()})
+        tensor = polarize(_bidegree_form(degrees))
         rows_four = [(0, 0, 0, 0), (0, 1, 2, 3), (1, 1, 4, 5), (2, 3, 3, 5), (5, 5, 5, 5)]
         rows_one = [(i,) for i in range(6)]
         rows_u, rows_v = (rows_four, rows_one) if degrees == (4, 1) else (rows_one, rows_four)
@@ -1402,8 +1478,9 @@ class TestExactVerdict:
             rng = random.Random(f"degree-four:{name}:{n}:{degrees}")
             cameras = constraints._camera_pairs(n)
             engine = constraints.OcticEngine(rig, [(cameras, rows_u), (cameras, rows_v)],
-                                             [(0, 1, polarize(form))])
-            assert engine.blocks[0][2].shape == (4 ** degrees[0], 4 ** degrees[1])
+                                             [(0, 1, tensor)])
+            gram = constraints._gram(tensor, True, *degrees)[0]
+            assert gram.shape == (4 ** degrees[0], 4 ** degrees[1])
             cases = _verdict_inputs(rig, rng)
             for _ in range(2):
                 x = ProjectivePoint(random_world_point(rng))
@@ -1429,11 +1506,11 @@ class TestExactVerdict:
         w = np.array([[[0] * 4] * 3 + [[c * f for f in base] for c in (2, -3, 5)]] * 3,
                      dtype=object)
         rows_nine = constraints._octic_row_set(3, Family.OCTIC_NINE)[1]
-        gram = _engine(random_rig(rng, 2), Family.OCTIC_NINE).blocks[0][2]
-        assert constraints._spanning_vector(w, rows_nine) is None
-        assert not constraints._contract(gram.T[None], w[None], rows_nine).any()
-        assert constraints._spanning_vector(w, constraints._ROW_PAIRS).tolist() == [
-            2 * f for f in base]
+        nonzeros = _engine(random_rig(rng, 2), Family.OCTIC_NINE).blocks[0][3]
+        assert constraints._zero_outer_rows(w, rows_nine)
+        x = w[:, rows_nine].transpose(2, 3, 0, 1).reshape(2, 4, -1)
+        assert not constraints._power_times(nonzeros, x, 16).any()
+        assert not constraints._zero_outer_rows(w, constraints._ROW_PAIRS)
         # the same through the engine: a rank-2 camera puts the left kernel
         # of B on its own rows, so rows 0 to 2 of pair (0, 1) vanish
         cams = random_rig(rng, 2).cameras
@@ -1470,8 +1547,8 @@ class TestExactVerdict:
             engines = [constraints.OcticEngine(backend_rig, [([(0, 1)], [(0, 0)])] * 2,
                                                [(0, 1, tensor)]) for _ in range(2)]
             assert len(built) == len(indexes) + 1
-            gram, _, nonzeros = engines[0].blocks[0][2:]
-            assert engines[1].blocks[0][2] is gram and engines[1].blocks[0][4] is nonzeros
+            gram, _, nonzeros = constraints._gram(tensor, dtype is object, 2, 2)
+            assert all(engine.blocks[0][3] is nonzeros for engine in engines)
             assert not any(a.flags.writeable for a in (gram,) + nonzeros)
             slots, columns, values = nonzeros
             assert slots.shape == (2, 19) and values.dtype == dtype

@@ -26,7 +26,8 @@ from rigidview.polyspace import (
     MultiHomogPoly,
     _add_product,
     _is_probable_prime,
-    _limb_operands,
+    _limb_left,
+    _limb_right,
     _mod,
     _modp_rank,
     all_octics_symbolic,
@@ -961,7 +962,7 @@ class TestModpRank:
         right = high * 2 ** 15 + low
         got = rng.integers(0, p, size=(4, 6)) if added == "random" else np.full((4, 6), p - 1)
         want = (got.astype(object) + left.astype(object) @ right.astype(object)) % p
-        lf, rf = _limb_operands(left, right, p)
+        lf, rf = _limb_left(left, p), _limb_right(right, p)
         assert np.abs(lf @ rf).max() > 2 ** 52.5
         _add_product(got, lf, rf, p)
         assert got.tolist() == want.tolist()
@@ -977,7 +978,7 @@ class TestModpRank:
             x %= p
             return x - p if x > p // 2 else x
 
-        left, right = _limb_operands(a, b.copy(), p)
+        left, right = _limb_left(a, p), _limb_right(b.copy(), p)
         assert left.dtype == right.dtype == np.float64
         assert left.tolist() == [[centered(x) for x in row] + [centered(x * 2 ** 15) for x in row]
                                  for row in a.tolist()]
