@@ -241,8 +241,10 @@ def _power_times(nonzeros, x, width):
     values are, float64 when both are."""
     slots, columns, terms = nonzeros
     terms = terms[:, None]
-    for slot, vectors in zip(slots, x):
-        terms = terms * vectors[slot]
+    # by position and by take: at M = 1, iterating the arrays and fancy
+    # indexing cost more than the products
+    for k in range(len(slots)):
+        terms = terms * x[k].take(slots[k], axis=0)
     t = np.zeros((width, x.shape[2]), dtype=terms.dtype)
     np.add.at(t, columns, terms)
     return t
@@ -416,7 +418,7 @@ class OcticEngine:
             # no witness only when every vector of a is zero, and then a
             # nonzero X_a has rows of degree 0, which read no vector
             pair, row = cofactors_a.witness or (pairs_a[0], 0)
-            x = cofactors_a.vectors(*pair)[0][row]
+            x = cofactors_a.vectors(*pair)[0][row, :, None]
             if self.exact:
                 # as Python ints: products of int64 entries can overflow
                 x = x.astype(object)
@@ -426,7 +428,7 @@ class OcticEngine:
             # pair alone, which rejects most non-members before the other
             # pairs' vectors are computed, then at the other pairs in one
             # contraction
-            t = _power_times(nonzeros, x[None, :, None].repeat(d, 0), 4 ** e).T
+            t = _power_times(nonzeros, x[None].repeat(d, 0), 4 ** e).T
             for group in (pairs_b[:1], pairs_b[1:]):
                 if not group:
                     continue

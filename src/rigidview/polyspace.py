@@ -8,7 +8,8 @@ triangulation cofactor vectors and the degree-8 distance constraints
 symbolically for a fixed numeric rig, computes span dimensions of
 polynomial families modulo a random 31-bit prime (sparse rows with distinct
 leading columns are taken as pivots, the other rows reduced by them
-sparsely, and only the remainder is eliminated densely), and counts the
+sparsely, and only the remainder is eliminated densely, on a sample of its
+rows when random combinations of all rows certify it), and counts the
 conjectured minimal generators per degree class.  Polynomials carry no
 arithmetic: nothing in the package adds or multiplies them.
 
@@ -592,11 +593,10 @@ def _eliminate_panel(x: np.ndarray, p: int):
     return np.concatenate([pivots1, rest1[order2]]), q1 + q2, e
 
 
-def _modp_rank(a: np.ndarray, p: int) -> np.ndarray:
-    """Rank of the int64 matrix a over GF(p), p a prime below 2^31, by
-    blocked elimination (Dumas, Giorgi and Pernet, FFLAS-FFPACK, 2008),
-    returned as the pivot rows: the positions in a of rank-many rows whose
-    original entries form a basis of a's row space mod p.
+def _eliminate(a: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
+    """The blocked elimination of the rows ``rows`` (ascending positions)
+    of a, residues in [0, p), returned as its pivot rows (Dumas, Giorgi and
+    Pernet, FFLAS-FFPACK, 2008).
 
     Per panel of PANEL_WIDTH columns, the rows with an entry there are
     eliminated on the panel, and the other non-pivot rows' trailing columns
@@ -605,17 +605,10 @@ def _modp_rank(a: np.ndarray, p: int) -> np.ndarray:
     reduced mod p in float64 (see :func:`_add_product`).  Each row then
     equals its original plus a combination of the original pivot rows
     taken so far, so a row that becomes zero lies in their span and is
-    dropped, and the pivot rows span what every row spans.  The fewer panels
-    a dependent row needs to fall into that span, the less work it costs:
-    :func:`span_dimension` fills the columns in the order of
-    :func:`_column_order`, whose first panel holds the octics' full rank,
-    and passes the rows sorted by leading column in that order.  Entries
-    outside [0, p) are reduced first.  The work is done in a itself, which
-    is overwritten: a second copy of the coefficient matrix would be most of
-    a span request's peak memory."""
-    if a.size and (a.min() < 0 or a.max() >= p):
-        _mod(a, p, out=a)
-    rows = np.flatnonzero(a.any(axis=1))
+    dropped, and the pivot rows span what every row spans.  A column's pivot
+    is the first of its candidate rows in a's order, so a row that lies in
+    the span of the rows before it never becomes a pivot.  The work is done
+    in a itself, which is overwritten."""
     basis = [np.zeros(0, dtype=np.intp)]
     for c in range(0, a.shape[1], PANEL_WIDTH):
         if rows.size == 0:
@@ -641,6 +634,94 @@ def _modp_rank(a: np.ndarray, p: int) -> np.ndarray:
                 live[s:s + _UPDATE_ROWS] |= block.any(axis=1)
         rows = np.sort(np.concatenate([rows, rest[live]]))
     return np.concatenate(basis)
+
+
+# A sampled rank is certified by s random combinations of all rows, which a
+# sample that spans less than all rows lets through with probability at
+# most p^-s; s is the least count with p^s >= 2^CERTIFICATE_BITS, so that
+# a wrong certificate is far rarer than a bad prime.
+CERTIFICATE_BITS = 90
+# Rows per product of the certificate: a product sums this many terms, each
+# a 16-bit limb of rho times a residue, so with the running residue added it
+# is at most 2^6 (2^16 - 1)(2^31 - 2) + 2^31 < 2^53 - 2^36, exact in float64
+# and within the bound of _reduce.
+_CERTIFICATE_ROWS = 64
+
+
+def _certificate_count(p: int) -> int:
+    """s, the least count with p^s >= 2^CERTIFICATE_BITS: 3 for primes of
+    30 bits or more, 90 for p = 2."""
+    s = 1
+    while p ** s < 2 ** CERTIFICATE_BITS:
+        s += 1
+    return s
+
+
+@lru_cache(maxsize=8)
+def _row_sample(count: int) -> np.ndarray:
+    """PANEL_WIDTH of ``count`` row positions, ascending: one fixed
+    pseudo-random subset per count, read-only."""
+    sample = np.sort(np.random.default_rng(count).choice(count, PANEL_WIDTH, replace=False))
+    sample.flags.writeable = False
+    return sample
+
+
+def _certificate(a: np.ndarray, p: int) -> np.ndarray:
+    """:func:`_certificate_count` rows rho a mod p, for a with residues in
+    [0, p) and rho drawn uniformly mod p from fresh OS entropy on every call
+    (an unseeded generator), never from a seed.  The 16-bit limbs of rho
+    multiply _CERTIFICATE_ROWS rows of a at a time in float64, exact and
+    reduced there by :func:`_reduce`, so the temporaries stay a few such row
+    blocks."""
+    s = _certificate_count(p)
+    rho = np.random.default_rng().integers(0, p, size=(s, a.shape[0]))
+    limbs = np.concatenate([rho & 0xFFFF, rho >> 16]).astype(np.float64)
+    acc = np.zeros((2 * s, a.shape[1]))
+    work = np.empty_like(acc)
+    for r in range(0, a.shape[0], _CERTIFICATE_ROWS):
+        acc += limbs[:, r:r + _CERTIFICATE_ROWS] @ a[r:r + _CERTIFICATE_ROWS].astype(np.float64)
+        _reduce(acc, p, work)
+    # both halves are residues below 2^31: the sum is below 2^48
+    out = acc[:s] + acc[s:] * 2.0 ** 16
+    _reduce(out, p, work[:s])
+    return out.astype(np.int64)
+
+
+def _modp_rank(a: np.ndarray, p: int) -> np.ndarray:
+    """Rank of the int64 matrix a over GF(p), p a prime below 2^31,
+    returned as the pivot rows: the positions in a of rank-many rows whose
+    original entries form a basis of a's row space mod p.  Entries outside
+    [0, p) are reduced first.
+
+    When a has more than PANEL_WIDTH nonzero rows, the sample of
+    :func:`_row_sample` is ranked first, with the s rows of
+    :func:`_certificate` appended after it, by one :func:`_eliminate`.  If
+    no certificate row becomes a pivot, every combination lies in the
+    sample's span, and the sample's pivot rows are returned: when the
+    sample spans less than a, each combination lies in its span with
+    probability at most 1/p (Freivalds, 1977), so a wrong certificate has
+    probability at most p^-s <= 2^-CERTIFICATE_BITS, and it can only make
+    the rank fall short.  A certificate row that lies in the sample's span
+    never becomes a pivot, as the sample comes first.  Otherwise all
+    nonzero rows are eliminated, as for a of at most PANEL_WIDTH of them.
+
+    The fewer panels a dependent row needs to fall into its pivots' span,
+    the less work it costs: :func:`span_dimension` fills the columns in the
+    order of :func:`_column_order`, whose first panel holds the octics' full
+    rank, and passes the rows sorted by leading column in that order, which
+    the sample keeps.  The full elimination works in a itself, which is
+    overwritten: a second copy of the coefficient matrix would be most of a
+    span request's peak memory."""
+    if a.size and (a.min() < 0 or a.max() >= p):
+        _mod(a, p, out=a)
+    rows = np.flatnonzero(a.any(axis=1))
+    if rows.size > PANEL_WIDTH:
+        sample = rows[_row_sample(rows.size)]
+        stacked = np.concatenate([a[sample], _certificate(a, p)])
+        pivots = _eliminate(stacked, np.arange(len(stacked)), p)
+        if pivots.max() < PANEL_WIDTH:
+            return sample[pivots]
+    return _eliminate(a, rows, p)
 
 
 @lru_cache(maxsize=8)
@@ -760,7 +841,9 @@ def _sparse_pivots(polys: Sequence[MultiHomogPoly], p: int):
     firsts = starts[by_lead[np.diff(cols[starts][by_lead], prepend=-1) != 0]]
     pivot_of_row = np.full(len(polys), -1)
     pivot_of_row[at[firsts]] = np.arange(len(firsts))
-    scale = np.array([pow(x, -1, p) for x in values[firsts].tolist()], dtype=np.int64)
+    # one inverse per distinct lead value: the slice's leads take few values
+    distinct, which = np.unique(values[firsts], return_inverse=True)
+    scale = np.array([pow(x, -1, p) for x in distinct.tolist()], dtype=np.int64)[which]
     entry = pivot_of_row[at] >= 0
     entry[firsts] = False
     pivot = pivot_of_row[at[entry]]
@@ -830,9 +913,10 @@ def span_dimension(polys: Sequence[MultiHomogPoly], modulus: int) -> int:
     (the slot ``_handoff``) used the same modulus and ranked only
     polynomials that are in ``polys`` (the same objects, ``is``), this call
     empties the slot and drops those of them that were not its pivot rows.
-    The pivot rows span the others mod p (see :func:`_modp_rank`), so the
-    span and the result are unchanged; the dropped rows were read under
-    this modulus by that call, and raise nothing.  A call that does not
+    The pivot rows span the others mod p (see :func:`_modp_rank`; after a
+    wrong certificate they span less, and that call's rank already fell
+    short), so the span and the result are unchanged; the dropped rows were
+    read under this modulus by that call, and raise nothing.  A call that does not
     match neither takes nor clears the slot.  The slot holds its
     polynomials until a call takes or replaces it, and every thread shares
     it: concurrent calls at worst both take one slot, valid for both, or
@@ -857,19 +941,30 @@ def span_dimension(polys: Sequence[MultiHomogPoly], modulus: int) -> int:
     in the fixed order of :func:`_column_order` and its rows sorted by
     leading column in that order (stably, on a copy of the list: the
     caller's keeps its order), which leaves the rank unchanged and lets
-    dependent rows drop out after fewer panels.
+    dependent rows drop out after fewer panels.  Given more than
+    PANEL_WIDTH nonzero rows, it ranks a fixed sample of PANEL_WIDTH of
+    them and keeps that rank when s random combinations of all rows lie in
+    the sample's span, s the least count with p^s >= 2^CERTIFICATE_BITS;
+    else it ranks all rows.  The combinations are drawn anew on every call,
+    so the work varies from call to call, but the result does not, except
+    with probability at most 2^-CERTIFICATE_BITS.
 
     The rank over GF(p) does not depend on how it is computed, so the bound
     below holds for the sparse pass and the hand-off as for the dense route.
-    The result never exceeds the rational rank r.  It is smaller only if p
+    The result never exceeds the rational rank r.  It falls below the rank
+    mod p only after a wrong certificate, with probability at most
+    2^-CERTIFICATE_BITS (2^-90), and only for input of more than
+    PANEL_WIDTH nonzero rows.  The rank mod p is smaller than r only if p
     divides one fixed nonzero r x r minor M of the row-cleared integer
     coefficient matrix; |M| is at most the Hadamard bound H, so at most
     log2(H)/30 primes of 30 bits or more divide it.  A prime from
     :func:`random_rank_prime`, uniform over the RANK_PRIME_COUNT (about
     5.07e7) primes in [2^30, 2^31), therefore gives a smaller rank with
-    probability at most (log2(H)/30) / RANK_PRIME_COUNT, the figure
-    :func:`modp_failure_bound` computes (about 1.5e-5 for the 441 octics of
-    a random two-camera rig with camera entries below 20).
+    probability at most (log2(H)/30) / RANK_PRIME_COUNT.  The sum of the
+    two terms is the figure :func:`modp_failure_bound` computes (about
+    1.5e-5 for the 441 octics of a random two-camera rig with camera
+    entries below 20, to which the certificate's 2^-90 adds nothing in
+    float64).
 
     The rows are each polynomial's cleared row (see :class:`MultiHomogPoly`)
     reduced by :func:`_residue_chunks`, which raises ValueError when p
@@ -927,25 +1022,35 @@ def span_dimension(polys: Sequence[MultiHomogPoly], modulus: int) -> int:
     return len(leads) + len(_modp_rank(remainder[order], modulus))
 
 
-def _height_bits(polys: Sequence[MultiHomogPoly]) -> float:
+def _height_bits(polys: Sequence[MultiHomogPoly]) -> tuple:
     """log2 of the Hadamard bound of the row-cleared coefficient matrix,
     bounded row by row by the bit length of the largest entry of the cleared
-    row plus log2(sqrt(terms))."""
-    bits = 0.0
+    row plus log2(sqrt(terms)), and the count of nonzero rows."""
+    bits, rows = 0.0, 0
     for poly in polys:
         if poly.is_zero():
             continue
         _, nums, _ = poly._row
         bits += int(np.abs(nums).max()).bit_length() + 0.5 * log2(len(nums))
-    return bits
+        rows += 1
+    return bits, rows
+
+
+def _certificate_bound(rows: int) -> float:
+    """2^-CERTIFICATE_BITS, the chance of a wrong certificate, for a rank of
+    more than PANEL_WIDTH nonzero rows, else 0: only then can the dense
+    elimination rank a sample (see :func:`_modp_rank`)."""
+    return 2.0 ** -CERTIFICATE_BITS if rows > PANEL_WIDTH else 0.0
 
 
 def modp_failure_bound(polys: Sequence[MultiHomogPoly]) -> float:
     """Upper bound on the probability that ``span_dimension(polys, p)``, with
     p from :func:`random_rank_prime`, is below the rational rank: the count
-    floor(log2(H)/30) of bad primes over RANK_PRIME_COUNT (see
-    :func:`span_dimension`)."""
-    return (_height_bits(polys) // 30) / RANK_PRIME_COUNT
+    floor(log2(H)/30) of bad primes over RANK_PRIME_COUNT, plus
+    2^-CERTIFICATE_BITS for a certificate when there are more than
+    PANEL_WIDTH nonzero rows (see :func:`span_dimension`)."""
+    bits, rows = _height_bits(polys)
+    return (bits // 30) / RANK_PRIME_COUNT + _certificate_bound(rows)
 
 
 def quotient_failure_bound(octics: Sequence[MultiHomogPoly],
@@ -953,10 +1058,12 @@ def quotient_failure_bound(octics: Sequence[MultiHomogPoly],
     """Union bound on the probability that one prime from
     :func:`random_rank_prime` gives a wrong span dimension of ``octics``, of
     ``component`` or of ``component + octics``, the three ranks from which
-    the octics' dimension modulo the component is read.  The union's rows
-    are the two families' rows, so its log2(H) is the sum of theirs."""
-    a, b = _height_bits(octics), _height_bits(component)
-    return (a // 30 + b // 30 + (a + b) // 30) / RANK_PRIME_COUNT
+    the octics' dimension modulo the component is read: each rank's
+    :func:`modp_failure_bound`.  The union's rows are the two families'
+    rows, so its log2(H) and its row count are the sums of theirs."""
+    (a, m), (b, n) = _height_bits(octics), _height_bits(component)
+    return ((a // 30 + b // 30 + (a + b) // 30) / RANK_PRIME_COUNT
+            + _certificate_bound(m) + _certificate_bound(n) + _certificate_bound(m + n))
 
 
 def octic_span(rig: CameraRig, modulus: int) -> dict:
@@ -964,11 +1071,13 @@ def octic_span(rig: CameraRig, modulus: int) -> dict:
     prime ``modulus``: the span dimension of the 441 unit-distance octics,
     that of the (2,2,2,2) slice of the consistency ideal, the octics'
     dimension modulo that slice (the union's span minus the slice's), and the
-    :func:`quotient_failure_bound` of a random prime.  The octics' rank is
-    taken first and the union's right after it, so the union takes the
-    octics' pivot rows from :func:`span_dimension`'s hand-off and ranks the
-    slice with those 126 octics only; the slice's rank in between leaves the
-    hand-off as it is."""
+    :func:`quotient_failure_bound` of a random prime, which counts a bad
+    prime and a wrong certificate for each of the three ranks (the
+    certificates' 3 * 2^-90 lies below float64 resolution next to the
+    primes' term).  The octics' rank is taken first and the union's right
+    after it, so the union takes the octics' pivot rows from
+    :func:`span_dimension`'s hand-off and ranks the slice with those 126
+    octics only; the slice's rank in between leaves the hand-off as it is."""
     octics = all_octics_symbolic(rig, polarize(unit_distance_form()))
     component = ideal_component_basis(rig)
     span = span_dimension(octics, modulus)

@@ -22,8 +22,8 @@ from rigidview.constraints import _UNIT_FORM, DEFAULT_VANISH_TOL, OcticEngine
 from rigidview.linalg import (DEFAULT_RANK_TOL, EXACT, FLOAT, Mat, _bareiss_echelon, _cleared,
                               _exact_rank, _float_array, det, integer_cleared, rank,
                               signed_maximal_minors)
-from rigidview.polyspace import (RANK_PRIME_COUNT, MultiHomogPoly, _shared_degree, monomial_basis,
-                                 variable_index)
+from rigidview.polyspace import (PANEL_WIDTH, RANK_PRIME_COUNT, MultiHomogPoly, _shared_degree,
+                                 monomial_basis, variable_index)
 from rigidview.triangulation import NotInVarietyError, NotTriangulableError, triangulate
 
 
@@ -475,14 +475,26 @@ def reference_height_bits(polys, terms=None):
     return bits
 
 
+def reference_certificate_bound(polys, terms=None):
+    """2^-90 for more than PANEL_WIDTH polynomials with terms, else 0: the
+    chance that the certificate of a sampled mod-p rank is wrong."""
+    rows = sum(1 for t in _terms(polys, terms) if len(t))
+    return 2.0 ** -90 if rows > PANEL_WIDTH else 0.0
+
+
 def reference_modp_failure_bound(polys, terms=None):
-    return (reference_height_bits(polys, terms) // 30) / RANK_PRIME_COUNT
+    return ((reference_height_bits(polys, terms) // 30) / RANK_PRIME_COUNT
+            + reference_certificate_bound(polys, terms))
 
 
 def reference_quotient_failure_bound(octics, component, octic_terms=None, component_terms=None):
     a = reference_height_bits(octics, octic_terms)
     b = reference_height_bits(component, component_terms)
-    return (a // 30 + b // 30 + (a + b) // 30) / RANK_PRIME_COUNT
+    union_terms = list(_terms(component, component_terms)) + list(_terms(octics, octic_terms))
+    return ((a // 30 + b // 30 + (a + b) // 30) / RANK_PRIME_COUNT
+            + reference_certificate_bound(octics, octic_terms)
+            + reference_certificate_bound(component, component_terms)
+            + reference_certificate_bound(component + octics, union_terms))
 
 
 def reference_rigid_pair_oracle(rig, u, v, tol=None):

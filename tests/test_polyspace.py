@@ -756,6 +756,21 @@ class TestSpanDimension:
         assert quotient_failure_bound(octics, component) == pytest.approx(want, rel=1e-12)
         assert want > 0
 
+    def test_failure_bound_counts_the_certificate(self, monkeypatch):
+        # more than PANEL_WIDTH nonzero rows may be ranked by a sample, and
+        # the bound then carries 2^-CERTIFICATE_BITS; at 2^-90 it lies below
+        # float64 resolution next to the primes' term (at least 129 bits),
+        # so it is read here at 2^-20
+        monkeypatch.setattr(polyspace, "CERTIFICATE_BITS", 20)
+        basis = monomial_basis(2, (1, 1, 1, 0))
+        polys = [MultiHomogPoly(2, {basis[i % len(basis)]: 1}) for i in range(PANEL_WIDTH + 1)]
+        polys.append(MultiHomogPoly(2))
+        few, many = polys[:PANEL_WIDTH] + polys[-1:], polys
+        assert modp_failure_bound(few) == (PANEL_WIDTH // 30) / RANK_PRIME_COUNT
+        assert modp_failure_bound(many) == ((PANEL_WIDTH + 1) // 30) / RANK_PRIME_COUNT + 2 ** -20
+        assert quotient_failure_bound(few, few) == (
+            (2 * (PANEL_WIDTH // 30) + 2 * PANEL_WIDTH // 30) / RANK_PRIME_COUNT + 2 ** -20)
+
     @pytest.mark.parametrize("family", ["octics", "union"])
     def test_row_order_does_not_change_the_rank(self, families, family):
         octics, component = families["int"]
@@ -921,14 +936,15 @@ class TestModpRank:
         assert reference_modp_rank(a[pivots], p) == rank
 
     def test_full_rank_first_panel_drops_every_other_row(self, panels):
-        # rows of rank 100 spread over every column: one panel finds them,
-        # and the dependent rows fall to zero in its trailing update
+        # rows of rank 100 spread over every column: one panel of the
+        # sample and its certificate rows finds them, and the dependent rows
+        # fall to zero in its trailing update
         p = 65521
         rng = np.random.default_rng(7)
         a = rng.integers(0, p, size=(300, 100)) @ rng.integers(0, p, size=(100, 900)) % p
         pivots = _modp_rank(a.copy(), p)
         assert len(pivots) == reference_modp_rank(a[pivots], p) == 100
-        assert panels == [(300, PANEL_WIDTH)]
+        assert panels == [(PANEL_WIDTH + polyspace._certificate_count(p), PANEL_WIDTH)]
 
     @pytest.mark.parametrize("p", RANK_PRIMES)
     def test_random_tall_matrix_matches_reference(self, p):
@@ -986,6 +1002,105 @@ class TestModpRank:
         assert (low >= 0).all() and (low < 2 ** 15).all() and (np.abs(high) <= 2 ** 15).all()
         assert (low + 2 ** 15 * high).tolist() == [[centered(x) for x in row] for row in b.tolist()]
         assert (left @ right % p).tolist() == (a.astype(object) @ b.astype(object) % p).tolist()
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The row counts of the matrices that _modp_rank hands to _eliminate:
+    the sample and its certificate rows, then all rows after a fallback."""
+    counts = []
+    original = polyspace._eliminate
+
+    def recorded(a, rows, p):
+        counts.append(len(a))
+        return original(a, rows, p)
+
+    monkeypatch.setattr(polyspace, "_eliminate", recorded)
+    return counts
+
+
+class TestSampledRank:
+    """_modp_rank on more than PANEL_WIDTH nonzero rows: a fixed sample of
+    PANEL_WIDTH of them, certified by s rows rho a mod p appended after it,
+    and the full rank when a certificate row becomes a pivot."""
+
+    def test_certificate_count(self):
+        counts = {p: polyspace._certificate_count(p) for p in RANK_PRIMES + MOD_PRIMES}
+        assert counts == {2: 90, 3: 57, 65521: 6, 2 ** 31 - 1: 3, 2 ** 30 + 3: 3}
+        for p, s in counts.items():
+            assert p ** s >= 2 ** 90 > p ** (s - 1)
+
+    def test_sample_is_fixed_per_row_count(self):
+        for count in (PANEL_WIDTH + 1, 441):
+            sample = polyspace._row_sample(count)
+            assert sample is polyspace._row_sample(count) and not sample.flags.writeable
+            assert len(set(sample.tolist())) == PANEL_WIDTH
+            assert sample.tolist() == sorted(sample.tolist()) and 0 <= sample[0] <= sample[-1] < count
+
+    @pytest.mark.parametrize("p", RANK_PRIMES)
+    @pytest.mark.parametrize("r", [17, 100])
+    def test_tall_low_rank_takes_the_sample(self, p, r, eliminations):
+        # 343 nonzero rows of rank r: the sample spans them all, so one
+        # elimination of the sample and its certificate rows decides
+        a = planted_matrix(p + r + 3, 400, 2 * PANEL_WIDTH + 40, r, p)
+        pivots = _modp_rank(a.copy(), p)
+        rank = reference_modp_rank(a, p)
+        assert len(pivots) == len(set(pivots.tolist())) == rank == reference_modp_rank(a[pivots], p)
+        assert eliminations == [PANEL_WIDTH + polyspace._certificate_count(p)]
+
+    @pytest.mark.parametrize("p", RANK_PRIMES)
+    def test_a_direction_outside_the_sample_falls_back(self, p, eliminations):
+        # rank 40 on every row, except that one row the sample leaves out
+        # also holds column 11, zero in every other row: the certificate
+        # catches it unless every combination skips that row (p^-s), and
+        # all rows are ranked
+        a = planted_matrix(p + 5, 300, 2 * PANEL_WIDTH + 40, 40, p) % p
+        assert not a[:, 11].any()
+        nonzero = np.flatnonzero(a.any(axis=1))
+        out = int(np.setdiff1d(nonzero, nonzero[polyspace._row_sample(len(nonzero))])[0])
+        a[out, 11] = 1
+        pivots = _modp_rank(a.copy(), p)
+        rank = reference_modp_rank(a, p)
+        assert out in pivots.tolist()
+        assert len(pivots) == len(set(pivots.tolist())) == rank == reference_modp_rank(a[pivots], p)
+        assert ((0 <= pivots) & (pivots < len(a))).all()
+        assert eliminations == [PANEL_WIDTH + polyspace._certificate_count(p), len(a)]
+
+    @pytest.mark.parametrize("idx", range(5))
+    def test_criterion_05_octics_rank_the_sample_only(self, idx, criterion_05_families,
+                                                      eliminations):
+        octics, _, p = criterion_05_families[idx]
+        assert span_dimension(octics, p) == 126
+        assert eliminations == [PANEL_WIDTH + 3]
+
+    @pytest.mark.parametrize("p", RANK_PRIMES)
+    def test_certificate_rows_are_exact(self, p):
+        # a = [I | B]: the first columns of rho a are rho itself, so the
+        # rest must be rho B mod p, over several row blocks of the product
+        rng = np.random.default_rng(p)
+        m = 5 * polyspace._CERTIFICATE_ROWS + 3
+        b = np.concatenate([rng.integers(0, p, size=(m, 40)), np.full((m, 3), p - 1)], axis=1)
+        got = polyspace._certificate(np.concatenate([np.eye(m, dtype=np.int64), b], axis=1), p)
+        assert got.dtype == np.int64 and got.shape == (polyspace._certificate_count(p), m + 43)
+        assert ((0 <= got) & (got < p)).all()
+        rho = got[:, :m].astype(object)
+        assert rho.any()
+        assert got[:, m:].tolist() == (rho @ b.astype(object) % p).tolist()
+
+    def test_rho_is_drawn_unseeded_on_every_call(self, monkeypatch):
+        seeds = []
+        original = np.random.default_rng
+
+        def recorded(*args, **kwargs):
+            seeds.append((args, kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", recorded)
+        p = 2 ** 31 - 1
+        a = np.random.Generator(np.random.PCG64(3)).integers(0, p, size=(200, 300))
+        first, second = polyspace._certificate(a, p), polyspace._certificate(a, p)
+        assert seeds == [((), {}), ((), {})]
+        assert not np.array_equal(first, second)
 
 
 # The smallest prime above 2^30 and the largest below 2^31.
