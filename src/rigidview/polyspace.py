@@ -5,13 +5,13 @@ a Z^(2n) grading: one degree slot per camera per side.  Variables are
 ordered u_(1,0), u_(1,1), u_(1,2), ..., u_(n,2), v_(1,0), ..., v_(n,2); an
 exponent vector is a tuple of 6n nonnegative integers.  The module expands
 triangulation cofactor vectors and the degree-8 distance constraints
-symbolically for a fixed numeric rig, computes span dimensions of
-polynomial families modulo a random 31-bit prime (sparse rows with distinct
-leading columns are taken as pivots, the other rows reduced by them
-sparsely, and only the remainder is eliminated densely, on a sample of its
-rows when random combinations of all rows certify it), and counts the
-conjectured minimal generators per degree class.  Polynomials carry no
-arithmetic: nothing in the package adds or multiplies them.
+symbolically for a fixed numeric rig (in exact float64 BLAS limb products),
+computes span dimensions of polynomial families modulo a random 31-bit prime
+(sparse rows with distinct leading columns are taken as pivots, the other
+rows reduced by them sparsely, and only the remainder is eliminated densely,
+on a sample of its rows when random combinations of all rows certify it), and
+counts the conjectured minimal generators per degree class.  Polynomials
+carry no arithmetic: nothing in the package adds or multiplies them.
 
 The cofactor vectors come from the signed 3x3 camera minors that the rig
 stores (:meth:`rigidview.cameras.CameraRig.minor_table`), and the octics
@@ -25,6 +25,7 @@ image points.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
@@ -308,15 +309,47 @@ def _contraction_columns(n: int, pair_u: tuple, pair_v: tuple):
     return degree, perm
 
 
+def _limbs(x: np.ndarray, width: int) -> np.ndarray:
+    """3-d int64 x as float64 limbs of ``width`` bits on a new first axis, the
+    top one first, in [-2^width, 2^width), and the others in [0, 2^width)."""
+    count = max(-(-_max_abs(x).bit_length() // width), 1)
+    limbs = x >> width * np.arange(count - 1, -1, -1).reshape(-1, 1, 1, 1)
+    limbs[1:] &= (1 << width) - 1
+    return limbs.astype(np.float64)
+
+
+def _exact_product(a: np.ndarray, b: np.ndarray, row_bound: int, entry_bound: int) -> np.ndarray:
+    """a[i] @ b[j].T at [i, j] in int64, for 3-d int64 a and b of k columns,
+    row_bound >= every row sum of |a| and entry_bound >= every |b|, whose
+    product is below 2^63.  The products run in float64 BLAS, exact while
+    partial sums stay below 2^53 (Dumas, Giorgi and Pernet, FFLAS-FFPACK,
+    2008): one product under that bound, else one per :func:`_limbs` of the
+    operand whose factor of the bound has more bits, w = 53 minus the other
+    factor's bits wide (row_bound for b's limbs, k entry_bound for a's),
+    summed in int64, where wrap-around is exact modulo 2^64.  Products are
+    written into the result four rows of a at a time."""
+    bits = [row_bound.bit_length(), (a.shape[-1] * entry_bound).bit_length()]
+    width = 53 - min(bits) if row_bound * entry_bound >= 2 ** 53 else 63
+    widths = (63, width) if bits[0] <= bits[1] else (width, 63)
+    terms = list(itertools.product(_limbs(a, widths[0]), _limbs(b, widths[1]).swapaxes(2, 3)))
+    out = np.zeros((len(a), len(b), a.shape[1], b.shape[1]), np.int64)
+    for s, (x, y) in itertools.product(range(0, len(a), 4), terms):
+        block = out[s:s + 4]
+        block <<= width
+        np.add(block, x[s:s + 4, None] @ y, out=block, dtype=np.int64, casting="unsafe")
+    return out
+
+
 def _contract_octics(rig: CameraRig, tensor: QuadTensor, pair_u, pair_v,
                      rows_u, rows_v) -> list:
     """The octics of every row pair in ``rows_u`` (positions in _ROW_PAIRS)
     against every one in ``rows_v``, as X_u T X_v^T: the coefficient of
     monomial (m_u, m_v) in the octic of row pairs (r_u, r_v) is the sum over
     s, t of X_u[r_u, s, m_u] T[s, t] X_v[r_v, t, m_v], computed on cleared
-    integers over the product of the three clearing factors.  Each octic is
-    its cleared row of these integers: with g the gcd of the clearing factor
-    and the row's entries, the entries over g and the factor over g.  Raises
+    integers over the product of the three clearing factors (in int64 by
+    :func:`_exact_product` where the bounds allow).  Each octic is its cleared
+    row of these integers: with g the gcd of the clearing factor and the row's
+    nonzero entries, those entries over g and the factor over g.  Raises
     ValueError unless the tensor is of bidegree (2, 2)."""
     if rig.backend != EXACT:
         raise ValueError("symbolic expansion needs an exact rig")
@@ -328,8 +361,8 @@ def _contract_octics(rig: CameraRig, tensor: QuadTensor, pair_u, pair_v,
     den *= den_u * den_v
     degree, perm = _contraction_columns(n, tuple(pair_u), tuple(pair_v))
 
-    a = x_u[rows_u].transpose(0, 2, 1).reshape(-1, 16)
-    b = x_v[rows_v].transpose(0, 2, 1).reshape(-1, 16)
+    a = x_u[rows_u].transpose(0, 2, 1)
+    b = x_v[rows_v].transpose(0, 2, 1)
     # No partial sum of a row of a times a column of T, and no row sum of
     # |a T|, exceeds X_u's bound times the sum of |T|: below INT64_LIMIT a T
     # is exact in int64, else it is taken in Python ints.
@@ -338,30 +371,33 @@ def _contract_octics(rig: CameraRig, tensor: QuadTensor, pair_u, pair_v,
     else:
         a = a.astype(object) @ gram.astype(object)
     # No partial sum of a row of a T times a row of b, and no entry of
-    # either, exceeds this bound: each factor counts as at least 1, so an
-    # all-zero operand (a pair whose 6x4 stack has rank below 3) cannot let
-    # the other through.  Below INT64_LIMIT, with the clearing factor, the
-    # product and the division are exact in int64, else they stay in Python
-    # ints.
-    bound = max(int(np.abs(a).sum(axis=1).max()), 1) * max(_max_abs(b), 1)
-    dtype = np.int64 if den < INT64_LIMIT and bound < INT64_LIMIT else object
-    a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
-    coefs = (a @ b.T).reshape(len(rows_u), 36, len(rows_v), 36).transpose(0, 2, 1, 3)
+    # either, exceeds the product of these bounds (each at least 1, so that an
+    # all-zero operand, a pair whose 6x4 stack has rank below 3, cannot let
+    # the other through): below INT64_LIMIT, with the clearing factor, the
+    # product and the division are exact in int64, else in Python ints.
+    bounds = max(int(np.abs(a).sum(axis=-1).max()), 1), max(_max_abs(b), 1)
+    if den < INT64_LIMIT and bounds[0] * bounds[1] < INT64_LIMIT:
+        coefs = _exact_product(a.astype(np.int64), b.astype(np.int64), *bounds)
+    else:
+        coefs = np.matmul(a.astype(object)[:, None], b.astype(object).swapaxes(1, 2))
     coefs = coefs.reshape(-1, 36 * 36)
-    # g divides den and every entry of its row: the row clears to coefs / g.
-    # g takes few values, as it divides den, and a division by one scalar
-    # over the rows that share it is far cheaper than by an array.
-    g = np.gcd(np.gcd.reduce(coefs, axis=1), den)
-    for d in np.unique(g).tolist():
-        if d != 1:
-            coefs[g == d] //= d
     # one nonzero scan of the whole matrix, split into rows: row-major, so
     # each row's columns come in ascending order
     nonzero = coefs != 0
-    cols, nums = _frozen((np.broadcast_to(perm, coefs.shape)[nonzero], coefs[nonzero]))
-    ends = np.cumsum(nonzero.sum(axis=1)).tolist()
+    cols, nums = np.broadcast_to(perm, coefs.shape)[nonzero], coefs[nonzero]
+    counts = nonzero.sum(axis=1)
+    ends = np.cumsum(counts)
+    # g, the gcd of den and the row's nonzero entries, divides both.  It takes
+    # few values, as it divides den, and dividing the entries of the rows that
+    # share one by that scalar, in place, is far cheaper than by an array.
+    g = np.full(len(coefs), den, nums.dtype)
+    g[counts > 0] = np.gcd(np.gcd.reduceat(nums, (ends - counts)[counts > 0]), den)
+    for d in np.unique(g).tolist():
+        if d != 1:
+            np.floor_divide(nums, d, out=nums, where=np.repeat(g == d, counts))
+    _frozen((cols, nums))
     out = []
-    for start, end, row_den in zip([0] + ends, ends, (den // g).tolist()):
+    for start, end, row_den in zip((ends - counts).tolist(), ends.tolist(), (den // g).tolist()):
         row_nums = nums[start:end]
         if row_nums.dtype == object:
             row_nums = _int_array(row_nums)
@@ -446,11 +482,14 @@ def random_rank_prime(rng) -> int:
             return cand
 
 
-def _check_rank_modulus(p) -> None:
-    if not (isinstance(p, int) and p < 2 ** 31 and _is_probable_prime(p)):
+def _check_rank_modulus(p) -> int:
+    if isinstance(p, bool) or not hasattr(p, "__index__"):
+        raise TypeError(f"modulus {p!r} is not an int")
+    if not (p < 2 ** 31 and _is_probable_prime(operator.index(p))):
         raise ValueError(f"modulus {p} is not a prime below 2^31; the mod-p rank needs one "
                          "(its float64 products are exact only while centered residues "
                          "stay below 2^30)")
+    return operator.index(p)
 
 
 # Exactness of the float64 products: a centered residue has |x| <= 2^30 - 1,
@@ -934,7 +973,8 @@ def span_dimension(polys: Sequence[MultiHomogPoly], modulus: int) -> int:
     the slot for the next call.
 
     The dense elimination is blocked, mod p (:func:`_modp_rank`), and p must
-    be a prime below 2^31 (else ValueError): its products run in float64
+    be a prime below 2^31 of any integer type (else ValueError, or TypeError
+    for a bool or a non-integer): its products run in float64
     on residues centered below 2^30 times 15-bit limbs, and stay exact only
     while every sum of 2 * PANEL_WIDTH such terms, plus a residue, is below
     2^53; the sums are reduced mod p in float64 too.  Its columns are taken
@@ -973,7 +1013,7 @@ def span_dimension(polys: Sequence[MultiHomogPoly], modulus: int) -> int:
     multidegrees raise ValueError.
     """
     global _handoff
-    _check_rank_modulus(modulus)
+    modulus = _check_rank_modulus(modulus)
     # each row's length, read once: it drops the zero rows and splits the
     # others into sparse and dense
     rows = [(q, k) for q in polys if (k := len(q._row[0]))]

@@ -324,6 +324,72 @@ class TestContractionMatchesReference:
             assert c1.dtype == c2.dtype and n1.dtype == n2.dtype and d1 == d2
             assert c1.tolist() == c2.tolist() and n1.tolist() == n2.tolist()
 
+    @pytest.mark.parametrize("regime, rig, form, bits, limbs", [
+        # bound below 2^53: one float64 product
+        ("one-product", (1, 2, 5), unit_distance_form(), 29, (1, 1)),
+        # a's row sums and 16 max|b| both have 29 bits: b is split
+        ("b-limbs", (1, 2, 20), unit_distance_form(), 54, (1, 2)),
+        # X_u T has 52 bits and X 7: a is split
+        ("a-heavy", (1, 2, 3), distance_form_squared(2 ** 44), 59, (2, 1)),
+    ])
+    def test_int64_regimes_keep_the_stored_rows(self, regime, rig, form, bits, limbs, monkeypatch):
+        # every int64 regime of the float64 limb products against the
+        # contraction forced onto Python ints, dtypes included; rows_u and
+        # rows_v differ in length, and 21 u rows end in a partial block
+        rig = harness_random_rig(*rig)
+        t = polarize(form)
+        rows_u, rows_v = np.arange(21), np.arange(0, 21, 2)
+        gram = _gram(t, True, 2, 2)[0]
+        x = polyspace._outer_rows(rig, 0, 1)[0]
+        a = x[rows_u].transpose(0, 2, 1) @ gram
+        bound = int(np.abs(a).sum(axis=-1).max()) * _max_abs(x[rows_v])
+        assert bound.bit_length() == bits
+        if regime == "a-heavy":
+            assert (_max_abs(a).bit_length(), _max_abs(x).bit_length()) == (52, 7)
+        counts = []
+        original = polyspace._limbs
+
+        def counted(v, width):
+            limbs = original(v, width)
+            counts.append(len(limbs))
+            return limbs
+
+        monkeypatch.setattr(polyspace, "_limbs", counted)
+
+        def stored():
+            return [q._row for q in
+                    polyspace._contract_octics(rig, t, (0, 1), (0, 1), rows_u, rows_v)]
+
+        got = stored()
+        assert tuple(counts) == limbs
+        monkeypatch.setattr(polyspace, "INT64_LIMIT", 0)
+        want = stored()
+        assert len(counts) == 2  # the Python-int reference takes no limbs
+        assert len(got) == len(want) == len(rows_u) * len(rows_v)
+        for (c1, n1, d1), (c2, n2, d2) in zip(got, want):
+            assert c1.dtype == c2.dtype and n1.dtype == n2.dtype and d1 == d2
+            assert c1.tolist() == c2.tolist() and n1.tolist() == n2.tolist()
+        assert {n.dtype for _, n, _ in got} == {np.dtype(np.int64)}
+
+    def test_contraction_memory(self):
+        # the int64 route that the float64 limb products replaced (numpy's
+        # int64 product, then a transposed copy of it) peaked at 9,436,032
+        # bytes, 2.06x the 441 x 1296 int64 matrix, on this rig after a first
+        # call; the products are written into the result in blocks and the
+        # rows' gcds read the nonzero entries, so the peak stays below that
+        rig = CONTRACTION_RIGS["int"]()
+        t = polarize(unit_distance_form())
+        size = 441 * 6 ** 4 * 8
+        all_octics_symbolic(rig, t)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            all_octics_symbolic(rig, t)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.06 * size
+
     @pytest.mark.parametrize("kind", list(CONTRACTION_RIGS))
     def test_rows_equal_the_division_by_row_gcds(self, kind):
         # the contraction divides the rows that share a gcd g with den by one
@@ -726,6 +792,17 @@ class TestSpanDimension:
         p = variable(2, "u", 0, 0)
         with pytest.raises(ValueError, match="not a prime below 2"):
             span_dimension([p], modulus)
+
+    @pytest.mark.parametrize("modulus", [np.int64(2 ** 31 - 1), np.uint32(65521), np.int32(2)])
+    def test_numpy_integer_primes_are_taken(self, modulus):
+        p, q = variable(2, "u", 0, 0), variable(2, "u", 0, 1)
+        assert span_dimension([p, scaled(p, 5), q], modulus) == 2
+        assert span_dimension([p, scaled(p, 5), q], int(modulus)) == 2
+
+    @pytest.mark.parametrize("modulus", [True, np.True_, 65521.0, np.float64(65521), "65521"])
+    def test_modulus_must_be_an_int(self, modulus):
+        with pytest.raises(TypeError, match="not an int"):
+            span_dimension([variable(2, "u", 0, 0)], modulus)
 
     def test_largest_allowed_prime_gives_exact_ranks(self):
         assert _is_probable_prime(2 ** 31 - 1)
